@@ -33,7 +33,6 @@ from pathlib import Path
 from repro.exec import available_cpus
 from repro.exec.dispatch import scheduler_counters
 from repro.exec.resilience import counters_snapshot
-from repro.pipeline.vector import resolve_kernel
 
 #: Repository root (benchmarks/ lives directly under it); the BENCH_*.json
 #: trajectory files are written here so successive PRs can diff them.
@@ -75,8 +74,7 @@ def write_bench_json(name: str, payload: dict) -> Path:
     """Write one machine-readable ``BENCH_<name>.json`` at the repo root.
 
     Every trajectory file carries the same envelope (UTC timestamp, trace
-    length, CPU count, the ``REPRO_*`` knobs in effect, the effective
-    detailed-core ``kernel`` the run's simulations executed on, the process's
+    length, CPU count, the ``REPRO_*`` knobs in effect, the process's
     resilience counters — retries, quarantined blobs, degradations — so a
     wall time achieved *through* recovery work is never mistaken for a
     clean one, and the process's scheduler counters — dispatch runs, jobs,
@@ -91,7 +89,6 @@ def write_bench_json(name: str, payload: dict) -> Path:
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "instructions": DEFAULT_INSTRUCTIONS,
-        "kernel": resolve_kernel(),
         "resilience": counters_snapshot(),
         "scheduler": scheduler_counters(),
     }

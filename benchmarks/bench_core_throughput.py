@@ -1,4 +1,4 @@
-"""Benchmark: detailed-path throughput across the in-tree core kernels.
+"""Benchmark: detailed-path throughput, frozen seed stack vs the current core.
 
 Measures serial detailed-simulation throughput (uops/sec, ``idle_skip`` on)
 of one Figure-4 cell — the paper's ``vortex`` workload under the
@@ -9,30 +9,15 @@ of one Figure-4 cell — the paper's ``vortex`` workload under the
   pre-optimisation substrate, all verbatim): the *before* leg, re-measured
   on the same machine at bench time so the recorded ratio is
   hardware-independent;
-* **object_microop** — the ``object`` kernel's back-compat path driven by
-  materialised :class:`~repro.isa.uop.MicroOp` views;
-* **object** — the ``object`` kernel on the static-plane fast path
-  (:class:`~repro.isa.plane.EncodedOps`);
-* **vector** — the struct-of-arrays fused-loop kernel
-  (:class:`~repro.pipeline.vector.VectorCore`), pure Python;
-* **compiled** — the same fused loop as a native extension, measured only
-  when ``tools/build_kernel.py`` has built it on this machine.
+* **core** — :class:`~repro.pipeline.core.OutOfOrderCore` on the
+  static-plane trace (:class:`~repro.isa.plane.EncodedOps`): the fused
+  struct-of-arrays run loop.
 
-Leg names follow the ``REPRO_KERNEL`` kernel names (``kernel_legs`` lists
-the ones measured).  Each leg's uops/sec covers trace materialisation
-*plus* simulation (the detailed path as a user pays for it); every leg
-must produce bit-identical statistics before any ratio is reported.  The
-measurements land in ``BENCH_core.json`` at the repo root.
-
-A note on expectations: the object kernel's stage pipeline was already
-aggressively flattened by earlier optimisation passes, and a large share
-of the remaining runtime is *shared model code* (policies, predictors,
-byte-granular memory image, hierarchy) that every kernel pays
-identically — so the pure-Python vector kernel's win over the object
-kernel is modest; the compiled kernel is where the fused loop's layout
-pays off.  The asserted bars below are therefore: unconditional
-bit-identity, the historical >= 1.5x of the best kernel over the frozen
-seed stack, and no-regression of vector vs the object kernel.
+Each leg's uops/sec covers trace materialisation *plus* simulation (the
+detailed path as a user pays for it); both legs must produce bit-identical
+statistics before any ratio is reported, and the core must stay >= 1.5x
+over the seed stack.  The measurements land in ``BENCH_core.json`` at the
+repo root.
 """
 
 import gc
@@ -48,13 +33,7 @@ import legacy_ref  # noqa: E402
 from legacy_ref import suites as legacy_suites  # noqa: E402
 
 from repro.harness.runner import ExperimentSettings, make_policy  # noqa: E402
-from repro.isa.trace import DynamicTrace  # noqa: E402
 from repro.pipeline.core import OutOfOrderCore  # noqa: E402
-from repro.pipeline.vector import (  # noqa: E402
-    CompiledCore,
-    VectorCore,
-    compiled_kernel_available,
-)
 from repro.workloads.suites import build_workload  # noqa: E402
 from repro.workloads import suites  # noqa: E402
 
@@ -80,12 +59,13 @@ def _timed_once(leg):
     """One timed execution with GC isolation.
 
     The collector runs normally *inside* the timed region — allocator and
-    collector pressure are part of what the encoded plane and the vector
-    layout remove, so quiescing the GC would hide a real component of the
-    win.  What must not leak between legs is heap debris: survivors of
-    earlier legs would make later legs' collections scan ever more memory.
-    ``gc.freeze()`` parks the pre-leg heap outside the collector for the
-    duration of the region, so every leg pays exactly its own GC cost.
+    collector pressure are part of what the encoded plane and the
+    struct-of-arrays loop remove, so quiescing the GC would hide a real
+    component of the win.  What must not leak between legs is heap debris:
+    survivors of earlier legs would make later legs' collections scan ever
+    more memory.  ``gc.freeze()`` parks the pre-leg heap outside the
+    collector for the duration of the region, so every leg pays exactly its
+    own GC cost.
     """
     gc.collect()
     gc.freeze()
@@ -119,14 +99,14 @@ def _timed_interleaved(legs, repeats=REPEATS):
 
 
 def measure_core_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
-    """Measure every available leg; asserts bit-identity, returns metrics."""
+    """Measure both legs; asserts bit-identity, returns metrics."""
     settings = ExperimentSettings(instructions=instructions)
     assert settings.core.idle_skip, "bench contract: idle_skip on"
 
     def legacy_leg():
         # Before: seed composer (per-uop MicroOp construction) + seed core
         # on the seed substrate, verbatim.  Cold segment memo, like the
-        # production legs below.
+        # core leg below.
         legacy_suites._SEGMENT_CACHE.clear()
         trace = legacy_ref.build_workload(WORKLOAD, instructions=instructions,
                                           seed=seed)
@@ -136,93 +116,48 @@ def measure_core_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
         return core.run(trace,
                         stats_warmup_fraction=settings.stats_warmup_fraction)
 
-    def kernel_leg(core_cls, encoded_trace=True):
-        # One production leg: the named kernel class over a freshly
-        # materialised trace (encoded fast path, or MicroOp views for the
-        # object kernel's back-compat leg).
-        def leg():
-            suites._SEGMENT_CACHE.clear()
-            trace = build_workload(WORKLOAD, instructions=instructions,
-                                   seed=seed)
-            if not encoded_trace:
-                trace = DynamicTrace(name=WORKLOAD, uops=trace.uops)
-            core = core_cls(settings.core,
-                            make_policy(CONFIG, sq_size=settings.sq_size))
-            return core.run(
-                trace, stats_warmup_fraction=settings.stats_warmup_fraction)
-        return leg
+    def core_leg():
+        suites._SEGMENT_CACHE.clear()
+        trace = build_workload(WORKLOAD, instructions=instructions, seed=seed)
+        core = OutOfOrderCore(settings.core,
+                              make_policy(CONFIG, sq_size=settings.sq_size))
+        return core.run(trace,
+                        stats_warmup_fraction=settings.stats_warmup_fraction)
 
-    kernel_legs = [
-        ("object_microop", kernel_leg(OutOfOrderCore, encoded_trace=False)),
-        ("object", kernel_leg(OutOfOrderCore)),
-        ("vector", kernel_leg(VectorCore)),
-    ]
-    if compiled_kernel_available():
-        kernel_legs.append(("compiled", kernel_leg(CompiledCore)))
-
-    measured = _timed_interleaved([("legacy", legacy_leg)] + kernel_legs)
+    measured = _timed_interleaved([("legacy", legacy_leg), ("core", core_leg)])
     legacy_result, legacy_s = measured["legacy"]
-    reference = _stats_signature(legacy_result)
+    core_result, core_s = measured["core"]
+    assert _stats_signature(core_result) == _stats_signature(legacy_result), \
+        "the core diverged from the frozen seed stack"
 
     uops = instructions
-    data = {
+    return {
         "workload": WORKLOAD,
         "config": CONFIG,
         "core_instructions": instructions,
-        "kernel_legs": [name for name, _ in kernel_legs],
-        "compiled_kernel_built": compiled_kernel_available(),
         "legacy_s": round(legacy_s, 3),
         "legacy_uops_per_sec": round(uops / legacy_s, 1),
+        "core_s": round(core_s, 3),
+        "core_uops_per_sec": round(uops / core_s, 1),
+        "speedup_vs_legacy": round(legacy_s / core_s, 3),
     }
-    seconds = {}
-    for name, _ in kernel_legs:
-        result, leg_s = measured[name]
-        assert _stats_signature(result) == reference, \
-            f"{name} kernel diverged from the frozen seed stack"
-        seconds[name] = leg_s
-        data[f"{name}_s"] = round(leg_s, 3)
-        data[f"{name}_uops_per_sec"] = round(uops / leg_s, 1)
-
-    # The headline ratio: the fastest measured kernel vs the frozen seed.
-    best = min(seconds, key=seconds.get)
-    data["best_kernel"] = best
-    data["speedup_vs_legacy"] = round(legacy_s / seconds[best], 3)
-    data["speedup_vs_object_path"] = round(
-        seconds["object_microop"] / seconds[best], 3)
-    data["vector_speedup_vs_object"] = round(
-        seconds["object"] / seconds["vector"], 3)
-    if "compiled" in seconds:
-        data["compiled_speedup_vs_object"] = round(
-            seconds["object"] / seconds["compiled"], 3)
-    return data
 
 
 def assert_core_throughput(data):
-    """The acceptance bars.
-
-    * bit-identity of every leg is asserted inside the measurement;
-    * the best kernel keeps the historical >= 1.5x over the frozen seed
-      stack on the Figure-4 cell;
-    * the vector kernel does not regress materially vs the object kernel
-      (>= 0.9x allows for timing noise on shared machines; in practice it
-      measures at or slightly above parity — the compiled kernel is where
-      the struct-of-arrays layout converts into a large win).
-    """
+    """The acceptance bars: bit-identity (asserted inside the measurement)
+    and the historical >= 1.5x over the frozen seed stack on the Figure-4
+    cell."""
     assert data["speedup_vs_legacy"] >= 1.5, data
-    assert data["vector_speedup_vs_object"] >= 0.9, data
 
 
 def test_core_throughput():
     data = measure_core_throughput()
     assert_core_throughput(data)
-    wall = data["legacy_s"] + sum(
-        data[f"{name}_s"] for name in data["kernel_legs"])
+    wall = data["legacy_s"] + data["core_s"]
     path = write_bench_json("core", {"wall_time_s": round(wall, 3), **data})
-    print(f"\ncore throughput: vector {data['vector_uops_per_sec']:,.0f} uops/s, "
-          f"object {data['object_uops_per_sec']:,.0f} uops/s, "
+    print(f"\ncore throughput: {data['core_uops_per_sec']:,.0f} uops/s, "
           f"legacy {data['legacy_uops_per_sec']:,.0f} uops/s "
-          f"(best kernel {data['best_kernel']}: "
-          f"x{data['speedup_vs_legacy']} vs pre-refactor seed) -> {path.name}")
+          f"(x{data['speedup_vs_legacy']} vs pre-refactor seed) -> {path.name}")
 
 
 if __name__ == "__main__":

@@ -148,9 +148,9 @@ def bench_figure5(engine: ExperimentEngine) -> dict:
 
 
 def bench_core(_engine: ExperimentEngine) -> dict:
-    """Detailed-path throughput: frozen seed stack vs the two-plane core.
+    """Detailed-path throughput: frozen seed stack vs the current core.
 
-    Asserts bit-identical statistics across the three legs and the >= 1.5x
+    Asserts bit-identical statistics across the two legs and the >= 1.5x
     before-vs-after bar on the Figure-4 cell (serial, idle_skip on).
     """
     data = measure_core_throughput()

@@ -9,18 +9,16 @@ Shows the lower-level APIs a downstream user would reach for:
   Figure 5 capacity sweep) and a non-default store-queue size;
 * reading detailed per-structure statistics back out of a run.
 
-Everything this example uses is unchanged by the two-plane trace refactor:
-``builder.finish()`` now returns an encoded stream
+``builder.finish()`` returns an encoded stream
 (:class:`repro.isa.plane.EncodedOps` — per-uop static-plane indices plus
-dynamic fields) instead of a ``MicroOp``-list trace, but it reads exactly
-like the old trace (``len``, iteration and indexing yield ``MicroOp``
-views, ``.stats``, ``.uops``) and feeds ``simulate`` /
-``OutOfOrderCore.run`` directly — where it takes the static-plane fast
-path automatically.  One deliberate narrowing: the emit helpers
-(``builder.load``/``store``/``alu``/``branch``/``nop``) no longer return
-the emitted micro-op (decode a view via ``builder.finish()[i]`` if one is
-needed) — constructing a ``MicroOp`` per emit is exactly the cost the
-encoding removes.
+dynamic fields).  It reads like a ``MicroOp`` list (``len``, iteration and
+indexing yield ``MicroOp`` views, ``.stats``, ``.uops``) and is exactly
+what ``simulate`` / ``OutOfOrderCore.run`` consume; they also accept a
+``DynamicTrace`` or a plain ``MicroOp`` list and encode it on entry.  The
+emit helpers (``builder.load``/``store``/``alu``/``branch``/``nop``) do not
+return the emitted micro-op (decode a view via ``builder.finish()[i]`` if
+one is needed) — constructing a ``MicroOp`` per emit is exactly the cost
+the encoding removes.
 
 Run with::
 

@@ -103,8 +103,9 @@ def simulate(trace, policy, config=None):
     Parameters
     ----------
     trace:
-        A :class:`~repro.isa.trace.DynamicTrace` (e.g. from
-        :func:`~repro.workloads.suites.build_workload`).
+        An :class:`~repro.isa.plane.EncodedOps` stream (e.g. from
+        :func:`~repro.workloads.suites.build_workload`), a
+        :class:`~repro.isa.trace.DynamicTrace`, or any micro-op sequence.
     policy:
         An :class:`~repro.lsu.policies.SQPolicy` instance describing the
         store-queue configuration.
@@ -116,7 +117,5 @@ def simulate(trace, policy, config=None):
     -------
     SimulationResult
     """
-    from repro.pipeline.vector import make_core
-
-    core = make_core(config or CoreConfig(), policy)
+    core = OutOfOrderCore(config or CoreConfig(), policy)
     return core.run(trace)

@@ -57,12 +57,6 @@ Environment knobs:
     :mod:`repro.exec.backend`.  Execution-only like every scheduling
     knob: every backend is bit-identical, so neither value enters a
     cache or snapshot key.
-``REPRO_KERNEL``
-    Detailed-core kernel (``object`` / ``vector`` / ``compiled`` /
-    ``auto``; see :mod:`repro.pipeline.vector`).  Execution-only —
-    every kernel is bit-identical, so the knob never enters a cache or
-    snapshot key.  The *effective* kernel is reported as ``kernel`` in
-    :attr:`ExperimentEngine.last_run_stats` on every run.
 ``REPRO_PROFILE``
     Per-worker profiling: ``1`` (default ``.repro-profile/``) or a
     directory path.  Each engine run that simulates anything gets a
@@ -365,7 +359,6 @@ class ExperimentEngine:
             "total": len(specs),
             "cache_hits": hits,
             "simulated": len(pending_indices),
-            "kernel": self._effective_kernel(),
         }
 
         workers = 0
@@ -428,19 +421,6 @@ class ExperimentEngine:
             base_stats["profile"] = self._profile_stats(profile_dir)
         self.last_run_stats = base_stats
         return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _effective_kernel() -> str:
-        """The detailed-core kernel this run's simulations execute on.
-
-        Resolved once per run from ``REPRO_KERNEL`` (workers inherit the
-        environment, so the serial path, pool workers, and cluster
-        executors all agree).  Imported lazily: the exec layer stays
-        importable without the pipeline package being touched first.
-        """
-        from repro.pipeline.vector import resolve_kernel
-
-        return resolve_kernel()
 
     # ---------------------------------------------------------------- profiling --
 

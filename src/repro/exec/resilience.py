@@ -44,8 +44,6 @@ or snapshot keys, exactly like ``REPRO_JOBS`` / ``REPRO_CHECKPOINT_SHARDS``)::
                           # benchmark as the A/B baseline)
     REPRO_FAULT_PLAN=...  # deterministic fault injection, e.g.
                           # "worker_crash@job:3,corrupt_blob@p=0.1,hang@shard:1"
-    REPRO_KERNEL=...      # detailed-core kernel: object | vector | compiled
-                          # | auto (default; every kernel is bit-identical)
     REPRO_PROFILE=...     # when set, jobs run under cProfile and dump
                           # per-worker stats into a run-scoped directory
 
@@ -79,7 +77,6 @@ __all__ = [
     "FaultClause",
     "FaultPlan",
     "JobFailure",
-    "KERNEL_NAMES",
     "backoff_delay",
     "count",
     "counters_delta",
@@ -92,7 +89,6 @@ __all__ = [
     "reset_counters",
     "resolve_backend_name",
     "resolve_job_timeout",
-    "resolve_kernel_name",
     "resolve_profile_dir",
     "resolve_retries",
     "resolve_spool_dir",
@@ -215,29 +211,6 @@ def resolve_spool_dir() -> Optional[str]:
     return raw or None
 
 
-#: The in-tree detailed-core kernels (see :mod:`repro.pipeline.vector`).
-KERNEL_NAMES = ("object", "vector", "compiled")
-
-
-def resolve_kernel_name() -> Optional[str]:
-    """The forced detailed-core kernel (``REPRO_KERNEL``), or ``None``.
-
-    ``None`` means *auto*: the compiled kernel when its extension is built,
-    the pure-Python vector kernel otherwise.  Purely an execution knob —
-    every kernel is bit-identical on every workload (golden- and
-    property-tested) — so it never participates in result-cache or
-    snapshot keys.
-    """
-    raw = os.environ.get("REPRO_KERNEL", "").strip()
-    if not raw or raw == "auto":
-        return None
-    if raw not in KERNEL_NAMES:
-        raise EnvKnobError(
-            f"REPRO_KERNEL must be one of {', '.join(KERNEL_NAMES)}, or "
-            f"auto (got {raw!r}); unset it to let the core choose")
-    return raw
-
-
 def resolve_profile_dir() -> Optional[str]:
     """Root directory for per-worker profiles (``REPRO_PROFILE``), or ``None``.
 
@@ -280,7 +253,6 @@ def validate_environment() -> Dict[str, Any]:
         "supervise": supervision_enabled(),
         "backend": resolve_backend_name(),
         "spool_dir": resolve_spool_dir(),
-        "kernel": resolve_kernel_name(),
         "profile_dir": resolve_profile_dir(),
     }
     resolved["fault_plan"] = current_fault_plan()

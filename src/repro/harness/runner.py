@@ -25,8 +25,7 @@ from repro.lsu.policies import (
     SQPolicy,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SimulationResult
-from repro.pipeline.vector import make_core
+from repro.pipeline.core import OutOfOrderCore, SimulationResult
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import DEFAULT_INSTRUCTIONS, build_workload
 
@@ -151,9 +150,9 @@ def run_workload(trace, config_name: str,
     """Simulate one trace under one named configuration.
 
     ``trace`` is an :class:`~repro.isa.plane.EncodedOps` (what
-    :func:`~repro.workloads.suites.build_workload` returns; the core's
-    static-plane fast path) or a :class:`~repro.isa.trace.DynamicTrace` /
-    micro-op sequence (back-compat object path) — bit-identical either way.
+    :func:`~repro.workloads.suites.build_workload` returns) or a
+    :class:`~repro.isa.trace.DynamicTrace` / micro-op sequence, which the
+    core encodes on entry — bit-identical either way.
 
     With ``settings.sampling`` set the trace is simulated by statistical
     sampling (functional warming + detailed intervals) instead of in full
@@ -166,7 +165,7 @@ def run_workload(trace, config_name: str,
 
         return run_sampled_trace(trace, config_name, settings, predictors=predictors)
     policy = make_policy(config_name, sq_size=settings.sq_size, predictors=predictors)
-    core = make_core(settings.core, policy)
+    core = OutOfOrderCore(settings.core, policy)
     result = core.run(trace, stats_warmup_fraction=settings.stats_warmup_fraction)
     return RunRecord(workload=trace.name, config_name=config_name, result=result)
 

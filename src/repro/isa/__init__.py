@@ -8,8 +8,8 @@ program (op classes, register tuples, issue-class routing, branch hints,
 latencies) plus :class:`~repro.isa.plane.EncodedOps` dynamic streams
 carrying only per-instance fields (address / size / store value, branch
 outcome / target).  :class:`~repro.isa.uop.MicroOp` remains the one-object
-view of a single dynamic instruction — materialised on demand for tests,
-examples, and the core's back-compat object path.
+view of a single dynamic instruction — materialised on demand for tests
+and examples; the detailed core encodes any micro-op input on entry.
 """
 
 from repro.isa.registers import ArchRegisterFile, INT_REG_COUNT, FP_REG_COUNT, REG_ZERO

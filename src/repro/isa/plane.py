@@ -15,7 +15,8 @@ every hot path (trace composition, the detailed core's dispatch loop,
 functional warming) with flat list indexing, and makes segments cheaply
 picklable (lists of ints instead of object graphs).  ``MicroOp`` remains the
 thin *view* type: :meth:`EncodedOps.view` materialises one on demand for
-tests, examples, and the back-compat object path.
+tests and examples, and :func:`as_encoded` turns micro-op inputs back into
+encoded streams.
 
 Encoding is lossless and order-preserving: ``encode_uops(uops).uops == uops``
 for any valid micro-op list, which is what keeps every consumer of the
@@ -167,10 +168,8 @@ class StaticProgramPlane:
         """The static dispatch metadata as one tuple of parallel arrays.
 
         ``(kind, pc, dest, srcs, issue_index, latency, hint_call,
-        hint_return)`` — everything a per-uop kernel hoists before its run
-        loop, batched so the hoist is a single call and every kernel (the
-        object path's dispatch closure, the vector kernel) reads the same
-        arrays in the same order.
+        hint_return)`` — everything the detailed core's run loop hoists
+        before it starts, batched so the hoist is a single call.
         """
         return (self.kind, self.pc, self.dest, self.srcs, self.issue_index,
                 self.latency, self.hint_call, self.hint_return)
@@ -311,7 +310,7 @@ class EncodedOps:
 
     def view(self, i: int) -> MicroOp:
         """Materialise micro-op ``i`` as a full :class:`MicroOp` (thin view
-        for tests, examples, and the object-path back-compat loop)."""
+        for tests and examples)."""
         plane = self.plane
         si = self.sidx[i]
         kind = plane.kind[si]

@@ -1,21 +1,19 @@
-"""The vector kernel's fused run loop (struct-of-arrays dynamic state).
+"""The detailed core's run loop (struct-of-arrays dynamic state).
 
-This module is the pure-Python reference implementation of the ``vector``
-detailed-core kernel (:mod:`repro.pipeline.vector`) and the compilation unit
-of the optional ``compiled`` kernel (``tools/build_kernel.py`` builds it —
-via Cython or mypyc, whichever is installed — into the native extension
-``repro.pipeline._kernel`` exporting the same :func:`run_core_loop`).
+:meth:`repro.pipeline.core.OutOfOrderCore.run` validates its arguments,
+encodes the trace, and warms the caches; :func:`run_core_loop` owns every
+cycle after that.
 
 Design:
 
-* **Array-per-field dynamic state.**  The per-uop ``_Inflight`` object of
-  the object kernel is replaced by parallel arrays indexed by *in-flight
-  slot*: ``slot = seq & (cap - 1)`` with ``cap`` the power of two at or
-  above the ROB size.  In-flight sequence numbers always form a contiguous
-  range no wider than the ROB (records live exactly while they sit in the
-  ROB), so two live records can never collide on a slot, and a slot is
-  recycled the moment its old occupant leaves the window.  The arrays are
-  allocated once per run and never grow with trace length.
+* **Array-per-field dynamic state.**  In-flight instructions are not
+  objects but parallel arrays indexed by *in-flight slot*:
+  ``slot = seq & (cap - 1)`` with ``cap`` the power of two at or above the
+  ROB size.  In-flight sequence numbers always form a contiguous range no
+  wider than the ROB (records live exactly while they sit in the ROB), so
+  two live records can never collide on a slot, and a slot is recycled the
+  moment its old occupant leaves the window.  The arrays are allocated once
+  per run and never grow with trace length.
 
 * **Generation tokens.**  A flush squashes a suffix of the window and fetch
   re-dispatches the *same* sequence numbers, so a raw ``seq`` stored in a
@@ -23,23 +21,20 @@ Design:
   buckets) could alias the refetched instance of itself.  Every dispatch
   therefore stamps its slot with a fresh token (a global dispatch counter
   shifted over the slot bits); side structures hold tokens, and a held
-  token is treated exactly as the object kernel treats a stale record
-  reference: ignored unless it still matches its slot.  The ready heaps
-  hold plain sequence numbers — age *is* the issue priority — validated
-  against the slot on pop (stale entries purge exactly where the object
-  kernel purges its squashed/issued tuples).
+  token that no longer matches its slot names a squashed instance and is
+  ignored.  The ready heaps hold plain sequence numbers — age *is* the
+  issue priority — validated against the slot on pop, so stale entries are
+  purged as they surface.
 
 * **One fused pass.**  Dispatch, issue, wakeup, commit, flush, and the
   idle fast-forward are inlined into a single loop with every loop
   invariant (static-plane arrays, config scalars, policy bound methods,
-  queue internals) held in locals, eliminating the per-cycle call frames
-  and ``self`` attribute traffic that dominate the object kernel's
-  profile.
+  queue internals) held in locals, so no stage pays a call frame or
+  ``self`` attribute traffic per cycle.
 
-Bit-identity with the object kernel — every ``SimStats`` counter, every
-policy/predictor interaction, every flush and replay — is the contract,
-enforced by the golden regression (``tests/golden/hotpath_golden.json``),
-the kernel property suite, and the ``BENCH_core.json`` legs.
+The frozen counters in ``tests/golden/`` and the seed-stack reference
+properties (``tests/property/test_core_reference.py``) pin every
+``SimStats`` counter, policy/predictor interaction, flush, and replay.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from heapq import heappop, heappush
 
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.registers import REG_ZERO
-from repro.lsu.policies import LoadCommitInfo, LoadPrediction
+from repro.lsu.policies import LoadCommitInfo, LoadPrediction, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
 from repro.pipeline.rename import ARCH_READY
 from repro.pipeline.stats import SimStats
@@ -58,14 +53,14 @@ from repro.pipeline.stats import SimStats
 def run_core_loop(core, encoded, warmup_committed, stop_committed):
     """Run ``core`` over ``encoded`` to ``stop_committed`` instructions.
 
-    The caller (:meth:`repro.pipeline.vector.VectorCore.run`) has already
-    validated arguments, bound the trace, and warmed the caches; this
+    The caller (:meth:`repro.pipeline.core.OutOfOrderCore.run`) has already
+    validated arguments, encoded the trace, and warmed the caches; this
     function owns the cycle loop.  On return ``core.stats`` is a fresh
     :class:`SimStats` holding the (possibly warm-up-reset) counters, and
     the scalar machine state (``_cycle``, ``_fetch_seq``, …) is synced
     back to ``core``.  Returns ``(warmup_cycle_offset,
     warmup_instr_offset, warmup_l1_misses, warmup_l2_misses, mlp_base)``
-    for the caller's result assembly, mirroring the object kernel's tail.
+    for the caller's result assembly.
     """
     config = core.config
     policy = core.policy
@@ -116,8 +111,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     deadlock_limit = core.DEADLOCK_LIMIT
 
     # Policy / machine bound methods (bound after any import_state, so
-    # warmed state is what gets captured — same rule as the object kernel's
-    # dispatch closure).
+    # warmed state is what gets captured).
     policy_predict_load = policy.predict_load
     policy_forward = policy.forward
     policy_assumed_latency = policy.assumed_load_latency
@@ -128,8 +122,12 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     policy_store_committed = policy.store_committed
     policy_needs_reexec = policy.needs_reexecution
     policy_load_committed = policy.load_committed
-    fast_reexec = core._fast_reexec
-    fast_store_commit = core._fast_store_commit
+    # Policies that keep the base-class SVW re-execution filter / store
+    # commit hook get the inlined commit-path versions; overrides are
+    # honoured through the methods.
+    policy_type = type(policy)
+    fast_reexec = policy_type.needs_reexecution is SQPolicy.needs_reexecution
+    fast_store_commit = policy_type.store_committed is SQPolicy.store_committed
     svw = policy.svw
     svw_stats = svw.stats
     svw_ssbf_update = svw.ssbf.update
@@ -240,8 +238,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     dly_waiters_get = dly_waiters.get
     dly_waiters_pop = dly_waiters.pop
 
-    # Scalar machine state (continues from the core, as the object kernel's
-    # run does when called on a reused core).
+    # Scalar machine state (continues from the core when it is reused).
     cycle = core._cycle
     fetch_seq = core._fetch_seq
     fetch_resume = core._fetch_resume_cycle
@@ -249,7 +246,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     iq_occ = core._iq_occupancy
 
     # SimStats counters as locals (written back at the end; zeroed at the
-    # warm-up boundary exactly as the object kernel's stats reset does).
+    # warm-up boundary, keeping every piece of machine state warm).
     stats0 = core.stats
     committed_total = stats0.committed
     c_stores = stats0.committed_stores
@@ -950,7 +947,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     core._fetch_seq = fetch_seq
     core._fetch_resume_cycle = fetch_resume
     core._iq_occupancy = iq_occ
-    core._ready_count = ready_count
     ssn_alloc.ssn_rename = ssn_rename
     ssn_alloc.ssn_commit = ssn_commit
     ssn_alloc.wraps = ssn_hw_wraps

@@ -25,133 +25,37 @@ configurations so relative comparisons are preserved):
   provided no redirect is pending and no structure is full.  The explicit
   front-end depth appears only in the redirect/flush penalties.
 
-Performance notes.  The cycle loop is event-aware (PR 1): when nothing is
-ready to issue and dispatch cannot make progress, the clock jumps directly
-to the next cycle at which anything can happen, with the skipped cycles
-attributed to the same stall counters the straight-line loop would have
-charged (``CoreConfig.idle_skip`` disables the fast-forward for A/B
-checking).  The ready queue is one heap per issue class so entries blocked
-only by a per-class bandwidth limit are never popped and re-pushed.
-
-The per-uop path is **two-plane** (PR 5): when :meth:`OutOfOrderCore.run` is
-handed an :class:`~repro.isa.plane.EncodedOps` trace (what the workload
-generators produce), dispatch consumes precomputed static-plane metadata —
-kind code, issue-class routing, default latency, register tuples — through
-flat list indexing, and the in-flight record (:class:`_Inflight`) carries
-only the dynamic fields, initialised per kind.  A
-:class:`~repro.isa.trace.DynamicTrace` (or any micro-op sequence) takes the
-back-compat *object path*: the same machine driven by per-uop attribute
-probing on full :class:`~repro.isa.uop.MicroOp` objects, bit-identical to
-the encoded path (golden- and equivalence-tested) and to the pre-two-plane
-core — it is also the "before" leg of ``benchmarks/bench_core_throughput.py``.
+The cycle loop itself is :func:`repro.pipeline._vector_loop.run_core_loop`:
+dispatch, issue, wakeup, commit, and flush fused into one pass over
+struct-of-arrays in-flight state.  It is event-aware: when nothing is ready
+to issue and dispatch cannot make progress, the clock jumps directly to the
+next cycle at which anything can happen, with the skipped cycles attributed
+to the same stall counters the straight-line loop would have charged
+(``CoreConfig.idle_skip`` disables the fast-forward for A/B checking).  The
+loop reads the trace as an :class:`~repro.isa.plane.EncodedOps` stream
+(what the workload generators produce); :meth:`OutOfOrderCore.run` encodes
+any other input — a :class:`~repro.isa.trace.DynamicTrace` or a plain
+micro-op sequence — once on entry.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.plane import (
-    ISSUE_CLASS_OF,
-    KIND_BRANCH,
-    KIND_LOAD,
-    KIND_OTHER,
-    KIND_STORE,
-    EncodedOps,
-)
-from repro.isa.uop import DEFAULT_LATENCIES, MicroOp
-from repro.isa.registers import REG_ZERO
-from repro.lsu.load_queue import LoadQueue, LoadQueueEntry
-from repro.lsu.policies import LoadCommitInfo, LoadPrediction, SQPolicy
-from repro.lsu.store_queue import StoreQueue, StoreQueueEntry
+from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
+from repro.lsu.load_queue import LoadQueue
+from repro.lsu.policies import SQPolicy
+from repro.lsu.store_queue import StoreQueue
 from repro.memory.mlp import NonBlockingHierarchy, build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
+from repro.pipeline._vector_loop import run_core_loop
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.rename import ARCH_READY, RegisterAliasTable
+from repro.pipeline.rename import RegisterAliasTable
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
-
-
-#: Issue-bandwidth class of each op class.  The canonical routing table now
-#: lives on the static plane (:data:`repro.isa.plane.ISSUE_CLASS_OF`); this
-#: alias keeps the old name importable.
-_ISSUE_CLASS = ISSUE_CLASS_OF
-
-_ISSUE_CLASS_KEYS = ("int", "fp", "branch", "load", "store")
-
-
-class _Inflight:
-    """Per-dynamic-instruction record (kept lean; this is the hot structure).
-
-    Only the fields every instruction needs are initialised here; the
-    dispatch stage fills in the kind-specific fields (loads: prediction and
-    forwarding state; stores: SSN/value/undo logs; branches: the
-    misprediction flag).  Reads are guarded by ``kind`` throughout the core,
-    so an unset slot is never touched.
-    """
-
-    __slots__ = (
-        "seq", "kind", "pc", "dest", "issue_class", "latency", "squashed",
-        # scheduling state
-        "wait_srcs", "wait_fwd", "wait_dly", "issued", "completed",
-        "consumers", "ready_pushed",
-        # timing
-        "other_ready_cycle", "completion_cycle",
-        # rename repair
-        "rat_undo",
-        # memory dynamic fields (loads and stores)
-        "addr", "size",
-        # store state
-        "value", "ssn", "sat_undo", "oracle_undo", "fwd_waiters",
-        # load state
-        "prediction", "ssn_at_rename", "oracle_dep_ssn",
-        "spec_value", "forwarded", "forward_ssn", "svw_ssn", "should_forward",
-        "delay_cycles", "dly_clear_cycle",
-        # branch state
-        "mispredicted",
-    )
-
-    def __init__(self, seq: int, kind: int, pc: int, dest: Optional[int],
-                 issue_class: str, latency: int) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.pc = pc
-        self.dest = dest
-        self.issue_class = issue_class
-        self.latency = latency
-        self.squashed = False
-        self.wait_srcs = 0
-        self.wait_fwd = False
-        self.wait_dly = False
-        self.issued = False
-        self.completed = False
-        # Lazily allocated (most records never acquire consumers/waiters).
-        self.consumers: Optional[List["_Inflight"]] = None
-        self.ready_pushed = False
-        self.other_ready_cycle = -1
-        self.completion_cycle = -1
-        self.rat_undo: Optional[Tuple[int, int]] = None
-
-    def init_load(self) -> None:
-        self.prediction: Optional[LoadPrediction] = None
-        self.ssn_at_rename = 0
-        self.oracle_dep_ssn = 0
-        self.spec_value = 0
-        self.forwarded = False
-        self.forward_ssn = 0
-        self.svw_ssn = 0
-        self.should_forward = False
-        self.delay_cycles = 0
-        self.dly_clear_cycle = -1
-
-    def init_store(self) -> None:
-        self.ssn = 0
-        self.sat_undo = None
-        self.oracle_undo: Optional[List[Optional[Tuple[int, int]]]] = None
-        self.fwd_waiters: Optional[List["_Inflight"]] = None
 
 
 @dataclass
@@ -179,11 +83,6 @@ class OutOfOrderCore:
     #: Abort if no instruction commits for this many consecutive cycles.
     DEADLOCK_LIMIT = 50_000
 
-    #: Which detailed-core kernel this class implements (reported through
-    #: ``ExperimentEngine.last_run_stats`` and the BENCH envelopes).  The
-    #: vector / compiled kernels (:mod:`repro.pipeline.vector`) override it.
-    kernel_name = "object"
-
     def __init__(self, config: CoreConfig, policy: SQPolicy) -> None:
         self.config = config
         self.policy = policy
@@ -205,38 +104,14 @@ class OutOfOrderCore:
         self.store_queue = StoreQueue(config.store_queue_size)
         self.ssn_alloc = SSNAllocator(bits=config.ssn_bits)
 
-        # Dynamic state.
+        # Scalar machine state the run loop continues from and syncs back.
         self._cycle = 0
         self._fetch_seq = 0
         self._fetch_resume_cycle = 0
-        self._fetch_blocked_on: Optional[_Inflight] = None
         self._iq_occupancy = 0
-        #: In-flight records indexed by dynamic sequence number (sized to the
-        #: trace at run start; committed/squashed slots are cleared to None).
-        self._records: List[Optional[_Inflight]] = []
-        self._store_by_ssn: Dict[int, _Inflight] = {}
-        self._dly_waiters: Dict[int, List[_Inflight]] = {}
-        # One ready heap per issue class; entries blocked only by per-class
-        # bandwidth stay put instead of being popped and re-pushed every cycle.
-        self._ready: Dict[str, List[Tuple[int, int, _Inflight]]] = {
-            key: [] for key in _ISSUE_CLASS_KEYS}
-        #: The same heaps in _ISSUE_CLASS_KEYS order (issue-stage indexing).
-        self._heap_list = [self._ready[key] for key in _ISSUE_CLASS_KEYS]
-        #: Entries currently in the ready heaps, *including* stale
-        #: (squashed/issued) ones awaiting purge: zero means every heap is
-        #: empty, which is all the per-cycle idle/issue guards need to know.
-        self._ready_count = 0
-        self._ready_tiebreak = 0
-        self._completions: Dict[int, List[_Inflight]] = {}
         # Oracle last-writer tracker: byte address -> (seq, ssn) of the
         # youngest dispatched store writing that byte.
         self._last_writer: Dict[int, Tuple[int, int]] = {}
-
-        # Trace access, bound per run (encoded fast path or object path).
-        self._encoded: Optional[EncodedOps] = None
-        self._uops: List[MicroOp] = []
-        self._total = 0
-        self._dispatch_stage = self._dispatch_stage_obj
 
     # ---------------------------------------------------------- state import --
 
@@ -308,10 +183,11 @@ class OutOfOrderCore:
             stats_measure_instructions: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion and return the result.
 
-        ``trace`` is either an :class:`~repro.isa.plane.EncodedOps` (the
-        static-plane fast path) or a :class:`~repro.isa.trace.DynamicTrace`
-        / micro-op sequence (the back-compat object path); both paths are
-        bit-identical.
+        ``trace`` is an :class:`~repro.isa.plane.EncodedOps` stream, a
+        :class:`~repro.isa.trace.DynamicTrace`, or any iterable of
+        micro-ops; anything but an encoded stream is encoded once on entry,
+        so every input form runs the same loop.  The result is named after
+        ``trace.name`` (``"trace"`` for a nameless input).
 
         ``stats_warmup_fraction`` discards the statistics accumulated over the
         first fraction of committed instructions (while keeping all
@@ -332,14 +208,13 @@ class OutOfOrderCore:
         """
         if not 0.0 <= stats_warmup_fraction < 1.0:
             raise ValueError("stats_warmup_fraction must be in [0, 1)")
-        self._bind_trace(trace)
-        if warm_memory:
-            self._warm_caches()
-
-        total = self._total
+        name = getattr(trace, "name", "trace")
+        encoded = as_encoded(trace)
+        total = len(encoded)
         if stats_warmup_instructions is not None:
             if not 0 <= stats_warmup_instructions < max(total, 1):
-                raise ValueError("stats_warmup_instructions must be in [0, len(trace))")
+                raise ValueError(
+                    "stats_warmup_instructions must be in [0, len(trace))")
             warmup_committed = stats_warmup_instructions
         else:
             warmup_committed = int(total * stats_warmup_fraction)
@@ -347,79 +222,20 @@ class OutOfOrderCore:
         if stats_measure_instructions is not None:
             if stats_measure_instructions <= 0:
                 raise ValueError("stats_measure_instructions must be positive")
-            stop_committed = min(total, warmup_committed + stats_measure_instructions)
-        warmup_done = warmup_committed == 0
-        warmup_cycle_offset = 0
-        warmup_instr_offset = 0
-        warmup_l1_misses = 0
-        warmup_l2_misses = 0
-        mlp_hier = self._mlp_hier
-        # MLP counters live on the hierarchy (cumulative); delta against a
-        # run-start snapshot, re-taken at the warm-up reset, mirrors the
-        # miss-counter accounting below.
-        mlp_base = mlp_hier.mlp_stats.snapshot() if mlp_hier is not None else None
-        last_commit_cycle = 0
-        max_cycles = self.config.max_cycles
-        idle_skip = self.config.idle_skip
-        dispatch_stage = self._dispatch_stage
-        stats = self.stats
-        # Stage guards hoisted out of the stage bodies: a stage that cannot
-        # possibly do work this cycle is not even called.  The guarded
-        # structures (ROB deque, ready heaps) are stable objects.
-        rob_entries = self.rob._entries
-        completions = self._completions
+            stop_committed = min(total,
+                                 warmup_committed + stats_measure_instructions)
+        if warm_memory:
+            self._warm_caches(encoded)
 
-        # ``stats.cycles`` is derived from ``_cycle`` only when the counters
-        # are read (loop exit and the warm-up reset) — nothing reads it
-        # mid-cycle, so the per-cycle store is saved.
-        while stats.committed < stop_committed:
-            if idle_skip and self._ready_is_empty():
-                self._skip_idle_cycles(total, max_cycles)
-            self._cycle += 1
-
-            if completions:
-                self._process_completions()
-            if rob_entries and rob_entries[0].completed:
-                committed_now = self._commit_stage()
-            else:
-                committed_now = 0
-            if self._ready_count:
-                self._issue_stage()
-            if self._cycle < self._fetch_resume_cycle \
-                    or self._fetch_blocked_on is not None:
-                stats.fetch_stall_cycles += 1
-            elif self._fetch_seq < total:
-                dispatch_stage()
-
-            if not warmup_done and stats.committed >= warmup_committed:
-                # Reset the counters; keep every piece of machine state warm.
-                warmup_done = True
-                warmup_cycle_offset = self._cycle
-                warmup_instr_offset = stats.committed
-                warmup_l1_misses = self.hierarchy.stats.l1_misses
-                warmup_l2_misses = self.hierarchy.stats.l2_misses
-                if mlp_hier is not None:
-                    mlp_base = mlp_hier.mlp_stats.snapshot()
-                preserved_committed = stats.committed
-                stats = self.stats = SimStats()
-                stats.committed = preserved_committed
-                stats.cycles = 0
-
-            if committed_now:
-                last_commit_cycle = self._cycle
-            elif self._cycle - last_commit_cycle > self.DEADLOCK_LIMIT:
-                ready = sum(len(heap) for heap in self._ready.values())
-                raise RuntimeError(
-                    f"simulation deadlock at cycle {self._cycle}: "
-                    f"{stats.committed}/{total} committed, ROB={len(self.rob)}, "
-                    f"ready={ready}, fetch_seq={self._fetch_seq}")
-            if max_cycles is not None and self._cycle >= max_cycles:
-                break
+        (warmup_cycle_offset, warmup_instr_offset, warmup_l1_misses,
+         warmup_l2_misses, mlp_base) = run_core_loop(
+            self, encoded, warmup_committed, stop_committed)
 
         # Report only the measured (post-warm-up) region — the miss
         # counters subtract the warm-up share so every SimStats field
         # covers exactly the same instructions (the hierarchy's own stats
         # stay cumulative for the run and feed the l1_miss_rate extra).
+        stats = self.stats
         stats.cycles = self._cycle - warmup_cycle_offset
         stats.committed -= warmup_instr_offset
         stats.l1_misses = self.hierarchy.stats.l1_misses - warmup_l1_misses
@@ -430,6 +246,7 @@ class OutOfOrderCore:
             "l1_miss_rate": self.hierarchy.stats.l1_miss_rate(),
             "rob_max_occupancy": float(self.rob.max_occupancy),
         }
+        mlp_hier = self._mlp_hier
         if mlp_hier is not None:
             mlp_stats = mlp_hier.mlp_stats
             delta = [after - before
@@ -445,1037 +262,19 @@ class OutOfOrderCore:
             stats.mshr_occupancy = mlp_stats.occupancy_peak
             extra["mlp_avg"] = stats.mlp_avg
             extra["mshr_occupancy"] = float(stats.mshr_occupancy)
-        return SimulationResult(workload=self._trace_name, policy=self.policy.name,
+        return SimulationResult(workload=name, policy=self.policy.name,
                                 stats=stats, config=self.config, extra=extra)
 
-    def _bind_trace(self, trace) -> None:
-        """Bind the per-run trace accessors for one of the two paths."""
-        self._trace_name = getattr(trace, "name", "trace")
-        # Policies that keep the base-class SVW re-execution filter / store
-        # commit hooks get the inlined commit-path versions; overrides are
-        # honoured via the methods.  Checked once per run, after any
-        # import_state has installed the policy actually being simulated.
-        policy_type = type(self.policy)
-        self._fast_reexec = (policy_type.needs_reexecution
-                             is SQPolicy.needs_reexecution)
-        self._fast_store_commit = (policy_type.store_committed
-                                   is SQPolicy.store_committed)
-        if isinstance(trace, EncodedOps):
-            self._encoded = trace
-            self._uops = []
-            self._total = len(trace)
-        else:
-            # Materialise exactly once: a bare iterator/generator input must
-            # not be consumed twice (once for sizing, once for the loop).
-            self._encoded = None
-            self._uops = trace.uops if hasattr(trace, "uops") else list(trace)
-            self._total = len(self._uops)
-        self._records = [None] * self._total
-        self._dispatch_stage = (self._make_dispatch_enc()
-                                if self._encoded is not None
-                                else self._dispatch_stage_obj)
-
-    def _peek_kind(self, seq: int) -> int:
-        """Dispatch kind of the next trace micro-op (idle-skip peeking)."""
-        encoded = self._encoded
-        if encoded is not None:
-            return encoded.plane.kind[encoded.sidx[seq]]
-        uop = self._uops[seq]
-        if uop.is_load:
-            return KIND_LOAD
-        if uop.is_store:
-            return KIND_STORE
-        return KIND_OTHER
-
-    def _warm_caches(self) -> None:
+    def _warm_caches(self, encoded: EncodedOps) -> None:
         """Pre-touch the lines referenced by the first portion of the trace.
 
         The paper warms caches/predictors for 8% of each sample; touching the
         first few thousand accesses approximates starting from a warm state
         without perturbing the timing statistics."""
-        budget = min(self._total, 4000)
         warm = self.hierarchy.warm
-        encoded = self._encoded
-        if encoded is not None:
-            kind = encoded.plane.kind
-            sidx = encoded.sidx
-            addr = encoded.addr
-            for i in range(budget):
-                if kind[sidx[i]] >= KIND_LOAD:   # loads and stores carry mem
-                    warm(addr[i])
-        else:
-            for uop in self._uops[:budget]:
-                if uop.mem is not None:
-                    warm(uop.mem.addr)
-
-    # ------------------------------------------------------------- fast-forward --
-
-    def _ready_is_empty(self) -> bool:
-        """True when the ready heaps are completely empty.
-
-        Conservative: stale (squashed/issued) entries awaiting purge count
-        as "ready", so the idle fast-forward simply does not engage on the
-        rare post-flush cycles until the issue stage has purged them — the
-        straight-line path it falls back to is bit-identical by
-        construction.
-        """
-        return not self._ready_count
-
-    def _skip_idle_cycles(self, total: int, max_cycles: Optional[int]) -> None:
-        """Advance the clock to just before the next cycle anything can happen.
-
-        Called only when the ready heaps are empty.  If dispatch also cannot
-        make progress next cycle, the machine state is frozen until one of:
-
-        * a scheduled completion (``self._completions``),
-        * the ROB head's commit-delay expiry, or
-        * the fetch-redirect resume point,
-
-        so the loop may jump straight there.  The skipped cycles are charged
-        to the stall counters exactly as the straight-line loop would have
-        charged them, keeping every statistic bit-identical.
-        """
-        nxt = self._cycle + 1
-        # Would dispatch make progress at ``nxt``?  If so, no skipping.
-        if self._fetch_blocked_on is None and nxt >= self._fetch_resume_cycle \
-                and self._fetch_seq < total:
-            kind = self._peek_kind(self._fetch_seq)
-            if not (self.rob.is_full()
-                    or self._iq_occupancy >= self.config.issue_queue_size
-                    or (kind == KIND_LOAD and self.load_queue.is_full())
-                    or (kind == KIND_STORE and self.store_queue.is_full())):
-                return
-
-        target: Optional[int] = None
-        if self._completions:
-            target = min(self._completions)
-        head = self.rob.head()
-        if head is not None and head.completed:
-            commit_at = head.completion_cycle + self.config.backend_commit_delay
-            if target is None or commit_at < target:
-                target = commit_at
-        if (self._fetch_blocked_on is None and self._fetch_seq < total
-                and self._fetch_resume_cycle > nxt):
-            if target is None or self._fetch_resume_cycle < target:
-                target = self._fetch_resume_cycle
-        if target is None:
-            return  # genuine deadlock; let the straight-line loop detect it
-        if max_cycles is not None and target > max_cycles:
-            target = max_cycles
-        if target <= nxt:
-            return
-        self._account_idle(nxt, target - 1, total)
-        self._cycle = target - 1
-
-    def _account_idle(self, first: int, last: int, total: int) -> None:
-        """Charge skipped cycles ``first..last`` to the stall counters.
-
-        Mirrors what the dispatch stage would have counted had each cycle
-        been executed: a fetch stall while redirect-blocked, then (with fetch
-        available but a structure full) the structural stall the first
-        undispatchable micro-op would have hit.  State cannot change inside
-        the window, so the attribution is constant apart from the
-        redirect-resume boundary.
-        """
-        n = last - first + 1
-        stats = self.stats
-        if self._fetch_blocked_on is not None:
-            stats.fetch_stall_cycles += n
-            return
-        fetch_blocked = min(n, max(0, self._fetch_resume_cycle - first))
-        stats.fetch_stall_cycles += fetch_blocked
-        rest = n - fetch_blocked
-        if rest <= 0 or self._fetch_seq >= total:
-            return
-        if self.rob.is_full():
-            stats.rob_stall_cycles += rest
-        elif self._iq_occupancy >= self.config.issue_queue_size:
-            stats.iq_stall_cycles += rest
-        else:
-            kind = self._peek_kind(self._fetch_seq)
-            if kind == KIND_LOAD and self.load_queue.is_full():
-                stats.lq_stall_cycles += rest
-            elif kind == KIND_STORE and self.store_queue.is_full():
-                stats.sq_stall_cycles += rest
-
-    # ------------------------------------------------------------ completions --
-
-    def _process_completions(self) -> None:
-        ops = self._completions.pop(self._cycle, None)
-        if not ops:
-            return
-        for record in ops:
-            if record.squashed:
-                continue
-            record.completed = True
-            if record.kind == KIND_STORE:
-                self.store_queue.write_execute(record.ssn, record.addr,
-                                               record.size, record.value)
-                waiters = record.fwd_waiters
-                if waiters:
-                    for waiter in waiters:
-                        self._clear_fwd_wait(waiter)
-                    record.fwd_waiters = None
-            # Only a mispredicted branch can be the record fetch is blocked on.
-            if self._fetch_blocked_on is record:
-                self._fetch_blocked_on = None
-                self._fetch_resume_cycle = max(self._fetch_resume_cycle,
-                                               self._cycle + self.config.branch_redirect_penalty)
-            consumers = record.consumers
-            if consumers:
-                cycle = self._cycle
-                for consumer in consumers:
-                    if consumer.squashed:
-                        continue
-                    wait_srcs = consumer.wait_srcs = consumer.wait_srcs - 1
-                    # Inlined _maybe_ready (consumer is never issued before
-                    # its last source broadcasts, but guard anyway — a
-                    # squash-then-refetch can leave stale consumer links).
-                    if (wait_srcs == 0 and not consumer.wait_fwd
-                            and not consumer.issued
-                            and not consumer.ready_pushed):
-                        if consumer.other_ready_cycle < 0:
-                            consumer.other_ready_cycle = cycle
-                        if not consumer.wait_dly:
-                            consumer.ready_pushed = True
-                            self._ready_count += 1
-                            self._ready_tiebreak += 1
-                            heapq.heappush(
-                                self._ready[consumer.issue_class],
-                                (consumer.seq, self._ready_tiebreak, consumer))
-                record.consumers = None
-
-    def _clear_fwd_wait(self, record: _Inflight) -> None:
-        if record.squashed or not record.wait_fwd:
-            return
-        record.wait_fwd = False
-        self._maybe_ready(record)
-
-    def _maybe_ready(self, record: _Inflight) -> None:
-        if record.squashed or record.issued or record.ready_pushed:
-            return
-        if record.wait_srcs == 0 and not record.wait_fwd:
-            if record.other_ready_cycle < 0:
-                record.other_ready_cycle = self._cycle
-            if not record.wait_dly:
-                record.ready_pushed = True
-                self._ready_count += 1
-                self._ready_tiebreak += 1
-                heapq.heappush(self._ready[record.issue_class],
-                               (record.seq, self._ready_tiebreak, record))
-
-    # ----------------------------------------------------------------- commit --
-
-    def _commit_stage(self) -> int:
-        """Commit up to ``commit_width`` completed instructions in order.
-
-        The per-kind commit bodies (store: memory/SQ/SSN/SVW updates and
-        delay-waiter wakeups; load: LQ release, value re-execution, SVW
-        filter, predictor training, violation flush) are inlined here with
-        their structures hoisted — this loop runs once per committed
-        instruction and the call/attribute overhead would otherwise rival
-        the modelled work.  Policy hooks with subclass overrides still go
-        through the methods (see ``_fast_reexec`` / ``_fast_store_commit``).
-        """
-        committed = 0
-        delay = self.config.backend_commit_delay
-        cycle = self._cycle
-        stats = self.stats
-        records = self._records
-        policy = self.policy
-        memory = self.memory
-        ssn_alloc = self.ssn_alloc
-        lq = self.load_queue
-        lq_entries = lq._entries
-        lq_by_seq = lq._by_seq
-        # ROB head/pop and RAT retire are inlined as well.
-        rob_entries = self.rob._entries
-        rat_map = self.rat._map
-        while committed < self.config.commit_width:
-            if not rob_entries:
-                break
-            record = rob_entries[0]
-            if not record.completed or record.completion_cycle + delay > cycle:
-                break
-            rob_entries.popleft()
-            committed += 1
-            stats.committed += 1
-            seq = record.seq
-            records[seq] = None
-            dest = record.dest
-            if dest is not None and dest != REG_ZERO and rat_map[dest] == seq:
-                rat_map[dest] = ARCH_READY
-
-            kind = record.kind
-            if kind == KIND_STORE:
-                addr = record.addr
-                size = record.size
-                ssn = record.ssn
-                stats.committed_stores += 1
-                memory.write(addr, size, record.value)
-                # Inlined SSNAllocator.commit (stores commit in SSN order).
-                if ssn != ssn_alloc.ssn_commit + 1:
-                    raise ValueError(
-                        f"stores must commit in SSN order: expected "
-                        f"{ssn_alloc.ssn_commit + 1}, got {ssn}")
-                ssn_alloc.ssn_commit = ssn
-                self.store_queue.release(ssn)
-                self._store_by_ssn.pop(ssn, None)
-                if self._fast_store_commit:
-                    # Inlined base-class SVW update (policies that only
-                    # maintain the SSBF/SPCT at store commit).
-                    svw = policy.svw
-                    svw.ssbf.update(addr, size, ssn)
-                    svw.spct.update(addr, size, record.pc)
-                    svw_stats = svw.stats
-                    svw_stats.ssbf_writes += 1
-                    svw_stats.spct_writes += 1
-                else:
-                    policy.store_committed(record.pc, ssn, addr, size)
-                self.hierarchy.store_touch(addr)
-                waiters = self._dly_waiters.pop(ssn, None)
-                if waiters:
-                    for waiter in waiters:
-                        if waiter.squashed or not waiter.wait_dly:
-                            continue
-                        waiter.wait_dly = False
-                        waiter.dly_clear_cycle = cycle
-                        self._maybe_ready(waiter)
-            elif kind == KIND_LOAD:
-                addr = record.addr
-                size = record.size
-                stats.committed_loads += 1
-                # Inlined LoadQueue.release (loads commit strictly in order).
-                if not lq_entries:
-                    raise RuntimeError("release from an empty load queue")
-                if lq_entries[0].seq != seq:
-                    raise ValueError(f"loads must commit in order: head seq "
-                                     f"{lq_entries[0].seq}, got {seq}")
-                lq_entries.popleft()
-                del lq_by_seq[seq]
-                lq.stats.releases += 1
-
-                correct_value = memory.read(addr, size)
-                if self._fast_reexec:
-                    # Inlined base-class SVW filter check (every built-in
-                    # policy; overrides go through the method).
-                    svw = policy.svw
-                    svw.stats.loads_checked += 1
-                    needs_reexec = svw.ssbf.lookup(addr, size) > record.svw_ssn
-                    if needs_reexec:
-                        svw.stats.loads_reexecuted += 1
-                else:
-                    needs_reexec = policy.needs_reexecution(addr, size,
-                                                           record.svw_ssn)
-                if needs_reexec:
-                    stats.loads_reexecuted += 1
-                violation = record.spec_value != correct_value
-                if violation and not needs_reexec:
-                    raise AssertionError(
-                        f"SVW filter missed a violation at pc={record.pc:#x} "
-                        f"seq={seq}: spec={record.spec_value:#x} "
-                        f"correct={correct_value:#x}")
-
-                if record.should_forward:
-                    stats.loads_should_forward += 1
-                if record.forwarded:
-                    stats.loads_forwarded += 1
-                if record.delay_cycles > 0:
-                    stats.loads_delayed += 1
-                    stats.total_delay_cycles += record.delay_cycles
-
-                # Inlined LoadCommitInfo construction (no ctor frame).
-                info = LoadCommitInfo.__new__(LoadCommitInfo)
-                info.pc = record.pc
-                info.addr = addr
-                info.size = size
-                info.spec_value = record.spec_value
-                info.correct_value = correct_value
-                info.forwarded = record.forwarded
-                info.forward_ssn = record.forward_ssn
-                info.prediction = record.prediction or LoadPrediction()
-                info.ssn_at_rename = record.ssn_at_rename
-                info.ssn_cmt = ssn_alloc.ssn_commit
-                info.violation = violation
-                policy.load_committed(info)
-
-                if violation:
-                    stats.ordering_violations += 1
-                    if record.should_forward:
-                        stats.mis_forwardings += 1
-                    self._flush_after(record)
-                    break
-            elif kind == KIND_BRANCH:
-                stats.committed_branches += 1
-        return committed
-
-    # ------------------------------------------------------------------ flush --
-
-    def _flush_after(self, record: _Inflight) -> None:
-        """Squash everything younger than ``record`` and redirect fetch."""
-        self.stats.flushes += 1
-        squashed = self.rob.squash_younger_than(record.seq)
-        for victim in squashed:
-            victim.squashed = True
-            self.stats.squashed_uops += 1
-            self._records[victim.seq] = None
-            self.rat.undo(victim.rat_undo)
-            if not victim.issued:
-                self._iq_occupancy -= 1
-            kind = victim.kind
-            if kind == KIND_STORE:
-                self.policy.store_squashed(victim.pc, victim.ssn, victim.sat_undo)
-                self._store_by_ssn.pop(victim.ssn, None)
-                self._undo_last_writer(victim)
-            elif kind == KIND_LOAD and victim.prediction is not None \
-                    and victim.prediction.dly_ssn:
-                waiters = self._dly_waiters.get(victim.prediction.dly_ssn)
-                if waiters and victim in waiters:
-                    waiters.remove(victim)
-
-        # Squash SQ/LQ entries younger than the flush point.
-        self.store_queue.squash_younger(record.ssn_at_rename)
-        self.load_queue.squash_younger(record.seq)
-        self.ssn_alloc.rewind_rename(max(record.ssn_at_rename, self.ssn_alloc.ssn_commit))
-
-        # Redirect fetch.
-        self._fetch_seq = record.seq + 1
-        self._fetch_resume_cycle = self._cycle + self.config.flush_penalty
-        if self._fetch_blocked_on is not None and self._fetch_blocked_on.squashed:
-            self._fetch_blocked_on = None
-
-    def _undo_last_writer(self, store_record: _Inflight) -> None:
-        undo = store_record.oracle_undo
-        if undo is None:
-            return
-        last_writer = self._last_writer
-        seq = store_record.seq
-        for byte_addr, previous in zip(
-                range(store_record.addr, store_record.addr + store_record.size),
-                undo):
-            current = last_writer.get(byte_addr)
-            if current is not None and current[0] == seq:
-                if previous is None:
-                    del last_writer[byte_addr]
-                else:
-                    last_writer[byte_addr] = previous
-
-    # ------------------------------------------------------------------ issue --
-
-    def _issue_stage(self) -> None:
-        """Issue the oldest ready micro-ops, respecting per-class bandwidth.
-
-        Selection order matches the single-heap formulation (globally oldest
-        first among classes with remaining budget); entries whose class budget
-        is exhausted simply stay in their heap instead of being popped and
-        re-pushed every cycle.
-        """
-        if not self._ready_count:
-            return
-        heaps = self._heap_list
-        execute_load = self._execute_load
-        limits = self.config.issue_limits
-        # Budgets and head-candidates as positional lists in
-        # _ISSUE_CLASS_KEYS order; after a pop only the popped class's head
-        # can change, so the other classes are not rescanned (tournament
-        # selection, same oldest-first order as a full rescan).
-        budgets = [limits.int_ops, limits.fp_ops, limits.branches,
-                   limits.loads, limits.stores]
-        total_budget = self.config.issue_width
-        heappop = heapq.heappop
-        heads: List[Optional[int]] = [None, None, None, None, None]
-        for i in range(5):
-            if budgets[i] > 0:
-                heap = heaps[i]
-                while heap:
-                    record = heap[0][2]
-                    if record.squashed or record.issued:
-                        heappop(heap)
-                        self._ready_count -= 1
-                    else:
-                        break
-                if heap:
-                    heads[i] = heap[0][0]
-        mlp_hier = self._mlp_hier
-        while total_budget > 0:
-            best_i = -1
-            best_seq = None
-            for i in range(5):
-                seq = heads[i]
-                if seq is not None and (best_seq is None or seq < best_seq):
-                    best_seq = seq
-                    best_i = i
-            if best_i < 0:
-                break
-            heap = heaps[best_i]
-            if best_i == 3 and mlp_hier is not None \
-                    and mlp_hier.load_would_block(heap[0][2].addr, self._cycle):
-                # Structural stall: the MSHR file is full and the oldest
-                # ready load needs a new fill.  Loads issue oldest-first,
-                # so the whole class is held for this cycle; the entry
-                # stays in its heap and retries once a fill retires an
-                # entry (load_would_block retires due fills itself, so the
-                # un-block lands on exactly the fill cycle).
-                heads[3] = None
-                self.stats.mshr_stall_cycles += 1
-                continue
-            _, _, record = heappop(heap)
-            self._ready_count -= 1
-            budgets[best_i] -= 1
-            total_budget -= 1
-            if budgets[best_i] > 0:
-                while heap:
-                    head = heap[0][2]
-                    if head.squashed or head.issued:
-                        heappop(heap)
-                        self._ready_count -= 1
-                    else:
-                        break
-                heads[best_i] = heap[0][0] if heap else None
-            else:
-                heads[best_i] = None
-            # Inlined execute.
-            record.issued = True
-            self._iq_occupancy -= 1
-            if record.kind == KIND_LOAD:
-                latency = execute_load(record)
-                # Delay accounting: the DDP delayed this load for the
-                # interval between the cycle it was otherwise ready and the
-                # cycle its delay cleared.
-                dly_clear = record.dly_clear_cycle
-                if dly_clear >= 0 and record.other_ready_cycle >= 0:
-                    delay = dly_clear - record.other_ready_cycle
-                    if delay > 0:
-                        record.delay_cycles = delay
-            else:
-                latency = record.latency
-            completion_cycle = self._cycle + latency
-            record.completion_cycle = completion_cycle
-            completions = self._completions
-            bucket = completions.get(completion_cycle)
-            if bucket is None:
-                completions[completion_cycle] = [record]
-            else:
-                bucket.append(record)
-
-    def _execute_load(self, record: _Inflight) -> int:
-        addr = record.addr
-        size = record.size
-        prediction = record.prediction or LoadPrediction()
-        l1_latency = self.hierarchy.l1_latency
-
-        record.should_forward = record.oracle_dep_ssn > self.ssn_alloc.ssn_commit
-
-        decision = self.policy.forward(addr, size, record.ssn_at_rename,
-                                       prediction, self.store_queue)
-        mlp_hier = self._mlp_hier
-        if mlp_hier is not None:
-            # Non-blocking hierarchy: the returned latency is derived from
-            # the MSHR fill cycle (primary misses allocate, secondary
-            # misses coalesce), so dependants wake on the fill event.
-            cache_latency = mlp_hier.load_access(addr, self._cycle, record.pc)
-        else:
-            cache_latency = self.hierarchy.load_latency(addr)
-
-        if decision.forwarded:
-            record.forwarded = True
-            record.forward_ssn = decision.forward_ssn
-            record.spec_value = decision.value if decision.value is not None else 0
-            record.svw_ssn = decision.forward_ssn
-            actual = self.policy.forwarded_load_latency(l1_latency)
-        else:
-            record.spec_value = self.memory.read(addr, size)
-            record.svw_ssn = self.ssn_alloc.ssn_commit
-            actual = cache_latency
-
-        # Inlined LoadQueue.record_execution.
-        lq_entry = self.load_queue._by_seq[record.seq]
-        lq_entry.addr = addr
-        lq_entry.size = size
-        lq_entry.value = record.spec_value
-        lq_entry.svw_ssn = record.svw_ssn
-        lq_entry.forwarded = record.forwarded
-
-        assumed = self.policy.assumed_load_latency(prediction, l1_latency)
-        if actual > assumed:
-            self.stats.replays += 1
-            actual += self.config.replay_penalty
-        return actual
-
-    # --------------------------------------------------------------- dispatch --
-    #
-    # Two implementations of the same stage, bound per run: the encoded path
-    # walks the static plane's precomputed dispatch metadata (kind code,
-    # issue class, latency, register tuples) through flat list indexing; the
-    # object path probes :class:`MicroOp` attributes exactly as the
-    # pre-two-plane core did.  Both populate identical in-flight records and
-    # are bit-identical (equivalence- and golden-tested).
-
-    def _make_dispatch_enc(self):
-        """Build the encoded dispatch stage as a per-run closure.
-
-        Everything loop-invariant for the whole run — the static plane's
-        dispatch metadata arrays, the dynamic-plane arrays, configuration
-        scalars, and the (stable) hot structure internals — is captured once
-        here instead of being re-hoisted from ``self`` on every cycle.
-        Per-cycle mutable state (``_cycle``, ``_fetch_seq``,
-        ``_iq_occupancy``, ``stats``, …) stays on ``self`` because other
-        stages mutate it between calls.
-        """
-        encoded = self._encoded
-        plane = encoded.plane
-        (kind_arr, pc_arr, dest_arr, srcs_arr, _issue_index_arr, latency_arr,
-         hint_call_arr, hint_return_arr) = plane.dispatch_arrays()
-        issue_arr = plane.issue_class
-        (sidx, addr_arr, size_arr, value_arr, taken_arr,
-         target_arr) = encoded.dynamic_arrays()
-        total = self._total
-        config = self.config
-        rename_width = config.rename_width
-        taken_per_cycle = config.taken_branches_per_cycle
-        iq_size = config.issue_queue_size
-        rob = self.rob
-        rob_entries = rob._entries
-        rob_size = rob.size
-        lq_entries = self.load_queue._entries
-        lq_size = self.load_queue.size
-        sq_entries = self.store_queue._entries
-        sq_size = self.store_queue.size
-        records = self._records
-        rat_map = self.rat._map
-        ready_heaps = self._ready
-        heappush = heapq.heappush
-        branch_resolve = self.branch_unit.predict_and_resolve
-        inflight = _Inflight
-        inflight_new = _Inflight.__new__
-        reg_zero = REG_ZERO
-        arch_ready = ARCH_READY
-        # Load/store dispatch bodies are inlined below; these are their
-        # loop-invariant captures (all bound after import_state, so warmed
-        # state is what gets captured).
-        ssn_alloc = self.ssn_alloc
-        ssn_allocate = ssn_alloc.allocate
-        policy = self.policy
-        policy_store_renamed = policy.store_renamed
-        policy_store_dependence = policy.store_dependence
-        policy_predict_load = policy.predict_load
-        store_by_ssn = self._store_by_ssn
-        dly_waiters = self._dly_waiters
-        last_writer = self._last_writer
-        last_writer_get = last_writer.get
-        lq = self.load_queue
-        lq_by_seq = lq._by_seq
-        lq_stats = lq.stats
-        lq_entry_new = LoadQueueEntry.__new__
-        lq_entry_cls = LoadQueueEntry
-        sq = self.store_queue
-        sq_slots = sq._slots
-        sq_stats = sq.stats
-        sq_entry_new = StoreQueueEntry.__new__
-        sq_entry_cls = StoreQueueEntry
-        sq_size_mask = sq.size - 1
-        model_ssn_wrap = config.model_ssn_wrap
-        ssn_wrapped = ssn_alloc.wrapped
-        ssn_wrap_drain_penalty = config.ssn_wrap_drain_penalty
-
-        def dispatch() -> None:
-            # Caller contract (the run loop): fetch is not redirect-blocked
-            # and the trace is not exhausted — the stall accounting lives in
-            # exactly one place, the run loop.
-            stats = self.stats
-            cycle = self._cycle
-            seq = self._fetch_seq
-            iq_occ = self._iq_occupancy
-            tiebreak = self._ready_tiebreak
-            dispatched = 0
-            taken_budget = taken_per_cycle
-
-            while True:
-                si = sidx[seq]
-                kind = kind_arr[si]
-
-                if len(rob_entries) >= rob_size:
-                    stats.rob_stall_cycles += 1
-                    break
-                if iq_occ >= iq_size:
-                    stats.iq_stall_cycles += 1
-                    break
-                if kind == KIND_LOAD:
-                    if len(lq_entries) >= lq_size:
-                        stats.lq_stall_cycles += 1
-                        break
-                elif kind == KIND_STORE:
-                    if len(sq_entries) >= sq_size:
-                        stats.sq_stall_cycles += 1
-                        break
-
-                # Inlined _Inflight construction (no call frame per uop).
-                dest = dest_arr[si]
-                record = inflight_new(inflight)
-                record.seq = rseq = seq
-                record.kind = kind
-                record.pc = pc_arr[si]
-                record.dest = dest
-                record.issue_class = issue_arr[si]
-                record.latency = latency_arr[si]
-                record.squashed = False
-                record.wait_srcs = 0
-                record.wait_fwd = False
-                record.wait_dly = False
-                record.issued = False
-                record.completed = False
-                record.consumers = None
-                record.ready_pushed = False
-                record.other_ready_cycle = -1
-                record.completion_cycle = -1
-                record.rat_undo = None
-                seq += 1
-                self._fetch_seq = seq
-                dispatched += 1
-
-                records[rseq] = record
-                # Inlined ReorderBuffer.push (capacity was checked above).
-                rob_entries.append(record)
-                rob.allocations += 1
-                occupancy = len(rob_entries)
-                if occupancy > rob.max_occupancy:
-                    rob.max_occupancy = occupancy
-                iq_occ += 1
-
-                # Register dependences.  The RAT map is indexed directly:
-                # the registers were validated once, at static-plane intern.
-                for src in srcs_arr[si]:
-                    if src == reg_zero:
-                        continue
-                    producer_seq = rat_map[src]
-                    if producer_seq == arch_ready:
-                        continue
-                    producer = records[producer_seq]
-                    if producer is None or producer.completed or producer.squashed:
-                        continue
-                    record.wait_srcs += 1
-                    consumers = producer.consumers
-                    if consumers is None:
-                        producer.consumers = [record]
-                    else:
-                        consumers.append(record)
-
-                # Inlined RegisterAliasTable.rename_dest.
-                if dest is not None and dest != reg_zero:
-                    record.rat_undo = (dest, rat_map[dest])
-                    rat_map[dest] = rseq
-
-                if kind == KIND_LOAD:
-                    # Inlined _dispatch_load (plus the load-field defaults
-                    # that are not immediately overwritten below).
-                    record.spec_value = 0
-                    record.forwarded = False
-                    record.forward_ssn = 0
-                    record.svw_ssn = 0
-                    record.should_forward = False
-                    record.delay_cycles = 0
-                    record.dly_clear_cycle = -1
-                    record.addr = addr = addr_arr[rseq]
-                    record.size = size = size_arr[rseq]
-                    ssn_ren = ssn_alloc.ssn_rename
-                    ssn_cmt = ssn_alloc.ssn_commit
-                    record.ssn_at_rename = ssn_ren
-                    # Inlined LoadQueue.allocate (capacity checked above;
-                    # dispatch order is program order by construction).
-                    lq_entry = lq_entry_new(lq_entry_cls)
-                    lq_entry.seq = rseq
-                    lq_entry.pc = record.pc
-                    lq_entry.addr = None
-                    lq_entry.size = 0
-                    lq_entry.value = None
-                    lq_entry.svw_ssn = 0
-                    lq_entry.forwarded = False
-                    lq_entries.append(lq_entry)
-                    lq_by_seq[rseq] = lq_entry
-                    lq_stats.allocations += 1
-
-                    # Oracle dependence: youngest older dispatched store
-                    # writing any byte.
-                    oracle_ssn = 0
-                    for byte_addr in range(addr, addr + size):
-                        entry = last_writer_get(byte_addr)
-                        if entry is not None and entry[1] > oracle_ssn:
-                            oracle_ssn = entry[1]
-                    record.oracle_dep_ssn = oracle_ssn
-
-                    record.prediction = prediction = policy_predict_load(
-                        record.pc, ssn_ren, ssn_cmt, oracle_ssn)
-
-                    # Scheduling constraint 1: the predicted forwarding
-                    # store must have executed.
-                    fwd_ssn = prediction.fwd_ssn
-                    if fwd_ssn and fwd_ssn > ssn_cmt:
-                        store = store_by_ssn.get(fwd_ssn)
-                        if store is not None and not store.completed \
-                                and not store.squashed:
-                            record.wait_fwd = True
-                            if store.fwd_waiters is None:
-                                store.fwd_waiters = [record]
-                            else:
-                                store.fwd_waiters.append(record)
-                            stats.loads_waited_on_prediction += 1
-
-                    # Scheduling constraint 2: the delay-index store must
-                    # have committed.
-                    dly_ssn = prediction.dly_ssn
-                    if dly_ssn and dly_ssn > ssn_cmt:
-                        record.wait_dly = True
-                        waiters = dly_waiters.get(dly_ssn)
-                        if waiters is None:
-                            dly_waiters[dly_ssn] = [record]
-                        else:
-                            waiters.append(record)
-                elif kind == KIND_STORE:
-                    # Inlined _dispatch_store (ssn/sat_undo/oracle_undo are
-                    # unconditionally assigned below; only the waiter-list
-                    # default is needed).
-                    record.fwd_waiters = None
-                    record.addr = addr = addr_arr[rseq]
-                    record.size = size = size_arr[rseq]
-                    record.value = value_arr[rseq]
-                    record.ssn = ssn = ssn_allocate()
-                    if model_ssn_wrap and ssn_wrapped(ssn):
-                        stats.ssn_wraps += 1
-                        resume = cycle + ssn_wrap_drain_penalty
-                        if resume > self._fetch_resume_cycle:
-                            self._fetch_resume_cycle = resume
-                    # Inlined StoreQueue.allocate (capacity checked above;
-                    # SSNs are allocated in increasing order by construction).
-                    sq_entry = sq_entry_new(sq_entry_cls)
-                    sq_entry.ssn = ssn
-                    sq_entry.pc = record.pc
-                    sq_entry.seq = rseq
-                    sq_entry.addr = None
-                    sq_entry.size = 0
-                    sq_entry.value = 0
-                    sq_entry.executed = False
-                    sq_entries.append(sq_entry)
-                    sq_slots[ssn & sq_size_mask] = sq_entry
-                    sq_stats.allocations += 1
-                    store_by_ssn[ssn] = record
-                    record.sat_undo = policy_store_renamed(record.pc, ssn)
-
-                    # Oracle last-writer tracking; the undo log records the
-                    # previous entry of each touched byte, positionally over
-                    # range(addr, addr + size), for flush repair.
-                    entry = (rseq, ssn)
-                    undo = []
-                    undo_append = undo.append
-                    for byte_addr in range(addr, addr + size):
-                        undo_append(last_writer_get(byte_addr))
-                        last_writer[byte_addr] = entry
-                    record.oracle_undo = undo
-
-                    # Store-store serialisation (original Store Sets only).
-                    dep_ssn = policy_store_dependence(record.pc, ssn)
-                    if dep_ssn:
-                        dep = store_by_ssn.get(dep_ssn)
-                        if dep is not None and not dep.completed \
-                                and not dep.squashed:
-                            record.wait_fwd = True
-                            if dep.fwd_waiters is None:
-                                dep.fwd_waiters = [record]
-                            else:
-                                dep.fwd_waiters.append(record)
-                elif kind == KIND_BRANCH:
-                    taken = taken_arr[rseq]
-                    target = target_arr[rseq]
-                    record.mispredicted = mispredicted = branch_resolve(
-                        record.pc, taken, target if target >= 0 else None,
-                        hint_call_arr[si], hint_return_arr[si])
-                    if mispredicted:
-                        stats.branch_mispredictions += 1
-
-                # Inlined _maybe_ready for a freshly dispatched record
-                # (never squashed / issued / already pushed).
-                if record.wait_srcs == 0 and not record.wait_fwd:
-                    record.other_ready_cycle = cycle
-                    if not record.wait_dly:
-                        record.ready_pushed = True
-                        self._ready_count += 1
-                        tiebreak += 1
-                        heappush(ready_heaps[record.issue_class],
-                                 (rseq, tiebreak, record))
-
-                if kind == KIND_BRANCH:
-                    if mispredicted:
-                        self._fetch_blocked_on = record
-                        break
-                    if taken:
-                        taken_budget -= 1
-                        if taken_budget <= 0:
-                            break
-                if dispatched >= rename_width or seq >= total:
-                    break
-
-            self._iq_occupancy = iq_occ
-            self._ready_tiebreak = tiebreak
-
-        return dispatch
-
-    def _dispatch_stage_obj(self) -> None:
-        """Back-compat object path: per-uop attribute probing on MicroOps.
-
-        Caller contract as for the encoded closure: the run loop has already
-        established that fetch is not redirect-blocked and that the trace is
-        not exhausted (stall accounting lives only there).
-        """
-        stats = self.stats
-        trace = self._uops
-        total = self._total
-        taken_budget = self.config.taken_branches_per_cycle
-        dispatched = 0
-
-        while dispatched < self.config.rename_width and self._fetch_seq < total:
-            uop = trace[self._fetch_seq]
-
-            if self.rob.is_full():
-                stats.rob_stall_cycles += 1
-                return
-            if self._iq_occupancy >= self.config.issue_queue_size:
-                stats.iq_stall_cycles += 1
-                return
-            if uop.is_load and self.load_queue.is_full():
-                stats.lq_stall_cycles += 1
-                return
-            if uop.is_store and self.store_queue.is_full():
-                stats.sq_stall_cycles += 1
-                return
-
-            if uop.is_load:
-                kind = KIND_LOAD
-            elif uop.is_store:
-                kind = KIND_STORE
-            elif uop.is_branch:
-                kind = KIND_BRANCH
-            else:
-                kind = KIND_OTHER
-            record = _Inflight(self._fetch_seq, kind, uop.pc, uop.dest,
-                               _ISSUE_CLASS[uop.op_class],
-                               DEFAULT_LATENCIES[uop.op_class])
-            seq = record.seq
-            self._fetch_seq = seq + 1
-            dispatched += 1
-
-            records = self._records
-            records[seq] = record
-            self.rob.push(record)
-            self._iq_occupancy += 1
-
-            for src in uop.srcs:
-                producer_seq = self.rat.producer_of(src)
-                if producer_seq == ARCH_READY:
-                    continue
-                producer = records[producer_seq]
-                if producer is None or producer.completed or producer.squashed:
-                    continue
-                record.wait_srcs += 1
-                consumers = producer.consumers
-                if consumers is None:
-                    producer.consumers = [record]
-                else:
-                    consumers.append(record)
-
-            record.rat_undo = self.rat.rename_dest(uop.dest, seq)
-
-            if kind == KIND_BRANCH:
-                record.mispredicted = self.branch_unit.predict_and_resolve(
-                    uop.pc, uop.is_taken, uop.target, uop.hint_call, uop.hint_return)
-                if record.mispredicted:
-                    stats.branch_mispredictions += 1
-            elif kind == KIND_STORE:
-                record.init_store()
-                mem = uop.mem
-                record.addr = mem.addr
-                record.size = mem.size
-                record.value = mem.value
-                self._dispatch_store(record)
-            elif kind == KIND_LOAD:
-                record.init_load()
-                mem = uop.mem
-                record.addr = mem.addr
-                record.size = mem.size
-                self._dispatch_load(record)
-
-            self._maybe_ready(record)
-
-            if kind == KIND_BRANCH:
-                if record.mispredicted:
-                    self._fetch_blocked_on = record
-                    return
-                if uop.is_taken:
-                    taken_budget -= 1
-                    if taken_budget <= 0:
-                        return
-
-    def _dispatch_store(self, record: _Inflight) -> None:
-        ssn = self.ssn_alloc.allocate()
-        record.ssn = ssn
-        if self.config.model_ssn_wrap and self.ssn_alloc.wrapped(ssn):
-            self.stats.ssn_wraps += 1
-            self._fetch_resume_cycle = max(self._fetch_resume_cycle,
-                                           self._cycle + self.config.ssn_wrap_drain_penalty)
-        self.store_queue.allocate(ssn, record.pc, record.seq)
-        self._store_by_ssn[ssn] = record
-        record.sat_undo = self.policy.store_renamed(record.pc, ssn)
-
-        # Oracle last-writer tracking; the undo log records the previous
-        # entry of each touched byte, positionally over the access's byte
-        # range, for flush repair.
-        last_writer = self._last_writer
-        entry = (record.seq, ssn)
-        undo: List[Optional[Tuple[int, int]]] = []
-        for byte_addr in range(record.addr, record.addr + record.size):
-            undo.append(last_writer.get(byte_addr))
-            last_writer[byte_addr] = entry
-        record.oracle_undo = undo
-
-        # Store-store serialisation (original Store Sets only).
-        dep_ssn = self.policy.store_dependence(record.pc, ssn)
-        if dep_ssn:
-            dep = self._store_by_ssn.get(dep_ssn)
-            if dep is not None and not dep.completed and not dep.squashed:
-                record.wait_fwd = True
-                if dep.fwd_waiters is None:
-                    dep.fwd_waiters = [record]
-                else:
-                    dep.fwd_waiters.append(record)
-
-    def _dispatch_load(self, record: _Inflight) -> None:
-        ssn_alloc = self.ssn_alloc
-        record.ssn_at_rename = ssn_alloc.ssn_rename
-        self.load_queue.allocate(record.seq, record.pc)
-
-        # Oracle dependence: youngest older dispatched store writing any byte.
-        last_writer = self._last_writer
-        oracle_ssn = 0
-        for byte_addr in range(record.addr, record.addr + record.size):
-            entry = last_writer.get(byte_addr)
-            if entry is not None and entry[1] > oracle_ssn:
-                oracle_ssn = entry[1]
-        record.oracle_dep_ssn = oracle_ssn
-
-        prediction = self.policy.predict_load(record.pc, ssn_alloc.ssn_rename,
-                                              ssn_alloc.ssn_commit, oracle_ssn)
-        record.prediction = prediction
-
-        # Scheduling constraint 1: predicted forwarding store must have executed.
-        if prediction.fwd_ssn and prediction.fwd_ssn > ssn_alloc.ssn_commit:
-            store = self._store_by_ssn.get(prediction.fwd_ssn)
-            if store is not None and not store.completed and not store.squashed:
-                record.wait_fwd = True
-                if store.fwd_waiters is None:
-                    store.fwd_waiters = [record]
-                else:
-                    store.fwd_waiters.append(record)
-                self.stats.loads_waited_on_prediction += 1
-
-        # Scheduling constraint 2: the delay-index store must have committed.
-        if prediction.dly_ssn and prediction.dly_ssn > ssn_alloc.ssn_commit:
-            record.wait_dly = True
-            self._dly_waiters.setdefault(prediction.dly_ssn, []).append(record)
+        kind = encoded.plane.kind
+        sidx = encoded.sidx
+        addr = encoded.addr
+        for i in range(min(len(sidx), 4000)):
+            if kind[sidx[i]] >= KIND_LOAD:   # loads and stores carry mem
+                warm(addr[i])

@@ -1,253 +1,10 @@
-"""Detailed-core kernel seam: object / vector / compiled behind `REPRO_KERNEL`.
+"""``VectorCore``: an alias of :class:`~repro.pipeline.core.OutOfOrderCore`.
 
-The reproduction ships three bit-identical detailed-core kernels:
-
-``object``
-    :class:`~repro.pipeline.core.OutOfOrderCore` as-is — per-uop
-    ``_Inflight`` records, the reference implementation.
-``vector``
-    :class:`VectorCore` — struct-of-arrays dynamic state and a single
-    fused dispatch/issue/wakeup/commit loop
-    (:mod:`repro.pipeline._vector_loop`), pure Python, always available.
-``compiled``
-    :class:`CompiledCore` — the same fused loop built into a native
-    extension (``repro.pipeline._kernel``) by ``tools/build_kernel.py``
-    via Cython or mypyc, whichever the environment provides.  Optional:
-    when the extension is absent, selecting it raises
-    :class:`~repro.exec.resilience.EnvKnobError`.
-
-Selection is runtime-only via the ``REPRO_KERNEL`` environment knob
-(``object`` / ``vector`` / ``compiled`` / ``auto``, validated in
-:mod:`repro.exec.resilience`).  ``auto`` — and an unset knob — picks the
-fastest available kernel: ``compiled`` when the extension is built, else
-``vector``.  The knob is *execution-only*: like ``REPRO_BACKEND`` it
-never enters any result-cache or snapshot key (``job_key`` hashes spec
-fields and source fingerprints, not the environment), because every
-kernel produces bit-identical results — enforced by the golden
-regression, the equivalence suites, and the kernel property tests.
-
-The vector kernel falls back to the object loop (``super().run()``)
-whenever its fused loop could not honour the caller's customisations:
-non-encoded traces (the back-compat MicroOp path) and subclasses that
-override any of the object kernel's stage methods (the ``_fast_*``
-discipline, extended to whole stages).
+It must be the same class, not a subclass: ``perfbench/`` imports
+``VectorCore`` and wraps ``vars(VectorCore)["run"]``, which a subclass
+without its own ``run`` lacks.
 """
 
-from __future__ import annotations
+from repro.pipeline.core import OutOfOrderCore
 
-from typing import Optional
-
-from repro.exec.resilience import EnvKnobError, resolve_kernel_name
-from repro.isa.plane import EncodedOps
-from repro.pipeline._vector_loop import run_core_loop
-from repro.pipeline.core import OutOfOrderCore, SimulationResult
-
-#: Stage methods of the object kernel that the fused vector loop inlines.
-#: A subclass overriding any of them expects the object-kernel call
-#: structure, so :meth:`VectorCore.run` falls back to ``super().run()``
-#: (mirroring how ``_fast_reexec`` / ``_fast_store_commit`` fall back to
-#: policy methods on override).
-_LOOP_METHODS = (
-    "run",
-    "_bind_trace",
-    "_warm_caches",
-    "_peek_kind",
-    "_ready_is_empty",
-    "_skip_idle_cycles",
-    "_account_idle",
-    "_process_completions",
-    "_clear_fwd_wait",
-    "_maybe_ready",
-    "_commit_stage",
-    "_flush_after",
-    "_undo_last_writer",
-    "_issue_stage",
-    "_execute_load",
-    "_make_dispatch_enc",
-)
-
-
-def compiled_kernel_available() -> bool:
-    """True when the optional native extension is importable."""
-    try:
-        from repro.pipeline import _kernel  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class VectorCore(OutOfOrderCore):
-    """Struct-of-arrays detailed core (the ``vector`` kernel).
-
-    Bit-identical to :class:`OutOfOrderCore` by contract; only the data
-    layout and loop structure differ.  Dynamic in-flight state lives in
-    parallel arrays indexed by ROB slot, allocated once per run, and the
-    per-cycle stage pipeline is fused into one loop with no per-uop
-    object allocation (:mod:`repro.pipeline._vector_loop`).
-
-    ``export_state`` / ``import_state`` are inherited unchanged: they
-    bundle only long-lived machine state (hierarchy, predictors, memory,
-    SSN counters, last-writer map), which both kernels share — so
-    checkpoints and functional warm-up ride either kernel transparently.
-    """
-
-    kernel_name = "vector"
-
-    #: The fused loop this kernel runs (CompiledCore rebinds it).
-    _loop = staticmethod(run_core_loop)
-
-    @classmethod
-    def _stock_loop(cls) -> bool:
-        """True when no subclass overrode an inlined stage method."""
-        cached = cls.__dict__.get("_stock_loop_ok")
-        if cached is None:
-            cached = all(
-                getattr(cls, name) is getattr(VectorCore, name)
-                or getattr(cls, name) is getattr(OutOfOrderCore, name)
-                for name in _LOOP_METHODS)
-            cls._stock_loop_ok = cached
-        return cached
-
-    def run(self, trace, warm_memory: bool = True,
-            stats_warmup_fraction: float = 0.0,
-            stats_warmup_instructions: Optional[int] = None,
-            stats_measure_instructions: Optional[int] = None) -> SimulationResult:
-        if not isinstance(trace, EncodedOps) or not type(self)._stock_loop():
-            # Back-compat MicroOp path or customised stages: the object
-            # kernel's loop is the one that honours them.
-            return super().run(
-                trace, warm_memory=warm_memory,
-                stats_warmup_fraction=stats_warmup_fraction,
-                stats_warmup_instructions=stats_warmup_instructions,
-                stats_measure_instructions=stats_measure_instructions)
-
-        if not 0.0 <= stats_warmup_fraction < 1.0:
-            raise ValueError("stats_warmup_fraction must be in [0, 1)")
-        # Per-run trace binding, minus the object path's per-uop record
-        # array (the fused loop's slot arrays replace it).
-        self._trace_name = getattr(trace, "name", "trace")
-        policy_type = type(self.policy)
-        from repro.lsu.policies import SQPolicy
-        self._fast_reexec = (policy_type.needs_reexecution
-                             is SQPolicy.needs_reexecution)
-        self._fast_store_commit = (policy_type.store_committed
-                                   is SQPolicy.store_committed)
-        self._encoded = trace
-        self._uops = []
-        self._total = total = len(trace)
-        if warm_memory:
-            self._warm_caches()
-
-        if stats_warmup_instructions is not None:
-            if not 0 <= stats_warmup_instructions < max(total, 1):
-                raise ValueError(
-                    "stats_warmup_instructions must be in [0, len(trace))")
-            warmup_committed = stats_warmup_instructions
-        else:
-            warmup_committed = int(total * stats_warmup_fraction)
-        stop_committed = total
-        if stats_measure_instructions is not None:
-            if stats_measure_instructions <= 0:
-                raise ValueError("stats_measure_instructions must be positive")
-            stop_committed = min(total,
-                                 warmup_committed + stats_measure_instructions)
-
-        (warmup_cycle_offset, warmup_instr_offset, warmup_l1_misses,
-         warmup_l2_misses, mlp_base) = self._loop(
-            self, trace, warmup_committed, stop_committed)
-
-        # Result assembly, identical to the object kernel's tail.
-        stats = self.stats
-        stats.cycles = self._cycle - warmup_cycle_offset
-        stats.committed -= warmup_instr_offset
-        stats.l1_misses = self.hierarchy.stats.l1_misses - warmup_l1_misses
-        stats.l2_misses = self.hierarchy.stats.l2_misses - warmup_l2_misses
-        extra = {
-            "branch_misprediction_rate": self.branch_unit.misprediction_rate,
-            "svw_reexecution_rate": self.policy.svw.stats.reexecution_rate,
-            "l1_miss_rate": self.hierarchy.stats.l1_miss_rate(),
-            "rob_max_occupancy": float(self.rob.max_occupancy),
-        }
-        mlp_hier = self._mlp_hier
-        if mlp_hier is not None:
-            mlp_stats = mlp_hier.mlp_stats
-            delta = [after - before
-                     for after, before in zip(mlp_stats.snapshot(), mlp_base)]
-            stats.mshr_modeled = 1
-            stats.mshr_demand_misses = delta[0]
-            stats.misses_coalesced = delta[1]
-            stats.mshr_inflight_sum = delta[2]
-            stats.prefetch_issued = delta[3]
-            stats.prefetch_useful = delta[4]
-            stats.mshr_occupancy = mlp_stats.occupancy_peak
-            extra["mlp_avg"] = stats.mlp_avg
-            extra["mshr_occupancy"] = float(stats.mshr_occupancy)
-        return SimulationResult(workload=self._trace_name,
-                                policy=self.policy.name,
-                                stats=stats, config=self.config, extra=extra)
-
-
-class CompiledCore(VectorCore):
-    """The ``compiled`` kernel: the fused loop as a native extension.
-
-    Instantiating it when ``repro.pipeline._kernel`` is not built raises
-    :class:`EnvKnobError` with the build instructions.
-    """
-
-    kernel_name = "compiled"
-
-    def __init__(self, config, policy) -> None:
-        try:
-            from repro.pipeline import _kernel
-        except ImportError as exc:
-            raise EnvKnobError(
-                "REPRO_KERNEL=compiled but the compiled kernel is not "
-                "built; run `python tools/build_kernel.py` (needs Cython "
-                "or mypyc) or unset REPRO_KERNEL") from exc
-        # Rebind the loop once, on first successful construction.
-        type(self)._loop = staticmethod(_kernel.run_core_loop)
-        super().__init__(config, policy)
-
-
-_KERNEL_CLASSES = {
-    "object": OutOfOrderCore,
-    "vector": VectorCore,
-    "compiled": CompiledCore,
-}
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve the effective kernel name.
-
-    ``kernel`` overrides the environment; otherwise ``REPRO_KERNEL`` is
-    consulted (validated — unknown names raise :class:`EnvKnobError`).
-    ``None``/``auto`` picks ``compiled`` when the extension is built,
-    else ``vector``.
-    """
-    name = kernel if kernel is not None else resolve_kernel_name()
-    if name is None or name == "auto":
-        return "compiled" if compiled_kernel_available() else "vector"
-    if name not in _KERNEL_CLASSES:
-        raise EnvKnobError(
-            f"unknown kernel {name!r}: expected one of "
-            f"{', '.join(_KERNEL_CLASSES)}, or auto")
-    return name
-
-
-def make_core(config, policy, kernel: Optional[str] = None) -> OutOfOrderCore:
-    """Construct a detailed core running the selected kernel.
-
-    The single construction seam used by the harness, the execution
-    engine's workers, and the sampling driver — everything downstream
-    (policies, hierarchies, checkpoints, stats) is kernel-agnostic.
-    """
-    return _KERNEL_CLASSES[resolve_kernel(kernel)](config, policy)
-
-
-__all__ = [
-    "VectorCore",
-    "CompiledCore",
-    "compiled_kernel_available",
-    "resolve_kernel",
-    "make_core",
-]
+VectorCore = OutOfOrderCore

@@ -28,10 +28,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.exec.jobs import IntervalJobSpec, JobSpec
-from repro.isa.plane import EncodedOps
+from repro.isa.plane import as_encoded
 from repro.isa.trace import DynamicTrace
 from repro.isa.uop import MicroOp
-from repro.pipeline.vector import make_core
+from repro.pipeline.core import OutOfOrderCore
 from repro.sampling.functional import FunctionalWarmer
 from repro.sampling.plan import IntervalWindow
 from repro.sampling.result import (
@@ -88,7 +88,7 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
 
     ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
     to :func:`_overrun` trailing instructions (encoded on the hot paths; a
-    plain micro-op sequence takes the core's object path, bit-identically);
+    plain micro-op sequence is encoded here, bit-identically);
     ``state`` is the warmed machine state at ``window.detailed_start``
     (``None`` = cold start).
     """
@@ -96,18 +96,14 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
 
     config = settings.core
     if state is not None:
-        core = make_core(config, state.policy)
+        core = OutOfOrderCore(config, state.policy)
         core.import_state(state)
     else:
-        core = make_core(config, make_policy(config_name,
-                                              sq_size=settings.sq_size,
-                                              predictors=predictors))
-    if isinstance(uops, EncodedOps):
-        trace = uops.with_name(workload)
-    else:
-        trace = DynamicTrace(name=workload, uops=list(uops))
+        core = OutOfOrderCore(config, make_policy(config_name,
+                                                  sq_size=settings.sq_size,
+                                                  predictors=predictors))
     result = core.run(
-        trace, warm_memory=False,
+        as_encoded(uops, name=workload), warm_memory=False,
         stats_warmup_instructions=window.measure_start - window.detailed_start,
         stats_measure_instructions=window.measure_length)
     return RunRecord(workload=workload, config_name=config_name, result=result)

@@ -341,7 +341,7 @@ def build_workload(name: str, instructions: int = DEFAULT_INSTRUCTIONS,
     :class:`~repro.isa.plane.EncodedOps` supports the old
     :class:`~repro.isa.trace.DynamicTrace` reading surface (``len``,
     iteration/indexing as micro-op views, ``.stats``, ``.uops``) and is what
-    the detailed core's static-plane fast path consumes directly.
+    the detailed core's run loop consumes directly.
     """
     if instructions <= 0:
         raise ValueError("instruction budget must be positive")

@@ -7,15 +7,14 @@ against those frozen numbers — not merely against themselves — so a
 representation change that silently shifts any statistic fails here even if
 it is internally self-consistent.
 
-The same runs are additionally executed through the back-compat *object
-path* (materialised :class:`~repro.isa.uop.MicroOp` views), which must stay
-bit-identical to the encoded fast path.
+The same runs are additionally fed to the core as materialised
+:class:`~repro.isa.uop.MicroOp` views, which the core encodes on entry and
+must simulate bit-identically to the encoded stream.
 
-The full-detail and bounded-sampled goldens are further parametrised over
-the detailed-core kernels (``REPRO_KERNEL``: the per-record ``object``
-loop, the struct-of-arrays ``vector`` loop, and — when
-``tools/build_kernel.py`` has built it — the native ``compiled`` loop):
-every kernel must reproduce the frozen counters bit for bit.
+``tests/golden/mlp_golden.json`` pins the same for the non-blocking
+hierarchy: every SQ policy under MSHR files of 8 and 16 entries and under a
+stride prefetcher, a model the frozen seed stack (``benchmarks/legacy_ref``)
+does not have and so cannot cross-check.
 
 Regenerate the goldens ONLY for intentional trace-content or
 simulator-semantics changes: ``python tests/golden/generate_goldens.py``
@@ -23,6 +22,7 @@ simulator-semantics changes: ``python tests/golden/generate_goldens.py``
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,17 +30,13 @@ import pytest
 
 from repro.harness.runner import ExperimentSettings, run_workload
 from repro.isa.trace import DynamicTrace
-from repro.pipeline.vector import compiled_kernel_available
 from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
 
-GOLDEN_PATH = (Path(__file__).resolve().parent.parent
-               / "golden" / "hotpath_golden.json")
-
-#: Every kernel buildable in this environment must hit the same goldens.
-KERNELS = ("object", "vector") + (
-    ("compiled",) if compiled_kernel_available() else ())
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "hotpath_golden.json"
+MLP_GOLDEN_PATH = GOLDEN_DIR / "mlp_golden.json"
 
 FULL_DETAIL_WORKLOADS = ("vortex", "mesa.m")
 FULL_DETAIL_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
@@ -67,11 +63,8 @@ def _stats_dict(stats) -> dict:
 
 
 class TestFullDetailGoldens:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("workload", FULL_DETAIL_WORKLOADS)
-    def test_encoded_path_matches_frozen_counters(self, golden, workload,
-                                                  kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    def test_encoded_path_matches_frozen_counters(self, golden, workload):
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS)
         trace = build_workload(workload,
                                instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
@@ -82,23 +75,22 @@ class TestFullDetailGoldens:
             assert dict(sorted(record.result.extra.items())) == want["extra"], config
 
     @pytest.mark.parametrize("workload", FULL_DETAIL_WORKLOADS)
-    def test_object_path_matches_frozen_counters(self, golden, workload):
+    def test_microop_input_matches_frozen_counters(self, golden, workload):
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS)
         encoded = build_workload(workload,
                                  instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
-        object_trace = DynamicTrace(name=workload, uops=encoded.uops)
+        microop_trace = DynamicTrace(name=workload, uops=encoded.uops)
         for config in FULL_DETAIL_CONFIGS:
-            record = run_workload(object_trace, config, settings)
+            record = run_workload(microop_trace, config, settings)
             want = golden["full_detail"][f"{workload}/{config}"]
+            assert record.workload == workload
             assert _stats_dict(record.result.stats) == want["stats"], config
+            assert dict(sorted(record.result.extra.items())) == want["extra"], config
 
 
 class TestSampledGoldens:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("config", SAMPLED_CONFIGS)
-    def test_bounded_sampled_run_matches_frozen_counters(self, golden, config,
-                                                         kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    def test_bounded_sampled_run_matches_frozen_counters(self, golden, config):
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=_plan(), checkpoints=False)
         record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings)
@@ -152,3 +144,20 @@ class TestDegenerateMLPGoldens:
             want = golden["full_detail"][f"{workload}/{config}"]
             assert _stats_dict(record.result.stats) == want["stats"], config
             assert dict(sorted(record.result.extra.items())) == want["extra"], config
+
+
+class TestMLPGoldens:
+    def test_mlp_grid_matches_frozen_counters(self):
+        sys.path.insert(0, str(GOLDEN_DIR))
+        try:
+            import generate_goldens
+        finally:
+            sys.path.remove(str(GOLDEN_DIR))
+        want = json.loads(MLP_GOLDEN_PATH.read_text())
+        got = generate_goldens.mlp_goldens()
+        assert sorted(got) == sorted(want)
+        for cell, counters in want.items():
+            assert got[cell] == counters, cell
+        # The grid must exercise what only it covers.
+        assert all(counters["stats"]["prefetch_issued"] > 0
+                   for cell, counters in want.items() if "prefetch" in cell)

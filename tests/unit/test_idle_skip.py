@@ -1,9 +1,11 @@
 """The idle-cycle fast-forward is cycle-exact and statistics-identical.
 
-``CoreConfig.idle_skip`` keeps the original one-cycle-at-a-time loop around
-as the reference implementation; every test here runs both loops on the same
-trace and demands bit-identical results — not just cycle counts but every
-counter, including the per-reason stall attribution of skipped cycles.
+The core's one fused loop has two modes: with ``CoreConfig.idle_skip`` it
+jumps the clock over cycles in which nothing can happen, without it it steps
+one cycle at a time.  Every test here runs the fast-forward against that
+straight-line mode on the same trace and demands bit-identical results — not
+just cycle counts but every counter, including the per-reason stall
+attribution of skipped cycles.
 """
 
 import dataclasses
