@@ -19,7 +19,8 @@ Environment knobs:
     Figure 4, the paper's nine for Figure 5).
 ``REPRO_JOBS``
     Worker-process count for the experiment engine.  Benchmarks default to
-    one worker per CPU; values <= 0 also mean "all CPUs".
+    one worker per CPU; values <= 0 also mean "all CPUs".  A malformed
+    value is reported by the engine's knob validation, not here.
 ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``
     Set ``REPRO_CACHE=0`` to disable result memoization; ``REPRO_CACHE_DIR``
     moves the cache (default ``.repro-cache/``, safe to delete any time).
@@ -43,10 +44,11 @@ DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "8000"))
 _workloads_env = os.environ.get("REPRO_BENCH_WORKLOADS", "").strip()
 WORKLOAD_SUBSET = [w.strip() for w in _workloads_env.split(",") if w.strip()] or None
 
-#: Benchmarks exercise the parallel path by default: REPRO_JOBS if set,
-#: otherwise one worker per *available* CPU (affinity/cgroup aware —
+#: Benchmarks exercise the parallel path by default: ``None`` when
+#: REPRO_JOBS is set (the engine resolves and validates it), otherwise ``0``
+#: — one worker per *available* CPU (affinity/cgroup aware —
 #: ``os.cpu_count()`` oversubscribes restricted CI runners).
-DEFAULT_JOBS = int(os.environ.get("REPRO_JOBS", "0") or "0") or available_cpus()
+DEFAULT_JOBS = None if os.environ.get("REPRO_JOBS", "").strip() else 0
 
 
 def run_once(benchmark, func, *args, **kwargs):
@@ -78,7 +80,7 @@ def write_bench_json(name: str, payload: dict) -> Path:
     resilience counters — retries, quarantined blobs, degradations — so a
     wall time achieved *through* recovery work is never mistaken for a
     clean one, and the process's scheduler counters — dispatch runs, jobs,
-    steals, dispatcher overhead — so the execution-backend seam's cost is
+    dispatcher overhead — so the execution-backend seam's cost is
     visible in every file) plus bench-specific metrics, so tooling can
     track the performance trajectory across PRs without parsing pytest
     output.

@@ -43,9 +43,7 @@ from bench_core_throughput import (  # noqa: E402
     measure_core_throughput,
 )
 from bench_engine_speedup import (  # noqa: E402
-    assert_backend_matrix,
-    assert_supervision_overhead,
-    measure_backend_matrix,
+    assert_engine_speedup,
     measure_engine_speedup,
 )
 from bench_memory_mlp import (  # noqa: E402
@@ -161,12 +159,7 @@ def bench_core(_engine: ExperimentEngine) -> dict:
 def bench_engine(_engine: ExperimentEngine) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         data = measure_engine_speedup(cache_dir=cache_dir)
-    data["backend_matrix"] = measure_backend_matrix()
-    assert_supervision_overhead(data)
-    assert_backend_matrix(data["backend_matrix"])
-    assert data["warm_cache_speedup"] >= 5.0, data
-    if data["cpus"] >= 4:
-        assert data["parallel_speedup"] >= 2.0, data
+    assert_engine_speedup(data)
     return data
 
 

@@ -22,30 +22,23 @@ This package is the performance substrate under every timing experiment:
   store blobs with quarantine-and-recompute, and deterministic fault
   injection (``REPRO_FAULT_PLAN``) that proves faulted runs stay
   bit-identical.
-* :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the pluggable
-  execution seam: every fan-out (engine jobs *and* sharded checkpoint
-  generation) goes through one event-driven dispatcher over an
-  :class:`~repro.exec.backend.ExecutionBackend` — serial reference,
-  supervised pool, or a work-stealing local cluster over a
-  content-addressed spool (``REPRO_BACKEND``).  All backends are
-  bit-identical; scheduler counters surface in ``last_run_stats`` and
-  benchmark envelopes.
+* :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the execution
+  seam: every fan-out (engine jobs *and* sharded checkpoint generation)
+  goes through one event-driven dispatcher over an
+  :class:`~repro.exec.backend.ExecutionBackend` — serial for one worker,
+  the supervised pool otherwise.  Both are bit-identical; scheduler
+  counters surface in ``last_run_stats`` and benchmark envelopes.
 
-Environment knobs: ``REPRO_JOBS`` (worker count; <= 0 means all CPUs),
-``REPRO_CACHE`` (``0`` disables caching), ``REPRO_CACHE_DIR`` (cache
-location, default ``.repro-cache/``; delete it at any time to reset),
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_SUPERVISE`` /
-``REPRO_FAULT_PLAN`` (failure semantics; see :mod:`repro.exec.resilience`),
-``REPRO_BACKEND`` / ``REPRO_SPOOL_DIR`` (execution-backend selection and
-cluster spool location; see :mod:`repro.exec.backend`).
+Environment knobs: ``REPRO_JOBS`` (worker count, which also picks the
+backend; <= 0 means all CPUs), ``REPRO_CACHE`` (``0`` disables caching),
+``REPRO_CACHE_DIR`` (cache location, default ``.repro-cache/``; delete it
+at any time to reset), ``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
+``REPRO_FAULT_PLAN`` (failure semantics; see :mod:`repro.exec.resilience`).
 """
 
 from repro.exec.backend import (
-    BACKEND_NAMES,
-    BackendCapabilities,
     DispatchJob,
     ExecutionBackend,
-    LocalClusterBackend,
     SerialBackend,
     SupervisedPoolBackend,
     resolve_backend,
@@ -61,7 +54,6 @@ from repro.exec.cache import (
 from repro.exec.dispatch import (
     DispatchStats,
     dispatch,
-    dispatch_async,
     scheduler_counters,
 )
 from repro.exec.engine import ExperimentEngine, available_cpus, resolve_jobs
@@ -76,18 +68,13 @@ from repro.exec.resilience import (
     ExperimentFailure,
     JobFailure,
     parse_fault_plan,
-    resolve_backend_name,
     resolve_job_timeout,
     resolve_retries,
-    run_supervised,
     supervised_events,
-    supervision_enabled,
     validate_environment,
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendCapabilities",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DispatchJob",
@@ -97,12 +84,10 @@ __all__ = [
     "ExperimentEngine",
     "ExperimentFailure",
     "JobFailure",
-    "LocalClusterBackend",
     "SerialBackend",
     "SupervisedPoolBackend",
     "available_cpus",
     "dispatch",
-    "dispatch_async",
     "IntervalJobSpec",
     "JobSpec",
     "ResultCache",
@@ -110,16 +95,13 @@ __all__ = [
     "job_key",
     "parse_fault_plan",
     "resolve_backend",
-    "resolve_backend_name",
     "resolve_job_timeout",
     "resolve_jobs",
     "resolve_retries",
     "run_job",
-    "run_supervised",
     "scheduler_counters",
     "simulator_fingerprint",
     "supervised_events",
-    "supervision_enabled",
     "timing_fingerprint",
     "validate_environment",
     "workload_fingerprint",

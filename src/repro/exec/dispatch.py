@@ -4,24 +4,17 @@
 it feeds a job list to a backend, consumes the ``("start", i)`` /
 ``("done", i, value)`` event stream, assembles results by index, and
 measures *its own* overhead — the nanoseconds spent handling events, not
-the time the backend spends computing — so the `BENCH_engine.json`
-``backend_matrix`` leg can pin "the seam costs < 3%" as a number instead
-of a hope.
-
-:func:`dispatch_async` is the asyncio facade the ROADMAP's experiment
-service wants: the same loop on a worker thread, events forwarded onto
-the running loop, yielded as they happen.  Progress streaming and
-CI-driven early stopping consume this without any call-site rewiring.
+the time the backend spends computing — so ``BENCH_engine.json`` can pin
+"the seam costs < 3% of the parallel sweep" as a number instead of a hope.
 
 Scheduler observability: every run fills a :class:`DispatchStats`
-(``backend``, ``queue_depth_peak``, ``inflight_peak``, ``steals``,
+(``backend``, ``queue_depth_peak``, ``inflight_peak``,
 ``dispatch_overhead_ns``) — surfaced in the engine's ``last_run_stats``
 and, via :func:`scheduler_counters`, in every ``BENCH_*.json`` envelope.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass
@@ -32,7 +25,6 @@ from repro.exec.backend import DispatchJob, ExecutionBackend
 __all__ = [
     "DispatchStats",
     "dispatch",
-    "dispatch_async",
     "reset_scheduler_counters",
     "scheduler_counters",
 ]
@@ -45,10 +37,9 @@ class DispatchStats:
     backend: str
     queue_depth_peak: int
     inflight_peak: int
-    steals: int
     dispatch_overhead_ns: int
     #: Resilience-counter delta reported by the backend for this submit
-    #: (retries, respawns, steals, ...); empty for a clean serial run.
+    #: (retries, respawns, ...); empty for a clean serial run.
     counters: Dict[str, int]
 
     def flat(self) -> Dict[str, Any]:
@@ -58,7 +49,6 @@ class DispatchStats:
             "backend": self.backend,
             "queue_depth_peak": self.queue_depth_peak,
             "inflight_peak": self.inflight_peak,
-            "steals": self.steals,
             "dispatch_overhead_ns": self.dispatch_overhead_ns,
         })
         return merged
@@ -134,59 +124,15 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
         events.close()
         counters = dict(backend.last_submit_stats)
         stats = DispatchStats(
-            backend=backend.capabilities.name,
+            backend=backend.name,
             queue_depth_peak=queue_depth_peak,
             inflight_peak=inflight_peak,
-            steals=counters.get("cluster_steals", 0),
             dispatch_overhead_ns=overhead_ns,
             counters=counters)
         if stats_sink is not None:
             stats_sink.update(stats.flat())
         _sched_count("dispatch_runs")
         _sched_count("dispatch_jobs", total)
-        _sched_count("dispatch_steals", stats.steals)
         _sched_count("dispatch_overhead_ns", overhead_ns)
     return results, stats
 
-
-async def dispatch_async(backend: ExecutionBackend, fn: Callable[[Any], Any],
-                         jobs: Sequence[DispatchJob], *, scope: str = "job",
-                         chunksize: Optional[int] = None):
-    """Async generator facade over :func:`dispatch`.
-
-    Yields each backend event (``("start", i)`` / ``("done", i, value)``)
-    as it happens, then one terminal ``("result", results, stats)``.  The
-    synchronous dispatcher runs on a daemon thread; events cross over via
-    ``loop.call_soon_threadsafe``.  Failures re-raise in the consumer's
-    task after worker teardown has completed.
-    """
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
-
-    def forward(event: tuple) -> None:
-        loop.call_soon_threadsafe(queue.put_nowait, event)
-
-    def runner() -> None:
-        try:
-            out = dispatch(backend, fn, jobs, scope=scope,
-                           chunksize=chunksize, on_event=forward)
-        except BaseException as exc:  # noqa: BLE001 - forwarded, not dropped
-            loop.call_soon_threadsafe(queue.put_nowait, ("__error__", exc))
-        else:
-            loop.call_soon_threadsafe(queue.put_nowait, ("__done__", out))
-
-    thread = threading.Thread(target=runner, daemon=True,
-                              name="repro-dispatch")
-    thread.start()
-    try:
-        while True:
-            event = await queue.get()
-            if event[0] == "__done__":
-                results, stats = event[1]
-                yield ("result", results, stats)
-                return
-            if event[0] == "__error__":
-                raise event[1]
-            yield event
-    finally:
-        await loop.run_in_executor(None, thread.join)

@@ -32,7 +32,9 @@ Environment knobs:
 
 ``REPRO_JOBS``
     Default worker count when neither the engine nor the settings specify
-    one.  ``0`` (or any value <= 0) means "all CPUs".
+    one.  ``0`` (or any value <= 0) means "all CPUs".  The worker count
+    also picks the backend: serial for one worker, the supervised pool
+    otherwise.
 ``REPRO_CACHE``
     Set to ``0`` to disable the result cache entirely.
 ``REPRO_CACHE_DIR``
@@ -46,17 +48,10 @@ Environment knobs:
     :func:`repro.sampling.checkpoints.plan_shard_jobs`).  Unset or ``0``
     sizes shards from the worker count; a pure execution knob — stitched
     sharded generation is bit-identical to the single pass.
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_SUPERVISE`` /
-``REPRO_FAULT_PLAN``
-    Failure-semantics knobs (retry budget, per-job deadline, supervision
-    escape hatch, deterministic fault injection) — all execution-only,
-    never part of cache keys; see :mod:`repro.exec.resilience`.
-``REPRO_BACKEND`` / ``REPRO_SPOOL_DIR``
-    Execution-backend selection (``serial`` / ``supervised-pool`` /
-    ``local-cluster``; unset = auto) and the cluster spool location — see
-    :mod:`repro.exec.backend`.  Execution-only like every scheduling
-    knob: every backend is bit-identical, so neither value enters a
-    cache or snapshot key.
+``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN``
+    Failure-semantics knobs (retry budget, per-job deadline,
+    deterministic fault injection) — all execution-only, never part of
+    cache keys; see :mod:`repro.exec.resilience`.
 ``REPRO_PROFILE``
     Per-worker profiling: ``1`` (default ``.repro-profile/``) or a
     directory path.  Each engine run that simulates anything gets a
@@ -67,18 +62,18 @@ Environment knobs:
 
 Every fan-out — this engine's job pass *and* the sharded
 checkpoint-generation stage — runs through one dispatcher seam
-(:func:`repro.exec.dispatch.dispatch`) over a pluggable
-:class:`~repro.exec.backend.ExecutionBackend`.  The default pool backend
-runs **supervised** (see :mod:`repro.exec.resilience`): per-job
-deadlines, crash detection, retry with backoff, pool self-healing, and
-degradation to in-process serial execution — a sweep completes or raises
-a structured :class:`~repro.exec.resilience.ExperimentFailure`, it never
-hangs and never silently drops jobs; that contract now holds on *every*
-backend, serial included.  Scheduler observability (``backend``,
-``queue_depth_peak``, ``inflight_peak``, ``steals``,
-``dispatch_overhead_ns``) lands in :attr:`ExperimentEngine.last_run_stats`
-on every run.  Malformed ``REPRO_*`` knobs fail engine construction fast
-with a one-line :class:`~repro.exec.resilience.EnvKnobError`.
+(:func:`repro.exec.dispatch.dispatch`) over an
+:class:`~repro.exec.backend.ExecutionBackend`.  The pool backend runs
+**supervised** (see :mod:`repro.exec.resilience`): per-job deadlines,
+crash detection, retry with backoff, pool self-healing, and degradation
+to in-process serial execution — a sweep completes or raises a
+structured :class:`~repro.exec.resilience.ExperimentFailure`, it never
+hangs and never silently drops jobs; the serial backend keeps the same
+contract.  Scheduler observability (``backend``, ``queue_depth_peak``,
+``inflight_peak``, ``dispatch_overhead_ns``) lands in
+:attr:`ExperimentEngine.last_run_stats` on every run.  Malformed
+``REPRO_*`` knobs fail engine construction fast with a one-line
+:class:`~repro.exec.resilience.EnvKnobError`.
 """
 
 from __future__ import annotations
@@ -93,22 +88,21 @@ from repro.exec.backend import DispatchJob, resolve_backend
 from repro.exec.cache import ResultCache, generic_key, job_key
 from repro.exec.dispatch import dispatch
 from repro.exec.jobs import JobSpec, run_job
-from repro.exec.resilience import EnvKnobError, ExperimentFailure
+from repro.exec.resilience import ExperimentFailure
 
 #: The scheduler-observability keys every run folds into
 #: ``last_run_stats`` (zeroed when nothing needed dispatching, so tooling
 #: needs no schema probe).
 _SCHEDULER_KEYS = ("backend", "queue_depth_peak", "inflight_peak",
-                   "steals", "dispatch_overhead_ns")
+                   "dispatch_overhead_ns")
 
 
 def _validate_chunksize(chunksize) -> Optional[int]:
     """Reject malformed ``chunksize`` on every path, parallel or not.
 
     The serial path used to silently ignore the parameter; now a bad
-    value fails identically everywhere, and backends that cannot batch
-    document the (validated) hint as a no-op on their capabilities
-    descriptor (``supports_chunksize``).
+    value fails identically everywhere, and the serial backend, which has
+    nothing to batch, treats the validated hint as a no-op.
     """
     if chunksize is None:
         return None
@@ -147,16 +141,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     machine total.
     """
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise EnvKnobError(
-                    f"REPRO_JOBS must be an integer (got {env!r}); "
-                    "use 0 or a negative value for \"all CPUs\"") from None
-        else:
-            jobs = 1
+        jobs = _resilience._env_int(
+            "REPRO_JOBS", 1, 'use 0 or a negative value for "all CPUs"')
     if jobs <= 0:
         jobs = available_cpus()
     return jobs
@@ -372,9 +358,7 @@ class ExperimentEngine:
                 if pending_indices else 0
             if pending_indices:
                 pending_specs = [specs[i] for i in pending_indices]
-                backend = resolve_backend(workers)
-                if (chunksize is None and workers > 1
-                        and backend.capabilities.supports_chunksize):
+                if chunksize is None and workers > 1:
                     chunksize = max(1, min(16, math.ceil(
                         len(pending_specs) / (workers * 4))))
                 dispatch_jobs = [
@@ -382,8 +366,9 @@ class ExperimentEngine:
                                 label=self._job_label(spec))
                     for position, spec in enumerate(pending_specs)]
                 records, _stats = dispatch(
-                    backend, run_job, dispatch_jobs, scope="job",
-                    chunksize=chunksize, stats_sink=scheduler_sink)
+                    resolve_backend(workers), run_job, dispatch_jobs,
+                    scope="job", chunksize=chunksize,
+                    stats_sink=scheduler_sink)
             else:
                 records = []
         except ExperimentFailure as failure:
@@ -397,10 +382,9 @@ class ExperimentEngine:
             self.last_run_stats = base_stats
             raise
         except BaseException:
-            # Interrupted (KeyboardInterrupt, a worker's unexpected raise
-            # on the raw path): supervised/raw pools have already torn
-            # their workers down; sweep the *.tmp blobs those kills may
-            # have stranded so an aborted run leaks nothing.
+            # Interrupted (KeyboardInterrupt): the pool has already torn
+            # its workers down; sweep the *.tmp blobs those kills may have
+            # stranded so an aborted run leaks nothing.
             self._sweep_interrupted_tmp()
             raise
         finally:
@@ -493,14 +477,12 @@ class ExperimentEngine:
         """The dispatcher's observability keys, always present.
 
         When nothing needed dispatching the counters are zero and
-        ``backend`` names what *would* have run (the forced
-        ``REPRO_BACKEND`` choice, else serial — a zero-job fan-out).
+        ``backend`` is ``"serial"`` (a zero-job fan-out).
         """
         if sink:
             return {key: sink[key] for key in _SCHEDULER_KEYS}
-        name = _resilience.resolve_backend_name() or "serial"
         stats: Dict[str, object] = dict.fromkeys(_SCHEDULER_KEYS, 0)
-        stats["backend"] = name
+        stats["backend"] = "serial"
         return stats
 
     @staticmethod

@@ -5,8 +5,8 @@ bit-identical — only means something if it survives an unhealthy machine.
 This module supplies the failure semantics shared by every pool fan-out
 (simulation jobs, sampling interval jobs, checkpoint shard jobs):
 
-* **Job supervision** — :func:`run_supervised` executes a job list on a
-  self-managed worker pool where every assignment carries a deadline.  A
+* **Job supervision** — :func:`supervised_events` executes a job list on
+  a self-managed worker pool where every assignment carries a deadline.  A
   worker that dies (SIGKILL, OOM, a crashed C extension) or blows its
   per-job timeout is detected, killed if necessary, and respawned (pool
   self-healing); its jobs are retried with exponential backoff and
@@ -39,9 +39,6 @@ or snapshot keys, exactly like ``REPRO_JOBS`` / ``REPRO_CHECKPOINT_SHARDS``)::
     REPRO_RETRIES=N       # retries per failed job (default 2; 0 disables)
     REPRO_JOB_TIMEOUT=S   # per-job deadline in seconds on the pool path
                           # (default 3600; 0 disables deadlines)
-    REPRO_SUPERVISE=0     # escape hatch: raw multiprocessing.Pool fan-out
-                          # (no retries, no timeouts; used by the overhead
-                          # benchmark as the A/B baseline)
     REPRO_FAULT_PLAN=...  # deterministic fault injection, e.g.
                           # "worker_crash@job:3,corrupt_blob@p=0.1,hang@shard:1"
     REPRO_PROFILE=...     # when set, jobs run under cProfile and dump
@@ -71,7 +68,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BACKEND_NAMES",
     "EnvKnobError",
     "ExperimentFailure",
     "FaultClause",
@@ -87,14 +83,10 @@ __all__ = [
     "merge_counters",
     "parse_fault_plan",
     "reset_counters",
-    "resolve_backend_name",
     "resolve_job_timeout",
     "resolve_profile_dir",
     "resolve_retries",
-    "resolve_spool_dir",
-    "run_supervised",
     "supervised_events",
-    "supervision_enabled",
     "validate_environment",
 ]
 
@@ -169,48 +161,6 @@ def resolve_job_timeout() -> float:
                       minimum=0.0)
 
 
-def supervision_enabled() -> bool:
-    """Whether pool fan-outs run supervised (default) or raw.
-
-    ``REPRO_SUPERVISE=0`` is the escape hatch back to a plain
-    ``multiprocessing.Pool`` — no retries, no deadlines, no failure report
-    — kept for A/B overhead measurement and emergency debugging.
-    """
-    return os.environ.get("REPRO_SUPERVISE", "1").strip() != "0"
-
-
-#: The in-tree execution backends (see :mod:`repro.exec.backend`).
-BACKEND_NAMES = ("serial", "supervised-pool", "local-cluster")
-
-
-def resolve_backend_name() -> Optional[str]:
-    """The forced execution backend (``REPRO_BACKEND``), or ``None``.
-
-    ``None`` means *auto*: the engine picks ``serial`` for one-worker runs
-    and ``supervised-pool`` otherwise.  Purely an execution knob — every
-    backend is bit-identical on every workload — so it never participates
-    in result-cache or snapshot keys.
-    """
-    raw = os.environ.get("REPRO_BACKEND", "").strip()
-    if not raw:
-        return None
-    if raw not in BACKEND_NAMES:
-        raise EnvKnobError(
-            f"REPRO_BACKEND must be one of {', '.join(BACKEND_NAMES)} "
-            f"(got {raw!r}); unset it to let the engine choose")
-    return raw
-
-
-def resolve_spool_dir() -> Optional[str]:
-    """Root for local-cluster job spools (``REPRO_SPOOL_DIR``), or ``None``.
-
-    ``None`` means the system temp directory.  Each cluster submission
-    creates (and always removes) its own unique spool underneath.
-    """
-    raw = os.environ.get("REPRO_SPOOL_DIR", "").strip()
-    return raw or None
-
-
 def resolve_profile_dir() -> Optional[str]:
     """Root directory for per-worker profiles (``REPRO_PROFILE``), or ``None``.
 
@@ -250,9 +200,6 @@ def validate_environment() -> Dict[str, Any]:
             minimum=0),
         "retries": resolve_retries(),
         "job_timeout": resolve_job_timeout(),
-        "supervise": supervision_enabled(),
-        "backend": resolve_backend_name(),
-        "spool_dir": resolve_spool_dir(),
         "profile_dir": resolve_profile_dir(),
     }
     resolved["fault_plan"] = current_fault_plan()
@@ -496,7 +443,7 @@ def in_pool_worker() -> bool:
 
 
 def mark_pool_worker() -> None:
-    """Declare this process a pool worker (supervised or cluster).
+    """Declare this process a supervised pool worker.
 
     Called from worker entry points only; enables the process-killing job
     faults that must never fire in a supervisor or degraded-serial context.
@@ -545,7 +492,7 @@ class JobFailure:
 class ExperimentFailure(RuntimeError):
     """Retries exhausted: a structured per-job failure report.
 
-    Raised by :func:`run_supervised` after every *other* job has completed,
+    Raised by every backend after every *other* job has completed,
     so a single poisoned job never discards a sweep's worth of finished
     (and cached) work.  ``failures`` lists each failed job with its cause;
     ``report()`` is the JSON-able form stored in
@@ -575,7 +522,7 @@ _TERMINATE_GRACE_SECONDS = 2.0
 
 #: Crash deaths (not timeouts) after which the pool is declared unhealthy
 #: and the surviving jobs degrade to in-process serial execution, per
-#: :func:`run_supervised` call: ``max(_DEGRADE_MIN_DEATHS, workers + 1)``.
+#: :func:`supervised_events` call: ``max(_DEGRADE_MIN_DEATHS, workers + 1)``.
 _DEGRADE_MIN_DEATHS = 3
 
 
@@ -675,22 +622,32 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                       chunksize: int = 1,
                       timeout: Optional[float] = None,
                       retries: Optional[int] = None,
-                      degrade_after: Optional[int] = None,
                       deps: Optional[Sequence[Sequence[int]]] = None):
     """Supervised execution as a stream of scheduler events.
 
-    The generator core of :func:`run_supervised`: yields ``("start",
-    index)`` when a job is handed to a worker (or begins in-process) and
-    ``("done", index, value)`` as each result lands, in completion order.
-    On exhaustion it *returns* the run's resilience-counter delta (the
-    ``StopIteration`` value) — or raises :class:`ExperimentFailure` after
-    every other job has completed.  The event stream is what the
-    :mod:`repro.exec.dispatch` layer consumes; :func:`run_supervised`
-    remains the collect-everything convenience wrapper.
+    Yields ``("start", index)`` when a job is handed to a worker (or
+    begins in-process) and ``("done", index, value)`` as each result
+    lands, in completion order.  On exhaustion it *returns* the run's
+    resilience-counter delta (the ``StopIteration`` value) — or raises
+    :class:`ExperimentFailure` after every other job has completed.
+    :class:`~repro.exec.backend.SupervisedPoolBackend` forwards this
+    stream to the :mod:`repro.exec.dispatch` layer.
+
+    ``fn`` must be deterministic by value (retries re-execute it).
+    ``chunksize`` batches consecutive payloads per assignment (trace-memo
+    locality, IPC amortisation) — a failed chunk is retried as single-job
+    assignments so one poisoned job never drags its chunk-mates through
+    every retry.  Worker crashes and deadline expiries are retried
+    (``retries``, default ``REPRO_RETRIES``) with exponential backoff and
+    deterministic jitter; job exceptions are permanent immediately.  Every
+    crash respawns the dead worker; once crash deaths reach
+    ``max(3, workers + 1)`` the pool is torn down and the remaining jobs
+    run serially in-process.
 
     ``deps`` (optional, one index sequence per job, each ``dep < index``)
     makes the dispatch-ordering contract explicit: a chunk is not handed
-    to a worker until every dependency of its jobs has been *dispatched*.
+    to a worker until every dependency of its jobs has been *dispatched*
+    (a dependency inside the chunk runs ahead of its job in the worker).
     Dispatch-gating (not completion-gating) preserves the checkpoint
     chains' compose-ahead overlap — a consumer may run concurrently with
     its producer and wait in-worker for the boundary handoff — while
@@ -733,8 +690,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         [list(range(start, min(start + chunksize, total)))
          for start in range(0, total, chunksize)])
 
-    if degrade_after is None:
-        degrade_after = max(_DEGRADE_MIN_DEATHS, workers + 1)
+    degrade_after = max(_DEGRADE_MIN_DEATHS, workers + 1)
 
     def fail(index: int, kind: str, error: str) -> None:
         failed[index] = True
@@ -778,10 +734,15 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                 yield ("done", index, value)
 
     def blocked_on_deps(chunk: List[int]) -> bool:
-        """Whether any job in ``chunk`` has an undispatched dependency."""
+        """Whether any job in ``chunk`` has an undispatched dependency.
+
+        A dependency inside the chunk itself never blocks: a worker runs
+        its chunk in index order, so the dependency is dispatched together
+        with, and ahead of, the job that needs it.
+        """
         if deps is None:
             return False
-        return any(not (started[d] or done[d] or failed[d])
+        return any(d not in chunk and not (started[d] or done[d] or failed[d])
                    for i in chunk for d in deps[i])
 
     ctx = _pool_context()
@@ -943,50 +904,3 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         raise ExperimentFailure(sorted(failures, key=lambda f: f.index))
     return run_stats
 
-
-def run_supervised(fn: Callable[[Any], Any], payloads: Sequence[Any],
-                   workers: int, *, scope: str = "job",
-                   labels: Optional[Sequence[str]] = None,
-                   chunksize: int = 1,
-                   timeout: Optional[float] = None,
-                   retries: Optional[int] = None,
-                   degrade_after: Optional[int] = None,
-                   ) -> Tuple[List[Any], Dict[str, int]]:
-    """Execute ``payloads`` through ``fn`` on a supervised worker pool.
-
-    Returns ``(results, stats)`` with results in input order.  ``fn`` must
-    be deterministic by value (retries re-execute it).  ``chunksize``
-    batches consecutive payloads per assignment (trace-memo locality, IPC
-    amortisation) — a failed chunk is retried as single-job assignments so
-    one poisoned job never drags its chunk-mates through every retry.
-    Assignments are handed to idle workers in list order, preserving the
-    FIFO dispatch invariant checkpoint shard chains rely on.
-
-    Failure semantics: worker crashes and deadline expiries are retried
-    (``retries``, default ``REPRO_RETRIES``) with exponential backoff and
-    deterministic jitter; job exceptions are permanent immediately.  Every
-    crash respawns the dead worker; once crash deaths exceed
-    ``degrade_after`` the pool is torn down and the remaining jobs run
-    serially in-process.  When any job fails permanently the remaining
-    jobs still complete, then :class:`ExperimentFailure` is raised with
-    the full per-job report.  The pool is always torn down on exit —
-    including ``KeyboardInterrupt`` — so no worker processes outlive the
-    call.
-
-    This is a thin collector over :func:`supervised_events` (one scheduler
-    implementation, two consumption styles); the event stream is what the
-    backend/dispatch seam uses.
-    """
-    payloads = list(payloads)
-    results: List[Any] = [None] * len(payloads)
-    events = supervised_events(fn, payloads, workers, scope=scope,
-                               labels=labels, chunksize=chunksize,
-                               timeout=timeout, retries=retries,
-                               degrade_after=degrade_after)
-    while True:
-        try:
-            event = next(events)
-        except StopIteration as stop:
-            return results, dict(stop.value or {})
-        if event[0] == "done":
-            results[event[1]] = event[2]

@@ -22,7 +22,7 @@ and the word mask tracks the 16 4-byte words of the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 

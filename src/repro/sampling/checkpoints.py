@@ -91,7 +91,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec.cache import ResultCache, _canonical
-from repro.exec.resilience import EnvKnobError
+from repro.exec.resilience import _env_int
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -151,20 +151,10 @@ def resolve_checkpoint_shards(settings=None) -> int:
     explicit = getattr(settings, "checkpoint_shards", None) \
         if settings is not None else None
     if explicit is None:
-        env = os.environ.get("REPRO_CHECKPOINT_SHARDS", "").strip()
-        if not env:
-            return 0
-        try:
-            explicit = int(env)
-        except ValueError:
-            raise EnvKnobError(
-                f"REPRO_CHECKPOINT_SHARDS must be an integer (got {env!r}); "
-                "use 0 (or unset) to size shards from the worker count"
-            ) from None
-        if explicit < 0:
-            raise EnvKnobError(
-                f"REPRO_CHECKPOINT_SHARDS must be >= 0 (got {explicit}); "
-                "use 0 (or unset) to size shards from the worker count")
+        explicit = _env_int(
+            "REPRO_CHECKPOINT_SHARDS", 0,
+            "use 0 (or unset) to size shards from the worker count",
+            minimum=0)
     return max(0, int(explicit))
 
 
@@ -804,16 +794,15 @@ def execute_generation(store: CheckpointStore,
     dependency** (``chain[k-1] -> chain[k]``) rather than relying on
     pool-FIFO dispatch order: the supervised pool dispatch-gates (a
     consumer may run alongside its producer and compose ahead while
-    waiting in-worker), the local cluster completion-gates (a ticket is
-    spooled only once the handoff is already published), and the serial
-    reference runs the chunk-major plan order — every backend preserves
-    the deadlock-freedom invariant.  A crashed or hung shard job is
-    retried — shard jobs are idempotent folds, and consumers of a retried
-    producer's handoff either keep waiting within their bounded window or
-    walk back and recompute the prefix.  Afterwards the transient
-    boundary handoffs are discarded — once stitched they are dead weight,
-    and sweeping them keeps CI-persisted stores lean.  Returns the shard
-    counters for the engine's ``last_run_stats``.
+    waiting in-worker), and the serial backend runs the chunk-major plan
+    order — both preserve the deadlock-freedom invariant.  A crashed or
+    hung shard job is retried — shard jobs are idempotent folds, and
+    consumers of a retried producer's handoff either keep waiting within
+    their bounded window or walk back and recompute the prefix.
+    Afterwards the transient boundary handoffs are discarded — once
+    stitched they are dead weight, and sweeping them keeps CI-persisted
+    stores lean.  Returns the shard counters for the engine's
+    ``last_run_stats``.
     """
     from repro.exec.backend import DispatchJob, resolve_backend
     from repro.exec.dispatch import dispatch

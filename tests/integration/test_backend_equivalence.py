@@ -1,14 +1,16 @@
-"""Backend equivalence: serial ≡ supervised-pool ≡ local-cluster, vs goldens.
+"""Backend equivalence: serial ≡ supervised-pool, vs goldens.
 
-The execution backend is a pure scheduling choice, so every backend must
+The worker count picks the execution backend (``jobs=1`` runs serial,
+``jobs=2`` and ``jobs=3`` the supervised pool), a pure scheduling choice,
+so both must
 reproduce the **frozen** golden counters (``tests/golden/hotpath_golden.json``)
-bit for bit — not merely agree with itself — across:
+bit for bit — not merely agree with each other — across:
 
 * cold-cache engine runs (every spec simulated through the backend),
 * warm-cache engine runs (every spec served from the store),
 * checkpointed sampled runs (generation sharded through the same seam), and
 * a chaos leg (``REPRO_FAULT_PLAN`` crash + blob corruption through the
-  backend's own workers and stores).
+  pool's own workers and stores).
 
 A scheduling bug that reorders, drops, duplicates, or cross-wires a single
 record fails here against numbers no backend can influence.
@@ -26,7 +28,10 @@ from repro.sampling.plan import SamplingPlan
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "hotpath_golden.json")
 
-BACKENDS = ("serial", "supervised-pool", "local-cluster")
+#: Worker count -> the backend it selects.  Three workers against three
+#: generation shards gives every shard chain its own worker, a different
+#: schedule from two workers sharing them.
+BACKENDS = ((1, "serial"), (2, "supervised-pool"), (3, "supervised-pool"))
 
 FULL_DETAIL_WORKLOADS = ("vortex", "mesa.m")
 FULL_DETAIL_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
@@ -69,13 +74,11 @@ def _assert_full_detail_matches_golden(records, golden):
             == want["extra"], key
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestColdWarmEquivalence:
     def test_cold_then_warm_match_frozen_counters(self, golden, tmp_path,
-                                                  monkeypatch, backend):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
-        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
+                                                  jobs, backend):
+        engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache")
 
         cold = engine.run(_full_detail_specs())
         assert engine.last_run_stats["backend"] == backend
@@ -88,21 +91,20 @@ class TestColdWarmEquivalence:
         _assert_full_detail_matches_golden(warm, golden)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestCheckpointedSampledEquivalence:
     def test_sharded_generation_matches_frozen_counters(self, golden, tmp_path,
-                                                        monkeypatch, backend):
+                                                        monkeypatch, jobs,
+                                                        backend):
         """Checkpoint generation *and* the interval fan-out both run
-        through the forced backend; the merged record must equal the
+        through the selected backend; the merged record must equal the
         frozen single-pass numbers."""
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
         monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "3")
         plan = SamplingPlan(interval_length=500, detailed_warmup=300,
                             period=10_000, functional_warmup=2_000, seed=3)
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=plan, checkpoints=True)
-        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache",
+        engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")
         record = engine.run(
             [JobSpec(SAMPLED_WORKLOAD, SAMPLED_CONFIG, settings)])[0]
@@ -116,20 +118,17 @@ class TestCheckpointedSampledEquivalence:
         assert [m.cycles for m in sampled.intervals] == want["interval_cycles"]
 
 
-@pytest.mark.parametrize("backend", ("supervised-pool", "local-cluster"))
 class TestChaosEquivalence:
     def test_faulted_run_matches_frozen_counters(self, golden, tmp_path,
-                                                 monkeypatch, backend):
-        """Crash-and-corruption chaos through the seam stays bit-identical:
+                                                 monkeypatch):
+        """Crash-and-corruption chaos through the pool stays bit-identical:
         retries and quarantine-and-recompute are invisible in the records,
         visible only in the resilience counters."""
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
         monkeypatch.setenv("REPRO_FAULT_PLAN", CHAOS_PLAN)
         engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
         records = engine.run(_full_detail_specs())
         _assert_full_detail_matches_golden(records, golden)
         stats = engine.last_run_stats
-        assert stats["backend"] == backend
+        assert stats["backend"] == "supervised-pool"
         assert stats.get("worker_crashes", 0) >= 1  # the chaos actually bit
         assert stats.get("job_retries", 0) >= 1

@@ -11,13 +11,14 @@ and concurrent multi-process writers on a shared store.
 
 Every scenario is bounded by explicit deadlines (tight
 ``REPRO_JOB_TIMEOUT``, shrunk boundary waits, subprocess timeouts) so a
-supervision regression fails fast instead of hanging CI.
+supervision regression fails fast instead of hanging CI.  The hang tests'
+deadline is calibrated from a measured clean run on the same machine
+(:func:`hang_timeout`), not fixed in seconds.
 """
 
 import json
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -86,6 +87,28 @@ def _assert_no_orphans():
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture(scope="module")
+def hang_timeout(tmp_path_factory):
+    """A per-job deadline calibrated on this machine, in seconds.
+
+    Times one clean serial run of the whole golden grid on fresh stores
+    (checkpoint generation included) and returns ``max(2 s, 2 x that)``.
+    A healthy job is shorter than the whole serial grid, and the 2x factor
+    plus the engine's per-chunk deadline multiplier leave room for a
+    contended machine, so only the injected hang trips the deadline.
+    """
+    root = tmp_path_factory.mktemp("hang-calibration")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_FAULT_PLAN", raising=False)
+        engine = ExperimentEngine(jobs=1, cache_dir=root / "cache",
+                                  checkpoint_dir=root / "ckpt")
+        start = time.monotonic()
+        engine.run([JobSpec(WORKLOAD, config, _settings())
+                    for config in CONFIGS])
+        elapsed = time.monotonic() - start
+    return max(2.0, 2.0 * elapsed)
+
+
 def _run_faulted(tmp_path, monkeypatch, fault_plan, *, jobs=2, timeout=None,
                  shards=None):
     """One engine sweep of the golden sampled grid under ``fault_plan``."""
@@ -125,10 +148,10 @@ class TestFaultedRunsMatchGoldens:
         _assert_no_orphans()
 
     def test_worker_hang_killed_by_deadline(self, tmp_path, monkeypatch,
-                                            golden):
+                                            golden, hang_timeout):
         start = time.monotonic()
         records, engine = _run_faulted(
-            tmp_path, monkeypatch, "hang@job:3", timeout=15)
+            tmp_path, monkeypatch, "hang@job:3", timeout=hang_timeout)
         _assert_matches_golden(records, golden)
         assert engine.last_run_stats["job_timeouts"] == 1
         assert time.monotonic() - start < 120.0
@@ -167,14 +190,15 @@ class TestFaultedRunsMatchGoldens:
         _assert_matches_golden(records, golden)
         assert engine.last_run_stats["blobs_quarantined"] > 0
 
-    def test_combined_chaos(self, tmp_path, monkeypatch, golden):
+    def test_combined_chaos(self, tmp_path, monkeypatch, golden,
+                            hang_timeout):
         """Crashes + a hang + corrupt and truncated blobs, all at once —
         the CI chaos job's plan, asserted against the frozen goldens."""
         records, engine = _run_faulted(
             tmp_path, monkeypatch,
             "worker_crash@job:1,hang@job:5,corrupt_blob@p=0.1,"
             "truncate_blob@p=0.1,seed=13",
-            timeout=20)
+            timeout=hang_timeout)
         _assert_matches_golden(records, golden)
         stats = engine.last_run_stats
         assert stats["worker_crashes"] == 1

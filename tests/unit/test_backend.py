@@ -1,35 +1,28 @@
-"""Unit tests for the pluggable execution-backend seam.
+"""Unit tests for the execution-backend seam.
 
-Backend resolution and validation, the dispatcher's ordering/observability
-contract, dependency handling, cluster spool hygiene, and the engine-level
+Backend resolution by worker count, the dispatcher's ordering and
+observability contract, dependency handling, and the engine-level
 satellites (chunksize honored-or-rejected everywhere, scheduler stats in
-``last_run_stats``, stale checkpoint-stat carry-over, ``REPRO_BACKEND``
-kept out of cache keys).
+``last_run_stats``, stale checkpoint-stat carry-over).
 """
 
-import asyncio
-import glob
-import os
-import tempfile
+import contextlib
+import multiprocessing
+import signal
 
 import pytest
 
 from repro.exec import (
-    BACKEND_NAMES,
     DispatchJob,
-    EnvKnobError,
     ExperimentEngine,
     ExperimentFailure,
     JobSpec,
-    LocalClusterBackend,
     SerialBackend,
     SupervisedPoolBackend,
     dispatch,
-    dispatch_async,
-    job_key,
+    resilience,
     resolve_backend,
-    resolve_backend_name,
-    validate_environment,
+    scheduler_counters,
 )
 from repro.harness.runner import ExperimentSettings
 from repro.sampling.plan import SamplingPlan
@@ -53,61 +46,39 @@ def _jobs(n, deps=None):
             for i in range(n)]
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the enclosed block with ``TimeoutError`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 ALL_BACKENDS = [
     pytest.param(lambda: SerialBackend(), id="serial"),
     pytest.param(lambda: SupervisedPoolBackend(2), id="supervised-pool"),
-    pytest.param(lambda: SupervisedPoolBackend(2, supervised=False),
-                 id="raw-pool"),
-    pytest.param(lambda: LocalClusterBackend(2), id="local-cluster"),
 ]
 
 
-class TestResolution:
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend_name() is None
-        assert resolve_backend(1).capabilities.name == "serial"
-        assert resolve_backend(4).capabilities.name == "supervised-pool"
+def test_worker_count_picks_the_backend():
+    assert resolve_backend(1).name == "serial"
+    assert resolve_backend(4).name == "supervised-pool"
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_forced_backend_wins(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_BACKEND", name)
-        assert resolve_backend_name() == name
-        assert resolve_backend(1).capabilities.name == name
-        assert resolve_backend(8).capabilities.name == name
 
-    @pytest.mark.parametrize("bad", ["cloud", "Serial", "pool", "1"])
-    def test_garbage_is_an_env_knob_error(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_BACKEND", bad)
-        with pytest.raises(EnvKnobError, match="REPRO_BACKEND"):
-            resolve_backend_name()
-        with pytest.raises(EnvKnobError):
-            validate_environment()
-        with pytest.raises(EnvKnobError):
-            ExperimentEngine(jobs=1, cache=False)
-
-    def test_backend_knob_excluded_from_cache_key(self, monkeypatch):
-        """REPRO_BACKEND is execution-only: a forced backend must not
-        invalidate (or fork) any cached result."""
-        spec = JobSpec("gzip", "indexed-3-fwd", FAST)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        unset = job_key(spec)
-        for name in BACKEND_NAMES:
-            monkeypatch.setenv("REPRO_BACKEND", name)
-            assert job_key(spec) == unset
-        monkeypatch.setenv("REPRO_SPOOL_DIR", "/tmp/elsewhere")
-        assert job_key(spec) == unset
-
-    def test_capabilities_descriptors(self):
-        serial = SerialBackend().capabilities
-        pool = SupervisedPoolBackend(3).capabilities
-        cluster = LocalClusterBackend(3).capabilities
-        assert (serial.name, serial.parallel, serial.distributed) == \
-            ("serial", False, False)
-        assert not serial.supports_chunksize
-        assert pool.supports_chunksize and pool.parallel
-        assert cluster.distributed and not cluster.supports_chunksize
-        assert cluster.max_workers == 3
+def test_pool_is_sized_to_the_worker_count():
+    assert resolve_backend(3).workers == 3
+    assert resolve_backend(2) is not resolve_backend(2)  # no shared state
+    # A pool asked for no workers still runs one (in-process).
+    backend = SupervisedPoolBackend(0)
+    assert backend.workers == 1
+    assert dispatch(backend, _square, _jobs(3))[0] == [0, 1, 4]
 
 
 class TestDispatchContract:
@@ -115,7 +86,7 @@ class TestDispatchContract:
     def test_results_in_order(self, make):
         results, stats = dispatch(make(), _square, _jobs(7))
         assert results == [i * i for i in range(7)]
-        assert stats.backend == make().capabilities.name
+        assert stats.backend == make().name
         assert stats.queue_depth_peak == 7
         assert stats.inflight_peak >= 1
         assert stats.dispatch_overhead_ns >= 0
@@ -135,18 +106,86 @@ class TestDispatchContract:
         results, _stats = dispatch(make(), _square, _jobs(6, deps))
         assert results == [i * i for i in range(6)]
 
-    @pytest.mark.parametrize("make", [ALL_BACKENDS[0], ALL_BACKENDS[1],
-                                      ALL_BACKENDS[3]])
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
     def test_failure_is_structured_and_late(self, make):
         """One poisoned job: every other job completes, then a structured
         ExperimentFailure names exactly the poisoned one — identical
-        failure semantics across serial, pool, and cluster."""
+        failure semantics on serial and pool."""
         sink = {}
         with pytest.raises(ExperimentFailure) as info:
             dispatch(make(), _boom_on_three, _jobs(6), stats_sink=sink)
         assert [failure.index for failure in info.value.failures] == [3]
         assert "three is right out" in info.value.failures[0].error
-        assert sink["backend"] == make().capabilities.name
+        assert sink["backend"] == make().name
+
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
+    def test_one_start_then_one_done_per_job(self, make):
+        """Completion order is the backend's business; per job, the stream
+        is exactly one ``start`` followed by exactly one ``done``."""
+        events = []
+        dispatch(make(), _square, _jobs(6), on_event=events.append)
+        for index in range(6):
+            assert [event for event in events if event[1] == index] == \
+                [("start", index), ("done", index, index * index)]
+
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
+    def test_duplicate_payloads_stay_distinct(self, make):
+        """Results are addressed by index, never by payload: equal
+        payloads are neither merged nor dropped."""
+        jobs = [DispatchJob(index=i, payload=7) for i in range(3)]
+        events = []
+        results, _stats = dispatch(make(), _square, jobs,
+                                   on_event=events.append)
+        assert results == [49, 49, 49]
+        assert sorted(event[1] for event in events
+                      if event[0] == "done") == [0, 1, 2]
+
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
+    def test_failures_carry_job_labels(self, make):
+        """``DispatchJob.label`` names a failed job; an unlabeled job is
+        named ``"<scope> <index>"``."""
+        labeled = [DispatchJob(index=i, payload=i,
+                               label="gzip/indexed-3-fwd" if i == 3 else "")
+                   for i in range(5)]
+        with pytest.raises(ExperimentFailure) as info:
+            dispatch(make(), _boom_on_three, labeled, scope="shard")
+        assert [f.label for f in info.value.failures] == ["gzip/indexed-3-fwd"]
+        assert "gzip/indexed-3-fwd" in str(info.value)
+        with pytest.raises(ExperimentFailure) as info:
+            dispatch(make(), _boom_on_three, _jobs(5), scope="shard")
+        assert [f.label for f in info.value.failures] == ["shard 3"]
+
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
+    def test_stats_sink_receives_flat_stats(self, make):
+        sink = {}
+        _results, stats = dispatch(make(), _square, _jobs(4),
+                                   stats_sink=sink)
+        assert sink == stats.flat()
+        assert sink["backend"] == stats.backend == make().name
+        assert sink["queue_depth_peak"] == 4
+
+    @pytest.mark.parametrize("make", ALL_BACKENDS)
+    def test_scheduler_counters_accumulate(self, make):
+        """``scheduler_counters()`` (mirrored into every benchmark
+        envelope) grows by exactly one run's worth per dispatch."""
+        before = scheduler_counters()
+        _results, stats = dispatch(make(), _square, _jobs(5))
+        after = scheduler_counters()
+
+        def grew(key):
+            return after.get(key, 0) - before.get(key, 0)
+
+        assert grew("dispatch_runs") == 1
+        assert grew("dispatch_jobs") == 5
+        assert grew("dispatch_overhead_ns") == stats.dispatch_overhead_ns
+
+    def test_failed_run_is_still_counted(self):
+        before = scheduler_counters()
+        with pytest.raises(ExperimentFailure):
+            dispatch(SerialBackend(), _boom_on_three, _jobs(4))
+        after = scheduler_counters()
+        assert after["dispatch_runs"] - before.get("dispatch_runs", 0) == 1
+        assert after["dispatch_jobs"] - before.get("dispatch_jobs", 0) == 4
 
     def test_index_must_match_position(self):
         with pytest.raises(ValueError, match="list position"):
@@ -164,57 +203,50 @@ class TestDispatchContract:
                           ("start", 1), ("done", 1, 1),
                           ("start", 2), ("done", 2, 4)]
 
-    def test_async_facade(self):
-        async def run():
-            seen = []
-            async for event in dispatch_async(SerialBackend(), _square,
-                                              _jobs(4)):
-                seen.append(event)
-            return seen
 
-        seen = asyncio.run(run())
-        assert seen[-1][0] == "result"
-        assert seen[-1][1] == [0, 1, 4, 9]
-        assert seen[-1][2].backend == "serial"
-        assert [e for e in seen if e[0] == "done"] == \
-            [("done", i, i * i) for i in range(4)]
+class TestPoolLifecycle:
+    """The supervised pool's workers live exactly as long as one submit."""
 
-
-class TestLocalCluster:
-    def test_spool_is_removed_and_steals_counted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path))
-        backend = LocalClusterBackend(2)
-        results, stats = dispatch(backend, _square, _jobs(10))
-        assert results == [i * i for i in range(10)]
-        assert stats.steals == stats.counters.get("cluster_steals", 0)
-        # Clean teardown: no spool directories, tickets, claims, or tmp
-        # blobs survive the submit.
-        assert os.listdir(tmp_path) == []
-
-    def test_default_spool_location_cleaned(self):
-        before = set(glob.glob(
-            os.path.join(tempfile.gettempdir(), "repro-spool-*")))
-        dispatch(LocalClusterBackend(2), _square, _jobs(4))
-        after = set(glob.glob(
-            os.path.join(tempfile.gettempdir(), "repro-spool-*")))
-        assert after - before == set()
-
-    def test_workers_are_reaped_on_abandoned_iterator(self, tmp_path,
-                                                      monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path))
-        backend = LocalClusterBackend(2)
-        events = backend.submit(_square, _jobs(6))
-        next(events)  # workers are up
-        events.close()  # abandon mid-run: finally must reap + clean
-        assert os.listdir(tmp_path) == []
+    def test_workers_reaped_on_abandoned_iterator(self):
+        events = SupervisedPoolBackend(2).submit(_square, _jobs(6))
+        assert next(events)[0] == "start"  # workers are up
+        events.close()  # abandon mid-run: the generator's finally reaps
         assert multiprocessing.active_children() == []
 
-    def test_duplicate_payloads_stay_distinct(self):
-        jobs = [DispatchJob(index=i, payload=7) for i in range(3)]
-        results, _stats = dispatch(LocalClusterBackend(2), _square, jobs)
-        assert results == [49, 49, 49]
+    def test_hook_exception_tears_workers_down(self):
+        def observer(event):
+            if event[0] == "done":
+                raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            dispatch(SupervisedPoolBackend(2), _square, _jobs(6),
+                     on_event=observer)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("chunksize", [2, 3, 6])
+    def test_dependencies_inside_a_chunk(self, chunksize):
+        """A dependency that shares its job's chunk is dispatched with it,
+        so it must not hold the chunk back (it used to, forever)."""
+        deps = {2: (0,), 4: (2,), 5: (1, 3)}
+        with _time_limit(60):
+            results, _stats = dispatch(SupervisedPoolBackend(2), _square,
+                                       _jobs(6, deps), chunksize=chunksize)
+        assert results == [i * i for i in range(6)]
+
+    def test_counters_do_not_carry_over(self, monkeypatch):
+        """Each submit reports its own resilience delta: a clean run after
+        a faulted one on the same backend reports nothing."""
+        monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+        backend = SupervisedPoolBackend(2)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "worker_crash@job:1")
+        results, faulted = dispatch(backend, _square, _jobs(4))
+        assert results == [0, 1, 4, 9]
+        assert faulted.counters["worker_crashes"] == 1
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        results, clean = dispatch(backend, _square, _jobs(4))
+        assert results == [0, 1, 4, 9]
+        assert clean.counters == {}
+        assert backend.last_submit_stats == {}
 
 
 class TestEngineSeam:
@@ -222,12 +254,11 @@ class TestEngineSeam:
         return [JobSpec("gzip", name, settings)
                 for name in ("oracle-associative-3", "indexed-3-fwd")]
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_forced_backend_bit_identical(self, monkeypatch, name):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    @pytest.mark.parametrize("jobs,name", [(1, "serial"),
+                                           (2, "supervised-pool")])
+    def test_forced_backend_bit_identical(self, jobs, name):
         reference = ExperimentEngine(jobs=1, cache=False).run(self._specs())
-        monkeypatch.setenv("REPRO_BACKEND", name)
-        engine = ExperimentEngine(jobs=2, cache=False)
+        engine = ExperimentEngine(jobs=jobs, cache=False)
         records = engine.run(self._specs())
         assert [r.result.stats.as_dict() for r in records] == \
             [r.result.stats.as_dict() for r in reference]
@@ -237,13 +268,24 @@ class TestEngineSeam:
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         engine.run(self._specs())
         for key in ("backend", "queue_depth_peak", "inflight_peak",
-                    "steals", "dispatch_overhead_ns"):
+                    "dispatch_overhead_ns"):
             assert key in engine.last_run_stats
         assert engine.last_run_stats["queue_depth_peak"] == 2
         # All-hits run: counters zeroed, never stale.
         engine.run(self._specs())
         assert engine.last_run_stats["queue_depth_peak"] == 0
         assert engine.last_run_stats["backend"] == "serial"
+
+    def test_all_hits_run_reports_serial_at_any_worker_count(self, tmp_path):
+        """A run that dispatches nothing reports ``"serial"`` and zeroed
+        counters, even on an engine sized for the pool."""
+        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path)
+        engine.run(self._specs())
+        assert engine.last_run_stats["backend"] == "supervised-pool"
+        engine.run(self._specs())
+        assert engine.last_run_stats["backend"] == "serial"
+        assert engine.last_run_stats["queue_depth_peak"] == 0
+        assert engine.last_run_stats["dispatch_overhead_ns"] == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "four", True])
@@ -263,8 +305,7 @@ class TestEngineSeam:
         assert [r.result.stats.as_dict() for r in records] == \
             [r.result.stats.as_dict() for r in serial]
 
-    def test_serial_failure_is_structured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
+    def test_serial_failure_is_structured(self):
         engine = ExperimentEngine(jobs=1, cache=False)
         with pytest.raises(ExperimentFailure) as info:
             engine.run([JobSpec("no-such-workload", "indexed-3-fwd", FAST)])

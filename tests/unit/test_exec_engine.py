@@ -17,6 +17,7 @@ from repro.exec import (
     simulator_fingerprint,
     workload_fingerprint,
 )
+from repro.exec.resilience import EnvKnobError
 from repro.harness.runner import ExperimentSettings
 from repro.pipeline.config import CoreConfig
 
@@ -39,6 +40,16 @@ class TestResolveJobs:
     def test_nonpositive_means_all_cpus(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert resolve_jobs() == available_cpus()
+
+    @pytest.mark.parametrize("bad", ["abc", "1.5"])
+    def test_invalid_environment_fails_fast(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_JOBS", bad)
+        with pytest.raises(EnvKnobError, match="REPRO_JOBS"):
+            resolve_jobs()
+
+    def test_blank_environment_means_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "  ")
+        assert resolve_jobs() == 1
 
     def test_all_cpus_respects_affinity(self, monkeypatch):
         """"All CPUs" is the CPUs *this process* may run on, not the

@@ -1,17 +1,22 @@
 """Unit tests for the resilience layer (supervision, knobs, fault plans).
 
-The supervised-pool tests use tiny top-level functions as jobs (forked
-workers inherit them); every scenario is bounded by explicit timeouts so a
-regression fails loudly instead of hanging the suite.
+The supervised-pool tests drive the scheduler through the dispatch seam
+(``dispatch`` over ``SupervisedPoolBackend``) with tiny top-level
+functions as jobs (forked workers inherit them); every scenario is bounded
+by explicit timeouts so a regression fails loudly instead of hanging the
+suite.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.exec import resilience
+from repro.exec import DispatchJob, SupervisedPoolBackend, dispatch, resilience
 from repro.exec.resilience import (
     EnvKnobError,
     ExperimentFailure,
@@ -19,8 +24,6 @@ from repro.exec.resilience import (
     parse_fault_plan,
     resolve_job_timeout,
     resolve_retries,
-    run_supervised,
-    supervision_enabled,
     validate_environment,
 )
 
@@ -41,6 +44,17 @@ def _boom_on_three(x):
     return x
 
 
+def _pool_run(fn, payloads, workers, *, chunksize=1, timeout=None,
+              retries=None, labels=None):
+    """Run ``payloads`` on a supervised pool; ``(results, counters)``."""
+    jobs = [DispatchJob(index=i, payload=payload,
+                        label=labels[i] if labels else "")
+            for i, payload in enumerate(payloads)]
+    backend = SupervisedPoolBackend(workers, timeout=timeout, retries=retries)
+    results, stats = dispatch(backend, fn, jobs, chunksize=chunksize)
+    return results, stats.counters
+
+
 def _assert_no_orphans():
     for child in multiprocessing.active_children():
         child.join(5.0)
@@ -49,19 +63,16 @@ def _assert_no_orphans():
 
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_RETRIES", "REPRO_JOB_TIMEOUT", "REPRO_SUPERVISE"):
+        for name in ("REPRO_RETRIES", "REPRO_JOB_TIMEOUT"):
             monkeypatch.delenv(name, raising=False)
         assert resolve_retries() == resilience.DEFAULT_RETRIES
         assert resolve_job_timeout() == resilience.DEFAULT_JOB_TIMEOUT_SECONDS
-        assert supervision_enabled()
 
     def test_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "5")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_SUPERVISE", "0")
         assert resolve_retries() == 5
         assert resolve_job_timeout() == 12.5
-        assert not supervision_enabled()
 
     @pytest.mark.parametrize("name,value", [
         ("REPRO_RETRIES", "abc"),
@@ -83,6 +94,31 @@ class TestEnvKnobs:
         with pytest.raises(EnvKnobError, match="REPRO_CHECKPOINT_SHARDS"):
             validate_environment()
 
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_JOBS", "abc"),
+        ("REPRO_JOBS", "1.5"),
+        ("REPRO_CHECKPOINT_SHARDS", "many"),
+        ("REPRO_CHECKPOINT_SHARDS", "-3"),
+    ])
+    def test_resolvers_and_validation_share_one_parser(self, monkeypatch,
+                                                       name, value):
+        """``resolve_jobs`` and ``resolve_checkpoint_shards`` read their
+        knob with the parser ``validate_environment`` uses: the same
+        one-line error, wherever the bad value is first read."""
+        from repro.exec import resolve_jobs
+        from repro.sampling.checkpoints import resolve_checkpoint_shards
+
+        resolver = {"REPRO_JOBS": resolve_jobs,
+                    "REPRO_CHECKPOINT_SHARDS": resolve_checkpoint_shards}[name]
+        monkeypatch.setenv(name, value)
+        with pytest.raises(EnvKnobError) as validated:
+            validate_environment()
+        with pytest.raises(EnvKnobError) as resolved:
+            resolver()
+        assert str(resolved.value) == str(validated.value)
+        assert name in str(resolved.value)
+        assert "\n" not in str(resolved.value)
+
     def test_malformed_fault_plan_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "explode@everywhere")
         with pytest.raises(EnvKnobError, match="REPRO_FAULT_PLAN"):
@@ -101,6 +137,23 @@ class TestEnvKnobs:
             validate_environment()
         assert "\n" not in str(excinfo.value)
         assert "REPRO_JOB_TIMEOUT" in str(excinfo.value)
+
+    def test_bench_entry_point_reports_malformed_jobs(self, tmp_path):
+        """``run_all.py`` with ``REPRO_JOBS=abc``: one ``invalid
+        environment`` line and exit 2, not an import-time traceback."""
+        root = Path(__file__).resolve().parents[2]
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env.update(REPRO_JOBS="abc", PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "run_all.py")],
+            capture_output=True, text=True, timeout=120, env=env,
+            cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("invalid environment: ")
+        assert "REPRO_JOBS" in lines[0]
 
 
 class TestBackoff:
@@ -153,21 +206,21 @@ class TestFaultPlanParsing:
 
 class TestSupervisedPool:
     def test_happy_path_order_and_no_overhead_counters(self):
-        results, stats = run_supervised(_square, list(range(20)), workers=4,
-                                        chunksize=3)
+        results, stats = _pool_run(_square, list(range(20)), workers=4,
+                                   chunksize=3)
         assert results == [i * i for i in range(20)]
         assert stats == {}
         _assert_no_orphans()
 
     def test_serial_degenerate_cases(self):
-        assert run_supervised(_square, [5], workers=8)[0] == [25]
-        assert run_supervised(_square, [1, 2], workers=1)[0] == [1, 4]
-        assert run_supervised(_square, [], workers=4)[0] == []
+        assert _pool_run(_square, [5], workers=8)[0] == [25]
+        assert _pool_run(_square, [1, 2], workers=1)[0] == [1, 4]
+        assert _pool_run(_square, [], workers=4)[0] == []
 
     def test_worker_crash_is_retried_bit_identically(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "worker_crash@job:2")
-        results, stats = run_supervised(_square, list(range(8)), workers=3,
-                                        chunksize=2)
+        results, stats = _pool_run(_square, list(range(8)), workers=3,
+                                   chunksize=2)
         assert results == [i * i for i in range(8)]
         assert stats["worker_crashes"] == 1
         assert stats["pool_respawns"] == 1  # self-healing
@@ -177,8 +230,8 @@ class TestSupervisedPool:
     def test_hang_is_killed_at_deadline_and_retried(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "hang@job:1")
         start = time.monotonic()
-        results, stats = run_supervised(_square, list(range(6)), workers=2,
-                                        chunksize=1, timeout=1.5)
+        results, stats = _pool_run(_square, list(range(6)), workers=2,
+                                   chunksize=1, timeout=1.5)
         assert results == [i * i for i in range(6)]
         assert stats["job_timeouts"] == 1
         assert time.monotonic() - start < 30.0
@@ -187,8 +240,8 @@ class TestSupervisedPool:
     def test_retries_exhausted_is_structured_failure(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "worker_crash@job:4*9")
         with pytest.raises(ExperimentFailure) as excinfo:
-            run_supervised(_square, list(range(6)), workers=2, retries=2,
-                           labels=[f"wl/cfg#{i}" for i in range(6)])
+            _pool_run(_square, list(range(6)), workers=2, retries=2,
+                      labels=[f"wl/cfg#{i}" for i in range(6)])
         report = excinfo.value.report()
         assert len(report) == 1
         assert report[0]["index"] == 4
@@ -200,8 +253,8 @@ class TestSupervisedPool:
 
     def test_job_exception_is_permanent_and_chunkmates_survive(self):
         with pytest.raises(ExperimentFailure) as excinfo:
-            run_supervised(_boom_on_three, list(range(8)), workers=2,
-                           chunksize=4)
+            _pool_run(_boom_on_three, list(range(8)), workers=2,
+                      chunksize=4)
         failures = excinfo.value.failures
         assert [f.index for f in failures] == [3]
         assert failures[0].kind == "exception"
@@ -213,8 +266,8 @@ class TestSupervisedPool:
         monkeypatch.setenv(
             "REPRO_FAULT_PLAN",
             ",".join(f"worker_crash@job:{i}*9" for i in range(4)))
-        results, stats = run_supervised(_square, list(range(10)), workers=2,
-                                        retries=8, degrade_after=3)
+        results, stats = _pool_run(_square, list(range(10)), workers=2,
+                                   retries=8)
         # Degraded serial execution runs in-process where crash injection
         # is inert — the jobs complete with the exact same results.
         assert results == [i * i for i in range(10)]
