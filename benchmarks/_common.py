@@ -29,6 +29,7 @@ Environment knobs:
 import datetime
 import json
 import os
+import subprocess
 from pathlib import Path
 
 from repro.exec import available_cpus
@@ -51,24 +52,61 @@ WORKLOAD_SUBSET = [w.strip() for w in _workloads_env.split(",") if w.strip()] or
 DEFAULT_JOBS = None if os.environ.get("REPRO_JOBS", "").strip() else 0
 
 
+#: Keys of a ``BENCH_*.json`` file that describe how and where the run
+#: happened rather than what it simulated: the envelope's time stamp and
+#: counters, every :func:`run_environment` key, and the payload's wall time
+#: and engine statistics.  ``ci_artifact_check.py`` compares every other key
+#: with the committed file.
+RUN_KEYS = frozenset({
+    "timestamp", "resilience", "scheduler",
+    "cpu_count", "cpus_available", "env", "git",
+    "wall_time_s", "engine",
+})
+
+
 def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def git_provenance(root: Path = REPO_ROOT) -> dict:
+    """The checkout a run measured: ``{"sha": ..., "dirty": ...}``.
+
+    ``sha`` is ``HEAD`` and ``dirty`` is true when tracked files differ from
+    it (untracked files do not count).  Both are ``None`` outside a git work
+    tree or when git is unavailable.  A file regenerated for a commit is
+    written before that commit exists, so a committed ``BENCH_*.json`` always
+    reads its parent's SHA with ``dirty: true``: the pair dates a run, it
+    does not name the exact code behind a committed file.
+    """
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(Path(root).parent))
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, env=env,
+                             capture_output=True, text=True, timeout=30)
+        status = subprocess.run(["git", "status", "--porcelain",
+                                 "--untracked-files=no"], cwd=root, env=env,
+                                capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return {"sha": None, "dirty": None}
+    if sha.returncode != 0 or status.returncode != 0:
+        return {"sha": None, "dirty": None}
+    return {"sha": sha.stdout.strip(), "dirty": bool(status.stdout.strip())}
 
 
 def run_environment() -> dict:
     """The machine/knob context of a benchmark run.
 
     Recorded in every trajectory file so a number can be interpreted later:
-    CPU count (the engine fan-out ceiling) and every ``REPRO_*`` environment
+    CPU count (the engine fan-out ceiling), every ``REPRO_*`` environment
     knob that was set (trace length, workload subset, jobs, cache, sampling
-    overrides).
+    overrides), and the git commit and dirty flag of the measured code.
     """
     return {
         "cpu_count": os.cpu_count() or 1,
         "cpus_available": available_cpus(),
         "env": {key: value for key, value in sorted(os.environ.items())
                 if key.startswith("REPRO_")},
+        "git": git_provenance(),
     }
 
 
@@ -76,7 +114,8 @@ def write_bench_json(name: str, payload: dict) -> Path:
     """Write one machine-readable ``BENCH_<name>.json`` at the repo root.
 
     Every trajectory file carries the same envelope (UTC timestamp, trace
-    length, CPU count, the ``REPRO_*`` knobs in effect, the process's
+    length, CPU count, the ``REPRO_*`` knobs in effect, the git commit and
+    dirty flag of the measured code, the process's
     resilience counters — retries, quarantined blobs, degradations — so a
     wall time achieved *through* recovery work is never mistaken for a
     clean one, and the process's scheduler counters — dispatch runs, jobs,

@@ -23,12 +23,20 @@ Training (all at load commit):
 Distances are clamped to the SQ size: any delay distance larger than the SQ
 is effectively no delay at all (the store is guaranteed to have committed by
 the time the load could possibly execute).
+
+The table is sparse, laid out like the FSP's: ``_sets`` maps a set index to
+that set's list of ``assoc`` ways, and a set is created (all ways invalid, in
+way order) on its first insert.  A set that was never written behaves
+exactly like one whose ways are all invalid: lookups skip invalid ways,
+``_insert`` takes the first invalid way (else the minimum-``(counter, lru)``
+victim in way order), and ``state_signature`` lists only valid entries.  So
+only the sets a run touches are built, snapshotted, and loaded back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.predictors import DDPConfig
 
@@ -61,7 +69,12 @@ class DDPStats:
 
 
 class DelayDistancePredictor:
-    """Tagged, PC-indexed load-delay-distance predictor."""
+    """Tagged, PC-indexed load-delay-distance predictor.
+
+    ``_sets`` holds only the sets that have been inserted into (set index ->
+    ``assoc`` ways); reads use ``_sets.get(index, ())``, so a prediction
+    never creates a set.
+    """
 
     def __init__(self, config: Optional[DDPConfig] = None, sq_size: int = 64) -> None:
         self.config = config or DDPConfig()
@@ -69,9 +82,7 @@ class DelayDistancePredictor:
             raise ValueError("SQ size must be a positive power of two")
         self.sq_size = sq_size
         self.stats = DDPStats()
-        self._sets: List[List[DDPEntry]] = [
-            [DDPEntry() for _ in range(self.config.assoc)] for _ in range(self.config.sets)
-        ]
+        self._sets: Dict[int, List[DDPEntry]] = {}
         self._set_mask = self.config.sets - 1
         self._tag_mask = (1 << self.config.tag_bits) - 1
         self._counter_max = (1 << self.config.counter_bits) - 1
@@ -90,7 +101,7 @@ class DelayDistancePredictor:
     def _find(self, load_pc: int) -> Optional[DDPEntry]:
         pc = load_pc >> 2
         tag = (pc >> self._tag_shift) & self._tag_mask
-        for entry in self._sets[pc & self._set_mask]:
+        for entry in self._sets.get(pc & self._set_mask, ()):
             if entry.valid and entry.tag == tag:
                 return entry
         return None
@@ -172,7 +183,9 @@ class DelayDistancePredictor:
     def _insert(self, load_pc: int, distance: int) -> None:
         index = self._index(load_pc)
         tag = self._tag(load_pc)
-        ways = self._sets[index]
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [DDPEntry() for _ in range(self.config.assoc)]
         self.stats.inserts += 1
         self._lru_clock += 1
         for entry in ways:
@@ -195,21 +208,19 @@ class DelayDistancePredictor:
     # -- maintenance ------------------------------------------------------------
 
     def invalidate_all(self) -> None:
-        """Clear the predictor."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.valid = False
-                entry.counter = 0
+        """Clear the predictor (dropping every set: an absent set is an
+        all-invalid one)."""
+        self._sets.clear()
 
     def occupancy(self) -> int:
-        return sum(1 for ways in self._sets for e in ways if e.valid)
+        return sum(1 for ways in self._sets.values() for e in ways if e.valid)
 
     def state_signature(self) -> frozenset:
         """The set of (set index, tag, current distance) delays held
         (counters/LRU excluded; see the FSP's ``state_signature``)."""
         return frozenset(
             (index, entry.tag, entry.current_distance)
-            for index, ways in enumerate(self._sets)
+            for index, ways in self._sets.items()
             for entry in ways if entry.valid)
 
     def storage_bits(self) -> int:

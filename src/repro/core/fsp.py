@@ -15,12 +15,20 @@ unpredicted store PC, distance larger than the SQ, not-most-recent
 forwarding) lives in the indexed-SQ policy
 (:mod:`repro.lsu.policies`); this class provides the mechanical operations:
 lookup, strengthen, weaken, and insert.
+
+The table is sparse: ``_sets`` maps a set index to that set's list of
+``assoc`` ways, and a set is created (all ways invalid, in way order) on its
+first insert.  A set that was never written behaves exactly like one whose
+ways are all invalid: reads skip invalid ways, an insert takes the first
+invalid way (else the minimum-``(counter, lru)`` victim in way order), and
+``state_signature`` lists only valid entries.  So only the sets a run
+touches are built, pickled into checkpoint snapshots, and loaded back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.predictors import FSPConfig
 
@@ -51,14 +59,17 @@ class FSPStats:
 
 
 class ForwardingStorePredictor:
-    """PC-indexed set-associative load-PC -> store-PC predictor."""
+    """PC-indexed set-associative load-PC -> store-PC predictor.
+
+    ``_sets`` holds only the sets that have been inserted into (set index ->
+    ``assoc`` ways); reads use ``_sets.get(index, ())``, so a lookup never
+    creates a set.
+    """
 
     def __init__(self, config: Optional[FSPConfig] = None) -> None:
         self.config = config or FSPConfig()
         self.stats = FSPStats()
-        self._sets: List[List[FSPEntry]] = [
-            [FSPEntry() for _ in range(self.config.assoc)] for _ in range(self.config.sets)
-        ]
+        self._sets: Dict[int, List[FSPEntry]] = {}
         self._set_mask = self.config.sets - 1
         self._tag_mask = (1 << self.config.tag_bits) - 1
         self._store_pc_mask = (1 << self.config.store_pc_bits) - 1
@@ -81,16 +92,15 @@ class ForwardingStorePredictor:
     # -- prediction -------------------------------------------------------------
 
     def lookup(self, load_pc: int) -> List[FSPEntry]:
-        """Return the (up to ``assoc``) matching entries for a load PC.
+        """Return the (up to ``assoc``) valid entries whose tag matches.
 
-        Only entries whose counter is non-negative... all matching valid
-        entries are returned; the counter is used for replacement decisions
-        and is consulted by callers that want to ignore weak entries.
+        A hit stamps every returned entry as most recently used.  Counters
+        are not consulted: they steer replacement and invalidation only.
         """
         self.stats.lookups += 1
         pc = load_pc >> 2
         tag = (pc >> self._tag_shift) & self._tag_mask
-        matches = [e for e in self._sets[pc & self._set_mask]
+        matches = [e for e in self._sets.get(pc & self._set_mask, ())
                    if e.valid and e.tag == tag]
         if matches:
             self.stats.hits += 1
@@ -109,7 +119,7 @@ class ForwardingStorePredictor:
         index = self._index(load_pc)
         tag = self._tag(load_pc)
         partial = self.partial_store_pc(store_pc)
-        for entry in self._sets[index]:
+        for entry in self._sets.get(index, ()):
             if entry.valid and entry.tag == tag and entry.store_pc == partial:
                 return entry
         return None
@@ -141,7 +151,7 @@ class ForwardingStorePredictor:
         """Weaken every dependence recorded for this load PC."""
         index = self._index(load_pc)
         tag = self._tag(load_pc)
-        for entry in self._sets[index]:
+        for entry in self._sets.get(index, ()):
             if entry.valid and entry.tag == tag:
                 self.stats.weakens += 1
                 entry.counter -= self.config.negative_weight
@@ -155,7 +165,10 @@ class ForwardingStorePredictor:
         index = self._index(load_pc)
         tag = self._tag(load_pc)
         partial = self.partial_store_pc(store_pc)
-        ways = self._sets[index]
+        counter = min(self._counter_max, self.config.positive_weight)
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [FSPEntry() for _ in range(self.config.assoc)]
         self.stats.inserts += 1
         self._lru_clock += 1
         # Reuse an invalid way first.
@@ -165,7 +178,7 @@ class ForwardingStorePredictor:
                 entry.tag = tag
                 entry.store_pc = partial
                 entry.full_store_pc = store_pc
-                entry.counter = self.config.positive_weight
+                entry.counter = counter
                 entry.lru = self._lru_clock
                 return
         # Evict the entry with the smallest counter (ties broken by LRU).
@@ -174,20 +187,20 @@ class ForwardingStorePredictor:
         victim.tag = tag
         victim.store_pc = partial
         victim.full_store_pc = store_pc
-        victim.counter = self.config.positive_weight
+        victim.counter = counter
         victim.lru = self._lru_clock
 
     def invalidate_all(self) -> None:
         """Clear the predictor (SSN wrap handling clears SSN-free state too
-        conservatively; provided mainly for tests and wrap modelling)."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.valid = False
-                entry.counter = 0
+        conservatively; provided mainly for tests and wrap modelling).
+
+        Dropping every set is exact: an absent set is an all-invalid one.
+        """
+        self._sets.clear()
 
     def occupancy(self) -> int:
         """Number of valid entries (for diagnostics)."""
-        return sum(1 for ways in self._sets for e in ways if e.valid)
+        return sum(1 for ways in self._sets.values() for e in ways if e.valid)
 
     def state_signature(self) -> frozenset:
         """The set of (set index, tag, partial store PC) dependences held.
@@ -198,7 +211,7 @@ class ForwardingStorePredictor:
         """
         return frozenset(
             (index, entry.tag, entry.store_pc)
-            for index, ways in enumerate(self._sets)
+            for index, ways in self._sets.items()
             for entry in ways if entry.valid)
 
     def storage_bits(self) -> int:

@@ -436,7 +436,7 @@ class IndexedSQPolicy(SQPolicy):
         best_ssn = 0
         best_pc: Optional[int] = None
         matched = False
-        for entry in fsp._sets[word & fsp._set_mask]:
+        for entry in fsp._sets.get(word & fsp._set_mask, ()):
             if entry.valid and entry.tag == tag:
                 if not matched:
                     matched = True

@@ -109,7 +109,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: prefetcher table, prefetched-line set) when ``core.memory.mlp`` is
 #: enabled; the ``core`` key already distinguishes MLP configurations, but
 #: the payload class set changed, so old readers are keyed away.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v5: policy snapshots hold sparse FSP and DDP tables (a dict from set index
+#: to that set's ways, holding only the sets written so far) instead of the
+#: dense list of every set.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: Default store directory (relative to the current working directory).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"

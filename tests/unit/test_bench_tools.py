@@ -1,0 +1,92 @@
+"""Unit tests for the benchmark tooling under ``benchmarks/``: the git
+provenance in every ``BENCH_*.json`` envelope, and the committed-artifact
+checker ``ci_artifact_check.py``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+import _common  # noqa: E402
+import ci_artifact_check  # noqa: E402
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=root, capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def _commit(root: Path, name: str, payload: dict) -> None:
+    _git(root, "init", "-q")
+    (root / name).write_text(json.dumps(payload))
+    _git(root, "add", name)
+    _git(root, "commit", "-q", "-m", "artifact")
+
+
+class TestGitProvenance:
+    def test_envelope_has_sha_and_dirty_keys(self):
+        git = _common.run_environment()["git"]
+        assert set(git) == {"sha", "dirty"}
+
+    def test_envelope_keys_are_run_keys(self, tmp_path, monkeypatch):
+        # The artifact checker skips RUN_KEYS; an envelope key not listed
+        # there would be compared as if it were a simulated result.
+        monkeypatch.setattr(_common, "REPO_ROOT", tmp_path)
+        path = _common.write_bench_json("probe", {})
+        envelope = set(json.loads(path.read_text()))
+        assert envelope - {"bench", "instructions"} <= _common.RUN_KEYS
+
+    def test_outside_a_work_tree_both_are_none(self, tmp_path):
+        assert _common.git_provenance(tmp_path) == {"sha": None, "dirty": None}
+
+    def test_sha_and_dirty_flag_of_a_work_tree(self, tmp_path):
+        _commit(tmp_path, "tracked.txt", {})
+        head = _git(tmp_path, "rev-parse", "HEAD").strip()
+        assert _common.git_provenance(tmp_path) == {"sha": head, "dirty": False}
+        (tmp_path / "untracked.txt").write_text("ignored")
+        assert _common.git_provenance(tmp_path)["dirty"] is False
+        (tmp_path / "tracked.txt").write_text("edited")
+        assert _common.git_provenance(tmp_path) == {"sha": head, "dirty": True}
+
+
+class TestArtifactCheck:
+    NAME = "BENCH_figure4.json"
+    COMMITTED = {
+        "bench": "figure4", "ok": True, "instructions": 8000, "workloads": 47,
+        "gmeans": {"indexed-3-fwd": 1.0849, "indexed-3-fwd+dly": 1.0386},
+        "timestamp": "2026-07-29T04:37:54+00:00", "wall_time_s": 51.7,
+        "cpu_count": 1, "cpus_available": 1, "env": {},
+        "engine": {"simulated": 282},
+    }
+
+    def _check(self, tmp_path, regenerated: dict) -> int:
+        _commit(tmp_path, self.NAME, self.COMMITTED)
+        (tmp_path / self.NAME).write_text(json.dumps(regenerated))
+        return ci_artifact_check.check(tmp_path, [self.NAME])
+
+    def test_envelope_changes_pass(self, tmp_path):
+        regenerated = dict(self.COMMITTED, timestamp="2026-10-16T00:00:00+00:00",
+                           wall_time_s=26.2, cpu_count=2, cpus_available=2,
+                           engine={"simulated": 282, "workers": 2},
+                           resilience={}, scheduler={},
+                           git={"sha": "0" * 40, "dirty": False})
+        assert self._check(tmp_path, regenerated) == 0
+
+    def test_tampered_gmean_fails_and_is_named(self, tmp_path, capsys):
+        gmeans = dict(self.COMMITTED["gmeans"], **{"indexed-3-fwd": 1.085})
+        assert self._check(tmp_path, dict(self.COMMITTED, gmeans=gmeans)) == 1
+        assert "BENCH_figure4.json: gmeans differs" in capsys.readouterr().out
+
+    def test_missing_key_fails(self, tmp_path):
+        regenerated = {k: v for k, v in self.COMMITTED.items() if k != "workloads"}
+        assert self._check(tmp_path, regenerated) == 1
+
+    def test_uncommitted_file_fails(self, tmp_path):
+        _commit(tmp_path, self.NAME, self.COMMITTED)
+        (tmp_path / "BENCH_table2.json").write_text("{}")
+        assert ci_artifact_check.check(tmp_path, ["BENCH_table2.json"]) == 1

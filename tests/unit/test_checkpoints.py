@@ -13,9 +13,15 @@ import pickle
 
 import pytest
 
+from repro.core.fsp import ForwardingStorePredictor
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
 from repro.exec import fingerprint as fingerprint_module
-from repro.harness.runner import ExperimentSettings, make_policy
+from repro.harness.runner import (
+    BASELINE_CONFIG,
+    FIGURE4_CONFIGS,
+    ExperimentSettings,
+    make_policy,
+)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
@@ -360,6 +366,22 @@ class TestStateLoading:
         assert first.hierarchy is not second.hierarchy
         assert (first.policy.state_signature()
                 == second.policy.state_signature())
+
+
+class TestSnapshotSize:
+    """Policy snapshots carry only the predictor sets a run has written."""
+
+    @pytest.mark.parametrize("config", (BASELINE_CONFIG,) + FIGURE4_CONFIGS)
+    def test_fresh_policy_snapshot_is_small(self, config):
+        blob = pickle.dumps(make_policy(config), pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < 20 * 1024
+
+    def test_fsp_snapshot_grows_with_touched_sets(self):
+        fsp = ForwardingStorePredictor()
+        for i in range(16):
+            fsp.insert(0x1000 + 4 * i, 0x2000)
+        assert len(fsp._sets) == 16
+        assert len(pickle.dumps(fsp, pickle.HIGHEST_PROTOCOL)) < 4 * 1024
 
 
 # ---------------------------------------------------------------------------

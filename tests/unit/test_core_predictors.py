@@ -154,6 +154,34 @@ class TestFSP:
             fsp.weaken(self.LOAD_PC, self.STORE_PC)
         assert len(fsp.lookup(self.LOAD_PC)) == 1   # one positive outweighs 8 negatives
 
+    def test_insert_saturates_counter(self):
+        # positive_weight 8 does not fit a 3-bit counter: insert clamps to 7,
+        # on the invalid-way path and on the eviction path alike.
+        config = FSPConfig(entries=8, assoc=2, counter_bits=3,
+                           positive_weight=8, negative_weight=1)
+        fsp = ForwardingStorePredictor(config)
+        fsp.insert(self.LOAD_PC, self.STORE_PC)
+        assert [e.counter for e in fsp.lookup(self.LOAD_PC)] == [7]
+        for _ in range(7):
+            fsp.weaken(self.LOAD_PC, self.STORE_PC)
+        assert len(fsp.lookup(self.LOAD_PC)) == 1
+        fsp.weaken(self.LOAD_PC, self.STORE_PC)
+        assert fsp.lookup(self.LOAD_PC) == []
+
+        for i in range(3):
+            fsp.insert(self.LOAD_PC, self.STORE_PC + 4 * i)
+        assert fsp.stats.evictions == 1
+        assert [e.counter for e in fsp.lookup(self.LOAD_PC)] == [7, 7]
+
+    def test_lookup_does_not_create_sets(self):
+        fsp = _fsp()
+        fsp.lookup(self.LOAD_PC)
+        fsp.weaken_all(self.LOAD_PC)
+        fsp.weaken(self.LOAD_PC, self.STORE_PC)
+        assert fsp._sets == {}
+        fsp.insert(self.LOAD_PC, self.STORE_PC)
+        assert len(fsp._sets) == 1
+
     def test_weaken_all(self):
         fsp = _fsp()
         fsp.insert(self.LOAD_PC, self.STORE_PC)
@@ -349,6 +377,14 @@ class TestDDP:
         ddp = _ddp()
         ddp.train_correct_prediction(self.LOAD_PC)
         assert ddp.occupancy() == 0
+
+    def test_prediction_does_not_create_sets(self):
+        ddp = _ddp()
+        ddp.delay_ssn(self.LOAD_PC, ssn_rename=10)
+        ddp.train_correct_prediction(self.LOAD_PC)
+        assert ddp._sets == {}
+        ddp.train_wrong_prediction(self.LOAD_PC, 3)
+        assert len(ddp._sets) == 1
 
     def test_invalidate_all(self):
         ddp = _ddp()
