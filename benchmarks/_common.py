@@ -34,6 +34,11 @@ from pathlib import Path
 
 from repro.exec import available_cpus
 from repro.exec.dispatch import scheduler_counters
+from repro.exec.fingerprint import (
+    simulator_fingerprint,
+    timing_fingerprint,
+    workload_fingerprint,
+)
 from repro.exec.resilience import counters_snapshot
 
 #: Repository root (benchmarks/ lives directly under it); the BENCH_*.json
@@ -59,7 +64,7 @@ DEFAULT_JOBS = None if os.environ.get("REPRO_JOBS", "").strip() else 0
 #: with the committed file.
 RUN_KEYS = frozenset({
     "timestamp", "resilience", "scheduler",
-    "cpu_count", "cpus_available", "env", "git",
+    "cpu_count", "cpus_available", "env", "git", "sources",
     "wall_time_s", "engine",
 })
 
@@ -99,7 +104,11 @@ def run_environment() -> dict:
     Recorded in every trajectory file so a number can be interpreted later:
     CPU count (the engine fan-out ceiling), every ``REPRO_*`` environment
     knob that was set (trace length, workload subset, jobs, cache, sampling
-    overrides), and the git commit and dirty flag of the measured code.
+    overrides), the git commit and dirty flag of the measured code, and
+    ``sources``: the :mod:`repro.exec.fingerprint` digests of the simulator,
+    workload and timing-model sources (the ones that key the result cache).
+    Unlike ``git.sha`` they hash exactly the sources that ran, committed or
+    not, so they name the code behind a committed file.
     """
     return {
         "cpu_count": os.cpu_count() or 1,
@@ -107,6 +116,9 @@ def run_environment() -> dict:
         "env": {key: value for key, value in sorted(os.environ.items())
                 if key.startswith("REPRO_")},
         "git": git_provenance(),
+        "sources": {"simulator": simulator_fingerprint(),
+                    "workload": workload_fingerprint(),
+                    "timing": timing_fingerprint()},
     }
 
 
@@ -115,8 +127,8 @@ def write_bench_json(name: str, payload: dict) -> Path:
 
     Every trajectory file carries the same envelope (UTC timestamp, trace
     length, CPU count, the ``REPRO_*`` knobs in effect, the git commit and
-    dirty flag of the measured code, the process's
-    resilience counters — retries, quarantined blobs, degradations — so a
+    dirty flag and the source fingerprints of the measured code, the
+    process's resilience counters — retries, quarantined blobs, degradations — so a
     wall time achieved *through* recovery work is never mistaken for a
     clean one, and the process's scheduler counters — dispatch runs, jobs,
     dispatcher overhead — so the execution-backend seam's cost is

@@ -148,8 +148,9 @@ def bench_figure5(engine: ExperimentEngine) -> dict:
 def bench_core(_engine: ExperimentEngine) -> dict:
     """Detailed-path throughput: frozen seed stack vs the current core.
 
-    Asserts bit-identical statistics across the two legs and the >= 1.5x
-    before-vs-after bar on the Figure-4 cell (serial, idle_skip on).
+    Asserts bit-identical statistics across the two stacks, the >= 1.5x
+    before-vs-after bar on the Figure-4 cell and the >= 2x bar on the
+    Figure-4 mix of all 282 cells (serial, idle_skip on).
     """
     data = measure_core_throughput()
     assert_core_throughput(data)

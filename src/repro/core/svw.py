@@ -15,9 +15,12 @@ its predictors:
 
 Both structures are implemented at 1-byte granularity (wide stores make
 multiple writes, wide loads multiple reads), which the paper notes can be
-banked 8 ways.  Because the tables are smaller than memory they alias;
-aliasing can only cause extra re-executions (SSBF) or mis-training (SPCT),
-never incorrect final values, because re-execution itself is value-based.
+banked 8 ways.  An access whose bytes map to consecutive entries without
+wrapping past the end of the table reads or writes them as one list slice;
+any other access walks its bytes one at a time.  Because the tables are
+smaller than memory they alias; aliasing can only cause extra
+re-executions (SSBF) or mis-training (SPCT), never incorrect final values,
+because re-execution itself is value-based.
 """
 
 from __future__ import annotations
@@ -60,15 +63,22 @@ class StoreSequenceBloomFilter:
     def update(self, addr: int, size: int, ssn: int) -> None:
         """Record that the store with ``ssn`` committed a write to the bytes
         ``[addr, addr+size)``."""
-        table = self._table
         mask = self._mask
+        start = addr & mask
+        if start + size <= self.entries:
+            self._table[start:start + size] = [ssn] * size
+            return
+        table = self._table
         for byte_addr in range(addr, addr + size):
             table[byte_addr & mask] = ssn
 
     def lookup(self, addr: int, size: int) -> int:
         """SSN of the youngest committed store to any byte of the access."""
-        table = self._table
         mask = self._mask
+        start = addr & mask
+        if start + size <= self.entries:
+            return max(self._table[start:start + size], default=0)
+        table = self._table
         best = 0
         for byte_addr in range(addr, addr + size):
             ssn = table[byte_addr & mask]
@@ -99,8 +109,12 @@ class StorePCTable:
 
     def update(self, addr: int, size: int, store_pc: int) -> None:
         """Record ``store_pc`` as the last committed writer of these bytes."""
-        table = self._table
         mask = self._mask
+        start = addr & mask
+        if start + size <= self.entries:
+            self._table[start:start + size] = [store_pc] * size
+            return
+        table = self._table
         for byte_addr in range(addr, addr + size):
             table[byte_addr & mask] = store_pc
 
@@ -170,6 +184,15 @@ class SVWFilter:
         ssbf_table = ssbf._table
         ssbf_mask = ssbf._mask
         spct = self.spct
+        start = addr & ssbf_mask
+        if 0 < size and start + size <= ssbf.entries \
+                and spct._mask == ssbf_mask:
+            # One geometry and no wrap: the first byte holding the largest
+            # SSN is the youngest writer, exactly as the walk below finds.
+            ssns = ssbf_table[start:start + size]
+            best_ssn = max(ssns)
+            best_pc = spct._table[start + ssns.index(best_ssn)]
+            return (best_ssn if best_ssn > 0 else 0), best_pc
         best_ssn = -1
         best_pc = 0
         for byte_addr in range(addr, addr + size):

@@ -165,24 +165,47 @@ class HybridPredictor:
         """Fused :meth:`predict` + :meth:`update` for the resolve-immediately
         pipeline: the component predictions are computed once and reused for
         both the hybrid choice and the chooser training (bit-identical to
-        the split calls, which recompute them from unchanged state)."""
+        the split calls, which recompute them from unchanged state).  The
+        three counter lists are read and written directly, with the
+        saturation rules of :meth:`_CounterTable.update`."""
         word = pc >> 2
-        bimodal_table = self.bimodal._table
+        bimodal = self.bimodal._table
         gshare = self.gshare
-        gshare_index = word ^ gshare.history
         gshare_table = gshare._table
-        bimodal_pred = bimodal_table.predict(word)
-        gshare_pred = gshare_table.predict(gshare_index)
+        bimodal_counters = bimodal._table
+        gshare_counters = gshare_table._table
+        bi = word & bimodal._mask
+        gi = (word ^ gshare.history) & gshare_table._mask
+        bv = bimodal_counters[bi]
+        gv = gshare_counters[gi]
+        bimodal_pred = bv >= bimodal._threshold
+        gshare_pred = gv >= gshare_table._threshold
         if bimodal_pred == gshare_pred:
             predicted = bimodal_pred
         else:
-            predicted = gshare_pred if self._chooser.predict(word) else bimodal_pred
+            chooser = self._chooser
+            chooser_counters = chooser._table
+            ci = word & chooser._mask
+            cv = chooser_counters[ci]
+            predicted = gshare_pred if cv >= chooser._threshold else bimodal_pred
             # Train the chooser toward the component that was right.
-            self._chooser.update(word, gshare_pred == taken)
-        bimodal_table.update(word, taken)
-        gshare_table.update(gshare_index, taken)
-        gshare.history = ((gshare.history << 1) | (1 if taken else 0)) \
-            & gshare._history_mask
+            if gshare_pred == taken:
+                if cv < chooser._max:
+                    chooser_counters[ci] = cv + 1
+            elif cv > 0:
+                chooser_counters[ci] = cv - 1
+        if taken:
+            if bv < bimodal._max:
+                bimodal_counters[bi] = bv + 1
+            if gv < gshare_table._max:
+                gshare_counters[gi] = gv + 1
+            gshare.history = ((gshare.history << 1) | 1) & gshare._history_mask
+        else:
+            if bv > 0:
+                bimodal_counters[bi] = bv - 1
+            if gv > 0:
+                gshare_counters[gi] = gv - 1
+            gshare.history = (gshare.history << 1) & gshare._history_mask
         return predicted
 
     def state_signature(self) -> tuple:

@@ -39,17 +39,17 @@ class BranchTargetBuffer:
         self.lookups = 0
         self.hits = 0
 
-    def _index_tag(self, pc: int) -> Tuple[int, int]:
-        word = pc >> 2
-        return word & self._set_mask, word
-
     def lookup(self, pc: int) -> Optional[int]:
         """Return the predicted target for ``pc`` or ``None`` on a miss."""
         self.lookups += 1
-        index, tag = self._index_tag(pc)
-        ways = self._sets.get(index)
+        tag = pc >> 2
+        ways = self._sets.get(tag & self._set_mask)
         if not ways:
             return None
+        mru = ways[0]
+        if mru[0] == tag:           # MRU fast path (most hits land here)
+            self.hits += 1
+            return mru[1]
         for i, (entry_tag, target) in enumerate(ways):
             if entry_tag == tag:
                 self.hits += 1
@@ -59,8 +59,15 @@ class BranchTargetBuffer:
 
     def insert(self, pc: int, target: int) -> None:
         """Install or refresh the target for ``pc``."""
-        index, tag = self._index_tag(pc)
-        ways = self._sets.setdefault(index, [])
+        tag = pc >> 2
+        index = tag & self._set_mask
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = []
+        elif ways and ways[0][0] == tag:
+            # MRU refresh: the way keeps its place.
+            ways[0] = (tag, target)
+            return
         for i, (entry_tag, _) in enumerate(ways):
             if entry_tag == tag:
                 ways.pop(i)

@@ -17,7 +17,7 @@ agnostic: it calls the methods below at decode/rename, execute, and commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.fsp import ForwardingStorePredictor
 from repro.core.ddp import DelayDistancePredictor
@@ -60,6 +60,55 @@ class ForwardDecision:
     value: Optional[int] = None
     forward_ssn: int = 0
     from_entry: Optional[StoreQueueEntry] = None
+
+
+#: Shared not-forwarded decision: every SQ access that does not forward
+#: returns this one instance, read-only like :data:`_NO_PREDICTION`.
+_NO_FORWARD = ForwardDecision()
+
+
+def _fsp_sat_predict(fsp: ForwardingStorePredictor, sat: StoreAliasTable,
+                     load_pc: int) -> Tuple[int, Optional[int]]:
+    """The FSP -> SAT walk at load rename: ``(best SSN, its partial PC)``.
+
+    Every valid FSP way whose tag matches ``load_pc`` names a partial store
+    PC; the SAT maps each to the SSN of its youngest in-flight instance and
+    the largest wins (``(0, None)`` when nothing matches or every SSN is 0).
+    Inlined for the per-load hot path, with the table reads, statistics and
+    LRU sequencing of :meth:`ForwardingStorePredictor.lookup` followed by
+    one :meth:`StoreAliasTable.lookup_partial` per match.
+    """
+    fsp_stats = fsp.stats
+    fsp_stats.lookups += 1
+    word = load_pc >> 2
+    tag = (word >> fsp._tag_shift) & fsp._tag_mask
+    best_ssn = 0
+    best_pc: Optional[int] = None
+    matched = False
+    for entry in fsp._sets.get(word & fsp._set_mask, ()):
+        if entry.valid and entry.tag == tag:
+            if not matched:
+                matched = True
+                fsp_stats.hits += 1
+                fsp._lru_clock += 1
+            entry.lru = fsp._lru_clock
+            sat.stats.lookups += 1
+            store_pc = entry.store_pc
+            ssn = sat._table[store_pc & sat._index_mask]
+            if ssn > best_ssn:
+                best_ssn = ssn
+                best_pc = store_pc
+    return best_ssn, best_pc
+
+
+def _associative_forward(store_queue: StoreQueue, addr: int, size: int,
+                         older_than_ssn: int) -> ForwardDecision:
+    """Forward from the youngest older store covering the load, if any."""
+    entry = store_queue.associative_search(addr, size, older_than_ssn)
+    if entry is None:
+        return _NO_FORWARD
+    return ForwardDecision(forwarded=True, value=entry.extract(addr, size),
+                           forward_ssn=entry.ssn, from_entry=entry)
 
 
 @dataclass(slots=True)
@@ -139,7 +188,12 @@ class SQPolicy:
         return l1_latency
 
     def forwarded_load_latency(self, l1_latency: int) -> int:
-        """Latency of a load that obtains its value from the SQ."""
+        """Latency of a load that obtains its value from the SQ.
+
+        The core evaluates this once per run, so an override must depend
+        only on ``l1_latency`` and the policy's configuration, never on
+        predictor state.
+        """
         return max(self.sq_latency, l1_latency)
 
     def forward(self, addr: int, size: int, older_than_ssn: int,
@@ -227,15 +281,13 @@ class OracleAssociativePolicy(SQPolicy):
     def predict_load(self, load_pc: int, ssn_ren: int, ssn_cmt: int,
                      oracle_dep_ssn: int = 0) -> LoadPrediction:
         self.stats.loads_predicted += 1
+        if not oracle_dep_ssn:
+            return _NO_PREDICTION
         return LoadPrediction(fwd_ssn=oracle_dep_ssn, predict_forward=oracle_dep_ssn > ssn_cmt)
 
     def forward(self, addr: int, size: int, older_than_ssn: int,
                 prediction: LoadPrediction, store_queue: StoreQueue) -> ForwardDecision:
-        entry = store_queue.associative_search(addr, size, older_than_ssn)
-        if entry is None:
-            return ForwardDecision(forwarded=False)
-        return ForwardDecision(forwarded=True, value=entry.extract(addr, size),
-                               forward_ssn=entry.ssn, from_entry=entry)
+        return _associative_forward(store_queue, addr, size, older_than_ssn)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +334,16 @@ class AssociativeStoreSetsPolicy(SQPolicy):
         self.stats.loads_predicted += 1
         if self.formulation == "original":
             ssn = self.store_sets.load_renamed(load_pc) or 0
+            if not ssn:
+                return _NO_PREDICTION
             predict_forward = ssn > ssn_cmt
             if predict_forward:
                 self.stats.loads_predicted_forwarding += 1
             return LoadPrediction(fwd_ssn=ssn, predict_forward=predict_forward)
 
-        entries = self.fsp.lookup(load_pc)
-        best_ssn = 0
-        best_pc: Optional[int] = None
-        for entry in entries:
-            ssn = self.sat.lookup_partial(entry.store_pc)
-            if ssn > best_ssn:
-                best_ssn = ssn
-                best_pc = entry.store_pc
+        best_ssn, best_pc = _fsp_sat_predict(self.fsp, self.sat, load_pc)
+        if not best_ssn:
+            return _NO_PREDICTION
         predict_forward = best_ssn > ssn_cmt
         if predict_forward:
             self.stats.loads_predicted_forwarding += 1
@@ -331,11 +380,7 @@ class AssociativeStoreSetsPolicy(SQPolicy):
 
     def forward(self, addr: int, size: int, older_than_ssn: int,
                 prediction: LoadPrediction, store_queue: StoreQueue) -> ForwardDecision:
-        entry = store_queue.associative_search(addr, size, older_than_ssn)
-        if entry is None:
-            return ForwardDecision(forwarded=False)
-        return ForwardDecision(forwarded=True, value=entry.extract(addr, size),
-                               forward_ssn=entry.ssn, from_entry=entry)
+        return _associative_forward(store_queue, addr, size, older_than_ssn)
 
     # -- commit -----------------------------------------------------------------
 
@@ -421,34 +466,8 @@ class IndexedSQPolicy(SQPolicy):
 
     def predict_load(self, load_pc: int, ssn_ren: int, ssn_cmt: int,
                      oracle_dep_ssn: int = 0) -> LoadPrediction:
-        # This is the per-load rename hot path: the FSP set walk and the
-        # chained SAT reads are inlined (identical table, stats, and LRU
-        # sequencing to the fsp.lookup / sat.lookup_partial calls).
         self.stats.loads_predicted += 1
-        fsp = self.fsp
-        fsp.stats.lookups += 1
-        word = load_pc >> 2
-        tag = (word >> fsp._tag_shift) & fsp._tag_mask
-        sat = self.sat
-        sat_table = sat._table
-        sat_mask = sat._index_mask
-        sat_stats = sat.stats
-        best_ssn = 0
-        best_pc: Optional[int] = None
-        matched = False
-        for entry in fsp._sets.get(word & fsp._set_mask, ()):
-            if entry.valid and entry.tag == tag:
-                if not matched:
-                    matched = True
-                    fsp.stats.hits += 1
-                    fsp._lru_clock += 1
-                entry.lru = fsp._lru_clock
-                sat_stats.lookups += 1
-                store_pc = entry.store_pc
-                ssn = sat_table[store_pc & sat_mask]
-                if ssn > best_ssn:
-                    best_ssn = ssn
-                    best_pc = store_pc
+        best_ssn, best_pc = _fsp_sat_predict(self.fsp, self.sat, load_pc)
         predict_forward = best_ssn > ssn_cmt
         if predict_forward:
             self.stats.loads_predicted_forwarding += 1
@@ -475,25 +494,20 @@ class IndexedSQPolicy(SQPolicy):
 
     # -- execute ----------------------------------------------------------------
 
-    def assumed_load_latency(self, prediction: LoadPrediction, l1_latency: int) -> int:
-        # Indexed SQ latency is below cache latency, so the scheduler can
-        # ignore the forward/no-forward distinction entirely (Section 4.2).
-        return l1_latency
-
     def forward(self, addr: int, size: int, older_than_ssn: int,
                 prediction: LoadPrediction, store_queue: StoreQueue) -> ForwardDecision:
         if prediction.fwd_ssn == 0:
-            return ForwardDecision(forwarded=False)
+            return _NO_FORWARD
         entry = store_queue.read_indexed(prediction.fwd_ssn)
         if entry is None or not entry.executed or entry.addr is None:
-            return ForwardDecision(forwarded=False)
+            return _NO_FORWARD
         if entry.ssn > older_than_ssn:
             # The predicted slot now holds a *younger* store (the predicted
             # store committed and the slot was reused); forwarding from it
             # would violate program order, so the load uses the cache.
-            return ForwardDecision(forwarded=False)
+            return _NO_FORWARD
         if entry.addr != addr or size > entry.size:
-            return ForwardDecision(forwarded=False)
+            return _NO_FORWARD
         mask = (1 << (8 * size)) - 1
         return ForwardDecision(forwarded=True, value=entry.value & mask,
                                forward_ssn=entry.ssn, from_entry=entry)

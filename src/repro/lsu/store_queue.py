@@ -182,11 +182,16 @@ class StoreQueue:
         load's bytes.  Returns the youngest such entry or ``None``.
         """
         self.stats.associative_searches += 1
+        end = addr + size
         for entry in reversed(self._entries):
             if entry.ssn > before_ssn:
                 continue
-            if entry.covers(addr, size):
-                return entry
+            # StoreQueueEntry.covers, inlined: this is the per-load search.
+            if entry.executed:
+                start = entry.addr
+                if start is not None and start <= addr \
+                        and end <= start + entry.size:
+                    return entry
         return None
 
     def youngest_overlapping(self, addr: int, size: int, before_ssn: int) -> Optional[StoreQueueEntry]:

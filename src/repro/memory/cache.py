@@ -141,11 +141,17 @@ class Cache:
 
     def touch_line(self, addr: int) -> None:
         """Install a line without counting the access (used for warm-up)."""
-        index, tag = self._index_tag(addr)
-        ways = self._sets.setdefault(index, [])
-        if tag in ways:
-            ways.remove(tag)
-        ways.insert(0, tag)
+        line = addr >> self._line_shift
+        sets = self._sets
+        index = line & self._set_mask
+        ways = sets.get(index)
+        if ways is None:
+            ways = sets[index] = []
+        elif ways and ways[0] == line:
+            return                      # already most recently used
+        if line in ways:
+            ways.remove(line)
+        ways.insert(0, line)
         if len(ways) > self.config.assoc:
             ways.pop()
 

@@ -1,132 +1,178 @@
-"""Byte-addressable memory image.
+"""Byte-addressable memory image, stored a 64-bit word at a time.
 
 The memory image holds the *architectural* (committed) memory state.  Stores
 update it at commit; value-based re-execution reads it at load commit to
 obtain the correct load value (all older stores have committed by then, so
 the image is exactly the state the load should observe).
 
-The image is sparse: only bytes that have been written are stored.  Unwritten
+The image is sparse: only bytes that have been written are state.  Unwritten
 bytes read as a deterministic per-address background pattern so that two
 independent simulations of the same trace observe identical "uninitialised"
 values (important when comparing the speculative value read at execute time
 against the re-executed value at commit time).
+
+Layout.  Nearly every access the detailed core makes is an aligned 8-byte
+load or store, so the image is kept per aligned 8-byte word:
+
+* ``_words`` maps the aligned address of every word with at least one
+  explicitly written byte to the word's full 64-bit value.  Its unwritten
+  bytes hold their background values, so an aligned 8-byte read of such a
+  word is one dictionary ``get`` and an aligned 8-byte write is one store.
+* ``_written`` maps the same addresses to the 8-bit mask of explicitly
+  written bytes (bit ``i`` is the byte at ``word + i``).  Together with
+  ``_words`` it is the image's whole state: it is what pickles, copies and
+  :meth:`MemoryImage.state_signature` see.
+* ``_background`` is derived: it memoises the background word of each
+  word that was read before any byte of it was written, so re-reading
+  untouched memory does not rehash eight addresses.  ``_words`` shadows it
+  once the word is written.  It is never pickled or copied.
+
+Unaligned and narrow accesses (rare: a few kernels issue them) merge into
+or assemble from the words they span, at most two for accesses of up to
+8 bytes.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
+_WORD_BITS = (1 << 64) - 1
 
-def _background_byte(addr: int) -> int:
-    """Deterministic pseudo-random background value for an unwritten byte.
 
-    A cheap integer hash keeps different addresses from aliasing to the same
-    value too often, which would mask mis-forwardings in tests.
+def _background_word(base: int) -> int:
+    """Background values of the eight bytes at ``base`` (little-endian).
+
+    Each byte is a cheap integer hash of its own address, which keeps
+    different addresses from aliasing to the same value too often (that
+    would mask mis-forwardings in tests).
     """
-    x = (addr * 0x9E3779B97F4A7C15) & 0xFFFF_FFFF_FFFF_FFFF
-    x ^= x >> 29
-    return (x * 0xBF58476D1CE4E5B9 >> 56) & 0xFF
+    value = 0
+    shift = 0
+    for addr in range(base, base + 8):
+        x = (addr * 0x9E3779B97F4A7C15) & 0xFFFF_FFFF_FFFF_FFFF
+        x ^= x >> 29
+        value |= ((x * 0xBF58476D1CE4E5B9 >> 56) & 0xFF) << shift
+        shift += 8
+    return value
 
 
 class MemoryImage:
-    """Sparse byte-addressable memory.
+    """Sparse byte-addressable memory held as 64-bit words.
 
-    ``_bytes`` is the architectural state (explicitly written bytes only).
-    ``_view`` overlays it with memoised background bytes — every byte ever
-    read or written, so the hot read loop pays one dictionary probe per
-    byte.  The overlay is pure derived data: excluded from pickles and
-    :meth:`state_signature`, rebuilt lazily, and kept write-through
-    consistent with ``_bytes``.
+    ``_words`` and ``_written`` are the architectural state (see the module
+    docstring); ``_background`` memoises background words of never-written
+    words and is rebuilt lazily.
     """
 
     def __init__(self) -> None:
-        self._bytes: Dict[int, int] = {}
-        self._view: Dict[int, int] = {}
-        self._r8: Dict[int, int] = {}
+        self._words: Dict[int, int] = {}
+        self._written: Dict[int, int] = {}
+        self._background: Dict[int, int] = {}
+
+    def _word(self, base: int) -> int:
+        """The current value of the aligned word at ``base``."""
+        value = self._words.get(base)
+        if value is None:
+            value = self._background.get(base)
+            if value is None:
+                value = self._background[base] = _background_word(base)
+        return value
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Write ``size`` bytes of ``value`` (little-endian) at ``addr``."""
+        if size == 8 and not addr & 7 and value >= 0:
+            self._words[addr] = value & _WORD_BITS
+            self._written[addr] = 0xFF
+            return
         if size <= 0:
             raise ValueError("write size must be positive")
         if value < 0:
             raise ValueError("write value must be non-negative")
-        # Invalidate memoised 8-byte reads whose window overlaps the write.
-        r8 = self._r8
-        if r8:
-            r8_pop = r8.pop
-            for a in range(addr - 7, addr + size):
-                r8_pop(a, None)
-        data = self._bytes
-        view = self._view
-        for _ in range(size):
-            data[addr] = view[addr] = value & 0xFF
-            value >>= 8
-            addr += 1
+        # Merge the write into every word it spans: the value, its bit mask
+        # and its byte mask are shifted to the first word's offset and
+        # consumed one word at a time.
+        words = self._words
+        written = self._written
+        base = addr & ~7
+        offset = addr - base
+        field = (1 << (8 * size)) - 1
+        bits = (value & field) << (8 * offset)
+        mask = field << (8 * offset)
+        byte_mask = ((1 << size) - 1) << offset
+        while byte_mask:
+            word_mask = mask & _WORD_BITS
+            words[base] = (self._word(base) & ~word_mask) | (bits & _WORD_BITS)
+            written[base] = written.get(base, 0) | (byte_mask & 0xFF)
+            bits >>= 64
+            mask >>= 64
+            byte_mask >>= 8
+            base += 8
 
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes (little-endian) at ``addr``."""
-        if size == 8:
-            # Memoised whole-word fast path: loads are overwhelmingly 8-byte
-            # re-reads of the same addresses (execute + commit re-read).
-            value = self._r8.get(addr)
-            if value is not None:
-                return value
-        elif size <= 0:
+        if size == 8 and not addr & 7:
+            value = self._words.get(addr)
+            if value is None:
+                value = self._background.get(addr)
+                if value is None:
+                    value = self._background[addr] = _background_word(addr)
+            return value
+        if size <= 0:
             raise ValueError("read size must be positive")
-        view = self._view
-        view_get = view.get
+        base = addr & ~7
+        offset = addr - base
         value = 0
         shift = 0
-        for a in range(addr, addr + size):
-            byte = view_get(a)
-            if byte is None:
-                byte = view[a] = _background_byte(a)
-            value |= byte << shift
-            shift += 8
-        if size == 8:
-            self._r8[addr] = value
-        return value
+        for word_base in range(base, addr + size, 8):
+            value |= self._word(word_base) << shift
+            shift += 64
+        return (value >> (8 * offset)) & ((1 << (8 * size)) - 1)
 
     def read_byte(self, addr: int) -> int:
         """Read a single byte."""
-        byte = self._bytes.get(addr)
-        if byte is None:
-            return _background_byte(addr)
-        return byte
+        base = addr & ~7
+        value = self._words.get(base)
+        if value is None:
+            value = _background_word(base)
+        return (value >> (8 * (addr - base))) & 0xFF
 
     def is_written(self, addr: int) -> bool:
         """True if the byte at ``addr`` has been explicitly written."""
-        return addr in self._bytes
+        base = addr & ~7
+        return bool(self._written.get(base, 0) >> (addr - base) & 1)
 
     def written_byte_count(self) -> int:
         """Number of bytes explicitly written."""
-        return len(self._bytes)
+        return sum(mask.bit_count() for mask in self._written.values())
 
     def copy(self) -> "MemoryImage":
         """Deep copy of the image (used by the functional trace checker)."""
         clone = MemoryImage()
-        clone._bytes = dict(self._bytes)
-        clone._view = dict(self._bytes)
-        clone._r8 = {}
+        clone._words = dict(self._words)
+        clone._written = dict(self._written)
         return clone
 
     def clear(self) -> None:
         """Discard all written bytes."""
-        self._bytes.clear()
-        self._view.clear()
-        self._r8.clear()
+        self._words.clear()
+        self._written.clear()
+        self._background.clear()
 
     def __getstate__(self) -> dict:
-        # The overlay is derived data; keeping it out of pickles keeps
-        # checkpoint-store snapshots lean and content-stable.
-        return {"_bytes": self._bytes}
+        # The background memo is derived data; keeping it out of pickles
+        # keeps checkpoint-store snapshots lean and content-stable.
+        return {"_words": self._words, "_written": self._written}
 
     def __setstate__(self, state: dict) -> None:
-        self._bytes = state["_bytes"]
-        # Written bytes seed the overlay; background bytes rememoise lazily.
-        self._view = dict(self._bytes)
-        self._r8 = {}
+        self._words = state["_words"]
+        self._written = state["_written"]
+        self._background = {}
 
     def state_signature(self) -> tuple:
-        """Hashable snapshot of every explicitly written byte."""
-        return tuple(sorted(self._bytes.items()))
+        """Hashable snapshot of every explicitly written byte, as sorted
+        ``(address, byte)`` pairs."""
+        words = self._words
+        return tuple(
+            (base + i, (words[base] >> (8 * i)) & 0xFF)
+            for base, mask in sorted(self._written.items())
+            for i in range(8) if mask >> i & 1)

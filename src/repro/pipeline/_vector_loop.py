@@ -32,6 +32,23 @@ Design:
   queue internals) held in locals, so no stage pays a call frame or
   ``self`` attribute traffic per cycle.
 
+* **Issue tournament.**  Each cycle the valid head of every issue class
+  with budget left enters a small heap of ``(head seq, class)``; popping
+  it yields the oldest ready uop across classes, and the issuing class
+  pushes its next valid head back while its budget lasts.  When the MSHR
+  file would block the oldest ready load, the load class's entry is
+  dropped for the rest of the cycle (the structural stall).
+
+* **Once-per-run policy constants.**  A forwarded load's latency depends
+  only on the policy's configuration and the L1 latency
+  (:meth:`~repro.lsu.policies.SQPolicy.forwarded_load_latency`), so it is
+  computed once per run.  The policy hooks whose base versions are
+  constant or empty — the assumed load latency (the L1 latency) and the
+  load-commit training hook (a no-op) — are not called, and no
+  :class:`~repro.lsu.policies.LoadCommitInfo` is built, when
+  ``type(policy)`` keeps the base method; the same identity test selects
+  the inlined SVW filter and store-commit paths.
+
 The frozen counters in ``tests/golden/`` and the seed-stack reference
 properties (``tests/property/test_core_reference.py``) pin every
 ``SimStats`` counter, policy/predictor interaction, flush, and replay.
@@ -40,11 +57,11 @@ properties (``tests/property/test_core_reference.py``) pin every
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.registers import REG_ZERO
-from repro.lsu.policies import LoadCommitInfo, LoadPrediction, SQPolicy
+from repro.lsu.policies import LoadCommitInfo, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
 from repro.pipeline.rename import ARCH_READY
 from repro.pipeline.stats import SimStats
@@ -115,7 +132,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     policy_predict_load = policy.predict_load
     policy_forward = policy.forward
     policy_assumed_latency = policy.assumed_load_latency
-    policy_forwarded_latency = policy.forwarded_load_latency
     policy_store_renamed = policy.store_renamed
     policy_store_dependence = policy.store_dependence
     policy_store_squashed = policy.store_squashed
@@ -124,10 +140,15 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     policy_load_committed = policy.load_committed
     # Policies that keep the base-class SVW re-execution filter / store
     # commit hook get the inlined commit-path versions; overrides are
-    # honoured through the methods.
+    # honoured through the methods.  Keeping the base assumed latency (the
+    # L1 latency) or the base no-op load-commit hook skips the call.
     policy_type = type(policy)
     fast_reexec = policy_type.needs_reexecution is SQPolicy.needs_reexecution
     fast_store_commit = policy_type.store_committed is SQPolicy.store_committed
+    fast_assumed = \
+        policy_type.assumed_load_latency is SQPolicy.assumed_load_latency
+    train_on_commit = \
+        policy_type.load_committed is not SQPolicy.load_committed
     svw = policy.svw
     svw_stats = svw.stats
     svw_ssbf_update = svw.ssbf.update
@@ -137,6 +158,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     hier_store_touch = hierarchy.store_touch
     hier_load_latency = hierarchy.load_latency
     l1_latency = hierarchy.l1_latency
+    # Configuration-only (see SQPolicy.forwarded_load_latency): once a run.
+    forwarded_latency = policy.forwarded_load_latency(l1_latency)
     mlp_load_access = mlp_hier.load_access if mlp_hier is not None else None
     mlp_would_block = mlp_hier.load_would_block if mlp_hier is not None else None
     memory_read = memory.read
@@ -202,7 +225,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     v_should_fwd = [0] * cap
     v_delay_cycles = [0] * cap
     v_dly_clear = [0] * cap
-    v_mispred = [0] * cap
     disp = 0                       # global dispatch (generation) counter
 
     # Window structures: plain int deques for ROB and LQ order (only the
@@ -492,19 +514,20 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         c_delayed += 1
                         c_delay_cycles += dc
 
-                    info = load_info_new(load_info_cls)
-                    info.pc = v_pc[i]
-                    info.addr = addr
-                    info.size = size
-                    info.spec_value = spec_value
-                    info.correct_value = correct_value
-                    info.forwarded = bool(v_forwarded[i])
-                    info.forward_ssn = v_fwd_ssn[i]
-                    info.prediction = v_pred[i] or LoadPrediction()
-                    info.ssn_at_rename = v_ssn_ren[i]
-                    info.ssn_cmt = ssn_commit
-                    info.violation = violation
-                    policy_load_committed(info)
+                    if train_on_commit:
+                        info = load_info_new(load_info_cls)
+                        info.pc = v_pc[i]
+                        info.addr = addr
+                        info.size = size
+                        info.spec_value = spec_value
+                        info.correct_value = correct_value
+                        info.forwarded = bool(v_forwarded[i])
+                        info.forward_ssn = v_fwd_ssn[i]
+                        info.prediction = v_pred[i]
+                        info.ssn_at_rename = v_ssn_ren[i]
+                        info.ssn_cmt = ssn_commit
+                        info.violation = violation
+                        policy_load_committed(info)
 
                     if violation:
                         c_violations += 1
@@ -573,7 +596,9 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
             budgets = [limit_int, limit_fp, limit_branch, limit_load,
                        limit_store]
             total_budget = issue_width
-            heads = [None, None, None, None, None]
+            # The tournament: a heap of (valid head seq, class) over the
+            # classes with budget left; the oldest head issues next.
+            tour = []
             for x in range(5):
                 if budgets[x] > 0:
                     heap = heaps[x]
@@ -585,33 +610,25 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             heappop(heap)
                             ready_count -= 1
                         else:
+                            tour.append((s, x))
                             break
-                    if heap:
-                        heads[x] = heap[0]
-            while total_budget > 0:
-                best_i = -1
-                best_seq = None
-                for x in range(5):
-                    s = heads[x]
-                    if s is not None and (best_seq is None or s < best_seq):
-                        best_seq = s
-                        best_i = x
-                if best_i < 0:
-                    break
-                heap = heaps[best_i]
-                if best_i == 3 and mlp_hier is not None \
-                        and mlp_would_block(v_addr[heap[0] & mask], cycle):
+            if len(tour) > 1:
+                heapify(tour)
+            while total_budget > 0 and tour:
+                s, x = heappop(tour)
+                if x == 3 and mlp_hier is not None \
+                        and mlp_would_block(v_addr[s & mask], cycle):
                     # Structural stall: MSHR file full and the oldest ready
                     # load needs a new fill; the whole class holds.
-                    heads[3] = None
                     c_mshr_stall += 1
                     continue
-                s = heappop(heap)
+                heap = heaps[x]
+                heappop(heap)
                 ready_count -= 1
                 i = s & mask
-                budgets[best_i] -= 1
                 total_budget -= 1
-                if budgets[best_i] > 0:
+                budget = budgets[x] = budgets[x] - 1
+                if budget > 0:
                     while heap:
                         s2 = heap[0]
                         j = s2 & mask
@@ -620,17 +637,15 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             heappop(heap)
                             ready_count -= 1
                         else:
+                            heappush(tour, (s2, x))
                             break
-                    heads[best_i] = heap[0] if heap else None
-                else:
-                    heads[best_i] = None
                 v_issued[i] = 1
                 iq_occ -= 1
                 if v_kind[i] == KIND_LOAD:
                     # ------------------------------- execute load (inline) --
                     addr = v_addr[i]
                     size = v_size[i]
-                    prediction = v_pred[i] or LoadPrediction()
+                    prediction = v_pred[i]
                     v_should_fwd[i] = 1 if v_oracle_dep[i] > ssn_commit else 0
                     decision = policy_forward(addr, size, v_ssn_ren[i],
                                               prediction, sq)
@@ -645,12 +660,16 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         value = decision.value
                         v_spec[i] = value if value is not None else 0
                         v_svw_ssn[i] = fwd_ssn
-                        actual = policy_forwarded_latency(l1_latency)
+                        actual = forwarded_latency
                     else:
                         v_spec[i] = memory_read(addr, size)
                         v_svw_ssn[i] = ssn_commit
                         actual = cache_latency
-                    assumed = policy_assumed_latency(prediction, l1_latency)
+                    if fast_assumed:
+                        assumed = l1_latency
+                    else:
+                        assumed = policy_assumed_latency(prediction,
+                                                         l1_latency)
                     if actual > assumed:
                         c_replays += 1
                         actual += replay_penalty
@@ -756,11 +775,10 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                 wait_fwd = 0
                 wait_dly = 0
                 if kind == KIND_LOAD:
-                    v_spec[i] = 0
+                    # (v_spec, v_svw_ssn and v_should_fwd are written at
+                    # issue, before commit reads them — no reset needed.)
                     v_forwarded[i] = 0
                     v_fwd_ssn[i] = 0
-                    v_svw_ssn[i] = 0
-                    v_should_fwd[i] = 0
                     v_delay_cycles[i] = 0
                     v_dly_clear[i] = -1
                     v_addr[i] = addr = addr_arr[rseq]
@@ -865,7 +883,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     mispredicted = branch_resolve(
                         pc, taken, target if target >= 0 else None,
                         hint_call_arr[si], hint_return_arr[si])
-                    v_mispred[i] = 1 if mispredicted else 0
                     if mispredicted:
                         c_mispred += 1
                 v_wait_fwd[i] = wait_fwd

@@ -112,7 +112,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v5: policy snapshots hold sparse FSP and DDP tables (a dict from set index
 #: to that set's ways, holding only the sets written so far) instead of the
 #: dense list of every set.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: v6: the shared snapshot's memory image is held per 64-bit word (a dict of
+#: word values and a dict of written-byte masks) instead of per byte.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 #: Default store directory (relative to the current working directory).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"

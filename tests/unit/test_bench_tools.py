@@ -1,6 +1,6 @@
 """Unit tests for the benchmark tooling under ``benchmarks/``: the git
-provenance in every ``BENCH_*.json`` envelope, and the committed-artifact
-checker ``ci_artifact_check.py``."""
+provenance and source fingerprints in every ``BENCH_*.json`` envelope, and
+the committed-artifact checker ``ci_artifact_check.py``."""
 
 import json
 import subprocess
@@ -12,6 +12,8 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import _common  # noqa: E402
 import ci_artifact_check  # noqa: E402
+
+from repro.exec import fingerprint  # noqa: E402
 
 
 def _git(root: Path, *args: str) -> str:
@@ -52,6 +54,15 @@ class TestGitProvenance:
         assert _common.git_provenance(tmp_path)["dirty"] is False
         (tmp_path / "tracked.txt").write_text("edited")
         assert _common.git_provenance(tmp_path) == {"sha": head, "dirty": True}
+
+
+class TestSourceFingerprints:
+    def test_envelope_sources_are_the_fingerprints(self):
+        assert _common.run_environment()["sources"] == {
+            "simulator": fingerprint.simulator_fingerprint(),
+            "workload": fingerprint.workload_fingerprint(),
+            "timing": fingerprint.timing_fingerprint(),
+        }
 
 
 class TestArtifactCheck:

@@ -212,7 +212,7 @@ class TestFunctionalWarming:
     def test_memory_image_exact(self):
         core, _ = self._detailed("oracle-associative-3")
         state = self._functional("oracle-associative-3")
-        assert state.memory._bytes == core.memory._bytes
+        assert state.memory.state_signature() == core.memory.state_signature()
 
     def test_cache_residency_close(self):
         core, _ = self._detailed("oracle-associative-3")
