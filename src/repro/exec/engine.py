@@ -149,7 +149,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").strip() != "0"
+    return _resilience._env_bool("REPRO_CACHE")
 
 
 class ExperimentEngine:

@@ -118,6 +118,18 @@ def _env_int(name: str, default: int, hint: str,
     return value
 
 
+def _env_bool(name: str) -> bool:
+    """An on/off switch: unset, empty or ``1`` enables, ``0`` disables."""
+    raw = os.environ.get(name, "").strip()
+    if raw in ("", "1"):
+        return True
+    if raw == "0":
+        return False
+    raise EnvKnobError(
+        f"{name} must be 0 or 1 (got {raw!r}); use 0 to disable, "
+        f"1 (or unset) to enable")
+
+
 def _env_float(name: str, default: float, hint: str,
                minimum: Optional[float] = None) -> float:
     raw = os.environ.get(name, "").strip()
@@ -198,6 +210,8 @@ def validate_environment() -> Dict[str, Any]:
             "REPRO_CHECKPOINT_SHARDS", 0,
             "use 0 (or unset) to size shards from the worker count",
             minimum=0),
+        "cache": _env_bool("REPRO_CACHE"),
+        "checkpoints": _env_bool("REPRO_CHECKPOINTS"),
         "retries": resolve_retries(),
         "job_timeout": resolve_job_timeout(),
         "profile_dir": resolve_profile_dir(),

@@ -17,7 +17,7 @@ agnostic: it calls the methods below at decode/rename, execute, and commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.fsp import ForwardingStorePredictor
 from repro.core.ddp import DelayDistancePredictor
@@ -216,28 +216,39 @@ class SQPolicy:
 
     # -- functional warming ------------------------------------------------------
 
-    def warm_store_renamed(self, store_pc: int, ssn: int) -> None:
-        """Functional-warming analogue of :meth:`store_renamed`.
+    def warm_segment(self, records: Sequence[tuple], window: int) -> None:
+        """Train this policy on one functionally retired trace segment.
 
-        Stores retire instantly during functional replay, so policies that
-        keep per-in-flight-store bookkeeping (undo logs, store-set
-        serialisation maps) update only their long-lived tables here.  The
-        default delegates to :meth:`store_renamed` and discards the undo
-        token.
+        The functional warmer (:mod:`repro.sampling.functional`) retires
+        the segment once for every policy and records each memory access,
+        in program order, as a plain tuple:
+
+        * a store: ``(pc, ssn, addr, size)``; it renamed and committed
+          at once (functional replay has no in-flight window);
+        * a load: ``(pc, addr, size, dep_ssn, dep_pc, dep_distance,
+          ssn_cmt)``.  ``dep_ssn``/``dep_pc`` name the youngest older
+          store writing any byte of the access and ``dep_distance`` is
+          the number of dynamic instructions from that store to the load
+          (all three 0 when no store wrote the bytes); ``ssn_cmt`` is
+          ``SSNcmt`` when the load retires.
+
+        A load *would forward* when its writer is within ``window``
+        dynamic instructions (the ROB size) and within ``sq_size``
+        committed stores: the store would plausibly still have been in
+        the SQ of the detailed machine.  Policies use that signal to train
+        their predictors the way detailed-mode forwardings and violations
+        would have.  Each policy folds the records with its own tables
+        only, so folding the policies one after another equals
+        interleaving them per access.
+
+        The base policy keeps only the SVW tables, which stores update at
+        commit.
         """
-        self.store_renamed(store_pc, ssn)
-
-    def warm_load(self, load_pc: int, addr: int, size: int, dep_ssn: int,
-                  dep_pc: int, would_forward: bool, ssn_cmt: int) -> None:
-        """Train PC-indexed predictors for one functionally retired load.
-
-        ``dep_ssn``/``dep_pc`` name the youngest older store writing any
-        byte of the access (0 when none); ``would_forward`` is the
-        functional replay's in-flight-window approximation: the store is
-        close enough (in committed stores and in dynamic instructions) that
-        the detailed machine would plausibly have forwarded.  The base
-        policy trains nothing — the SVW tables are warmed by store commits.
-        """
+        store_committed = self.svw.store_committed
+        for record in records:
+            if len(record) == 4:
+                pc, ssn, addr, size = record
+                store_committed(addr, size, ssn, pc)
 
     # -- state snapshots --------------------------------------------------------
 
@@ -404,29 +415,41 @@ class AssociativeStoreSetsPolicy(SQPolicy):
 
     # -- functional warming ------------------------------------------------------
 
-    def warm_store_renamed(self, store_pc: int, ssn: int) -> None:
-        """Update the SAT (or SSIT/LFST) without per-store undo bookkeeping."""
-        if self.formulation == "original":
-            self.store_sets.store_renamed(store_pc, ssn)
-        else:
-            self.sat.update(store_pc, ssn)
+    def warm_segment(self, records: Sequence[tuple], window: int) -> None:
+        """Update the SAT (or SSIT/LFST) and SVW per store, and learn the
+        dependences detailed-mode violations would have taught.
 
-    def warm_load(self, load_pc: int, addr: int, size: int, dep_ssn: int,
-                  dep_pc: int, would_forward: bool, ssn_cmt: int) -> None:
-        """Learn the dependences detailed-mode violations would have taught.
-
-        In detailed mode this policy trains only when re-execution catches a
-        violation, i.e. on loads whose producing store was in flight and
-        unpredicted.  ``would_forward`` identifies exactly those loads during
-        functional replay, so the warmed tables converge to the same
-        dependence set without simulating the violations.
+        In detailed mode this policy trains only when re-execution catches
+        a violation, i.e. on loads whose producing store was in flight and
+        unpredicted.  Would-forward loads (see :meth:`SQPolicy.warm_segment`)
+        identify exactly those during functional replay, so the warmed
+        tables converge to the same dependence set without simulating the
+        violations.  No per-store undo bookkeeping is kept: stores retire
+        at once.
         """
-        if not would_forward or dep_pc == 0:
-            return
+        svw_store_committed = self.svw.store_committed
+        sq_size = self.sq_size
         if self.formulation == "original":
-            self.store_sets.train_violation(load_pc, dep_pc)
+            store_sets = self.store_sets
+            renamed = store_sets.store_renamed
+            committed = store_sets.store_committed
+            train = store_sets.train_violation
         else:
-            self.fsp.strengthen(load_pc, dep_pc)
+            renamed = self.sat.update
+            committed = None
+            train = self.fsp.strengthen
+        for record in records:
+            if len(record) == 4:
+                pc, ssn, addr, size = record
+                renamed(pc, ssn)
+                svw_store_committed(addr, size, ssn, pc)
+                if committed is not None:
+                    committed(pc, ssn)
+            else:
+                pc, _, _, dep_ssn, dep_pc, dep_distance, ssn_cmt = record
+                if dep_pc and dep_distance < window \
+                        and ssn_cmt - dep_ssn < sq_size:
+                    train(pc, dep_pc)
 
     def clear_ssn_state(self) -> None:
         super().clear_ssn_state()
@@ -516,12 +539,27 @@ class IndexedSQPolicy(SQPolicy):
 
     def load_committed(self, info: LoadCommitInfo) -> None:
         """FSP and DDP training per Sections 3.2 and 3.3."""
-        last_ssn, last_pc = self.svw.last_writer(info.addr, info.size)
-        distance = info.ssn_cmt - last_ssn
+        prediction = info.prediction
+        self._train_load(info.pc, info.addr, info.size, info.forwarded,
+                         info.violation, prediction.fwd_ssn,
+                         prediction.predicted_store_pc, info.ssn_cmt)
+
+    def _train_load(self, pc: int, addr: int, size: int, forwarded: bool,
+                    violation: bool, fwd_ssn: int,
+                    predicted_pc: Optional[int], ssn_cmt: int) -> None:
+        """The commit-time training rules, shared by detailed commit
+        (:meth:`load_committed`) and functional warming
+        (:meth:`warm_segment`).
+
+        ``fwd_ssn``/``predicted_pc`` are the load's rename-time prediction
+        (``SSNfwd`` and the FSP's partial store PC, ``None`` on a miss).
+        """
+        fsp = self.fsp
+        last_ssn, last_pc = self.svw.last_writer(addr, size)
+        distance = ssn_cmt - last_ssn
         could_forward = last_ssn > 0 and distance < self.sq_size
-        predicted_pc = info.prediction.predicted_store_pc
         predicted_pc_correct = (predicted_pc is not None and last_pc != 0 and
-                                predicted_pc == self.fsp.partial_store_pc(last_pc))
+                                predicted_pc == fsp.partial_store_pc(last_pc))
 
         if predicted_pc_correct:
             self.stats.fsp_correct_pc += 1
@@ -536,30 +574,30 @@ class IndexedSQPolicy(SQPolicy):
         # the dynamic instance is not (not-most-recent forwarding).  New
         # dependences are created only from *violations* so that SSBF/SPCT
         # aliasing on non-forwarding loads cannot poison the predictor.
-        if info.forwarded and not info.violation:
+        if forwarded and not violation:
             # Correct forwarding: reinforce the dependence known to be useful.
             if last_pc != 0:
-                self.fsp.strengthen(info.pc, last_pc)
-        elif info.violation and not predicted_pc_correct and last_pc != 0:
+                fsp.strengthen(pc, last_pc)
+        elif violation and not predicted_pc_correct and last_pc != 0:
             # Mis-forwarding where we failed to predict even the store PC:
             # create a new, potentially useful dependence.
-            self.fsp.insert(info.pc, last_pc)
-        elif info.violation and predicted_pc_correct:
+            fsp.insert(pc, last_pc)
+        elif violation and predicted_pc_correct:
             # Right store PC, wrong dynamic instance *and* it cost a flush:
             # reinforce anyway (the dependence is real) — the delay predictor
             # is the mechanism that prevents the next flush.
-            self.fsp.strengthen(info.pc, last_pc)
-        elif (predicted_pc_correct and not info.forwarded and could_forward
-              and info.prediction.fwd_ssn != last_ssn):
+            fsp.strengthen(pc, last_pc)
+        elif (predicted_pc_correct and not forwarded and could_forward
+              and fwd_ssn != last_ssn):
             # Correct store PC but wrong dynamic instance (not-most-recent
             # forwarding): there is no point waiting on the predicted
             # instance, so unlearn.
-            self.fsp.weaken(info.pc, last_pc)
+            fsp.weaken(pc, last_pc)
         elif predicted_pc is not None and not could_forward:
             # The load and the most recent store to its address are further
             # apart than the SQ: no forwarding is possible, unlearn so the
             # load stops waiting on its predicted store.
-            self.fsp.weaken_all(info.pc)
+            fsp.weaken_all(pc)
 
         # ---- DDP training -----------------------------------------------------
         if not self.use_delay:
@@ -569,39 +607,61 @@ class IndexedSQPolicy(SQPolicy):
         # named the wrong dynamic store.  Loads with no prediction and no
         # violation are left alone — SSBF aliasing would otherwise make every
         # streaming load look like it had a nearby writer.
-        wrong_prediction = info.prediction.fwd_ssn != last_ssn
-        if info.violation or (info.prediction.fwd_ssn != 0 and wrong_prediction):
-            self.ddp.train_wrong_prediction(info.pc, max(distance, 0))
+        wrong_prediction = fwd_ssn != last_ssn
+        if violation or (fwd_ssn != 0 and wrong_prediction):
+            self.ddp.train_wrong_prediction(pc, max(distance, 0))
         elif not wrong_prediction:
-            self.ddp.train_correct_prediction(info.pc)
+            self.ddp.train_correct_prediction(pc)
 
     # -- functional warming ------------------------------------------------------
 
-    def warm_load(self, load_pc: int, addr: int, size: int, dep_ssn: int,
-                  dep_pc: int, would_forward: bool, ssn_cmt: int) -> None:
-        """FSP/DDP warming through the *detailed* training rules.
+    def warm_segment(self, records: Sequence[tuple], window: int) -> None:
+        """FSP/DDP warming through the *detailed* prediction and training
+        rules.
 
-        A commit-time info record is synthesised as the detailed core would
-        have seen it — ``forwarded`` approximated by the replay's
-        ``would_forward`` signal, no violation (functional replay cannot
-        mis-speculate) — and fed to :meth:`load_committed`.  Strengthening
-        *and* the weakening rules (not-most-recent instances, writers
-        further away than the SQ) therefore apply exactly as in detailed
-        mode, which keeps the warmed FSP from over-predicting; new
-        dependences are created because ``strengthen`` inserts on a miss,
-        standing in for the violation-driven inserts of detailed mode.
+        Each load is predicted as at rename (the FSP -> SAT walk and the
+        DDP lookup, with ``SSNren == SSNcmt`` since stores retire at
+        once), then trained as at commit by :meth:`_train_load`, with
+        ``forwarded`` approximated by the would-forward signal (see
+        :meth:`SQPolicy.warm_segment`) and no violation (functional replay
+        cannot mis-speculate).  Strengthening *and* the weakening rules
+        (not-most-recent instances, writers further away than the SQ)
+        therefore apply exactly as in detailed mode, which keeps the warmed
+        FSP from over-predicting; new dependences are created because
+        ``strengthen`` inserts on a miss, standing in for the
+        violation-driven inserts of detailed mode.  Stores update the SAT
+        and the SVW tables.
         """
-        prediction = self.predict_load(load_pc, ssn_cmt, ssn_cmt, dep_ssn)
-        info = LoadCommitInfo(
-            pc=load_pc, addr=addr, size=size,
-            spec_value=0, correct_value=0,
-            forwarded=would_forward,
-            forward_ssn=dep_ssn if would_forward else 0,
-            prediction=prediction,
-            ssn_at_rename=ssn_cmt, ssn_cmt=ssn_cmt,
-            violation=False,
-        )
-        self.load_committed(info)
+        svw_store_committed = self.svw.store_committed
+        sat_update = self.sat.update
+        fsp = self.fsp
+        sat = self.sat
+        delay_ssn = self.ddp.delay_ssn if self.use_delay else None
+        train = self._train_load
+        sq_size = self.sq_size
+        loads = predicted_forwarding = delays = 0
+        for record in records:
+            if len(record) == 4:
+                pc, ssn, addr, size = record
+                sat_update(pc, ssn)
+                svw_store_committed(addr, size, ssn, pc)
+                continue
+            pc, addr, size, dep_ssn, _, dep_distance, ssn_cmt = record
+            loads += 1
+            best_ssn, best_pc = _fsp_sat_predict(fsp, sat, pc)
+            if best_ssn > ssn_cmt:
+                predicted_forwarding += 1
+            if delay_ssn is not None and delay_ssn(pc, ssn_cmt) > ssn_cmt:
+                delays += 1
+            forwarded = (dep_ssn != 0 and dep_distance < window
+                         and ssn_cmt - dep_ssn < sq_size)
+            train(pc, addr, size, forwarded, False, best_ssn, best_pc,
+                  ssn_cmt)
+        # predict_load's counters, added once per segment.
+        stats = self.stats
+        stats.loads_predicted += loads
+        stats.loads_predicted_forwarding += predicted_forwarding
+        stats.delay_predictions += delays
 
     def clear_ssn_state(self) -> None:
         super().clear_ssn_state()

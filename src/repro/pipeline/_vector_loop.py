@@ -49,6 +49,16 @@ Design:
   ``type(policy)`` keeps the base method; the same identity test selects
   the inlined SVW filter and store-commit paths.
 
+* **Identity-checked last-writer repair.**  The oracle last-writer map
+  (:mod:`repro.memory.last_writer`) is word-granular.  A store's dispatch
+  writes its ``(ssn, seq)`` entry and keeps the previous word value as its
+  undo; a squash puts that value back only if the word still holds the
+  object this store wrote.  Squashes repair youngest first, so every
+  younger store to the word has already restored that object, and an
+  entry adopted from warmed state (``(ssn, pc, index)``) can never be
+  mistaken for an in-flight store's: no sentinel sequence number is
+  needed.
+
 The frozen counters in ``tests/golden/`` and the seed-stack reference
 properties (``tests/property/test_core_reference.py``) pin every
 ``SimStats`` counter, policy/predictor interaction, flush, and replay.
@@ -63,6 +73,9 @@ from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.registers import REG_ZERO
 from repro.lsu.policies import LoadCommitInfo, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
+from repro.memory.last_writer import restore as lw_restore
+from repro.memory.last_writer import write as lw_write
+from repro.memory.last_writer import youngest as lw_youngest
 from repro.pipeline.rename import ARCH_READY
 from repro.pipeline.stats import SimStats
 
@@ -90,7 +103,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     sq = core.store_queue
     rat_map = core.rat._map
     last_writer = core._last_writer
-    last_writer_get = last_writer.get
 
     plane = encoded.plane
     (kind_arr, pc_arr, dest_arr, srcs_arr, iidx_arr, latency_arr,
@@ -213,7 +225,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     v_value = [0] * cap            # store value
     v_ssn = [0] * cap              # store SSN
     v_sat_undo = [None] * cap
-    v_oracle_undo = [None] * cap
+    v_oracle_entry = [None] * cap  # store's last-writer entry
+    v_oracle_undo = [None] * cap   # its last-writer undo
     v_fwd_waiters = [None] * cap   # list of waiter tokens, or None
     v_pred = [None] * cap          # LoadPrediction
     v_ssn_ren = [0] * cap
@@ -552,19 +565,9 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                                 policy_store_squashed(v_pc[vi], vssn,
                                                       v_sat_undo[vi])
                                 store_by_ssn_pop(vssn, None)
-                                oundo = v_oracle_undo[vi]
-                                if oundo is not None:
-                                    vaddr = v_addr[vi]
-                                    for off, previous in enumerate(oundo):
-                                        byte_addr = vaddr + off
-                                        current = last_writer_get(byte_addr)
-                                        if current is not None \
-                                                and current[0] == vseq:
-                                            if previous is None:
-                                                del last_writer[byte_addr]
-                                            else:
-                                                last_writer[byte_addr] = \
-                                                    previous
+                                lw_restore(last_writer, v_addr[vi],
+                                           v_size[vi], v_oracle_entry[vi],
+                                           v_oracle_undo[vi])
                             elif vkind == KIND_LOAD:
                                 pred = v_pred[vi]
                                 if pred is not None and pred.dly_ssn:
@@ -788,11 +791,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     lq_occ += 1
                     lq_allocs += 1
 
-                    oracle_ssn = 0
-                    for byte_addr in range(addr, addr + size):
-                        entry = last_writer_get(byte_addr)
-                        if entry is not None and entry[1] > oracle_ssn:
-                            oracle_ssn = entry[1]
+                    writer = lw_youngest(last_writer, addr, size)
+                    oracle_ssn = 0 if writer is None else writer[0]
                     v_oracle_dep[i] = oracle_ssn
 
                     v_pred[i] = prediction = policy_predict_load(
@@ -855,13 +855,9 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     store_by_ssn[ssn] = tok
                     v_sat_undo[i] = policy_store_renamed(pc, ssn)
 
-                    entry = (rseq, ssn)
-                    undo = []
-                    undo_append = undo.append
-                    for byte_addr in range(addr, addr + size):
-                        undo_append(last_writer_get(byte_addr))
-                        last_writer[byte_addr] = entry
-                    v_oracle_undo[i] = undo
+                    v_oracle_entry[i] = entry = (ssn, rseq)
+                    v_oracle_undo[i] = lw_write(last_writer, addr, size,
+                                                entry)
 
                     # Store-store serialisation (original Store Sets only).
                     dep_ssn = policy_store_dependence(pc, ssn)

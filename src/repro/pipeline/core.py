@@ -41,13 +41,14 @@ micro-op sequence — once on entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
 from repro.lsu.load_queue import LoadQueue
 from repro.lsu.policies import SQPolicy
 from repro.lsu.store_queue import StoreQueue
+from repro.memory.last_writer import LastWriterMap, map_entries
 from repro.memory.mlp import NonBlockingHierarchy, build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
@@ -56,6 +57,12 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.rename import RegisterAliasTable
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
+
+
+def _exported_writer(entry: tuple) -> tuple:
+    """A last-writer entry as :meth:`OutOfOrderCore.export_state` hands it
+    out: the SSN, with PC 0 and dynamic index -1 (not tracked here)."""
+    return (entry[0], 0, -1)
 
 
 @dataclass
@@ -109,9 +116,11 @@ class OutOfOrderCore:
         self._fetch_seq = 0
         self._fetch_resume_cycle = 0
         self._iq_occupancy = 0
-        # Oracle last-writer tracker: byte address -> (seq, ssn) of the
-        # youngest dispatched store writing that byte.
-        self._last_writer: Dict[int, Tuple[int, int]] = {}
+        # Oracle last-writer tracker (repro.memory.last_writer): the
+        # youngest dispatched store writing each byte, per 8-byte word.
+        # The loop's entries are (ssn, seq); a map adopted by import_state
+        # keeps the warmer's (ssn, pc, index) entries until overwritten.
+        self._last_writer: LastWriterMap = {}
 
     # ---------------------------------------------------------- state import --
 
@@ -119,13 +128,16 @@ class OutOfOrderCore:
         """Adopt functionally warmed machine state before a detailed run.
 
         ``state`` is a :class:`~repro.sampling.functional.FunctionalState`:
-        its branch unit, memory hierarchy, memory image, SSN counters, and
-        policy replace this core's freshly constructed ones, and its exact
-        last-writer map seeds the oracle dependence tracker (with a sentinel
-        sequence number of ``-1`` so flush repair can never confuse an
-        imported writer with an in-flight store).  Statistics *counters* on
-        the imported components are reset so a subsequent run reports only
-        its own activity; the predictive/tag state itself stays warm.
+        its branch unit, memory hierarchy, memory image, SSN counters,
+        policy, and exact last-writer map replace this core's freshly
+        constructed ones.  All are adopted, not copied, so the core goes on
+        to mutate the state it was handed.  The last-writer map needs no
+        translation: both entry shapes carry the SSN at index 0, the only
+        field the core reads, and flush repair tests word identity, so an
+        imported writer can never be confused with an in-flight store.
+        Statistics *counters* on the imported components are reset so a
+        subsequent run reports only its own activity; the predictive/tag
+        state itself stays warm.
         """
         from repro.lsu.policies import PolicyStats
         from repro.core.svw import SVWStats
@@ -138,8 +150,7 @@ class OutOfOrderCore:
         self.branch_unit = state.branch_unit
         self.ssn_alloc = state.ssn_alloc
         self.policy = state.policy
-        self._last_writer = {
-            byte_addr: (-1, entry[0]) for byte_addr, entry in state.last_writer.items()}
+        self._last_writer = state.last_writer
         self.hierarchy.reset_stats()
         self.branch_unit.reset_stats()
         self.policy.stats = PolicyStats()
@@ -156,10 +167,11 @@ class OutOfOrderCore:
 
         Intended for a *drained* core (between runs): in-flight window state
         (ROB/IQ/LQ/SQ occupancy, pending completions) is short-lived by
-        design and is not exported.  The exported last-writer map keeps each
-        byte's youngest writer SSN; the writer's PC and dynamic index are
-        not tracked per byte by the detailed core and are exported as
-        ``(0, -1)`` sentinels — :meth:`import_state` only consumes the SSN.
+        design and is not exported.  The exported last-writer map is a copy
+        that keeps each byte's youngest writer SSN; the writer's PC and
+        dynamic index are not tracked by the detailed core and are exported
+        as ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes
+        the SSN.
         """
         from repro.sampling.functional import FunctionalState
 
@@ -170,8 +182,7 @@ class OutOfOrderCore:
             memory=self.memory,
             ssn_alloc=self.ssn_alloc,
             policy=self.policy,
-            last_writer={byte_addr: (entry[1], 0, -1)
-                         for byte_addr, entry in self._last_writer.items()},
+            last_writer=map_entries(self._last_writer, _exported_writer),
             instructions_warmed=self.stats.committed,
         )
 

@@ -91,7 +91,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec.cache import ResultCache, _canonical
-from repro.exec.resilience import _env_int
+from repro.exec.resilience import _env_bool, _env_int
+from repro.memory.last_writer import LastWriterMap, per_byte
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,7 +115,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: dense list of every set.
 #: v6: the shared snapshot's memory image is held per 64-bit word (a dict of
 #: word values and a dict of written-byte masks) instead of per byte.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: v7: the shared snapshot's oracle last-writer map is held per 64-bit word
+#: (:mod:`repro.memory.last_writer`: one shared writer entry, or a list of 8
+#: per-byte entries) instead of per byte.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 #: Default store directory (relative to the current working directory).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
@@ -125,7 +129,7 @@ PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]
 
 def checkpoints_enabled() -> bool:
     """Whether checkpointed warming is enabled by the environment."""
-    return os.environ.get("REPRO_CHECKPOINTS", "1").strip() != "0"
+    return _env_bool("REPRO_CHECKPOINTS")
 
 
 def resolve_checkpointed(settings) -> bool:
@@ -291,13 +295,21 @@ def segment_store() -> Optional[CheckpointStore]:
 
 @dataclass
 class SharedWarmState:
-    """The configuration-independent half of a functional snapshot."""
+    """The configuration-independent half of a functional snapshot.
+
+    ``last_writer`` is the warmer's word-granular oracle last-writer map
+    (:mod:`repro.memory.last_writer`; ``(ssn, store_pc, instr_index)``
+    entries, one per word or 8 per word), pickled as is: a detailed core
+    that imports the snapshot adopts the unpickled map without a copy.
+    The other fields are the live structures of the same names in
+    :class:`~repro.sampling.functional.FunctionalState`.
+    """
 
     branch_unit: object
     hierarchy: object
     memory: object
     ssn_alloc: object
-    last_writer: Dict[int, Tuple[int, int, int]]
+    last_writer: LastWriterMap
     instructions_warmed: int
 
 
@@ -333,7 +345,9 @@ def shared_signature(shared: SharedWarmState) -> tuple:
     structures :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`
     adopts), so two snapshots with equal signatures warm a detailed core
     identically — the equality the stitched-vs-single-pass bit-identity
-    tests and the CI sharded-generation smoke assert per interval.
+    tests and the CI sharded-generation smoke assert per interval.  The
+    last-writer map enters as its canonical sorted per-byte view, so the
+    signature does not depend on the map's storage layout.
     """
     return (
         shared.branch_unit.state_signature(),
@@ -341,7 +355,7 @@ def shared_signature(shared: SharedWarmState) -> tuple:
         shared.memory.state_signature(),
         (shared.ssn_alloc.bits, shared.ssn_alloc.ssn_rename,
          shared.ssn_alloc.ssn_commit, shared.ssn_alloc.wraps),
-        tuple(sorted(shared.last_writer.items())),
+        tuple(sorted(per_byte(shared.last_writer).items())),
         shared.instructions_warmed,
     )
 

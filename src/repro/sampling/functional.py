@@ -18,9 +18,8 @@ comparisons are preserved):
   most recent writer is within ``sq_size`` committed stores **and** within
   ``rob_size`` dynamic instructions — the store would plausibly still have
   been in the SQ of the detailed machine.  Policies use this signal in
-  their :meth:`~repro.lsu.policies.SQPolicy.warm_load` hook to train the
-  FSP / store sets the way detailed-mode violations and forwardings would
-  have.
+  :meth:`~repro.lsu.policies.SQPolicy.warm_segment` to train the FSP /
+  store sets the way detailed-mode violations and forwardings would have.
 * Caches and the branch predictor are updated in program order rather than
   in (out-of-order) execution order; the SVW tables, memory image, and SSN
   counters are exact, because in the detailed core they are updated at
@@ -48,25 +47,43 @@ whatever the input form.
 
 **Multi-policy warming** (PR 3): everything above except the policy tables is
 configuration-independent, so one replay pass can warm several store-queue
-policies at once — the branch predictor, caches, memory image, SSN counters,
-and last-writer map are updated once per micro-op while the per-policy
-``warm_store_renamed``/``store_committed``/``warm_load`` hooks run for every
-policy.  This is what lets the checkpoint store
+policies at once.  This is what lets the checkpoint store
 (:mod:`repro.sampling.checkpoints`) amortise a single O(N) functional pass
-across every configuration of a sweep.  With a single policy the update
-sequence is identical to the original single-policy warmer.
+across every configuration of a sweep.  :meth:`FunctionalWarmer.warm`
+therefore works in two steps per call:
+
+* **The shared pass** retires the micro-ops once, updating the branch
+  unit, caches/TLB, memory image, SSN counters and the word-granular
+  last-writer map (:mod:`repro.memory.last_writer`), and records the facts
+  every policy needs, once per memory access: a store as ``(pc, ssn, addr,
+  size)``, a load as ``(pc, addr, size, dep_ssn, dep_pc, dep_distance,
+  ssn_cmt)`` — its youngest writer's SSN and PC, the instruction distance
+  to that writer, and ``SSNcmt`` (the layout is defined once, in
+  :meth:`~repro.lsu.policies.SQPolicy.warm_segment`).
+* **One fold per policy** then replays those records in program order
+  through the policy's ``warm_segment``, with its tables in locals.
+
+Folding the policies one after another equals interleaving them per
+access, as the per-load hooks this replaced did: a policy reads only the
+records and its own tables (SVW, FSP/SAT, store sets, DDP), and no two
+policies share state.  Warming is still a deterministic fold over the
+micro-op stream, so warming ``[0, a)`` then ``[a, b)`` equals one pass over
+``[0, b)``, with one policy or several.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE, EncodedOps, encode_uops
 from repro.isa.uop import MicroOp
 from repro.lsu.policies import SQPolicy
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.last_writer import LastWriterMap
+from repro.memory.last_writer import write as lw_write
+from repro.memory.last_writer import youngest as lw_youngest
 from repro.memory.mlp import build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
@@ -77,9 +94,15 @@ from repro.pipeline.config import CoreConfig
 class FunctionalState:
     """The long-lived machine state produced by a functional replay.
 
-    ``last_writer`` maps byte address to ``(ssn, store_pc, instr_index)`` of
-    the youngest store writing that byte (the exact analogue of the detailed
-    core's oracle last-writer tracker).
+    ``last_writer`` is the exact analogue of the detailed core's oracle
+    last-writer tracker, in the word layout of
+    :mod:`repro.memory.last_writer`: each aligned word maps to the
+    ``(ssn, store_pc, instr_index)`` entry of the youngest store writing
+    all 8 of its bytes, or to a list of 8 per-byte entries.  A detailed
+    core adopts the map as is
+    (:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`); its own
+    entries are ``(ssn, seq)``, and only the SSN at index 0 is read by
+    both.
     """
 
     config: CoreConfig
@@ -88,7 +111,7 @@ class FunctionalState:
     memory: MemoryImage
     ssn_alloc: SSNAllocator
     policy: SQPolicy
-    last_writer: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
+    last_writer: LastWriterMap = field(default_factory=dict)
     instructions_warmed: int = 0
 
 
@@ -97,8 +120,8 @@ class FunctionalWarmer:
 
     ``policy`` names the single policy to warm (the common case).  Passing
     ``policies`` instead warms several policies through one shared replay:
-    the shared structures are updated once per micro-op and every policy's
-    training hooks run against them (``policy`` then defaults to the first
+    the shared structures are updated once per micro-op and every policy
+    folds the recorded accesses (``policy`` then defaults to the first
     entry, which :attr:`state` and :meth:`export_state` expose).
 
     **Resumption**: passing ``state`` adopts an already-warmed
@@ -157,10 +180,10 @@ class FunctionalWarmer:
     def warm(self, uops: Union[EncodedOps, Sequence[MicroOp]]) -> None:
         """Functionally retire ``uops`` in order.
 
-        Shared structures (caches, branch tables, memory image, SSN
-        counters, last-writer map) are updated once per micro-op; every
-        policy's warming hooks run against that shared state, with the
-        would-forward window computed per policy (SQ sizes may differ).
+        The shared pass updates the shared structures (caches, branch
+        tables, memory image, SSN counters, last-writer map) once per
+        micro-op and records every load and store; then every policy
+        folds the records (:meth:`~repro.lsu.policies.SQPolicy.warm_segment`).
 
         ``uops`` is an :class:`~repro.isa.plane.EncodedOps` stream on the
         hot paths (interval jobs, checkpoint generation); a plain micro-op
@@ -171,15 +194,16 @@ class FunctionalWarmer:
             uops = encode_uops(uops)
         state = self.state
         branch_resolve = state.branch_unit.predict_and_resolve
-        hierarchy = state.hierarchy
+        load_latency = state.hierarchy.load_latency
+        store_touch = state.hierarchy.store_touch
         memory_write = state.memory.write
         ssn_alloc = state.ssn_alloc
-        warm_stores = [p.warm_store_renamed for p in self._policies]
-        commit_hooks = [p.store_committed for p in self._policies]
-        warm_loads = [(p.warm_load, p.sq_size) for p in self._policies]
-        last_writer = state.last_writer
-        last_writer_get = last_writer.get
-        window_span = self.config.rob_size
+        allocate = ssn_alloc.allocate
+        commit = ssn_alloc.commit
+        ssn_cmt = ssn_alloc.ssn_commit
+        words = state.last_writer
+        records: List[tuple] = []
+        emit = records.append
         index = self._index
 
         plane = uops.plane
@@ -192,43 +216,26 @@ class FunctionalWarmer:
         for i, si in enumerate(sidx):
             kind = kind_arr[si]
             if kind == KIND_LOAD:
-                pc = pc_arr[si]
                 addr = addr_arr[i]
                 size = size_arr[i]
-                hierarchy.load_latency(addr)
-                best = None
-                best_ssn = 0
-                for byte_addr in range(addr, addr + size):
-                    entry = last_writer_get(byte_addr)
-                    if entry is not None and entry[0] > best_ssn:
-                        best_ssn = entry[0]
-                        best = entry
-                ssn_cmt = ssn_alloc.ssn_commit
-                if best is not None:
-                    in_window = index - best[2] < window_span
-                    for warm_load, sq_size in warm_loads:
-                        would_forward = (in_window
-                                         and ssn_cmt - best_ssn < sq_size)
-                        warm_load(pc, addr, size, best_ssn, best[1],
-                                  would_forward, ssn_cmt)
+                load_latency(addr)
+                writer = lw_youngest(words, addr, size)
+                if writer is None:
+                    emit((pc_arr[si], addr, size, 0, 0, 0, ssn_cmt))
                 else:
-                    for warm_load, _sq_size in warm_loads:
-                        warm_load(pc, addr, size, 0, 0, False, ssn_cmt)
+                    emit((pc_arr[si], addr, size, writer[0], writer[1],
+                          index - writer[2], ssn_cmt))
             elif kind == KIND_STORE:
                 pc = pc_arr[si]
                 addr = addr_arr[i]
                 size = size_arr[i]
-                ssn = ssn_alloc.allocate()
-                for warm_store_renamed in warm_stores:
-                    warm_store_renamed(pc, ssn)
+                ssn = allocate()
                 memory_write(addr, size, uops.value[i])
-                ssn_alloc.commit(ssn)
-                for store_committed in commit_hooks:
-                    store_committed(pc, ssn, addr, size)
-                hierarchy.store_touch(addr)
-                entry = (ssn, pc, index)
-                for byte_addr in range(addr, addr + size):
-                    last_writer[byte_addr] = entry
+                commit(ssn)
+                ssn_cmt = ssn
+                store_touch(addr)
+                lw_write(words, addr, size, (ssn, pc, index))
+                emit((pc, ssn, addr, size))
             elif kind == KIND_BRANCH:
                 target = uops.target[i]
                 branch_resolve(pc_arr[si], uops.taken[i],
@@ -238,6 +245,9 @@ class FunctionalWarmer:
 
         self._index = index
         state.instructions_warmed += len(sidx)
+        window = self.config.rob_size
+        for policy in self._policies:
+            policy.warm_segment(records, window)
 
     # ---------------------------------------------------------------- export --
 

@@ -22,6 +22,7 @@ from repro.harness.runner import (
     ExperimentSettings,
     make_policy,
 )
+from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
@@ -113,7 +114,7 @@ class TestMultiPolicyWarming:
         assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
         assert a.memory.state_signature() == b.memory.state_signature()
         assert a.ssn_alloc == b.ssn_alloc
-        assert a.last_writer == b.last_writer
+        assert per_byte(a.last_writer) == per_byte(b.last_writer)
 
     def test_export_state_carries_first_policy(self):
         policies = [make_policy("indexed-3-fwd"), make_policy("associative-3")]
@@ -153,8 +154,8 @@ class TestExportImportRoundTrip:
                 == original.policy.state_signature())
         # The exported last-writer map keeps every byte's writer SSN (the
         # only component import_state consumes).
-        assert ({a: e[0] for a, e in exported.last_writer.items()}
-                == {a: e[0] for a, e in original.last_writer.items()})
+        assert ({a: e[0] for a, e in per_byte(exported.last_writer).items()}
+                == {a: e[0] for a, e in per_byte(original.last_writer).items()})
 
     def test_round_tripped_state_simulates_identically(self, warmed_blob):
         window = build_workload_window(WORKLOAD, self.PREFIX + 4_000, 1,
@@ -570,7 +571,7 @@ class TestStitchedBitIdentity:
         assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
         assert a.memory.state_signature() == b.memory.state_signature()
         assert a.policy.state_signature() == b.policy.state_signature()
-        assert a.last_writer == b.last_writer
+        assert per_byte(a.last_writer) == per_byte(b.last_writer)
         assert a.instructions_warmed == b.instructions_warmed
 
 

@@ -119,6 +119,41 @@ class TestEnvKnobs:
         assert name in str(resolved.value)
         assert "\n" not in str(resolved.value)
 
+    @pytest.mark.parametrize("name", ["REPRO_CACHE", "REPRO_CHECKPOINTS"])
+    @pytest.mark.parametrize("value", ["off", "no", "true"])
+    def test_malformed_boolean_knobs_fail_fast(self, monkeypatch, name,
+                                               value):
+        """Only unset, empty, ``1`` and ``0`` are switch values: anything
+        else fails fast instead of silently meaning "on"."""
+        from repro.exec import ExperimentEngine
+        from repro.sampling.checkpoints import checkpoints_enabled
+
+        monkeypatch.setenv(name, value)
+        with pytest.raises(EnvKnobError) as excinfo:
+            validate_environment()
+        assert name in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        with pytest.raises(EnvKnobError, match=name):
+            if name == "REPRO_CACHE":
+                ExperimentEngine(jobs=1, cache_dir=None)
+            else:
+                checkpoints_enabled()
+
+    @pytest.mark.parametrize("raw,expected", [
+        (None, True), ("", True), ("1", True), (" 1 ", True), ("0", False)])
+    def test_boolean_knob_values(self, monkeypatch, raw, expected):
+        from repro.sampling.checkpoints import checkpoints_enabled
+
+        for name in ("REPRO_CACHE", "REPRO_CHECKPOINTS"):
+            if raw is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, raw)
+        resolved = validate_environment()
+        assert resolved["cache"] is expected
+        assert resolved["checkpoints"] is expected
+        assert checkpoints_enabled() is expected
+
     def test_malformed_fault_plan_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "explode@everywhere")
         with pytest.raises(EnvKnobError, match="REPRO_FAULT_PLAN"):

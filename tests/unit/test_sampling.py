@@ -14,6 +14,7 @@ import pytest
 
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
 from repro.harness.runner import ExperimentSettings, make_policy
+from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.stats import SimStats
@@ -237,8 +238,10 @@ class TestFunctionalWarming:
     def test_last_writer_matches_oracle_tracker(self):
         core, _ = self._detailed("oracle-associative-3")
         state = self._functional("oracle-associative-3")
-        detailed_ssns = {addr: entry[1] for addr, entry in core._last_writer.items()}
-        functional_ssns = {addr: entry[0] for addr, entry in state.last_writer.items()}
+        detailed = per_byte(core.export_state().last_writer)
+        functional = per_byte(state.last_writer)
+        detailed_ssns = {addr: entry[0] for addr, entry in detailed.items()}
+        functional_ssns = {addr: entry[0] for addr, entry in functional.items()}
         assert functional_ssns == detailed_ssns
 
 
