@@ -52,12 +52,12 @@ from bench_memory_mlp import (  # noqa: E402
 )
 from bench_sampling_speedup import (  # noqa: E402
     assert_checkpointed_sweep,
-    assert_sharded_generation,
+    assert_policy_group_generation,
     assert_speedup,
     measure_checkpointed_sweep,
+    measure_policy_group_generation,
     measure_sampled_artifact,
     measure_sampling_speedup,
-    measure_sharded_generation,
 )
 
 from repro.exec import EnvKnobError, ExperimentEngine  # noqa: E402
@@ -179,17 +179,17 @@ def bench_memory(_engine: ExperimentEngine) -> dict:
 
 
 def bench_sampling(_engine: ExperimentEngine) -> dict:
-    """Sampling speedup, the checkpointed sweep, sharded generation, and
-    the paper-scale artifact.
+    """Sampling speedup, the checkpointed sweep, policy-group generation,
+    and the paper-scale artifact.
 
     The matched-count half simulates the same (workload, configuration)
     both ways and asserts the >= ~10x win of bounded-warming sampling; the
     checkpointed-sweep half runs a multi-configuration sweep bounded vs
     checkpointed and asserts the amortised single-pass warming is at least
-    as fast (while carrying full history); the sharded-generation half
-    re-runs that sweep's generation stage unsharded vs sharded on cold
-    stores, asserts snapshot- and merged-result bit-identity, and records
-    the stage speedup (>= 1.5x asserted at >= 4 CPUs); the artifact half
+    as fast (while carrying full history); the policy-group half re-runs
+    that sweep's generation stage as one serial pass vs policy-group jobs
+    on cold stores, asserts snapshot- and merged-result bit-identity, and
+    records the stage speedup without a bar; the artifact half
     runs a 10M-instruction Figure-4 cell sampled-only (relative time with
     a confidence interval) — the scale the subsystem exists to reach.
     """
@@ -197,8 +197,8 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
     assert_speedup(speedup)
     checkpointed_sweep = measure_checkpointed_sweep()
     assert_checkpointed_sweep(checkpointed_sweep)
-    sharded_generation = measure_sharded_generation()
-    assert_sharded_generation(sharded_generation)
+    policy_group_generation = measure_policy_group_generation()
+    assert_policy_group_generation(policy_group_generation)
     artifact = measure_sampled_artifact()
     assert artifact["intervals"] >= 2, artifact
     assert artifact["relative_time_ci_halfwidth"] > 0.0, artifact
@@ -210,7 +210,8 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
         assert artifact["relative_time_ci_halfwidth"] < 0.25 * artifact["relative_time"], artifact
         assert 0.7 < artifact["relative_time"] < 1.4, artifact
     return {"speedup": speedup, "checkpointed_sweep": checkpointed_sweep,
-            "sharded_generation": sharded_generation, "artifact": artifact}
+            "policy_group_generation": policy_group_generation,
+            "artifact": artifact}
 
 
 BENCHES = (

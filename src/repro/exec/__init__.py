@@ -23,7 +23,7 @@ This package is the performance substrate under every timing experiment:
   injection (``REPRO_FAULT_PLAN``) that proves faulted runs stay
   bit-identical.
 * :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the execution
-  seam: every fan-out (engine jobs *and* sharded checkpoint generation)
+  seam: every fan-out (engine jobs *and* checkpoint generation)
   goes through one event-driven dispatcher over an
   :class:`~repro.exec.backend.ExecutionBackend` — serial for one worker,
   the supervised pool otherwise.  Both are bit-identical; scheduler

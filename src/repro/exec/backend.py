@@ -1,6 +1,6 @@
 """Execution backends: one dispatch seam under every fan-out.
 
-Both engine fan-outs — simulation jobs and sharded checkpoint generation —
+Both engine fan-outs — simulation jobs and checkpoint generation —
 speak one protocol: an :class:`ExecutionBackend` accepts a list of
 :class:`DispatchJob` and yields ``("start", index)`` / ``("done", index,
 value)`` completion events, consumed by
@@ -19,20 +19,15 @@ One host needs two backends, and the worker count picks between them
   :func:`~repro.exec.resilience.supervised_events` stream (per-job
   deadlines, crash retry, pool self-healing, degradation, fault plans).
 
-**Job dependencies** (``DispatchJob.deps``, each ``dep < index``) express
-ordering constraints explicitly instead of relying on pool-FIFO luck.
-The supervised pool *dispatch-gates*: a job is not handed to a worker
-until its dependencies have been dispatched, which preserves the
-checkpoint chains' compose-ahead overlap (a consumer may run concurrently
-with its producer and wait in-worker for the handoff).  The serial
-backend runs input order, which satisfies any valid DAG.
+Jobs are independent: no job waits for another, so a backend may run
+them in any order and in parallel.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.exec import resilience as _resilience
 from repro.exec.resilience import ExperimentFailure, JobFailure
@@ -48,18 +43,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispatchJob:
-    """One schedulable unit: an index, a payload, and its dependencies.
+    """One schedulable unit: an index, a payload, and a label.
 
     ``index`` must equal the job's position in the submitted list (results
-    are addressed by it); ``deps`` lists indices of jobs that must be
-    dispatched ahead of this one (each ``dep < index`` — topological input
-    order).
+    are addressed by it).
     """
 
     index: int
     payload: Any
     label: str = ""
-    deps: Tuple[int, ...] = ()
 
 
 class ExecutionBackend:
@@ -93,11 +85,6 @@ def _check_jobs(jobs: Sequence[DispatchJob]) -> List[DispatchJob]:
             raise ValueError(
                 f"job at position {position} carries index {job.index}; "
                 f"DispatchJob.index must equal the list position")
-        for dep in job.deps:
-            if not 0 <= dep < job.index:
-                raise ValueError(
-                    f"job {job.index} depends on {dep}: dependencies must "
-                    f"point at earlier jobs (topological input order)")
     return jobs
 
 
@@ -106,11 +93,10 @@ def _check_jobs(jobs: Sequence[DispatchJob]) -> List[DispatchJob]:
 class SerialBackend(ExecutionBackend):
     """The in-process reference backend (one worker).
 
-    Input order satisfies any valid dependency DAG (``dep < index``), and
-    the failure semantics mirror the supervised pool's degraded-serial
-    path: per-job exceptions are collected, the remaining jobs complete,
-    then one structured :class:`ExperimentFailure` is raised.  ``chunksize``
-    is a no-op (there is no assignment to batch).
+    Runs jobs in input order.  The failure semantics mirror the supervised
+    pool's degraded-serial path: per-job exceptions are collected, the
+    remaining jobs complete, then one structured :class:`ExperimentFailure`
+    is raised.  ``chunksize`` is a no-op (there is no assignment to batch).
     """
 
     name = "serial"
@@ -163,13 +149,11 @@ class SupervisedPoolBackend(ExecutionBackend):
 
     def submit(self, fn, jobs, *, scope="job", chunksize=None):
         jobs = _check_jobs(jobs)
-        deps = [job.deps for job in jobs] \
-            if any(job.deps for job in jobs) else None
         stats = yield from _resilience.supervised_events(
             fn, [job.payload for job in jobs], self.workers, scope=scope,
             labels=[job.label or f"{scope} {job.index}" for job in jobs],
             chunksize=1 if chunksize is None else max(1, int(chunksize)),
-            timeout=self._timeout, retries=self._retries, deps=deps)
+            timeout=self._timeout, retries=self._retries)
         self.last_submit_stats = dict(stats or {})
 
 

@@ -54,9 +54,8 @@ CACHE_SCHEMA_VERSION = 2
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Settings fields that steer *execution*, not simulation semantics
-#: (``checkpoint_shards`` only changes *how* bit-identical snapshots are
-#: generated, never what any job computes).
-_EXECUTION_ONLY_FIELDS = ("jobs", "checkpoint_shards")
+#: (the worker count never changes what any job computes).
+_EXECUTION_ONLY_FIELDS = ("jobs",)
 
 #: Age beyond which an orphaned ``*.tmp`` blob is certainly not a write in
 #: flight (entries are written in one go; a healthy write lives milliseconds).
@@ -349,16 +348,6 @@ class ResultCache:
             return list(self.directory.glob("*.pkl"))
         except OSError:
             return []
-
-    def discard(self, key: str) -> bool:
-        """Delete one entry (used for transient blobs such as the sharded
-        generation's boundary handoffs); missing entries are not an error."""
-        dropped = self._memory().pop(key, None) is not None
-        try:
-            self._path(key).unlink()
-            return True
-        except OSError:
-            return dropped
 
     def clear(self) -> int:
         """Delete every cache entry and stale stray temp file; returns the

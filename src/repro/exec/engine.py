@@ -18,15 +18,13 @@ using three layers:
 * **checkpoint generation** — sampled specs that resolve to checkpointed
   warming (``settings.checkpoints`` / ``REPRO_CHECKPOINTS``, see
   :mod:`repro.sampling.checkpoints`) get a generation stage between the
-  cache probe and the fan-out: for each workload group with cache-missed
-  intervals, the warming pass is **sharded** into (segment-aligned trace
-  chunk x policy group) jobs stitched through boundary snapshots and
-  fanned out over the pool — bit-identical to a single full pass, but
-  parallel *inside* one workload (``REPRO_CHECKPOINT_SHARDS`` /
-  ``ExperimentSettings.checkpoint_shards``); the interval jobs then load
-  snapshots instead of re-warming.  Groups with a warm store skip
-  generation entirely (the amortisation across configurations, sweeps,
-  and runs).
+  cache probe and the fan-out: each workload group with cache-missed
+  intervals deals its configurations into policy groups (up to the
+  worker count divided by the number of such workload groups) and runs
+  one warming pass per policy group, fanned out over the pool as
+  independent jobs; the interval jobs then load snapshots instead of
+  re-warming.  Groups with a warm store skip generation entirely (the
+  amortisation across configurations, sweeps, and runs).
 
 Environment knobs:
 
@@ -43,11 +41,6 @@ Environment knobs:
 ``REPRO_CHECKPOINTS`` / ``REPRO_CHECKPOINT_DIR``
     Checkpointed-warming default for sampled specs and the snapshot-store
     location (default ``.repro-checkpoints/``; safe to delete at any time).
-``REPRO_CHECKPOINT_SHARDS``
-    Trace chunks per checkpoint-generation chain (see
-    :func:`repro.sampling.checkpoints.plan_shard_jobs`).  Unset or ``0``
-    sizes shards from the worker count; a pure execution knob — stitched
-    sharded generation is bit-identical to the single pass.
 ``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN``
     Failure-semantics knobs (retry budget, per-job deadline,
     deterministic fault injection) — all execution-only, never part of
@@ -60,7 +53,7 @@ Environment knobs:
     hotspots land under ``last_run_stats["profile"]``.  Execution-only:
     profiling observes, it never changes a simulated statistic.
 
-Every fan-out — this engine's job pass *and* the sharded
+Every fan-out — this engine's job pass *and* the
 checkpoint-generation stage — runs through one dispatcher seam
 (:func:`repro.exec.dispatch.dispatch`) over an
 :class:`~repro.exec.backend.ExecutionBackend`.  The pool backend runs
@@ -276,14 +269,10 @@ class ExperimentEngine:
         """The checkpoint-generation stage (runs on cache-missed intervals).
 
         Probes the store for every (workload group, configuration) the
-        pending checkpointed intervals need, then runs the generation work
-        for the missing groups **sharded**: each group's pass is decomposed
-        into (segment-aligned trace chunk x policy group) shard jobs
-        stitched through boundary snapshots and fanned out chunk-major
-        over the pool (:func:`repro.sampling.checkpoints.execute_generation`
-        — bit-identical to the single pass, parallel inside a single
-        workload).  Intervals served from the result cache never trigger
-        generation.
+        pending checkpointed intervals need, then runs one generation job
+        per (workload, policy group) for the missing groups over the pool
+        (:func:`repro.sampling.checkpoints.execute_generation`).  Intervals
+        served from the result cache never trigger generation.
         """
         from repro.sampling.checkpoints import (
             CheckpointStore,
@@ -305,9 +294,8 @@ class ExperimentEngine:
             "checkpoint_reused": total_identities - generated,
             "checkpoint_passes": len(requests),
         }
-        if requests:
-            self._checkpoint_stats.update(
-                execute_generation(store, requests, jobs=self.jobs))
+        self._checkpoint_stats["checkpoint_jobs"] = execute_generation(
+            requests, jobs=self.jobs)
 
     def _execute(self, specs: List[JobSpec],
                  chunksize: Optional[int] = None,

@@ -13,10 +13,10 @@ bit-identical.
 
 Checkpoint *generation* work travels the same way but with its own spec
 type: the engine's generation stage fans
-:class:`~repro.sampling.checkpoints.ShardJobSpec` (one stitched chunk of
-one warming chain) out over the pool via
-:func:`~repro.sampling.checkpoints.run_shard_job` before the interval jobs
-here are simulated.
+:class:`~repro.sampling.checkpoints.CheckpointJobSpec` (one warming pass
+over one workload's policy group) out over the pool via
+:func:`~repro.sampling.checkpoints.run_checkpoint_job` before the interval
+jobs here are simulated.
 """
 
 from __future__ import annotations

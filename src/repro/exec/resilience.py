@@ -3,7 +3,7 @@
 The ROADMAP invariant — serial, parallel, cached, and checkpointed runs are
 bit-identical — only means something if it survives an unhealthy machine.
 This module supplies the failure semantics shared by every pool fan-out
-(simulation jobs, sampling interval jobs, checkpoint shard jobs):
+(simulation jobs, sampling interval jobs, checkpoint-generation jobs):
 
 * **Job supervision** — :func:`supervised_events` executes a job list on
   a self-managed worker pool where every assignment carries a deadline.  A
@@ -24,7 +24,7 @@ This module supplies the failure semantics shared by every pool fan-out
 
 * **Environment-knob validation** — every ``REPRO_*`` knob resolves
   through :class:`EnvKnobError`-raising parsers, so a malformed value
-  (``REPRO_JOBS=abc``, a negative shard count) fails fast with a one-line
+  (``REPRO_JOBS=abc``, a negative retry count) fails fast with a one-line
   actionable message instead of a deep traceback from the middle of a run.
 
 * **Counters** — process-local resilience counters (retries, quarantined
@@ -34,7 +34,7 @@ This module supplies the failure semantics shared by every pool fan-out
   absorbing it.
 
 Environment knobs (all execution-only — none participates in result-cache
-or snapshot keys, exactly like ``REPRO_JOBS`` / ``REPRO_CHECKPOINT_SHARDS``)::
+or snapshot keys, exactly like ``REPRO_JOBS``)::
 
     REPRO_RETRIES=N       # retries per failed job (default 2; 0 disables)
     REPRO_JOB_TIMEOUT=S   # per-job deadline in seconds on the pool path
@@ -149,11 +149,11 @@ def _env_float(name: str, default: float, hint: str,
 #: Default retries per failed (crashed or timed-out) job.
 DEFAULT_RETRIES = 2
 
-#: Default per-job deadline on the pool path, in seconds.  Generous: a
-#: checkpoint shard job legitimately waits up to
-#: :data:`repro.sampling.checkpoints._BOUNDARY_WAIT_SECONDS` for its stitch
-#: handoff before walking back, and the deadline must never fire on a
-#: healthy machine.  Chaos tests shrink it explicitly.
+#: Default per-job deadline on the pool path, in seconds.  Generous: one
+#: checkpoint-generation job replays a whole workload's warming prefix,
+#: which at the paper's 10M-instruction scale runs for minutes on a slow
+#: or contended host, and the deadline must never fire on a healthy
+#: machine.  Chaos tests shrink it explicitly.
 DEFAULT_JOB_TIMEOUT_SECONDS = 3600.0
 
 
@@ -206,10 +206,6 @@ def validate_environment() -> Dict[str, Any]:
     resolved: Dict[str, Any] = {
         "jobs_env": _env_int("REPRO_JOBS", 1,
                              'use 0 or a negative value for "all CPUs"'),
-        "checkpoint_shards": _env_int(
-            "REPRO_CHECKPOINT_SHARDS", 0,
-            "use 0 (or unset) to size shards from the worker count",
-            minimum=0),
         "cache": _env_bool("REPRO_CACHE"),
         "checkpoints": _env_bool("REPRO_CHECKPOINTS"),
         "retries": resolve_retries(),
@@ -356,15 +352,17 @@ def parse_fault_plan(text: str) -> FaultPlan:
 
         worker_crash@job:3      # crash the worker on job 3's first attempt
         worker_crash@job:3*2    # ... on its first two attempts
-        hang@shard:1            # hang shard job 1 until its deadline fires
+        hang@shard:1            # hang generation job 1 until its deadline fires
         corrupt_blob@p=0.1      # corrupt ~10% of store blobs at write time
         truncate_blob@p=0.05    # truncate (partial write) ~5% of blobs
         write_error@p=0.1       # ENOSPC-style write failure on ~10% of puts
         seed=42                 # seed for the per-key blob-fault hash
 
     Job selectors are ``job:<index>`` (engine fan-out order over the
-    cache-missed specs) and ``shard:<index>`` (checkpoint shard-job plan
-    order) — exact and reproducible whatever the pool scheduling does.
+    cache-missed specs) and ``shard:<index>`` (checkpoint-generation job
+    order: one job per workload and policy group, see
+    :func:`repro.sampling.checkpoints.split_policy_groups`) — exact and
+    reproducible whatever the pool scheduling does.
     """
     clauses: List[FaultClause] = []
     seed = 0
@@ -635,8 +633,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                       labels: Optional[Sequence[str]] = None,
                       chunksize: int = 1,
                       timeout: Optional[float] = None,
-                      retries: Optional[int] = None,
-                      deps: Optional[Sequence[Sequence[int]]] = None):
+                      retries: Optional[int] = None):
     """Supervised execution as a stream of scheduler events.
 
     Yields ``("start", index)`` when a job is handed to a worker (or
@@ -658,15 +655,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     ``max(3, workers + 1)`` the pool is torn down and the remaining jobs
     run serially in-process.
 
-    ``deps`` (optional, one index sequence per job, each ``dep < index``)
-    makes the dispatch-ordering contract explicit: a chunk is not handed
-    to a worker until every dependency of its jobs has been *dispatched*
-    (a dependency inside the chunk runs ahead of its job in the worker).
-    Dispatch-gating (not completion-gating) preserves the checkpoint
-    chains' compose-ahead overlap — a consumer may run concurrently with
-    its producer and wait in-worker for the boundary handoff — while
-    turning what used to be pool-FIFO luck into an enforced invariant.
-
     Teardown is unconditional: leaving the generator on any path — normal
     exhaustion, ``ExperimentFailure``, ``KeyboardInterrupt`` during
     ``next()``, or an early ``close()`` — destroys every worker process.
@@ -681,14 +669,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         labels = [f"{scope} {i}" for i in range(total)]
     else:
         labels = list(labels)
-    if deps is not None:
-        deps = [tuple(job_deps) for job_deps in deps]
-        for index, job_deps in enumerate(deps):
-            for dep in job_deps:
-                if not 0 <= dep < index:
-                    raise ValueError(
-                        f"job {index} depends on {dep}: dependencies must "
-                        f"point at earlier jobs (topological input order)")
 
     done = [False] * total
     started = [False] * total       # dispatched at least once, per job
@@ -724,14 +704,14 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             stats["job_retries"] += 1
             ready_at[index] = (time.monotonic()
                                + backoff_delay(attempts[index], labels[index]))
-            # Retries go to the front as singletons: a shard-chain producer
-            # must be redispatched before its consumers give up waiting.
+            # Retries go to the front as singletons: the job has already
+            # waited its turn once, and running it next keeps it off the
+            # sweep's tail.
             queue.appendleft([index])
 
     def run_serially(indices: Sequence[int]):
         """Degraded in-process execution (no deadline; crash faults are
-        worker-only, so a planned crash cannot kill the supervisor).
-        Index order respects ``deps`` because dependencies point earlier."""
+        worker-only, so a planned crash cannot kill the supervisor)."""
         for index in indices:
             if done[index] or failed[index]:
                 continue
@@ -746,18 +726,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             else:
                 done[index] = True
                 yield ("done", index, value)
-
-    def blocked_on_deps(chunk: List[int]) -> bool:
-        """Whether any job in ``chunk`` has an undispatched dependency.
-
-        A dependency inside the chunk itself never blocks: a worker runs
-        its chunk in index order, so the dependency is dispatched together
-        with, and ahead of, the job that needs it.
-        """
-        if deps is None:
-            return False
-        return any(d not in chunk and not (started[d] or done[d] or failed[d])
-                   for i in chunk for d in deps[i])
 
     ctx = _pool_context()
     outbox = ctx.Queue()
@@ -812,8 +780,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                 chunk = queue[0]
                 if any(ready_at[i] > now for i in chunk):
                     break  # backoff gate: keep dispatch in plan order
-                if blocked_on_deps(chunk):
-                    break  # dependency gate: hold plan order
                 queue.popleft()
                 chunk = [i for i in chunk if not done[i] and not failed[i]]
                 if not chunk:

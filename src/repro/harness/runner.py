@@ -77,13 +77,6 @@ class ExperimentSettings:
     (enabled unless set to ``0``).  The *resolved* choice is a simulation
     knob (it changes the warm state intervals start from, and therefore the
     statistics) and is part of interval result-cache keys.
-
-    ``checkpoint_shards`` is an *execution* knob like ``jobs``: how many
-    segment-aligned trace chunks the checkpoint-generation pass is stitched
-    from (``None`` follows ``REPRO_CHECKPOINT_SHARDS``; ``<= 0`` or unset
-    sizes shards from the worker count).  Excluded from equality and cache
-    keys — stitched sharded generation is bit-identical to the single pass
-    (see :mod:`repro.sampling.checkpoints`).
     """
 
     instructions: int = DEFAULT_INSTRUCTIONS
@@ -94,7 +87,6 @@ class ExperimentSettings:
     jobs: Optional[int] = field(default=None, compare=False)
     sampling: Optional[SamplingPlan] = None
     checkpoints: Optional[bool] = None
-    checkpoint_shards: Optional[int] = field(default=None, compare=False)
 
 
 def make_policy(name: str, sq_size: int = 64,

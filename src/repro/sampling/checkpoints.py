@@ -28,12 +28,9 @@ Storage layout (one pickle per entry, exactly like the result cache):
 * **trace windows** — the same store memoises each interval's composed
   detailed-window micro-ops (written during the generation pass, tiny next
   to the segments they straddle), so checkpointed interval jobs stop
-  re-emitting trace content entirely.  Windows and segments are stored in
-  encoded two-plane form (:class:`~repro.isa.plane.EncodedOps`, schema v2):
-  flat arrays that unpickle far cheaper than they recompose, which is what
-  lets sharded generation share whole composed chunks through the segment
-  memo (``build_workload_window(..., disk_memo=True)`` in
-  :mod:`repro.workloads.suites`).
+  re-emitting trace content entirely.  Windows are stored in encoded
+  two-plane form (:class:`~repro.isa.plane.EncodedOps`, schema v2): flat
+  arrays that unpickle far cheaper than they recompose.
 
 Keys cover the trace identity, the sampling plan, the core configuration,
 and SHA-256 fingerprints of the workload-generator and simulator sources —
@@ -43,28 +40,18 @@ safe.  Corrupt or truncated snapshot files are repaired in place: the
 affected interval recomputes the exact same full-history state in-process
 (never a silently-lukewarm result, never a crash).
 
-**Sharded generation** (PR 4): the O(N) generation pass itself is
-decomposed into a grid of pool-sized **shard jobs** — contiguous
-segment-aligned trace *chunks* crossed with *policy groups* — and stitched
-back together through **boundary snapshots**:
-
-* a *policy group* warms a subset of a sweep's configurations through its
-  own full replay (policies are independent folds over the shared replay
-  stream, so per-group passes are bit-identical to the one multi-policy
-  pass; the group carrying ``write_shared`` also emits the shared
-  snapshots and window memos);
-* a *chunk* job resumes a group's replay from the previous chunk's
-  exported :class:`BoundaryState` (stitch handoff through the store) and
-  emits the snapshots of the intervals whose detailed-warmup start falls
-  inside its chunk.  Because functional warming is a deterministic fold,
-  the stitched snapshots are **bit-identical** to the single-pass ones
-  (validated at handoff, unit- and CI-tested end to end);
-* jobs are fanned out **chunk-major** over the engine pool: a worker whose
-  boundary has not arrived yet *precomposes its chunk's trace segments*
-  while it waits, which moves composition — the largest share of the pass
-  — off the sequential stitch chain.  A handoff that never arrives (or
-  arrives damaged) falls back to an exact in-process prefix recompute:
-  slower, never wrong.
+**Generation jobs**: the engine runs one generation job per (workload,
+policy group).  :func:`split_policy_groups` deals a request's
+configurations round-robin into up to ``jobs // len(requests)`` groups;
+each group replays the whole warming prefix once through
+:func:`generate_checkpoints`.  Policies are independent folds over the
+shared replay stream, so a group's pass warms its policies exactly as the
+one multi-policy pass would.  Group 0 keeps the request's ``write_shared``
+duty (shared snapshots and window memos); the other groups skip the
+shared structures no policy reads
+(:class:`~repro.sampling.functional.FunctionalWarmer`'s
+``policies_only``).  The jobs have no dependencies on each other and fan
+out through the engine's dispatcher (:func:`execute_generation`).
 
 Environment knobs::
 
@@ -72,12 +59,9 @@ Environment knobs::
                                 # functional warming, the PR 2 behaviour)
     REPRO_CHECKPOINT_DIR=...    # store location, default .repro-checkpoints/
                                 # (safe to delete at any time)
-    REPRO_CHECKPOINT_SHARDS=K   # trace chunks per generation chain
-                                # (<= 0 or unset: sized from the worker
-                                # count; 1 disables trace sharding)
 
-``ExperimentSettings.checkpoints`` / ``ExperimentSettings.checkpoint_shards``
-override the environment per run (``None`` means "follow the environment").
+``ExperimentSettings.checkpoints`` overrides the environment per run
+(``None`` means "follow the environment").
 """
 
 from __future__ import annotations
@@ -85,13 +69,12 @@ from __future__ import annotations
 import json
 import hashlib
 import os
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec.cache import ResultCache, _canonical
-from repro.exec.resilience import _env_bool, _env_int
+from repro.exec.resilience import _env_bool
 from repro.memory.last_writer import LastWriterMap, per_byte
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
@@ -147,28 +130,8 @@ def resolve_checkpointed(settings) -> bool:
     return bool(explicit)
 
 
-def resolve_checkpoint_shards(settings=None) -> int:
-    """The requested trace-chunk count per generation chain.
-
-    ``settings.checkpoint_shards`` wins when not ``None``; otherwise the
-    ``REPRO_CHECKPOINT_SHARDS`` environment variable applies.  ``0`` (also
-    any value <= 0, or nothing configured) means *auto*: the generation
-    planner sizes chunks from the worker count.  Purely an execution knob —
-    stitched sharded generation is bit-identical to the single pass, so it
-    never participates in snapshot or result-cache keys.
-    """
-    explicit = getattr(settings, "checkpoint_shards", None) \
-        if settings is not None else None
-    if explicit is None:
-        explicit = _env_int(
-            "REPRO_CHECKPOINT_SHARDS", 0,
-            "use 0 (or unset) to size shards from the worker count",
-            minimum=0)
-    return max(0, int(explicit))
-
-
 class CheckpointStore(ResultCache):
-    """Content-addressed snapshot/segment store (pickle per entry).
+    """Content-addressed snapshot store (pickle per entry).
 
     Reuses the result cache's atomic-write/corruption-tolerant blob
     machinery under its own default directory and environment knob.
@@ -236,19 +199,6 @@ def policy_key(workload: str, settings: "ExperimentSettings",
     return _digest(payload)
 
 
-def segment_key(name: str, seed: int, index: int, length: int) -> str:
-    """Key of one composed trace segment (workload sources fingerprinted)."""
-    return _digest({
-        "schema": CHECKPOINT_SCHEMA_VERSION,
-        "kind": "trace-segment",
-        "workload": name,
-        "seed": seed,
-        "segment": index,
-        "length": length,
-        "trace_sources": _fingerprint.workload_fingerprint(),
-    })
-
-
 def window_key(workload: str, settings: "ExperimentSettings",
                interval_index: int) -> str:
     """Key of one interval's composed detailed-window micro-ops.
@@ -264,31 +214,6 @@ def window_key(workload: str, settings: "ExperimentSettings",
     payload["kind"] = "trace-window"
     payload["interval"] = interval_index
     return _digest(payload)
-
-
-def boundary_key(workload: str, settings: "ExperimentSettings",
-                 identities: Sequence[PolicyIdentity], position: int) -> str:
-    """Key of one generation chain's stitch handoff at ``position``.
-
-    Covers the chain's policy-group identity list (different groups at the
-    same boundary carry different policy state) on top of the shared
-    payload; boundary blobs are transient — consumed by the next chunk job
-    and discarded once the whole generation stage has stitched.
-    """
-    payload = _shared_payload(workload, settings)
-    payload["kind"] = "functional-boundary"
-    payload["position"] = position
-    payload["identities"] = [_identity_token(identity)
-                             for identity in identities]
-    return _digest(payload)
-
-
-def segment_store() -> Optional[CheckpointStore]:
-    """The store used for the on-disk trace-segment memo, or ``None`` when
-    checkpointing is disabled by the environment."""
-    if not checkpoints_enabled():
-        return None
-    return CheckpointStore()
 
 
 # ---------------------------------------------------------------- snapshots --
@@ -344,9 +269,9 @@ def shared_signature(shared: SharedWarmState) -> tuple:
     Composes the per-structure ``state_signature()`` methods (exactly the
     structures :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`
     adopts), so two snapshots with equal signatures warm a detailed core
-    identically — the equality the stitched-vs-single-pass bit-identity
-    tests and the CI sharded-generation smoke assert per interval.  The
-    last-writer map enters as its canonical sorted per-byte view, so the
+    identically — the equality the policy-group bit-identity tests and the
+    CI policy-group generation smoke assert per interval.  The last-writer
+    map enters as its canonical sorted per-byte view, so the
     signature does not depend on the map's storage layout.
     """
     return (
@@ -358,20 +283,6 @@ def shared_signature(shared: SharedWarmState) -> tuple:
         tuple(sorted(per_byte(shared.last_writer).items())),
         shared.instructions_warmed,
     )
-
-
-@dataclass
-class BoundaryState:
-    """One generation chain's stitch handoff at a chunk boundary.
-
-    Carries the full resumable replay state — the shared half plus every
-    policy of the chain's group, warmed over ``[0, position)`` — so the
-    next chunk's worker continues the fold exactly where this one stopped.
-    """
-
-    shared: SharedWarmState
-    policies: List
-    position: int
 
 
 # --------------------------------------------------------------- generation --
@@ -453,36 +364,69 @@ def plan_generation(store: CheckpointStore, interval_specs: Sequence,
     return requests, total_identities
 
 
+def _warm_span(warmer: FunctionalWarmer, workload: str,
+               settings: "ExperimentSettings", position: int,
+               target: int) -> int:
+    """Warm ``[position, target)`` one trace segment at a time."""
+    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
+
+    while position < target:
+        step = min(target,
+                   (position // TRACE_SEGMENT_UOPS + 1) * TRACE_SEGMENT_UOPS)
+        warmer.warm(build_workload_window(
+            workload, settings.instructions, settings.seed, position, step))
+        position = step
+    return position
+
+
 def generate_checkpoints(store: CheckpointStore, workload: str,
                          settings: "ExperimentSettings",
                          identities: Sequence[PolicyIdentity],
                          write_shared: bool = True) -> int:
     """One full functional pass: snapshot every interval start into ``store``.
 
-    Warms all ``identities`` simultaneously (plus the shared structures) and
-    writes one shared snapshot (when ``write_shared``) and one policy
-    snapshot per identity at each interval's detailed-warmup start.  Returns
-    the number of snapshot points written.
-
-    This is the single-pass reference: it executes one
-    :class:`ShardJobSpec` covering the whole warming span, the same code
-    path sharded generation stitches in chunks — there is exactly one
-    emission implementation, so the two schemes cannot drift.
+    Warms all ``identities`` simultaneously and writes one policy snapshot
+    per identity at each interval's detailed-warmup start; with
+    ``write_shared`` it also warms the shared structures and writes one
+    shared snapshot and window memo there (without it, the pass warms
+    only what the policies read).  Returns the number of snapshot points
+    written.  This is the only generation loop: every generation job runs
+    it over its own policy group.
     """
+    from repro.harness.runner import make_policy
+    from repro.lsu.policies import SQPolicy
+
     plan = settings.sampling
     if plan is None:
         raise ValueError("settings carry no sampling plan")
+    # Shared-only regeneration: any policy drives the shared structures
+    # identically; a base policy is the cheapest stand-in.
+    policies = [make_policy(name, sq_size=sq_size, predictors=predictors)
+                for name, sq_size, predictors in identities] \
+        or [SQPolicy(sq_size=settings.sq_size)]
+    warmer = FunctionalWarmer(settings.core, policies=policies,
+                              policies_only=not write_shared)
     windows = plan.intervals(settings.instructions)
-    span = windows[-1].detailed_start
-    return run_shard_job(ShardJobSpec(
-        workload=workload, settings=settings, identities=tuple(identities),
-        write_shared=write_shared, chunk_index=0, chunk_start=0,
-        chunk_end=span, last=True, boundaries=(0,),
-        directory=str(store.directory)))
+    position = 0
+    for window in windows:
+        position = _warm_span(warmer, workload, settings, position,
+                              window.detailed_start)
+        if write_shared:
+            store.put(shared_key(workload, settings, window.index),
+                      _shared_snapshot(warmer.state))
+            # Memoise the interval's detailed window too (it is tiny next
+            # to the segments it straddles, and every configuration's
+            # interval job re-reads it).
+            store.put(window_key(workload, settings, window.index),
+                      interval_window_uops(workload, settings, window))
+        for identity, policy in zip(identities, policies):
+            store.put(policy_key(workload, settings, identity, window.index),
+                      policy)
+    return len(windows)
 
 
 def interval_window_uops(workload: str, settings: "ExperimentSettings",
-                         window, disk_memo: bool = False):
+                         window):
     """Compose the micro-ops a checkpointed interval simulates in detail:
     ``[detailed_start, measure_end + overrun)``."""
     from repro.sampling.driver import _overrun
@@ -491,360 +435,60 @@ def interval_window_uops(workload: str, settings: "ExperimentSettings",
     stop = min(settings.instructions,
                window.measure_end + _overrun(settings.core))
     return build_workload_window(workload, settings.instructions,
-                                 settings.seed, window.detailed_start, stop,
-                                 disk_memo=disk_memo)
+                                 settings.seed, window.detailed_start, stop)
 
 
 def run_checkpoint_job(request: CheckpointJobSpec) -> int:
-    """Execute one generation request as a single unsharded pass."""
+    """Execute one generation job: one pass over its policy group."""
     store = CheckpointStore(request.directory)
     return generate_checkpoints(store, request.workload, request.settings,
                                 request.identities,
                                 write_shared=request.write_shared)
 
 
-# ----------------------------------------------------------------- sharding --
+def split_policy_groups(requests: Sequence[CheckpointJobSpec],
+                        jobs: int = 1) -> List[CheckpointJobSpec]:
+    """Split generation requests into one job per (workload, policy group).
 
-#: How long a chunk job waits for its stitch handoff before falling back to
-#: an exact in-process prefix recompute.  Generous: the chain ahead of it is
-#: replaying real trace prefixes, and a premature fallback costs O(prefix).
-_BOUNDARY_WAIT_SECONDS = 900.0
-
-#: Poll cadence while waiting (the handoff lands as one atomic rename).
-_BOUNDARY_POLL_SECONDS = 0.01
-
-
-@dataclass(frozen=True)
-class ShardJobSpec:
-    """One stitched chunk of one generation chain, described by value.
-
-    A *chain* is a policy group's full-trace replay; ``boundaries`` lists
-    the chain's chunk start positions (segment-aligned, ``boundaries[0] ==
-    0``) and this job covers ``[chunk_start, chunk_end)``, emitting the
-    snapshots of every interval whose detailed-warmup start lies inside
-    (the ``last`` chunk also owns ``detailed_start == chunk_end``).  Jobs
-    with ``chunk_index > 0`` resume from the previous chunk's
-    :class:`BoundaryState`; jobs that are not ``last`` export their own at
-    ``chunk_end``.
+    Each request's identities are dealt round-robin into up to ``jobs //
+    len(requests)`` groups, one generation job each; group 0 keeps the
+    request's ``write_shared`` duty.  A request that cannot be split (one
+    worker per request, or at most one identity) stays one job.
     """
-
-    workload: str
-    settings: "ExperimentSettings"
-    identities: Tuple[PolicyIdentity, ...]
-    write_shared: bool
-    chunk_index: int
-    chunk_start: int
-    chunk_end: int
-    last: bool
-    boundaries: Tuple[int, ...]
-    directory: str
-    #: Read/write composed segments through the on-disk segment memo.  Set
-    #: by the planner whenever the generation grid has more than one job
-    #: (several chains re-read the same segments, and compose-ahead workers
-    #: share what they precompose); a lone single-pass job composes in
-    #: memory only, so it cannot flood the store with segments nothing
-    #: re-reads.
-    disk_memo: bool = False
-    #: Which generation chain this chunk belongs to (the planner's chain
-    #: ordinal).  Purely an execution-plan coordinate: it lets the
-    #: dispatcher express the stitch order ``chain[k-1] -> chain[k]`` as
-    #: an explicit job dependency instead of pool-FIFO luck, and never
-    #: reaches a store key.
-    chain: int = 0
-
-
-def plan_shard_jobs(store: CheckpointStore,
-                    requests: Sequence[CheckpointJobSpec],
-                    workers: int = 1,
-                    ) -> Tuple[List[ShardJobSpec], Dict[str, int]]:
-    """Decompose generation requests into a chunk-major shard-job list.
-
-    Each request (one workload group) is split along two axes:
-
-    * **policy groups** — its identities are dealt round-robin into up to
-      ``workers // len(requests)`` chains (policies are independent folds
-      over the shared replay stream, so per-group passes reproduce the one
-      multi-policy pass exactly); group 0 inherits the request's
-      ``write_shared`` duty (shared snapshots + window memos).
-    * **trace chunks** — each chain's warming span is cut on
-      ``TRACE_SEGMENT_UOPS`` boundaries into K contiguous chunks
-      (``REPRO_CHECKPOINT_SHARDS`` / ``settings.checkpoint_shards``;
-      *auto* sizes K to soak up workers left idle by the chain count),
-      stitched at run time through :class:`BoundaryState` handoffs.
-
-    The returned list is ordered chunk-major across every chain, which —
-    executed FIFO with ``chunksize=1`` — guarantees a job's handoff
-    producer is always dispatched before (or with) the job itself, so
-    in-worker boundary waits cannot deadlock the pool.
-    """
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS
-
-    directory = str(store.directory)
-    chains: List[Tuple[CheckpointJobSpec, Tuple[PolicyIdentity, ...], bool]] = []
+    groups_per_request = max(1, jobs // max(1, len(requests)))
+    split: List[CheckpointJobSpec] = []
     for request in requests:
-        identities = list(request.identities)
-        if not identities:
-            chains.append((request, (), request.write_shared))
-            continue
-        group_count = min(len(identities),
-                          max(1, workers // max(1, len(requests))))
-        for g in range(group_count):
-            chains.append((request, tuple(identities[g::group_count]),
-                           request.write_shared and g == 0))
-
-    per_chain: List[Tuple[List[int], Tuple]] = []
-    max_chunks = 1
-    for request, identities, write_shared in chains:
-        settings = request.settings
-        windows = settings.sampling.intervals(settings.instructions)
-        span = windows[-1].detailed_start
-        segments = max(1, -(-span // TRACE_SEGMENT_UOPS))
-        chunks = resolve_checkpoint_shards(settings)
-        if chunks <= 0:
-            chunks = max(1, workers // max(1, len(chains)))
-        chunks = min(chunks, segments)
-        base, extra = divmod(segments, chunks)
-        bounds = [0]
-        position = 0
-        for i in range(chunks):
-            position += base + (1 if i < extra else 0)
-            bounds.append(min(position * TRACE_SEGMENT_UOPS, span))
-        max_chunks = max(max_chunks, chunks)
-        per_chain.append((bounds, (request, identities, write_shared)))
-
-    total_jobs = sum(len(bounds) - 1 for bounds, _chain in per_chain)
-    jobs: List[ShardJobSpec] = []
-    for chunk_index in range(max_chunks):
-        for chain_id, (bounds, (request, identities, write_shared)) \
-                in enumerate(per_chain):
-            if chunk_index >= len(bounds) - 1:
-                continue
-            jobs.append(ShardJobSpec(
-                workload=request.workload, settings=request.settings,
-                identities=identities, write_shared=write_shared,
-                chunk_index=chunk_index,
-                chunk_start=bounds[chunk_index],
-                chunk_end=bounds[chunk_index + 1],
-                last=chunk_index == len(bounds) - 2,
-                boundaries=tuple(bounds[:-1]),
-                directory=directory,
-                disk_memo=total_jobs > 1,
-                chain=chain_id))
-    return jobs, {
-        "checkpoint_chains": len(chains),
-        "checkpoint_shards": max_chunks,
-        "checkpoint_shard_jobs": len(jobs),
-    }
+        count = max(1, min(len(request.identities), groups_per_request))
+        split.extend(replace(request,
+                             identities=request.identities[group::count],
+                             write_shared=request.write_shared and group == 0)
+                     for group in range(count))
+    return split
 
 
-def _fresh_policies(spec: ShardJobSpec) -> List:
-    from repro.harness.runner import make_policy
+def execute_generation(requests: Sequence[CheckpointJobSpec],
+                       jobs: int = 1) -> int:
+    """Run the generation stage for ``requests`` over ``jobs`` workers.
 
-    if spec.identities:
-        return [make_policy(config_name, sq_size=sq_size, predictors=predictors)
-                for config_name, sq_size, predictors in spec.identities]
-    # Shared-only regeneration: any policy drives the shared structures
-    # identically; a base policy is the cheapest stand-in.
-    from repro.lsu.policies import SQPolicy
-
-    return [SQPolicy(sq_size=spec.settings.sq_size)]
-
-
-def _load_boundary(spec: ShardJobSpec, store: CheckpointStore,
-                   position: int) -> Optional[BoundaryState]:
-    """Load and stitch-validate a boundary handoff (``None`` when absent,
-    corrupt, or inconsistent with this chain — all handled by fallback)."""
-    state = store.get(boundary_key(spec.workload, spec.settings,
-                                   spec.identities, position))
-    if (isinstance(state, BoundaryState)
-            and state.position == position
-            and len(state.policies) == max(1, len(spec.identities))
-            and state.shared.instructions_warmed == position):
-        return state
-    return None
-
-
-def _await_boundary(spec: ShardJobSpec,
-                    store: CheckpointStore) -> Optional[BoundaryState]:
-    """Wait for this chunk's handoff, precomposing the chunk meanwhile.
-
-    Trace composition is state-independent, so the wait is productive: the
-    worker composes the segments its warm loop is about to read, which
-    takes composition — the largest share of the pass — off the sequential
-    stitch chain.  Precomposition covers the *whole* chunk and writes
-    through the on-disk segment memo (``disk_memo=True``): segments are
-    encoded two-plane streams that unpickle far cheaper than they
-    recompose, so a segment evicted from the small per-process memo — or
-    needed by another chain's worker — is reloaded, not recomposed.  (The
-    old object-list encoding pickled *slower* than recomposition, which
-    capped compose-ahead at ~10 in-memory segments per chunk.)
-    """
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
-
-    settings = spec.settings
-    segment = TRACE_SEGMENT_UOPS
-    next_segment = spec.chunk_start // segment
-    last_segment = max(spec.chunk_end - 1, spec.chunk_start) // segment
-    deadline = time.monotonic() + _BOUNDARY_WAIT_SECONDS
-    while True:
-        boundary = _load_boundary(spec, store, spec.chunk_start)
-        if boundary is not None:
-            return boundary
-        if next_segment <= last_segment:
-            lo = next_segment * segment
-            hi = min(lo + segment, settings.instructions)
-            if hi > lo:
-                build_workload_window(spec.workload, settings.instructions,
-                                      settings.seed, lo, hi, disk_memo=True)
-            next_segment += 1
-            continue
-        if time.monotonic() > deadline:
-            return None
-        time.sleep(_BOUNDARY_POLL_SECONDS)
-
-
-def _advance(warmer: FunctionalWarmer, spec: ShardJobSpec, position: int,
-             target: int) -> int:
-    """Warm ``[position, target)`` segment-aligned.
-
-    ``spec.disk_memo`` routes segment composition through the encoded
-    on-disk segment memo on sharded grids (chains share composed segments;
-    the compose-ahead of waiting workers is consumed here); a lone
-    single-pass job composes in memory, as the original single pass did.
-    """
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
-
-    settings = spec.settings
-    while position < target:
-        step = min(target,
-                   (position // TRACE_SEGMENT_UOPS + 1) * TRACE_SEGMENT_UOPS)
-        warmer.warm(build_workload_window(
-            spec.workload, settings.instructions, settings.seed,
-            position, step, disk_memo=spec.disk_memo))
-        position = step
-    return position
-
-
-def _resume_warmer(spec: ShardJobSpec,
-                   store: CheckpointStore) -> FunctionalWarmer:
-    """A warmer holding the exact replay state at ``spec.chunk_start``.
-
-    Chunk 0 starts cold (fresh policies, the single pass's construction);
-    later chunks adopt their stitch handoff.  A handoff that never arrives
-    or fails validation walks back to the newest earlier boundary still
-    present — or to a cold start — and recomputes the exact prefix
-    in-process: slower, never wrong, never silently different.
-    """
-    settings = spec.settings
-    base: Optional[BoundaryState] = None
-    if spec.chunk_index > 0:
-        base = _await_boundary(spec, store)
-        if base is None:
-            for position in reversed(spec.boundaries[1:spec.chunk_index]):
-                base = _load_boundary(spec, store, position)
-                if base is not None:
-                    break
-    if base is None:
-        warmer = FunctionalWarmer(settings.core, policies=_fresh_policies(spec))
-        position = 0
-    else:
-        warmer = FunctionalWarmer(
-            settings.core, policies=base.policies,
-            state=_assemble(settings, base.shared, base.policies[0]),
-            start_index=base.position)
-        position = base.position
-    _advance(warmer, spec, position, spec.chunk_start)
-    return warmer
-
-
-def run_shard_job(spec: ShardJobSpec) -> int:
-    """Execute one stitched chunk job; returns snapshot points written.
-
-    Resumes the chain's replay at ``chunk_start``, emits the snapshots of
-    the intervals this chunk owns (shared + window memo when
-    ``write_shared``, one policy snapshot per group identity), and — unless
-    this is the chain's last chunk — warms through to ``chunk_end`` and
-    exports the next handoff.
-    """
-    store = CheckpointStore(spec.directory)
-    settings = spec.settings
-    plan = settings.sampling
-    if plan is None:
-        raise ValueError("shard spec has no sampling plan")
-    windows = plan.intervals(settings.instructions)
-    mine = [window for window in windows
-            if spec.chunk_start <= window.detailed_start < spec.chunk_end
-            or (spec.last and window.detailed_start == spec.chunk_end)]
-
-    warmer = _resume_warmer(spec, store)
-    position = spec.chunk_start
-    for window in mine:
-        position = _advance(warmer, spec, position, window.detailed_start)
-        if spec.write_shared:
-            store.put(shared_key(spec.workload, settings, window.index),
-                      _shared_snapshot(warmer.state))
-            # Memoise the interval's detailed window too (it is tiny next
-            # to the segments it straddles, and every configuration's
-            # interval job re-reads it).
-            store.put(window_key(spec.workload, settings, window.index),
-                      interval_window_uops(spec.workload, settings, window,
-                                           disk_memo=False))
-        for identity, policy in zip(spec.identities, warmer.policies):
-            store.put(policy_key(spec.workload, settings, identity,
-                                 window.index), policy)
-    if not spec.last:
-        position = _advance(warmer, spec, position, spec.chunk_end)
-        store.put(boundary_key(spec.workload, settings, spec.identities,
-                               spec.chunk_end),
-                  BoundaryState(shared=_shared_snapshot(warmer.state),
-                                policies=list(warmer.policies),
-                                position=spec.chunk_end))
-    return len(mine)
-
-
-def execute_generation(store: CheckpointStore,
-                       requests: Sequence[CheckpointJobSpec],
-                       jobs: int = 1) -> Dict[str, int]:
-    """Run the generation stage for ``requests``, sharded over ``jobs``.
-
-    Plans the (chunk x policy-group) shard grid and fans it out through
-    the execution-backend seam (:func:`repro.exec.dispatch.dispatch`),
-    with each chunk's handoff producer expressed as an **explicit job
-    dependency** (``chain[k-1] -> chain[k]``) rather than relying on
-    pool-FIFO dispatch order: the supervised pool dispatch-gates (a
-    consumer may run alongside its producer and compose ahead while
-    waiting in-worker), and the serial backend runs the chunk-major plan
-    order — both preserve the deadlock-freedom invariant.  A crashed or
-    hung shard job is retried — shard jobs are idempotent folds, and
-    consumers of a retried producer's handoff either keep waiting within
-    their bounded window or walk back and recompute the prefix.
-    Afterwards the transient boundary handoffs are discarded — once
-    stitched they are dead weight, and sweeping them keeps CI-persisted
-    stores lean.  Returns the shard counters for the engine's
-    ``last_run_stats``.
+    Splits the requests into policy-group jobs (:func:`split_policy_groups`)
+    and fans them out through the dispatcher
+    (:func:`repro.exec.dispatch.dispatch`).  The jobs are independent
+    deterministic passes, so a crashed or hung job is simply retried.
+    Returns the number of generation jobs, the engine's
+    ``checkpoint_jobs`` stat.
     """
     from repro.exec.backend import DispatchJob, resolve_backend
     from repro.exec.dispatch import dispatch
 
-    shard_jobs, stats = plan_shard_jobs(store, requests, workers=jobs)
-    if shard_jobs:
-        workers = min(jobs, len(shard_jobs))
-        position_of = {(job.chain, job.chunk_index): position
-                       for position, job in enumerate(shard_jobs)}
-        dispatch_jobs = [
-            DispatchJob(
-                index=position, payload=job,
-                label=f"{job.workload}:chunk{job.chunk_index}",
-                deps=((position_of[(job.chain, job.chunk_index - 1)],)
-                      if job.chunk_index > 0 else ()))
-            for position, job in enumerate(shard_jobs)]
-        dispatch(resolve_backend(workers), run_shard_job, dispatch_jobs,
+    generation_jobs = split_policy_groups(requests, jobs)
+    if generation_jobs:
+        dispatch(resolve_backend(min(jobs, len(generation_jobs))),
+                 run_checkpoint_job,
+                 [DispatchJob(index=position, payload=job,
+                              label=f"generation {position} ({job.workload})")
+                  for position, job in enumerate(generation_jobs)],
                  scope="shard", chunksize=1)
-    for job in shard_jobs:
-        if not job.last:
-            store.discard(boundary_key(job.workload, job.settings,
-                                       job.identities, job.chunk_end))
-    return stats
+    return len(generation_jobs)
 
 
 # ------------------------------------------------------------------ loading --
@@ -861,11 +505,7 @@ def load_interval_window(spec, window):
     uops = store.get(key)
     if uops is not None:
         return uops
-    # Compose without the (environment-located) segment memo: the repaired
-    # window blob below lands in *this* spec's store, keeping explicitly
-    # isolated runs from writing anywhere else.
-    uops = interval_window_uops(spec.workload, spec.settings, window,
-                                disk_memo=False)
+    uops = interval_window_uops(spec.workload, spec.settings, window)
     store.put(key, uops)
     return uops
 
@@ -883,7 +523,6 @@ def load_interval_state(spec, window) -> FunctionalState:
     bit-identical whatever the store's condition.
     """
     from repro.harness.runner import make_policy
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
 
     store = CheckpointStore(spec.checkpoint_dir)
     settings = spec.settings
@@ -900,13 +539,7 @@ def load_interval_state(spec, window) -> FunctionalState:
         settings.core,
         make_policy(spec.config_name, sq_size=settings.sq_size,
                     predictors=spec.predictors))
-    position = 0
-    while position < window.detailed_start:
-        chunk_end = min(window.detailed_start, position + TRACE_SEGMENT_UOPS)
-        warmer.warm(build_workload_window(
-            spec.workload, settings.instructions, settings.seed,
-            position, chunk_end, disk_memo=False))
-        position = chunk_end
+    _warm_span(warmer, spec.workload, settings, 0, window.detailed_start)
     state = warmer.export_state()
     store.put(skey, _shared_snapshot(state))
     store.put(pkey, state.policy)

@@ -162,13 +162,8 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
         uops = load_interval_window(spec, window)
         return _simulate_window(uops, window, spec.workload, spec.config_name,
                                 settings, spec.predictors, state)
-    # Bounded warming is the no-store fast path: compose without the disk
-    # segment memo (a one-shot window write-through costs more than it can
-    # ever repay — checkpointed jobs get their windows from the store's
-    # per-interval window memo instead).
     uops = build_workload_window(spec.workload, settings.instructions,
-                                 settings.seed, window.functional_start, stop,
-                                 disk_memo=False)
+                                 settings.seed, window.functional_start, stop)
     return _run_interval(uops, window, spec.workload, spec.config_name,
                          settings, spec.predictors)
 

@@ -49,7 +49,9 @@ whatever the input form.
 configuration-independent, so one replay pass can warm several store-queue
 policies at once.  This is what lets the checkpoint store
 (:mod:`repro.sampling.checkpoints`) amortise a single O(N) functional pass
-across every configuration of a sweep.  :meth:`FunctionalWarmer.warm`
+across every configuration of a sweep, or of one policy group when the
+generation stage splits a sweep over several workers.
+:meth:`FunctionalWarmer.warm`
 therefore works in two steps per call:
 
 * **The shared pass** retires the micro-ops once, updating the branch
@@ -115,6 +117,11 @@ class FunctionalState:
     instructions_warmed: int = 0
 
 
+def _skip(*_args) -> None:
+    """Stands in for the shared-structure updates a policies-only replay
+    skips."""
+
+
 class FunctionalWarmer:
     """Replays micro-ops in order, updating long-lived state only.
 
@@ -124,22 +131,22 @@ class FunctionalWarmer:
     folds the recorded accesses (``policy`` then defaults to the first
     entry, which :attr:`state` and :meth:`export_state` expose).
 
-    **Resumption**: passing ``state`` adopts an already-warmed
-    :class:`FunctionalState` (e.g. a shard-boundary snapshot from the
-    checkpoint store) instead of constructing cold structures, so a replay
-    can continue from an arbitrary trace position.  ``start_index`` must
-    then be the absolute dynamic-instruction index the adopted state was
-    warmed to; because :meth:`warm` is a deterministic fold over the
-    micro-op stream, warming ``[0, a)`` then resuming over ``[a, b)`` is
-    exactly the single pass over ``[0, b)`` — this is what makes stitched
-    sharded checkpoint generation bit-identical to the single-pass scheme
-    (:mod:`repro.sampling.checkpoints`).
+    ``start_index`` is the absolute dynamic-instruction index of the first
+    micro-op warmed, for replays that start mid-trace (bounded warming);
+    it keeps the in-flight-window distances meaningful.
+
+    ``policies_only`` skips the branch unit, caches/TLB and memory image,
+    which no policy fold reads: only the SSN counters, the last-writer map
+    and the policies are warmed, so the policies end exactly as in a full
+    replay while :attr:`state`'s other structures stay cold.  A
+    checkpoint-generation job that writes no shared snapshot needs nothing
+    more.
     """
 
     def __init__(self, config: CoreConfig, policy: Optional[SQPolicy] = None,
                  start_index: int = 0,
                  policies: Optional[Sequence[SQPolicy]] = None,
-                 state: Optional[FunctionalState] = None) -> None:
+                 policies_only: bool = False) -> None:
         if policies is None:
             if policy is None:
                 raise ValueError("provide a policy (or a policies sequence)")
@@ -150,25 +157,19 @@ class FunctionalWarmer:
         self._policies: List[SQPolicy] = list(policies)
         if not self._policies:
             raise ValueError("at least one policy is required")
-        if state is not None:
-            # Adopt (not copy) the handed-off state; the caller owns it.
-            # Multi-policy resumption re-binds ``state.policy`` to the
-            # first listed policy so the bundle stays self-consistent.
-            state.policy = self._policies[0]
-            self.state = state
-        else:
-            self.state = FunctionalState(
-                config=config,
-                branch_unit=BranchUnit(config.branch_predictor),
-                hierarchy=build_hierarchy(config.memory),
-                memory=MemoryImage(),
-                ssn_alloc=SSNAllocator(bits=config.ssn_bits),
-                policy=self._policies[0],
-            )
+        self.state = FunctionalState(
+            config=config,
+            branch_unit=BranchUnit(config.branch_predictor),
+            hierarchy=build_hierarchy(config.memory),
+            memory=MemoryImage(),
+            ssn_alloc=SSNAllocator(bits=config.ssn_bits),
+            policy=self._policies[0],
+        )
         #: Dynamic instruction index of the next micro-op (used for the
         #: in-flight-window approximation; offsets into the full trace keep
         #: the distances meaningful when warming starts mid-trace).
         self._index = start_index
+        self._policies_only = policies_only
 
     @property
     def policies(self) -> List[SQPolicy]:
@@ -193,10 +194,13 @@ class FunctionalWarmer:
         if not isinstance(uops, EncodedOps):
             uops = encode_uops(uops)
         state = self.state
-        branch_resolve = state.branch_unit.predict_and_resolve
-        load_latency = state.hierarchy.load_latency
-        store_touch = state.hierarchy.store_touch
-        memory_write = state.memory.write
+        if self._policies_only:
+            branch_resolve = load_latency = store_touch = memory_write = _skip
+        else:
+            branch_resolve = state.branch_unit.predict_and_resolve
+            load_latency = state.hierarchy.load_latency
+            store_touch = state.hierarchy.store_touch
+            memory_write = state.memory.write
         ssn_alloc = state.ssn_alloc
         allocate = ssn_alloc.allocate
         commit = ssn_alloc.commit

@@ -207,52 +207,22 @@ _SEGMENT_CACHE: Dict[Tuple[str, int, int, int], EncodedOps] = {}
 _SEGMENT_CACHE_LIMIT = 12
 
 
-def _segment_disk_store():
-    """The on-disk segment memo (None when checkpointing is disabled).
-
-    Composed segments are expensive relative to unpickling, and sampling
-    jobs across processes, configurations, and runs re-touch the same
-    segments; the checkpoint store memoises them content-addressed (keyed
-    over the workload-source fingerprint, so edits invalidate).  Imported
-    lazily: the workloads package must not depend on the sampling package
-    at import time.
-    """
-    from repro.sampling.checkpoints import segment_store
-
-    return segment_store()
-
-
-def _compose_segment(name: str, seed: int, index: int, length: int,
-                     disk_memo: bool = False) -> EncodedOps:
+def _compose_segment(name: str, seed: int, index: int,
+                     length: int) -> EncodedOps:
     """Compose (and memoise) segment ``index`` of a workload, truncated to
     ``length`` micro-ops (composition is prefix-stable, so a shorter final
     segment equals the prefix of the full segment).
 
-    Segments are encoded (:class:`~repro.isa.plane.EncodedOps`): the static
-    plane is shared process-wide per workload, and a segment unpickled from
-    the disk memo is re-interned onto that shared plane so every cached
-    segment concatenates without remapping.
+    Segments are encoded (:class:`~repro.isa.plane.EncodedOps`) over the
+    workload's process-wide static plane, so every cached segment
+    concatenates without remapping.
     """
-    from repro.workloads.program import plane_for
-
     key = (name, seed, index, length)
     uops = _SEGMENT_CACHE.get(key)
     if uops is None:
-        store = _segment_disk_store() if disk_memo else None
-        disk_key = None
-        if store is not None:
-            from repro.sampling.checkpoints import segment_key
-
-            disk_key = segment_key(name, seed, index, length)
-            uops = store.get(disk_key)
-            if uops is not None:
-                uops = uops.rebase(plane_for(name))
-        if uops is None:
-            profile = get_profile(name)
-            composer = WorkloadComposer(profile, seed=_segment_seed(seed, index))
-            uops = composer.compose(length)
-            if store is not None:
-                store.put(disk_key, uops)
+        composer = WorkloadComposer(get_profile(name),
+                                    seed=_segment_seed(seed, index))
+        uops = composer.compose(length)
         while len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
             _SEGMENT_CACHE.pop(next(iter(_SEGMENT_CACHE)))
         _SEGMENT_CACHE[key] = uops
@@ -260,8 +230,7 @@ def _compose_segment(name: str, seed: int, index: int, length: int,
 
 
 def build_workload_window(name: str, instructions: int, seed: int,
-                          start: int, stop: int,
-                          disk_memo: bool = False) -> EncodedOps:
+                          start: int, stop: int) -> EncodedOps:
     """Micro-ops ``[start, stop)`` of the workload's trace, composing only
     the segments that overlap the window.
 
@@ -273,18 +242,6 @@ def build_workload_window(name: str, instructions: int, seed: int,
     over the workload's shared static plane); callers must not mutate it —
     a window covered by exactly one whole segment aliases the per-process
     segment memo.
-
-    ``disk_memo=True`` additionally memoises the touched segments in the
-    checkpoint store (when ``REPRO_CHECKPOINTS`` enables it) — an explicit
-    opt-in for callers that re-read the same segments across processes or
-    runs (checkpoint generation's stitched chunk jobs and their
-    compose-ahead; encoded segments unpickle cheaper than they recompose).
-    It stays off by default: a library call must not write stores into the
-    caller's working directory as a side effect, and one-shot windows cost
-    more to write through than the memo can repay — checkpointed interval
-    jobs use the store's per-interval *window* memo instead
-    (:func:`repro.sampling.checkpoints.window_key`), which is what removed
-    the window-regeneration hot loop.
     """
     from repro.workloads.program import plane_for
 
@@ -297,8 +254,7 @@ def build_workload_window(name: str, instructions: int, seed: int,
         seg_len = min(segment, instructions - seg_base)
         if seg_len <= 0:
             break
-        seg_uops = _compose_segment(name, seed, index, seg_len,
-                                    disk_memo=disk_memo)
+        seg_uops = _compose_segment(name, seed, index, seg_len)
         lo = max(start - seg_base, 0)
         hi = min(stop - seg_base, seg_len)
         if hi <= lo:
@@ -345,11 +301,8 @@ def build_workload(name: str, instructions: int = DEFAULT_INSTRUCTIONS,
     """
     if instructions <= 0:
         raise ValueError("instruction budget must be positive")
-    # Full-trace materialisation streams every segment exactly once; bypass
-    # the disk segment memo so full-detail runs don't flood the checkpoint
-    # store with segments only sampling windows ever re-read.
-    return build_workload_window(name, instructions, seed, 0, instructions,
-                                 disk_memo=False).with_name(name)
+    return build_workload_window(name, instructions, seed, 0,
+                                 instructions).with_name(name)
 
 
 def build_suite(suite: str, instructions: int = DEFAULT_INSTRUCTIONS,

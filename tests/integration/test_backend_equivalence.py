@@ -8,7 +8,8 @@ bit for bit — not merely agree with each other — across:
 
 * cold-cache engine runs (every spec simulated through the backend),
 * warm-cache engine runs (every spec served from the store),
-* checkpointed sampled runs (generation sharded through the same seam), and
+* checkpointed sampled runs (generation split into policy-group jobs
+  through the same seam), and
 * a chaos leg (``REPRO_FAULT_PLAN`` crash + blob corruption through the
   pool's own workers and stores).
 
@@ -28,9 +29,9 @@ from repro.sampling.plan import SamplingPlan
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "hotpath_golden.json")
 
-#: Worker count -> the backend it selects.  Three workers against three
-#: generation shards gives every shard chain its own worker, a different
-#: schedule from two workers sharing them.
+#: Worker count -> the backend it selects.  Three workers against two
+#: generation jobs leaves a worker idle, a different schedule from two
+#: workers running one job each.
 BACKENDS = ((1, "serial"), (2, "supervised-pool"), (3, "supervised-pool"))
 
 FULL_DETAIL_WORKLOADS = ("vortex", "mesa.m")
@@ -39,7 +40,7 @@ FULL_DETAIL_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
 FULL_DETAIL_INSTRUCTIONS = 20_000
 
 SAMPLED_WORKLOAD = "vortex"
-SAMPLED_CONFIG = "indexed-3-fwd+dly"
+SAMPLED_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
 SAMPLED_INSTRUCTIONS = 60_000
 
 #: Deterministic chaos through the seam: job 1's first attempt dies in a
@@ -93,29 +94,34 @@ class TestColdWarmEquivalence:
 
 @pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestCheckpointedSampledEquivalence:
-    def test_sharded_generation_matches_frozen_counters(self, golden, tmp_path,
-                                                        monkeypatch, jobs,
-                                                        backend):
+    def test_policy_group_generation_matches_frozen_counters(
+            self, golden, tmp_path, jobs, backend):
         """Checkpoint generation *and* the interval fan-out both run
-        through the selected backend; the merged record must equal the
-        frozen single-pass numbers."""
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "3")
+        through the selected backend (one generation job per policy group
+        on the pool); the merged records must equal the frozen
+        single-pass numbers."""
         plan = SamplingPlan(interval_length=500, detailed_warmup=300,
                             period=10_000, functional_warmup=2_000, seed=3)
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=plan, checkpoints=True)
         engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")
-        record = engine.run(
-            [JobSpec(SAMPLED_WORKLOAD, SAMPLED_CONFIG, settings)])[0]
-        assert engine.last_run_stats["backend"] == backend
-        assert engine.last_run_stats["checkpoint_generated"] == 1
-        want = golden["sampled_checkpointed"][
-            f"{SAMPLED_WORKLOAD}/{SAMPLED_CONFIG}"]
-        sampled = record.result.sampled
-        assert _stats_dict(record.result.stats) == want["stats"]
-        assert sampled.cpi_mean == want["cpi_mean"]
-        assert [m.cycles for m in sampled.intervals] == want["interval_cycles"]
+        records = engine.run([JobSpec(SAMPLED_WORKLOAD, config, settings)
+                              for config in SAMPLED_CONFIGS])
+        stats = engine.last_run_stats
+        assert stats["backend"] == backend
+        assert stats["checkpoint_generated"] == len(SAMPLED_CONFIGS)
+        assert stats["checkpoint_passes"] == 1
+        if jobs >= 2:
+            assert stats["checkpoint_jobs"] > stats["checkpoint_passes"]
+        for config, record in zip(SAMPLED_CONFIGS, records):
+            want = golden["sampled_checkpointed"][
+                f"{SAMPLED_WORKLOAD}/{config}"]
+            sampled = record.result.sampled
+            assert _stats_dict(record.result.stats) == want["stats"], config
+            assert sampled.cpi_mean == want["cpi_mean"], config
+            assert ([m.cycles for m in sampled.intervals]
+                    == want["interval_cycles"]), config
 
 
 class TestChaosEquivalence:

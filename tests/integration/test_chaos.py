@@ -1,8 +1,8 @@
 """Chaos integration suite: faulted runs stay bit-identical to goldens.
 
 The headline guarantee of PR 6: a sweep executed under injected worker
-crashes, hangs, corrupt/truncated store blobs, damaged boundary handoffs,
-and write failures produces **exactly** the merged counters frozen in
+crashes, hangs, corrupt/truncated store blobs, and write failures produces
+**exactly** the merged counters frozen in
 ``tests/golden/hotpath_golden.json`` — recovery is invisible in the
 results, visible only in the resilience counters.  Also covered here:
 retries-exhausted structured failure (loud, bounded, never a hang),
@@ -10,8 +10,8 @@ interrupt-safe pool teardown (no orphaned workers, no leaked ``*.tmp``),
 and concurrent multi-process writers on a shared store.
 
 Every scenario is bounded by explicit deadlines (tight
-``REPRO_JOB_TIMEOUT``, shrunk boundary waits, subprocess timeouts) so a
-supervision regression fails fast instead of hanging CI.  The hang tests'
+``REPRO_JOB_TIMEOUT``, subprocess timeouts) so a supervision regression
+fails fast instead of hanging CI.  The hang tests'
 deadline is calibrated from a measured clean run on the same machine
 (:func:`hang_timeout`), not fixed in seconds.
 """
@@ -109,18 +109,12 @@ def hang_timeout(tmp_path_factory):
     return max(2.0, 2.0 * elapsed)
 
 
-def _run_faulted(tmp_path, monkeypatch, fault_plan, *, jobs=2, timeout=None,
-                 shards=None):
+def _run_faulted(tmp_path, monkeypatch, fault_plan, *, jobs=2, timeout=None):
     """One engine sweep of the golden sampled grid under ``fault_plan``."""
     monkeypatch.setenv("REPRO_FAULT_PLAN", fault_plan)
     if timeout is not None:
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", str(timeout))
-    settings = _settings()
-    if shards is not None:
-        import dataclasses
-
-        settings = dataclasses.replace(settings, checkpoint_shards=shards)
-    specs = [JobSpec(WORKLOAD, config, settings) for config in CONFIGS]
+    specs = [JobSpec(WORKLOAD, config, _settings()) for config in CONFIGS]
     engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                               checkpoint_dir=tmp_path / "ckpt")
     records = engine.run(specs)
@@ -176,19 +170,17 @@ class TestFaultedRunsMatchGoldens:
         _assert_matches_golden(records, golden)
         assert engine.last_run_stats.get("injected_write_errors", 0) > 0
 
-    def test_damaged_boundary_handoffs_sharded(self, tmp_path, monkeypatch,
-                                               golden):
-        """Sharded generation with every blob write corrupted: boundary
-        handoffs fail stitch validation and every consumer walks back to an
-        exact in-process prefix recompute — slower, still bit-identical."""
-        from repro.sampling import checkpoints as checkpoints_module
-
-        monkeypatch.setattr(checkpoints_module, "_BOUNDARY_WAIT_SECONDS", 0.5)
+    def test_generation_job_crash(self, tmp_path, monkeypatch, golden):
+        """``shard:<index>`` selects a checkpoint-generation job: the
+        crashed policy-group job is retried like any other, and every
+        record still matches the goldens."""
         records, engine = _run_faulted(
-            tmp_path, monkeypatch, "corrupt_blob@p=1.0,seed=2",
-            jobs=2, shards=3)
+            tmp_path, monkeypatch, "worker_crash@shard:1,seed=1")
         _assert_matches_golden(records, golden)
-        assert engine.last_run_stats["blobs_quarantined"] > 0
+        stats = engine.last_run_stats
+        assert stats["checkpoint_jobs"] == len(CONFIGS)
+        assert stats["worker_crashes"] == 1
+        _assert_no_orphans()
 
     def test_combined_chaos(self, tmp_path, monkeypatch, golden,
                             hang_timeout):
@@ -356,14 +348,11 @@ class TestConcurrentWriters:
         """Two processes generating the same checkpoint group: last writer
         wins per snapshot, every snapshot valid and identical to serial."""
         monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        import dataclasses
-
         plan = SamplingPlan(interval_length=500, detailed_warmup=500,
                             period=5_000, functional_warmup=1_000, seed=0)
         settings = ExperimentSettings(instructions=20_000,
                                       stats_warmup_fraction=0.0,
                                       sampling=plan, checkpoints=True)
-        settings = dataclasses.replace(settings, checkpoint_shards=1)
 
         def generate(directory):
             store = CheckpointStore(directory)
@@ -371,7 +360,7 @@ class TestConcurrentWriters:
             intervals = expand_sampled_spec(
                 spec, checkpointed=True, checkpoint_dir=str(store.directory))
             requests, _ = plan_generation(store, intervals)
-            execute_generation(store, requests, jobs=1)
+            execute_generation(requests, jobs=1)
 
         ctx = multiprocessing.get_context("fork")
         racers = [ctx.Process(target=generate, args=(tmp_path / "shared",))

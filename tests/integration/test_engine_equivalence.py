@@ -4,13 +4,11 @@ This is the contract the experiment engine exists to uphold: fanning the
 ``(workload, configuration)`` grid over worker processes, or re-running it
 against a warm on-disk cache, must reproduce *exactly* the statistics of a
 plain serial run — per-workload cycle counts, IPCs, relative times, and the
-geometric means built from them.  The sharded-checkpoint class extends the
-contract to the generation stage: a sweep whose snapshot store was
-populated by stitched parallel shard jobs merges the same
-``SampledResult`` as one generated by the unsharded serial pass.
+geometric means built from them.  The policy-group checkpoint class
+extends the contract to the generation stage: a sweep whose snapshot store
+was populated by parallel policy-group jobs merges the same
+``SampledResult`` as one generated by the serial single pass.
 """
-
-import dataclasses
 
 import pytest
 
@@ -74,11 +72,11 @@ class TestEngineEquivalence:
         assert other.gmeans() == serial_result.gmeans()
 
 
-class TestShardedCheckpointEquivalence:
+class TestPolicyGroupCheckpointEquivalence:
     """A checkpointed sampled sweep merges bit-identically whether its
-    snapshot store was generated by the unsharded serial pass or by
-    stitched shard jobs fanned out over a pool — and a cached re-run of
-    the sharded sweep hits every interval."""
+    snapshot store was generated by the serial single pass or by
+    policy-group jobs fanned out over a pool — and a cached re-run of the
+    sweep hits every interval."""
 
     PLAN = SamplingPlan(interval_length=400, detailed_warmup=600,
                         period=12_000, functional_warmup=1_000, seed=0)
@@ -99,33 +97,29 @@ class TestShardedCheckpointEquivalence:
                 for r in records]
 
     @pytest.fixture(scope="class")
-    def serial_unsharded(self, tmp_path_factory):
+    def serial_single_pass(self, tmp_path_factory):
         store = tmp_path_factory.mktemp("store-serial")
-        settings = dataclasses.replace(self.SAMPLED, checkpoint_shards=1)
         engine = ExperimentEngine(jobs=1, cache=False, checkpoint_dir=store)
-        records = engine.run(self._specs(settings))
-        assert engine.last_run_stats["checkpoint_shards"] == 1
+        records = engine.run(self._specs(self.SAMPLED))
+        assert engine.last_run_stats["checkpoint_jobs"] == 1
         return self._signature(records)
 
-    def test_parallel_sharded_sweep_identical(self, serial_unsharded,
-                                              tmp_path):
-        settings = dataclasses.replace(self.SAMPLED, checkpoint_shards=3)
+    def test_parallel_policy_group_sweep_identical(self, serial_single_pass,
+                                                   tmp_path):
         engine = ExperimentEngine(jobs=2, cache=False,
                                   checkpoint_dir=tmp_path)
-        records = engine.run(self._specs(settings))
+        records = engine.run(self._specs(self.SAMPLED))
         stats = engine.last_run_stats
-        assert stats["checkpoint_shards"] == 3
-        assert stats["checkpoint_shard_jobs"] > stats["checkpoint_passes"]
-        assert self._signature(records) == serial_unsharded
+        assert stats["checkpoint_jobs"] > stats["checkpoint_passes"]
+        assert self._signature(records) == serial_single_pass
 
-    def test_cached_sharded_rerun_identical(self, serial_unsharded, tmp_path):
-        settings = dataclasses.replace(self.SAMPLED, checkpoint_shards=2)
+    def test_cached_rerun_identical(self, serial_single_pass, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path / "rc"),
                                   checkpoint_dir=tmp_path / "ck")
-        cold = engine.run(self._specs(settings))
+        cold = engine.run(self._specs(self.SAMPLED))
         assert engine.last_run_stats["cache_hits"] == 0
-        warm = engine.run(self._specs(settings))
+        warm = engine.run(self._specs(self.SAMPLED))
         assert engine.last_run_stats["cache_hits"] == engine.last_run_stats["total"]
         assert engine.last_run_stats.get("checkpoint_passes", 0) == 0
-        assert self._signature(cold) == serial_unsharded
-        assert self._signature(warm) == serial_unsharded
+        assert self._signature(cold) == serial_single_pass
+        assert self._signature(warm) == serial_single_pass

@@ -18,9 +18,11 @@ calls the per-load and per-store hooks made —
 Traces mix near and far store-to-load distances (a small ROB and SQ make
 both common), bursts to one address, narrow and unaligned accesses, and
 branches.  Each example warms 1-7 policies drawn from every
-:func:`~repro.harness.runner.make_policy` name, resuming once at a random
-split, and requires identical pickled policies, shared signature and
-instruction count.
+:func:`~repro.harness.runner.make_policy` name in two ``warm`` calls split
+at a random point, and requires identical pickled policies, shared
+signature and instruction count; a policies-only replay
+(``policies_only=True``, which skips the branch unit, caches and memory
+image) must end with the same pickled policies.
 """
 
 import pickle
@@ -186,14 +188,20 @@ def test_fold_matches_per_load_replay(accesses, names, sq_size, rob_size,
     reference.warm(uops)
 
     policies = [make_policy(name, sq_size=sq_size) for name in names]
-    first = FunctionalWarmer(config, policies=policies)
-    first.warm(encode_uops(uops[:cut]))
-    warmer = FunctionalWarmer(config, policies=policies, state=first.state,
-                              start_index=cut)
+    warmer = FunctionalWarmer(config, policies=policies)
+    warmer.warm(encode_uops(uops[:cut]))
     warmer.warm(uops[cut:])
 
     assert warmer.state.instructions_warmed == len(uops)
     assert (shared_signature(_shared_snapshot(warmer.state))
             == reference.shared_signature())
     for name, mine, theirs in zip(names, policies, reference.policies):
+        assert pickle.dumps(mine) == pickle.dumps(theirs), name
+
+    policies_only = [make_policy(name, sq_size=sq_size) for name in names]
+    warmer = FunctionalWarmer(config, policies=policies_only,
+                              policies_only=True)
+    warmer.warm(encode_uops(uops[:cut]))
+    warmer.warm(uops[cut:])
+    for name, mine, theirs in zip(names, policies_only, reference.policies):
         assert pickle.dumps(mine) == pickle.dumps(theirs), name

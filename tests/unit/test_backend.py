@@ -1,14 +1,12 @@
 """Unit tests for the execution-backend seam.
 
 Backend resolution by worker count, the dispatcher's ordering and
-observability contract, dependency handling, and the engine-level
+observability contract, and the engine-level
 satellites (chunksize honored-or-rejected everywhere, scheduler stats in
 ``last_run_stats``, stale checkpoint-stat carry-over).
 """
 
-import contextlib
 import multiprocessing
-import signal
 
 import pytest
 
@@ -40,25 +38,8 @@ def _boom_on_three(x):
     return x
 
 
-def _jobs(n, deps=None):
-    return [DispatchJob(index=i, payload=i,
-                        deps=tuple(deps.get(i, ())) if deps else ())
-            for i in range(n)]
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Fail the enclosed block with ``TimeoutError`` instead of hanging."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds}s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def _jobs(n):
+    return [DispatchJob(index=i, payload=i) for i in range(n)]
 
 
 ALL_BACKENDS = [
@@ -96,15 +77,6 @@ class TestDispatchContract:
         results, stats = dispatch(make(), _square, [])
         assert results == []
         assert stats.inflight_peak == 0
-
-    @pytest.mark.parametrize("make", ALL_BACKENDS)
-    def test_dependencies_respected(self, make):
-        """A chain 0 -> 2 -> 4 plus independent fillers completes with the
-        right values on every backend (gating style is backend-specific,
-        correctness is not)."""
-        deps = {2: (0,), 4: (2,), 5: (1, 3)}
-        results, _stats = dispatch(make(), _square, _jobs(6, deps))
-        assert results == [i * i for i in range(6)]
 
     @pytest.mark.parametrize("make", ALL_BACKENDS)
     def test_failure_is_structured_and_late(self, make):
@@ -191,11 +163,6 @@ class TestDispatchContract:
         with pytest.raises(ValueError, match="list position"):
             dispatch(SerialBackend(), _square, [DispatchJob(index=1, payload=1)])
 
-    def test_deps_must_point_earlier(self):
-        with pytest.raises(ValueError, match="earlier jobs"):
-            dispatch(SerialBackend(), _square,
-                     [DispatchJob(index=0, payload=0, deps=(0,))])
-
     def test_events_stream_through_hook(self):
         events = []
         dispatch(SerialBackend(), _square, _jobs(3), on_event=events.append)
@@ -224,14 +191,19 @@ class TestPoolLifecycle:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("chunksize", [2, 3, 6])
-    def test_dependencies_inside_a_chunk(self, chunksize):
-        """A dependency that shares its job's chunk is dispatched with it,
-        so it must not hold the chunk back (it used to, forever)."""
-        deps = {2: (0,), 4: (2,), 5: (1, 3)}
-        with _time_limit(60):
-            results, _stats = dispatch(SupervisedPoolBackend(2), _square,
-                                       _jobs(6, deps), chunksize=chunksize)
+    def test_chunked_dispatch_keeps_the_contract(self, chunksize):
+        """Batching consecutive jobs per assignment (6 = one chunk holding
+        every job) changes neither the index order of the results nor the
+        one-start-one-done event stream per job."""
+        events = []
+        results, _stats = dispatch(SupervisedPoolBackend(2), _square,
+                                   _jobs(6), chunksize=chunksize,
+                                   on_event=events.append)
         assert results == [i * i for i in range(6)]
+        for index in range(6):
+            assert [event for event in events if event[1] == index] == \
+                [("start", index), ("done", index, index * index)]
+        assert multiprocessing.active_children() == []
 
     def test_counters_do_not_carry_over(self, monkeypatch):
         """Each submit reports its own resilience delta: a clean run after
@@ -327,5 +299,6 @@ class TestEngineSeam:
         assert engine.last_run_stats["checkpoint_generated"] > 0
         engine.run(self._specs())
         for stale in ("checkpoint_generated", "checkpoint_reused",
-                      "checkpoint_passes", "checkpoint_identities"):
+                      "checkpoint_passes", "checkpoint_identities",
+                      "checkpoint_jobs"):
             assert stale not in engine.last_run_stats

@@ -1,11 +1,14 @@
 """Unit tests for the checkpoint store (`repro.sampling.checkpoints`).
 
-Covers the multi-policy functional warmer (one pass, many configurations),
-the export/import round trip (exact for every warmed structure), store
-invalidation (source fingerprints, plan changes), corruption robustness
-(truncated snapshots repair in place, never crash and never change the
-result), the engine's generation/reuse accounting, the on-disk trace-segment
-memo, and the result-cache key semantics of checkpointed interval specs.
+Covers the multi-policy functional warmer (one pass, many configurations)
+and its policies-only mode, the export/import round trip (exact for every
+warmed structure), store invalidation (source fingerprints, plan changes),
+corruption robustness (truncated snapshots and missing window memos repair
+in place, never crash and never change the result), the engine's
+generation/reuse accounting, policy-group generation (one job per workload
+and policy group, bit-identical to the single pass, leaving only snapshot
+and window blobs, each job's snapshots recomputed exactly when lost), and
+the result-cache key semantics of checkpointed interval specs.
 """
 
 import dataclasses
@@ -27,22 +30,22 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
 from repro.sampling.checkpoints import (
-    BoundaryState,
+    CheckpointJobSpec,
     CheckpointStore,
-    boundary_key,
     checkpoints_enabled,
     execute_generation,
     generate_checkpoints,
+    interval_window_uops,
     load_interval_state,
+    load_interval_window,
     plan_generation,
-    plan_shard_jobs,
     policy_key,
-    resolve_checkpoint_shards,
     resolve_checkpointed,
-    run_shard_job,
-    segment_key,
+    run_checkpoint_job,
     shared_key,
     shared_signature,
+    split_policy_groups,
+    window_key,
 )
 from repro.sampling.driver import (
     expand_sampled_spec,
@@ -123,6 +126,46 @@ class TestMultiPolicyWarming:
         assert warmer.policies == policies
 
 
+class TestPoliciesOnlyWarming:
+    """A policies-only replay (what a generation job that writes no shared
+    snapshot runs) warms the policies, SSN counters and last-writer map
+    exactly as a full replay does, and leaves every other structure cold."""
+
+    PREFIX = 4_000
+    CONFIGS = ("indexed-3-fwd+dly", "associative-5-predictive",
+               "associative-original-storesets")
+
+    def _warm(self, workload, policies_only):
+        trace = build_workload(workload, self.PREFIX, seed=1)
+        warmer = FunctionalWarmer(
+            CoreConfig(), policies=[make_policy(name) for name in self.CONFIGS],
+            policies_only=policies_only)
+        warmer.warm(trace.uops)
+        return warmer
+
+    @pytest.mark.parametrize("workload", (WORKLOAD, "mcf"))
+    def test_policies_and_store_tracking_match_full_replay(self, workload):
+        full = self._warm(workload, policies_only=False)
+        lean = self._warm(workload, policies_only=True)
+        for name, mine, theirs in zip(self.CONFIGS, lean.policies,
+                                      full.policies):
+            assert mine.state_signature() == theirs.state_signature(), name
+        assert lean.state.ssn_alloc == full.state.ssn_alloc
+        assert (per_byte(lean.state.last_writer)
+                == per_byte(full.state.last_writer))
+        assert (lean.state.instructions_warmed
+                == full.state.instructions_warmed == self.PREFIX)
+
+    def test_shared_structures_stay_cold(self):
+        lean = self._warm(WORKLOAD, policies_only=True).state
+        cold = FunctionalWarmer(CoreConfig(), make_policy(CONFIG)).state
+        assert (lean.branch_unit.state_signature()
+                == cold.branch_unit.state_signature())
+        assert (lean.hierarchy.state_signature()
+                == cold.hierarchy.state_signature())
+        assert lean.memory.state_signature() == cold.memory.state_signature()
+
+
 class TestExportImportRoundTrip:
     """export_state -> (pickle) -> import_state is exact for every warmed
     structure — the checkpoint analogue of the PR 2 functional-replay
@@ -194,11 +237,9 @@ class TestStoreInvalidation:
         assert requests[0].write_shared
 
     def test_workload_source_change_misses(self, monkeypatch):
-        before = segment_key(WORKLOAD, 1, 0, 4_096)
         before_shared = shared_key(WORKLOAD, SETTINGS, 0)
         monkeypatch.setattr(fingerprint_module, "workload_fingerprint",
                             lambda: "edited-workload-source")
-        assert segment_key(WORKLOAD, 1, 0, 4_096) != before
         assert shared_key(WORKLOAD, SETTINGS, 0) != before_shared
 
     def test_functional_warmup_does_not_invalidate(self, tmp_path):
@@ -296,24 +337,10 @@ class TestEngineGeneration:
 
 
 class TestSegmentMemo:
-    def test_disk_memo_round_trips_segments(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        from repro.workloads import suites
-
-        monkeypatch.setattr(suites, "_SEGMENT_CACHE", {})
-        fresh = build_workload_window(WORKLOAD, 8_000, 7, 0, 8_000,
-                                      disk_memo=True)
-        assert len(CheckpointStore()) > 0  # segment blob written
-        monkeypatch.setattr(suites, "_SEGMENT_CACHE", {})
-        from_disk = build_workload_window(WORKLOAD, 8_000, 7, 0, 8_000,
-                                          disk_memo=True)
-        assert from_disk == fresh
-
     def test_default_call_writes_nothing(self, tmp_path, monkeypatch):
-        # The disk memo is an explicit opt-in: a plain library call must
-        # not create a store in the caller's working directory, whatever
-        # the environment says.
+        # Composing a window is a pure library call: it must not create a
+        # store in the caller's working directory, whatever the
+        # environment says.
         monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         from repro.workloads import suites
@@ -322,14 +349,20 @@ class TestSegmentMemo:
         build_workload_window(WORKLOAD, 8_000, 8, 0, 8_000)
         assert len(CheckpointStore()) == 0
 
-    def test_disabled_environment_writes_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        from repro.workloads import suites
 
-        monkeypatch.setattr(suites, "_SEGMENT_CACHE", {})
-        build_workload_window(WORKLOAD, 8_000, 8, 0, 8_000, disk_memo=True)
-        assert len(CheckpointStore()) == 0
+class TestWindowMemo:
+    def test_missing_window_is_recomposed_and_repaired(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
+        spec = _checkpointed_specs(store)[1]
+        window = PLAN.intervals(SETTINGS.instructions)[1]
+        key = window_key(WORKLOAD, SETTINGS, window.index)
+        memo = load_interval_window(spec, window)
+        assert memo == interval_window_uops(WORKLOAD, SETTINGS, window)
+        store._path(key).unlink()
+        assert not store.contains(key)
+        assert load_interval_window(spec, window) == memo
+        assert store.contains(key)
 
 
 class TestCacheKeys:
@@ -353,6 +386,19 @@ class TestCacheKeys:
             explicit,
             settings=dataclasses.replace(SETTINGS, checkpoints=None))
         assert job_key(explicit) == job_key(from_env)
+
+    def test_worker_count_is_in_no_key(self):
+        # ``jobs`` decides how generation splits into policy groups, never
+        # what any snapshot or interval result holds.
+        wide = dataclasses.replace(SETTINGS, jobs=7)
+        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
+        assert job_key(base) == job_key(dataclasses.replace(base,
+                                                            settings=wide))
+        assert shared_key(WORKLOAD, SETTINGS, 0) == shared_key(WORKLOAD, wide, 0)
+        assert (policy_key(WORKLOAD, SETTINGS, IDENTITY, 0)
+                == policy_key(WORKLOAD, wide, IDENTITY, 0))
+        assert (window_key(WORKLOAD, SETTINGS, 0)
+                == window_key(WORKLOAD, wide, 0))
 
 
 class TestStateLoading:
@@ -386,34 +432,35 @@ class TestSnapshotSize:
 
 
 # ---------------------------------------------------------------------------
-# Sharded generation (stitched boundary handoffs)
+# Policy-group generation
 # ---------------------------------------------------------------------------
 
-from repro.sampling import checkpoints as checkpoints_module  # noqa: E402
 from repro.workloads.suites import TRACE_SEGMENT_UOPS  # noqa: E402
 
-#: A multi-segment sampled run (5 segments) so shard counts 1/2/4 cut real
-#: segment-aligned chunks; detailed_warmup is sized so at least one chunk
-#: boundary lands strictly inside a warm-up window (asserted below).
-SHARD_PLAN = SamplingPlan(interval_length=600, detailed_warmup=4_000,
+#: A multi-segment sampled run (3 segments), so every generation pass warms
+#: across segment boundaries.
+GROUP_PLAN = SamplingPlan(interval_length=600, detailed_warmup=1_000,
                           period=16_384, functional_warmup=1_000, seed=1)
-SHARD_SETTINGS = ExperimentSettings(instructions=5 * TRACE_SEGMENT_UOPS,
+GROUP_SETTINGS = ExperimentSettings(instructions=3 * TRACE_SEGMENT_UOPS,
                                     stats_warmup_fraction=0.0,
-                                    sampling=SHARD_PLAN, checkpoints=True)
-SHARD_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
+                                    sampling=GROUP_PLAN, checkpoints=True)
+GROUP_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
+                 "indexed-3-fwd", "indexed-3-fwd+dly")
 
 
-def _generation_requests(store, settings, configs=SHARD_CONFIGS):
+def _generation_requests(store, settings, configs=GROUP_CONFIGS,
+                         workloads=(WORKLOAD,)):
     specs = []
-    for config in configs:
-        specs.extend(expand_sampled_spec(
-            JobSpec(WORKLOAD, config, settings), checkpointed=True,
-            checkpoint_dir=str(store.directory)))
+    for workload in workloads:
+        for config in configs:
+            specs.extend(expand_sampled_spec(
+                JobSpec(workload, config, settings), checkpointed=True,
+                checkpoint_dir=str(store.directory)))
     requests, _total = plan_generation(store, specs)
     return requests
 
 
-def _store_signatures(store, settings, configs=SHARD_CONFIGS):
+def _store_signatures(store, settings, configs=GROUP_CONFIGS):
     """(shared, per-policy) signatures of every interval snapshot."""
     windows = settings.sampling.intervals(settings.instructions)
     out = []
@@ -431,218 +478,190 @@ def _store_signatures(store, settings, configs=SHARD_CONFIGS):
     return out
 
 
-class TestResolveShards:
-    def test_settings_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "8")
-        assert resolve_checkpoint_shards() == 8
-        explicit = dataclasses.replace(SETTINGS, checkpoint_shards=2)
-        assert resolve_checkpoint_shards(explicit) == 2
+class TestPolicyGroupSplit:
+    @staticmethod
+    def _request(workload, count, write_shared=True):
+        identities = tuple((f"config-{i}", 64, None) for i in range(count))
+        return CheckpointJobSpec(workload=workload, settings=SETTINGS,
+                                 identities=identities,
+                                 write_shared=write_shared, directory="d")
 
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_SHARDS", raising=False)
-        assert resolve_checkpoint_shards() == 0
-        assert resolve_checkpoint_shards(SETTINGS) == 0
+    def test_one_worker_keeps_every_request_whole(self):
+        requests = [self._request("a", 3), self._request("b", 2)]
+        assert split_policy_groups(requests, 1) == requests
 
-    def test_nonpositive_settings_mean_auto(self, monkeypatch):
-        """A settings value <= 0 is programmatic "auto"; a *negative
-        environment value* is a typo and fails fast (PR 6)."""
-        monkeypatch.delenv("REPRO_CHECKPOINT_SHARDS", raising=False)
-        explicit = dataclasses.replace(SETTINGS, checkpoint_shards=-3)
-        assert resolve_checkpoint_shards(explicit) == 0
+    def test_groups_are_dealt_round_robin_per_request(self):
+        a, b = self._request("a", 3), self._request("b", 1, write_shared=False)
+        split = split_policy_groups([a, b], 4)
+        # Two workers per request: a splits in two, b has one identity.
+        assert [job.workload for job in split] == ["a", "a", "b"]
+        assert split[0].identities == a.identities[0::2]
+        assert split[1].identities == a.identities[1::2]
+        assert split[2] == b
+        assert [job.write_shared for job in split] == [True, False, False]
 
-    @pytest.mark.parametrize("bad", ["many", "-3"])
-    def test_invalid_environment_fails_fast(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", bad)
-        with pytest.raises(ValueError, match="REPRO_CHECKPOINT_SHARDS"):
-            resolve_checkpoint_shards()
+    def test_never_more_groups_than_identities(self):
+        assert len(split_policy_groups([self._request("a", 2)], 8)) == 2
 
-    def test_execution_only_never_in_cache_keys(self):
-        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
-        sharded = dataclasses.replace(
-            base, settings=dataclasses.replace(SETTINGS, checkpoint_shards=7))
-        assert job_key(base) == job_key(sharded)
+    def test_shared_only_request_stays_one_job(self):
+        request = self._request("a", 0)
+        assert split_policy_groups([request], 4) == [request]
 
-
-class TestShardPlanning:
-    def test_chunks_are_segment_aligned_and_chunk_major(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=4)
-        jobs, stats = plan_shard_jobs(
-            store, _generation_requests(store, settings), workers=4)
-        assert stats["checkpoint_shards"] == 4
-        assert stats["checkpoint_chains"] == 2  # two configs, two chains
-        assert stats["checkpoint_shard_jobs"] == 8
-        span = settings.sampling.intervals(
-            settings.instructions)[-1].detailed_start
-        for job in jobs:
-            if not job.last:
-                assert job.chunk_end % TRACE_SEGMENT_UOPS == 0
-            else:
-                assert job.chunk_end == span
-        # Chunk-major dispatch order: a job's handoff producer always
-        # precedes it (the pool deadlock-freedom invariant).
-        indices = [job.chunk_index for job in jobs]
-        assert indices == sorted(indices)
-        # Exactly one chain carries the shared-emission duty.
-        assert sum(1 for job in jobs if job.write_shared and job.chunk_index == 0) == 1
-
-    def test_explicit_shards_clamped_to_segments(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        settings = dataclasses.replace(SETTINGS, checkpoint_shards=64)
-        spec = JobSpec(WORKLOAD, CONFIG, settings)
-        specs = expand_sampled_spec(spec, checkpointed=True,
-                                    checkpoint_dir=str(store.directory))
-        requests, _ = plan_generation(store, specs)
-        jobs, stats = plan_shard_jobs(store, requests, workers=4)
-        # 20k instructions -> a 2-segment trace cannot take 64 chunks.
-        assert stats["checkpoint_shards"] <= 2
-
-    def test_auto_soaks_up_idle_workers(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        requests = _generation_requests(store, SHARD_SETTINGS,
-                                        configs=(CONFIG,))
-        jobs, stats = plan_shard_jobs(store, requests, workers=4)
-        # One chain (one config): auto-sharding cuts ~one chunk per worker.
-        assert stats["checkpoint_chains"] == 1
-        assert stats["checkpoint_shards"] == 4
-
-    def test_serial_auto_is_the_single_pass(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        requests = _generation_requests(store, SHARD_SETTINGS)
-        jobs, stats = plan_shard_jobs(store, requests, workers=1)
-        assert stats == {"checkpoint_chains": 1, "checkpoint_shards": 1,
-                         "checkpoint_shard_jobs": 1}
-        assert jobs[0].identities == requests[0].identities
-        assert jobs[0].last and jobs[0].chunk_start == 0
+    @pytest.mark.parametrize("jobs,groups", [
+        (1, (1, 1, 1, 1)),
+        (4, (1, 1, 1, 1)),
+        (7, (1, 1, 1, 1)),
+        (8, (2, 2, 1, 2)),
+        (12, (3, 2, 1, 3)),
+        (40, (5, 2, 1, 3)),
+    ])
+    def test_groups_partition_each_request(self, jobs, groups):
+        """Four requests share ``jobs`` workers: each splits into its own
+        contiguous run of non-empty groups that together hold each of its
+        identities exactly once, and only its first group writes shared
+        snapshots."""
+        requests = [self._request("a", 5), self._request("b", 2),
+                    self._request("c", 0),
+                    self._request("d", 3, write_shared=False)]
+        split = split_policy_groups(requests, jobs)
+        assert len(split) == sum(groups)
+        position = 0
+        for request, count in zip(requests, groups):
+            mine = split[position:position + count]
+            position += count
+            assert {job.workload for job in mine} == {request.workload}
+            assert sorted(identity for job in mine
+                          for identity in job.identities) \
+                == sorted(request.identities)
+            if request.identities:
+                assert all(job.identities for job in mine)
+            assert [job.write_shared for job in mine] == \
+                [request.write_shared] + [False] * (count - 1)
 
 
-class TestStitchedBitIdentity:
-    """Stitched sharded generation == the single pass, snapshot for
-    snapshot, across shard counts 1/2/4 — including a chunk boundary
-    landing strictly inside a detailed warm-up window."""
+class TestPolicyGroupBitIdentity:
+    """Policy-group generation == the single pass, snapshot for snapshot,
+    at 1, 2 and 4 jobs: each job, run in-process, warms its own group."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
         stores = {}
-        for shards in (1, 2, 4):
-            store = CheckpointStore(
-                tmp_path_factory.mktemp(f"shards-{shards}"))
-            settings = dataclasses.replace(SHARD_SETTINGS,
-                                           checkpoint_shards=shards)
-            requests = _generation_requests(store, settings)
-            stats = execute_generation(store, requests, jobs=1)
-            assert stats["checkpoint_shards"] == min(shards, 5)
-            stores[shards] = (store, settings)
+        for jobs in (1, 2, 4):
+            store = CheckpointStore(tmp_path_factory.mktemp(f"jobs-{jobs}"))
+            generation_jobs = split_policy_groups(
+                _generation_requests(store, GROUP_SETTINGS), jobs)
+            for job in generation_jobs:
+                run_checkpoint_job(job)
+            stores[jobs] = (store, generation_jobs)
         return stores
 
-    def test_a_boundary_lands_mid_warmup_window(self, stores, tmp_path):
-        _, settings = stores[4]
-        cold = CheckpointStore(tmp_path)  # planning needs unmet requests
-        jobs, _ = plan_shard_jobs(
-            cold, _generation_requests(cold, settings), workers=1)
-        bounds = {job.chunk_end for job in jobs if not job.last}
-        windows = settings.sampling.intervals(settings.instructions)
-        assert any(w.detailed_start < bound < w.measure_end
-                   for bound in bounds for w in windows), \
-            "layout regression: no chunk boundary inside a warm-up window"
+    def test_one_job_per_policy_group(self, stores):
+        every = sorted((config, GROUP_SETTINGS.sq_size, None)
+                       for config in GROUP_CONFIGS)
+        for jobs, (_store, generation_jobs) in stores.items():
+            assert len(generation_jobs) == jobs
+            assert sum(job.write_shared for job in generation_jobs) == 1
+            assert sorted(identity for job in generation_jobs
+                          for identity in job.identities) == every
 
-    def test_snapshots_identical_across_shard_counts(self, stores):
-        reference = _store_signatures(*stores[1])
-        assert _store_signatures(*stores[2]) == reference
-        assert _store_signatures(*stores[4]) == reference
-
-    def test_no_boundary_strays_left_in_store(self, stores):
-        assert len(stores[4][0]) == len(stores[1][0])
-
-    def test_resumed_warmer_equals_straight_replay(self):
-        from repro.pipeline.config import CoreConfig as _CoreConfig
-
-        uops = build_workload(WORKLOAD, 6_000, seed=1).uops
-        straight = FunctionalWarmer(_CoreConfig(), make_policy(CONFIG))
-        straight.warm(uops)
-        first = FunctionalWarmer(_CoreConfig(), make_policy(CONFIG))
-        first.warm(uops[:2_500])
-        handoff = pickle.loads(pickle.dumps(first.export_state()))
-        resumed = FunctionalWarmer(_CoreConfig(), policies=[handoff.policy],
-                                   state=handoff, start_index=2_500)
-        resumed.warm(uops[2_500:])
-        a, b = straight.state, resumed.state
-        assert a.branch_unit.state_signature() == b.branch_unit.state_signature()
-        assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
-        assert a.memory.state_signature() == b.memory.state_signature()
-        assert a.policy.state_signature() == b.policy.state_signature()
-        assert per_byte(a.last_writer) == per_byte(b.last_writer)
-        assert a.instructions_warmed == b.instructions_warmed
+    def test_snapshots_identical_across_job_counts(self, stores):
+        reference = _store_signatures(stores[1][0], GROUP_SETTINGS)
+        assert _store_signatures(stores[2][0], GROUP_SETTINGS) == reference
+        assert _store_signatures(stores[4][0], GROUP_SETTINGS) == reference
 
 
-class TestStitchFallback:
-    """A handoff that never arrives (or is damaged) must degrade to an
-    exact in-process recompute — never a hang, never a different state."""
+class TestPolicyGroupFallback:
+    """A snapshot a policy-group job wrote that has gone missing or been
+    damaged degrades to the exact in-process recompute, like any other:
+    the loaded state equals the single pass and the store is repaired."""
+
+    INDEX = 2
 
     @pytest.fixture()
-    def fast_timeout(self, monkeypatch):
-        monkeypatch.setattr(checkpoints_module, "_BOUNDARY_WAIT_SECONDS", 0.05)
-        monkeypatch.setattr(checkpoints_module, "_BOUNDARY_POLL_SECONDS", 0.001)
+    def stores(self, tmp_path):
+        reference = CheckpointStore(tmp_path / "single")
+        execute_generation(_generation_requests(reference, SETTINGS), jobs=1)
+        store = CheckpointStore(tmp_path / "groups")
+        jobs = split_policy_groups(_generation_requests(store, SETTINGS), 2)
+        for job in jobs:
+            run_checkpoint_job(job)
+        assert [job.write_shared for job in jobs] == [True, False]
+        # A configuration from the group that writes no shared snapshot.
+        return reference, store, jobs[1].identities[0]
 
-    def _shard_jobs(self, store, shards=2):
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=shards)
-        jobs, _ = plan_shard_jobs(
-            store, _generation_requests(store, settings, configs=(CONFIG,)),
-            workers=1)
-        return jobs, settings
+    def _assert_recomputed(self, reference, store, identity):
+        spec = expand_sampled_spec(
+            JobSpec(WORKLOAD, identity[0], SETTINGS), checkpointed=True,
+            checkpoint_dir=str(store.directory))[self.INDEX]
+        window = PLAN.intervals(SETTINGS.instructions)[self.INDEX]
+        assert spec.interval_index == window.index == self.INDEX
+        pkey = policy_key(WORKLOAD, SETTINGS, identity, self.INDEX)
+        skey = shared_key(WORKLOAD, SETTINGS, self.INDEX)
+        expected = reference.get(pkey).state_signature()
+        state = load_interval_state(spec, window)
+        assert state.policy.state_signature() == expected
+        assert store.get(pkey).state_signature() == expected
+        assert (shared_signature(store.get(skey))
+                == shared_signature(reference.get(skey)))
 
-    def test_missing_handoff_recomputes_exactly(self, tmp_path, fast_timeout):
-        reference = CheckpointStore(tmp_path / "reference")
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=1)
-        execute_generation(
-            reference, _generation_requests(reference, settings,
-                                            configs=(CONFIG,)), jobs=1)
+    def test_missing_group_snapshot_recomputes_exactly(self, stores):
+        reference, store, identity = stores
+        store._path(policy_key(WORKLOAD, SETTINGS, identity,
+                               self.INDEX)).unlink()
+        self._assert_recomputed(reference, store, identity)
 
-        store = CheckpointStore(tmp_path / "orphaned")
-        jobs, sharded_settings = self._shard_jobs(store)
-        # Run only the *second* chunk: its producer never ran, so the
-        # handoff never appears and the job must recompute the prefix.
-        run_shard_job(jobs[1])
-        windows = sharded_settings.sampling.intervals(
-            sharded_settings.instructions)
-        emitted = [w for w in windows
-                   if w.detailed_start > jobs[1].chunk_start]
-        assert emitted, "second chunk owns no interval - bad layout"
-        for window in emitted:
-            ours = store.get(shared_key(WORKLOAD, sharded_settings,
-                                        window.index))
-            theirs = reference.get(shared_key(WORKLOAD, settings,
-                                              window.index))
-            assert shared_signature(ours) == shared_signature(theirs)
-
-    def test_corrupt_handoff_is_rejected_and_recomputed(self, tmp_path,
-                                                        fast_timeout):
-        store = CheckpointStore(tmp_path)
-        jobs, settings = self._shard_jobs(store)
-        run_shard_job(jobs[0])
-        key = boundary_key(WORKLOAD, settings, jobs[0].identities,
-                           jobs[0].chunk_end)
-        assert store.contains(key)
-        good = store.get(key)
-        assert isinstance(good, BoundaryState)
-        # Truncate the handoff mid-blob: stitch validation must reject it.
-        path = store._path(key)
+    def test_corrupt_group_snapshot_is_rejected_and_recomputed(self, stores):
+        reference, store, identity = stores
+        path = store._path(policy_key(WORKLOAD, SETTINGS, identity,
+                                      self.INDEX))
         path.write_bytes(path.read_bytes()[:40])
-        run_shard_job(jobs[1])  # falls back, still emits every snapshot
-        windows = settings.sampling.intervals(settings.instructions)
-        for window in windows:
-            assert store.contains(shared_key(WORKLOAD, settings, window.index))
+        self._assert_recomputed(reference, store, identity)
 
 
-class TestShardedEngineStats:
-    def test_engine_reports_shard_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        settings = dataclasses.replace(SETTINGS, checkpoint_shards=2)
-        engine = ExperimentEngine(jobs=1, cache=False,
+class TestPolicyGroupEngineStats:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_engine_reports_one_job_per_policy_group(self, tmp_path, jobs):
+        """One workload, four configurations: one generation pass, split
+        into as many policy-group jobs as there are workers."""
+        engine = ExperimentEngine(jobs=jobs, cache=False,
                                   checkpoint_dir=tmp_path)
-        engine.run([JobSpec(WORKLOAD, CONFIG, settings)])
+        engine.run([JobSpec(WORKLOAD, config, SETTINGS)
+                    for config in GROUP_CONFIGS])
         stats = engine.last_run_stats
         assert stats["checkpoint_passes"] == 1
-        assert stats["checkpoint_shards"] == 2
-        assert stats["checkpoint_shard_jobs"] == 2
-        assert stats["checkpoint_chains"] == 1
+        assert stats["checkpoint_generated"] == len(GROUP_CONFIGS)
+        assert stats["checkpoint_jobs"] == jobs
+
+
+class TestGenerationBlobs:
+    def test_store_holds_only_snapshots_and_windows(self, tmp_path,
+                                                    monkeypatch):
+        """A two-workload generation leaves one shared snapshot, one window
+        memo and one policy snapshot per configuration at every interval:
+        no trace segments and no other blobs, wherever the environment
+        points the default store."""
+        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        store = CheckpointStore(tmp_path)
+        configs = (CONFIG, "associative-5-predictive")
+        workloads = (WORKLOAD, "mcf")
+        assert execute_generation(
+            _generation_requests(store, SETTINGS, configs=configs,
+                                 workloads=workloads), jobs=1) == 2
+        intervals = PLAN.num_intervals(SETTINGS.instructions)
+        assert len(store) == len(workloads) * intervals * (2 + len(configs))
+
+    def test_policy_group_job_writes_only_policy_snapshots(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        identities = [IDENTITY,
+                      ("associative-5-predictive", SETTINGS.sq_size, None)]
+        count = generate_checkpoints(store, WORKLOAD, SETTINGS, identities,
+                                     write_shared=False)
+        assert count == PLAN.num_intervals(SETTINGS.instructions)
+        assert len(store) == count * len(identities)
+        for index in range(count):
+            assert not store.contains(shared_key(WORKLOAD, SETTINGS, index))
+            assert not store.contains(window_key(WORKLOAD, SETTINGS, index))
+            for identity in identities:
+                assert store.contains(policy_key(WORKLOAD, SETTINGS,
+                                                 identity, index))

@@ -188,13 +188,6 @@ class TestTmpStrayHygiene:
         assert not stray.exists()
         assert in_flight.exists()  # never race a live writer's os.replace
 
-    def test_discard_is_silent_on_missing_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("k", 1)
-        assert cache.discard("k")
-        assert not cache.discard("k")
-        assert cache.get("k") is None
-
 
 class TestStoreIntegrity:
     """Framed blobs: checksum-verified reads, quarantine, write-failure
@@ -361,8 +354,7 @@ class TestStoreIntegrity:
         cache_module._DEGRADED_DIRS.add(str(store.directory))
         store.put("k", 1)
         assert store.contains("k")
-        assert store.discard("k")
-        assert not store.contains("k")
+        assert not store.contains("missing")
 
 
 class TestEngine:

@@ -85,31 +85,46 @@ class TestEnvKnobs:
         with pytest.raises(EnvKnobError, match=name):
             validate_environment()
 
-    def test_validate_environment_covers_jobs_and_shards(self, monkeypatch):
+    def test_validate_environment_covers_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         with pytest.raises(EnvKnobError, match="REPRO_JOBS"):
             validate_environment()
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "-4")
-        with pytest.raises(EnvKnobError, match="REPRO_CHECKPOINT_SHARDS"):
-            validate_environment()
+
+    def test_validate_environment_reports_every_knob(self, monkeypatch):
+        for name in ("REPRO_JOBS", "REPRO_CACHE", "REPRO_CHECKPOINTS",
+                     "REPRO_RETRIES", "REPRO_JOB_TIMEOUT", "REPRO_PROFILE",
+                     "REPRO_FAULT_PLAN"):
+            monkeypatch.delenv(name, raising=False)
+        resolved = validate_environment()
+        assert set(resolved) == {"jobs_env", "cache", "checkpoints",
+                                 "retries", "job_timeout", "profile_dir",
+                                 "fault_plan"}
+        assert resolved["jobs_env"] == 1
+        assert resolved["cache"] is resolved["checkpoints"] is True
+        assert resolved["retries"] == resilience.DEFAULT_RETRIES
+        assert (resolved["job_timeout"]
+                == resilience.DEFAULT_JOB_TIMEOUT_SECONDS)
+        assert resolved["profile_dir"] is None
+        assert resolved["fault_plan"] is None
 
     @pytest.mark.parametrize("name,value", [
         ("REPRO_JOBS", "abc"),
         ("REPRO_JOBS", "1.5"),
-        ("REPRO_CHECKPOINT_SHARDS", "many"),
-        ("REPRO_CHECKPOINT_SHARDS", "-3"),
+        ("REPRO_RETRIES", "many"),
+        ("REPRO_RETRIES", "-3"),
+        ("REPRO_JOB_TIMEOUT", "soon"),
+        ("REPRO_JOB_TIMEOUT", "-2"),
     ])
     def test_resolvers_and_validation_share_one_parser(self, monkeypatch,
                                                        name, value):
-        """``resolve_jobs`` and ``resolve_checkpoint_shards`` read their
-        knob with the parser ``validate_environment`` uses: the same
-        one-line error, wherever the bad value is first read."""
+        """``resolve_jobs``, ``resolve_retries`` and ``resolve_job_timeout``
+        read their knob with the parser ``validate_environment`` uses: the
+        same one-line error, wherever the bad value is first read."""
         from repro.exec import resolve_jobs
-        from repro.sampling.checkpoints import resolve_checkpoint_shards
 
         resolver = {"REPRO_JOBS": resolve_jobs,
-                    "REPRO_CHECKPOINT_SHARDS": resolve_checkpoint_shards}[name]
+                    "REPRO_RETRIES": resolve_retries,
+                    "REPRO_JOB_TIMEOUT": resolve_job_timeout}[name]
         monkeypatch.setenv(name, value)
         with pytest.raises(EnvKnobError) as validated:
             validate_environment()
