@@ -45,6 +45,7 @@ from repro.harness.runner import (  # noqa: E402
     ExperimentSettings,
     make_policy,
 )
+from repro.memory import image  # noqa: E402
 from repro.pipeline.core import OutOfOrderCore  # noqa: E402
 from repro.workloads.suites import build_workload, workload_names  # noqa: E402
 from repro.workloads import suites  # noqa: E402
@@ -155,6 +156,7 @@ def measure_cell_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
 
     def core_leg():
         suites._SEGMENT_CACHE.clear()
+        image._background_word.cache_clear()
         trace = build_workload(WORKLOAD, instructions=instructions, seed=seed)
         core = OutOfOrderCore(settings.core,
                               make_policy(CONFIG, sq_size=settings.sq_size))
@@ -203,6 +205,9 @@ def measure_mix_throughput(instructions=MIX_INSTRUCTIONS, seed=1):
                 for trace in legacy_traces for config in MIX_CONFIGS]
 
     def core_leg():
+        # Every round starts from a cold background-word memo, as one
+        # sweep in a fresh process does (the seed stack memoises per image).
+        image._background_word.cache_clear()
         return [OutOfOrderCore(settings.core,
                                make_policy(config, sq_size=settings.sq_size))
                 .run(trace, stats_warmup_fraction=warmup)

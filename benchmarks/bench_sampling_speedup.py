@@ -189,9 +189,11 @@ def measure_checkpointed_sweep(instructions: int = None,
         saved_dir = os.environ.get("REPRO_CHECKPOINT_DIR")
         os.environ["REPRO_CHECKPOINT_DIR"] = os.path.join(root, "store")
         try:
+            from repro.memory import image
             from repro.workloads import suites
 
             suites._SEGMENT_CACHE.clear()
+            image._background_word.cache_clear()
             start = time.perf_counter()
             bounded_records = ExperimentEngine(jobs=1, cache=False).run(
                 specs(bounded_settings))
@@ -201,6 +203,7 @@ def measure_checkpointed_sweep(instructions: int = None,
             # so neither inherits compose work the other (or an earlier
             # bench in the same process) already paid for.
             suites._SEGMENT_CACHE.clear()
+            image._background_word.cache_clear()
             engine = ExperimentEngine(jobs=1, cache=False)
             start = time.perf_counter()
             checkpointed_records = engine.run(specs(checkpointed_settings))
@@ -279,6 +282,7 @@ def measure_policy_group_generation(instructions: int = None,
     two stores merge bit-identically.  Both arms start from cold
     in-process segment caches and write only into private stores.
     """
+    from repro.memory import image
     from repro.sampling.checkpoints import (
         CheckpointStore,
         execute_generation,
@@ -319,6 +323,7 @@ def measure_policy_group_generation(instructions: int = None,
         # Baseline: one in-process pass per workload group, every
         # configuration warmed together.
         suites._SEGMENT_CACHE.clear()
+        image._background_word.cache_clear()
         requests = requests_for(single_store)
         start = time.perf_counter()
         for request in requests:
@@ -327,6 +332,7 @@ def measure_policy_group_generation(instructions: int = None,
         single_passes = len(requests)
 
         suites._SEGMENT_CACHE.clear()
+        image._background_word.cache_clear()
         requests = requests_for(group_store)
         start = time.perf_counter()
         group_jobs = execute_generation(requests, jobs=workers)

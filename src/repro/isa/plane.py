@@ -28,8 +28,9 @@ orders may number the same descriptor differently.  Within a process, all
 segments of a workload share one registry plane
 (:func:`repro.workloads.program.plane_for`); an :class:`EncodedOps` that
 crosses a process boundary ships its plane's descriptor table and is
-re-interned on arrival (:meth:`EncodedOps.rebase`), so encoded segments are
-safe to pickle between pool workers and through the on-disk segment memo.
+re-interned on arrival (:meth:`EncodedOps.rebase`), so encoded ops are safe
+to pickle between pool workers and through the checkpoint store's window
+memo (:func:`repro.sampling.checkpoints.window_key`).
 """
 
 from __future__ import annotations

@@ -22,10 +22,14 @@ load or store, so the image is kept per aligned 8-byte word:
   written bytes (bit ``i`` is the byte at ``word + i``).  Together with
   ``_words`` it is the image's whole state: it is what pickles, copies and
   :meth:`MemoryImage.state_signature` see.
-* ``_background`` is derived: it memoises the background word of each
-  word that was read before any byte of it was written, so re-reading
-  untouched memory does not rehash eight addresses.  ``_words`` shadows it
-  once the word is written.  It is never pickled or copied.
+
+Background words are a pure function of the address, so one bounded memo
+serves every image in the process (:func:`_background_word`, an LRU of
+:data:`BACKGROUND_MEMO_WORDS` words): a sweep that runs many configurations
+of one trace, or loads many snapshot images of one program, hashes each
+untouched word once rather than once per image.  The memo is not image
+state: pickles, copies and signatures never see it, and an image reads the
+same values whether it is warm, cold or evicted.
 
 Unaligned and narrow accesses (rare: a few kernels issue them) merge into
 or assemble from the words they span, at most two for accesses of up to
@@ -34,17 +38,26 @@ or assemble from the words they span, at most two for accesses of up to
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict
 
 _WORD_BITS = (1 << 64) - 1
 
+#: Bound of the process-wide background-word memo.  An entry costs about
+#: 160 bytes on CPython 3.11, so the full memo is ~2.5 MiB.  One perfbench
+#: pass reads 2.4k (``fig4-sweep``) to 5.9k (``sampled-ckpt``) distinct
+#: untouched words at seeds 1-3, so neither evicts.
+BACKGROUND_MEMO_WORDS = 1 << 14
 
+
+@lru_cache(maxsize=BACKGROUND_MEMO_WORDS)
 def _background_word(base: int) -> int:
     """Background values of the eight bytes at ``base`` (little-endian).
 
     Each byte is a cheap integer hash of its own address, which keeps
     different addresses from aliasing to the same value too often (that
-    would mask mis-forwardings in tests).
+    would mask mis-forwardings in tests).  Memoised process-wide (see the
+    module docstring).
     """
     value = 0
     shift = 0
@@ -59,23 +72,19 @@ def _background_word(base: int) -> int:
 class MemoryImage:
     """Sparse byte-addressable memory held as 64-bit words.
 
-    ``_words`` and ``_written`` are the architectural state (see the module
-    docstring); ``_background`` memoises background words of never-written
-    words and is rebuilt lazily.
+    ``_words`` and ``_written`` are the whole state (see the module
+    docstring).
     """
 
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
         self._written: Dict[int, int] = {}
-        self._background: Dict[int, int] = {}
 
     def _word(self, base: int) -> int:
         """The current value of the aligned word at ``base``."""
         value = self._words.get(base)
         if value is None:
-            value = self._background.get(base)
-            if value is None:
-                value = self._background[base] = _background_word(base)
+            value = _background_word(base)
         return value
 
     def write(self, addr: int, size: int, value: int) -> None:
@@ -113,9 +122,7 @@ class MemoryImage:
         if size == 8 and not addr & 7:
             value = self._words.get(addr)
             if value is None:
-                value = self._background.get(addr)
-                if value is None:
-                    value = self._background[addr] = _background_word(addr)
+                value = _background_word(addr)
             return value
         if size <= 0:
             raise ValueError("read size must be positive")
@@ -156,17 +163,6 @@ class MemoryImage:
         """Discard all written bytes."""
         self._words.clear()
         self._written.clear()
-        self._background.clear()
-
-    def __getstate__(self) -> dict:
-        # The background memo is derived data; keeping it out of pickles
-        # keeps checkpoint-store snapshots lean and content-stable.
-        return {"_words": self._words, "_written": self._written}
-
-    def __setstate__(self, state: dict) -> None:
-        self._words = state["_words"]
-        self._written = state["_written"]
-        self._background = {}
 
     def state_signature(self) -> tuple:
         """Hashable snapshot of every explicitly written byte, as sorted

@@ -30,10 +30,36 @@ forwarding (or non-forwarding) behaviours discussed in the paper:
 
 from __future__ import annotations
 
+import random
 from typing import List
 
 from repro.isa.uop import OpClass
 from repro.workloads.program import Kernel, ProgramBuilder
+
+
+def shuffled_range(rng: random.Random, n: int) -> List[int]:
+    """``list(range(n))`` permuted exactly as ``rng.shuffle`` permutes it.
+
+    CPython's ``Random.shuffle`` is a Fisher-Yates walk that draws each
+    index through ``_randbelow``: ``k = (i + 1).bit_length()`` bits from
+    ``getrandbits``, redrawn until the value is at most ``i``.  This loop
+    makes the same draws in the same order (so the list and the state
+    ``rng`` is left in are identical) without a Python-level call per
+    element, and computes ``k`` once per power-of-two block of ``i``.
+    """
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    top = n - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        stop = (1 << (k - 1)) - 2       # i = stop + 1 is the smallest drawing k bits
+        for i in range(top, stop, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        top = stop
+    return order
 
 
 class StackSpillKernel(Kernel):
@@ -356,8 +382,7 @@ class PointerChaseKernel(Kernel):
         self._ptr_regs = builder.alloc_int_regs(self.chains)
         self._load_pcs = builder.alloc_pcs(self.chains)
         self._alu_pcs = builder.alloc_pcs(self.chains)
-        self._order = list(range(self.nodes))
-        builder.rng.shuffle(self._order)
+        self._order = shuffled_range(builder.rng, self.nodes)
         self._pos = 0
         self._chain = 0
 

@@ -1,14 +1,17 @@
 """Differential properties: the tuned substrate against the frozen seed stack.
 
 The detailed core's per-access substrate keeps its own fast paths: a memory
-image stored a 64-bit word at a time with a memo of background words, SVW
-tables written and read as list slices, an inlined associative SQ search,
-MRU fast paths in the BTB and the caches, and a branch predictor that
-updates its counter lists directly.  ``benchmarks/legacy_ref`` holds the
-same components as they stood at the seed, byte- and entry-granular.  Each
-property applies one random operation sequence to a component and to its
-seed twin, and after every step compares what the operation returned and
-the observable state (statistics, state signatures, queue contents).
+image stored a 64-bit word at a time whose background words come from one
+bounded, process-wide memo, SVW tables written and read as list slices, an
+inlined associative SQ search, MRU fast paths in the BTB and the caches,
+and a branch predictor that updates its counter lists directly.
+``benchmarks/legacy_ref`` holds the same components as they stood at the
+seed, byte- and entry-granular.  Each property applies one random operation
+sequence to a component and to its seed twin, and after every step compares
+what the operation returned and the observable state (statistics, state
+signatures, queue contents).  The memory-image property drives two images
+through the one memo, at its real bound and at bounds small enough that
+every step evicts.
 
 The operation pools are small, so accesses overlap, straddle words and
 table wraps, and sets conflict.  The golden files pin these components only
@@ -18,15 +21,18 @@ through whole-core runs; these properties drive the corner cases directly.
 import pickle
 import sys
 from dataclasses import astuple
+from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.predictors import SVWConfig
 from repro.core.svw import SVWFilter
 from repro.frontend.branch_predictor import BranchPredictorConfig, BranchUnit
 from repro.lsu.store_queue import StoreQueue
+from repro.memory import image as image_module
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.image import MemoryImage
 
@@ -50,13 +56,16 @@ _SIZES = st.sampled_from([1, 2, 4, 8])
 # ---------------------------------------------------------------------------
 
 # Offsets span five words from a word-aligned base: every size lands both
-# aligned and straddling a word boundary.
+# aligned and straddling a word boundary.  Each operation acts on one of two
+# images that share the base, so both read and write the same words through
+# the one background memo.
 _image_op = st.tuples(
     st.sampled_from(["write"] * 6 + ["read"] * 6 + ["memo_then_narrow"] * 2
                     + ["read_byte", "copy", "roundtrip", "clear"]),
     st.integers(min_value=0, max_value=39),
     _SIZES,
     st.integers(min_value=0, max_value=(1 << 72) - 1),
+    st.integers(min_value=0, max_value=1),
 )
 
 
@@ -64,45 +73,79 @@ def _image_state(image) -> tuple:
     return image.state_signature(), image.written_byte_count()
 
 
-@_SETTINGS
-@given(st.sampled_from([0, 0x7000, 1 << 40]),
-       st.lists(_image_op, min_size=1, max_size=_STEPS))
-def test_memory_image_matches_seed_image(base, ops):
-    image = MemoryImage()
-    seed = seed_image.MemoryImage()
-    for op, offset, size, raw in ops:
-        addr = base + offset
-        if op == "write":
-            # Sometimes wider than the access: only its low bytes are stored.
-            value = raw if raw & 1 else raw & ((1 << (8 * size)) - 1)
-            image.write(addr, size, value)
-            seed.write(addr, size, value)
-        elif op == "read":
-            assert image.read(addr, size) == seed.read(addr, size)
-        elif op == "memo_then_narrow":
-            # Memoise a whole word (background and/or written bytes), then
-            # overwrite part of it with a narrow store and read it back.
-            word = addr & ~7
-            assert image.read(word, 8) == seed.read(word, 8)
-            narrow = 1 if size == 8 else size
-            value = raw & ((1 << (8 * narrow)) - 1)
-            image.write(addr, narrow, value)
-            seed.write(addr, narrow, value)
-            assert image.read(word, 8) == seed.read(word, 8)
-        elif op == "read_byte":
-            assert image.read_byte(addr) == seed.read_byte(addr)
-            assert image.is_written(addr) == seed.is_written(addr)
-        elif op == "copy":
-            image = image.copy()
-        elif op == "roundtrip":
-            image = pickle.loads(pickle.dumps(image, pickle.HIGHEST_PROTOCOL))
-        else:
-            image.clear()
-            seed.clear()
-        assert _image_state(image) == _image_state(seed), op
-    for addr in range(base - 8, base + 56):
+def _apply_image_op(images, seeds, op, addr, size, raw, which):
+    image, seed = images[which], seeds[which]
+    if op == "write":
+        # Sometimes wider than the access: only its low bytes are stored.
+        value = raw if raw & 1 else raw & ((1 << (8 * size)) - 1)
+        image.write(addr, size, value)
+        seed.write(addr, size, value)
+    elif op == "read":
+        assert image.read(addr, size) == seed.read(addr, size)
+    elif op == "memo_then_narrow":
+        # Memoise a whole word (background and/or written bytes), then
+        # overwrite part of it with a narrow store and read it back.
+        word = addr & ~7
+        assert image.read(word, 8) == seed.read(word, 8)
+        narrow = 1 if size == 8 else size
+        value = raw & ((1 << (8 * narrow)) - 1)
+        image.write(addr, narrow, value)
+        seed.write(addr, narrow, value)
+        assert image.read(word, 8) == seed.read(word, 8)
+    elif op == "read_byte":
         assert image.read_byte(addr) == seed.read_byte(addr)
         assert image.is_written(addr) == seed.is_written(addr)
+    elif op == "copy":
+        images[which] = image.copy()
+    elif op == "roundtrip":
+        # The memo is not image state: warm or cold, the pickle is the same.
+        assert image.read(addr & ~7, 8) == seed.read(addr & ~7, 8)
+        warm = pickle.dumps(image, pickle.HIGHEST_PROTOCOL)
+        image_module._background_word.cache_clear()
+        assert pickle.dumps(image, pickle.HIGHEST_PROTOCOL) == warm
+        images[which] = pickle.loads(warm)
+    else:
+        image.clear()
+        seed.clear()
+
+
+@_SETTINGS
+@given(st.sampled_from([0, 0x7000, 1 << 40]),
+       st.sampled_from([1, 3, image_module.BACKGROUND_MEMO_WORDS]),
+       st.lists(_image_op, min_size=1, max_size=_STEPS))
+def test_memory_image_matches_seed_image(base, bound, ops):
+    memo = lru_cache(maxsize=bound)(image_module._background_word.__wrapped__)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(image_module, "_background_word", memo)
+        images = [MemoryImage(), MemoryImage()]
+        seeds = [seed_image.MemoryImage(), seed_image.MemoryImage()]
+        for op, offset, size, raw, which in ops:
+            _apply_image_op(images, seeds, op, base + offset, size, raw, which)
+            for image, seed in zip(images, seeds):
+                assert _image_state(image) == _image_state(seed), op
+            assert memo.cache_info().currsize <= bound
+        for image, seed in zip(images, seeds):
+            for addr in range(base - 8, base + 56):
+                assert image.read_byte(addr) == seed.read_byte(addr)
+                assert image.is_written(addr) == seed.is_written(addr)
+                assert image.read(addr, 8) == seed.read(addr, 8)
+        assert memo.cache_info().currsize <= bound
+
+
+def test_background_memo_is_shared_and_evicts(monkeypatch):
+    assert (image_module._background_word.cache_info().maxsize
+            == image_module.BACKGROUND_MEMO_WORDS)
+    memo = lru_cache(maxsize=2)(image_module._background_word.__wrapped__)
+    monkeypatch.setattr(image_module, "_background_word", memo)
+    first, second = MemoryImage(), MemoryImage()
+    seed = seed_image.MemoryImage()
+    for addr in (0x100, 0x108, 0x110):
+        assert first.read(addr, 8) == seed.read(addr, 8)
+    assert second.read(0x110, 8) == seed.read(0x110, 8)   # the other's entry
+    assert memo.cache_info().hits == 1
+    assert second.read(0x100, 8) == seed.read(0x100, 8)   # evicted, rehashed
+    assert memo.cache_info().misses == 4
+    assert memo.cache_info().currsize == 2
 
 
 def test_memory_image_copy_is_independent_of_memo():

@@ -7,8 +7,9 @@ corruption robustness (truncated snapshots and missing window memos repair
 in place, never crash and never change the result), the engine's
 generation/reuse accounting, policy-group generation (one job per workload
 and policy group, bit-identical to the single pass, leaving only snapshot
-and window blobs, each job's snapshots recomputed exactly when lost), and
-the result-cache key semantics of checkpointed interval specs.
+and window blobs, each job's snapshots recomputed exactly when lost), the
+result-cache key semantics of checkpointed interval specs, and the memo of
+canonical settings forms behind every key.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.fsp import ForwardingStorePredictor
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
+from repro.exec import cache as cache_module
 from repro.exec import fingerprint as fingerprint_module
 from repro.harness.runner import (
     BASELINE_CONFIG,
@@ -32,6 +34,7 @@ from repro.sampling import SamplingPlan
 from repro.sampling.checkpoints import (
     CheckpointJobSpec,
     CheckpointStore,
+    _shared_payload,
     checkpoints_enabled,
     execute_generation,
     generate_checkpoints,
@@ -274,6 +277,55 @@ class TestStoreInvalidation:
         assert total == 1 and len(requests) == 1
         assert requests[0].identities == (other,)
         assert not requests[0].write_shared  # shared snapshots stay valid
+
+
+class TestKeyMemo:
+    """The canonical settings forms are memoised per settings object; the
+    source fingerprints are still read on every call."""
+
+    def _keys(self):
+        spec = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
+        return (job_key(spec), shared_key(WORKLOAD, SETTINGS, 0),
+                policy_key(WORKLOAD, SETTINGS, IDENTITY, 0),
+                window_key(WORKLOAD, SETTINGS, 0))
+
+    def test_job_key_follows_source_fingerprints(self, monkeypatch):
+        spec = JobSpec(WORKLOAD, CONFIG, SETTINGS)
+        before = job_key(spec)
+        monkeypatch.setattr(fingerprint_module, "simulator_fingerprint",
+                            lambda: "edited-simulator-source")
+        simulator_edited = job_key(spec)
+        assert simulator_edited != before
+        monkeypatch.setattr(fingerprint_module, "workload_fingerprint",
+                            lambda: "edited-workload-source")
+        assert job_key(spec) not in (before, simulator_edited)
+        monkeypatch.undo()
+        assert job_key(spec) == before
+
+    def test_mutating_a_payload_changes_no_key(self):
+        before = self._keys()
+        payload = _shared_payload(WORKLOAD, SETTINGS)
+        payload["core"].clear()
+        payload["plan"]["seed"] = 99
+        payload["workload"] = "swim"
+        assert self._keys() == before
+        assert _shared_payload(WORKLOAD, SETTINGS) != payload
+
+    def test_unhashable_settings_take_the_uncached_path(self):
+        @dataclasses.dataclass
+        class MutableSettings:      # eq without frozen: unhashable
+            instructions: int
+            seed: int
+
+        settings = MutableSettings(instructions=1_000, seed=1)
+        spec = JobSpec(WORKLOAD, CONFIG, settings)
+        entries = cache_module._canonical_pickle.cache_info().currsize
+        first = job_key(spec)
+        settings.seed = 2
+        assert job_key(spec) != first
+        settings.seed = 1
+        assert job_key(spec) == first
+        assert cache_module._canonical_pickle.cache_info().currsize == entries
 
 
 class TestCorruptSnapshots:
