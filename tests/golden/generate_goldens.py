@@ -6,7 +6,8 @@ full-detail and sampled runs, so hot-path refactors (static-plane trace
 encoding, core-loop rework, warming changes) diff against frozen numbers
 rather than against themselves.  ``hotpath_golden.json`` covers the
 blocking hierarchy; ``mlp_golden.json`` covers the non-blocking one (MSHR
-files and the stride prefetcher), which the frozen seed stack in
+files and the stride prefetcher, and a 2-entry file whose structural
+stalls hold ready loads at issue), which the frozen seed stack in
 ``benchmarks/legacy_ref`` does not model.  Regenerate ONLY when trace
 content or simulator semantics change intentionally:
 
@@ -44,6 +45,15 @@ MLP_VARIANTS = ("mshr8", "mshr16", "mshr8+prefetch")
 MLP_INSTRUCTIONS = 1600
 MLP_SEED = 2
 MLP_WARMUP = 0.1
+
+#: The MSHR stall grid: a 2-entry file, with and without the prefetcher,
+#: rotating over memory-bound programs long enough to miss past the cache
+#: pre-warm, so every cell holds ready loads behind a full MSHR file
+#: (``mshr_stall_cycles > 0``) — the issue-stage structural stall the grid
+#: above never reaches.
+STALL_WORKLOADS = ("mcf", "art", "swim", "parser")
+STALL_VARIANTS = ("mshr2", "mshr2+prefetch")
+STALL_INSTRUCTIONS = 6000
 
 
 def _plan():
@@ -108,29 +118,36 @@ def _mlp_core_config(variant: str):
         "mshr16": MLPConfig(enabled=True, mshr_entries=16),
         "mshr8+prefetch": MLPConfig(enabled=True, mshr_entries=8,
                                     prefetch=PrefetchConfig(enabled=True)),
+        "mshr2": MLPConfig(enabled=True, mshr_entries=2),
+        "mshr2+prefetch": MLPConfig(enabled=True, mshr_entries=2,
+                                    prefetch=PrefetchConfig(enabled=True)),
     }[variant]
     return CoreConfig(memory=MemoryHierarchyConfig(mlp=mlp))
 
 
 def mlp_goldens() -> dict:
-    """Every cell of the MLP grid, keyed ``variant/config/workload``."""
+    """Every cell of the MLP and MSHR stall grids, keyed
+    ``variant/config/workload``."""
     from repro.harness.runner import make_policy
     from repro.pipeline.core import OutOfOrderCore
     from repro.workloads.suites import build_workload
 
     out = {}
-    for v, variant in enumerate(MLP_VARIANTS):
-        core_config = _mlp_core_config(variant)
-        for c, config in enumerate(MLP_CONFIGS):
-            workload = MLP_WORKLOADS[(v + c) % len(MLP_WORKLOADS)]
-            trace = build_workload(workload, instructions=MLP_INSTRUCTIONS,
-                                   seed=MLP_SEED)
-            core = OutOfOrderCore(core_config, make_policy(config))
-            result = core.run(trace, stats_warmup_fraction=MLP_WARMUP)
-            out[f"{variant}/{config}/{workload}"] = {
-                "stats": _stats_dict(result.stats),
-                "extra": dict(sorted(result.extra.items())),
-            }
+    for variants, workloads, instructions in (
+            (MLP_VARIANTS, MLP_WORKLOADS, MLP_INSTRUCTIONS),
+            (STALL_VARIANTS, STALL_WORKLOADS, STALL_INSTRUCTIONS)):
+        for v, variant in enumerate(variants):
+            core_config = _mlp_core_config(variant)
+            for c, config in enumerate(MLP_CONFIGS):
+                workload = workloads[(v + c) % len(workloads)]
+                trace = build_workload(workload, instructions=instructions,
+                                       seed=MLP_SEED)
+                core = OutOfOrderCore(core_config, make_policy(config))
+                result = core.run(trace, stats_warmup_fraction=MLP_WARMUP)
+                out[f"{variant}/{config}/{workload}"] = {
+                    "stats": _stats_dict(result.stats),
+                    "extra": dict(sorted(result.extra.items())),
+                }
     return out
 
 

@@ -14,7 +14,9 @@ must simulate bit-identically to the encoded stream.
 ``tests/golden/mlp_golden.json`` pins the same for the non-blocking
 hierarchy: every SQ policy under MSHR files of 8 and 16 entries and under a
 stride prefetcher, a model the frozen seed stack (``benchmarks/legacy_ref``)
-does not have and so cannot cross-check.
+does not have and so cannot cross-check.  Its stall grid (a 2-entry file,
+with and without the prefetcher, on memory-bound programs) pins the
+issue-stage MSHR hold: every one of those cells stalls.
 
 Regenerate the goldens ONLY for intentional trace-content or
 simulator-semantics changes: ``python tests/golden/generate_goldens.py``
@@ -161,3 +163,8 @@ class TestMLPGoldens:
         # The grid must exercise what only it covers.
         assert all(counters["stats"]["prefetch_issued"] > 0
                    for cell, counters in want.items() if "prefetch" in cell)
+        stall_cells = [counters for cell, counters in want.items()
+                       if cell.split("/")[0] in generate_goldens.STALL_VARIANTS]
+        assert len(stall_cells) == 2 * len(generate_goldens.MLP_CONFIGS)
+        assert all(counters["stats"]["mshr_stall_cycles"] > 0
+                   for counters in stall_cells)
