@@ -75,9 +75,9 @@ ISSUE_CLASS_OF = {
     OpClass.STORE: "store",
 }
 
-#: Positional index of each issue class, in the order the core's per-class
-#: structures (ready heaps, issue budgets) are laid out.  Precomputed per
-#: static instruction so integer-indexed kernels never hash the class name.
+#: Positional index of each issue class, in the order the core lays out its
+#: per-cycle issue budgets.  Precomputed per static instruction so
+#: integer-indexed kernels never hash the class name.
 ISSUE_INDEX_OF = {"int": 0, "fp": 1, "branch": 2, "load": 3, "store": 4}
 
 #: A static descriptor: everything about one static instruction.

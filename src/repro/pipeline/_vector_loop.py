@@ -13,31 +13,49 @@ Design:
   wider than the ROB (records live exactly while they sit in the ROB), so
   two live records can never collide on a slot, and a slot is recycled the
   moment its old occupant leaves the window.  The arrays are allocated once
-  per run and never grow with trace length.
+  per run and never grow with trace length.  A slot records the static
+  index of its instruction and reads kind, PC, destination, issue class
+  and latency through the static-plane arrays, so dispatch copies no
+  static field; a rename undo is the previous producer, an int.
 
-* **Generation tokens.**  A flush squashes a suffix of the window and fetch
-  re-dispatches the *same* sequence numbers, so a raw ``seq`` stored in a
-  side structure (consumer lists, forward/delay waiter lists, completion
-  buckets) could alias the refetched instance of itself.  Every dispatch
-  therefore stamps its slot with a fresh token (a global dispatch counter
-  shifted over the slot bits); side structures hold tokens, and a held
-  token that no longer matches its slot names a squashed instance and is
-  ignored.  The ready heaps hold plain sequence numbers — age *is* the
-  issue priority — validated against the slot on pop, so stale entries are
-  purged as they surface.
+* **Implicit ROB.**  Dispatch is in order, commit retires the head, and a
+  flush drops the whole suffix behind the flushing load and rewinds fetch
+  to it, so the window is exactly ``[rob_head, fetch_seq)``: two integers
+  stand for the reorder buffer.
+
+* **One lifecycle state per slot.**  A record is *waiting* (on a source, a
+  forwarding store, or a delay-index store), *ready* (in a ready heap),
+  *issued*, or *completed*; one small int replaces a flag per stage.
+
+* **Generation tokens, which also mark squashes.**  A flush squashes a
+  suffix of the window and fetch re-dispatches the *same* sequence
+  numbers, so a raw ``seq`` stored in a side structure (consumer lists,
+  forward/delay waiter lists, completion buckets) could alias the
+  refetched instance of itself.  Every dispatch therefore stamps its slot
+  with a fresh token (a global dispatch counter shifted over the slot
+  bits); side structures hold tokens, and a held token that no longer
+  matches its slot names a squashed instance and is ignored.  A squash
+  sets the slot's token and sequence number to -1, so every held token
+  and every heap entry of a squashed record fails the slot check its
+  reader already makes: there is no squashed flag.
+
+* **Two ready heaps.**  The ready heaps hold plain sequence numbers — age
+  *is* the issue priority — validated against the slot (sequence number
+  and ready state) when they surface, so stale entries are purged as they
+  go.  Loads have a heap of their own; every other class shares one, which
+  applies the per-class issue budgets: an entry whose class has spent its
+  budget this cycle is set aside and pushed back after issue.  Each issue
+  step takes the older of the two heads and re-peeks only the heap it
+  popped.  When the MSHR file would block the oldest ready load, the load
+  heap holds for the rest of the cycle (the structural stall) and its
+  entries stay put; in a shared heap every ready load behind that hold
+  would be set aside and pushed back every cycle.
 
 * **One fused pass.**  Dispatch, issue, wakeup, commit, flush, and the
   idle fast-forward are inlined into a single loop with every loop
   invariant (static-plane arrays, config scalars, policy bound methods,
   queue internals) held in locals, so no stage pays a call frame or
   ``self`` attribute traffic per cycle.
-
-* **Issue tournament.**  Each cycle the valid head of every issue class
-  with budget left enters a small heap of ``(head seq, class)``; popping
-  it yields the oldest ready uop across classes, and the issuing class
-  pushes its next valid head back while its budget lasts.  When the MSHR
-  file would block the oldest ready load, the load class's entry is
-  dropped for the rest of the cycle (the structural stall).
 
 * **Once-per-run policy constants.**  A forwarded load's latency depends
   only on the policy's configuration and the L1 latency
@@ -67,7 +85,7 @@ properties (``tests/property/test_core_reference.py``) pin every
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.registers import REG_ZERO
@@ -78,6 +96,12 @@ from repro.memory.last_writer import write as lw_write
 from repro.memory.last_writer import youngest as lw_youngest
 from repro.pipeline.rename import ARCH_READY
 from repro.pipeline.stats import SimStats
+
+#: Lifecycle states of an in-flight record.
+WAITING = 0      # on a source, a forwarding store or a delay-index store
+READY = 1        # in a ready heap
+ISSUED = 2
+COMPLETED = 3
 
 
 def run_core_loop(core, encoded, warmup_committed, stop_committed):
@@ -202,24 +226,17 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     cap = 1 << (rob_size - 1).bit_length() if rob_size > 1 else 1
     mask = cap - 1
     tok_shift = mask.bit_length()
-    v_seq = [-1] * cap        # current occupant's sequence number
-    v_tok = [-1] * cap        # current occupant's generation token
-    v_kind = [0] * cap
-    v_pc = [0] * cap
-    v_dest = [None] * cap
-    v_iclass = [0] * cap
-    v_lat = [0] * cap
-    v_squashed = [0] * cap
+    v_seq = [-1] * cap        # occupant's sequence number (-1: squashed)
+    v_tok = [-1] * cap        # occupant's generation token (-1: squashed)
+    v_si = [0] * cap          # occupant's static index
+    v_state = [WAITING] * cap
     v_wait_srcs = [0] * cap
     v_wait_fwd = [0] * cap
     v_wait_dly = [0] * cap
-    v_issued = [0] * cap
-    v_completed = [0] * cap
-    v_ready_pushed = [0] * cap
     v_consumers = [None] * cap     # list of consumer tokens, or None
     v_other_ready = [0] * cap
     v_completion = [0] * cap
-    v_rat_undo = [None] * cap
+    v_rat_undo = [0] * cap         # previous producer of the destination
     v_addr = [0] * cap
     v_size = [0] * cap
     v_value = [0] * cap            # store value
@@ -240,19 +257,13 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     v_dly_clear = [0] * cap
     disp = 0                       # global dispatch (generation) counter
 
-    # Window structures: plain int deques for ROB and LQ order (only the
-    # store queue keeps its entry objects — policies probe it directly).
-    # Occupancies are shadowed in plain int counters: cheaper than len()
-    # in the per-uop dispatch guards and the per-cycle idle-skip guard.
-    rob_seqs = deque()
-    rob_popleft = rob_seqs.popleft
-    rob_push = rob_seqs.append
-    rob_drop = rob_seqs.pop
-    rob_occ = 0
+    # Window structures.  The ROB is implicit: it holds exactly the
+    # sequence numbers [rob_head, fetch_seq).  The load queue keeps its
+    # order in a plain int deque, its occupancy shadowed in a counter; only
+    # the store queue keeps entry objects (policies probe it directly).
     lq_seqs = deque()
     lq_popleft = lq_seqs.popleft
     lq_push = lq_seqs.append
-    lq_drop = lq_seqs.pop
     lq_occ = 0
     rob_alloc = rob.allocations
     rob_maxocc = rob.max_occupancy
@@ -261,8 +272,12 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     lq_releases = lq_stats.releases
     lq_squashes = lq_stats.squashes
 
-    heaps = [[], [], [], [], []]   # one ready heap of seqs per issue class
-    ready_count = 0
+    load_heap = []                 # ready loads' seqs
+    other_heap = []                # every other ready seq
+    # Per-cycle issue budgets, in issue-class order (loads keep theirs in
+    # a scalar of their own).
+    budget_limits = [limit_int, limit_fp, limit_branch, limit_load,
+                     limit_store]
     completions = {}               # completion cycle -> list of tokens
     completions_pop = completions.pop
     completions_get = completions.get
@@ -276,6 +291,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     # Scalar machine state (continues from the core when it is reused).
     cycle = core._cycle
     fetch_seq = core._fetch_seq
+    rob_head = fetch_seq           # the window starts empty
     fetch_resume = core._fetch_resume_cycle
     fetch_blocked_tok = -1
     iq_occ = core._iq_occupancy
@@ -317,21 +333,21 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
 
     while committed_total < stop_committed:
         # ------------------------------------------------ idle fast-forward --
-        if idle_skip and not ready_count:
+        if idle_skip and not load_heap and not other_heap:
             nxt = cycle + 1
             skip = True
             if fetch_blocked_tok < 0 and nxt >= fetch_resume \
                     and fetch_seq < total:
                 k = kind_arr[sidx[fetch_seq]]
-                if not (rob_occ >= rob_size or iq_occ >= iq_size
+                if not (fetch_seq - rob_head >= rob_size or iq_occ >= iq_size
                         or (k == KIND_LOAD and lq_occ >= lq_size)
                         or (k == KIND_STORE and len(sq_entries) >= sq_size)):
                     skip = False
             if skip:
                 target = min(completions) if completions else None
-                if rob_seqs:
-                    hi = rob_seqs[0] & mask
-                    if v_completed[hi]:
+                if rob_head < fetch_seq:
+                    hi = rob_head & mask
+                    if v_state[hi] == COMPLETED:
                         commit_at = v_completion[hi] + commit_delay
                         if target is None or commit_at < target:
                             target = commit_at
@@ -357,7 +373,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             c_fetch_stall += blocked
                             rest = n - blocked
                             if rest > 0 and fetch_seq < total:
-                                if rob_occ >= rob_size:
+                                if fetch_seq - rob_head >= rob_size:
                                     c_rob_stall += rest
                                 elif iq_occ >= iq_size:
                                     c_iq_stall += rest
@@ -378,30 +394,31 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
             if ops:
                 for tok in ops:
                     i = tok & mask
-                    if v_tok[i] != tok or v_squashed[i]:
+                    if v_tok[i] != tok:
                         continue
-                    v_completed[i] = 1
-                    if v_kind[i] == KIND_STORE:
+                    v_state[i] = COMPLETED
+                    if kind_arr[v_si[i]] == KIND_STORE:
                         sq_write_execute(v_ssn[i], v_addr[i], v_size[i],
                                          v_value[i])
                         waiters = v_fwd_waiters[i]
                         if waiters:
+                            # Loads (constraint 1) and stores (store-store
+                            # serialisation); a set wait_fwd has kept each
+                            # one waiting since dispatch.
                             for wtok in waiters:
                                 wi = wtok & mask
-                                if v_tok[wi] != wtok or v_squashed[wi] \
-                                        or not v_wait_fwd[wi]:
+                                if v_tok[wi] != wtok or not v_wait_fwd[wi]:
                                     continue
                                 v_wait_fwd[wi] = 0
-                                if v_issued[wi] or v_ready_pushed[wi]:
-                                    continue
                                 if v_wait_srcs[wi] == 0:
                                     if v_other_ready[wi] < 0:
                                         v_other_ready[wi] = cycle
                                     if not v_wait_dly[wi]:
-                                        v_ready_pushed[wi] = 1
-                                        ready_count += 1
-                                        heappush(heaps[v_iclass[wi]],
-                                                 v_seq[wi])
+                                        v_state[wi] = READY
+                                        if kind_arr[v_si[wi]] == KIND_LOAD:
+                                            heappush(load_heap, v_seq[wi])
+                                        else:
+                                            heappush(other_heap, v_seq[wi])
                             v_fwd_waiters[i] = None
                     # Only a mispredicted branch can block fetch.
                     if fetch_blocked_tok == tok:
@@ -413,39 +430,40 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     if consumers:
                         for ctok in consumers:
                             ci = ctok & mask
-                            if v_tok[ci] != ctok or v_squashed[ci]:
+                            if v_tok[ci] != ctok:
                                 continue
                             w = v_wait_srcs[ci] = v_wait_srcs[ci] - 1
-                            if (w == 0 and not v_wait_fwd[ci]
-                                    and not v_issued[ci]
-                                    and not v_ready_pushed[ci]):
+                            # The last source wakes a record that has been
+                            # waiting since dispatch.
+                            if w == 0 and not v_wait_fwd[ci]:
                                 if v_other_ready[ci] < 0:
                                     v_other_ready[ci] = cycle
                                 if not v_wait_dly[ci]:
-                                    v_ready_pushed[ci] = 1
-                                    ready_count += 1
-                                    heappush(heaps[v_iclass[ci]], v_seq[ci])
+                                    v_state[ci] = READY
+                                    if kind_arr[v_si[ci]] == KIND_LOAD:
+                                        heappush(load_heap, v_seq[ci])
+                                    else:
+                                        heappush(other_heap, v_seq[ci])
                         v_consumers[i] = None
 
         # --------------------------------------------------------- commit --
         committed_now = 0
-        if rob_seqs and v_completed[rob_seqs[0] & mask]:
-            while committed_now < commit_width:
-                if not rob_seqs:
-                    break
-                seq0 = rob_seqs[0]
+        if rob_head < fetch_seq and v_state[rob_head & mask] == COMPLETED:
+            while committed_now < commit_width and rob_head < fetch_seq:
+                seq0 = rob_head
                 i = seq0 & mask
-                if not v_completed[i] or v_completion[i] + commit_delay > cycle:
+                if v_state[i] != COMPLETED \
+                        or v_completion[i] + commit_delay > cycle:
                     break
-                rob_popleft()
-                rob_occ -= 1
+                rob_head = seq0 + 1
                 committed_now += 1
                 committed_total += 1
-                dest = v_dest[i]
+                si = v_si[i]
+                dest = dest_arr[si]
                 if dest is not None and dest != reg_zero \
                         and rat_map[dest] == seq0:
                     rat_map[dest] = arch_ready
-                kind = v_kind[i]
+                kind = kind_arr[si]
                 if kind == KIND_STORE:
                     addr = v_addr[i]
                     size = v_size[i]
@@ -461,29 +479,27 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     store_by_ssn_pop(ssn, None)
                     if fast_store_commit:
                         svw_ssbf_update(addr, size, ssn)
-                        svw_spct_update(addr, size, v_pc[i])
+                        svw_spct_update(addr, size, pc_arr[si])
                         svw_stats.ssbf_writes += 1
                         svw_stats.spct_writes += 1
                     else:
-                        policy_store_committed(v_pc[i], ssn, addr, size)
+                        policy_store_committed(pc_arr[si], ssn, addr, size)
                     hier_store_touch(addr)
                     waiters = dly_waiters_pop(ssn, None)
                     if waiters:
+                        # Every waiter is a load that has waited on this
+                        # store since dispatch.
                         for wtok in waiters:
                             wi = wtok & mask
-                            if v_tok[wi] != wtok or v_squashed[wi] \
-                                    or not v_wait_dly[wi]:
+                            if v_tok[wi] != wtok or not v_wait_dly[wi]:
                                 continue
                             v_wait_dly[wi] = 0
                             v_dly_clear[wi] = cycle
-                            if v_issued[wi] or v_ready_pushed[wi]:
-                                continue
                             if v_wait_srcs[wi] == 0 and not v_wait_fwd[wi]:
                                 if v_other_ready[wi] < 0:
                                     v_other_ready[wi] = cycle
-                                v_ready_pushed[wi] = 1
-                                ready_count += 1
-                                heappush(heaps[v_iclass[wi]], v_seq[wi])
+                                v_state[wi] = READY
+                                heappush(load_heap, v_seq[wi])
                 elif kind == KIND_LOAD:
                     addr = v_addr[i]
                     size = v_size[i]
@@ -514,7 +530,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     if violation and not needs_reexec:
                         raise AssertionError(
                             f"SVW filter missed a violation at "
-                            f"pc={v_pc[i]:#x} seq={seq0}: "
+                            f"pc={pc_arr[si]:#x} seq={seq0}: "
                             f"spec={spec_value:#x} "
                             f"correct={correct_value:#x}")
 
@@ -529,7 +545,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
 
                     if train_on_commit:
                         info = load_info_new(load_info_cls)
-                        info.pc = v_pc[i]
+                        info.pc = pc_arr[si]
                         info.addr = addr
                         info.size = size
                         info.spec_value = spec_value
@@ -547,104 +563,101 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         if v_should_fwd[i]:
                             c_misfwd += 1
                         # ------------------------------------ flush (inline) --
+                        # Everything younger than the load is squashed,
+                        # youngest first, and fetch rewinds to just past it.
                         c_flushes += 1
-                        while rob_seqs and rob_seqs[-1] > seq0:
-                            vseq = rob_drop()
-                            rob_occ -= 1
+                        c_squashed += fetch_seq - rob_head
+                        for vseq in range(fetch_seq - 1, seq0, -1):
                             vi = vseq & mask
-                            v_squashed[vi] = 1
-                            c_squashed += 1
-                            undo = v_rat_undo[vi]
-                            if undo is not None:
-                                rat_map[undo[0]] = undo[1]
-                            if not v_issued[vi]:
+                            v_tok[vi] = -1
+                            v_seq[vi] = -1
+                            vsi = v_si[vi]
+                            vdest = dest_arr[vsi]
+                            if vdest is not None and vdest != reg_zero:
+                                rat_map[vdest] = v_rat_undo[vi]
+                            if v_state[vi] < ISSUED:
                                 iq_occ -= 1
-                            vkind = v_kind[vi]
-                            if vkind == KIND_STORE:
+                            if kind_arr[vsi] == KIND_STORE:
                                 vssn = v_ssn[vi]
-                                policy_store_squashed(v_pc[vi], vssn,
+                                policy_store_squashed(pc_arr[vsi], vssn,
                                                       v_sat_undo[vi])
                                 store_by_ssn_pop(vssn, None)
                                 lw_restore(last_writer, v_addr[vi],
                                            v_size[vi], v_oracle_entry[vi],
                                            v_oracle_undo[vi])
-                            elif vkind == KIND_LOAD:
-                                pred = v_pred[vi]
-                                if pred is not None and pred.dly_ssn:
-                                    waiters = dly_waiters_get(pred.dly_ssn)
-                                    if waiters:
-                                        vtok = v_tok[vi]
-                                        if vtok in waiters:
-                                            waiters.remove(vtok)
                         sq_squash_younger(v_ssn_ren[i])
-                        while lq_seqs and lq_seqs[-1] > seq0:
-                            lq_drop()
-                            lq_occ -= 1
-                            lq_squashes += 1
+                        # The load was the load queue's head: every load
+                        # left behind it is younger.
+                        lq_squashes += lq_occ
+                        lq_occ = 0
+                        lq_seqs.clear()
                         # Inlined SSNAllocator.rewind_rename: the target is
                         # clamped to [ssn_commit, ssn_rename] by construction.
                         ren = v_ssn_ren[i]
                         ssn_rename = ren if ren > ssn_commit else ssn_commit
                         fetch_seq = seq0 + 1
                         fetch_resume = cycle + flush_penalty
-                        if fetch_blocked_tok >= 0 \
-                                and v_squashed[fetch_blocked_tok & mask]:
+                        if fetch_blocked_tok >= 0 and \
+                                v_tok[fetch_blocked_tok & mask] \
+                                != fetch_blocked_tok:
                             fetch_blocked_tok = -1
                         break
                 elif kind == KIND_BRANCH:
                     c_branches += 1
 
         # ---------------------------------------------------------- issue --
-        if ready_count:
-            budgets = [limit_int, limit_fp, limit_branch, limit_load,
-                       limit_store]
+        if load_heap or other_heap:
+            budgets = budget_limits[:]
+            load_budget = limit_load
             total_budget = issue_width
-            # The tournament: a heap of (valid head seq, class) over the
-            # classes with budget left; the oldest head issues next.
-            tour = []
-            for x in range(5):
-                if budgets[x] > 0:
-                    heap = heaps[x]
-                    while heap:
-                        s = heap[0]
-                        j = s & mask
-                        if v_seq[j] != s or v_squashed[j] or v_issued[j] \
-                                or not v_ready_pushed[j]:
-                            heappop(heap)
-                            ready_count -= 1
-                        else:
-                            tour.append((s, x))
-                            break
-            if len(tour) > 1:
-                heapify(tour)
-            while total_budget > 0 and tour:
-                s, x = heappop(tour)
-                if x == 3 and mlp_hier is not None \
-                        and mlp_would_block(v_addr[s & mask], cycle):
-                    # Structural stall: MSHR file full and the oldest ready
-                    # load needs a new fill; the whole class holds.
-                    c_mshr_stall += 1
-                    continue
-                heap = heaps[x]
-                heappop(heap)
-                ready_count -= 1
-                i = s & mask
-                total_budget -= 1
-                budget = budgets[x] = budgets[x] - 1
-                if budget > 0:
-                    while heap:
-                        s2 = heap[0]
-                        j = s2 & mask
-                        if v_seq[j] != s2 or v_squashed[j] or v_issued[j] \
-                                or not v_ready_pushed[j]:
-                            heappop(heap)
-                            ready_count -= 1
-                        else:
-                            heappush(tour, (s2, x))
-                            break
-                v_issued[i] = 1
-                iq_occ -= 1
-                if v_kind[i] == KIND_LOAD:
+            deferred = None
+            # The valid heads of the two heaps (-1: none this cycle).  The
+            # other heap's head (static index osi) is of a class with
+            # budget left; entries of spent classes are set aside until the
+            # end of the cycle.
+            lhead = -1
+            while load_heap:
+                s = load_heap[0]
+                j = s & mask
+                if v_seq[j] != s or v_state[j] != READY:
+                    heappop(load_heap)
+                else:
+                    lhead = s
+                    break
+            ohead = -1
+            while other_heap:
+                s = other_heap[0]
+                j = s & mask
+                if v_seq[j] != s or v_state[j] != READY:
+                    heappop(other_heap)
+                else:
+                    ohead = s
+                    osi = v_si[j]
+                    break
+            while True:
+                if lhead >= 0 and (ohead < 0 or lhead < ohead):
+                    i = lhead & mask
+                    if mlp_hier is not None and mlp_would_block(v_addr[i],
+                                                                cycle):
+                        # Structural stall: MSHR file full and the oldest
+                        # ready load needs a new fill; loads hold.
+                        c_mshr_stall += 1
+                        lhead = -1
+                        continue
+                    heappop(load_heap)
+                    v_state[i] = ISSUED
+                    lhead = -1
+                    total_budget -= 1
+                    load_budget -= 1
+                    if load_budget > 0 and total_budget > 0:
+                        while load_heap:
+                            s = load_heap[0]
+                            j = s & mask
+                            if v_seq[j] != s or v_state[j] != READY:
+                                heappop(load_heap)
+                            else:
+                                lhead = s
+                                break
                     # ------------------------------- execute load (inline) --
                     addr = v_addr[i]
                     size = v_size[i]
@@ -653,7 +666,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     decision = policy_forward(addr, size, v_ssn_ren[i],
                                               prediction, sq)
                     if mlp_hier is not None:
-                        cache_latency = mlp_load_access(addr, cycle, v_pc[i])
+                        cache_latency = mlp_load_access(addr, cycle,
+                                                        pc_arr[v_si[i]])
                     else:
                         cache_latency = hier_load_latency(addr)
                     if decision.forwarded:
@@ -685,8 +699,34 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             delay = dly_clear - orc
                             if delay > 0:
                                 v_delay_cycles[i] = delay
+                elif ohead >= 0:
+                    i = ohead & mask
+                    heappop(other_heap)
+                    v_state[i] = ISSUED
+                    ohead = -1
+                    total_budget -= 1
+                    budgets[iidx_arr[osi]] -= 1
+                    latency = latency_arr[osi]
+                    while total_budget > 0 and other_heap:
+                        s = other_heap[0]
+                        j = s & mask
+                        if v_seq[j] != s or v_state[j] != READY:
+                            heappop(other_heap)
+                            continue
+                        jsi = v_si[j]
+                        if budgets[iidx_arr[jsi]] <= 0:
+                            heappop(other_heap)
+                            if deferred is None:
+                                deferred = [s]
+                            else:
+                                deferred.append(s)
+                            continue
+                        ohead = s
+                        osi = jsi
+                        break
                 else:
-                    latency = v_lat[i]
+                    break
+                iq_occ -= 1
                 completion_cycle = cycle + latency
                 v_completion[i] = completion_cycle
                 tok = v_tok[i]
@@ -695,6 +735,11 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     completions[completion_cycle] = [tok]
                 else:
                     bucket.append(tok)
+                if total_budget <= 0:
+                    break
+            if deferred is not None:
+                for s in deferred:
+                    heappush(other_heap, s)
 
         # ------------------------------------------------------- dispatch --
         if cycle < fetch_resume or fetch_blocked_tok >= 0:
@@ -706,7 +751,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                 si = sidx[fetch_seq]
                 kind = kind_arr[si]
 
-                if rob_occ >= rob_size:
+                if fetch_seq - rob_head >= rob_size:
                     c_rob_stall += 1
                     break
                 if iq_occ >= iq_size:
@@ -727,30 +772,15 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                 tok = (disp << tok_shift) | i
                 v_tok[i] = tok
                 v_seq[i] = rseq
-                v_kind[i] = kind
-                pc = pc_arr[si]
-                v_pc[i] = pc
-                dest = dest_arr[si]
-                v_dest[i] = dest
-                v_iclass[i] = iidx_arr[si]
-                v_lat[i] = latency_arr[si]
-                v_squashed[i] = 0
-                v_issued[i] = 0
-                v_completed[i] = 0
+                v_si[i] = si
+                # Reset before the kind-specific checks below: a store's
+                # store-set dependence can name the store itself (an LFST
+                # entry left by its squashed instance), which must read as
+                # not completed.
+                v_state[i] = WAITING
                 v_consumers[i] = None
-                v_ready_pushed[i] = 0
-                v_other_ready[i] = -1
-                # (v_completion is only read behind v_completed, which the
-                # issue stage always sets first — no reset store needed.)
-                v_rat_undo[i] = None
                 fetch_seq = rseq + 1
                 dispatched += 1
-
-                rob_push(rseq)
-                rob_occ += 1
-                rob_alloc += 1
-                if rob_occ > rob_maxocc:
-                    rob_maxocc = rob_occ
                 iq_occ += 1
 
                 wait_srcs = 0
@@ -761,7 +791,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     if pseq == arch_ready:
                         continue
                     pi = pseq & mask
-                    if v_seq[pi] != pseq or v_completed[pi] or v_squashed[pi]:
+                    if v_seq[pi] != pseq or v_state[pi] == COMPLETED:
                         continue
                     wait_srcs += 1
                     consumers = v_consumers[pi]
@@ -771,8 +801,9 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         consumers.append(tok)
                 v_wait_srcs[i] = wait_srcs
 
+                dest = dest_arr[si]
                 if dest is not None and dest != reg_zero:
-                    v_rat_undo[i] = (dest, rat_map[dest])
+                    v_rat_undo[i] = rat_map[dest]
                     rat_map[dest] = rseq
 
                 wait_fwd = 0
@@ -796,7 +827,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     v_oracle_dep[i] = oracle_ssn
 
                     v_pred[i] = prediction = policy_predict_load(
-                        pc, ssn_rename, ssn_commit, oracle_ssn)
+                        pc_arr[si], ssn_rename, ssn_commit, oracle_ssn)
 
                     # Constraint 1: predicted forwarding store must have
                     # executed.
@@ -805,8 +836,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         stok = store_by_ssn_get(fwd_ssn)
                         if stok is not None:
                             sj = stok & mask
-                            if v_tok[sj] == stok and not v_completed[sj] \
-                                    and not v_squashed[sj]:
+                            if v_tok[sj] == stok \
+                                    and v_state[sj] != COMPLETED:
                                 wait_fwd = 1
                                 waiters = v_fwd_waiters[sj]
                                 if waiters is None:
@@ -825,6 +856,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         else:
                             waiters.append(tok)
                 elif kind == KIND_STORE:
+                    pc = pc_arr[si]
                     v_fwd_waiters[i] = None
                     v_addr[i] = addr = addr_arr[rseq]
                     v_size[i] = size = size_arr[rseq]
@@ -865,8 +897,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         dtok = store_by_ssn_get(dep_ssn)
                         if dtok is not None:
                             dj = dtok & mask
-                            if v_tok[dj] == dtok and not v_completed[dj] \
-                                    and not v_squashed[dj]:
+                            if v_tok[dj] == dtok \
+                                    and v_state[dj] != COMPLETED:
                                 wait_fwd = 1
                                 waiters = v_fwd_waiters[dj]
                                 if waiters is None:
@@ -877,20 +909,23 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     taken = taken_arr[rseq]
                     target = target_arr[rseq]
                     mispredicted = branch_resolve(
-                        pc, taken, target if target >= 0 else None,
+                        pc_arr[si], taken, target if target >= 0 else None,
                         hint_call_arr[si], hint_return_arr[si])
                     if mispredicted:
                         c_mispred += 1
                 v_wait_fwd[i] = wait_fwd
                 v_wait_dly[i] = wait_dly
 
-                # Freshly dispatched record: never squashed/issued/pushed.
                 if wait_srcs == 0 and not wait_fwd:
                     v_other_ready[i] = cycle
                     if not wait_dly:
-                        v_ready_pushed[i] = 1
-                        ready_count += 1
-                        heappush(heaps[v_iclass[i]], rseq)
+                        v_state[i] = READY
+                        if kind == KIND_LOAD:
+                            heappush(load_heap, rseq)
+                        else:
+                            heappush(other_heap, rseq)
+                else:
+                    v_other_ready[i] = -1
 
                 if kind == KIND_BRANCH:
                     if mispredicted:
@@ -902,6 +937,11 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             break
                 if dispatched >= rename_width or fetch_seq >= total:
                     break
+            # Occupancy only grows during dispatch: its peak is at the end.
+            rob_alloc += dispatched
+            occupancy = fetch_seq - rob_head
+            if occupancy > rob_maxocc:
+                rob_maxocc = occupancy
 
         # ----------------------------------------- warm-up / exit plumbing --
         if not warmup_done and committed_total >= warmup_committed:
@@ -922,11 +962,12 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
         if committed_now:
             last_commit_cycle = cycle
         elif cycle - last_commit_cycle > deadlock_limit:
-            ready = sum(len(heap) for heap in heaps)
             raise RuntimeError(
                 f"simulation deadlock at cycle {cycle}: "
                 f"{committed_total}/{total} committed, "
-                f"ROB={rob_occ}, ready={ready}, fetch_seq={fetch_seq}")
+                f"ROB={fetch_seq - rob_head}, "
+                f"ready={len(load_heap) + len(other_heap)}, "
+                f"fetch_seq={fetch_seq}")
         if cycle >= max_cycles_eff:
             break
 

@@ -101,3 +101,38 @@ class TestArtifactCheck:
         _commit(tmp_path, self.NAME, self.COMMITTED)
         (tmp_path / "BENCH_table2.json").write_text("{}")
         assert ci_artifact_check.check(tmp_path, ["BENCH_table2.json"]) == 1
+
+
+class TestMemoryCellsCheck:
+    NAME = "BENCH_memory.json"
+    CELL = "mcf/associative-5-predictive/mshr2"
+    COMMITTED = {
+        "bench": "memory", "ok": True, "instructions": 6000,
+        "cells": {CELL: {"committed": 5993, "cycles": 106100,
+                         "mshr_stall_cycles": 13784}},
+        "serial_s": 6.1, "parallel_s": 4.0, "warm_cache_s": 0.2,
+        "timestamp": "2026-08-08T00:00:00+00:00", "wall_time_s": 14.2,
+    }
+
+    def _check(self, tmp_path, regenerated: dict) -> int:
+        _commit(tmp_path, self.NAME, self.COMMITTED)
+        (tmp_path / self.NAME).write_text(json.dumps(regenerated))
+        return ci_artifact_check.check(tmp_path, [self.NAME])
+
+    def test_checked_by_default(self):
+        assert self.NAME in ci_artifact_check.CHECKED
+
+    def test_timings_are_not_compared(self, tmp_path):
+        regenerated = dict(self.COMMITTED, serial_s=5.2, parallel_s=3.1,
+                           warm_cache_s=0.3, warm_cache_speedup=17.0)
+        assert self._check(tmp_path, regenerated) == 0
+
+    def test_changed_cell_fails_and_is_named(self, tmp_path, capsys):
+        cell = dict(self.COMMITTED["cells"][self.CELL], mshr_stall_cycles=13785)
+        regenerated = dict(self.COMMITTED, cells={self.CELL: cell})
+        assert self._check(tmp_path, regenerated) == 1
+        assert "BENCH_memory.json: cells differs" in capsys.readouterr().out
+
+    def test_missing_cells_fail(self, tmp_path):
+        regenerated = {k: v for k, v in self.COMMITTED.items() if k != "cells"}
+        assert self._check(tmp_path, regenerated) == 1
