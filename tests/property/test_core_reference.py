@@ -17,6 +17,11 @@ measured region that stops with instructions still in flight, no cache
 pre-touch).  The seed stack has no MSHR model; the genuinely non-blocking
 hierarchy is pinned by ``tests/golden/mlp_golden.json`` instead.
 
+The default machine's windows are large enough that no golden or digest
+cell fills the ROB or issue queue or wraps an SSN, so a fixed grid of
+small-window machines checks the structural stalls and the SSN wrap
+against the seed stack too.
+
 Further properties check the state hand-off the sampling subsystem depends
 on (export mid-workload, import into a fresh core, continue), each stack
 handing off to itself, and that every trace input form the core accepts
@@ -47,16 +52,18 @@ WORKLOADS = ("vortex", "gzip", "mesa.m", "gsm.e", "epic.d", "twolf")
 
 #: Every SQ policy family the paper models, built by each stack.
 LEGACY_POLICIES = {
-    "oracle-associative-3": lambda: legacy_ref.OracleAssociativePolicy(
-        sq_latency=3),
-    "associative-3": lambda: legacy_ref.AssociativeStoreSetsPolicy(
-        sq_latency=3, scheduling="predictive"),
-    "associative-5-optimistic": lambda: legacy_ref.AssociativeStoreSetsPolicy(
-        sq_latency=5, scheduling="optimistic"),
-    "associative-5-predictive": lambda: legacy_ref.AssociativeStoreSetsPolicy(
-        sq_latency=5, scheduling="predictive"),
-    "indexed-3-fwd": lambda: legacy_ref.IndexedSQPolicy(use_delay=False),
-    "indexed-3-fwd+dly": lambda: legacy_ref.IndexedSQPolicy(use_delay=True),
+    "oracle-associative-3": lambda sq_size=64: legacy_ref.OracleAssociativePolicy(
+        sq_size=sq_size, sq_latency=3),
+    "associative-3": lambda sq_size=64: legacy_ref.AssociativeStoreSetsPolicy(
+        sq_size=sq_size, sq_latency=3, scheduling="predictive"),
+    "associative-5-optimistic": lambda sq_size=64: legacy_ref.AssociativeStoreSetsPolicy(
+        sq_size=sq_size, sq_latency=5, scheduling="optimistic"),
+    "associative-5-predictive": lambda sq_size=64: legacy_ref.AssociativeStoreSetsPolicy(
+        sq_size=sq_size, sq_latency=5, scheduling="predictive"),
+    "indexed-3-fwd": lambda sq_size=64: legacy_ref.IndexedSQPolicy(
+        sq_size=sq_size, use_delay=False),
+    "indexed-3-fwd+dly": lambda sq_size=64: legacy_ref.IndexedSQPolicy(
+        sq_size=sq_size, use_delay=True),
 }
 CONFIGS = tuple(LEGACY_POLICIES)
 
@@ -67,6 +74,17 @@ CORE_CONFIGS = {
     "mshr1": CoreConfig(memory=MemoryHierarchyConfig(
         mlp=MLPConfig(enabled=True, mshr_entries=1, l2_enabled=False))),
 }
+
+
+#: Small-window machines: the first fills the ROB, issue queue, load queue
+#: and store queue and wraps its 6-bit SSNs; the second is limited by its
+#: ROB alone.
+SMALL_WINDOWS = (
+    CoreConfig(rob_size=48, issue_queue_size=12, load_queue_size=10,
+               store_queue_size=8, ssn_bits=6),
+    CoreConfig(rob_size=24, issue_queue_size=24, load_queue_size=24,
+               store_queue_size=16),
+)
 
 
 def _signature(result):
@@ -108,6 +126,33 @@ def test_core_matches_seed_stack(workload, config_name, core, call,
         **kwargs)
     assert _signature(result) == _signature(reference), \
         f"{workload}/{config_name}/{core}/{call} diverged from the seed stack"
+
+
+def test_small_windows_match_seed_stack():
+    """A fixed grid of small-window machines, every SQ policy sized to the
+    core's store queue: each cell equals the seed stack, and the grid as a
+    whole stalls on every window structure and wraps the SSN."""
+    stalls = dict.fromkeys(("rob_stall_cycles", "iq_stall_cycles",
+                            "lq_stall_cycles", "sq_stall_cycles",
+                            "ssn_wraps"), 0)
+    for core_config in SMALL_WINDOWS:
+        sq_size = core_config.store_queue_size
+        for workload in ("vortex", "gzip", "mcf"):
+            trace = build_workload(workload, instructions=1200, seed=2)
+            reference_trace = legacy_ref.build_workload(
+                workload, instructions=1200, seed=2)
+            for config_name in CONFIGS:
+                result = OutOfOrderCore(
+                    core_config, make_policy(config_name, sq_size=sq_size)
+                ).run(trace, stats_warmup_fraction=0.1)
+                reference = legacy_ref.OutOfOrderCore(
+                    core_config, LEGACY_POLICIES[config_name](sq_size)
+                ).run(reference_trace, stats_warmup_fraction=0.1)
+                assert _signature(result) == _signature(reference), \
+                    f"{workload}/{config_name}/{core_config} diverged"
+                for name in stalls:
+                    stalls[name] += getattr(result.stats, name)
+    assert all(count > 0 for count in stalls.values()), stalls
 
 
 @settings(max_examples=8, deadline=None,
