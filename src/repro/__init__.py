@@ -6,8 +6,8 @@ The package is organised as the paper's system is:
 * :mod:`repro.core` — the contribution: SSNs, the Forwarding Store Predictor
   (FSP), the Store Alias Table (SAT), the Delay Distance Predictor (DDP),
   SVW support structures (SSBF/SPCT), and the original Store Sets predictor.
-* :mod:`repro.lsu` — the store queue, load queue, and the pluggable SQ
-  access policies (associative vs. indexed).
+* :mod:`repro.lsu` — the store queue and the pluggable SQ access policies
+  (associative vs. indexed).
 * :mod:`repro.pipeline` — the cycle-level out-of-order core.
 * :mod:`repro.isa`, :mod:`repro.memory`, :mod:`repro.frontend` — substrates:
   the trace micro-op ISA, memory hierarchy, and branch prediction.
@@ -42,7 +42,6 @@ from repro.core import (
 from repro.lsu import (
     AssociativeStoreSetsPolicy,
     IndexedSQPolicy,
-    LoadQueue,
     OracleAssociativePolicy,
     SQPolicy,
     StoreQueue,
@@ -63,7 +62,6 @@ __all__ = [
     "DynamicTrace",
     "ForwardingStorePredictor",
     "IndexedSQPolicy",
-    "LoadQueue",
     "MicroOp",
     "OpClass",
     "OracleAssociativePolicy",

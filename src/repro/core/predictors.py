@@ -81,10 +81,6 @@ class SATConfig:
         if self.repair not in ("log", "checkpoint", "none"):
             raise ValueError(f"unknown SAT repair mode {self.repair!r}")
 
-    @property
-    def index_bits(self) -> int:
-        return self.entries.bit_length() - 1
-
 
 @dataclass(frozen=True)
 class DDPConfig:

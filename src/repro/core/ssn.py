@@ -92,14 +92,6 @@ class SSNAllocator:
             raise ValueError("cannot rewind forward")
         self.ssn_rename = ssn
 
-    def is_inflight(self, ssn: int) -> bool:
-        """True if the store with ``ssn`` has renamed but not yet committed."""
-        return self.ssn_commit < ssn <= self.ssn_rename
-
-    def inflight_count(self) -> int:
-        """Number of stores currently in flight."""
-        return self.ssn_rename - self.ssn_commit
-
     def reset(self) -> None:
         """Reset to the initial state (used between simulations)."""
         self.ssn_rename = 0

@@ -25,7 +25,6 @@ from repro.exec.backend import DispatchJob, ExecutionBackend
 __all__ = [
     "DispatchStats",
     "dispatch",
-    "reset_scheduler_counters",
     "scheduler_counters",
 ]
 
@@ -69,11 +68,6 @@ def scheduler_counters() -> Dict[str, int]:
     """Cumulative dispatcher totals for this process (for envelopes)."""
     with _SCHED_LOCK:
         return dict(_SCHED)
-
-
-def reset_scheduler_counters() -> None:
-    with _SCHED_LOCK:
-        _SCHED.clear()
 
 
 def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],

@@ -78,11 +78,9 @@ __all__ = [
     "counters_delta",
     "counters_snapshot",
     "current_fault_plan",
-    "in_pool_worker",
     "mark_pool_worker",
     "merge_counters",
     "parse_fault_plan",
-    "reset_counters",
     "resolve_job_timeout",
     "resolve_profile_dir",
     "resolve_retries",
@@ -267,11 +265,6 @@ def merge_counters(delta: Dict[str, int]) -> None:
     _COUNTERS.update(delta)
 
 
-def reset_counters() -> None:
-    """Zero the process-local counters (test isolation)."""
-    _COUNTERS.clear()
-
-
 # ------------------------------------------------------- fault injection --
 
 #: Fault kinds injected at job boundaries (pool workers only).
@@ -447,11 +440,6 @@ def current_fault_plan() -> Optional[FaultPlan]:
 #: fire here — never in the supervisor or in degraded serial execution,
 #: where a crash would take the whole engine down.
 _IN_POOL_WORKER = False
-
-
-def in_pool_worker() -> bool:
-    """Whether this process is a supervised pool worker."""
-    return _IN_POOL_WORKER
 
 
 def mark_pool_worker() -> None:

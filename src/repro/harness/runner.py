@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.predictors import PredictorSuiteConfig
-from repro.isa.plane import EncodedOps
 from repro.lsu.policies import (
     AssociativeStoreSetsPolicy,
     IndexedSQPolicy,
@@ -27,7 +26,7 @@ from repro.lsu.policies import (
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore, SimulationResult
 from repro.sampling.plan import SamplingPlan
-from repro.workloads.suites import DEFAULT_INSTRUCTIONS, build_workload
+from repro.workloads.suites import DEFAULT_INSTRUCTIONS
 
 #: The Figure 4 configuration names, in presentation order.  The ideal
 #: oracle-scheduled 3-cycle associative SQ is the normalisation baseline and
@@ -160,14 +159,6 @@ def run_workload(trace, config_name: str,
     core = OutOfOrderCore(settings.core, policy)
     result = core.run(trace, stats_warmup_fraction=settings.stats_warmup_fraction)
     return RunRecord(workload=trace.name, config_name=config_name, result=result)
-
-
-def build_traces(names: Sequence[str],
-                 settings: Optional[ExperimentSettings] = None) -> Dict[str, EncodedOps]:
-    """Build (once) the traces for the named workloads."""
-    settings = settings or ExperimentSettings()
-    return {name: build_workload(name, instructions=settings.instructions, seed=settings.seed)
-            for name in names}
 
 
 def geometric_mean(values: Iterable[float]) -> float:

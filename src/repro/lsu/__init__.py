@@ -1,8 +1,11 @@
-"""Load-store unit: store queue, load queue, and forwarding policies.
+"""Load-store unit: the store queue and the forwarding policies.
 
 The store queue (:mod:`repro.lsu.store_queue`) is the age-ordered buffer of
-in-flight stores shared by every configuration.  What differs between the
-paper's configurations is *how loads access it*:
+in-flight stores shared by every configuration.  The load queue, which with
+SVW needs no address CAM (Section 2), is an age-ordered list of in-flight
+loads inside the core's run loop (:mod:`repro.pipeline._vector_loop`).
+What differs between the paper's configurations is *how loads access the
+store queue*:
 
 * :class:`~repro.lsu.policies.OracleAssociativePolicy` — idealised
   fully-associative search with oracle load scheduling (the Figure 4
@@ -17,7 +20,6 @@ paper's configurations is *how loads access it*:
 """
 
 from repro.lsu.store_queue import StoreQueue, StoreQueueEntry
-from repro.lsu.load_queue import LoadQueue
 from repro.lsu.policies import (
     AssociativeStoreSetsPolicy,
     ForwardDecision,
@@ -34,7 +36,6 @@ __all__ = [
     "IndexedSQPolicy",
     "LoadCommitInfo",
     "LoadPrediction",
-    "LoadQueue",
     "OracleAssociativePolicy",
     "SQPolicy",
     "StoreQueue",

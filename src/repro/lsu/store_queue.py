@@ -45,12 +45,6 @@ class StoreQueueEntry:
             return False
         return self.addr <= addr and addr + size <= self.addr + self.size
 
-    def overlaps(self, addr: int, size: int) -> bool:
-        """True if this (executed) store's write overlaps [addr, addr+size)."""
-        if not self.executed or self.addr is None:
-            return False
-        return self.addr < addr + size and addr < self.addr + self.size
-
     def extract(self, addr: int, size: int) -> int:
         """Extract ``size`` bytes at ``addr`` from this store's value."""
         if not self.covers(addr, size):
@@ -62,14 +56,10 @@ class StoreQueueEntry:
 
 @dataclass(slots=True)
 class StoreQueueStats:
-    """SQ activity counters."""
+    """SQ load-access counters."""
 
-    allocations: int = 0
-    releases: int = 0
-    squashes: int = 0
     associative_searches: int = 0
     indexed_reads: int = 0
-    full_stalls: int = 0
 
 
 class StoreQueue:
@@ -90,15 +80,8 @@ class StoreQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
     def is_full(self) -> bool:
         return len(self._entries) >= self.size
-
-    def is_empty(self) -> bool:
-        return not self._entries
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -111,7 +94,6 @@ class StoreQueue:
         entry = StoreQueueEntry(ssn=ssn, pc=pc, seq=seq)
         self._entries.append(entry)
         self._slots[sq_index(ssn, self.size)] = entry
-        self.stats.allocations += 1
         return entry
 
     def write_execute(self, ssn: int, addr: int, size: int, value: int) -> StoreQueueEntry:
@@ -136,7 +118,6 @@ class StoreQueue:
         slot = sq_index(ssn, self.size)
         if self._slots[slot] is entry:
             self._slots[slot] = None
-        self.stats.releases += 1
         return entry
 
     def squash_younger(self, ssn: int) -> List[StoreQueueEntry]:
@@ -152,7 +133,6 @@ class StoreQueue:
             if self._slots[slot] is entry:
                 self._slots[slot] = None
             squashed.append(entry)
-            self.stats.squashes += 1
         return squashed
 
     # -- load access ------------------------------------------------------------
@@ -166,13 +146,6 @@ class StoreQueue:
         """
         self.stats.indexed_reads += 1
         return self._slots[sq_index(ssn, self.size)]
-
-    def lookup_ssn(self, ssn: int) -> Optional[StoreQueueEntry]:
-        """Return the entry whose SSN is exactly ``ssn`` if it is in flight."""
-        entry = self._slots[sq_index(ssn, self.size)]
-        if entry is not None and entry.ssn == ssn:
-            return entry
-        return None
 
     def associative_search(self, addr: int, size: int, before_ssn: int) -> Optional[StoreQueueEntry]:
         """Fully-associative search for the youngest matching older store.
@@ -192,15 +165,6 @@ class StoreQueue:
                 if start is not None and start <= addr \
                         and end <= start + entry.size:
                     return entry
-        return None
-
-    def youngest_overlapping(self, addr: int, size: int, before_ssn: int) -> Optional[StoreQueueEntry]:
-        """Youngest older executed store that overlaps (not necessarily covers)."""
-        for entry in reversed(self._entries):
-            if entry.ssn > before_ssn:
-                continue
-            if entry.overlaps(addr, size):
-                return entry
         return None
 
     def entries_in_order(self) -> List[StoreQueueEntry]:

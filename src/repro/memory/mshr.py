@@ -156,9 +156,6 @@ class MSHRFile:
 
     # ------------------------------------------------------------- queries --
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
     def word_of(self, addr: int) -> int:
         """The 4-byte word index of ``addr`` within its line."""
         return (addr & (self.line_bytes - 1)) >> 2

@@ -5,12 +5,12 @@ dynamic instruction stream and :class:`~repro.pipeline.core.OutOfOrderCore`
 replays it through a model of the paper's 8-way, 512-entry-ROB machine
 (Section 4.1).  The store-queue behaviour is pluggable via
 :mod:`repro.lsu.policies`, which is how the Figure 4 configurations are
-built.
+built.  The in-flight window (ROB, issue queue, load queue, register alias
+table) is the run loop's own state (:mod:`repro.pipeline._vector_loop`),
+rebuilt empty for each run; a core runs one trace.
 """
 
 from repro.pipeline.config import CoreConfig, IssueLimits
-from repro.pipeline.rename import RegisterAliasTable
-from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 from repro.pipeline.core import OutOfOrderCore, SimulationResult
 
@@ -18,8 +18,6 @@ __all__ = [
     "CoreConfig",
     "IssueLimits",
     "OutOfOrderCore",
-    "RegisterAliasTable",
-    "ReorderBuffer",
     "SimStats",
     "SimulationResult",
 ]

@@ -6,6 +6,13 @@ cycle after that.
 
 Design:
 
+* **One run, one window.**  The in-flight window (the ROB, the load queue,
+  the RAT, issue-queue occupancy, fetch state) and every ``SimStats``
+  counter are locals of one call: every run starts with an empty window at
+  cycle 0, and none of it outlives the call.  The core keeps only
+  long-lived machine state (caches, memory image, branch unit, policy, SSN
+  counters, last-writer map) and the store queue the policies probe.
+
 * **Array-per-field dynamic state.**  In-flight instructions are not
   objects but parallel arrays indexed by *in-flight slot*:
   ``slot = seq & (cap - 1)`` with ``cap`` the power of two at or above the
@@ -88,14 +95,17 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
-from repro.isa.registers import REG_ZERO
+from repro.isa.registers import REG_ZERO, TOTAL_REG_COUNT
 from repro.lsu.policies import LoadCommitInfo, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
 from repro.memory.last_writer import restore as lw_restore
 from repro.memory.last_writer import write as lw_write
 from repro.memory.last_writer import youngest as lw_youngest
-from repro.pipeline.rename import ARCH_READY
 from repro.pipeline.stats import SimStats
+
+#: RAT entry of a register with no in-flight producer (its value is
+#: architectural).
+ARCH_READY = -1
 
 #: Lifecycle states of an in-flight record.
 WAITING = 0      # on a source, a forwarding store or a delay-index store
@@ -109,12 +119,11 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
 
     The caller (:meth:`repro.pipeline.core.OutOfOrderCore.run`) has already
     validated arguments, encoded the trace, and warmed the caches; this
-    function owns the cycle loop.  On return ``core.stats`` is a fresh
-    :class:`SimStats` holding the (possibly warm-up-reset) counters, and
-    the scalar machine state (``_cycle``, ``_fetch_seq``, …) is synced
-    back to ``core``.  Returns ``(warmup_cycle_offset,
-    warmup_instr_offset, warmup_l1_misses, warmup_l2_misses, mlp_base)``
-    for the caller's result assembly.
+    function owns the cycle loop, from an empty window at cycle 0.  The
+    core's SSN counters are synced back on return.  Returns ``(stats,
+    rob_max_occupancy)``: the :class:`SimStats` of the measured region
+    (the instructions after the first ``warmup_committed``) and the peak
+    ROB occupancy over the whole run.
     """
     config = core.config
     policy = core.policy
@@ -122,10 +131,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     hierarchy = core.hierarchy
     mlp_hier = core._mlp_hier
     ssn_alloc = core.ssn_alloc
-    rob = core.rob
-    lq = core.load_queue
     sq = core.store_queue
-    rat_map = core.rat._map
     last_writer = core._last_writer
 
     plane = encoded.plane
@@ -139,8 +145,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     rename_width = config.rename_width
     taken_per_cycle = config.taken_branches_per_cycle
     iq_size = config.issue_queue_size
-    rob_size = rob.size
-    lq_size = lq.size
+    rob_size = config.rob_size
+    lq_size = config.load_queue_size
     sq_size = sq.size
     commit_width = config.commit_width
     commit_delay = config.backend_commit_delay
@@ -210,7 +216,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     ssn_wrap_mask = ssn_alloc._wrap_mask
     sq_entries = sq._entries
     sq_slots = sq._slots
-    sq_stats = sq.stats
     sq_size_mask = sq.size - 1
     sq_entry_cls = StoreQueueEntry
     sq_entry_new = StoreQueueEntry.__new__
@@ -261,16 +266,13 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     # sequence numbers [rob_head, fetch_seq).  The load queue keeps its
     # order in a plain int deque, its occupancy shadowed in a counter; only
     # the store queue keeps entry objects (policies probe it directly).
+    # The RAT maps each register to its youngest in-flight producer's seq.
     lq_seqs = deque()
     lq_popleft = lq_seqs.popleft
     lq_push = lq_seqs.append
     lq_occ = 0
-    rob_alloc = rob.allocations
-    rob_maxocc = rob.max_occupancy
-    lq_stats = lq.stats
-    lq_allocs = lq_stats.allocations
-    lq_releases = lq_stats.releases
-    lq_squashes = lq_stats.squashes
+    rob_maxocc = 0
+    rat_map = [ARCH_READY] * TOTAL_REG_COUNT
 
     load_heap = []                 # ready loads' seqs
     other_heap = []                # every other ready seq
@@ -288,40 +290,23 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     dly_waiters_get = dly_waiters.get
     dly_waiters_pop = dly_waiters.pop
 
-    # Scalar machine state (continues from the core when it is reused).
-    cycle = core._cycle
-    fetch_seq = core._fetch_seq
-    rob_head = fetch_seq           # the window starts empty
-    fetch_resume = core._fetch_resume_cycle
+    # Scalar machine state.
+    cycle = 0
+    fetch_seq = 0
+    rob_head = 0
+    fetch_resume = 0
     fetch_blocked_tok = -1
-    iq_occ = core._iq_occupancy
+    iq_occ = 0
 
     # SimStats counters as locals (written back at the end; zeroed at the
     # warm-up boundary, keeping every piece of machine state warm).
-    stats0 = core.stats
-    committed_total = stats0.committed
-    c_stores = stats0.committed_stores
-    c_loads = stats0.committed_loads
-    c_branches = stats0.committed_branches
-    c_reexec = stats0.loads_reexecuted
-    c_should_fwd = stats0.loads_should_forward
-    c_fwd = stats0.loads_forwarded
-    c_delayed = stats0.loads_delayed
-    c_delay_cycles = stats0.total_delay_cycles
-    c_violations = stats0.ordering_violations
-    c_misfwd = stats0.mis_forwardings
-    c_flushes = stats0.flushes
-    c_squashed = stats0.squashed_uops
-    c_mispred = stats0.branch_mispredictions
-    c_replays = stats0.replays
-    c_ssn_wraps = stats0.ssn_wraps
-    c_fetch_stall = stats0.fetch_stall_cycles
-    c_rob_stall = stats0.rob_stall_cycles
-    c_iq_stall = stats0.iq_stall_cycles
-    c_lq_stall = stats0.lq_stall_cycles
-    c_sq_stall = stats0.sq_stall_cycles
-    c_waited = stats0.loads_waited_on_prediction
-    c_mshr_stall = stats0.mshr_stall_cycles
+    committed_total = 0
+    c_stores = c_loads = c_branches = 0
+    c_reexec = c_should_fwd = c_fwd = c_delayed = c_delay_cycles = 0
+    c_violations = c_misfwd = c_flushes = c_squashed = 0
+    c_mispred = c_replays = c_ssn_wraps = 0
+    c_fetch_stall = c_rob_stall = c_iq_stall = 0
+    c_lq_stall = c_sq_stall = c_waited = c_mshr_stall = 0
 
     warmup_done = warmup_committed == 0
     warmup_cycle_offset = 0
@@ -512,7 +497,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                             f"{lq_seqs[0]}, got {seq0}")
                     lq_popleft()
                     lq_occ -= 1
-                    lq_releases += 1
 
                     correct_value = memory_read(addr, size)
                     svw_ssn = v_svw_ssn[i]
@@ -588,7 +572,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         sq_squash_younger(v_ssn_ren[i])
                         # The load was the load queue's head: every load
                         # left behind it is younger.
-                        lq_squashes += lq_occ
                         lq_occ = 0
                         lq_seqs.clear()
                         # Inlined SSNAllocator.rewind_rename: the target is
@@ -820,7 +803,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     v_ssn_ren[i] = ssn_rename
                     lq_push(rseq)
                     lq_occ += 1
-                    lq_allocs += 1
 
                     writer = lw_youngest(last_writer, addr, size)
                     oracle_ssn = 0 if writer is None else writer[0]
@@ -883,7 +865,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     sq_entry.executed = False
                     sq_entries.append(sq_entry)
                     sq_slots[ssn & sq_size_mask] = sq_entry
-                    sq_stats.allocations += 1
                     store_by_ssn[ssn] = tok
                     v_sat_undo[i] = policy_store_renamed(pc, ssn)
 
@@ -938,7 +919,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                 if dispatched >= rename_width or fetch_seq >= total:
                     break
             # Occupancy only grows during dispatch: its peak is at the end.
-            rob_alloc += dispatched
             occupancy = fetch_seq - rob_head
             if occupancy > rob_maxocc:
                 rob_maxocc = occupancy
@@ -972,8 +952,13 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
             break
 
     # ------------------------------------------------------------ write-back --
+    # Report only the measured (post-warm-up) region: the miss counters
+    # subtract the warm-up share so every SimStats field covers exactly the
+    # same instructions (the hierarchy's own stats stay cumulative for the
+    # run and feed the l1_miss_rate extra).
     stats = SimStats()
-    stats.committed = committed_total
+    stats.cycles = cycle - warmup_cycle_offset
+    stats.committed = committed_total - warmup_instr_offset
     stats.committed_stores = c_stores
     stats.committed_loads = c_loads
     stats.committed_branches = c_branches
@@ -996,18 +981,22 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     stats.sq_stall_cycles = c_sq_stall
     stats.loads_waited_on_prediction = c_waited
     stats.mshr_stall_cycles = c_mshr_stall
-    core.stats = stats
-    core._cycle = cycle
-    core._fetch_seq = fetch_seq
-    core._fetch_resume_cycle = fetch_resume
-    core._iq_occupancy = iq_occ
+    stats.l1_misses = hier_stats.l1_misses - warmup_l1
+    stats.l2_misses = hier_stats.l2_misses - warmup_l2
+    if mlp_hier is not None:
+        mlp_stats = mlp_hier.mlp_stats
+        delta = [after - before
+                 for after, before in zip(mlp_stats.snapshot(), mlp_base)]
+        stats.mshr_modeled = 1
+        stats.mshr_demand_misses = delta[0]
+        stats.misses_coalesced = delta[1]
+        stats.mshr_inflight_sum = delta[2]
+        stats.prefetch_issued = delta[3]
+        stats.prefetch_useful = delta[4]
+        # Occupancy is a peak over the whole run (warm-up included): peaks
+        # have no warm-up share to subtract.
+        stats.mshr_occupancy = mlp_stats.occupancy_peak
     ssn_alloc.ssn_rename = ssn_rename
     ssn_alloc.ssn_commit = ssn_commit
     ssn_alloc.wraps = ssn_hw_wraps
-    rob.allocations = rob_alloc
-    rob.max_occupancy = rob_maxocc
-    lq_stats.allocations = lq_allocs
-    lq_stats.releases = lq_releases
-    lq_stats.squashes = lq_squashes
-    return (warmup_cycle_offset, warmup_instr_offset, warmup_l1, warmup_l2,
-            mlp_base)
+    return stats, rob_maxocc

@@ -82,8 +82,10 @@ class CoreConfig:
     max_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.rob_size <= 0 or self.issue_queue_size <= 0:
-            raise ValueError("window sizes must be positive")
+        for size in (self.rob_size, self.issue_queue_size,
+                     self.load_queue_size, self.store_queue_size):
+            if size <= 0:
+                raise ValueError("window sizes must be positive")
         if self.store_queue_size & (self.store_queue_size - 1):
             raise ValueError("store queue size must be a power of two")
         for width in (self.fetch_width, self.rename_width, self.issue_width, self.commit_width):

@@ -45,7 +45,6 @@ from typing import Dict, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
-from repro.lsu.load_queue import LoadQueue
 from repro.lsu.policies import SQPolicy
 from repro.lsu.store_queue import StoreQueue
 from repro.memory.last_writer import LastWriterMap, map_entries
@@ -54,8 +53,6 @@ from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
 from repro.pipeline._vector_loop import run_core_loop
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.rename import RegisterAliasTable
-from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 
 
@@ -85,7 +82,15 @@ class SimulationResult:
 
 
 class OutOfOrderCore:
-    """Trace-driven cycle-level model of the paper's processor."""
+    """Trace-driven cycle-level model of the paper's processor.
+
+    The core owns the long-lived machine state — memory hierarchy, memory
+    image, branch unit, SQ policy, SSN counters and the oracle last-writer
+    map — plus the store queue the policies probe.  The in-flight window
+    exists only inside :meth:`run`, and a core runs once; a later trace
+    continues on a new core through :meth:`export_state` and
+    :meth:`import_state`.
+    """
 
     #: Abort if no instruction commits for this many consecutive cycles.
     DEADLOCK_LIMIT = 50_000
@@ -93,7 +98,9 @@ class OutOfOrderCore:
     def __init__(self, config: CoreConfig, policy: SQPolicy) -> None:
         self.config = config
         self.policy = policy
+        #: The statistics of this core's run (empty until it has run).
         self.stats = SimStats()
+        self._ran = False
 
         self.hierarchy = build_hierarchy(config.memory)
         #: The non-blocking hierarchy when one is being modelled, else None
@@ -105,17 +112,8 @@ class OutOfOrderCore:
             and self.hierarchy.nonblocking else None
         self.memory = MemoryImage()
         self.branch_unit = BranchUnit(config.branch_predictor)
-        self.rat = RegisterAliasTable()
-        self.rob = ReorderBuffer(config.rob_size)
-        self.load_queue = LoadQueue(config.load_queue_size)
         self.store_queue = StoreQueue(config.store_queue_size)
         self.ssn_alloc = SSNAllocator(bits=config.ssn_bits)
-
-        # Scalar machine state the run loop continues from and syncs back.
-        self._cycle = 0
-        self._fetch_seq = 0
-        self._fetch_resume_cycle = 0
-        self._iq_occupancy = 0
         # Oracle last-writer tracker (repro.memory.last_writer): the
         # youngest dispatched store writing each byte, per 8-byte word.
         # The loop's entries are (ssn, seq); a map adopted by import_state
@@ -165,9 +163,10 @@ class OutOfOrderCore:
         :meth:`import_state` (on this or another core) adopts.  Serialising
         the bundle (the checkpoint store pickles it) freezes a copy.
 
-        Intended for a *drained* core (between runs): in-flight window state
-        (ROB/IQ/LQ/SQ occupancy, pending completions) is short-lived by
-        design and is not exported.  The exported last-writer map is a copy
+        The in-flight window (the ROB, issue queue and load queue, store
+        queue contents, pending completions) lives only inside a run and is
+        not exported: the bundle continues on a fresh core, since a core
+        runs once (:meth:`run`).  The exported last-writer map is a copy
         that keeps each byte's youngest writer SSN; the writer's PC and
         dynamic index are not tracked by the detailed core and are exported
         as ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes
@@ -193,6 +192,14 @@ class OutOfOrderCore:
             stats_warmup_instructions: Optional[int] = None,
             stats_measure_instructions: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion and return the result.
+
+        A core runs once: every run starts from an empty window at cycle 0,
+        and a second call raises :class:`RuntimeError` (the caches,
+        predictors and their statistics would carry the first run into
+        it).  To continue from where a run left off, hand its long-lived
+        state to a new core with :meth:`export_state` and
+        :meth:`import_state`.  A call rejected for its arguments leaves the
+        core unused.
 
         ``trace`` is an :class:`~repro.isa.plane.EncodedOps` stream, a
         :class:`~repro.isa.trace.DynamicTrace`, or any iterable of
@@ -235,42 +242,24 @@ class OutOfOrderCore:
                 raise ValueError("stats_measure_instructions must be positive")
             stop_committed = min(total,
                                  warmup_committed + stats_measure_instructions)
+        if self._ran:
+            raise RuntimeError(
+                "this core has already run; continue on a new core with "
+                "export_state() and import_state()")
+        self._ran = True
         if warm_memory:
             self._warm_caches(encoded)
 
-        (warmup_cycle_offset, warmup_instr_offset, warmup_l1_misses,
-         warmup_l2_misses, mlp_base) = run_core_loop(
+        stats, rob_max_occupancy = run_core_loop(
             self, encoded, warmup_committed, stop_committed)
-
-        # Report only the measured (post-warm-up) region — the miss
-        # counters subtract the warm-up share so every SimStats field
-        # covers exactly the same instructions (the hierarchy's own stats
-        # stay cumulative for the run and feed the l1_miss_rate extra).
-        stats = self.stats
-        stats.cycles = self._cycle - warmup_cycle_offset
-        stats.committed -= warmup_instr_offset
-        stats.l1_misses = self.hierarchy.stats.l1_misses - warmup_l1_misses
-        stats.l2_misses = self.hierarchy.stats.l2_misses - warmup_l2_misses
+        self.stats = stats
         extra = {
             "branch_misprediction_rate": self.branch_unit.misprediction_rate,
             "svw_reexecution_rate": self.policy.svw.stats.reexecution_rate,
             "l1_miss_rate": self.hierarchy.stats.l1_miss_rate(),
-            "rob_max_occupancy": float(self.rob.max_occupancy),
+            "rob_max_occupancy": float(rob_max_occupancy),
         }
-        mlp_hier = self._mlp_hier
-        if mlp_hier is not None:
-            mlp_stats = mlp_hier.mlp_stats
-            delta = [after - before
-                     for after, before in zip(mlp_stats.snapshot(), mlp_base)]
-            stats.mshr_modeled = 1
-            stats.mshr_demand_misses = delta[0]
-            stats.misses_coalesced = delta[1]
-            stats.mshr_inflight_sum = delta[2]
-            stats.prefetch_issued = delta[3]
-            stats.prefetch_useful = delta[4]
-            # Occupancy is a peak over the whole run (warm-up included):
-            # peaks have no warm-up share to subtract.
-            stats.mshr_occupancy = mlp_stats.occupancy_peak
+        if stats.mshr_modeled:
             extra["mlp_avg"] = stats.mlp_avg
             extra["mshr_occupancy"] = float(stats.mshr_occupancy)
         return SimulationResult(workload=name, policy=self.policy.name,

@@ -1,10 +1,11 @@
 """A detailed core is freed as soon as its last reference goes.
 
-Sweeps and sampled runs build one core per job or interval.  A core that
-forms a reference cycle (say, by storing a bound method or a closure over
-itself on itself) outlives its job until the cyclic garbage collector happens
-to run, and with it the ROB, queues, caches and predictor tables it owns —
-which shows up directly in peak RSS.  With the collector disabled, a dropped
+Every run builds its own core (a core runs once): one per sweep job or
+sampled interval.  A core that forms a reference cycle (say, by storing a
+bound method or a closure over itself on itself) outlives its job until the
+cyclic garbage collector happens to run, and with it the store queue, caches,
+memory image and predictor tables it owns — which shows up directly in peak
+RSS.  With the collector disabled, a dropped
 core must be dead.
 """
 

@@ -54,16 +54,6 @@ class TestSSN:
         with pytest.raises(ValueError):
             alloc.commit(second)
 
-    def test_inflight_tracking(self):
-        alloc = SSNAllocator()
-        a = alloc.allocate()
-        b = alloc.allocate()
-        assert alloc.is_inflight(a) and alloc.is_inflight(b)
-        assert alloc.inflight_count() == 2
-        alloc.commit(a)
-        assert not alloc.is_inflight(a)
-        assert alloc.inflight_count() == 1
-
     def test_rewind_after_flush(self):
         alloc = SSNAllocator()
         a = alloc.allocate()

@@ -1,9 +1,9 @@
 """The detailed core's one entry point, :meth:`OutOfOrderCore.run`.
 
-Argument validation (rejected before any machine state changes), what the
-result carries, the ``VectorCore`` name the frozen benchmark imports, the
-callers that construct the core for a run, and the removed ``REPRO_KERNEL``
-knob staying removed.
+Argument validation (rejected before any machine state changes), one run
+per core, what the result carries, the ``VectorCore`` name the frozen
+benchmark imports, the callers that construct the core for a run, and the
+removed ``REPRO_KERNEL`` knob staying removed.
 """
 
 import pytest
@@ -51,6 +51,25 @@ def test_invalid_argument_rejected_before_any_state_changes(kwargs):
     want = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly")).run(
         trace, stats_warmup_fraction=0.1)
     assert _signature(got) == _signature(want)
+
+
+@pytest.mark.parametrize("first_run", [
+    {"stats_warmup_fraction": 0.1},
+    {"warm_memory": False, "stats_warmup_instructions": 200,
+     "stats_measure_instructions": 300},
+], ids=["drained", "measure-stop"])
+def test_second_run_on_a_core_raises(first_run):
+    """A core runs once, whether its run drained the window or stopped with
+    instructions in flight: a second run would start from the first one's
+    caches, predictors and statistics.  The supported continuation is the
+    ``export_state``/``import_state`` hand-off to a new core."""
+    core = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
+    result = core.run(build_workload("gzip", instructions=1000, seed=1),
+                      **first_run)
+    first = _signature(result)
+    with pytest.raises(RuntimeError, match="export_state"):
+        core.run(build_workload("vortex", instructions=3000, seed=1))
+    assert _signature(result) == first
 
 
 def test_result_carries_workload_policy_and_config():

@@ -1,9 +1,8 @@
-"""Unit tests for the load-store unit: store queue, load queue, policies."""
+"""Unit tests for the load-store unit: store queue, policies."""
 
 import pytest
 
 from repro.core.predictors import PredictorSuiteConfig, FSPConfig, SATConfig, DDPConfig, SVWConfig
-from repro.lsu.load_queue import LoadQueue
 from repro.lsu.policies import (
     AssociativeStoreSetsPolicy,
     IndexedSQPolicy,
@@ -82,12 +81,6 @@ class TestStoreQueue:
         sq = self._sq()
         assert sq.read_indexed(5) is None
 
-    def test_lookup_ssn_exact_only(self):
-        sq = self._sq(size=8)
-        sq.allocate(9, 0x400, 0)
-        assert sq.lookup_ssn(9) is not None
-        assert sq.lookup_ssn(17) is None
-
     def test_associative_search_youngest_match(self):
         sq = self._sq()
         sq.allocate(1, 0x400, 0)
@@ -118,12 +111,6 @@ class TestStoreQueue:
         assert sq.associative_search(0x1000, 8, before_ssn=10) is None
         assert sq.associative_search(0x1000, 4, before_ssn=10) is not None
 
-    def test_youngest_overlapping(self):
-        sq = self._sq()
-        sq.allocate(1, 0x400, 0)
-        sq.write_execute(1, 0x1000, 4, 0x11)
-        assert sq.youngest_overlapping(0x1002, 4, before_ssn=10).ssn == 1
-
     def test_extract_narrow_from_wide(self):
         sq = self._sq()
         sq.allocate(1, 0x400, 0)
@@ -152,63 +139,6 @@ class TestStoreQueue:
         sq.allocate(1, 0x400, 0)
         sq.allocate(2, 0x404, 1)
         assert [e.ssn for e in sq.entries_in_order()] == [1, 2]
-
-
-# ---------------------------------------------------------------------------
-# Load queue
-# ---------------------------------------------------------------------------
-
-class TestLoadQueue:
-    def test_allocate_release(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(seq=0, pc=0x400)
-        lq.allocate(seq=1, pc=0x404)
-        assert len(lq) == 2
-        lq.release(0)
-        assert len(lq) == 1
-
-    def test_program_order_enforced(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(seq=5, pc=0x400)
-        with pytest.raises(ValueError):
-            lq.allocate(seq=3, pc=0x404)
-
-    def test_overflow(self):
-        lq = LoadQueue(size=1)
-        lq.allocate(0, 0x400)
-        assert lq.is_full()
-        with pytest.raises(RuntimeError):
-            lq.allocate(1, 0x404)
-
-    def test_release_in_order(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(0, 0x400)
-        lq.allocate(1, 0x404)
-        with pytest.raises(ValueError):
-            lq.release(1)
-
-    def test_record_execution(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(0, 0x400)
-        lq.record_execution(0, addr=0x1000, size=8, value=7, svw_ssn=3, forwarded=True)
-        entry = lq.get(0)
-        assert entry.value == 7 and entry.forwarded and entry.svw_ssn == 3
-
-    def test_record_execution_unknown_seq(self):
-        lq = LoadQueue(size=4)
-        with pytest.raises(KeyError):
-            lq.record_execution(9, addr=0, size=8, value=0, svw_ssn=0, forwarded=False)
-
-    def test_squash_younger(self):
-        lq = LoadQueue(size=8)
-        for seq in range(4):
-            lq.allocate(seq, 0x400 + 4 * seq)
-        assert lq.squash_younger(1) == 2
-        assert len(lq) == 2
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            LoadQueue(size=0)
 
 
 # ---------------------------------------------------------------------------

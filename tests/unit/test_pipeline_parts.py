@@ -1,128 +1,9 @@
-"""Unit tests for pipeline components: RAT, ROB, configuration, statistics."""
+"""Unit tests for pipeline components: configuration, statistics."""
 
 import pytest
 
 from repro.pipeline.config import CoreConfig, IssueLimits, small_test_config
-from repro.pipeline.rename import ARCH_READY, RegisterAliasTable
-from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
-
-
-class _Record:
-    def __init__(self, seq):
-        self.seq = seq
-
-
-class TestRAT:
-    def test_initially_architectural(self):
-        rat = RegisterAliasTable()
-        assert rat.producer_of(3) == ARCH_READY
-
-    def test_rename_and_lookup(self):
-        rat = RegisterAliasTable()
-        rat.rename_dest(3, seq=10)
-        assert rat.producer_of(3) == 10
-
-    def test_zero_register_never_renamed(self):
-        rat = RegisterAliasTable()
-        assert rat.rename_dest(31, seq=10) is None
-        assert rat.producer_of(31) == ARCH_READY
-
-    def test_none_dest(self):
-        rat = RegisterAliasTable()
-        assert rat.rename_dest(None, seq=10) is None
-
-    def test_undo_restores_previous_producer(self):
-        rat = RegisterAliasTable()
-        rat.rename_dest(3, seq=10)
-        undo = rat.rename_dest(3, seq=20)
-        rat.undo(undo)
-        assert rat.producer_of(3) == 10
-
-    def test_undo_chain_youngest_first(self):
-        rat = RegisterAliasTable()
-        undo_a = rat.rename_dest(3, seq=10)
-        undo_b = rat.rename_dest(3, seq=20)
-        undo_c = rat.rename_dest(3, seq=30)
-        rat.undo(undo_c)
-        rat.undo(undo_b)
-        assert rat.producer_of(3) == 10
-        rat.undo(undo_a)
-        assert rat.producer_of(3) == ARCH_READY
-
-    def test_retire_clears_only_if_still_youngest(self):
-        rat = RegisterAliasTable()
-        rat.rename_dest(3, seq=10)
-        rat.rename_dest(3, seq=20)
-        rat.retire_dest(3, seq=10)
-        assert rat.producer_of(3) == 20
-        rat.retire_dest(3, seq=20)
-        assert rat.producer_of(3) == ARCH_READY
-
-    def test_clear(self):
-        rat = RegisterAliasTable()
-        rat.rename_dest(3, seq=10)
-        rat.clear()
-        assert rat.producer_of(3) == ARCH_READY
-
-    def test_invalid_register(self):
-        rat = RegisterAliasTable()
-        with pytest.raises(ValueError):
-            rat.producer_of(999)
-
-
-class TestROB:
-    def test_push_and_head(self):
-        rob = ReorderBuffer(size=4)
-        rob.push(_Record(0))
-        rob.push(_Record(1))
-        assert rob.head().seq == 0
-        assert len(rob) == 2
-
-    def test_overflow(self):
-        rob = ReorderBuffer(size=1)
-        rob.push(_Record(0))
-        assert rob.is_full()
-        with pytest.raises(RuntimeError):
-            rob.push(_Record(1))
-
-    def test_pop_head(self):
-        rob = ReorderBuffer(size=4)
-        rob.push(_Record(0))
-        assert rob.pop_head().seq == 0
-        assert rob.is_empty()
-
-    def test_pop_empty(self):
-        with pytest.raises(RuntimeError):
-            ReorderBuffer(size=4).pop_head()
-
-    def test_squash_younger_than(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(5):
-            rob.push(_Record(seq))
-        squashed = rob.squash_younger_than(2)
-        assert [r.seq for r in squashed] == [4, 3]
-        assert len(rob) == 3
-
-    def test_max_occupancy_tracked(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(5):
-            rob.push(_Record(seq))
-        rob.pop_head()
-        assert rob.max_occupancy == 5
-
-    def test_head_of_empty(self):
-        assert ReorderBuffer(size=4).head() is None
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            ReorderBuffer(size=0)
-
-    def test_iteration_in_order(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(3):
-            rob.push(_Record(seq))
-        assert [r.seq for r in rob] == [0, 1, 2]
 
 
 class TestCoreConfig:
@@ -142,6 +23,13 @@ class TestCoreConfig:
         assert config.issue_limits.loads == 2
         assert config.issue_limits.stores == 2
         assert config.ssn_bits == 16
+
+    @pytest.mark.parametrize("field", ["rob_size", "issue_queue_size",
+                                       "load_queue_size", "store_queue_size"])
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_non_positive_window_size_rejected(self, field, size):
+        with pytest.raises(ValueError, match="window sizes must be positive"):
+            CoreConfig(**{field: size})
 
     def test_sq_power_of_two_enforced(self):
         with pytest.raises(ValueError):
