@@ -54,6 +54,17 @@ class TestSSN:
         with pytest.raises(ValueError):
             alloc.commit(second)
 
+    def test_inflight_tracking(self):
+        # The in-flight stores are exactly the SSNs in (ssn_commit, ssn_rename].
+        alloc = SSNAllocator()
+        a = alloc.allocate()
+        b = alloc.allocate()
+        assert alloc.ssn_commit < a < b == alloc.ssn_rename
+        assert alloc.ssn_rename - alloc.ssn_commit == 2
+        alloc.commit(a)
+        assert alloc.ssn_commit == a < b == alloc.ssn_rename
+        assert alloc.ssn_rename - alloc.ssn_commit == 1
+
     def test_rewind_after_flush(self):
         alloc = SSNAllocator()
         a = alloc.allocate()

@@ -1,0 +1,279 @@
+"""The detailed core's in-flight window, observed through a run.
+
+The ROB, issue queue, load queue and RAT exist only as locals of
+:func:`repro.pipeline._vector_loop.run_core_loop`, so these tests pin their
+behaviour from outside, on hand-built traces whose timing is known.  Each
+trace starts with a load that misses all the way to memory (the run does
+not pre-touch the caches), which holds the head of the window for at least
+the memory latency.
+
+* Capacity: a full structure stops dispatch, every later cycle is charged
+  to it, and the window never grows past it.
+* Release: a drained run leaves no store in the store queue, and a run that
+  stops early leaves exactly its in-flight stores, in SSN order.
+* Renaming: a consumer waits on the youngest in-flight producer of its
+  source; the zero register never creates a dependence; committing an
+  overwritten producer keeps the younger mapping.
+* Squash: a re-execution flush squashes the younger suffix and refetches
+  it, and the run still commits every instruction with the right values.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from repro.harness.runner import make_policy
+from repro.isa.registers import REG_ZERO
+from repro.isa.trace import DynamicTrace
+from repro.isa.uop import OpClass, make_alu, make_load, make_store
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import OutOfOrderCore
+
+#: A line no run has touched: a load from it goes to memory.
+MISS = 0x10_0000
+
+#: Memory latency of the default hierarchy (the head load takes longer).
+MEMORY_LATENCY = CoreConfig().memory.memory_latency
+
+#: A cycle cap that stops a run while the head load is still outstanding.
+CAP = 100
+
+#: Length of the dependent multiply chains in the renaming tests.
+CHAIN = 40
+
+
+def _run(uops, config=None, policy="indexed-3-fwd+dly", **kwargs):
+    config = config or CoreConfig()
+    core = OutOfOrderCore(
+        config, make_policy(policy, sq_size=config.store_queue_size))
+    result = core.run(DynamicTrace(name="window", uops=uops),
+                      warm_memory=False, **kwargs)
+    return result, core
+
+
+def _head(dest=5):
+    return [make_load(0x400, dest=dest, addr=MISS)]
+
+
+def _chain(reg):
+    """``CHAIN`` 3-cycle multiplies, each reading the previous one's result
+    (the first reads whatever produced ``reg`` before it)."""
+    return [make_alu(0x800, dest=reg, srcs=(reg,), op_class=OpClass.INT_MUL)
+            for _ in range(CHAIN)]
+
+
+def _filler(count, first_reg=8):
+    """Independent single-cycle ALU ops."""
+    return [make_alu(0x600 + 4 * i, dest=first_reg + i % 8)
+            for i in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# Capacity
+# ---------------------------------------------------------------------------
+
+def _rob_case(size):
+    return (CoreConfig(rob_size=size), _head() + _filler(200),
+            "rob_stall_cycles", size)
+
+
+def _iq_case(size):
+    # Consumers of the head load wait in the issue queue; the load itself
+    # has issued and left it.
+    consumers = [make_alu(0x600 + 4 * i, dest=8 + i % 8, srcs=(5,))
+                 for i in range(100)]
+    return (CoreConfig(issue_queue_size=size), _head() + consumers,
+            "iq_stall_cycles", size + 1)
+
+
+def _lq_case(size):
+    # Every in-flight instruction is a load.
+    loads = [make_load(0x600 + 4 * i, dest=8 + i % 8, addr=0x2000 + 8 * i)
+             for i in range(100)]
+    return (CoreConfig(load_queue_size=size), _head() + loads,
+            "lq_stall_cycles", size)
+
+
+def _sq_case(size):
+    stores = [make_store(0x600 + 4 * i, addr=0x8000 + 8 * i, value=i)
+              for i in range(100)]
+    return (CoreConfig(store_queue_size=size), _head() + stores,
+            "sq_stall_cycles", size + 1)
+
+
+CASES = {"rob": _rob_case, "iq": _iq_case, "lq": _lq_case, "sq": _sq_case}
+
+STALLS = ("rob_stall_cycles", "iq_stall_cycles", "lq_stall_cycles",
+          "sq_stall_cycles")
+
+
+@pytest.mark.parametrize("structure, size", [
+    ("rob", 8), ("rob", 24), ("rob", 64),
+    ("iq", 4), ("iq", 12),
+    ("lq", 4), ("lq", 10),
+    ("sq", 4), ("sq", 8),
+])
+def test_full_structure_stops_dispatch(structure, size):
+    """Behind an outstanding miss the window fills to exactly what the
+    limiting structure holds, and from then on every cycle is a dispatch
+    stall charged to that structure and no other."""
+    assert MEMORY_LATENCY > CAP
+    config, uops, counter, window = CASES[structure](size)
+    config = dataclasses.replace(config, max_cycles=CAP)
+    result, core = _run(uops, config)
+    stats = result.stats
+    assert stats.cycles == CAP and stats.committed == 0
+    assert result.extra["rob_max_occupancy"] == window
+    fill_cycles = math.ceil(window / config.rename_width)
+    assert getattr(stats, counter) >= CAP - fill_cycles
+    assert all(getattr(stats, other) == 0
+               for other in STALLS if other != counter)
+    if structure == "sq":
+        assert len(core.store_queue) == size
+        assert core.ssn_alloc.ssn_rename - core.ssn_alloc.ssn_commit == size
+
+
+def test_window_holds_a_whole_short_trace_at_once():
+    """Fewer instructions than one dispatch group all enter the window in
+    its first cycle: the peak occupancy is the trace length."""
+    result, _ = _run(_filler(5))
+    assert result.stats.committed == 5
+    assert result.extra["rob_max_occupancy"] == 5
+    assert all(getattr(result.stats, counter) == 0 for counter in STALLS)
+
+
+# ---------------------------------------------------------------------------
+# Release
+# ---------------------------------------------------------------------------
+
+def test_drained_run_leaves_no_store_in_flight():
+    config, uops, _, _ = _sq_case(4)
+    result, core = _run(uops, config)
+    assert result.stats.committed == len(uops)
+    assert result.stats.committed_stores == 100
+    assert len(core.store_queue) == 0
+    assert core.ssn_alloc.ssn_commit == core.ssn_alloc.ssn_rename == 100
+    assert core.memory.read(0x8000 + 8 * 99, 8) == 99
+
+
+def test_measure_stop_leaves_its_in_flight_stores_in_ssn_order():
+    """A run stopped by ``stats_measure_instructions`` leaves the younger
+    stores in the store queue: exactly the SSNs after the last committed
+    one, oldest first."""
+    _, uops, _, _ = _sq_case(64)
+    result, core = _run(uops, stats_measure_instructions=10)
+    alloc = core.ssn_alloc
+    # The stop lands on a commit-group boundary.
+    committed = result.stats.committed
+    assert 10 <= committed < 10 + CoreConfig().commit_width
+    assert alloc.ssn_commit == committed - 1      # all but the head load
+    assert alloc.ssn_rename > alloc.ssn_commit
+    assert [entry.ssn for entry in core.store_queue.entries_in_order()] \
+        == list(range(alloc.ssn_commit + 1, alloc.ssn_rename + 1))
+
+
+# ---------------------------------------------------------------------------
+# Renaming
+# ---------------------------------------------------------------------------
+
+#: A chain that waits for the head load cannot finish before the load's
+#: memory access plus the chain's own latency; one that does not wait
+#: overlaps the two.
+SERIAL = MEMORY_LATENCY + 3 * CHAIN
+
+
+def test_consumer_waits_on_its_in_flight_producer():
+    dependent, _ = _run(_head(dest=5) + _chain(5))
+    independent, _ = _run(_head(dest=5) + _chain(6))
+    assert dependent.stats.cycles > SERIAL
+    assert independent.stats.cycles < SERIAL
+
+
+def test_zero_register_never_creates_a_dependence():
+    """Writes to the zero register are discarded and its reads are always
+    ready: a chain through it runs exactly like an independent chain."""
+    through_zero, _ = _run(_head(dest=REG_ZERO) + _chain(REG_ZERO))
+    independent, _ = _run(_head(dest=5) + _chain(6))
+    assert through_zero.stats.cycles == independent.stats.cycles
+
+
+@pytest.mark.parametrize("producers, waits", [
+    ([make_load(0x400, dest=5, addr=MISS), make_alu(0x404, dest=5)], False),
+    ([make_alu(0x404, dest=5), make_load(0x400, dest=5, addr=MISS)], True),
+], ids=["alu-youngest", "load-youngest"])
+def test_consumer_waits_on_the_youngest_producer(producers, waits):
+    """Only the youngest producer of a register before the consumer
+    counts: an older slow producer that a fast one has overwritten does
+    not delay the chain."""
+    result, _ = _run(producers + _chain(5))
+    assert (result.stats.cycles > SERIAL) == waits
+
+
+@pytest.mark.parametrize("load_dest, waits", [(5, True), (6, False)],
+                         ids=["overwritten", "untouched"])
+def test_commit_keeps_a_younger_mapping(load_dest, waits):
+    """An ALU op writes r5 and commits long before the chain on r5
+    dispatches.  When the outstanding load also wrote r5, the load is r5's
+    youngest producer and the ALU op's commit must leave it mapped, so the
+    chain waits for the load; otherwise r5 is architectural by then."""
+    uops = [make_alu(0x404, dest=5),
+            make_load(0x400, dest=load_dest, addr=MISS)]
+    # Enough independent work that the ALU op has committed before the
+    # first multiply of the chain dispatches.
+    filler = _filler(12 * CoreConfig().rename_width)
+    result, _ = _run(uops + filler + _chain(5))
+    assert (result.stats.cycles > SERIAL) == waits
+
+
+# ---------------------------------------------------------------------------
+# Squash
+# ---------------------------------------------------------------------------
+
+STORED = 0x3000
+
+
+def _violation_trace():
+    """A store whose data waits on the head miss, then a load of the same
+    word: only a policy that knows the dependence (the oracle) makes the
+    load wait; every other one issues it early, reads the stale value and
+    flushes at commit.  The suffix behind that load renames, loads and
+    stores, so the flush squashes some of each."""
+    suffix = []
+    for i in range(6):
+        suffix += [
+            make_alu(0x500 + 16 * i, dest=7, srcs=(6,)),
+            make_store(0x504 + 16 * i, addr=0x4000 + 8 * i, value=i + 1,
+                       srcs=(7,)),
+            make_load(0x508 + 16 * i, dest=9, addr=0x5000 + 8 * i),
+        ]
+    head = [make_load(0x400, dest=5, addr=MISS),
+            make_store(0x404, addr=STORED, value=7, srcs=(5,)),
+            make_load(0x408, dest=6, addr=STORED)]
+    return head + suffix, len(suffix)
+
+
+@pytest.mark.parametrize("policy", [
+    "oracle-associative-3", "associative-3", "associative-5-optimistic",
+    "associative-5-predictive", "indexed-3-fwd", "indexed-3-fwd+dly",
+])
+def test_flush_squashes_and_refetches_the_younger_suffix(policy):
+    """The load queue holds exactly the trace's 8 loads and the store queue
+    one more than its 7 stores, so a flush that left its squashed entries
+    behind would stall the refetch."""
+    uops, suffix = _violation_trace()
+    config = CoreConfig(load_queue_size=8, store_queue_size=8)
+    result, core = _run(uops, config, policy=policy)
+    stats = result.stats
+    flushes = 0 if policy == "oracle-associative-3" else 1
+    assert stats.flushes == stats.ordering_violations == flushes
+    # The whole suffix was in flight behind the head miss.
+    assert stats.squashed_uops == flushes * suffix
+    assert all(getattr(stats, counter) == 0 for counter in STALLS)
+    assert stats.committed == len(uops)
+    assert stats.committed_stores == 7 and stats.committed_loads == 8
+    assert len(core.store_queue) == 0
+    assert core.ssn_alloc.ssn_commit == core.ssn_alloc.ssn_rename == 7
+    assert core.memory.read(STORED, 8) == 7
+    assert [core.memory.read(0x4000 + 8 * i, 8) for i in range(6)] \
+        == [1, 2, 3, 4, 5, 6]
