@@ -11,6 +11,11 @@ same persistent checkpoint store:
   store: ``checkpoint_generated == 0``, everything reused, and the merged
   results bit-identical to phase A.
 
+The configurations hold two warm classes with two members each
+(``associative-3`` with ``associative-5-predictive``, ``indexed-3-fwd``
+with ``indexed-3-fwd+dly``), so both phases run snapshots that generation
+derives from a class representative rather than folds itself.
+
 Designed for the GitHub Actions job (see ``.github/workflows/ci.yml``),
 where ``.repro-checkpoints/`` is shared across runs via ``actions/cache``;
 snapshot keys cover source fingerprints and the plan, so restoring a stale
@@ -30,7 +35,8 @@ from repro.harness.runner import ExperimentSettings  # noqa: E402
 from repro.sampling import SamplingPlan  # noqa: E402
 
 WORKLOADS = ("gzip", "swim")
-CONFIGS = ("associative-5-predictive", "indexed-3-fwd+dly")
+CONFIGS = ("associative-3", "associative-5-predictive", "indexed-3-fwd",
+           "indexed-3-fwd+dly")
 
 PLAN = SamplingPlan(interval_length=800, detailed_warmup=800, period=8_000,
                     functional_warmup=4_000, seed=0)

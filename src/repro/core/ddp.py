@@ -35,7 +35,7 @@ only the sets a run touches are built, snapshotted, and loaded back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.predictors import DDPConfig
@@ -211,6 +211,18 @@ class DelayDistancePredictor:
         """Clear the predictor (dropping every set: an absent set is an
         all-invalid one)."""
         self._sets.clear()
+
+    def copy_from(self, other: "DelayDistancePredictor") -> None:
+        """Take over ``other``'s entries, LRU clock and counters (same
+        geometry; entries are copied, as :meth:`ForwardingStorePredictor.copy_from`
+        does)."""
+        self._sets = {index: [DDPEntry(e.valid, e.tag, e.counter,
+                                       e.current_distance, e.future_distance,
+                                       e.instances, e.lru)
+                              for e in ways]
+                      for index, ways in other._sets.items()}
+        self._lru_clock = other._lru_clock
+        self.stats = replace(other.stats)
 
     def occupancy(self) -> int:
         return sum(1 for ways in self._sets.values() for e in ways if e.valid)

@@ -27,7 +27,7 @@ touches are built, pickled into checkpoint snapshots, and loaded back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.predictors import FSPConfig
@@ -197,6 +197,20 @@ class ForwardingStorePredictor:
         Dropping every set is exact: an absent set is an all-invalid one.
         """
         self._sets.clear()
+
+    def copy_from(self, other: "ForwardingStorePredictor") -> None:
+        """Take over ``other``'s entries, LRU clock and counters.
+
+        ``other`` has the same geometry.  The entries are copied, in
+        ``other``'s set and way order, so the two tables stay independent
+        and pickle alike.
+        """
+        self._sets = {index: [FSPEntry(e.valid, e.tag, e.store_pc,
+                                       e.full_store_pc, e.counter, e.lru)
+                              for e in ways]
+                      for index, ways in other._sets.items()}
+        self._lru_clock = other._lru_clock
+        self.stats = replace(other.stats)
 
     def occupancy(self) -> int:
         """Number of valid entries (for diagnostics)."""

@@ -16,7 +16,7 @@ performance effect can be measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.predictors import SATConfig
@@ -130,6 +130,15 @@ class StoreAliasTable:
         """Clear all entries (SSN wrap handling)."""
         self._table = [0] * self.config.entries
         self._checkpoints.clear()
+
+    def copy_from(self, other: "StoreAliasTable") -> None:
+        """Take over ``other``'s entries, checkpoints and counters (same
+        geometry; this table keeps its own list)."""
+        self._table[:] = other._table
+        self._checkpoints = {cid: list(table)
+                             for cid, table in other._checkpoints.items()}
+        self._next_checkpoint_id = other._next_checkpoint_id
+        self.stats = replace(other.stats)
 
     def snapshot(self) -> List[int]:
         """Copy of the table contents (tests and diagnostics)."""

@@ -17,11 +17,20 @@ its behaviour with the reformulated FSP/SAT scheme:
   set.  A load with a valid SSID must wait for the store named by the LFST;
   a store with a valid SSID also waits for the previous store in its set
   (store-store ordering), which serialises the set.
+
+A squashed store must leave the LFST as its rename found it.  A flush
+rewinds the SSNs, so the re-renamed store gets the squashed store's SSN
+back; an LFST entry still naming that SSN would make the store wait on
+itself and deadlock the pipeline.  :meth:`StoreSetsPredictor.store_squashed`
+puts back the previous store's SSN when the LFST still names the squashed
+one.  Squashes run youngest first, so this undoes
+:meth:`~StoreSetsPredictor.store_renamed` exactly, the way a log repairs
+the SAT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.core.predictors import StoreSetsConfig
@@ -101,6 +110,20 @@ class StoreSetsPredictor:
         if self._lfst[index] == ssn:
             self._lfst[index] = 0
 
+    def store_squashed(self, store_pc: int, ssn: int, previous: int) -> None:
+        """Undo :meth:`store_renamed` for a squashed store.
+
+        ``previous`` is the SSN :meth:`store_renamed` returned for it (0 for
+        none).  The LFST entry goes back to ``previous`` if it still names
+        ``ssn``.
+        """
+        ssid = self.ssid_of(store_pc)
+        if ssid == _INVALID_SSID:
+            return
+        index = ssid & self._lfst_mask
+        if self._lfst[index] == ssn:
+            self._lfst[index] = previous
+
     # -- training ---------------------------------------------------------------
 
     def train_violation(self, load_pc: int, store_pc: int) -> None:
@@ -141,6 +164,14 @@ class StoreSetsPredictor:
         self._ssit = [_INVALID_SSID] * self.config.ssit_entries
         self._lfst = [0] * self.config.lfst_entries
         self._next_ssid = 0
+
+    def copy_from(self, other: "StoreSetsPredictor") -> None:
+        """Take over ``other``'s SSIT, LFST, SSID counter and counters (same
+        geometry; this predictor keeps its own lists)."""
+        self._ssit[:] = other._ssit
+        self._lfst[:] = other._lfst
+        self._next_ssid = other._next_ssid
+        self.stats = replace(other.stats)
 
     def ssit_signature(self) -> tuple:
         """Hashable snapshot of the SSIT (set-membership structure only).

@@ -25,7 +25,7 @@ because re-execution itself is value-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.core.predictors import SVWConfig
@@ -206,6 +206,16 @@ class SVWFilter:
         """Clear both tables (SSN wrap handling)."""
         self.ssbf.clear()
         self.spct.clear()
+
+    def copy_from(self, other: "SVWFilter") -> None:
+        """Take over ``other``'s table contents and counters.
+
+        ``other`` has the same geometry; this filter keeps its own lists
+        and config, so the two stay independent and pickle alike.
+        """
+        self.ssbf._table[:] = other.ssbf._table
+        self.spct._table[:] = other.spct._table
+        self.stats = replace(other.stats)
 
     def state_signature(self) -> tuple:
         """Hashable snapshot of both tables.

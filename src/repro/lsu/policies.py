@@ -16,8 +16,8 @@ agnostic: it calls the methods below at decode/rename, execute, and commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fsp import ForwardingStorePredictor
 from repro.core.ddp import DelayDistancePredictor
@@ -151,6 +151,8 @@ class SQPolicy:
     name: str = "base"
     #: SQ access latency in cycles (Table 2).
     sq_latency: int = 3
+    #: Whether the policy delays loads through a DDP (indexed ``fwd+dly``).
+    use_delay: bool = False
 
     def __init__(self, sq_size: int = 64,
                  predictors: Optional[PredictorSuiteConfig] = None) -> None:
@@ -216,8 +218,12 @@ class SQPolicy:
 
     # -- functional warming ------------------------------------------------------
 
+    #: Whether :meth:`warm_segment` reads the SVW answer of each load record.
+    warm_reads_svw: bool = False
+
     def warm_segment(self, records: Sequence[tuple], window: int) -> None:
-        """Train this policy on one functionally retired trace segment.
+        """Train this policy's predictors on one functionally retired
+        trace segment.
 
         The functional warmer (:mod:`repro.sampling.functional`) retires
         the segment once for every policy and records each memory access,
@@ -230,25 +236,50 @@ class SQPolicy:
           store writing any byte of the access and ``dep_distance`` is
           the number of dynamic instructions from that store to the load
           (all three 0 when no store wrote the bytes); ``ssn_cmt`` is
-          ``SSNcmt`` when the load retires.
+          ``SSNcmt`` when the load retires.  When some policy of the pass
+          sets :attr:`warm_reads_svw`, load records carry two more fields,
+          ``last_ssn, last_pc``: the SVW's ``last_writer(addr, size)``
+          answer at that load, after every older store and before any
+          younger one.
 
         A load *would forward* when its writer is within ``window``
         dynamic instructions (the ROB size) and within ``sq_size``
         committed stores: the store would plausibly still have been in
         the SQ of the detailed machine.  Policies use that signal to train
         their predictors the way detailed-mode forwardings and violations
-        would have.  Each policy folds the records with its own tables
-        only, so folding the policies one after another equals
-        interleaving them per access.
+        would have.
 
-        The base policy keeps only the SVW tables, which stores update at
-        commit.
+        The SVW tables are not the fold's business: the warmer updates
+        them once per store in its shared pass, for every policy.  The
+        fold reads only the records and the policy's predictor tables, so
+        policies with equal :meth:`warm_class_key` end a fold in equal
+        states, and the warmer folds one of them per class
+        (:meth:`adopt_warm_state`).  The base policy trains nothing.
         """
-        store_committed = self.svw.store_committed
-        for record in records:
-            if len(record) == 4:
-                pc, ssn, addr, size = record
-                store_committed(addr, size, ssn, pc)
+
+    def warm_class_key(self) -> tuple:
+        """What :meth:`warm_segment` reads besides the records.
+
+        Policies with equal keys form one *warm class*: from equal states,
+        their folds over the same records leave equal predictor tables
+        and counters, so the warmer folds one representative and the
+        others adopt its state.  The key holds the policy type, the SQ
+        size and every predictor config (SVW included).  Scheduling mode
+        and SQ latency never enter warming, so they stay out; a subclass
+        whose fold reads more must add it.
+        """
+        return (type(self), self.sq_size, self.predictor_config)
+
+    def adopt_warm_state(self, representative: "SQPolicy") -> None:
+        """Take over the state ``representative``'s warming fold trained.
+
+        ``representative`` is in this policy's warm class and trains at
+        least what this policy holds (:func:`warm_classes` picks it).  The
+        tables are copied into this policy's own structures, so the two
+        stay independent.  The SVW is not copied here: the warmer shares
+        it per SVW config (:meth:`~repro.core.svw.SVWFilter.copy_from`).
+        """
+        self.stats = replace(representative.stats)
 
     # -- state snapshots --------------------------------------------------------
 
@@ -266,6 +297,25 @@ class SQPolicy:
     def clear_ssn_state(self) -> None:
         """Clear all structures that hold SSNs (hardware SSN wrap event)."""
         self.svw.clear()
+
+
+def warm_classes(policies: Sequence[SQPolicy]) -> List[List[SQPolicy]]:
+    """Group ``policies`` by :meth:`SQPolicy.warm_class_key`.
+
+    Classes come in order of first appearance; within a class the
+    policies keep their order, except that one that trains its DDP
+    (:attr:`SQPolicy.use_delay`) comes first.  The first member is the
+    class *representative*: its fold trains every table any member
+    holds.  A policy passed twice is listed once.
+    """
+    classes: Dict[tuple, List[SQPolicy]] = {}
+    for policy in policies:
+        members = classes.setdefault(policy.warm_class_key(), [])
+        if not any(member is policy for member in members):
+            members.append(policy)
+    for members in classes.values():
+        members.sort(key=lambda policy: not policy.use_delay)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +420,18 @@ class AssociativeStoreSetsPolicy(SQPolicy):
 
     def store_squashed(self, store_pc: int, ssn: int, token: Optional[SATUndoRecord]) -> None:
         if self.formulation == "original":
-            self._store_set_deps.pop(ssn, None)
+            self.store_sets.store_squashed(
+                store_pc, ssn, self._store_set_deps.pop(ssn, 0))
         if token is not None and self.predictor_config.sat.repair == "log":
             self.sat.undo(token)
 
     def store_dependence(self, store_pc: int, ssn: int) -> int:
-        """Original Store Sets serialises stores within a set."""
+        """Original Store Sets serialises stores within a set: the previous
+        store of the set, if it is strictly older than this one."""
         if self.formulation != "original":
             return 0
-        return self._store_set_deps.get(ssn, 0)
+        previous = self._store_set_deps.get(ssn, 0)
+        return previous if previous < ssn else 0
 
     # -- execute ----------------------------------------------------------------
 
@@ -416,7 +469,7 @@ class AssociativeStoreSetsPolicy(SQPolicy):
     # -- functional warming ------------------------------------------------------
 
     def warm_segment(self, records: Sequence[tuple], window: int) -> None:
-        """Update the SAT (or SSIT/LFST) and SVW per store, and learn the
+        """Update the SAT (or SSIT/LFST) per store, and learn the
         dependences detailed-mode violations would have taught.
 
         In detailed mode this policy trains only when re-execution catches
@@ -427,7 +480,6 @@ class AssociativeStoreSetsPolicy(SQPolicy):
         violations.  No per-store undo bookkeeping is kept: stores retire
         at once.
         """
-        svw_store_committed = self.svw.store_committed
         sq_size = self.sq_size
         if self.formulation == "original":
             store_sets = self.store_sets
@@ -440,16 +492,25 @@ class AssociativeStoreSetsPolicy(SQPolicy):
             train = self.fsp.strengthen
         for record in records:
             if len(record) == 4:
-                pc, ssn, addr, size = record
+                pc, ssn, _, _ = record
                 renamed(pc, ssn)
-                svw_store_committed(addr, size, ssn, pc)
                 if committed is not None:
                     committed(pc, ssn)
             else:
-                pc, _, _, dep_ssn, dep_pc, dep_distance, ssn_cmt = record
-                if dep_pc and dep_distance < window \
-                        and ssn_cmt - dep_ssn < sq_size:
+                # Indexed: a load record may carry the SVW answer too.
+                pc, dep_ssn, dep_pc = record[0], record[3], record[4]
+                if dep_pc and record[5] < window \
+                        and record[6] - dep_ssn < sq_size:
                     train(pc, dep_pc)
+
+    def warm_class_key(self) -> tuple:
+        return super().warm_class_key() + (self.formulation,)
+
+    def adopt_warm_state(self, representative: "SQPolicy") -> None:
+        super().adopt_warm_state(representative)
+        self.fsp.copy_from(representative.fsp)
+        self.sat.copy_from(representative.sat)
+        self.store_sets.copy_from(representative.store_sets)
 
     def clear_ssn_state(self) -> None:
         super().clear_ssn_state()
@@ -540,22 +601,24 @@ class IndexedSQPolicy(SQPolicy):
     def load_committed(self, info: LoadCommitInfo) -> None:
         """FSP and DDP training per Sections 3.2 and 3.3."""
         prediction = info.prediction
-        self._train_load(info.pc, info.addr, info.size, info.forwarded,
+        last_ssn, last_pc = self.svw.last_writer(info.addr, info.size)
+        self._train_load(info.pc, last_ssn, last_pc, info.forwarded,
                          info.violation, prediction.fwd_ssn,
                          prediction.predicted_store_pc, info.ssn_cmt)
 
-    def _train_load(self, pc: int, addr: int, size: int, forwarded: bool,
-                    violation: bool, fwd_ssn: int,
+    def _train_load(self, pc: int, last_ssn: int, last_pc: int,
+                    forwarded: bool, violation: bool, fwd_ssn: int,
                     predicted_pc: Optional[int], ssn_cmt: int) -> None:
         """The commit-time training rules, shared by detailed commit
         (:meth:`load_committed`) and functional warming
         (:meth:`warm_segment`).
 
+        ``last_ssn``/``last_pc`` are the SVW's youngest committed writer of
+        the load's bytes (:meth:`~repro.core.svw.SVWFilter.last_writer`);
         ``fwd_ssn``/``predicted_pc`` are the load's rename-time prediction
         (``SSNfwd`` and the FSP's partial store PC, ``None`` on a miss).
         """
         fsp = self.fsp
-        last_ssn, last_pc = self.svw.last_writer(addr, size)
         distance = ssn_cmt - last_ssn
         could_forward = last_ssn > 0 and distance < self.sq_size
         predicted_pc_correct = (predicted_pc is not None and last_pc != 0 and
@@ -615,6 +678,8 @@ class IndexedSQPolicy(SQPolicy):
 
     # -- functional warming ------------------------------------------------------
 
+    warm_reads_svw = True
+
     def warm_segment(self, records: Sequence[tuple], window: int) -> None:
         """FSP/DDP warming through the *detailed* prediction and training
         rules.
@@ -623,16 +688,15 @@ class IndexedSQPolicy(SQPolicy):
         DDP lookup, with ``SSNren == SSNcmt`` since stores retire at
         once), then trained as at commit by :meth:`_train_load`, with
         ``forwarded`` approximated by the would-forward signal (see
-        :meth:`SQPolicy.warm_segment`) and no violation (functional replay
-        cannot mis-speculate).  Strengthening *and* the weakening rules
-        (not-most-recent instances, writers further away than the SQ)
-        therefore apply exactly as in detailed mode, which keeps the warmed
-        FSP from over-predicting; new dependences are created because
-        ``strengthen`` inserts on a miss, standing in for the
-        violation-driven inserts of detailed mode.  Stores update the SAT
-        and the SVW tables.
+        :meth:`SQPolicy.warm_segment`), no violation (functional replay
+        cannot mis-speculate) and the record's SVW answer.  Strengthening
+        *and* the weakening rules (not-most-recent instances, writers
+        further away than the SQ) therefore apply exactly as in detailed
+        mode, which keeps the warmed FSP from over-predicting; new
+        dependences are created because ``strengthen`` inserts on a miss,
+        standing in for the violation-driven inserts of detailed mode.
+        Stores update the SAT.
         """
-        svw_store_committed = self.svw.store_committed
         sat_update = self.sat.update
         fsp = self.fsp
         sat = self.sat
@@ -642,11 +706,11 @@ class IndexedSQPolicy(SQPolicy):
         loads = predicted_forwarding = delays = 0
         for record in records:
             if len(record) == 4:
-                pc, ssn, addr, size = record
+                pc, ssn, _, _ = record
                 sat_update(pc, ssn)
-                svw_store_committed(addr, size, ssn, pc)
                 continue
-            pc, addr, size, dep_ssn, _, dep_distance, ssn_cmt = record
+            (pc, _, _, dep_ssn, _, dep_distance, ssn_cmt, last_ssn,
+             last_pc) = record
             loads += 1
             best_ssn, best_pc = _fsp_sat_predict(fsp, sat, pc)
             if best_ssn > ssn_cmt:
@@ -655,13 +719,26 @@ class IndexedSQPolicy(SQPolicy):
                 delays += 1
             forwarded = (dep_ssn != 0 and dep_distance < window
                          and ssn_cmt - dep_ssn < sq_size)
-            train(pc, addr, size, forwarded, False, best_ssn, best_pc,
+            train(pc, last_ssn, last_pc, forwarded, False, best_ssn, best_pc,
                   ssn_cmt)
         # predict_load's counters, added once per segment.
         stats = self.stats
         stats.loads_predicted += loads
         stats.loads_predicted_forwarding += predicted_forwarding
         stats.delay_predictions += delays
+
+    def adopt_warm_state(self, representative: "SQPolicy") -> None:
+        """Take over the FSP/SAT and counters; the DDP and its
+        ``delay_predictions`` only when this policy delays loads (an
+        ``indexed-3-fwd`` member keeps its fresh DDP and its own count)."""
+        delay_predictions = self.stats.delay_predictions
+        super().adopt_warm_state(representative)
+        self.fsp.copy_from(representative.fsp)
+        self.sat.copy_from(representative.sat)
+        if self.use_delay:
+            self.ddp.copy_from(representative.ddp)
+        else:
+            self.stats.delay_predictions = delay_predictions
 
     def clear_ssn_state(self) -> None:
         super().clear_ssn_state()

@@ -23,8 +23,9 @@ Storage layout (one pickle per entry, exactly like the result cache):
   FSP/SAT, store sets, DDP) is stored per ``(configuration, sq_size,
   predictor overrides)`` on top of the shared key.  One
   :class:`~repro.sampling.functional.FunctionalWarmer` pass warms *all*
-  missing configurations simultaneously (the shared structures update once
-  per micro-op).
+  missing configurations simultaneously (the shared structures and the SVW
+  update once per micro-op, and the predictor tables once per warm
+  class).
 * **trace windows** — the same store memoises each interval's composed
   detailed-window micro-ops (written during the generation pass, tiny next
   to the segments they straddle), so checkpointed interval jobs stop
@@ -41,14 +42,17 @@ affected interval recomputes the exact same full-history state in-process
 (never a silently-lukewarm result, never a crash).
 
 **Generation jobs**: the engine runs one generation job per (workload,
-policy group).  :func:`split_policy_groups` deals a request's
-configurations round-robin into up to ``jobs // len(requests)`` groups;
-each group replays the whole warming prefix once through
-:func:`generate_checkpoints`.  Policies are independent folds over the
-shared replay stream, so a group's pass warms its policies exactly as the
-one multi-policy pass would.  Group 0 keeps the request's ``write_shared``
-duty (shared snapshots and window memos); the other groups skip the
-shared structures no policy reads
+policy group).  :func:`split_policy_groups` deals a request's *warm
+classes* (:func:`~repro.lsu.policies.warm_classes`: configurations whose
+warming folds share their tables, such as ``indexed-3-fwd`` and
+``indexed-3-fwd+dly``) round-robin into up to ``jobs //
+len(requests)`` groups, so no class is folded by two jobs.  Each group
+replays the whole warming prefix once through :func:`generate_checkpoints`,
+folding once per class.  A group's pass warms each of its policies
+exactly as the one multi-policy pass would, because every policy ends a
+pass with the state a warmer of its own would have left.  Group 0 keeps
+the request's ``write_shared`` duty (shared snapshots and window memos);
+the other groups skip the shared structures no policy reads
 (:class:`~repro.sampling.functional.FunctionalWarmer`'s
 ``policies_only``).  The jobs have no dependencies on each other and fan
 out through the engine's dispatcher (:func:`execute_generation`).
@@ -446,21 +450,48 @@ def run_checkpoint_job(request: CheckpointJobSpec) -> int:
                                 write_shared=request.write_shared)
 
 
+def _warm_class_indices(identities: Sequence[PolicyIdentity]) -> List[int]:
+    """The warm class of each identity, numbered in order of first
+    appearance.  A name :func:`~repro.harness.runner.make_policy` does not
+    know forms a class of its own (its generation job reports it)."""
+    from repro.harness.runner import make_policy
+
+    keys: Dict[object, int] = {}
+    indices = []
+    for identity in identities:
+        name, sq_size, predictors = identity
+        try:
+            key = make_policy(name, sq_size=sq_size,
+                              predictors=predictors).warm_class_key()
+        except ValueError:
+            key = identity
+        indices.append(keys.setdefault(key, len(keys)))
+    return indices
+
+
 def split_policy_groups(requests: Sequence[CheckpointJobSpec],
                         jobs: int = 1) -> List[CheckpointJobSpec]:
     """Split generation requests into one job per (workload, policy group).
 
-    Each request's identities are dealt round-robin into up to ``jobs //
-    len(requests)`` groups, one generation job each; group 0 keeps the
-    request's ``write_shared`` duty.  A request that cannot be split (one
-    worker per request, or at most one identity) stays one job.
+    Each request's warm classes are dealt round-robin into up to ``jobs //
+    len(requests)`` groups, one generation job each, so every class is
+    folded by exactly one job; a group lists its identities in request
+    order, and group 0 keeps the request's ``write_shared`` duty.  A
+    request that cannot be split (one worker per request, or at most one
+    class) stays one job.
     """
     groups_per_request = max(1, jobs // max(1, len(requests)))
+    if groups_per_request == 1:
+        return list(requests)
     split: List[CheckpointJobSpec] = []
     for request in requests:
-        count = max(1, min(len(request.identities), groups_per_request))
+        classes = _warm_class_indices(request.identities)
+        count = max(1, min(len(set(classes)), groups_per_request))
         split.extend(replace(request,
-                             identities=request.identities[group::count],
+                             identities=tuple(
+                                 identity for identity, index
+                                 in zip(request.identities, classes)
+                                 if index % count == group),
                              write_shared=request.write_shared and group == 0)
                      for group in range(count))
     return split

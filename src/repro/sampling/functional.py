@@ -50,38 +50,52 @@ configuration-independent, so one replay pass can warm several store-queue
 policies at once.  This is what lets the checkpoint store
 (:mod:`repro.sampling.checkpoints`) amortise a single O(N) functional pass
 across every configuration of a sweep, or of one policy group when the
-generation stage splits a sweep over several workers.
-:meth:`FunctionalWarmer.warm`
-therefore works in two steps per call:
+generation stage splits a sweep over several workers.  Most of the
+policies' own state is shared too, so each distinct piece of it is warmed
+once.  :meth:`FunctionalWarmer.warm` works in three steps per call:
 
 * **The shared pass** retires the micro-ops once, updating the branch
-  unit, caches/TLB, memory image, SSN counters and the word-granular
-  last-writer map (:mod:`repro.memory.last_writer`), and records the facts
-  every policy needs, once per memory access: a store as ``(pc, ssn, addr,
-  size)``, a load as ``(pc, addr, size, dep_ssn, dep_pc, dep_distance,
-  ssn_cmt)`` — its youngest writer's SSN and PC, the instruction distance
-  to that writer, and ``SSNcmt`` (the layout is defined once, in
+  unit, caches/TLB, memory image, SSN counters, the word-granular
+  last-writer map (:mod:`repro.memory.last_writer`) and **the SVW tables,
+  once per store** (every configuration keeps the same SSBF/SPCT, which
+  stores update at commit).  It records the facts every policy needs,
+  once per memory access: a store as ``(pc, ssn, addr, size)``, a load as
+  ``(pc, addr, size, dep_ssn, dep_pc, dep_distance, ssn_cmt)`` — its
+  youngest writer's SSN and PC, the instruction distance to that writer,
+  and ``SSNcmt`` — plus, when some policy's fold reads the SVW (the
+  indexed SQ trains on it), the SVW's answer ``(ssn, pc)`` at that load
+  (the layout is defined once, in
   :meth:`~repro.lsu.policies.SQPolicy.warm_segment`).
-* **One fold per policy** then replays those records in program order
-  through the policy's ``warm_segment``, with its tables in locals.
+* **One fold per warm class** then replays those records in program order
+  through the class representative's ``warm_segment``, with its tables in
+  locals.  A warm class (:func:`~repro.lsu.policies.warm_classes`) is a set
+  of policies whose folds read and write the same tables: the three
+  reformulated associative configurations share FSP/SAT, and
+  ``indexed-3-fwd`` shares ``indexed-3-fwd+dly``'s FSP/SAT (only the
+  latter trains a DDP, so it represents the class).
+* **Derivation**: every other policy copies the SVW tables and, from its
+  class representative, the predictor tables and counters into its own
+  structures (:meth:`~repro.lsu.policies.SQPolicy.adopt_warm_state`).
 
-Folding the policies one after another equals interleaving them per
-access, as the per-load hooks this replaced did: a policy reads only the
-records and its own tables (SVW, FSP/SAT, store sets, DDP), and no two
-policies share state.  Warming is still a deterministic fold over the
-micro-op stream, so warming ``[0, a)`` then ``[a, b)`` equals one pass over
-``[0, b)``, with one policy or several.
+So when :meth:`~FunctionalWarmer.warm` returns, each policy holds exactly
+the state a warmer of its own would have left, in structures no other
+policy shares, and pickles byte-for-byte alike.  Warming cost hardly grows
+with the number of configurations.  Warming is still a deterministic fold
+over the micro-op stream, so warming ``[0, a)`` then ``[a, b)`` equals one
+pass over ``[0, b)``, with one policy or several.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
+from repro.core.predictors import SVWConfig
+from repro.core.svw import SVWFilter
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE, EncodedOps, encode_uops
 from repro.isa.uop import MicroOp
-from repro.lsu.policies import SQPolicy
+from repro.lsu.policies import SQPolicy, warm_classes
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.last_writer import LastWriterMap
 from repro.memory.last_writer import write as lw_write
@@ -122,14 +136,52 @@ def _skip(*_args) -> None:
     skips."""
 
 
+@dataclass
+class _SVWGroup:
+    """The policies of one warmer that share an SVW config.
+
+    ``svw`` is the one filter the stores update; ``followers`` are the
+    other policies' filters, which copy it after each segment.  ``reads``
+    says whether some class of the group folds over the SVW's answers.
+    """
+
+    svw: SVWFilter
+    followers: List[SVWFilter]
+    reads: bool
+    classes: List[List[SQPolicy]]
+
+
+def _svw_records(svw: SVWFilter, records: List[tuple],
+                 reads: bool) -> List[tuple]:
+    """Replay the stores of ``records`` through ``svw``.
+
+    The shared pass updates one SVW; a warmer whose policies hold several
+    SVW configs updates the others here.  With ``reads``, the records come
+    back with each load's answer taken from ``svw``.
+    """
+    store_committed = svw.store_committed
+    last_writer = svw.last_writer
+    out: List[tuple] = []
+    for record in records:
+        if len(record) == 4:
+            pc, ssn, addr, size = record
+            store_committed(addr, size, ssn, pc)
+        elif reads:
+            record = record[:7] + last_writer(record[1], record[2])
+        out.append(record)
+    return out
+
+
 class FunctionalWarmer:
     """Replays micro-ops in order, updating long-lived state only.
 
     ``policy`` names the single policy to warm (the common case).  Passing
     ``policies`` instead warms several policies through one shared replay:
-    the shared structures are updated once per micro-op and every policy
-    folds the recorded accesses (``policy`` then defaults to the first
-    entry, which :attr:`state` and :meth:`export_state` expose).
+    the shared structures and the SVW are updated once per micro-op, one
+    policy per warm class folds the recorded accesses, and the others
+    adopt its state (``policy`` then defaults to the first entry, which
+    :attr:`state` and :meth:`export_state` expose).  The policies of one
+    warm class must enter in equal states, as fresh policies do.
 
     ``start_index`` is the absolute dynamic-instruction index of the first
     micro-op warmed, for replays that start mid-trace (bounded warming);
@@ -137,10 +189,10 @@ class FunctionalWarmer:
 
     ``policies_only`` skips the branch unit, caches/TLB and memory image,
     which no policy fold reads: only the SSN counters, the last-writer map
-    and the policies are warmed, so the policies end exactly as in a full
-    replay while :attr:`state`'s other structures stay cold.  A
-    checkpoint-generation job that writes no shared snapshot needs nothing
-    more.
+    and the policies (SVW included) are warmed, so the policies end exactly
+    as in a full replay while :attr:`state`'s other structures stay cold.
+    A checkpoint-generation job that writes no shared snapshot needs
+    nothing more.
     """
 
     def __init__(self, config: CoreConfig, policy: Optional[SQPolicy] = None,
@@ -170,6 +222,19 @@ class FunctionalWarmer:
         #: the distances meaningful when warming starts mid-trace).
         self._index = start_index
         self._policies_only = policies_only
+        groups: Dict[SVWConfig, _SVWGroup] = {}
+        for members in warm_classes(self._policies):
+            representative = members[0]
+            svw_config = representative.predictor_config.svw
+            group = groups.get(svw_config)
+            if group is None:
+                group = groups[svw_config] = _SVWGroup(representative.svw,
+                                                       [], False, [])
+            group.followers.extend(policy.svw for policy in members
+                                   if policy.svw is not group.svw)
+            group.reads = group.reads or representative.warm_reads_svw
+            group.classes.append(members)
+        self._svw_groups = list(groups.values())
 
     @property
     def policies(self) -> List[SQPolicy]:
@@ -182,9 +247,11 @@ class FunctionalWarmer:
         """Functionally retire ``uops`` in order.
 
         The shared pass updates the shared structures (caches, branch
-        tables, memory image, SSN counters, last-writer map) once per
-        micro-op and records every load and store; then every policy
-        folds the records (:meth:`~repro.lsu.policies.SQPolicy.warm_segment`).
+        tables, memory image, SSN counters, last-writer map, SVW) once per
+        micro-op and records every load and store; then one policy per
+        warm class folds the records
+        (:meth:`~repro.lsu.policies.SQPolicy.warm_segment`) and every other
+        policy copies the state it shares.
 
         ``uops`` is an :class:`~repro.isa.plane.EncodedOps` stream on the
         hot paths (interval jobs, checkpoint generation); a plain micro-op
@@ -206,6 +273,9 @@ class FunctionalWarmer:
         commit = ssn_alloc.commit
         ssn_cmt = ssn_alloc.ssn_commit
         words = state.last_writer
+        groups = self._svw_groups
+        svw_store = groups[0].svw.store_committed
+        svw_read = groups[0].svw.last_writer if groups[0].reads else None
         records: List[tuple] = []
         emit = records.append
         index = self._index
@@ -225,10 +295,18 @@ class FunctionalWarmer:
                 load_latency(addr)
                 writer = lw_youngest(words, addr, size)
                 if writer is None:
-                    emit((pc_arr[si], addr, size, 0, 0, 0, ssn_cmt))
+                    dep_ssn = dep_pc = dep_distance = 0
                 else:
-                    emit((pc_arr[si], addr, size, writer[0], writer[1],
-                          index - writer[2], ssn_cmt))
+                    dep_ssn, dep_pc, dep_index = writer
+                    dep_distance = index - dep_index
+                if svw_read is None:
+                    emit((pc_arr[si], addr, size, dep_ssn, dep_pc,
+                          dep_distance, ssn_cmt))
+                else:
+                    # Flat, so the answer tuple is freed at once.
+                    last_ssn, last_pc = svw_read(addr, size)
+                    emit((pc_arr[si], addr, size, dep_ssn, dep_pc,
+                          dep_distance, ssn_cmt, last_ssn, last_pc))
             elif kind == KIND_STORE:
                 pc = pc_arr[si]
                 addr = addr_arr[i]
@@ -239,6 +317,7 @@ class FunctionalWarmer:
                 ssn_cmt = ssn
                 store_touch(addr)
                 lw_write(words, addr, size, (ssn, pc, index))
+                svw_store(addr, size, ssn, pc)
                 emit((pc, ssn, addr, size))
             elif kind == KIND_BRANCH:
                 target = uops.target[i]
@@ -250,8 +329,18 @@ class FunctionalWarmer:
         self._index = index
         state.instructions_warmed += len(sidx)
         window = self.config.rob_size
-        for policy in self._policies:
-            policy.warm_segment(records, window)
+        for position, group in enumerate(groups):
+            # The shared pass updated the first group's SVW only.
+            if position:
+                group_records = _svw_records(group.svw, records, group.reads)
+            else:
+                group_records = records
+            for representative, *members in group.classes:
+                representative.warm_segment(group_records, window)
+                for member in members:
+                    member.adopt_warm_state(representative)
+            for follower in group.followers:
+                follower.copy_from(group.svw)
 
     # ---------------------------------------------------------------- export --
 

@@ -9,7 +9,8 @@ emit helpers that append micro-ops to the trace being built.
 Emission is **two-plane** (see :mod:`repro.isa.plane`): each emit helper
 interns the instruction's static descriptor into the program's shared
 :class:`~repro.isa.plane.StaticProgramPlane` (a per-process cache keyed by
-program name, :func:`plane_for`) and appends only the dynamic fields to the
+program name, :func:`plane_for`) and appends only the dynamic fields,
+straight onto the six parallel lists of the
 :class:`~repro.isa.plane.EncodedOps` under construction — no per-uop object
 is ever built on this path.  :meth:`ProgramBuilder.finish` returns the
 encoded stream, which supports the old :class:`~repro.isa.trace.DynamicTrace`
@@ -69,7 +70,16 @@ class ProgramBuilder:
     def __init__(self, name: str, seed: int = 1) -> None:
         self.name = name
         self.rng = random.Random(seed)
-        self.ops = EncodedOps(plane_for(name), name=name)
+        self.ops = ops = EncodedOps(plane_for(name), name=name)
+        # The emit helpers' targets: the plane's interner and the bound
+        # appends of the stream's six dynamic lists.
+        self._intern = ops.plane.intern_cached
+        self._sidx = ops.sidx.append
+        self._addr = ops.addr.append
+        self._size = ops.size.append
+        self._value = ops.value.append
+        self._taken = ops.taken.append
+        self._target = ops.target.append
         self._next_pc = CODE_BASE
         self._next_data = DATA_BASE
         self._next_int_reg = 1          # r0 reserved as a generic source
@@ -125,8 +135,10 @@ class ProgramBuilder:
     # -- emit helpers -----------------------------------------------------------
     #
     # Each helper interns the static descriptor (validated once per static
-    # instruction) and appends the dynamic fields.  Dynamic validation keeps
-    # the old MicroOp construction-time guarantees for generator bugs.
+    # instruction) and appends the dynamic fields, with the defaults of
+    # :meth:`~repro.isa.plane.EncodedOps.append` for the fields it does not
+    # carry.  Dynamic validation keeps the old MicroOp construction-time
+    # guarantees for generator bugs.
 
     def load(self, pc: int, dest: int, addr: int, size: int = 8,
              srcs: Sequence[int] = ()) -> None:
@@ -135,9 +147,12 @@ class ProgramBuilder:
                              f"expected one of {VALID_ACCESS_SIZES}")
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
-        ops = self.ops
-        si = ops.plane.intern_cached(pc, OpClass.LOAD, dest, tuple(srcs))
-        ops.append(si, addr, size)
+        self._sidx(self._intern(pc, OpClass.LOAD, dest, tuple(srcs)))
+        self._addr(addr)
+        self._size(size)
+        self._value(-1)
+        self._taken(False)
+        self._target(-1)
 
     def store(self, pc: int, addr: int, value: int, size: int = 8,
               srcs: Sequence[int] = ()) -> None:
@@ -148,28 +163,41 @@ class ProgramBuilder:
             raise ValueError(f"negative address {addr:#x}")
         if not 0 <= value < (1 << (8 * size)):
             raise ValueError(f"store value {value:#x} does not fit in {size} bytes")
-        ops = self.ops
-        si = ops.plane.intern_cached(pc, OpClass.STORE, None, tuple(srcs))
-        ops.append(si, addr, size, value)
+        self._sidx(self._intern(pc, OpClass.STORE, None, tuple(srcs)))
+        self._addr(addr)
+        self._size(size)
+        self._value(value)
+        self._taken(False)
+        self._target(-1)
 
     def alu(self, pc: int, dest: int, srcs: Sequence[int] = (),
             op_class: OpClass = OpClass.INT_ALU) -> None:
-        ops = self.ops
-        si = ops.plane.intern_cached(pc, op_class, dest, tuple(srcs))
-        ops.append(si)
+        self._sidx(self._intern(pc, op_class, dest, tuple(srcs)))
+        self._addr(0)
+        self._size(0)
+        self._value(-1)
+        self._taken(False)
+        self._target(-1)
 
     def branch(self, pc: int, taken: bool, target: Optional[int] = None,
                srcs: Sequence[int] = (), call: bool = False, ret: bool = False) -> None:
         if taken and target is None:
             target = pc + 64
-        ops = self.ops
-        si = ops.plane.intern_cached(pc, OpClass.BRANCH, None, tuple(srcs), call, ret)
-        ops.append(si, taken=taken, target=target if target is not None else -1)
+        self._sidx(self._intern(pc, OpClass.BRANCH, None, tuple(srcs),
+                                call, ret))
+        self._addr(0)
+        self._size(0)
+        self._value(-1)
+        self._taken(taken)
+        self._target(target if target is not None else -1)
 
     def nop(self, pc: int) -> None:
-        ops = self.ops
-        si = ops.plane.intern_cached(pc, OpClass.NOP, None, ())
-        ops.append(si)
+        self._sidx(self._intern(pc, OpClass.NOP, None, ()))
+        self._addr(0)
+        self._size(0)
+        self._value(-1)
+        self._taken(False)
+        self._target(-1)
 
     # -- finishing --------------------------------------------------------------
 

@@ -28,8 +28,10 @@ fingerprint, and no test or benchmark pins multi-segment trace content.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.plane import EncodedOps
 from repro.workloads.kernels import (
@@ -74,6 +76,24 @@ TRACE_SEGMENT_UOPS = 16_384
 class _WeightedKernel:
     kernel: Kernel
     weight: float
+
+
+def _pick_table(pool: Sequence[_WeightedKernel]
+                ) -> Tuple[List[Callable[[], None]], List[float], float, int]:
+    """``(emits, cum, total, hi)``: what a weighted draw over ``pool`` needs.
+
+    ``random.choices(pool, weights=w)`` computes ``cum =
+    list(accumulate(w))`` and ``total = cum[-1] + 0.0`` on every call and
+    returns ``pool[bisect(cum, random() * total, 0, len(pool) - 1)]``.
+    :meth:`WorkloadComposer.compose` makes exactly that draw with these
+    values, computed once per pool, so it consumes the generator the same
+    way and picks the same kernels.
+    """
+    if not pool:
+        return [], [], 0.0, 0
+    cum = list(accumulate(item.weight for item in pool))
+    return ([item.kernel.emit for item in pool], cum, cum[-1] + 0.0,
+            len(pool) - 1)
 
 
 class WorkloadComposer:
@@ -167,23 +187,28 @@ class WorkloadComposer:
 
     # -- composition ------------------------------------------------------------
 
-    def _pick(self, pool: Sequence[_WeightedKernel]) -> Kernel:
-        weights = [item.weight for item in pool]
-        choice = self._rng.choices(pool, weights=weights, k=1)[0]
-        return choice.kernel
-
     def compose(self, instructions: int) -> EncodedOps:
-        """Emit kernel iterations until at least ``instructions`` micro-ops."""
+        """Emit kernel iterations until at least ``instructions`` micro-ops.
+
+        Each iteration draws from the composer's generator exactly as
+        ``random()`` and ``random.choices`` would (see :func:`_pick_table`).
+        """
         if instructions <= 0:
             raise ValueError("instruction budget must be positive")
-        profile = self.profile
-        while len(self.builder) < instructions:
-            if self._forwarding_pool and self._rng.random() < self._forward_prob:
-                self._pick(self._forwarding_pool).emit()
-            elif self._background_pool:
-                self._pick(self._background_pool).emit()
-            if profile.branchy > 0.0 and self._rng.random() < profile.branchy:
-                self._branchy.emit()
+        random = self._rng.random
+        forward_prob = self._forward_prob
+        fwd_emits, fwd_cum, fwd_total, fwd_hi = _pick_table(self._forwarding_pool)
+        bg_emits, bg_cum, bg_total, bg_hi = _pick_table(self._background_pool)
+        branchy = self.profile.branchy
+        branchy_emit = self._branchy.emit
+        emitted = self.builder.ops.sidx
+        while len(emitted) < instructions:
+            if fwd_emits and random() < forward_prob:
+                fwd_emits[bisect(fwd_cum, random() * fwd_total, 0, fwd_hi)]()
+            elif bg_emits:
+                bg_emits[bisect(bg_cum, random() * bg_total, 0, bg_hi)]()
+            if branchy > 0.0 and random() < branchy:
+                branchy_emit()
         return self.builder.finish().truncated(instructions)
 
 

@@ -4,7 +4,9 @@
 The goldens pin the *exact* merged counter dictionaries of fixed-seed
 full-detail and sampled runs, so hot-path refactors (static-plane trace
 encoding, core-loop rework, warming changes) diff against frozen numbers
-rather than against themselves.  ``hotpath_golden.json`` covers the
+rather than against themselves.  ``hotpath_golden.json``'s ``store_sets``
+cells pin the original Store Sets configuration on the default machine,
+on cells that deadlocked until a squashed store's LFST entry was undone.  ``hotpath_golden.json`` covers the
 blocking hierarchy; ``mlp_golden.json`` covers the non-blocking one (MSHR
 files and the stride prefetcher, and a 2-entry file whose structural
 stalls hold ready loads at issue), which the frozen seed stack in
@@ -54,6 +56,12 @@ MLP_WARMUP = 0.1
 STALL_WORKLOADS = ("mcf", "art", "swim", "parser")
 STALL_VARIANTS = ("mshr2", "mshr2+prefetch")
 STALL_INSTRUCTIONS = 6000
+
+#: Original Store Sets (Table 1, row 1) on the default machine, as
+#: ``(workload, seed)``: every cell used to deadlock.
+STORE_SETS_CONFIG = "associative-original-storesets"
+STORE_SETS_CELLS = (("vortex", 1), ("mesa.m", 1), ("gzip", 2), ("gcc", 3))
+STORE_SETS_INSTRUCTIONS = 8000
 
 
 def _plan():
@@ -151,6 +159,25 @@ def mlp_goldens() -> dict:
     return out
 
 
+def store_sets_goldens() -> dict:
+    """The original Store Sets cells, keyed ``workload/seed``."""
+    from repro.harness.runner import ExperimentSettings, run_workload
+    from repro.workloads.suites import build_workload
+
+    out = {}
+    for workload, seed in STORE_SETS_CELLS:
+        settings = ExperimentSettings(instructions=STORE_SETS_INSTRUCTIONS,
+                                      seed=seed)
+        trace = build_workload(workload, instructions=STORE_SETS_INSTRUCTIONS,
+                               seed=seed)
+        record = run_workload(trace, STORE_SETS_CONFIG, settings)
+        out[f"{workload}/{seed}"] = {
+            "stats": _stats_dict(record.result.stats),
+            "extra": dict(sorted(record.result.extra.items())),
+        }
+    return out
+
+
 def _write(path: Path, golden: dict) -> None:
     path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -161,6 +188,7 @@ def main() -> int:
         "full_detail": _full_detail(),
         "sampled_bounded": _sampled(checkpointed=False),
         "sampled_checkpointed": _sampled(checkpointed=True),
+        "store_sets": store_sets_goldens(),
     })
     _write(MLP_GOLDEN_PATH, mlp_goldens())
     return 0

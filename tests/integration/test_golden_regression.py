@@ -18,6 +18,10 @@ does not have and so cannot cross-check.  Its stall grid (a 2-entry file,
 with and without the prefetcher, on memory-bound programs) pins the
 issue-stage MSHR hold: every one of those cells stalls.
 
+The ``store_sets`` cells pin the original Store Sets configuration on the
+default machine, where it deadlocked on most cells until a squashed
+store's LFST entry was undone.
+
 Regenerate the goldens ONLY for intentional trace-content or
 simulator-semantics changes: ``python tests/golden/generate_goldens.py``
 (see that file's docstring).
@@ -148,13 +152,31 @@ class TestDegenerateMLPGoldens:
             assert dict(sorted(record.result.extra.items())) == want["extra"], config
 
 
+def _generator():
+    sys.path.insert(0, str(GOLDEN_DIR))
+    try:
+        import generate_goldens
+    finally:
+        sys.path.remove(str(GOLDEN_DIR))
+    return generate_goldens
+
+
+class TestStoreSetsGoldens:
+    def test_original_store_sets_cells_match_frozen_counters(self, golden):
+        want = golden["store_sets"]
+        got = _generator().store_sets_goldens()
+        assert sorted(got) == sorted(want)
+        for cell, counters in want.items():
+            assert got[cell] == counters, cell
+        # Every cell runs to the end and trains the predictor through
+        # flushes (the squash path the cells pin).
+        assert all(counters["stats"]["committed"] > 0 for counters in want.values())
+        assert sum(counters["stats"]["flushes"] for counters in want.values()) > 0
+
+
 class TestMLPGoldens:
     def test_mlp_grid_matches_frozen_counters(self):
-        sys.path.insert(0, str(GOLDEN_DIR))
-        try:
-            import generate_goldens
-        finally:
-            sys.path.remove(str(GOLDEN_DIR))
+        generate_goldens = _generator()
         want = json.loads(MLP_GOLDEN_PATH.read_text())
         got = generate_goldens.mlp_goldens()
         assert sorted(got) == sorted(want)

@@ -23,6 +23,14 @@ at a random point, and requires identical pickled policies, shared
 signature and instruction count; a policies-only replay
 (``policies_only=True``, which skips the branch unit, caches and memory
 image) must end with the same pickled policies.
+
+The warmer folds one policy per warm class and derives the others
+(:func:`~repro.lsu.policies.warm_classes`).  The class draws below are rich
+in same-class pairs and give policies of one type different predictor
+configs (FSP entries, DDP sets, SVW entries), which must never share a
+class.  Every policy must end exactly as a warmer of its own leaves it
+(pickle and ``state_signature()``), holding no table another policy
+holds.
 """
 
 import pickle
@@ -38,7 +46,10 @@ from repro.lsu.policies import (AssociativeStoreSetsPolicy, IndexedSQPolicy,
                                 LoadCommitInfo)
 from repro.memory.image import MemoryImage
 from repro.memory.mlp import build_hierarchy
+from repro.core.predictors import (DDPConfig, FSPConfig, PredictorSuiteConfig,
+                                   SVWConfig)
 from repro.core.ssn import SSNAllocator
+from repro.lsu.policies import warm_classes
 from repro.pipeline.config import CoreConfig
 from repro.sampling.checkpoints import _shared_snapshot, shared_signature
 from repro.sampling.functional import FunctionalWarmer
@@ -205,3 +216,91 @@ def test_fold_matches_per_load_replay(accesses, names, sq_size, rob_size,
     warmer.warm(uops[cut:])
     for name, mine, theirs in zip(names, policies_only, reference.policies):
         assert pickle.dumps(mine) == pickle.dumps(theirs), name
+
+
+#: Predictor configs a class draw gives a policy (index 0: the default).
+_PREDICTORS = (None,
+               PredictorSuiteConfig(fsp=FSPConfig(entries=8, assoc=2)),
+               PredictorSuiteConfig(ddp=DDPConfig(entries=4, assoc=2)),
+               PredictorSuiteConfig(svw=SVWConfig(ssbf_entries=16,
+                                                  spct_entries=16)))
+
+#: Names whose folds share tables, so draws from one group pair them up.
+_CLASS_MATES = (("associative-3", "associative-5-optimistic",
+                 "associative-5-predictive"),
+                ("indexed-3-fwd", "indexed-3-fwd+dly"),
+                ("oracle-associative-3", "associative-original-storesets"))
+
+_member = st.tuples(st.sampled_from(_NAMES),
+                    st.integers(min_value=0, max_value=len(_PREDICTORS) - 1))
+_mates = st.sampled_from(_CLASS_MATES).flatmap(
+    lambda names: st.lists(st.tuples(st.sampled_from(names),
+                                     st.sampled_from([0, 0, 1, 2, 3])),
+                           min_size=2, max_size=6))
+
+
+def _tables(policy):
+    """Every mutable table a policy's warming touches."""
+    tables = [policy.stats, policy.svw.stats, policy.svw.ssbf._table,
+              policy.svw.spct._table]
+    for name in ("fsp", "ddp"):
+        predictor = getattr(policy, name, None)
+        if predictor is not None:
+            tables += [predictor.stats, predictor._sets]
+            tables += [entry for ways in predictor._sets.values()
+                       for entry in ways]
+    if hasattr(policy, "sat"):
+        tables += [policy.sat.stats, policy.sat._table]
+    if hasattr(policy, "store_sets"):
+        tables += [policy.store_sets.stats, policy.store_sets._ssit,
+                   policy.store_sets._lfst]
+    return tables
+
+
+def _build(members, sq_size):
+    return [make_policy(name, sq_size=sq_size, predictors=_PREDICTORS[p])
+            for name, p in members]
+
+
+@_SETTINGS
+@given(accesses=st.lists(_access, min_size=1, max_size=60),
+       members=st.one_of(st.lists(_member, min_size=1, max_size=8), _mates),
+       sq_size=st.sampled_from([2, 4, 64]),
+       rob_size=st.sampled_from([8, 32]),
+       split=st.floats(min_value=0.0, max_value=1.0),
+       policies_only=st.booleans())
+def test_warm_classes_match_separate_warmers(accesses, members, sq_size,
+                                             rob_size, split, policies_only):
+    config = CoreConfig(rob_size=rob_size)
+    uops = _trace(accesses)
+    cut = int(len(uops) * split)
+
+    policies = _build(members, sq_size)
+    classes = warm_classes(policies)
+    for mates in classes:
+        assert len({(type(p), p.sq_size, p.predictor_config,
+                     getattr(p, "formulation", None)) for p in mates}) == 1
+        # The representative trains every table a member holds.
+        assert mates[0].use_delay or not any(p.use_delay for p in mates)
+    assert sorted(map(id, policies)) == sorted(
+        id(p) for mates in classes for p in mates)
+    for one in classes:
+        for other in classes:
+            if one is not other:
+                assert one[0].warm_class_key() != other[0].warm_class_key()
+
+    warmer = FunctionalWarmer(config, policies=policies,
+                              policies_only=policies_only)
+    warmer.warm(encode_uops(uops[:cut]))
+    warmer.warm(uops[cut:])
+
+    for member, mine, policy in zip(members, policies,
+                                    _build(members, sq_size)):
+        FunctionalWarmer(config, policy).warm(uops)
+        assert pickle.dumps(mine) == pickle.dumps(policy), member
+        assert mine.state_signature() == policy.state_signature(), member
+
+    owners = {}
+    for policy in policies:
+        for table in _tables(policy):
+            assert owners.setdefault(id(table), policy) is policy

@@ -1,7 +1,8 @@
 """Unit tests for the checkpoint store (`repro.sampling.checkpoints`).
 
-Covers the multi-policy functional warmer (one pass, many configurations)
-and its policies-only mode, the export/import round trip (exact for every
+Covers the multi-policy functional warmer (one pass, many configurations,
+one fold per warm class, every policy independent of the others) and its
+policies-only mode, the export/import round trip (exact for every
 warmed structure), store invalidation (source fingerprints, plan changes),
 corruption robustness (truncated snapshots and missing window memos repair
 in place, never crash and never change the result), the engine's
@@ -67,6 +68,14 @@ SETTINGS = ExperimentSettings(instructions=20_000, stats_warmup_fraction=0.0,
 CONFIG = "indexed-3-fwd+dly"
 IDENTITY = (CONFIG, SETTINGS.sq_size, None)
 
+#: Every make_policy name: four warm classes (oracle, the three
+#: reformulated associative configurations, original Store Sets, and the
+#: two indexed configurations).
+ALL_NAMES = ("oracle-associative-3", "associative-3",
+             "associative-5-optimistic", "associative-5-predictive",
+             "associative-original-storesets", "indexed-3-fwd",
+             "indexed-3-fwd+dly")
+
 
 def _checkpointed_specs(store, settings=SETTINGS, config=CONFIG):
     spec = JobSpec(WORKLOAD, config, settings)
@@ -127,6 +136,56 @@ class TestMultiPolicyWarming:
         warmer = FunctionalWarmer(CoreConfig(), policies=policies)
         assert warmer.export_state().policy is policies[0]
         assert warmer.policies == policies
+
+
+class TestWarmClassIndependence:
+    """Policies warmed through one class fold share no table: a detailed
+    run on each, adopting the warmed policy object itself, equals a run on
+    a policy warmed by a warmer of its own."""
+
+    PREFIX = 6_000
+    CONFIGS = ("indexed-3-fwd", "indexed-3-fwd+dly", "associative-3",
+               "associative-5-predictive")
+
+    def _run(self, state, window):
+        core = OutOfOrderCore(CoreConfig(), make_policy(CONFIG))
+        core.import_state(state)
+        return core.run(window, warm_memory=False).stats.as_dict()
+
+    def test_detailed_runs_match_separately_warmed_policies(self):
+        prefix = build_workload_window(WORKLOAD, self.PREFIX + 3_000, 1, 0,
+                                       self.PREFIX)
+        window = build_workload_window(WORKLOAD, self.PREFIX + 3_000, 1,
+                                       self.PREFIX, self.PREFIX + 3_000)
+        policies = [make_policy(name) for name in self.CONFIGS]
+        warmer = FunctionalWarmer(CoreConfig(), policies=policies)
+        warmer.warm(prefix)
+        shared = pickle.dumps(warmer.state)
+        together = {}
+        for name, policy in zip(self.CONFIGS, policies):
+            state = pickle.loads(shared)
+            state.policy = policy
+            together[name] = self._run(state, window)
+        for name in self.CONFIGS:
+            alone = FunctionalWarmer(CoreConfig(), make_policy(name))
+            alone.warm(prefix)
+            assert self._run(alone.export_state(), window) == together[name], name
+
+    def test_generation_over_every_name_matches_single_passes(self, tmp_path):
+        """Snapshot for snapshot, a pass over all seven configurations
+        pickles each policy exactly as a pass over that one alone."""
+        identities = [(name, SETTINGS.sq_size, None) for name in ALL_NAMES]
+        together = CheckpointStore(tmp_path / "all")
+        generate_checkpoints(together, WORKLOAD, SETTINGS, identities)
+        count = PLAN.num_intervals(SETTINGS.instructions)
+        for identity in identities:
+            alone = CheckpointStore(tmp_path / identity[0])
+            generate_checkpoints(alone, WORKLOAD, SETTINGS, [identity],
+                                 write_shared=False)
+            for index in range(count):
+                key = policy_key(WORKLOAD, SETTINGS, identity, index)
+                assert (pickle.dumps(together.get(key))
+                        == pickle.dumps(alone.get(key))), (identity, index)
 
 
 class TestPoliciesOnlyWarming:
@@ -498,6 +557,8 @@ GROUP_SETTINGS = ExperimentSettings(instructions=3 * TRACE_SEGMENT_UOPS,
                                     sampling=GROUP_PLAN, checkpoints=True)
 GROUP_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
                  "indexed-3-fwd", "indexed-3-fwd+dly")
+#: GROUP_CONFIGS' warm classes: the two indexed configurations share one.
+GROUP_CLASSES = 3
 
 
 def _generation_requests(store, settings, configs=GROUP_CONFIGS,
@@ -559,6 +620,42 @@ class TestPolicyGroupSplit:
         request = self._request("a", 0)
         assert split_policy_groups([request], 4) == [request]
 
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+    def test_each_warm_class_stays_in_one_job(self, jobs):
+        """The seven configurations form four warm classes: never more
+        jobs than classes, and no class split across two jobs."""
+        identities = tuple((name, 64, None) for name in ALL_NAMES)
+        request = CheckpointJobSpec(workload="a", settings=SETTINGS,
+                                    identities=identities,
+                                    write_shared=True, directory="d")
+        split = split_policy_groups([request], jobs)
+        assert len(split) == min(jobs, 4)
+        assert sorted(i for job in split for i in job.identities) \
+            == sorted(identities)
+        for mates in (("associative-3", "associative-5-optimistic",
+                       "associative-5-predictive"),
+                      ("indexed-3-fwd", "indexed-3-fwd+dly")):
+            holders = [job for job in split
+                       if {i[0] for i in job.identities} & set(mates)]
+            assert len(holders) == 1, mates
+        # Each job lists its identities in request order.
+        for job in split:
+            assert list(job.identities) == sorted(
+                job.identities, key=identities.index)
+
+    def test_other_sq_sizes_and_predictors_are_other_classes(self):
+        from repro.core.predictors import FSPConfig, PredictorSuiteConfig
+
+        small_fsp = PredictorSuiteConfig(fsp=FSPConfig(entries=512))
+        identities = (("indexed-3-fwd", 64, None),
+                      ("indexed-3-fwd+dly", 32, None),
+                      ("indexed-3-fwd+dly", 64, small_fsp))
+        request = CheckpointJobSpec(workload="a", settings=SETTINGS,
+                                    identities=identities,
+                                    write_shared=True, directory="d")
+        split = split_policy_groups([request], 3)
+        assert [job.identities for job in split] == [(i,) for i in identities]
+
     @pytest.mark.parametrize("jobs,groups", [
         (1, (1, 1, 1, 1)),
         (4, (1, 1, 1, 1)),
@@ -593,7 +690,8 @@ class TestPolicyGroupSplit:
 
 class TestPolicyGroupBitIdentity:
     """Policy-group generation == the single pass, snapshot for snapshot,
-    at 1, 2 and 4 jobs: each job, run in-process, warms its own group."""
+    at 1, 2 and 4 workers: each job, run in-process, warms its own group.
+    Four workers still make three jobs, one per warm class."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
@@ -611,8 +709,12 @@ class TestPolicyGroupBitIdentity:
         every = sorted((config, GROUP_SETTINGS.sq_size, None)
                        for config in GROUP_CONFIGS)
         for jobs, (_store, generation_jobs) in stores.items():
-            assert len(generation_jobs) == jobs
+            assert len(generation_jobs) == min(jobs, GROUP_CLASSES)
             assert sum(job.write_shared for job in generation_jobs) == 1
+            # indexed-3-fwd is folded with indexed-3-fwd+dly, never apart.
+            assert any({("indexed-3-fwd", 64, None),
+                        ("indexed-3-fwd+dly", 64, None)}
+                       <= set(job.identities) for job in generation_jobs)
             assert sorted(identity for job in generation_jobs
                           for identity in job.identities) == every
 

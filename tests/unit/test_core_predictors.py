@@ -1,6 +1,8 @@
 """Unit tests for the paper's prediction structures: SSN, FSP, SAT, DDP,
 SVW (SSBF/SPCT), and the original Store Sets predictor."""
 
+import pickle
+
 import pytest
 
 from repro.core.ddp import DelayDistancePredictor
@@ -557,6 +559,36 @@ class TestStoreSets:
         predictor.store_renamed(self.STORE_PC, ssn=7)
         predictor.store_committed(self.STORE_PC, ssn=7)
         assert predictor.load_renamed(self.LOAD_PC) is None
+
+    def test_squash_restores_the_previous_store(self):
+        """Squashes run youngest first; each puts back what its rename
+        replaced, so the LFST ends as before the squashed renames."""
+        predictor = StoreSetsPredictor()
+        predictor.train_violation(self.LOAD_PC, self.STORE_PC)
+        predictor.store_renamed(self.STORE_PC, ssn=7)
+        previous = predictor.store_renamed(self.STORE_PC, ssn=9)
+        predictor.store_squashed(self.STORE_PC, 9, previous)
+        assert predictor.load_renamed(self.LOAD_PC) == 7
+        predictor.store_squashed(self.STORE_PC, 7, 0)
+        assert predictor.load_renamed(self.LOAD_PC) is None
+
+    def test_squash_leaves_a_newer_lfst_entry(self):
+        predictor = StoreSetsPredictor()
+        predictor.train_violation(self.LOAD_PC, self.STORE_PC)
+        predictor.store_renamed(self.STORE_PC, ssn=7)
+        predictor.store_renamed(self.STORE_PC, ssn=9)
+        predictor.store_squashed(self.STORE_PC, 7, 0)
+        assert predictor.load_renamed(self.LOAD_PC) == 9
+
+    def test_copy_from_is_an_independent_equal_copy(self):
+        source = StoreSetsPredictor()
+        source.train_violation(self.LOAD_PC, self.STORE_PC)
+        source.store_renamed(self.STORE_PC, ssn=7)
+        copy = StoreSetsPredictor()
+        copy.copy_from(source)
+        assert pickle.dumps(copy) == pickle.dumps(source)
+        source.store_renamed(self.STORE_PC, ssn=9)
+        assert copy.load_renamed(self.LOAD_PC) == 7
 
     def test_clear(self):
         predictor = StoreSetsPredictor()

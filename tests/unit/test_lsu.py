@@ -229,6 +229,37 @@ class TestAssociativePolicy:
         policy.store_renamed(0x504, ssn=4)
         assert policy.store_dependence(0x504, 4) == 3
 
+    def test_store_rerenamed_after_a_flush_never_depends_on_itself(self):
+        """A flush rewinds the SSNs, so the re-renamed store gets the
+        squashed store's SSN back; the squash must have undone the LFST
+        update, or the store would wait on itself and never issue."""
+        policy = AssociativeStoreSetsPolicy(formulation="original",
+                                            predictors=_small_predictors())
+        policy.store_sets.train_violation(0x400, 0x500)
+        policy.store_renamed(0x500, 3)
+        policy.store_renamed(0x500, 4)
+        assert policy.store_dependence(0x500, 4) == 3
+        # A flush squashes store 4; the SSNs rewind and it renames as 4.
+        policy.store_squashed(0x500, 4, None)
+        policy.store_renamed(0x500, 4)
+        assert policy.store_dependence(0x500, 4) == 3
+        # A flush squashes both, youngest first; they rename again.
+        policy.store_squashed(0x500, 4, None)
+        policy.store_squashed(0x500, 3, None)
+        policy.store_renamed(0x500, 3)
+        policy.store_renamed(0x500, 4)
+        assert policy.store_dependence(0x500, 3) == 0
+        assert policy.store_dependence(0x500, 4) == 3
+
+    def test_store_dependence_names_only_older_stores(self):
+        policy = AssociativeStoreSetsPolicy(formulation="original",
+                                            predictors=_small_predictors())
+        policy.store_sets.train_violation(0x400, 0x500)
+        ssid = policy.store_sets.ssid_of(0x500)
+        policy.store_sets._lfst[ssid] = 9
+        policy.store_renamed(0x500, 5)
+        assert policy.store_dependence(0x500, 5) == 0
+
     def test_sat_repair_on_squash(self):
         policy = AssociativeStoreSetsPolicy(predictors=_small_predictors())
         token1 = policy.store_renamed(0x500, ssn=3)
