@@ -150,11 +150,11 @@ def measure_memory_mlp(cache_dir, instructions=None, parallel_jobs=None):
     # checkpoint store, cold vs warm and serial vs parallel.
     workload, config, mlp = SAMPLED_CELL
     plan = SamplingPlan(interval_length=500, detailed_warmup=300,
-                        period=10_000, functional_warmup=2_000, seed=3)
+                        period=10_000, seed=3)
     sampled_settings = ExperimentSettings(
         instructions=SAMPLED_INSTRUCTIONS,
         core=CoreConfig(memory=MemoryHierarchyConfig(mlp=mlp)),
-        sampling=plan, checkpoints=True)
+        sampling=plan)
     ckpt_dir = os.path.join(cache_dir, "mlp-checkpoints")
     legs = {}
     for leg, jobs in (("cold", 1), ("warm_serial", 1),

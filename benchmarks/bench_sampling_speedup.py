@@ -1,32 +1,30 @@
 """Benchmark: statistical sampling vs full-detail simulation.
 
-Three measurements, all recorded in ``BENCH_sampling.json``:
+Four measurements, all recorded in ``BENCH_sampling.json``.  Every sampled
+run warms from the checkpoint store (one continuous functional pass per
+workload, snapshotted at every interval start):
 
-* **Matched-count speedup** — one workload/configuration simulated twice at
-  the *same* instruction count (default 1M; ``REPRO_BENCH_SAMPLING_INSTRUCTIONS``):
-  once in full detail and once through the sampling subsystem with
-  *bounded* functional warming (the ``O(sampled)`` fast path; checkpoints
-  explicitly off so the number keeps tracking that mode).  Sampling must be
-  >= ~10x faster at paper-relevant counts while keeping the CPI estimate
-  close; the bound scales down for reduced counts (where the per-interval
-  fixed costs are not amortised).
+* **Matched-count speedup** — one workload/configuration simulated at the
+  *same* instruction count (default 1M;
+  ``REPRO_BENCH_SAMPLING_INSTRUCTIONS``) in full detail and through
+  checkpointed sampling against a cold private store, so the sampled wall
+  time includes checkpoint generation.  Records the speedup, the signed
+  CPI error against full detail and the relative confidence interval.
+  Asserts only that sampling is no slower than full detail from 200k
+  instructions up; the error is recorded without a bar, because the
+  plan's ~10 intervals leave a sample variance larger than any useful
+  bound.
 * **Checkpointed sweep** — a multi-configuration sweep over one workload
-  (default 400k instructions; ``REPRO_BENCH_CHECKPOINT_INSTRUCTIONS``) run
-  twice: with bounded warming (each interval re-warms its gap) and with the
-  checkpoint store (one O(N) functional pass, snapshots shared by every
-  configuration).  With >= 2 configurations sharing the workload the
-  amortised pass must win: the checkpointed sweep's speedup over any
-  common baseline is at least the bounded sweep's (equivalently, its wall
-  time is no larger), while carrying *full* warming history (the bounded
-  mode's lukewarm bias collapses to detailed-warmup-only error).  Serial,
-  parallel, and cached checkpointed runs are asserted bit-identical.
+  (default 400k instructions; ``REPRO_BENCH_CHECKPOINT_INSTRUCTIONS``)
+  timed cold against a private store: one generation pass warms every
+  configuration.  Serial, parallel, and cached runs are asserted
+  bit-identical.
 * **Paper-scale sampled artifact** — a 10M-instruction
   (``REPRO_BENCH_SAMPLED_INSTRUCTIONS``) Figure-4 cell: the ideal-baseline
   and indexed-SQ configurations simulated *sampled only* (full detail at
   10M is exactly what sampling exists to avoid), reporting the relative
-  execution time with its confidence interval.  Runs checkpointed by
-  default (both configurations share one warming pass), i.e. the recorded
-  cell is paper-faithful full-history warming.
+  execution time with its confidence interval.  Both configurations share
+  one warming pass.
 * **Policy-group generation** — the checkpoint-generation stage of the
   same sweep run twice against cold private stores: one serial pass per
   workload group (every configuration warmed together) vs the engine's
@@ -37,7 +35,6 @@ Three measurements, all recorded in ``BENCH_sampling.json``:
   wall-time ratio is recorded without a bar.
 """
 
-import dataclasses
 import os
 import tempfile
 import time
@@ -45,7 +42,6 @@ import time
 from repro.exec import ExperimentEngine, JobSpec, ResultCache, available_cpus
 from repro.harness.runner import BASELINE_CONFIG, ExperimentSettings
 from repro.sampling import SamplingPlan
-from repro.sampling.checkpoints import resolve_checkpointed
 from repro.sampling.driver import run_sampled_workload
 from repro.workloads.suites import build_workload
 
@@ -61,8 +57,8 @@ MATCHED_INSTRUCTIONS = int(
 ARTIFACT_INSTRUCTIONS = int(
     os.environ.get("REPRO_BENCH_SAMPLED_INSTRUCTIONS", str(10_000_000)))
 
-#: Instruction count for the checkpointed-sweep comparison (both modes are
-#: simulated end to end, so it stays below the paper scale by default).
+#: Instruction count for the checkpointed sweep (simulated end
+#: to end, so it stays below the paper scale by default).
 CHECKPOINT_SWEEP_INSTRUCTIONS = int(
     os.environ.get("REPRO_BENCH_CHECKPOINT_INSTRUCTIONS", str(400_000)))
 
@@ -73,37 +69,56 @@ CHECKPOINT_SWEEP_CONFIGS = (BASELINE_CONFIG, "associative-5-predictive",
 
 
 def _matched_plan(instructions: int) -> SamplingPlan:
-    """A ~10-interval bounded-warming plan for the given trace length."""
+    """A ~10-interval plan for the given trace length."""
     period = max(instructions // 10, 4_000)
     return SamplingPlan(interval_length=1_000, detailed_warmup=1_000,
-                        period=period, functional_warmup=8_000, seed=0)
+                        period=period, seed=0)
+
+
+def _sweep_plan(instructions: int) -> SamplingPlan:
+    """The ~20-interval plan of the sweep and policy-group legs."""
+    return SamplingPlan(interval_length=1_000, detailed_warmup=1_000,
+                        period=max(instructions // 20, 4_000), seed=0)
 
 
 def artifact_plan(instructions: int) -> SamplingPlan:
     """The paper-scale plan: ~25 intervals of 2k instructions."""
     period = max(instructions // 25, 8_000)
     return SamplingPlan(interval_length=2_000, detailed_warmup=2_000,
-                        period=period, functional_warmup=30_000, seed=0)
+                        period=period, seed=0)
+
+
+def _clear_process_memos() -> None:
+    """Start a timed leg cold: no compose or background-word work paid
+    for by an earlier leg in the same process."""
+    from repro.memory import image
+    from repro.workloads import suites
+
+    suites._SEGMENT_CACHE.clear()
+    image._background_word.cache_clear()
 
 
 def measure_sampling_speedup(instructions: int = None,
                              workload: str = SPEEDUP_WORKLOAD,
                              config: str = SPEEDUP_CONFIG) -> dict:
-    """Time full-detail vs sampled simulation at one instruction count."""
+    """Time full-detail vs checkpointed sampled simulation at one count.
+
+    Each sampled run starts from a cold private checkpoint store and cold
+    process memos, so its wall time includes the O(N) generation pass.
+    """
     instructions = instructions or MATCHED_INSTRUCTIONS
     plan = _matched_plan(instructions)
     full_settings = ExperimentSettings(instructions=instructions,
                                        stats_warmup_fraction=0.0)
-    # Bounded warming, explicitly: this entry tracks the O(sampled) fast
-    # path; the checkpointed mode is measured by the sweep entry below.
     sampled_settings = ExperimentSettings(instructions=instructions,
                                           stats_warmup_fraction=0.0,
-                                          sampling=plan, checkpoints=False)
+                                          sampling=plan)
 
     # Full detail: trace materialisation + cycle-accurate simulation (the
     # trace build is part of the cost a sampled run avoids re-paying).
     from repro.harness.runner import run_workload
 
+    _clear_process_memos()
     start = time.perf_counter()
     trace = build_workload(workload, instructions, seed=full_settings.seed)
     full_record = run_workload(trace, config, full_settings)
@@ -112,37 +127,39 @@ def measure_sampling_speedup(instructions: int = None,
     full_cpi = full_stats.cycles / full_stats.committed
     del trace, full_record
 
-    # Best of two: the sampled leg is short enough (seconds) that allocator
-    # and scheduler noise after the 1M-uop trace build above swings a single
-    # measurement by tens of percent; the faster repeat is the steady-state
-    # cost (per-process segment caches warm, exactly as inside a sweep).
-    # Both runs are asserted bit-identical first.
-    sampled_s = None
+    # Best of two cold runs: a single one swings by tens of percent with
+    # allocator and scheduler noise after the trace build above.  Both are
+    # asserted bit-identical.
+    sampled_runs_s = []
     sampled_record = None
-    for _ in range(2):
-        start = time.perf_counter()
-        record = run_sampled_workload(workload, config, sampled_settings)
-        elapsed = time.perf_counter() - start
-        if sampled_record is not None:
-            assert (record.result.stats.as_dict()
-                    == sampled_record.result.stats.as_dict()), \
-                "sampled repeat diverged"
-        if sampled_s is None or elapsed < sampled_s:
-            sampled_s = elapsed
-        sampled_record = record
+    with tempfile.TemporaryDirectory(prefix="repro-bench-matched-") as root:
+        for run in range(2):
+            _clear_process_memos()
+            start = time.perf_counter()
+            record = run_sampled_workload(
+                workload, config, sampled_settings,
+                checkpoint_dir=os.path.join(root, f"store-{run}"))
+            sampled_runs_s.append(time.perf_counter() - start)
+            if sampled_record is not None:
+                assert (record.result.stats.as_dict()
+                        == sampled_record.result.stats.as_dict()), \
+                    "sampled repeat diverged"
+            sampled_record = record
     sampled = sampled_record.result.sampled
+    sampled_s = min(sampled_runs_s)
 
-    cpi_error = abs(sampled.cpi_mean - full_cpi) / full_cpi
     return {
         "workload": workload,
         "config": config,
         "matched_instructions": instructions,
         "full_detail_s": round(full_s, 3),
         "sampled_s": round(sampled_s, 3),
+        "sampled_runs_s": [round(value, 3) for value in sampled_runs_s],
         "speedup": round(full_s / sampled_s, 2) if sampled_s else 0.0,
         "full_cpi": round(full_cpi, 5),
         "sampled_cpi": round(sampled.cpi_mean, 5),
-        "cpi_relative_error": round(cpi_error, 4),
+        "cpi_error": round((sampled.cpi_mean - full_cpi) / full_cpi, 4),
+        "relative_ci": round(sampled.relative_ci, 4),
         "sampling": {key: round(value, 6) if isinstance(value, float) else value
                      for key, value in sampled.summary().items()},
     }
@@ -158,117 +175,65 @@ def _sweep_signature(records) -> list:
 def measure_checkpointed_sweep(instructions: int = None,
                                workload: str = SPEEDUP_WORKLOAD,
                                configs=CHECKPOINT_SWEEP_CONFIGS) -> dict:
-    """Bounded vs checkpointed execution of one multi-configuration sweep.
+    """One multi-configuration sweep, timed cold against a private store.
 
-    Both modes run the same plan serially end to end (cold caches), so the
-    wall-time ratio is the amortisation win of sharing one O(N) functional
-    pass across the sweep's configurations; the checkpointed result is
-    additionally verified bit-identical across serial, parallel, and cached
-    execution (reusing the store populated by the timed run).
+    One generation pass warms every configuration; the result is then
+    verified bit-identical across serial, parallel, and cached execution
+    (reusing the store populated by the timed run).
     """
     instructions = instructions or CHECKPOINT_SWEEP_INSTRUCTIONS
-    period = max(instructions // 20, 4_000)
-    # The bounded baseline warms (nearly) the whole inter-interval gap —
-    # the configuration a user who cares about accuracy would run, and the
-    # cost the checkpoint store amortises away.
-    plan = SamplingPlan(interval_length=1_000, detailed_warmup=1_000,
-                        period=period,
-                        functional_warmup=max(period - 2_000, 1_000), seed=0)
-    bounded_settings = ExperimentSettings(instructions=instructions,
-                                          stats_warmup_fraction=0.0,
-                                          sampling=plan, checkpoints=False)
-    checkpointed_settings = dataclasses.replace(bounded_settings,
-                                                checkpoints=True)
-    def specs(settings):
-        return [JobSpec(workload, config, settings) for config in configs]
+    settings = ExperimentSettings(instructions=instructions,
+                                  stats_warmup_fraction=0.0,
+                                  sampling=_sweep_plan(instructions))
+    specs = [JobSpec(workload, config, settings) for config in configs]
 
-    # The whole measurement runs against a private store: both arms see
-    # identical cold segment-memo state, and neither reads from nor writes
-    # into the user's (environment-located) global store.
+    # The whole measurement runs against a private store, so it neither
+    # reads from nor writes into the user's (environment-located) store.
     with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as root:
-        saved_dir = os.environ.get("REPRO_CHECKPOINT_DIR")
-        os.environ["REPRO_CHECKPOINT_DIR"] = os.path.join(root, "store")
-        try:
-            from repro.memory import image
-            from repro.workloads import suites
+        store = os.path.join(root, "store")
+        _clear_process_memos()
+        engine = ExperimentEngine(jobs=1, cache=False, checkpoint_dir=store)
+        start = time.perf_counter()
+        records = engine.run(specs)
+        sweep_s = time.perf_counter() - start
+        cold_stats = dict(engine.last_run_stats)
 
-            suites._SEGMENT_CACHE.clear()
-            image._background_word.cache_clear()
-            start = time.perf_counter()
-            bounded_records = ExperimentEngine(jobs=1, cache=False).run(
-                specs(bounded_settings))
-            bounded_s = time.perf_counter() - start
+        # Bit-identity across execution strategies (the warm store makes
+        # these re-runs cheap).
+        reference = _sweep_signature(records)
+        parallel = ExperimentEngine(jobs=2, cache=False,
+                                    checkpoint_dir=store).run(specs)
+        assert _sweep_signature(parallel) == reference, \
+            "parallel checkpointed sweep diverged"
+        cached_engine = ExperimentEngine(
+            jobs=1, cache=ResultCache(os.path.join(root, "results")),
+            checkpoint_dir=store)
+        cold = cached_engine.run(specs)
+        warm = cached_engine.run(specs)
+        warm_stats = dict(cached_engine.last_run_stats)
+        assert _sweep_signature(cold) == reference, \
+            "cache-populating checkpointed sweep diverged"
+        assert _sweep_signature(warm) == reference, \
+            "cache-hit checkpointed sweep diverged"
+        assert warm_stats["cache_hits"] == warm_stats["total"], warm_stats
 
-            # Each timed arm starts from cold in-process segment caches too,
-            # so neither inherits compose work the other (or an earlier
-            # bench in the same process) already paid for.
-            suites._SEGMENT_CACHE.clear()
-            image._background_word.cache_clear()
-            engine = ExperimentEngine(jobs=1, cache=False)
-            start = time.perf_counter()
-            checkpointed_records = engine.run(specs(checkpointed_settings))
-            checkpointed_s = time.perf_counter() - start
-            cold_stats = dict(engine.last_run_stats)
-
-            # Bit-identity of the checkpointed mode across execution
-            # strategies (the warm store makes these re-runs cheap).
-            reference = _sweep_signature(checkpointed_records)
-            parallel = ExperimentEngine(jobs=2, cache=False).run(
-                specs(checkpointed_settings))
-            assert _sweep_signature(parallel) == reference, \
-                "parallel checkpointed sweep diverged"
-            cached_engine = ExperimentEngine(
-                jobs=1, cache=ResultCache(os.path.join(root, "results")))
-            cold = cached_engine.run(specs(checkpointed_settings))
-            warm = cached_engine.run(specs(checkpointed_settings))
-            warm_stats = dict(cached_engine.last_run_stats)
-            assert _sweep_signature(cold) == reference, \
-                "cache-populating checkpointed sweep diverged"
-            assert _sweep_signature(warm) == reference, \
-                "cache-hit checkpointed sweep diverged"
-            assert warm_stats["cache_hits"] == warm_stats["total"], warm_stats
-        finally:
-            if saved_dir is None:
-                os.environ.pop("REPRO_CHECKPOINT_DIR", None)
-            else:
-                os.environ["REPRO_CHECKPOINT_DIR"] = saved_dir
-
-    bounded_cpi = {r.config_name: r.result.sampled.cpi_mean
-                   for r in bounded_records}
-    checkpointed_cpi = {r.config_name: r.result.sampled.cpi_mean
-                        for r in checkpointed_records}
     return {
         "workload": workload,
         "configs": list(configs),
         "sweep_instructions": instructions,
-        "intervals": checkpointed_records[0].result.sampled.num_intervals,
-        "bounded_sweep_s": round(bounded_s, 3),
-        "checkpointed_sweep_s": round(checkpointed_s, 3),
-        # checkpointed time <= bounded time <=> against any common baseline
-        # the amortised speedup >= the bounded-warming speedup.
-        "amortised_speedup_vs_bounded": round(bounded_s / checkpointed_s, 3)
-        if checkpointed_s else 0.0,
+        "intervals": records[0].result.sampled.num_intervals,
+        "checkpointed_sweep_s": round(sweep_s, 3),
         "checkpoint_stats": cold_stats,
-        "bounded_cpi": {k: round(v, 5) for k, v in bounded_cpi.items()},
-        "checkpointed_cpi": {k: round(v, 5)
-                             for k, v in checkpointed_cpi.items()},
+        "checkpointed_cpi": {r.config_name: round(r.result.sampled.cpi_mean, 5)
+                             for r in records},
     }
 
 
 def assert_checkpointed_sweep(data: dict) -> None:
-    """>= 2 configurations share one workload: the single amortised O(N)
-    pass must be at least as fast as per-interval bounded re-warming.
-
-    The wall-time bar applies from the default sweep scale upward: below
-    ~300k instructions the bounded arm's per-interval warming horizon (a
-    fraction of the period) is too short for the full pass to amortise
-    against, mirroring how ``assert_speedup`` scales its bound down for
-    reduced ``REPRO_BENCH_*`` runs.
-    """
+    """>= 2 configurations share one workload, and one generation pass
+    warms them all."""
     assert len(data["configs"]) >= 2, data
     assert data["checkpoint_stats"]["checkpoint_passes"] == 1, data
-    if data["sweep_instructions"] >= 300_000:
-        assert data["amortised_speedup_vs_bounded"] >= 1.0, data
 
 
 def measure_policy_group_generation(instructions: int = None,
@@ -282,7 +247,6 @@ def measure_policy_group_generation(instructions: int = None,
     two stores merge bit-identically.  Both arms start from cold
     in-process segment caches and write only into private stores.
     """
-    from repro.memory import image
     from repro.sampling.checkpoints import (
         CheckpointStore,
         execute_generation,
@@ -293,16 +257,11 @@ def measure_policy_group_generation(instructions: int = None,
         shared_signature,
     )
     from repro.sampling.driver import expand_sampled_spec
-    from repro.workloads import suites
 
     instructions = instructions or CHECKPOINT_SWEEP_INSTRUCTIONS
-    period = max(instructions // 20, 4_000)
-    plan = SamplingPlan(interval_length=1_000, detailed_warmup=1_000,
-                        period=period,
-                        functional_warmup=max(period - 2_000, 1_000), seed=0)
+    plan = _sweep_plan(instructions)
     settings = ExperimentSettings(instructions=instructions,
-                                  stats_warmup_fraction=0.0,
-                                  sampling=plan, checkpoints=True)
+                                  stats_warmup_fraction=0.0, sampling=plan)
     cpus = available_cpus()
     workers = max(2, cpus)
     windows = plan.intervals(instructions)
@@ -312,7 +271,7 @@ def measure_policy_group_generation(instructions: int = None,
         specs = []
         for config in configs:
             specs.extend(expand_sampled_spec(
-                JobSpec(workload, config, settings), checkpointed=True,
+                JobSpec(workload, config, settings),
                 checkpoint_dir=str(store.directory)))
         return plan_generation(store, specs)[0]
 
@@ -322,8 +281,7 @@ def measure_policy_group_generation(instructions: int = None,
 
         # Baseline: one in-process pass per workload group, every
         # configuration warmed together.
-        suites._SEGMENT_CACHE.clear()
-        image._background_word.cache_clear()
+        _clear_process_memos()
         requests = requests_for(single_store)
         start = time.perf_counter()
         for request in requests:
@@ -331,8 +289,7 @@ def measure_policy_group_generation(instructions: int = None,
         single_s = time.perf_counter() - start
         single_passes = len(requests)
 
-        suites._SEGMENT_CACHE.clear()
-        image._background_word.cache_clear()
+        _clear_process_memos()
         requests = requests_for(group_store)
         start = time.perf_counter()
         group_jobs = execute_generation(requests, jobs=workers)
@@ -421,7 +378,6 @@ def measure_sampled_artifact(instructions: int = None,
     return {
         "workload": workload,
         "artifact_instructions": instructions,
-        "checkpointed": resolve_checkpointed(settings),
         "wall_s": round(wall_s, 3),
         "baseline_config": BASELINE_CONFIG,
         "config": SPEEDUP_CONFIG,
@@ -438,20 +394,10 @@ def measure_sampled_artifact(instructions: int = None,
 
 
 def assert_speedup(data: dict) -> None:
-    """The speedup bar scales with how much work sampling can amortise."""
-    if data["matched_instructions"] >= 800_000:
-        assert data["speedup"] >= 10.0, data
-    elif data["matched_instructions"] >= 200_000:
-        assert data["speedup"] >= 3.0, data
-    else:
+    """Checkpointed sampling, generation included, must not be slower
+    than full detail once there is enough trace to amortise over."""
+    if data["matched_instructions"] >= 200_000:
         assert data["speedup"] >= 1.0, data
-    # Bounded functional warming cannot reproduce machine history older
-    # than its horizon, and at paper-scale counts the long L2 warm-up of
-    # these workloads makes full-detail runs "warmer" than any bounded
-    # sample (see ROADMAP).  The tight ±3% validation bound is enforced by
-    # tests/integration/test_sampled_accuracy.py under full warming; here
-    # the bounded estimate must stay the right magnitude.
-    assert data["cpi_relative_error"] <= 0.35, data
 
 
 def test_sampling_speedup():
@@ -462,5 +408,6 @@ def test_sampling_speedup():
     print(f"\nsampling speedup: full {data['full_detail_s']}s vs sampled "
           f"{data['sampled_s']}s = x{data['speedup']} at "
           f"{data['matched_instructions']} instructions "
-          f"(CPI err {data['cpi_relative_error']:.2%})")
+          f"(CPI err {data['cpi_error']:+.2%}, CI "
+          f"+/-{data['relative_ci']:.2%})")
     assert_speedup(data)

@@ -13,9 +13,9 @@ truncates cache blobs on write.  Asserts:
 * teardown leaves no orphan worker processes and no ``*.tmp`` files.
 
 A second, MLP-enabled leg then repeats the clean / cold / warm comparison
-with the non-blocking memory hierarchy on and *checkpointed* warming
-(``checkpoints=True``), so the fault plan's blob corruption also lands on
-checkpoint-store payloads carrying the v4 schema's new classes
+with the non-blocking memory hierarchy on, so the fault plan's blob
+corruption also lands on checkpoint-store payloads carrying the v4
+schema's new classes
 (:class:`~repro.memory.mlp.NonBlockingHierarchy`, its MSHR file and
 prefetcher) — damaged snapshots must quarantine and regenerate, never
 deserialize into wrong warm state.
@@ -46,8 +46,7 @@ from repro.sampling import SamplingPlan  # noqa: E402
 WORKLOADS = ("gzip", "swim")
 CONFIGS = ("associative-5-predictive", "indexed-3-fwd+dly")
 
-PLAN = SamplingPlan(interval_length=800, detailed_warmup=800, period=8_000,
-                    functional_warmup=4_000, seed=0)
+PLAN = SamplingPlan(interval_length=800, detailed_warmup=800, period=8_000, seed=0)
 SETTINGS = ExperimentSettings(instructions=32_000, stats_warmup_fraction=0.0,
                               sampling=PLAN)
 
@@ -59,8 +58,7 @@ MLP_SETTINGS = dataclasses.replace(
     SETTINGS,
     core=CoreConfig(memory=MemoryHierarchyConfig(
         mlp=MLPConfig(enabled=True, mshr_entries=8,
-                      prefetch=PrefetchConfig(enabled=True)))),
-    checkpoints=True)
+                      prefetch=PrefetchConfig(enabled=True)))))
 
 #: The 2x(2+1) grid has job indices 0..5: crash job 1 once, hang job 5 once
 #: (killed at the REPRO_JOB_TIMEOUT deadline below), and damage ~20% of

@@ -38,10 +38,9 @@ WORKLOADS = ("gzip", "swim")
 CONFIGS = ("associative-3", "associative-5-predictive", "indexed-3-fwd",
            "indexed-3-fwd+dly")
 
-PLAN = SamplingPlan(interval_length=800, detailed_warmup=800, period=8_000,
-                    functional_warmup=4_000, seed=0)
+PLAN = SamplingPlan(interval_length=800, detailed_warmup=800, period=8_000, seed=0)
 SETTINGS = ExperimentSettings(instructions=32_000, stats_warmup_fraction=0.0,
-                              sampling=PLAN, checkpoints=True)
+                              sampling=PLAN)
 
 
 def _signature(records):

@@ -15,7 +15,7 @@ Honours the same environment knobs as the pytest benchmarks
 ``REPRO_CACHE``, ``REPRO_CACHE_DIR``; see ``benchmarks/conftest.py``) plus
 the sampling-bench lengths (``REPRO_BENCH_SAMPLING_INSTRUCTIONS`` for the
 matched-count speedup comparison, ``REPRO_BENCH_CHECKPOINT_INSTRUCTIONS``
-for the checkpointed-sweep comparison, and
+for the checkpointed sweep and policy-group generation, and
 ``REPRO_BENCH_SAMPLED_INSTRUCTIONS`` for the paper-scale sampled artifact).
 ``REPRO_BENCH_ONLY`` (comma-separated bench names, e.g.
 ``REPRO_BENCH_ONLY=sampling,engine``) regenerates a subset of the
@@ -182,16 +182,18 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
     """Sampling speedup, the checkpointed sweep, policy-group generation,
     and the paper-scale artifact.
 
-    The matched-count half simulates the same (workload, configuration)
-    both ways and asserts the >= ~10x win of bounded-warming sampling; the
-    checkpointed-sweep half runs a multi-configuration sweep bounded vs
-    checkpointed and asserts the amortised single-pass warming is at least
-    as fast (while carrying full history); the policy-group half re-runs
-    that sweep's generation stage as one serial pass vs policy-group jobs
-    on cold stores, asserts snapshot- and merged-result bit-identity, and
-    records the stage speedup without a bar; the artifact half
-    runs a 10M-instruction Figure-4 cell sampled-only (relative time with
-    a confidence interval) — the scale the subsystem exists to reach.
+    The matched-count leg simulates the same (workload, configuration) in
+    full detail and checkpointed-sampled from a cold store (generation
+    included), records the speedup with its CPI error and relative CI,
+    and asserts sampling is no slower from 200k instructions up; the
+    sweep leg runs a multi-configuration sweep cold, asserts one
+    generation pass and serial/parallel/cached bit-identity; the
+    policy-group leg re-runs that sweep's generation stage as one serial
+    pass vs policy-group jobs on cold stores, asserts snapshot- and
+    merged-result bit-identity, and records the stage speedup without a
+    bar; the artifact leg runs a 10M-instruction Figure-4 cell
+    sampled-only (relative time with a confidence interval) — the scale
+    the subsystem exists to reach.
     """
     speedup = measure_sampling_speedup()
     assert_speedup(speedup)

@@ -6,9 +6,10 @@ full-detail simulation of every instruction can reach in reasonable time.
 This example uses the statistical sampling subsystem (:mod:`repro.sampling`)
 to run one Figure-4 column at that scale: every store-queue configuration is
 measured over the same systematically sampled detailed intervals (each
-preceded by fast functional warming), and the per-interval CPIs give both
-the relative execution time and a Student-t confidence interval, rendered
-as an error bar on each configuration's bar.
+starting from a snapshot of one continuous functional-warming pass), and
+the per-interval CPIs give both the relative execution time and a
+Student-t confidence interval, rendered as an error bar on each
+configuration's bar.
 
 Interval jobs fan out over the experiment engine, so ``REPRO_JOBS=0``
 parallelises the sweep and ``REPRO_CACHE_DIR`` memoizes finished intervals
@@ -49,12 +50,12 @@ def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "vortex"
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 10_000_000
 
-    # ~25 intervals of 2k instructions, each warmed by 2k detailed + 30k
-    # functional instructions: the whole 10M-instruction run touches only
-    # ~0.9% of the trace in the cycle-accurate model.
+    # ~25 intervals of 2k instructions, each after 2k detailed warm-up
+    # instructions on top of one continuous functional pass: the whole
+    # 10M-instruction run touches only ~1% of the trace in the
+    # cycle-accurate model.
     plan = SamplingPlan(interval_length=2_000, detailed_warmup=2_000,
-                        period=max(instructions // 25, 8_000),
-                        functional_warmup=30_000, seed=0)
+                        period=max(instructions // 25, 8_000), seed=0)
     settings = ExperimentSettings(instructions=instructions,
                                   stats_warmup_fraction=0.0, sampling=plan)
     engine = ExperimentEngine.from_settings(settings)

@@ -73,12 +73,11 @@ _TMP_CLEAR_GRACE_SECONDS = 60.0
 #: constructed once per job in pool workers).
 _SWEPT_DIRS: Set[str] = set()
 
-#: Settings fields whose raw value may mean "environment default" and is
-#: therefore resolved before keying: ``checkpoints`` becomes the effective
-#: ``checkpointed`` flag stamped on interval specs (see :func:`job_key`), so
-#: two runs that resolve differently never share an entry and two spellings
-#: of the same resolution never miss.
-_RESOLVED_FIELDS = ("checkpoints",)
+#: Settings fields that cannot change a result: ``checkpoints`` accepts
+#: only ``True`` and ``None``, which both mean the one warming mode (every
+#: sampled interval starts from a full-history snapshot), so the two
+#: spellings share every key.
+_CONSTANT_FIELDS = ("checkpoints",)
 
 #: Integrity-frame magic: a blob is ``magic || sha256(payload) || payload``.
 _BLOB_MAGIC = b"RPRBLOB2"
@@ -122,7 +121,7 @@ def _unframe(blob: bytes) -> bytes:
 def _canonical_form(obj: Any) -> dict:
     """JSON-able canonical form of a (possibly nested) config dataclass."""
     data = dataclasses.asdict(obj)
-    for name in _EXECUTION_ONLY_FIELDS + _RESOLVED_FIELDS:
+    for name in _EXECUTION_ONLY_FIELDS + _CONSTANT_FIELDS:
         data.pop(name, None)
     return data
 
@@ -172,13 +171,6 @@ def job_key(spec: "JobSpec") -> str:  # noqa: F821 - typing only
     interval_index = getattr(spec, "interval_index", None)
     if interval_index is not None:
         payload["interval_index"] = interval_index
-    # Checkpointed warming changes the simulated result (full-history warm
-    # state instead of bounded warming), so the *resolved* flag is part of
-    # the key; the store location is not (content-addressed snapshots are
-    # location-independent).  Omitted when False so every pre-checkpoint
-    # cache entry stays valid.
-    if getattr(spec, "checkpointed", False):
-        payload["checkpointed"] = True
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -15,16 +15,15 @@ using three layers:
   :class:`~repro.sampling.plan.SamplingPlan` are expanded into per-interval
   jobs before the cache/pool pass and merged back afterwards, so sampled
   sweeps parallelise and memoize at interval granularity.
-* **checkpoint generation** — sampled specs that resolve to checkpointed
-  warming (``settings.checkpoints`` / ``REPRO_CHECKPOINTS``, see
-  :mod:`repro.sampling.checkpoints`) get a generation stage between the
-  cache probe and the fan-out: each workload group with cache-missed
-  intervals deals its configurations into policy groups (up to the
-  worker count divided by the number of such workload groups) and runs
-  one warming pass per policy group, fanned out over the pool as
-  independent jobs; the interval jobs then load snapshots instead of
-  re-warming.  Groups with a warm store skip generation entirely (the
-  amortisation across configurations, sweeps, and runs).
+* **checkpoint generation** — every sampled run warms from checkpoints
+  (:mod:`repro.sampling.checkpoints`), so sampled specs get a generation
+  stage between the cache probe and the fan-out: each workload group with
+  cache-missed intervals deals its configurations into policy groups (up
+  to the worker count divided by the number of such workload groups) and
+  runs one warming pass per policy group, fanned out over the pool as
+  independent jobs; the interval jobs then load snapshots.  Groups with a
+  warm store skip generation entirely (the amortisation across
+  configurations, sweeps, and runs).
 
 Environment knobs:
 
@@ -38,9 +37,9 @@ Environment knobs:
 ``REPRO_CACHE_DIR``
     Cache directory (default ``.repro-cache/`` in the working directory).
     Safe to delete at any time: ``rm -rf .repro-cache/``.
-``REPRO_CHECKPOINTS`` / ``REPRO_CHECKPOINT_DIR``
-    Checkpointed-warming default for sampled specs and the snapshot-store
-    location (default ``.repro-checkpoints/``; safe to delete at any time).
+``REPRO_CHECKPOINT_DIR``
+    Snapshot-store location for sampled specs (default
+    ``.repro-checkpoints/``; safe to delete at any time).
 ``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN``
     Failure-semantics knobs (retry budget, per-job deadline,
     deterministic fault injection) — all execution-only, never part of
@@ -80,7 +79,7 @@ from repro.exec import resilience as _resilience
 from repro.exec.backend import DispatchJob, resolve_backend
 from repro.exec.cache import ResultCache, generic_key, job_key
 from repro.exec.dispatch import dispatch
-from repro.exec.jobs import JobSpec, run_job
+from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
 from repro.exec.resilience import ExperimentFailure
 
 #: The scheduler-observability keys every run folds into
@@ -167,11 +166,8 @@ class ExperimentEngine:
             self.cache = ResultCache(cache_dir)
         else:
             self.cache = None
-        #: Checkpoint-store location for sampled specs that resolve to
-        #: checkpointed warming (None = REPRO_CHECKPOINT_DIR / default).
-        #: Whether checkpointing is *used* is a property of the settings,
-        #: not of the engine, so every execution path resolves it the same
-        #: way and stays bit-identical.
+        #: Checkpoint-store location for sampled specs
+        #: (None = REPRO_CHECKPOINT_DIR / default).
         self.checkpoint_dir = checkpoint_dir
         #: Statistics of the most recent :meth:`run` call.
         self.last_run_stats: Dict[str, int] = {}
@@ -217,7 +213,7 @@ class ExperimentEngine:
         specs = list(specs)
         chunksize = _validate_chunksize(chunksize)
         # A fresh run reports only its own checkpoint work: without this
-        # reset, a run with no checkpointed specs would re-report the
+        # reset, a run with no sampled specs would re-report the
         # *previous* run's checkpoint_generated/reused/passes.
         self._checkpoint_stats = {}
         if any(self._is_sampled_spec(spec) for spec in specs):
@@ -226,25 +222,17 @@ class ExperimentEngine:
 
     def _run_expanding_sampled(self, specs: Sequence[JobSpec],
                                chunksize: Optional[int]) -> List["RunRecord"]:  # noqa: F821
-        from repro.sampling.checkpoints import CheckpointStore, resolve_checkpointed
+        from repro.sampling.checkpoints import CheckpointStore
         from repro.sampling.driver import expand_sampled_spec, merge_interval_records
 
+        checkpoint_dir = str(CheckpointStore(self.checkpoint_dir).directory)
+        self._active_checkpoint_dir = checkpoint_dir
         flat: List = []
         layout: List[tuple] = []  # (base spec or None, start, count)
-        checkpoint_dir: Optional[str] = None
-        any_checkpointed = False
         for spec in specs:
             if self._is_sampled_spec(spec):
-                checkpointed = resolve_checkpointed(spec.settings)
-                if checkpointed:
-                    any_checkpointed = True
-                    if checkpoint_dir is None:
-                        checkpoint_dir = str(
-                            CheckpointStore(self.checkpoint_dir).directory)
-                        self._active_checkpoint_dir = checkpoint_dir
-                intervals = expand_sampled_spec(
-                    spec, checkpointed=checkpointed,
-                    checkpoint_dir=checkpoint_dir if checkpointed else None)
+                intervals = expand_sampled_spec(spec,
+                                                checkpoint_dir=checkpoint_dir)
                 layout.append((spec, len(flat), len(intervals)))
                 flat.extend(intervals)
             else:
@@ -252,8 +240,8 @@ class ExperimentEngine:
                 flat.append(spec)
         # Caller chunksize heuristics target the unexpanded grid; let the
         # default heuristic balance the (much longer) interval list instead.
-        before_run = self._generate_checkpoints if any_checkpointed else None
-        flat_records = self._execute(flat, None, before_run=before_run)
+        flat_records = self._execute(flat, None,
+                                     before_run=self._generate_checkpoints)
         results: List["RunRecord"] = []
         for base_spec, start, count in layout:
             if base_spec is None:
@@ -269,8 +257,8 @@ class ExperimentEngine:
         """The checkpoint-generation stage (runs on cache-missed intervals).
 
         Probes the store for every (workload group, configuration) the
-        pending checkpointed intervals need, then runs one generation job
-        per (workload, policy group) for the missing groups over the pool
+        pending intervals need, then runs one generation job per (workload,
+        policy group) for the missing groups over the pool
         (:func:`repro.sampling.checkpoints.execute_generation`).  Intervals
         served from the result cache never trigger generation.
         """
@@ -280,13 +268,12 @@ class ExperimentEngine:
             plan_generation,
         )
 
-        checkpointed = [spec for spec in pending_specs
-                        if getattr(spec, "checkpointed", False)]
-        if not checkpointed:
+        intervals = [spec for spec in pending_specs
+                     if isinstance(spec, IntervalJobSpec)]
+        if not intervals:
             return
-        store = CheckpointStore(checkpointed[0].checkpoint_dir
-                                or self.checkpoint_dir)
-        requests, total_identities = plan_generation(store, checkpointed)
+        store = CheckpointStore(self._active_checkpoint_dir)
+        requests, total_identities = plan_generation(store, intervals)
         generated = sum(len(request.identities) for request in requests)
         self._checkpoint_stats = {
             "checkpoint_identities": total_identities,

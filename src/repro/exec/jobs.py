@@ -52,19 +52,14 @@ class JobSpec:
 class IntervalJobSpec:
     """One sampling interval of a sampled ``(workload, configuration)`` run.
 
-    Fully described by value: the worker regenerates the interval's trace
-    window (:func:`repro.workloads.suites.build_workload_window`),
-    functionally warms a fresh machine over the window prefix, and then
-    simulates the detailed warm-up + measured region.  ``settings.sampling``
-    must be the plan the interval index refers to.
-
-    With ``checkpointed`` set (stamped by the engine or the sampling driver
-    after resolving ``settings.checkpoints`` / ``REPRO_CHECKPOINTS``), the
-    worker instead loads the interval's full-history snapshot from the
-    checkpoint store (:mod:`repro.sampling.checkpoints`) and simulates only
-    the detailed warm-up + measured region.  The flag is part of the result
-    cache key (it changes the simulated statistics); ``checkpoint_dir`` is
-    not (snapshots are content-addressed, their location is irrelevant).
+    Fully described by value: the worker loads the interval's
+    full-history snapshot and detailed window from the checkpoint store at
+    ``checkpoint_dir`` (``None`` = environment default location; see
+    :mod:`repro.sampling.checkpoints`) and simulates the detailed warm-up
+    + measured region.  ``settings.sampling`` must be the plan the
+    interval index refers to.  ``checkpoint_dir`` is not part of the result
+    cache key: snapshots are content-addressed, their location is
+    irrelevant.
     """
 
     workload: str
@@ -72,7 +67,6 @@ class IntervalJobSpec:
     settings: "ExperimentSettings"
     interval_index: int
     predictors: Optional["PredictorSuiteConfig"] = None
-    checkpointed: bool = False
     checkpoint_dir: Optional[str] = None
 
 

@@ -193,6 +193,21 @@ def resolve_profile_dir() -> Optional[str]:
     return raw
 
 
+def _reject_retired_checkpoints_knob() -> None:
+    """``REPRO_CHECKPOINTS=0`` used to select bounded functional warming.
+
+    That mode was retired: every sampled run warms from checkpoints.  The
+    variable selects nothing now; unset, empty or ``1`` (which older
+    scripts pin) pass, and any other value fails instead of being ignored.
+    """
+    raw = os.environ.get("REPRO_CHECKPOINTS", "").strip()
+    if raw not in ("", "1"):
+        raise EnvKnobError(
+            f"REPRO_CHECKPOINTS={raw!r} is not supported: bounded functional "
+            f"warming was retired and every sampled run warms from "
+            f"checkpoints; unset REPRO_CHECKPOINTS")
+
+
 def validate_environment() -> Dict[str, Any]:
     """Resolve every execution-affecting ``REPRO_*`` knob, failing fast.
 
@@ -201,11 +216,11 @@ def validate_environment() -> Dict[str, Any]:
     starts, as one :class:`EnvKnobError` line.  Returns the resolved
     values (useful for reports and docs smoke tests).
     """
+    _reject_retired_checkpoints_knob()
     resolved: Dict[str, Any] = {
         "jobs_env": _env_int("REPRO_JOBS", 1,
                              'use 0 or a negative value for "all CPUs"'),
         "cache": _env_bool("REPRO_CACHE"),
-        "checkpoints": _env_bool("REPRO_CHECKPOINTS"),
         "retries": resolve_retries(),
         "job_timeout": resolve_job_timeout(),
         "profile_dir": resolve_profile_dir(),

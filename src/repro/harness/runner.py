@@ -62,20 +62,17 @@ class ExperimentSettings:
 
     ``sampling`` switches an experiment to statistical sampling: instead of
     simulating every instruction in detail, the run measures the plan's
-    detailed intervals (each functionally warmed) and reports merged
-    statistics plus a CPI confidence interval (see :mod:`repro.sampling`).
-    ``stats_warmup_fraction`` is ignored for sampled runs — warm-up is
-    per-interval and specified by the plan.
+    detailed intervals, each starting from a full-history snapshot of one
+    continuous functional pass (:mod:`repro.sampling.checkpoints`; one
+    O(N) pass per workload, amortised across every configuration of a
+    sweep), and reports merged statistics plus a CPI confidence interval
+    (see :mod:`repro.sampling`).  ``stats_warmup_fraction`` is ignored for
+    sampled runs — warm-up is per-interval and specified by the plan.
 
-    ``checkpoints`` selects how sampled intervals are warmed: ``True`` loads
-    full-history snapshots from the checkpoint store
-    (:mod:`repro.sampling.checkpoints`; one O(N) functional pass per
-    workload, amortised across every configuration of a sweep), ``False``
-    forces the plan's bounded per-interval functional warming, and ``None``
-    (the default) follows the ``REPRO_CHECKPOINTS`` environment knob
-    (enabled unless set to ``0``).  The *resolved* choice is a simulation
-    knob (it changes the warm state intervals start from, and therefore the
-    statistics) and is part of interval result-cache keys.
+    ``checkpoints`` is accepted so existing call shapes keep working:
+    ``True`` and ``None`` both mean the one warming mode and share every
+    key.  ``False`` asked for bounded per-interval warming, which was
+    retired, and raises :class:`ValueError`.
     """
 
     instructions: int = DEFAULT_INSTRUCTIONS
@@ -86,6 +83,13 @@ class ExperimentSettings:
     jobs: Optional[int] = field(default=None, compare=False)
     sampling: Optional[SamplingPlan] = None
     checkpoints: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        if self.checkpoints not in (None, True):
+            raise ValueError(
+                f"checkpoints={self.checkpoints!r} is not supported: bounded "
+                f"functional warming was retired and every sampled run warms "
+                f"from checkpoints; pass True or leave it unset")
 
 
 def make_policy(name: str, sq_size: int = 64,
@@ -146,8 +150,8 @@ def run_workload(trace, config_name: str,
     core encodes on entry — bit-identical either way.
 
     With ``settings.sampling`` set the trace is simulated by statistical
-    sampling (functional warming + detailed intervals) instead of in full
-    detail; the returned record then carries a
+    sampling (continuous functional warming + detailed intervals) instead
+    of in full detail; the returned record then carries a
     :class:`~repro.sampling.result.SampledSimulationResult`.
     """
     settings = settings or ExperimentSettings()

@@ -3,11 +3,11 @@
 SMARTS-style systematic sampling lets the simulator reach the paper's
 10M-instruction samples: instead of simulating every instruction through
 the cycle-accurate out-of-order model, a :class:`SamplingPlan` measures
-short detailed intervals at a fixed period, each preceded by fast
-functional warming (:mod:`repro.sampling.functional`) of the long-lived
-microarchitectural state and a short detailed warm-up.  Per-interval CPIs
-are aggregated with a Student-t confidence interval
-(:mod:`repro.sampling.result`).
+short detailed intervals at a fixed period, each preceded by a short
+detailed warm-up.  Everything before that warm-up is warmed continuously
+by fast functional replay (:mod:`repro.sampling.functional`) of the
+long-lived microarchitectural state.  Per-interval CPIs are aggregated
+with a Student-t confidence interval (:mod:`repro.sampling.result`).
 
 Usage — set the ``sampling`` knob on
 :class:`~repro.harness.runner.ExperimentSettings`::
@@ -18,7 +18,7 @@ Usage — set the ``sampling`` knob on
     settings = ExperimentSettings(
         instructions=10_000_000,
         sampling=SamplingPlan(interval_length=2_000, detailed_warmup=2_000,
-                              period=400_000, functional_warmup=30_000))
+                              period=400_000))
 
 Every harness experiment (Table 3, Figures 4/5) then runs sampled: the
 :class:`~repro.exec.engine.ExperimentEngine` expands each ``(workload,
@@ -27,13 +27,12 @@ per interval, fans the intervals out over its process pool, caches each
 interval independently, and merges the records deterministically (see
 :mod:`repro.sampling.driver`).
 
-Checkpointed functional warming (PR 3, :mod:`repro.sampling.checkpoints`)
-removes the bounded-warming lukewarm bias at amortised cost: one full
+Warming is checkpointed (:mod:`repro.sampling.checkpoints`): one full
 functional pass per workload snapshots the warmed machine state at every
 interval start into a content-addressed on-disk store shared by every
-configuration of a sweep (and by later runs); interval jobs load snapshots
-instead of re-warming.  On by default for sampled runs — disable with
-``REPRO_CHECKPOINTS=0`` or ``ExperimentSettings.checkpoints=False``.
+configuration of a sweep (and by later runs), and interval jobs load
+those snapshots.  Every interval thus carries the whole history before
+it, as in SMARTS's continuous functional warming.
 
 This package's ``__init__`` exports only the dependency-light plan/result
 types; import :mod:`repro.sampling.driver`,

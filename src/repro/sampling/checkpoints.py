@@ -1,16 +1,13 @@
 """Checkpointed functional warming: one O(N) pass per workload, shared on disk.
 
-Bounded functional warming (PR 2) keeps sampled runs ``O(sampled)`` but
-cannot reproduce machine history older than its horizon, which leaves a
-recorded lukewarm CPI bias on cache-heavy workloads at paper-scale counts.
-This module removes that bias at amortised cost: a **single full-trace
-functional pass per workload** serialises the warmed machine state at every
-interval start into a content-addressed on-disk **checkpoint store**, and
-every interval job of every configuration in a sweep then *loads* its
-snapshot (via :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`)
-instead of re-warming.  Because snapshots carry full history, the remaining
-error is detailed-warmup-only — the faithful SMARTS configuration — while
-the O(N) replay is paid once per workload rather than once per
+Every sampled run warms continuously, as SMARTS does: a **single
+full-trace functional pass per workload** serialises the warmed machine
+state at every interval start into a content-addressed on-disk
+**checkpoint store**, and every interval job of every configuration in a
+sweep then *loads* its snapshot (via
+:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`).  Because
+snapshots carry full history, the remaining error is detailed-warmup-only,
+and the O(N) replay is paid once per workload rather than once per
 ``(configuration, interval)``.
 
 Storage layout (one pickle per entry, exactly like the result cache):
@@ -28,8 +25,8 @@ Storage layout (one pickle per entry, exactly like the result cache):
   class).
 * **trace windows** — the same store memoises each interval's composed
   detailed-window micro-ops (written during the generation pass, tiny next
-  to the segments they straddle), so checkpointed interval jobs stop
-  re-emitting trace content entirely.  Windows are stored in encoded
+  to the segments they straddle), so interval jobs stop re-emitting
+  trace content entirely.  Windows are stored in encoded
   two-plane form (:class:`~repro.isa.plane.EncodedOps`, schema v2): flat
   arrays that unpickle far cheaper than they recompose.
 
@@ -57,15 +54,10 @@ the other groups skip the shared structures no policy reads
 ``policies_only``).  The jobs have no dependencies on each other and fan
 out through the engine's dispatcher (:func:`execute_generation`).
 
-Environment knobs::
+Environment knob::
 
-    REPRO_CHECKPOINTS=0         # disable (sampled runs fall back to bounded
-                                # functional warming, the PR 2 behaviour)
     REPRO_CHECKPOINT_DIR=...    # store location, default .repro-checkpoints/
                                 # (safe to delete at any time)
-
-``ExperimentSettings.checkpoints`` overrides the environment per run
-(``None`` means "follow the environment").
 """
 
 from __future__ import annotations
@@ -78,7 +70,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec.cache import ResultCache, _canonical
-from repro.exec.resilience import _env_bool
 from repro.memory.last_writer import LastWriterMap, per_byte
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
@@ -114,26 +105,6 @@ DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]
 
 
-def checkpoints_enabled() -> bool:
-    """Whether checkpointed warming is enabled by the environment."""
-    return _env_bool("REPRO_CHECKPOINTS")
-
-
-def resolve_checkpointed(settings) -> bool:
-    """Whether a sampled run with ``settings`` uses checkpointed warming.
-
-    ``settings.checkpoints`` wins when not ``None``; otherwise the
-    ``REPRO_CHECKPOINTS`` environment default applies.  Never true for
-    non-sampled settings.
-    """
-    if getattr(settings, "sampling", None) is None:
-        return False
-    explicit = getattr(settings, "checkpoints", None)
-    if explicit is None:
-        return checkpoints_enabled()
-    return bool(explicit)
-
-
 class CheckpointStore(ResultCache):
     """Content-addressed snapshot store (pickle per entry).
 
@@ -162,19 +133,12 @@ def _digest(payload: dict) -> str:
 
 def _shared_payload(workload: str, settings: "ExperimentSettings") -> dict:
     """The configuration-independent part of every snapshot key."""
-    plan = _canonical(settings.sampling)
-    if isinstance(plan, dict):
-        # Snapshots cover [0, detailed_start) and windows
-        # [detailed_start, measure_end + overrun): neither depends on the
-        # bounded-warming horizon, so toggling that knob (e.g. to compare
-        # the bounded mode) must not invalidate the store.
-        plan.pop("functional_warmup", None)
     return {
         "schema": CHECKPOINT_SCHEMA_VERSION,
         "workload": workload,
         "instructions": settings.instructions,
         "seed": settings.seed,
-        "plan": plan,
+        "plan": _canonical(settings.sampling),
         "core": _canonical(settings.core),
         "trace_sources": _fingerprint.workload_fingerprint(),
         "simulator_sources": _fingerprint.simulator_fingerprint(),
@@ -207,7 +171,7 @@ def window_key(workload: str, settings: "ExperimentSettings",
                interval_index: int) -> str:
     """Key of one interval's composed detailed-window micro-ops.
 
-    A checkpointed interval simulates only ``[detailed_start, measure_end +
+    An interval simulates only ``[detailed_start, measure_end +
     overrun)`` — a small fraction of a 16384-uop segment — so the
     generation pass memoises exactly that slice; interval jobs then load a
     few thousand micro-ops instead of composing (or unpickling) every
@@ -319,7 +283,7 @@ def plan_generation(store: CheckpointStore, interval_specs: Sequence,
                     ) -> Tuple[List[CheckpointJobSpec], int]:
     """Work out which generation passes a set of interval jobs still needs.
 
-    ``interval_specs`` are (typically cache-missed) checkpointed
+    ``interval_specs`` are (typically cache-missed)
     :class:`~repro.exec.jobs.IntervalJobSpec`; they are grouped by shared
     identity (workload, trace length, seed, plan, core configuration), and
     each group is probed for missing shared/policy snapshots across *all*
@@ -431,7 +395,7 @@ def generate_checkpoints(store: CheckpointStore, workload: str,
 
 def interval_window_uops(workload: str, settings: "ExperimentSettings",
                          window):
-    """Compose the micro-ops a checkpointed interval simulates in detail:
+    """Compose the micro-ops an interval simulates in detail:
     ``[detailed_start, measure_end + overrun)``."""
     from repro.sampling.driver import _overrun
     from repro.workloads.suites import build_workload_window
@@ -525,7 +489,7 @@ def execute_generation(requests: Sequence[CheckpointJobSpec],
 # ------------------------------------------------------------------ loading --
 
 def load_interval_window(spec, window):
-    """The detailed-window micro-ops of one checkpointed interval.
+    """The detailed-window micro-ops of one interval.
 
     Served from the store's window memo when possible; a missing or
     corrupt blob falls back to composing the window from its segments
@@ -544,7 +508,7 @@ def load_interval_window(spec, window):
 def load_interval_state(spec, window) -> FunctionalState:
     """The warmed machine state at ``window.detailed_start`` for one interval.
 
-    Loads the shared + policy snapshots of a checkpointed
+    Loads the shared + policy snapshots of an
     :class:`~repro.exec.jobs.IntervalJobSpec` and assembles them into a
     :class:`~repro.sampling.functional.FunctionalState`.  A missing,
     truncated, or otherwise unreadable snapshot never fails the job and

@@ -1,9 +1,11 @@
 """The sampled-simulation driver.
 
 Splits a sampled ``(workload, configuration)`` run into per-interval jobs,
-executes each interval (functional warming -> detailed warm-up -> measured
-region), and merges the interval measurements into one
-:class:`~repro.sampling.result.SampledSimulationResult`.
+executes each interval (full-history snapshot -> detailed warm-up ->
+measured region), and merges the interval measurements into one
+:class:`~repro.sampling.result.SampledSimulationResult`.  Every interval
+starts from the machine state one continuous functional pass left at its
+detailed-warmup start (:mod:`repro.sampling.checkpoints`).
 
 Three entry points, all producing bit-identical results:
 
@@ -32,7 +34,7 @@ from repro.isa.plane import as_encoded
 from repro.isa.trace import DynamicTrace
 from repro.isa.uop import MicroOp
 from repro.pipeline.core import OutOfOrderCore
-from repro.sampling.functional import FunctionalWarmer
+from repro.sampling.functional import FunctionalState, FunctionalWarmer
 from repro.sampling.plan import IntervalWindow
 from repro.sampling.result import (
     IntervalMeasurement,
@@ -45,15 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import ExperimentSettings, RunRecord
 
 
-def expand_sampled_spec(spec: JobSpec, checkpointed: bool = False,
-                        checkpoint_dir: Optional[str] = None
+def expand_sampled_spec(spec: JobSpec, checkpoint_dir: Optional[str] = None
                         ) -> List[IntervalJobSpec]:
     """One :class:`IntervalJobSpec` per interval of a sampled base spec.
 
-    ``checkpointed`` stamps the intervals to load full-history snapshots
-    from the checkpoint store at ``checkpoint_dir`` (``None`` = environment
-    default location) instead of bounded re-warming; callers resolve the
-    flag first (:func:`repro.sampling.checkpoints.resolve_checkpointed`).
+    The intervals load their snapshots from the checkpoint store at
+    ``checkpoint_dir`` (``None`` = environment default location).
     """
     plan = spec.settings.sampling
     if plan is None:
@@ -61,7 +60,6 @@ def expand_sampled_spec(spec: JobSpec, checkpointed: bool = False,
     count = plan.num_intervals(spec.settings.instructions)
     return [IntervalJobSpec(spec.workload, spec.config_name, spec.settings,
                             index, spec.predictors,
-                            checkpointed=checkpointed,
                             checkpoint_dir=checkpoint_dir)
             for index in range(count)]
 
@@ -82,26 +80,18 @@ def _overrun(config) -> int:
 def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
                      workload: str, config_name: str,
                      settings: "ExperimentSettings",
-                     predictors: Optional["PredictorSuiteConfig"],
-                     state) -> "RunRecord":
+                     state: FunctionalState) -> "RunRecord":
     """Detailed warm-up + measured region over an already warmed machine.
 
     ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
     to :func:`_overrun` trailing instructions (encoded on the hot paths; a
     plain micro-op sequence is encoded here, bit-identically);
-    ``state`` is the warmed machine state at ``window.detailed_start``
-    (``None`` = cold start).
+    ``state`` is the warmed machine state at ``window.detailed_start``.
     """
-    from repro.harness.runner import RunRecord, make_policy
+    from repro.harness.runner import RunRecord
 
-    config = settings.core
-    if state is not None:
-        core = OutOfOrderCore(config, state.policy)
-        core.import_state(state)
-    else:
-        core = OutOfOrderCore(config, make_policy(config_name,
-                                                  sq_size=settings.sq_size,
-                                                  predictors=predictors))
+    core = OutOfOrderCore(settings.core, state.policy)
+    core.import_state(state)
     result = core.run(
         as_encoded(uops, name=workload), warm_memory=False,
         stats_warmup_instructions=window.measure_start - window.detailed_start,
@@ -109,63 +99,28 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
     return RunRecord(workload=workload, config_name=config_name, result=result)
 
 
-def _run_interval(uops: Sequence[MicroOp], window: IntervalWindow,
-                  workload: str, config_name: str,
-                  settings: "ExperimentSettings",
-                  predictors: Optional["PredictorSuiteConfig"]) -> "RunRecord":
-    """Bounded-warming interval: functionally warm, then simulate.
-
-    ``uops`` covers ``[window.functional_start, window.measure_end)`` plus
-    up to :func:`_overrun` trailing instructions.
-    """
-    from repro.harness.runner import make_policy
-
-    config = settings.core
-    policy = make_policy(config_name, sq_size=settings.sq_size,
-                         predictors=predictors)
-    warm_len = window.functional_length
-    if warm_len:
-        warmer = FunctionalWarmer(config, policy,
-                                  start_index=window.functional_start)
-        warmer.warm(uops[:warm_len])
-        state = warmer.export_state()
-    else:
-        state = None
-    return _simulate_window(uops[warm_len:], window, workload, config_name,
-                            settings, predictors, state)
-
-
 def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
-    """Execute one interval job, regenerating its trace window by value.
+    """Execute one interval job from its full-history snapshot.
 
-    Checkpointed specs load (or exactly recompute, see
+    Loads (or exactly recomputes, see
     :func:`repro.sampling.checkpoints.load_interval_state`) the interval's
-    full-history snapshot and only regenerate the detailed window; bounded
-    specs regenerate the functional-warming window too and warm in-process.
+    snapshot and its detailed window, then simulates the detailed warm-up
+    and the measured region.
     """
-    from repro.workloads.suites import build_workload_window
+    from repro.sampling.checkpoints import (
+        load_interval_state,
+        load_interval_window,
+    )
 
     settings = spec.settings
     plan = settings.sampling
     if plan is None:
         raise ValueError("interval spec has no sampling plan")
     window = plan.intervals(settings.instructions)[spec.interval_index]
-    stop = min(settings.instructions,
-               window.measure_end + _overrun(settings.core))
-    if getattr(spec, "checkpointed", False):
-        from repro.sampling.checkpoints import (
-            load_interval_state,
-            load_interval_window,
-        )
-
-        state = load_interval_state(spec, window)
-        uops = load_interval_window(spec, window)
-        return _simulate_window(uops, window, spec.workload, spec.config_name,
-                                settings, spec.predictors, state)
-    uops = build_workload_window(spec.workload, settings.instructions,
-                                 settings.seed, window.functional_start, stop)
-    return _run_interval(uops, window, spec.workload, spec.config_name,
-                         settings, spec.predictors)
+    state = load_interval_state(spec, window)
+    uops = load_interval_window(spec, window)
+    return _simulate_window(uops, window, spec.workload, spec.config_name,
+                            settings, state)
 
 
 def merge_interval_records(spec: JobSpec,
@@ -227,31 +182,24 @@ def run_sampled_workload(workload: str, config_name: str,
 
     Interval trace windows are regenerated on demand; the full trace is
     never materialised, so this scales to paper-length (10M-instruction)
-    runs in bounded memory.  Bit-identical to the engine's fanned-out
-    execution of the same spec, including the checkpointed-warming
-    resolution: when ``settings.checkpoints`` (or ``REPRO_CHECKPOINTS``)
-    enables checkpointing, the store at ``checkpoint_dir`` (``None`` =
-    environment default) is populated with one functional pass and every
-    interval starts from its full-history snapshot.
+    runs in bounded memory.  The store at ``checkpoint_dir`` (``None`` =
+    environment default) is populated with one functional pass, and every
+    interval starts from its full-history snapshot, bit-identically to the
+    engine's fanned-out execution of the same spec.
     """
     from repro.sampling.checkpoints import (
         CheckpointStore,
         plan_generation,
-        resolve_checkpointed,
         run_checkpoint_job,
     )
 
     spec = JobSpec(workload, config_name, settings, predictors)
-    checkpointed = resolve_checkpointed(settings)
-    if checkpointed:
-        store = CheckpointStore(checkpoint_dir)
-        interval_specs = expand_sampled_spec(
-            spec, checkpointed=True, checkpoint_dir=str(store.directory))
-        requests, _total = plan_generation(store, interval_specs)
-        for request in requests:
-            run_checkpoint_job(request)
-    else:
-        interval_specs = expand_sampled_spec(spec)
+    store = CheckpointStore(checkpoint_dir)
+    interval_specs = expand_sampled_spec(
+        spec, checkpoint_dir=str(store.directory))
+    requests, _total = plan_generation(store, interval_specs)
+    for request in requests:
+        run_checkpoint_job(request)
     records = [run_interval_job(interval_spec)
                for interval_spec in interval_specs]
     return merge_interval_records(spec, records)
@@ -270,47 +218,36 @@ def run_sampled_trace(trace: DynamicTrace, config_name: str,
     estimate targets the same population as the detailed run it
     approximates.
 
-    Checkpointed warming (resolved exactly as in
-    :func:`run_sampled_workload`) is implemented in memory here: one
-    cumulative functional pass over the materialised trace is snapshotted
+    Checkpointed warming is implemented in memory here: one cumulative
+    functional pass over the materialised trace is snapshotted
     (serialised, matching the on-disk store's copy semantics bit for bit) at
     each interval's detailed-warmup start, so the record equals the
     store-backed paths without touching the store — custom traces are not
     content-addressable by ``(name, instructions, seed)``.
     """
-    from repro.sampling.checkpoints import resolve_checkpointed
+    import pickle
+
+    from repro.harness.runner import make_policy
 
     plan = settings.sampling
     if plan is None:
         raise ValueError("settings carry no sampling plan")
     total = len(trace)
-    windows = plan.intervals(total)
     spec = JobSpec(trace.name, config_name, settings, predictors)
+    warmer = FunctionalWarmer(
+        settings.core, make_policy(config_name, sq_size=settings.sq_size,
+                                   predictors=predictors))
     records = []
-    if resolve_checkpointed(settings):
-        import pickle
-
-        from repro.harness.runner import make_policy
-
-        warmer = FunctionalWarmer(
-            settings.core, make_policy(config_name, sq_size=settings.sq_size,
-                                       predictors=predictors))
-        position = 0
-        for window in windows:
-            warmer.warm(trace[position:window.detailed_start])
-            position = window.detailed_start
-            # Pickle round trip = the frozen-copy semantics of the store.
-            state = pickle.loads(pickle.dumps(warmer.state))
-            stop = min(total, window.measure_end + _overrun(settings.core))
-            records.append(_simulate_window(
-                trace[window.detailed_start:stop], window, trace.name,
-                config_name, settings, predictors, state))
-    else:
-        for window in windows:
-            stop = min(total, window.measure_end + _overrun(settings.core))
-            uops = trace[window.functional_start:stop]
-            records.append(_run_interval(uops, window, trace.name, config_name,
-                                         settings, predictors))
+    position = 0
+    for window in plan.intervals(total):
+        warmer.warm(trace[position:window.detailed_start])
+        position = window.detailed_start
+        # Pickle round trip = the frozen-copy semantics of the store.
+        state = pickle.loads(pickle.dumps(warmer.state))
+        stop = min(total, window.measure_end + _overrun(settings.core))
+        records.append(_simulate_window(
+            trace[window.detailed_start:stop], window, trace.name,
+            config_name, settings, state))
     if total != settings.instructions:
         import dataclasses
 

@@ -33,6 +33,8 @@ comparisons are preserved):
   the in-flight state, exactly as it settles the other short-lived
   structures.
 
+Warming always starts at the first instruction of the trace and runs
+continuously: the checkpoint store snapshots it at every interval start.
 The warmed state is handed to a detailed core via
 :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`, after which a
 short detailed warm-up (:class:`~repro.sampling.plan.SamplingPlan`'s *W*)
@@ -183,10 +185,6 @@ class FunctionalWarmer:
     :attr:`state` and :meth:`export_state` expose).  The policies of one
     warm class must enter in equal states, as fresh policies do.
 
-    ``start_index`` is the absolute dynamic-instruction index of the first
-    micro-op warmed, for replays that start mid-trace (bounded warming);
-    it keeps the in-flight-window distances meaningful.
-
     ``policies_only`` skips the branch unit, caches/TLB and memory image,
     which no policy fold reads: only the SSN counters, the last-writer map
     and the policies (SVW included) are warmed, so the policies end exactly
@@ -196,7 +194,6 @@ class FunctionalWarmer:
     """
 
     def __init__(self, config: CoreConfig, policy: Optional[SQPolicy] = None,
-                 start_index: int = 0,
                  policies: Optional[Sequence[SQPolicy]] = None,
                  policies_only: bool = False) -> None:
         if policies is None:
@@ -218,9 +215,8 @@ class FunctionalWarmer:
             policy=self._policies[0],
         )
         #: Dynamic instruction index of the next micro-op (used for the
-        #: in-flight-window approximation; offsets into the full trace keep
-        #: the distances meaningful when warming starts mid-trace).
-        self._index = start_index
+        #: in-flight-window approximation).
+        self._index = 0
         self._policies_only = policies_only
         groups: Dict[SVWConfig, _SVWGroup] = {}
         for members in warm_classes(self._policies):
@@ -254,7 +250,7 @@ class FunctionalWarmer:
         policy copies the state it shares.
 
         ``uops`` is an :class:`~repro.isa.plane.EncodedOps` stream on the
-        hot paths (interval jobs, checkpoint generation); a plain micro-op
+        hot path (checkpoint generation); a plain micro-op
         sequence (custom traces) is encoded on entry, so there is exactly
         one warming fold and the two input forms cannot drift.
         """

@@ -4,12 +4,14 @@ A :class:`SamplingPlan` describes how a long trace is sampled: every
 ``period`` instructions one **measurement interval** of ``interval_length``
 (*U*) instructions is simulated in full detail, preceded by
 ``detailed_warmup`` (*W*) instructions of detailed simulation whose
-statistics are discarded and ``functional_warmup`` instructions of fast
-functional replay that trains the long-lived microarchitectural state
-(branch predictor/BTB/RAS, caches/TLB, SVW tables, FSP/SAT/DDP/store sets)
-without running the cycle-accurate machinery.  The first interval is placed
-at a ``seed``-derived offset inside the first period (systematic sampling
-with a random phase, after SMARTS [Wunderlich et al., ISCA'03]).
+statistics are discarded.  Everything before the detailed warm-up is
+warmed functionally and continuously from the start of the trace: the
+long-lived microarchitectural state (branch predictor/BTB/RAS,
+caches/TLB, SVW tables, FSP/SAT/DDP/store sets) carries the whole
+history into every interval (:mod:`repro.sampling.checkpoints`).  The
+first interval is placed at a ``seed``-derived offset inside the first
+period (systematic sampling with a random phase, after SMARTS
+[Wunderlich et al., ISCA'03]).
 
 Per-interval CPI observations are aggregated with a mean and a Student-t
 confidence interval (:func:`student_t_two_sided`); see
@@ -93,13 +95,12 @@ def student_t_two_sided(confidence: float, df: int) -> float:
 class IntervalWindow:
     """Instruction-index layout of one sampling interval.
 
-    ``functional_start <= detailed_start <= measure_start < measure_end``;
-    the three warm-up boundaries are clamped at the start of the trace for
-    early intervals.
+    ``detailed_start <= measure_start < measure_end``; the detailed
+    warm-up is clamped at the start of the trace for early intervals.
+    ``[0, detailed_start)`` is warmed functionally.
     """
 
     index: int
-    functional_start: int
     detailed_start: int
     measure_start: int
     measure_end: int
@@ -107,16 +108,6 @@ class IntervalWindow:
     @property
     def measure_length(self) -> int:
         return self.measure_end - self.measure_start
-
-    @property
-    def detailed_length(self) -> int:
-        """Instructions simulated in detail (warm-up + measured)."""
-        return self.measure_end - self.detailed_start
-
-    @property
-    def functional_length(self) -> int:
-        """Instructions replayed functionally before detailed simulation."""
-        return self.detailed_start - self.functional_start
 
 
 @dataclass(frozen=True)
@@ -133,11 +124,6 @@ class SamplingPlan:
     period:
         Instructions between successive measurement starts.  ``period ==
         interval_length`` degenerates to full-detail simulation.
-    functional_warmup:
-        Instructions of functional warming replayed before the detailed
-        warm-up of each interval.  Bounded (rather than warming the whole
-        inter-interval gap) so a k-interval sample costs
-        ``O(k * (functional_warmup + W + U))`` instead of ``O(N)``.
     seed:
         Seed of the random phase of the first interval within the first
         period (systematic sampling with random offset).
@@ -148,15 +134,14 @@ class SamplingPlan:
     interval_length: int = 1_000
     detailed_warmup: int = 1_000
     period: int = 20_000
-    functional_warmup: int = 8_000
     seed: int = 0
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if self.interval_length <= 0:
             raise ValueError("interval_length must be positive")
-        if self.detailed_warmup < 0 or self.functional_warmup < 0:
-            raise ValueError("warmup lengths must be non-negative")
+        if self.detailed_warmup < 0:
+            raise ValueError("detailed_warmup must be non-negative")
         if self.period < self.interval_length:
             raise ValueError("period must be at least interval_length")
         if not 0.0 < self.confidence < 1.0:
@@ -188,18 +173,12 @@ class SamplingPlan:
             start += self.period
         if not starts:
             starts.append(total_instructions - self.interval_length)
-        windows = []
-        for index, measure_start in enumerate(starts):
-            detailed_start = max(0, measure_start - self.detailed_warmup)
-            functional_start = max(0, detailed_start - self.functional_warmup)
-            windows.append(IntervalWindow(
-                index=index,
-                functional_start=functional_start,
-                detailed_start=detailed_start,
-                measure_start=measure_start,
-                measure_end=measure_start + self.interval_length,
-            ))
-        return windows
+        return [IntervalWindow(
+                    index=index,
+                    detailed_start=max(0, measure_start - self.detailed_warmup),
+                    measure_start=measure_start,
+                    measure_end=measure_start + self.interval_length)
+                for index, measure_start in enumerate(starts)]
 
     def num_intervals(self, total_instructions: int) -> int:
         return len(self.intervals(total_instructions))

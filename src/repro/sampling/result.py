@@ -175,7 +175,6 @@ class SampledResult:
             "intervals": self.num_intervals,
             "interval_length": self.plan.interval_length,
             "detailed_warmup": self.plan.detailed_warmup,
-            "functional_warmup": self.plan.functional_warmup,
             "period": self.plan.period,
             "confidence": self.plan.confidence,
             "cpi_mean": self.cpi_mean,

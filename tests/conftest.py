@@ -8,14 +8,22 @@ exporting ``REPRO_CACHE`` themselves.  Tests that exercise the cache pass an
 explicit ``cache_dir`` / ``ResultCache`` (an explicit opt-in that overrides
 the switch) pointed at ``tmp_path``.
 
-The checkpoint store (``.repro-checkpoints/``, ``REPRO_CHECKPOINTS``) is
-switched off the same way and for the same reason — and so that the many
-pre-existing sampled tests keep exercising the bounded-warming path they
-were written against.  Checkpoint tests opt in per run with
-``ExperimentSettings(checkpoints=True)`` and a ``tmp_path`` store.
+Every sampled run warms from the checkpoint store, so the suite points
+``REPRO_CHECKPOINT_DIR`` at one temporary directory per session, removed
+when the session ends: no test reads a store that outlives the run, and
+none writes ``.repro-checkpoints/`` into the worktree.  Tests that inspect
+a store still pass their own ``tmp_path`` store.
 """
 
 import os
+import shutil
+import tempfile
 
 os.environ.setdefault("REPRO_CACHE", "0")
-os.environ.setdefault("REPRO_CHECKPOINTS", "0")
+
+_CHECKPOINT_DIR = tempfile.mkdtemp(prefix="repro-test-checkpoints-")
+os.environ["REPRO_CHECKPOINT_DIR"] = _CHECKPOINT_DIR
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_CHECKPOINT_DIR, ignore_errors=True)

@@ -68,7 +68,7 @@ def _plan():
     from repro.sampling.plan import SamplingPlan
 
     return SamplingPlan(interval_length=500, detailed_warmup=300,
-                        period=10_000, functional_warmup=2_000, seed=3)
+                        period=10_000, seed=3)
 
 
 def _stats_dict(stats) -> dict:
@@ -93,19 +93,17 @@ def _full_detail() -> dict:
     return out
 
 
-def _sampled(checkpointed: bool) -> dict:
+def _sampled() -> dict:
     from repro.harness.runner import ExperimentSettings
     from repro.sampling.driver import run_sampled_workload
 
     settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
-                                  sampling=_plan(),
-                                  checkpoints=checkpointed)
+                                  sampling=_plan())
     out = {}
     for config in SAMPLED_CONFIGS:
         with tempfile.TemporaryDirectory(prefix="repro-golden-ckpt-") as ckpt:
-            record = run_sampled_workload(
-                SAMPLED_WORKLOAD, config, settings,
-                checkpoint_dir=ckpt if checkpointed else None)
+            record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings,
+                                          checkpoint_dir=ckpt)
         sampled = record.result.sampled
         out[f"{SAMPLED_WORKLOAD}/{config}"] = {
             "stats": _stats_dict(record.result.stats),
@@ -186,8 +184,7 @@ def _write(path: Path, golden: dict) -> None:
 def main() -> int:
     _write(GOLDEN_PATH, {
         "full_detail": _full_detail(),
-        "sampled_bounded": _sampled(checkpointed=False),
-        "sampled_checkpointed": _sampled(checkpointed=True),
+        "sampled_checkpointed": _sampled(),
         "store_sets": store_sets_goldens(),
     })
     _write(MLP_GOLDEN_PATH, mlp_goldens())

@@ -101,9 +101,9 @@ class TestCheckpointedSampledEquivalence:
         on the pool); the merged records must equal the frozen
         single-pass numbers."""
         plan = SamplingPlan(interval_length=500, detailed_warmup=300,
-                            period=10_000, functional_warmup=2_000, seed=3)
+                            period=10_000, seed=3)
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
-                                      sampling=plan, checkpoints=True)
+                                      sampling=plan)
         engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")
         records = engine.run([JobSpec(SAMPLED_WORKLOAD, config, settings)

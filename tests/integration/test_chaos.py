@@ -52,12 +52,11 @@ CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
 
 def _plan():
     return SamplingPlan(interval_length=500, detailed_warmup=300,
-                        period=10_000, functional_warmup=2_000, seed=3)
+                        period=10_000, seed=3)
 
 
 def _settings():
-    return ExperimentSettings(instructions=INSTRUCTIONS, sampling=_plan(),
-                              checkpoints=True)
+    return ExperimentSettings(instructions=INSTRUCTIONS, sampling=_plan())
 
 
 def _stats_dict(stats) -> dict:
@@ -343,22 +342,20 @@ class TestConcurrentWriters:
             cache.get(path.stem)
         assert resilience.counters_snapshot().get("blobs_quarantined", 0) == 0
 
-    def test_concurrent_checkpoint_generation_converges(self, tmp_path,
-                                                        monkeypatch):
+    def test_concurrent_checkpoint_generation_converges(self, tmp_path):
         """Two processes generating the same checkpoint group: last writer
         wins per snapshot, every snapshot valid and identical to serial."""
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
         plan = SamplingPlan(interval_length=500, detailed_warmup=500,
-                            period=5_000, functional_warmup=1_000, seed=0)
+                            period=5_000, seed=0)
         settings = ExperimentSettings(instructions=20_000,
                                       stats_warmup_fraction=0.0,
-                                      sampling=plan, checkpoints=True)
+                                      sampling=plan)
 
         def generate(directory):
             store = CheckpointStore(directory)
             spec = JobSpec(WORKLOAD, "indexed-3-fwd+dly", settings)
             intervals = expand_sampled_spec(
-                spec, checkpointed=True, checkpoint_dir=str(store.directory))
+                spec, checkpoint_dir=str(store.directory))
             requests, _ = plan_generation(store, intervals)
             execute_generation(requests, jobs=1)
 

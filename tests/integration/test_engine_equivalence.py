@@ -79,10 +79,10 @@ class TestPolicyGroupCheckpointEquivalence:
     sweep hits every interval."""
 
     PLAN = SamplingPlan(interval_length=400, detailed_warmup=600,
-                        period=12_000, functional_warmup=1_000, seed=0)
+                        period=12_000, seed=0)
     SAMPLED = ExperimentSettings(instructions=3 * 16_384,
                                  stats_warmup_fraction=0.0,
-                                 sampling=PLAN, checkpoints=True)
+                                 sampling=PLAN)
     CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
 
     def _specs(self, settings):

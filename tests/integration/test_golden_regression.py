@@ -61,7 +61,7 @@ def golden():
 
 def _plan():
     return SamplingPlan(interval_length=500, detailed_warmup=300,
-                        period=10_000, functional_warmup=2_000, seed=3)
+                        period=10_000, seed=3)
 
 
 def _stats_dict(stats) -> dict:
@@ -96,23 +96,10 @@ class TestFullDetailGoldens:
 
 class TestSampledGoldens:
     @pytest.mark.parametrize("config", SAMPLED_CONFIGS)
-    def test_bounded_sampled_run_matches_frozen_counters(self, golden, config):
-        settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
-                                      sampling=_plan(), checkpoints=False)
-        record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings)
-        want = golden["sampled_bounded"][f"{SAMPLED_WORKLOAD}/{config}"]
-        sampled = record.result.sampled
-        assert _stats_dict(record.result.stats) == want["stats"]
-        assert sampled.cpi_mean == want["cpi_mean"]
-        assert [m.cycles for m in sampled.intervals] == want["interval_cycles"]
-        assert [m.instructions for m in sampled.intervals] \
-            == want["interval_instructions"]
-
-    @pytest.mark.parametrize("config", SAMPLED_CONFIGS)
     def test_checkpointed_sampled_run_matches_frozen_counters(self, golden,
                                                               config):
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
-                                      sampling=_plan(), checkpoints=True)
+                                      sampling=_plan())
         with tempfile.TemporaryDirectory(prefix="repro-golden-ckpt-") as ckpt:
             record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings,
                                           checkpoint_dir=ckpt)
@@ -121,6 +108,8 @@ class TestSampledGoldens:
         assert _stats_dict(record.result.stats) == want["stats"]
         assert sampled.cpi_mean == want["cpi_mean"]
         assert [m.cycles for m in sampled.intervals] == want["interval_cycles"]
+        assert [m.instructions for m in sampled.intervals] \
+            == want["interval_instructions"]
 
 
 class TestDegenerateMLPGoldens:

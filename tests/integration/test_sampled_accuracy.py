@@ -4,24 +4,14 @@ Asserts the acceptance contract of `repro.sampling`: on a small trace the
 sampled CPI estimate must land within a stated error bound (±3%) of the
 full-detail CPI for at least two store-queue configurations, the reported
 confidence interval must cover the full-detail value, and every execution
-path (serial driver, engine expansion, pre-materialised trace) must agree
-bit for bit.
+path (serial driver, engine expansion, parallel and cached engines,
+pre-materialised trace) must agree bit for bit.
 
-The validation plan uses *full* functional warming (``functional_warmup``
-covering the whole trace) — the faithful SMARTS configuration in which the
-only error sources are interval sampling variance (covered by the CI) and
-the in-flight-window approximation at interval boundaries.  Bounded
-functional warming trades a little accuracy for O(sampled) cost and is
-exercised by the cheaper smoke assertions below.
-
-Checkpointed warming (PR 3, ``TestCheckpointedAccuracy``) must reach the
-same ±3% bound *without* a covering per-interval warm-up: its one O(N)
-functional pass per workload carries full history into every interval, so
-its measured bias must be strictly smaller than bounded warming's on the
-same plan, and its serial/parallel/cached executions bit-identical.
+Every interval starts from a full-history snapshot of one continuous
+functional pass (the checkpoint store), the faithful SMARTS
+configuration, so the only error sources are interval sampling variance
+(covered by the CI) and the detailed warm-up at interval boundaries.
 """
-
-import dataclasses
 
 import pytest
 
@@ -41,8 +31,10 @@ CONFIGS = ("indexed-3-fwd+dly", "associative-5-predictive")
 #: Stated validation bound: sampled CPI within ±3% of full detail.
 CPI_ERROR_BOUND = 0.03
 
-FULL_PLAN = SamplingPlan(interval_length=2_000, detailed_warmup=1_000,
-                         period=6_000, functional_warmup=INSTRUCTIONS, seed=0)
+PLAN = SamplingPlan(interval_length=2_000, detailed_warmup=1_000,
+                    period=6_000, seed=0)
+SETTINGS = ExperimentSettings(instructions=INSTRUCTIONS,
+                              stats_warmup_fraction=0.0, sampling=PLAN)
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +57,21 @@ def full_detail_cpi(trace, config_name):
 
 
 @pytest.fixture(scope="module")
-def sampled_record(trace, config_name):
-    settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                  stats_warmup_fraction=0.0,
-                                  sampling=FULL_PLAN)
-    return run_workload(trace, config_name, settings)
+def checkpoint_store_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("checkpoint-store"))
+
+
+@pytest.fixture(scope="module")
+def sampled_record(config_name, checkpoint_store_dir):
+    return run_sampled_workload(WORKLOAD, config_name, SETTINGS,
+                                checkpoint_dir=checkpoint_store_dir)
 
 
 class TestSampledAccuracy:
-    def test_cpi_within_bound(self, sampled_record, full_detail_cpi, config_name):
+    """Acceptance contract of the sampling subsystem."""
+
+    def test_cpi_within_bound(self, sampled_record, full_detail_cpi,
+                              config_name):
         sampled = sampled_record.result.sampled
         error = abs(sampled.cpi_mean - full_detail_cpi) / full_detail_cpi
         assert error <= CPI_ERROR_BOUND, (
@@ -95,6 +93,34 @@ class TestSampledAccuracy:
         assert sampled.num_intervals >= 5
         assert sampled.cpi_ci_halfwidth > 0.0
 
+    def test_materialised_trace_path_bit_identical(self, sampled_record,
+                                                   trace, config_name):
+        # run_workload over a materialised trace implements checkpointing
+        # in memory (one cumulative warming pass, serialised snapshots);
+        # it must equal the store-backed driver bit for bit.
+        trace_record = run_workload(trace, config_name, SETTINGS)
+        assert (trace_record.result.stats.as_dict()
+                == sampled_record.result.stats.as_dict())
+
+    def test_serial_parallel_cached_bit_identical(
+            self, sampled_record, config_name, checkpoint_store_dir,
+            tmp_path):
+        spec = JobSpec(WORKLOAD, config_name, SETTINGS)
+        reference = sampled_record.result.stats.as_dict()
+        parallel, = ExperimentEngine(
+            jobs=2, cache=False,
+            checkpoint_dir=checkpoint_store_dir).run([spec])
+        assert parallel.result.stats.as_dict() == reference
+        cached_engine = ExperimentEngine(
+            jobs=1, cache=ResultCache(tmp_path / "cache"),
+            checkpoint_dir=checkpoint_store_dir)
+        cold, = cached_engine.run([spec])
+        warm, = cached_engine.run([spec])
+        assert cached_engine.last_run_stats["cache_hits"] \
+            == cached_engine.last_run_stats["total"]
+        assert cold.result.stats.as_dict() == reference
+        assert warm.result.stats.as_dict() == reference
+
 
 class TestExecutionPathEquivalence:
     """Serial driver, engine expansion, and trace-slicing paths agree."""
@@ -102,7 +128,7 @@ class TestExecutionPathEquivalence:
     SETTINGS = ExperimentSettings(
         instructions=30_000, stats_warmup_fraction=0.0,
         sampling=SamplingPlan(interval_length=1_000, detailed_warmup=500,
-                              period=6_000, functional_warmup=4_000, seed=0))
+                              period=6_000, seed=0))
 
     def test_engine_serial_and_trace_paths_identical(self):
         config = "indexed-3-fwd+dly"
@@ -126,123 +152,13 @@ class TestExecutionPathEquivalence:
         assert serial.result.stats.as_dict() == parallel.result.stats.as_dict()
 
 
-#: The checkpointed-accuracy plan: same layout as FULL_PLAN but with a
-#: bounded per-interval warm-up horizon nowhere near covering the trace —
-#: checkpointed warming must make up the missing history from its snapshots.
-CHECKPOINT_PLAN = dataclasses.replace(FULL_PLAN, functional_warmup=2_000)
-
-
-@pytest.fixture(scope="module")
-def checkpoint_store_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("checkpoint-store"))
-
-
-@pytest.fixture(scope="module")
-def checkpointed_record(config_name, checkpoint_store_dir):
-    settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                  stats_warmup_fraction=0.0,
-                                  sampling=CHECKPOINT_PLAN, checkpoints=True)
-    return run_sampled_workload(WORKLOAD, config_name, settings,
-                                checkpoint_dir=checkpoint_store_dir)
-
-
-@pytest.fixture(scope="module")
-def bounded_record(config_name):
-    settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                  stats_warmup_fraction=0.0,
-                                  sampling=CHECKPOINT_PLAN, checkpoints=False)
-    return run_sampled_workload(WORKLOAD, config_name, settings)
-
-
-class TestCheckpointedAccuracy:
-    """Acceptance contract of the checkpoint subsystem (PR 3)."""
-
-    def test_cpi_within_bound_without_covering_warmup(
-            self, checkpointed_record, full_detail_cpi, config_name):
-        assert CHECKPOINT_PLAN.functional_warmup < INSTRUCTIONS // 10
-        sampled = checkpointed_record.result.sampled
-        error = abs(sampled.cpi_mean - full_detail_cpi) / full_detail_cpi
-        assert error <= CPI_ERROR_BOUND, (
-            f"{config_name}: checkpointed CPI {sampled.cpi_mean:.4f} vs full "
-            f"{full_detail_cpi:.4f} ({error:.1%} > {CPI_ERROR_BOUND:.0%})")
-
-    def test_bias_strictly_smaller_than_bounded_warming(
-            self, checkpointed_record, bounded_record, full_detail_cpi,
-            config_name):
-        checkpointed_bias = abs(
-            checkpointed_record.result.sampled.cpi_mean - full_detail_cpi)
-        bounded_bias = abs(
-            bounded_record.result.sampled.cpi_mean - full_detail_cpi)
-        assert checkpointed_bias < bounded_bias, (
-            f"{config_name}: checkpointed bias {checkpointed_bias:.4f} not "
-            f"below bounded-warming bias {bounded_bias:.4f}")
-
-    def test_equals_full_functional_warming(self, checkpointed_record,
-                                            sampled_record):
-        # Snapshots carry the whole prefix's history, so a checkpointed run
-        # over a bounded plan is bit-identical to the same plan with
-        # functional_warmup covering the trace (the faithful SMARTS mode).
-        assert (checkpointed_record.result.stats.as_dict()
-                == sampled_record.result.stats.as_dict())
-
-    def test_materialised_trace_path_bit_identical(self, checkpointed_record,
-                                                   trace, config_name):
-        # run_workload over a materialised trace implements checkpointing
-        # in memory (one cumulative warming pass, serialised snapshots);
-        # it must equal the store-backed driver bit for bit.
-        settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                      stats_warmup_fraction=0.0,
-                                      sampling=CHECKPOINT_PLAN,
-                                      checkpoints=True)
-        trace_record = run_workload(trace, config_name, settings)
-        assert (trace_record.result.stats.as_dict()
-                == checkpointed_record.result.stats.as_dict())
-
-    def test_serial_parallel_cached_bit_identical(
-            self, checkpointed_record, config_name, checkpoint_store_dir,
-            tmp_path):
-        settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                      stats_warmup_fraction=0.0,
-                                      sampling=CHECKPOINT_PLAN,
-                                      checkpoints=True)
-        spec = JobSpec(WORKLOAD, config_name, settings)
-        reference = checkpointed_record.result.stats.as_dict()
-        parallel, = ExperimentEngine(
-            jobs=2, cache=False,
-            checkpoint_dir=checkpoint_store_dir).run([spec])
-        assert parallel.result.stats.as_dict() == reference
-        cached_engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache"),
-            checkpoint_dir=checkpoint_store_dir)
-        cold, = cached_engine.run([spec])
-        warm, = cached_engine.run([spec])
-        assert cached_engine.last_run_stats["cache_hits"] \
-            == cached_engine.last_run_stats["total"]
-        assert cold.result.stats.as_dict() == reference
-        assert warm.result.stats.as_dict() == reference
-
-
-class TestBoundedWarmingSmoke:
-    """Bounded functional warming (the O(sampled) fast path) stays sane:
-    same order of magnitude and same cross-configuration ordering."""
-
-    def test_bounded_plan_close_to_full_plan(self):
-        bounded = dataclasses.replace(FULL_PLAN, functional_warmup=16_000)
-        settings = ExperimentSettings(instructions=INSTRUCTIONS,
-                                      stats_warmup_fraction=0.0,
-                                      sampling=bounded)
-        record = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly", settings)
-        full_settings = dataclasses.replace(settings, sampling=FULL_PLAN)
-        full_record = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly",
-                                           full_settings)
-        bounded_cpi = record.result.sampled.cpi_mean
-        full_cpi = full_record.result.sampled.cpi_mean
-        assert abs(bounded_cpi - full_cpi) / full_cpi <= 0.10
+class TestSampledOrdering:
+    """Sampling keeps the cross-configuration ordering of full detail."""
 
     def test_sampled_figure4_ordering_preserved(self):
         # The delay predictor must still show its benefit under sampling.
         plan = SamplingPlan(interval_length=2_000, detailed_warmup=1_000,
-                            period=8_000, functional_warmup=20_000, seed=0)
+                            period=8_000, seed=0)
         settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                       stats_warmup_fraction=0.0, sampling=plan)
         engine = ExperimentEngine(jobs=1, cache=False)

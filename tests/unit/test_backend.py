@@ -286,13 +286,13 @@ class TestEngineSeam:
         assert engine.last_run_stats["backend"] == "serial"
 
     def test_stale_checkpoint_stats_do_not_carry_over(self, tmp_path):
-        """Regression: a run with no checkpointed specs must not re-report
+        """Regression: a run with no sampled specs must not re-report
         the previous run's checkpoint_generated/reused/passes."""
         plan = SamplingPlan(interval_length=500, detailed_warmup=500,
-                            period=5_000, functional_warmup=1_000, seed=0)
+                            period=5_000, seed=0)
         sampled = ExperimentSettings(instructions=20_000,
                                      stats_warmup_fraction=0.0,
-                                     sampling=plan, checkpoints=True)
+                                     sampling=plan)
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")
         engine.run([JobSpec("vortex", "indexed-3-fwd", sampled)])

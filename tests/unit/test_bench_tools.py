@@ -1,6 +1,7 @@
 """Unit tests for the benchmark tooling under ``benchmarks/``: the git
-provenance and source fingerprints in every ``BENCH_*.json`` envelope, and
-the committed-artifact checker ``ci_artifact_check.py``."""
+provenance and source fingerprints in every ``BENCH_*.json`` envelope, the
+committed-artifact checker ``ci_artifact_check.py``, and the original
+Store Sets drain sweep ``ci_storesets_sweep.py``."""
 
 import json
 import subprocess
@@ -12,6 +13,8 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import _common  # noqa: E402
 import ci_artifact_check  # noqa: E402
+import ci_storesets_sweep  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.exec import fingerprint  # noqa: E402
 
@@ -136,3 +139,48 @@ class TestMemoryCellsCheck:
     def test_missing_cells_fail(self, tmp_path):
         regenerated = {k: v for k, v in self.COMMITTED.items() if k != "cells"}
         assert self._check(tmp_path, regenerated) == 1
+
+
+class TestStoreSetsSweep:
+    """The sweep fails on a deadlocked cell, names it, and lets any other
+    error through."""
+
+    @staticmethod
+    def _shrink(monkeypatch):
+        monkeypatch.setattr(ci_storesets_sweep, "SEEDS", (1,))
+        monkeypatch.setattr(ci_storesets_sweep, "INSTRUCTIONS", 2000)
+        monkeypatch.setattr(ci_storesets_sweep, "workload_names",
+                            lambda: ["gzip", "mcf"])
+
+    @staticmethod
+    def _core_raising(message):
+        class Core:
+            def __init__(self, config, policy):
+                pass
+
+            def run(self, trace, stats_warmup_fraction):
+                raise RuntimeError(message)
+
+        return Core
+
+    def test_drained_cells_pass(self, monkeypatch, capsys):
+        self._shrink(monkeypatch)
+        assert ci_storesets_sweep.main() == 0
+        assert "2 cells" in capsys.readouterr().out
+
+    def test_deadlocked_cell_fails_by_name(self, monkeypatch, capsys):
+        self._shrink(monkeypatch)
+        monkeypatch.setattr(ci_storesets_sweep, "OutOfOrderCore",
+                            self._core_raising(
+                                "simulation deadlock at cycle 9: 0/2000"))
+        assert ci_storesets_sweep.main() == 1
+        out = capsys.readouterr().out
+        assert "stuck gzip/1: simulation deadlock" in out
+        assert "2 stuck" in out
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self._shrink(monkeypatch)
+        monkeypatch.setattr(ci_storesets_sweep, "OutOfOrderCore",
+                            self._core_raising("SVW miss"))
+        with pytest.raises(RuntimeError, match="SVW miss"):
+            ci_storesets_sweep.main()

@@ -9,8 +9,8 @@ in place, never crash and never change the result), the engine's
 generation/reuse accounting, policy-group generation (one job per workload
 and policy group, bit-identical to the single pass, leaving only snapshot
 and window blobs, each job's snapshots recomputed exactly when lost), the
-result-cache key semantics of checkpointed interval specs, and the memo of
-canonical settings forms behind every key.
+result-cache key semantics of interval specs, and the memo of canonical
+settings forms behind every key.
 """
 
 import dataclasses
@@ -36,7 +36,6 @@ from repro.sampling.checkpoints import (
     CheckpointJobSpec,
     CheckpointStore,
     _shared_payload,
-    checkpoints_enabled,
     execute_generation,
     generate_checkpoints,
     interval_window_uops,
@@ -44,7 +43,6 @@ from repro.sampling.checkpoints import (
     load_interval_window,
     plan_generation,
     policy_key,
-    resolve_checkpointed,
     run_checkpoint_job,
     shared_key,
     shared_signature,
@@ -61,9 +59,9 @@ from repro.workloads.suites import build_workload, build_workload_window
 
 WORKLOAD = "vortex"
 PLAN = SamplingPlan(interval_length=500, detailed_warmup=500, period=5_000,
-                    functional_warmup=1_000, seed=0)
+                    seed=0)
 SETTINGS = ExperimentSettings(instructions=20_000, stats_warmup_fraction=0.0,
-                              sampling=PLAN, checkpoints=True)
+                              sampling=PLAN)
 
 CONFIG = "indexed-3-fwd+dly"
 IDENTITY = (CONFIG, SETTINGS.sq_size, None)
@@ -77,27 +75,9 @@ ALL_NAMES = ("oracle-associative-3", "associative-3",
              "indexed-3-fwd+dly")
 
 
-def _checkpointed_specs(store, settings=SETTINGS, config=CONFIG):
+def _interval_specs(store, settings=SETTINGS, config=CONFIG):
     spec = JobSpec(WORKLOAD, config, settings)
-    return expand_sampled_spec(spec, checkpointed=True,
-                               checkpoint_dir=str(store.directory))
-
-
-class TestResolution:
-    def test_settings_override_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        assert not checkpoints_enabled()
-        assert resolve_checkpointed(SETTINGS)  # explicit True wins
-        assert not resolve_checkpointed(
-            dataclasses.replace(SETTINGS, checkpoints=False))
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        assert resolve_checkpointed(
-            dataclasses.replace(SETTINGS, checkpoints=None))
-
-    def test_never_checkpointed_without_sampling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        plain = dataclasses.replace(SETTINGS, sampling=None, checkpoints=None)
-        assert not resolve_checkpointed(plain)
+    return expand_sampled_spec(spec, checkpoint_dir=str(store.directory))
 
 
 class TestMultiPolicyWarming:
@@ -289,11 +269,11 @@ class TestStoreInvalidation:
         # A populated store therefore misses end to end.
         monkeypatch.undo()
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        requests, total = plan_generation(store, _checkpointed_specs(store))
+        requests, total = plan_generation(store, _interval_specs(store))
         assert total == 1 and not requests  # warm before the "edit"
         monkeypatch.setattr(fingerprint_module, "simulator_fingerprint",
                             lambda: "edited-simulator-source")
-        requests, total = plan_generation(store, _checkpointed_specs(store))
+        requests, total = plan_generation(store, _interval_specs(store))
         assert total == 1 and len(requests) == 1
         assert requests[0].identities == (IDENTITY,)
         assert requests[0].write_shared
@@ -304,27 +284,13 @@ class TestStoreInvalidation:
                             lambda: "edited-workload-source")
         assert shared_key(WORKLOAD, SETTINGS, 0) != before_shared
 
-    def test_functional_warmup_does_not_invalidate(self, tmp_path):
-        # Snapshots and windows do not depend on the bounded-warming
-        # horizon; toggling it must keep the store warm.
-        other = dataclasses.replace(
-            SETTINGS, sampling=dataclasses.replace(PLAN, functional_warmup=9))
-        assert shared_key(WORKLOAD, SETTINGS, 0) == shared_key(WORKLOAD, other, 0)
-        assert (policy_key(WORKLOAD, SETTINGS, IDENTITY, 0)
-                == policy_key(WORKLOAD, other, IDENTITY, 0))
-        store = CheckpointStore(tmp_path)
-        generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        requests, total = plan_generation(
-            store, _checkpointed_specs(store, settings=other))
-        assert total == 1 and not requests
-
     def test_plan_change_misses(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         changed = dataclasses.replace(
             SETTINGS, sampling=dataclasses.replace(PLAN, detailed_warmup=600))
         requests, _total = plan_generation(
-            store, _checkpointed_specs(store, settings=changed))
+            store, _interval_specs(store, settings=changed))
         assert len(requests) == 1 and requests[0].write_shared
 
     def test_new_configuration_reuses_shared_snapshots(self, tmp_path):
@@ -332,7 +298,7 @@ class TestStoreInvalidation:
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         other = ("associative-5-predictive", SETTINGS.sq_size, None)
         requests, total = plan_generation(
-            store, _checkpointed_specs(store, config=other[0]))
+            store, _interval_specs(store, config=other[0]))
         assert total == 1 and len(requests) == 1
         assert requests[0].identities == (other,)
         assert not requests[0].write_shared  # shared snapshots stay valid
@@ -343,7 +309,7 @@ class TestKeyMemo:
     source fingerprints are still read on every call."""
 
     def _keys(self):
-        spec = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
+        spec = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0)
         return (job_key(spec), shared_key(WORKLOAD, SETTINGS, 0),
                 policy_key(WORKLOAD, SETTINGS, IDENTITY, 0),
                 window_key(WORKLOAD, SETTINGS, 0))
@@ -390,7 +356,7 @@ class TestKeyMemo:
 class TestCorruptSnapshots:
     def test_truncated_snapshots_repair_in_place(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        specs = _checkpointed_specs(store)
+        specs = _interval_specs(store)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         intact = run_interval_job(specs[1]).result.stats.as_dict()
         # Truncate every snapshot blob in the store.
@@ -409,7 +375,7 @@ class TestCorruptSnapshots:
 
     def test_cold_store_direct_interval_job_works(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        specs = _checkpointed_specs(store)
+        specs = _interval_specs(store)
         record = run_interval_job(specs[0])  # nothing generated yet
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         assert (run_interval_job(specs[0]).result.stats.as_dict()
@@ -452,7 +418,6 @@ class TestSegmentMemo:
         # Composing a window is a pure library call: it must not create a
         # store in the caller's working directory, whatever the
         # environment says.
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         from repro.workloads import suites
 
@@ -465,7 +430,7 @@ class TestWindowMemo:
     def test_missing_window_is_recomposed_and_repaired(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        spec = _checkpointed_specs(store)[1]
+        spec = _interval_specs(store)[1]
         window = PLAN.intervals(SETTINGS.instructions)[1]
         key = window_key(WORKLOAD, SETTINGS, window.index)
         memo = load_interval_window(spec, window)
@@ -477,32 +442,17 @@ class TestWindowMemo:
 
 
 class TestCacheKeys:
-    def test_checkpointed_flag_is_part_of_the_key(self):
-        bounded = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0)
-        checkpointed = dataclasses.replace(bounded, checkpointed=True)
-        assert job_key(bounded) != job_key(checkpointed)
-
-    def test_store_location_is_not(self):
-        a = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True,
+    def test_store_location_is_not_part_of_the_key(self):
+        a = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0,
                             checkpoint_dir="/somewhere")
         b = dataclasses.replace(a, checkpoint_dir="/elsewhere")
         assert job_key(a) == job_key(b)
-
-    def test_checkpoints_field_resolution_does_not_split_keys(self):
-        # None (resolved from the environment) and an explicit flag produce
-        # the same key: only the *resolved* checkpointed flag matters.
-        explicit = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0,
-                                   checkpointed=True)
-        from_env = dataclasses.replace(
-            explicit,
-            settings=dataclasses.replace(SETTINGS, checkpoints=None))
-        assert job_key(explicit) == job_key(from_env)
 
     def test_worker_count_is_in_no_key(self):
         # ``jobs`` decides how generation splits into policy groups, never
         # what any snapshot or interval result holds.
         wide = dataclasses.replace(SETTINGS, jobs=7)
-        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
+        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0)
         assert job_key(base) == job_key(dataclasses.replace(base,
                                                             settings=wide))
         assert shared_key(WORKLOAD, SETTINGS, 0) == shared_key(WORKLOAD, wide, 0)
@@ -516,7 +466,7 @@ class TestStateLoading:
     def test_loaded_state_is_fresh_per_job(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        specs = _checkpointed_specs(store)
+        specs = _interval_specs(store)
         window = PLAN.intervals(SETTINGS.instructions)[0]
         first = load_interval_state(specs[0], window)
         second = load_interval_state(specs[0], window)
@@ -524,6 +474,63 @@ class TestStateLoading:
         assert first.hierarchy is not second.hierarchy
         assert (first.policy.state_signature()
                 == second.policy.state_signature())
+
+    def test_every_interval_starts_from_full_history(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        specs = _interval_specs(store)
+        windows = PLAN.intervals(SETTINGS.instructions)
+        assert windows[-1].detailed_start > 0
+        for spec, window in zip(specs, windows):
+            state = load_interval_state(spec, window)
+            assert state.instructions_warmed == window.detailed_start
+
+
+class TestSingleWarmingMode:
+    """Bounded warming is retired: ``checkpoints`` stays an accepted
+    settings field for existing call shapes, ``True`` and ``None`` mean
+    the one mode, and ``False`` fails loudly."""
+
+    @pytest.mark.parametrize("value", [False, 0])
+    def test_checkpoints_false_raises(self, value):
+        with pytest.raises(ValueError, match="retired"):
+            dataclasses.replace(SETTINGS, checkpoints=value)
+
+    def test_true_and_none_share_every_key(self):
+        explicit = dataclasses.replace(SETTINGS, checkpoints=True)
+        unset = dataclasses.replace(SETTINGS, checkpoints=None)
+        assert (job_key(IntervalJobSpec(WORKLOAD, CONFIG, explicit, 1))
+                == job_key(IntervalJobSpec(WORKLOAD, CONFIG, unset, 1)))
+        assert shared_key(WORKLOAD, explicit, 1) == shared_key(WORKLOAD, unset, 1)
+        assert (policy_key(WORKLOAD, explicit, IDENTITY, 1)
+                == policy_key(WORKLOAD, unset, IDENTITY, 1))
+        assert window_key(WORKLOAD, explicit, 1) == window_key(WORKLOAD, unset, 1)
+
+    def test_true_and_none_give_identical_records(self, tmp_path):
+        explicit = dataclasses.replace(SETTINGS, checkpoints=True)
+        unset = dataclasses.replace(SETTINGS, checkpoints=None)
+        serial = run_sampled_workload(WORKLOAD, CONFIG, explicit,
+                                      checkpoint_dir=str(tmp_path / "a"))
+        engine = ExperimentEngine(jobs=1, cache=False,
+                                  checkpoint_dir=tmp_path / "b")
+        record, = engine.run([JobSpec(WORKLOAD, CONFIG, unset)])
+        assert engine.last_run_stats["checkpoint_passes"] == 1
+        assert record.result.stats.as_dict() == serial.result.stats.as_dict()
+        assert (record.result.sampled.cpi_values
+                == serial.result.sampled.cpi_values)
+
+    def test_engine_writes_only_the_environment_store(self, tmp_path,
+                                                      monkeypatch):
+        """With no explicit directory, sampled runs use
+        ``REPRO_CHECKPOINT_DIR`` and leave nothing in the working
+        directory."""
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "store"))
+        ExperimentEngine(jobs=1, cache=False).run(
+            [JobSpec(WORKLOAD, CONFIG, SETTINGS)])
+        assert list(workdir.iterdir()) == []
+        assert len(CheckpointStore()) > 0
 
 
 class TestSnapshotSize:
@@ -551,10 +558,10 @@ from repro.workloads.suites import TRACE_SEGMENT_UOPS  # noqa: E402
 #: A multi-segment sampled run (3 segments), so every generation pass warms
 #: across segment boundaries.
 GROUP_PLAN = SamplingPlan(interval_length=600, detailed_warmup=1_000,
-                          period=16_384, functional_warmup=1_000, seed=1)
+                          period=16_384, seed=1)
 GROUP_SETTINGS = ExperimentSettings(instructions=3 * TRACE_SEGMENT_UOPS,
                                     stats_warmup_fraction=0.0,
-                                    sampling=GROUP_PLAN, checkpoints=True)
+                                    sampling=GROUP_PLAN)
 GROUP_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
                  "indexed-3-fwd", "indexed-3-fwd+dly")
 #: GROUP_CONFIGS' warm classes: the two indexed configurations share one.
@@ -567,7 +574,7 @@ def _generation_requests(store, settings, configs=GROUP_CONFIGS,
     for workload in workloads:
         for config in configs:
             specs.extend(expand_sampled_spec(
-                JobSpec(workload, config, settings), checkpointed=True,
+                JobSpec(workload, config, settings),
                 checkpoint_dir=str(store.directory)))
     requests, _total = plan_generation(store, specs)
     return requests
@@ -745,7 +752,7 @@ class TestPolicyGroupFallback:
 
     def _assert_recomputed(self, reference, store, identity):
         spec = expand_sampled_spec(
-            JobSpec(WORKLOAD, identity[0], SETTINGS), checkpointed=True,
+            JobSpec(WORKLOAD, identity[0], SETTINGS),
             checkpoint_dir=str(store.directory))[self.INDEX]
         window = PLAN.intervals(SETTINGS.instructions)[self.INDEX]
         assert spec.interval_index == window.index == self.INDEX
@@ -794,7 +801,6 @@ class TestGenerationBlobs:
         memo and one policy snapshot per configuration at every interval:
         no trace segments and no other blobs, wherever the environment
         points the default store."""
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         store = CheckpointStore(tmp_path)
         configs = (CONFIG, "associative-5-predictive")

@@ -96,11 +96,10 @@ class TestEnvKnobs:
                      "REPRO_FAULT_PLAN"):
             monkeypatch.delenv(name, raising=False)
         resolved = validate_environment()
-        assert set(resolved) == {"jobs_env", "cache", "checkpoints",
-                                 "retries", "job_timeout", "profile_dir",
-                                 "fault_plan"}
+        assert set(resolved) == {"jobs_env", "cache", "retries",
+                                 "job_timeout", "profile_dir", "fault_plan"}
         assert resolved["jobs_env"] == 1
-        assert resolved["cache"] is resolved["checkpoints"] is True
+        assert resolved["cache"] is True
         assert resolved["retries"] == resilience.DEFAULT_RETRIES
         assert (resolved["job_timeout"]
                 == resilience.DEFAULT_JOB_TIMEOUT_SECONDS)
@@ -134,40 +133,60 @@ class TestEnvKnobs:
         assert name in str(resolved.value)
         assert "\n" not in str(resolved.value)
 
-    @pytest.mark.parametrize("name", ["REPRO_CACHE", "REPRO_CHECKPOINTS"])
     @pytest.mark.parametrize("value", ["off", "no", "true"])
-    def test_malformed_boolean_knobs_fail_fast(self, monkeypatch, name,
-                                               value):
+    def test_malformed_boolean_knobs_fail_fast(self, monkeypatch, value):
         """Only unset, empty, ``1`` and ``0`` are switch values: anything
         else fails fast instead of silently meaning "on"."""
         from repro.exec import ExperimentEngine
-        from repro.sampling.checkpoints import checkpoints_enabled
 
-        monkeypatch.setenv(name, value)
+        monkeypatch.setenv("REPRO_CACHE", value)
         with pytest.raises(EnvKnobError) as excinfo:
             validate_environment()
-        assert name in str(excinfo.value)
+        assert "REPRO_CACHE" in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
-        with pytest.raises(EnvKnobError, match=name):
-            if name == "REPRO_CACHE":
-                ExperimentEngine(jobs=1, cache_dir=None)
-            else:
-                checkpoints_enabled()
+        with pytest.raises(EnvKnobError, match="REPRO_CACHE"):
+            ExperimentEngine(jobs=1, cache_dir=None)
 
     @pytest.mark.parametrize("raw,expected", [
         (None, True), ("", True), ("1", True), (" 1 ", True), ("0", False)])
     def test_boolean_knob_values(self, monkeypatch, raw, expected):
-        from repro.sampling.checkpoints import checkpoints_enabled
+        if raw is None:
+            monkeypatch.delenv("REPRO_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE", raw)
+        assert validate_environment()["cache"] is expected
 
-        for name in ("REPRO_CACHE", "REPRO_CHECKPOINTS"):
-            if raw is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, raw)
-        resolved = validate_environment()
-        assert resolved["cache"] is expected
-        assert resolved["checkpoints"] is expected
-        assert checkpoints_enabled() is expected
+    @pytest.mark.parametrize("value", ["0", "off", "no", "true"])
+    def test_retired_checkpoints_knob_fails_fast(self, monkeypatch, value):
+        """``REPRO_CHECKPOINTS=0`` selected bounded functional warming,
+        which was retired: any value but ``1`` fails engine construction
+        with one line naming the knob, the value and the retirement."""
+        from repro.exec import ExperimentEngine
+
+        monkeypatch.setenv("REPRO_CHECKPOINTS", value)
+        with pytest.raises(EnvKnobError) as excinfo:
+            validate_environment()
+        message = str(excinfo.value)
+        assert "REPRO_CHECKPOINTS" in message
+        assert repr(value) in message
+        assert "retired" in message
+        assert "\n" not in message
+        with pytest.raises(EnvKnobError, match="REPRO_CHECKPOINTS"):
+            ExperimentEngine(jobs=1, cache=False)
+
+    @pytest.mark.parametrize("raw", [None, "", "1", " 1 "])
+    def test_retired_checkpoints_knob_accepts_old_pins(self, monkeypatch,
+                                                       raw):
+        """Unset, empty and ``1`` (what older scripts pin) still pass, and
+        select nothing."""
+        from repro.exec import ExperimentEngine
+
+        if raw is None:
+            monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECKPOINTS", raw)
+        assert "checkpoints" not in validate_environment()
+        ExperimentEngine(jobs=1, cache=False)
 
     def test_malformed_fault_plan_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "explode@everywhere")
@@ -204,6 +223,25 @@ class TestEnvKnobs:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("invalid environment: ")
         assert "REPRO_JOBS" in lines[0]
+
+    def test_bench_entry_point_reports_retired_checkpoints_knob(self,
+                                                                tmp_path):
+        """A script still exporting ``REPRO_CHECKPOINTS=0`` gets one
+        ``invalid environment`` line naming the retired mode, not a
+        silently different run."""
+        root = Path(__file__).resolve().parents[2]
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env.update(REPRO_CHECKPOINTS="0", PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "run_all.py")],
+            capture_output=True, text=True, timeout=120, env=env,
+            cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("invalid environment: REPRO_CHECKPOINTS")
+        assert "retired" in lines[0]
 
 
 class TestBackoff:

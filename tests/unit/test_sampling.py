@@ -38,7 +38,7 @@ from repro.workloads.suites import (
 
 WORKLOAD = "vortex"
 PLAN = SamplingPlan(interval_length=500, detailed_warmup=500, period=5_000,
-                    functional_warmup=3_000, seed=0)
+                    seed=0)
 SETTINGS = ExperimentSettings(instructions=20_000, stats_warmup_fraction=0.0,
                               sampling=PLAN)
 
@@ -83,12 +83,23 @@ class TestSamplingPlan:
         windows = PLAN.intervals(20_000)
         assert len(windows) >= 2
         for w in windows:
-            assert 0 <= w.functional_start <= w.detailed_start \
-                <= w.measure_start < w.measure_end <= 20_000
+            assert 0 <= w.detailed_start <= w.measure_start \
+                < w.measure_end <= 20_000
+            assert w.detailed_start == max(
+                0, w.measure_start - PLAN.detailed_warmup)
             assert w.measure_length == PLAN.interval_length
         starts = [w.measure_start for w in windows]
         assert starts == sorted(starts)
         assert all(b - a == PLAN.period for a, b in zip(starts, starts[1:]))
+
+    def test_detailed_warmup_clamped_at_trace_start(self):
+        # W exceeds the first period, so interval 0's warm-up is clamped.
+        plan = SamplingPlan(interval_length=500, detailed_warmup=6_000,
+                            period=5_000, seed=0)
+        windows = plan.intervals(20_000)
+        assert windows[0].measure_start < plan.detailed_warmup
+        assert windows[0].detailed_start == 0
+        assert windows[-1].detailed_start == windows[-1].measure_start - 6_000
 
     def test_first_offset_is_seeded_phase(self):
         assert 0 <= PLAN.first_offset() <= PLAN.period - PLAN.interval_length
@@ -100,7 +111,7 @@ class TestSamplingPlan:
 
     def test_short_trace_pins_one_interval(self):
         plan = SamplingPlan(interval_length=1_000, period=50_000,
-                            detailed_warmup=500, functional_warmup=500)
+                            detailed_warmup=500)
         windows = plan.intervals(2_000)
         assert len(windows) == 1
         assert windows[0].measure_end <= 2_000
