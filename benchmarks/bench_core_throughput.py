@@ -205,9 +205,12 @@ def measure_mix_throughput(instructions=MIX_INSTRUCTIONS, seed=1):
                 for trace in legacy_traces for config in MIX_CONFIGS]
 
     def core_leg():
-        # Every round starts from a cold background-word memo, as one
-        # sweep in a fresh process does (the seed stack memoises per image).
+        # Every round starts from a cold background-word memo and from
+        # traces that hold no commit facts yet, as one sweep in a fresh
+        # process does (the seed stack memoises per image).
         image._background_word.cache_clear()
+        for trace in core_traces:
+            trace.commit_facts.clear()
         return [OutOfOrderCore(settings.core,
                                make_policy(config, sq_size=settings.sq_size))
                 .run(trace, stats_warmup_fraction=warmup)

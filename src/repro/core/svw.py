@@ -207,6 +207,13 @@ class SVWFilter:
         self.ssbf.clear()
         self.spct.clear()
 
+    def is_clear(self) -> bool:
+        """True when no store has written either table since the filter
+        was built or last cleared."""
+        ssbf = self.ssbf._table
+        spct = self.spct._table
+        return ssbf.count(0) == len(ssbf) and spct.count(0) == len(spct)
+
     def copy_from(self, other: "SVWFilter") -> None:
         """Take over ``other``'s table contents and counters.
 

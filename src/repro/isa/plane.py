@@ -199,10 +199,16 @@ class EncodedOps:
     Slicing shares the plane and is O(window); :meth:`extend` concatenates,
     re-interning across planes when needed; pickling ships the descriptor
     table so a segment is self-contained across processes.
+
+    ``commit_facts`` holds what the detailed core derives from the stream
+    alone, per SVW geometry
+    (:func:`repro.pipeline.commit_facts.facts_for_run`); it is not
+    content, so equality, slicing and pickling ignore it, and an alias
+    (:meth:`with_name`) shares it with the arrays.
     """
 
     __slots__ = ("name", "plane", "sidx", "addr", "size", "value", "taken",
-                 "target")
+                 "target", "commit_facts")
 
     def __init__(self, plane: Optional[StaticProgramPlane] = None,
                  name: str = "") -> None:
@@ -214,6 +220,7 @@ class EncodedOps:
         self.value: List[int] = []
         self.taken: List[bool] = []
         self.target: List[int] = []
+        self.commit_facts: dict = {}
 
     # ------------------------------------------------------------- building --
 
@@ -264,6 +271,7 @@ class EncodedOps:
         named.value = self.value
         named.taken = self.taken
         named.target = self.target
+        named.commit_facts = self.commit_facts
         return named
 
     def dynamic_arrays(self) -> Tuple[List, ...]:
@@ -291,6 +299,7 @@ class EncodedOps:
         out.value = self.value[lo:hi]
         out.taken = self.taken[lo:hi]
         out.target = self.target[lo:hi]
+        out.commit_facts = {}
         return out
 
     def truncated(self, max_uops: int) -> "EncodedOps":
@@ -401,6 +410,7 @@ class EncodedOps:
         (self.name, descriptors, self.sidx, self.addr, self.size, self.value,
          self.taken, self.target) = state
         self.plane = StaticProgramPlane.from_descriptors(descriptors)
+        self.commit_facts = {}
 
 
 def encode_uops(uops: Sequence[MicroOp],

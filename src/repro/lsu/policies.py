@@ -113,7 +113,12 @@ def _associative_forward(store_queue: StoreQueue, addr: int, size: int,
 
 @dataclass(slots=True)
 class LoadCommitInfo:
-    """Information available when a load commits (drives training)."""
+    """Information available when a load commits (drives training).
+
+    ``last_ssn``/``last_pc`` are the SVW's answer at the commit
+    (:meth:`~repro.core.svw.SVWFilter.last_writer`): the SSN and PC of the
+    youngest committed store writing one of the load's bytes.
+    """
 
     pc: int
     addr: int
@@ -126,6 +131,8 @@ class LoadCommitInfo:
     ssn_at_rename: int
     ssn_cmt: int
     violation: bool
+    last_ssn: int
+    last_pc: int
 
 
 @dataclass(slots=True)
@@ -206,12 +213,13 @@ class SQPolicy:
     # -- commit -----------------------------------------------------------------
 
     def store_committed(self, store_pc: int, ssn: int, addr: int, size: int) -> None:
-        """Update SVW structures (and any policy state) when a store commits."""
-        self.svw.store_committed(addr, size, ssn, store_pc)
+        """Update SVW structures (and any policy state) when a store commits.
 
-    def needs_reexecution(self, addr: int, size: int, svw_ssn: int) -> bool:
-        """SVW filter decision for a load about to commit."""
-        return self.svw.needs_reexecution(addr, size, svw_ssn)
+        An override must update the SVW as this does: the detailed core
+        takes each load's SVW answer from a program-order replay of the
+        stores (:mod:`repro.pipeline.commit_facts`).
+        """
+        self.svw.store_committed(addr, size, ssn, store_pc)
 
     def load_committed(self, info: LoadCommitInfo) -> None:
         """Train predictors with the outcome of a committed load."""
@@ -458,7 +466,7 @@ class AssociativeStoreSetsPolicy(SQPolicy):
         (Table 1, first and second configurations)."""
         if not info.violation:
             return
-        _, last_pc = self.svw.last_writer(info.addr, info.size)
+        last_pc = info.last_pc
         if last_pc == 0:
             return
         if self.formulation == "original":
@@ -601,8 +609,7 @@ class IndexedSQPolicy(SQPolicy):
     def load_committed(self, info: LoadCommitInfo) -> None:
         """FSP and DDP training per Sections 3.2 and 3.3."""
         prediction = info.prediction
-        last_ssn, last_pc = self.svw.last_writer(info.addr, info.size)
-        self._train_load(info.pc, last_ssn, last_pc, info.forwarded,
+        self._train_load(info.pc, info.last_ssn, info.last_pc, info.forwarded,
                          info.violation, prediction.fwd_ssn,
                          prediction.predicted_store_pc, info.ssn_cmt)
 

@@ -153,7 +153,8 @@ class MemoryImage:
         return sum(mask.bit_count() for mask in self._written.values())
 
     def copy(self) -> "MemoryImage":
-        """Deep copy of the image (used by the functional trace checker)."""
+        """Deep copy of the image (the commit-facts replay writes into
+        one)."""
         clone = MemoryImage()
         clone._words = dict(self._words)
         clone._written = dict(self._written)

@@ -2,7 +2,8 @@
 
 The oracle dependence tracker names, for every byte of memory, the youngest
 store that wrote it: the functional warmer reads it to find a load's
-producing store, and the detailed core reads it to give the Figure-4 oracle
+producing store, and the detailed core's commit facts
+(:mod:`repro.pipeline.commit_facts`) read it to give the Figure-4 oracle
 baseline its exact dependence.  Nearly every access here is an aligned
 8-byte word, so the map is kept per word.
 
@@ -21,13 +22,12 @@ span.
 
 **Entries** are tuples whose index 0 is the writer's SSN (positive); the
 map looks at nothing else.  The functional warmer stores ``(ssn, pc,
-index)``, the detailed core ``(ssn, seq)``.
+index)``; the detailed core's exports add ``(ssn, index)`` entries.
 
 **Immutability.**  A per-byte list is never changed once stored: a narrow
-store writes a fresh list.  So a word always holds exactly the object that
-the youngest store to it wrote, which is what :func:`restore` tests to
-repair a squash, and a map can be adopted by another owner (a detailed core
-importing warmed state) without a copy.
+store writes a fresh list.  So a map can be adopted by another owner (a
+detailed core importing warmed state) without a copy, and a shallow copy
+of it is a private map.
 
 Only this module knows the layout; :func:`per_byte` is the canonical
 byte-level view that signatures and tests compare.
@@ -64,18 +64,11 @@ def youngest(words: LastWriterMap, addr: int, size: int) -> Optional[tuple]:
     return best
 
 
-def write(words: LastWriterMap, addr: int, size: int, entry: tuple):
-    """Make ``entry`` the writer of ``[addr, addr + size)``.
-
-    Returns the undo :func:`restore` takes: the word's previous value for
-    an aligned 8-byte store, else one ``(word, written list, previous
-    value)`` triple per word the store spans.
-    """
+def write(words: LastWriterMap, addr: int, size: int, entry: tuple) -> None:
+    """Make ``entry`` the writer of ``[addr, addr + size)``."""
     if size == 8 and not addr & 7:
-        previous = words.get(addr)
         words[addr] = entry
-        return previous
-    undo = []
+        return
     end = addr + size
     word = addr & ~7
     while word < end:
@@ -86,32 +79,7 @@ def write(words: LastWriterMap, addr: int, size: int, entry: tuple):
         hi = end - word if end < word + 8 else 8
         cells[lo:hi] = [entry] * (hi - lo)
         words[word] = cells
-        undo.append((word, cells, previous))
         word += 8
-    return undo
-
-
-def restore(words: LastWriterMap, addr: int, size: int, entry: tuple,
-            undo) -> None:
-    """Undo one :func:`write` of ``entry`` for a squashed store.
-
-    A word is restored only if it still holds the object this store wrote.
-    Squashes repair youngest first, so every younger store to the word has
-    already put that object back.
-    """
-    if size == 8 and not addr & 7:
-        if words.get(addr) is entry:
-            if undo is None:
-                del words[addr]
-            else:
-                words[addr] = undo
-        return
-    for word, written, previous in undo:
-        if words.get(word) is written:
-            if previous is None:
-                del words[word]
-            else:
-                words[word] = previous
 
 
 def per_byte(words: LastWriterMap) -> Dict[int, tuple]:

@@ -11,7 +11,7 @@ Design:
   counter are locals of one call: every run starts with an empty window at
   cycle 0, and none of it outlives the call.  The core keeps only
   long-lived machine state (caches, memory image, branch unit, policy, SSN
-  counters, last-writer map) and the store queue the policies probe.
+  counters) and the store queue the policies probe.
 
 * **Array-per-field dynamic state.**  In-flight instructions are not
   objects but parallel arrays indexed by *in-flight slot*:
@@ -72,17 +72,20 @@ Design:
   load-commit training hook (a no-op) — are not called, and no
   :class:`~repro.lsu.policies.LoadCommitInfo` is built, when
   ``type(policy)`` keeps the base method; the same identity test selects
-  the inlined SVW filter and store-commit paths.
+  the inlined store-commit path.
 
-* **Identity-checked last-writer repair.**  The oracle last-writer map
-  (:mod:`repro.memory.last_writer`) is word-granular.  A store's dispatch
-  writes its ``(ssn, seq)`` entry and keeps the previous word value as its
-  undo; a squash puts that value back only if the word still holds the
-  object this store wrote.  Squashes repair youngest first, so every
-  younger store to the word has already restored that object, and an
-  entry adopted from warmed state (``(ssn, pc, index)``) can never be
-  mistaken for an in-flight store's: no sentinel sequence number is
-  needed.
+* **Commit facts, not commit-time probes.**  What a load sees when it
+  commits depends only on the trace and the run's start state, never on
+  timing (:mod:`repro.pipeline.commit_facts`): the committed value of its
+  bytes, the SVW's youngest committed writer of them (SSN and PC) and its
+  true producer store.  The loop reads the three from per-instruction
+  arrays the caller hands in, so it keeps no oracle last-writer map (no
+  per-store write at dispatch, no repair at a squash), and a load's commit
+  makes no memory read and no SSBF lookup: the SVW filter compares the
+  writer's SSN with the one the load recorded at execute, and the
+  training hook gets the writer in its ``LoadCommitInfo``.  Stores still
+  update the memory image and the SVW tables at commit (issue reads the
+  image, and both are machine state the run hands on).
 
 The frozen counters in ``tests/golden/`` and the seed-stack reference
 properties (``tests/property/test_core_reference.py``) pin every
@@ -98,9 +101,6 @@ from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.registers import REG_ZERO, TOTAL_REG_COUNT
 from repro.lsu.policies import LoadCommitInfo, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
-from repro.memory.last_writer import restore as lw_restore
-from repro.memory.last_writer import write as lw_write
-from repro.memory.last_writer import youngest as lw_youngest
 from repro.pipeline.stats import SimStats
 
 #: RAT entry of a register with no in-flight producer (its value is
@@ -114,16 +114,19 @@ ISSUED = 2
 COMPLETED = 3
 
 
-def run_core_loop(core, encoded, warmup_committed, stop_committed):
+def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     """Run ``core`` over ``encoded`` to ``stop_committed`` instructions.
 
     The caller (:meth:`repro.pipeline.core.OutOfOrderCore.run`) has already
-    validated arguments, encoded the trace, and warmed the caches; this
-    function owns the cycle loop, from an empty window at cycle 0.  The
-    core's SSN counters are synced back on return.  Returns ``(stats,
-    rob_max_occupancy)``: the :class:`SimStats` of the measured region
-    (the instructions after the first ``warmup_committed``) and the peak
-    ROB occupancy over the whole run.
+    validated arguments, encoded the trace, warmed the caches and found
+    the trace's :class:`~repro.pipeline.commit_facts.CommitFacts` from the
+    core's start state (``facts``); this function owns the cycle loop,
+    from an empty window at cycle 0.  The core's SSN counters are synced
+    back on return.  Returns ``(stats, rob_max_occupancy, dispatched)``:
+    the :class:`SimStats` of the measured region (the instructions after
+    the first ``warmup_committed``), the peak ROB occupancy over the whole
+    run, and how many instructions of the trace had dispatched when the
+    run stopped (the committed ones and those still in flight).
     """
     config = core.config
     policy = core.policy
@@ -132,7 +135,10 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     mlp_hier = core._mlp_hier
     ssn_alloc = core.ssn_alloc
     sq = core.store_queue
-    last_writer = core._last_writer
+    f_producer = facts.producer_ssn
+    f_value = facts.value
+    f_svw_ssn = facts.svw_ssn
+    f_svw_pc = facts.svw_pc
 
     plane = encoded.plane
     (kind_arr, pc_arr, dest_arr, srcs_arr, iidx_arr, latency_arr,
@@ -178,14 +184,12 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     policy_store_dependence = policy.store_dependence
     policy_store_squashed = policy.store_squashed
     policy_store_committed = policy.store_committed
-    policy_needs_reexec = policy.needs_reexecution
     policy_load_committed = policy.load_committed
-    # Policies that keep the base-class SVW re-execution filter / store
-    # commit hook get the inlined commit-path versions; overrides are
-    # honoured through the methods.  Keeping the base assumed latency (the
-    # L1 latency) or the base no-op load-commit hook skips the call.
+    # Policies that keep the base-class store commit hook get the inlined
+    # SVW update; an override is honoured through the method.  Keeping the
+    # base assumed latency (the L1 latency) or the base no-op load-commit
+    # hook skips the call.
     policy_type = type(policy)
-    fast_reexec = policy_type.needs_reexecution is SQPolicy.needs_reexecution
     fast_store_commit = policy_type.store_committed is SQPolicy.store_committed
     fast_assumed = \
         policy_type.assumed_load_latency is SQPolicy.assumed_load_latency
@@ -195,7 +199,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     svw_stats = svw.stats
     svw_ssbf_update = svw.ssbf.update
     svw_spct_update = svw.spct.update
-    svw_ssbf_lookup = svw.ssbf.lookup
     hier_stats = hierarchy.stats
     hier_store_touch = hierarchy.store_touch
     hier_load_latency = hierarchy.load_latency
@@ -247,12 +250,9 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     v_value = [0] * cap            # store value
     v_ssn = [0] * cap              # store SSN
     v_sat_undo = [None] * cap
-    v_oracle_entry = [None] * cap  # store's last-writer entry
-    v_oracle_undo = [None] * cap   # its last-writer undo
     v_fwd_waiters = [None] * cap   # list of waiter tokens, or None
     v_pred = [None] * cap          # LoadPrediction
     v_ssn_ren = [0] * cap
-    v_oracle_dep = [0] * cap
     v_spec = [0] * cap
     v_forwarded = [0] * cap
     v_fwd_ssn = [0] * cap
@@ -498,16 +498,14 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     lq_popleft()
                     lq_occ -= 1
 
-                    correct_value = memory_read(addr, size)
-                    svw_ssn = v_svw_ssn[i]
-                    if fast_reexec:
-                        svw_stats.loads_checked += 1
-                        needs_reexec = svw_ssbf_lookup(addr, size) > svw_ssn
-                        if needs_reexec:
-                            svw_stats.loads_reexecuted += 1
-                    else:
-                        needs_reexec = policy_needs_reexec(addr, size, svw_ssn)
+                    # The SVW filter: re-execute when a store the load is
+                    # vulnerable to has committed to one of its bytes.
+                    correct_value = f_value[seq0]
+                    last_ssn = f_svw_ssn[seq0]
+                    svw_stats.loads_checked += 1
+                    needs_reexec = last_ssn > v_svw_ssn[i]
                     if needs_reexec:
+                        svw_stats.loads_reexecuted += 1
                         c_reexec += 1
                     spec_value = v_spec[i]
                     violation = spec_value != correct_value
@@ -540,6 +538,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         info.ssn_at_rename = v_ssn_ren[i]
                         info.ssn_cmt = ssn_commit
                         info.violation = violation
+                        info.last_ssn = last_ssn
+                        info.last_pc = f_svw_pc[seq0]
                         policy_load_committed(info)
 
                     if violation:
@@ -566,9 +566,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                                 policy_store_squashed(pc_arr[vsi], vssn,
                                                       v_sat_undo[vi])
                                 store_by_ssn_pop(vssn, None)
-                                lw_restore(last_writer, v_addr[vi],
-                                           v_size[vi], v_oracle_entry[vi],
-                                           v_oracle_undo[vi])
                         sq_squash_younger(v_ssn_ren[i])
                         # The load was the load queue's head: every load
                         # left behind it is younger.
@@ -627,7 +624,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                         c_mshr_stall += 1
                         lhead = -1
                         continue
-                    heappop(load_heap)
+                    lseq = heappop(load_heap)
                     v_state[i] = ISSUED
                     lhead = -1
                     total_budget -= 1
@@ -645,7 +642,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     addr = v_addr[i]
                     size = v_size[i]
                     prediction = v_pred[i]
-                    v_should_fwd[i] = 1 if v_oracle_dep[i] > ssn_commit else 0
+                    v_should_fwd[i] = \
+                        1 if f_producer[lseq] > ssn_commit else 0
                     decision = policy_forward(addr, size, v_ssn_ren[i],
                                               prediction, sq)
                     if mlp_hier is not None:
@@ -798,18 +796,14 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     v_fwd_ssn[i] = 0
                     v_delay_cycles[i] = 0
                     v_dly_clear[i] = -1
-                    v_addr[i] = addr = addr_arr[rseq]
-                    v_size[i] = size = size_arr[rseq]
+                    v_addr[i] = addr_arr[rseq]
+                    v_size[i] = size_arr[rseq]
                     v_ssn_ren[i] = ssn_rename
                     lq_push(rseq)
                     lq_occ += 1
 
-                    writer = lw_youngest(last_writer, addr, size)
-                    oracle_ssn = 0 if writer is None else writer[0]
-                    v_oracle_dep[i] = oracle_ssn
-
                     v_pred[i] = prediction = policy_predict_load(
-                        pc_arr[si], ssn_rename, ssn_commit, oracle_ssn)
+                        pc_arr[si], ssn_rename, ssn_commit, f_producer[rseq])
 
                     # Constraint 1: predicted forwarding store must have
                     # executed.
@@ -840,8 +834,8 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                 elif kind == KIND_STORE:
                     pc = pc_arr[si]
                     v_fwd_waiters[i] = None
-                    v_addr[i] = addr = addr_arr[rseq]
-                    v_size[i] = size = size_arr[rseq]
+                    v_addr[i] = addr_arr[rseq]
+                    v_size[i] = size_arr[rseq]
                     v_value[i] = value_arr[rseq]
                     # Inlined SSNAllocator.allocate + the wrap check (one
                     # mask test covers both the allocator's wrap counter and
@@ -867,10 +861,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
                     sq_slots[ssn & sq_size_mask] = sq_entry
                     store_by_ssn[ssn] = tok
                     v_sat_undo[i] = policy_store_renamed(pc, ssn)
-
-                    v_oracle_entry[i] = entry = (ssn, rseq)
-                    v_oracle_undo[i] = lw_write(last_writer, addr, size,
-                                                entry)
 
                     # Store-store serialisation (original Store Sets only).
                     dep_ssn = policy_store_dependence(pc, ssn)
@@ -999,4 +989,4 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     ssn_alloc.ssn_rename = ssn_rename
     ssn_alloc.ssn_commit = ssn_commit
     ssn_alloc.wraps = ssn_hw_wraps
-    return stats, rob_maxocc
+    return stats, rob_maxocc, fetch_seq

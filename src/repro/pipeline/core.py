@@ -44,14 +44,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
+from repro.isa.plane import KIND_LOAD, KIND_STORE, EncodedOps, as_encoded
 from repro.lsu.policies import SQPolicy
 from repro.lsu.store_queue import StoreQueue
 from repro.memory.last_writer import LastWriterMap, map_entries
+from repro.memory.last_writer import write as lw_write
 from repro.memory.mlp import NonBlockingHierarchy, build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
 from repro.pipeline._vector_loop import run_core_loop
+from repro.pipeline.commit_facts import CommitFacts, facts_for_run
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.stats import SimStats
 
@@ -114,11 +116,14 @@ class OutOfOrderCore:
         self.branch_unit = BranchUnit(config.branch_predictor)
         self.store_queue = StoreQueue(config.store_queue_size)
         self.ssn_alloc = SSNAllocator(bits=config.ssn_bits)
-        # Oracle last-writer tracker (repro.memory.last_writer): the
-        # youngest dispatched store writing each byte, per 8-byte word.
-        # The loop's entries are (ssn, seq); a map adopted by import_state
-        # keeps the warmer's (ssn, pc, index) entries until overwritten.
+        # Oracle last-writer map (repro.memory.last_writer) as of the start
+        # of the run: empty, or the warmer's (ssn, pc, index) entries
+        # adopted by import_state.  A run reads its answers from the
+        # trace's commit facts and leaves the map as it found it.
         self._last_writer: LastWriterMap = {}
+        # (trace, dispatched count, SSN before its first store) of the run,
+        # from which export_state adds the run's stores to the map.
+        self._run_stores = None
 
     # ---------------------------------------------------------- state import --
 
@@ -129,10 +134,9 @@ class OutOfOrderCore:
         its branch unit, memory hierarchy, memory image, SSN counters,
         policy, and exact last-writer map replace this core's freshly
         constructed ones.  All are adopted, not copied, so the core goes on
-        to mutate the state it was handed.  The last-writer map needs no
-        translation: both entry shapes carry the SSN at index 0, the only
-        field the core reads, and flush repair tests word identity, so an
-        imported writer can never be confused with an in-flight store.
+        to mutate the state it was handed, except the last-writer map,
+        which a run only reads (through the trace's commit facts, see
+        :mod:`repro.pipeline.commit_facts`).
         Statistics *counters* on the imported components are reset so a
         subsequent run reports only its own activity; the predictive/tag
         state itself stays warm.
@@ -166,14 +170,27 @@ class OutOfOrderCore:
         The in-flight window (the ROB, issue queue and load queue, store
         queue contents, pending completions) lives only inside a run and is
         not exported: the bundle continues on a fresh core, since a core
-        runs once (:meth:`run`).  The exported last-writer map is a copy
-        that keeps each byte's youngest writer SSN; the writer's PC and
-        dynamic index are not tracked by the detailed core and are exported
-        as ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes
-        the SSN.
+        runs once (:meth:`run`).  The exported last-writer map is a new map
+        holding each byte's youngest *dispatched* writer: the map the run
+        started from plus every store the run had dispatched when it
+        stopped, committed or still in flight (a squashed store counts only
+        if it dispatched again).  The writer's PC and dynamic index are not
+        tracked by the detailed core and are exported as ``(ssn, 0, -1)``
+        entries — :meth:`import_state` only consumes the SSN.
         """
         from repro.sampling.functional import FunctionalState
 
+        words = self._last_writer
+        if self._run_stores is not None:
+            encoded, dispatched, ssn = self._run_stores
+            words = dict(words)
+            kind = encoded.plane.kind
+            addr = encoded.addr
+            size = encoded.size
+            for index, si in enumerate(encoded.sidx[:dispatched]):
+                if kind[si] == KIND_STORE:
+                    ssn += 1
+                    lw_write(words, addr[index], size[index], (ssn, index))
         return FunctionalState(
             config=self.config,
             branch_unit=self.branch_unit,
@@ -181,7 +198,7 @@ class OutOfOrderCore:
             memory=self.memory,
             ssn_alloc=self.ssn_alloc,
             policy=self.policy,
-            last_writer=map_entries(self._last_writer, _exported_writer),
+            last_writer=map_entries(words, _exported_writer),
             instructions_warmed=self.stats.committed,
         )
 
@@ -190,7 +207,8 @@ class OutOfOrderCore:
     def run(self, trace, warm_memory: bool = True,
             stats_warmup_fraction: float = 0.0,
             stats_warmup_instructions: Optional[int] = None,
-            stats_measure_instructions: Optional[int] = None) -> SimulationResult:
+            stats_measure_instructions: Optional[int] = None,
+            commit_facts: Optional[CommitFacts] = None) -> SimulationResult:
         """Simulate ``trace`` to completion and return the result.
 
         A core runs once: every run starts from an empty window at cycle 0,
@@ -223,6 +241,15 @@ class OutOfOrderCore:
         region ends mid-steady-state (window still full) instead of
         charging the interval for the pipeline drain that a full run would
         have overlapped with subsequent instructions.
+
+        Every load's answers at commit — its committed value, the SVW's
+        youngest committed writer and its true producer store — depend only
+        on the trace and the state the run starts from
+        (:mod:`repro.pipeline.commit_facts`).  ``commit_facts`` hands them
+        in precomputed from exactly this core's start state (the sampling
+        driver shares one computation across the configurations of an
+        interval); without it the core computes them, and from a fresh
+        start it reuses those the trace already holds.
         """
         if not 0.0 <= stats_warmup_fraction < 1.0:
             raise ValueError("stats_warmup_fraction must be in [0, 1)")
@@ -249,10 +276,16 @@ class OutOfOrderCore:
         self._ran = True
         if warm_memory:
             self._warm_caches(encoded)
+        if commit_facts is None:
+            commit_facts = facts_for_run(encoded, self.memory,
+                                         self.policy.svw, self._last_writer,
+                                         self.ssn_alloc.ssn_rename)
+        first_ssn = self.ssn_alloc.ssn_rename
 
-        stats, rob_max_occupancy = run_core_loop(
-            self, encoded, warmup_committed, stop_committed)
+        stats, rob_max_occupancy, dispatched = run_core_loop(
+            self, encoded, commit_facts, warmup_committed, stop_committed)
         self.stats = stats
+        self._run_stores = (encoded, dispatched, first_ssn)
         extra = {
             "branch_misprediction_rate": self.branch_unit.misprediction_rate,
             "svw_reexecution_rate": self.policy.svw.stats.reexecution_rate,

@@ -27,12 +27,17 @@ module, and the module-level import set must stay acyclic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec.jobs import IntervalJobSpec, JobSpec
-from repro.isa.plane import as_encoded
+from repro.isa.plane import EncodedOps, as_encoded
 from repro.isa.trace import DynamicTrace
 from repro.isa.uop import MicroOp
+from repro.pipeline.commit_facts import (
+    CommitFacts,
+    compute_commit_facts,
+    svw_geometry,
+)
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 from repro.sampling.plan import IntervalWindow
@@ -64,6 +69,35 @@ def expand_sampled_spec(spec: JobSpec, checkpoint_dir: Optional[str] = None
             for index in range(count)]
 
 
+#: Per-process memo of interval windows' commit facts, keyed by (window
+#: key, SVW geometry): a window's facts depend only on its snapshot and its
+#: micro-ops, so the configurations of a sampled sweep share one
+#: computation per interval.  The engine runs a spec's intervals in order,
+#: one spec after another, so the bound covers a workload's intervals
+#: across its configurations for plans of up to this many intervals.
+_FACTS_CACHE: Dict[Tuple[str, Tuple[int, int]], CommitFacts] = {}
+_FACTS_CACHE_LIMIT = 64
+
+
+def _window_facts(spec: IntervalJobSpec, encoded: EncodedOps,
+                  state: FunctionalState) -> CommitFacts:
+    """The commit facts of one interval's window from its snapshot."""
+    from repro.sampling.checkpoints import window_key
+
+    svw = state.policy.svw
+    key = (window_key(spec.workload, spec.settings, spec.interval_index),
+           svw_geometry(svw))
+    facts = _FACTS_CACHE.get(key)
+    if facts is None:
+        facts = compute_commit_facts(encoded, state.memory, svw,
+                                     state.last_writer,
+                                     state.ssn_alloc.ssn_rename + 1)
+        while len(_FACTS_CACHE) >= _FACTS_CACHE_LIMIT:
+            _FACTS_CACHE.pop(next(iter(_FACTS_CACHE)))
+        _FACTS_CACHE[key] = facts
+    return facts
+
+
 def _overrun(config) -> int:
     """Extra trace instructions appended past a measured interval.
 
@@ -80,13 +114,16 @@ def _overrun(config) -> int:
 def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
                      workload: str, config_name: str,
                      settings: "ExperimentSettings",
-                     state: FunctionalState) -> "RunRecord":
+                     state: FunctionalState,
+                     facts: Optional[CommitFacts] = None) -> "RunRecord":
     """Detailed warm-up + measured region over an already warmed machine.
 
     ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
     to :func:`_overrun` trailing instructions (encoded on the hot paths; a
     plain micro-op sequence is encoded here, bit-identically);
-    ``state`` is the warmed machine state at ``window.detailed_start``.
+    ``state`` is the warmed machine state at ``window.detailed_start``, and
+    ``facts`` the window's commit facts from it (``None``: the core
+    computes them).
     """
     from repro.harness.runner import RunRecord
 
@@ -95,7 +132,8 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
     result = core.run(
         as_encoded(uops, name=workload), warm_memory=False,
         stats_warmup_instructions=window.measure_start - window.detailed_start,
-        stats_measure_instructions=window.measure_length)
+        stats_measure_instructions=window.measure_length,
+        commit_facts=facts)
     return RunRecord(workload=workload, config_name=config_name, result=result)
 
 
@@ -105,7 +143,8 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
     Loads (or exactly recomputes, see
     :func:`repro.sampling.checkpoints.load_interval_state`) the interval's
     snapshot and its detailed window, then simulates the detailed warm-up
-    and the measured region.
+    and the measured region.  The window's commit facts come from a
+    per-process memo that the interval's other configurations share.
     """
     from repro.sampling.checkpoints import (
         load_interval_state,
@@ -118,9 +157,10 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
         raise ValueError("interval spec has no sampling plan")
     window = plan.intervals(settings.instructions)[spec.interval_index]
     state = load_interval_state(spec, window)
-    uops = load_interval_window(spec, window)
+    uops = as_encoded(load_interval_window(spec, window), name=spec.workload)
     return _simulate_window(uops, window, spec.workload, spec.config_name,
-                            settings, state)
+                            settings, state,
+                            _window_facts(spec, uops, state))
 
 
 def merge_interval_records(spec: JobSpec,

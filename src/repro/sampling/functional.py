@@ -112,15 +112,14 @@ from repro.pipeline.config import CoreConfig
 class FunctionalState:
     """The long-lived machine state produced by a functional replay.
 
-    ``last_writer`` is the exact analogue of the detailed core's oracle
-    last-writer tracker, in the word layout of
+    ``last_writer`` is the oracle last-writer map, in the word layout of
     :mod:`repro.memory.last_writer`: each aligned word maps to the
     ``(ssn, store_pc, instr_index)`` entry of the youngest store writing
     all 8 of its bytes, or to a list of 8 per-byte entries.  A detailed
     core adopts the map as is
-    (:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`); its own
-    entries are ``(ssn, seq)``, and only the SSN at index 0 is read by
-    both.
+    (:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`) and reads
+    only the SSN at index 0 of an entry, through its commit facts
+    (:mod:`repro.pipeline.commit_facts`).
     """
 
     config: CoreConfig

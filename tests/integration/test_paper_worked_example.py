@@ -84,12 +84,15 @@ class TestTrainingSequence:
         # W -> Z dependence from the SPCT.
         correct_value = memory.read(ADDR_B, 8)
         assert correct_value == 6
-        assert policy.needs_reexecution(ADDR_B, 8, prediction.fwd_ssn) is True
+        assert policy.svw.needs_reexecution(ADDR_B, 8,
+                                            prediction.fwd_ssn) is True
+        last_ssn, last_pc = policy.svw.last_writer(ADDR_B, 8)
         policy.load_committed(LoadCommitInfo(
             pc=PC_LOAD_W, addr=ADDR_B, size=8,
             spec_value=spec_value, correct_value=correct_value,
             forwarded=False, forward_ssn=0, prediction=prediction,
-            ssn_at_rename=ssn_z, ssn_cmt=ssn_z, violation=True))
+            ssn_at_rename=ssn_z, ssn_cmt=ssn_z, violation=True,
+            last_ssn=last_ssn, last_pc=last_pc))
         learned = policy.fsp.lookup(PC_LOAD_W)
         assert len(learned) == 1
         assert learned[0].store_pc == policy.fsp.partial_store_pc(PC_STORE_Z)
@@ -141,11 +144,13 @@ class TestSpeculativeForwardingSequence:
         # reinforced.
         correct_value = memory.read(ADDR_A, 8)
         assert correct_value == decision.value
+        last_ssn, last_pc = policy.svw.last_writer(ADDR_A, 8)
         policy.load_committed(LoadCommitInfo(
             pc=PC_LOAD_W, addr=ADDR_A, size=8,
             spec_value=decision.value, correct_value=correct_value,
             forwarded=True, forward_ssn=ssn_z, prediction=prediction,
-            ssn_at_rename=ssn_z, ssn_cmt=ssn_z, violation=False))
+            ssn_at_rename=ssn_z, ssn_cmt=ssn_z, violation=False,
+            last_ssn=last_ssn, last_pc=last_pc))
         assert len(policy.fsp.lookup(PC_LOAD_W)) == 1
 
     def test_sq_index_is_ssn_mod_size(self, setup):

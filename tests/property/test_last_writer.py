@@ -4,16 +4,14 @@ per-byte reference.
 :mod:`repro.memory.last_writer` keeps the oracle last-writer map per 8-byte
 word.  The reference below is the per-byte dict the warmer and the detailed
 core kept before: one entry per written byte, the youngest writer found by
-walking the bytes in address order, and a squashed store's bytes put back
-from its per-byte undo list.  A random operation sequence drives both, and
-after every step the canonical per-byte view and every probe must agree.
+walking the bytes in address order.  A random operation sequence drives
+both, and after every step the canonical per-byte view and every probe must
+agree.
 
 Stores are 1, 2, 4 or 8 bytes at offsets spanning three words, so they land
-aligned, unaligned within a word, and straddling two words.  Squashes undo
-a random suffix of the in-flight stores youngest first, as a flush does;
-commits retire the oldest in-flight stores, whose writes then stay for
-good.  A pickle round trip (a checkpoint snapshot) happens only with
-nothing in flight, as between detailed runs.
+aligned, unaligned within a word, and straddling two words.  A pickle round
+trip stands for a checkpoint snapshot; a fork writes into a shallow copy,
+as the commit-facts replay does, and must leave the original map alone.
 """
 
 import pickle
@@ -31,11 +29,9 @@ _BASE = 0x4000
 _STEPS = 80
 
 _op = st.tuples(
-    st.sampled_from(["store"] * 6 + ["probe"] * 5
-                    + ["squash", "commit", "pickle"]),
+    st.sampled_from(["store"] * 6 + ["probe"] * 5 + ["fork", "pickle"]),
     st.integers(min_value=0, max_value=23),
     st.sampled_from([1, 2, 4, 8]),
-    st.integers(min_value=1, max_value=6),
 )
 
 
@@ -51,22 +47,8 @@ def _ref_youngest(ref, addr, size):
 
 
 def _ref_write(ref, addr, size, entry):
-    undo = []
     for byte in range(addr, addr + size):
-        undo.append(ref.get(byte))
         ref[byte] = entry
-    return undo
-
-
-def _ref_restore(ref, addr, entry, undo):
-    for offset, previous in enumerate(undo):
-        byte = addr + offset
-        current = ref.get(byte)
-        if current is not None and current[1] == entry[1]:
-            if previous is None:
-                del ref[byte]
-            else:
-                ref[byte] = previous
 
 
 @_SETTINGS
@@ -74,31 +56,25 @@ def _ref_restore(ref, addr, entry, undo):
 def test_word_map_matches_per_byte_reference(ops):
     words = {}
     ref = {}
-    inflight = []   # (addr, size, entry, word undo, byte undo), oldest first
     ssn = 0
-    for op, offset, size, count in ops:
+    for op, offset, size in ops:
         addr = _BASE + offset
         if op == "store":
             ssn += 1
-            # (ssn, seq): the detailed core's entry shape.
+            # (ssn, index): the detailed core's export shape.
             entry = (ssn, 1000 + ssn)
-            undo = last_writer.write(words, addr, size, entry)
-            inflight.append((addr, size, entry, undo,
-                             _ref_write(ref, addr, size, entry)))
+            last_writer.write(words, addr, size, entry)
+            _ref_write(ref, addr, size, entry)
         elif op == "probe":
             found = last_writer.youngest(words, addr, size)
             assert found == _ref_youngest(ref, addr, size), (addr, size)
-        elif op == "squash":
-            for _ in range(min(count, len(inflight))):
-                addr, size, entry, undo, byte_undo = inflight.pop()
-                last_writer.restore(words, addr, size, entry, undo)
-                _ref_restore(ref, addr, entry, byte_undo)
-                # A squashed SSN is reallocated to the next store.
-                ssn -= 1
-        elif op == "commit":
-            del inflight[:count]
+        elif op == "fork":
+            fork = dict(words)
+            last_writer.write(fork, addr, size, (ssn + 1,))
+            forked = dict(ref)
+            _ref_write(forked, addr, size, (ssn + 1,))
+            assert last_writer.per_byte(fork) == forked
         else:
-            inflight.clear()
             copy = pickle.loads(pickle.dumps(words))
             assert last_writer.per_byte(copy) == last_writer.per_byte(words)
             words = copy
@@ -116,14 +92,12 @@ def test_word_map_matches_per_byte_reference(ops):
 def test_aligned_word_is_one_shared_entry():
     words = {}
     entry = (7, 3)
-    assert last_writer.write(words, 0x80, 8, entry) is None
+    last_writer.write(words, 0x80, 8, entry)
     assert words == {0x80: entry}
     assert last_writer.youngest(words, 0x80, 8) is entry
     narrow = (8, 4)
-    undo = last_writer.write(words, 0x82, 2, narrow)
+    last_writer.write(words, 0x82, 2, narrow)
     assert last_writer.youngest(words, 0x80, 8) is narrow
     assert last_writer.youngest(words, 0x80, 2) is entry
-    last_writer.restore(words, 0x82, 2, narrow, undo)
-    assert words == {0x80: entry}
-    last_writer.restore(words, 0x80, 8, entry, None)
-    assert words == {}
+    # A narrow store turns the word into a fresh list of per-byte writers.
+    assert words == {0x80: [entry, entry, narrow, narrow] + [entry] * 4}

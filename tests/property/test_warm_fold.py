@@ -143,12 +143,14 @@ class _Reference:
                              and ssn_cmt - best_ssn < policy.sq_size)
             if isinstance(policy, IndexedSQPolicy):
                 prediction = policy.predict_load(pc, ssn_cmt, ssn_cmt, best_ssn)
+                last_ssn, last_pc = policy.svw.last_writer(addr, size)
                 policy.load_committed(LoadCommitInfo(
                     pc=pc, addr=addr, size=size, spec_value=0,
                     correct_value=0, forwarded=would_forward,
                     forward_ssn=best_ssn if would_forward else 0,
                     prediction=prediction, ssn_at_rename=ssn_cmt,
-                    ssn_cmt=ssn_cmt, violation=False))
+                    ssn_cmt=ssn_cmt, violation=False,
+                    last_ssn=last_ssn, last_pc=last_pc))
             elif isinstance(policy, AssociativeStoreSetsPolicy):
                 if would_forward and dep_pc != 0:
                     if policy.formulation == "original":

@@ -16,6 +16,8 @@ the memory latency.
   overwritten producer keeps the younger mapping.
 * Squash: a re-execution flush squashes the younger suffix and refetches
   it, and the run still commits every instruction with the right values.
+  A run that stops after a flush exports, as its last-writer map, the
+  stores it had dispatched: those in flight, and none squashed since.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.harness.runner import make_policy
 from repro.isa.registers import REG_ZERO
 from repro.isa.trace import DynamicTrace
 from repro.isa.uop import OpClass, make_alu, make_load, make_store
+from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 
@@ -277,3 +280,37 @@ def test_flush_squashes_and_refetches_the_younger_suffix(policy):
     assert core.memory.read(STORED, 8) == 7
     assert [core.memory.read(0x4000 + 8 * i, 8) for i in range(6)] \
         == [1, 2, 3, 4, 5, 6]
+
+
+#: Words the refetched suffix of the export test stores to, one per store.
+SUFFIX_WORDS = 0x30_0000
+
+
+def test_export_after_a_flush_holds_in_flight_stores_not_squashed_ones():
+    """A run stopped by ``stats_measure_instructions`` soon after a flush.
+
+    All 60 suffix stores dispatched behind the head miss (SSNs 2-61) and
+    were squashed by the load's flush; the refetch had dispatched again
+    only those up to SSN 33 when the run stopped, and 30 of them were still
+    in flight.  The exported last-writer map holds exactly the committed
+    store to ``STORED`` and the dispatched suffix stores.  The expectation
+    was frozen from the core that repaired its own map at every squash.
+    """
+    uops = [make_load(0x400, dest=5, addr=MISS),
+            make_store(0x404, addr=STORED, value=7, srcs=(5,)),
+            make_load(0x408, dest=6, addr=STORED)]
+    for i in range(60):
+        uops += [make_store(0x40c + 8 * (i % 4), addr=SUFFIX_WORDS + 8 * i,
+                            value=i + 1),
+                 make_alu(0x410 + 8 * (i % 4), dest=3 + i % 8)]
+    result, core = _run(uops, policy="associative-3",
+                        stats_warmup_instructions=0,
+                        stats_measure_instructions=6)
+    assert result.stats.flushes == result.stats.ordering_violations == 1
+    assert result.stats.committed == 7
+    assert (core.ssn_alloc.ssn_commit, core.ssn_alloc.ssn_rename) == (3, 33)
+    expected = {STORED + byte: (1, 0, -1) for byte in range(8)}
+    for i in range(32):
+        for byte in range(8):
+            expected[SUFFIX_WORDS + 8 * i + byte] = (2 + i, 0, -1)
+    assert per_byte(core.export_state().last_writer) == expected

@@ -154,12 +154,15 @@ def _small_predictors() -> PredictorSuiteConfig:
     )
 
 
-def _commit_info(policy_prediction, violation=False, forwarded=False, forward_ssn=0,
-                 pc=0x400, addr=0x1000, size=8, ssn_cmt=10):
+def _commit_info(policy, policy_prediction, violation=False, forwarded=False,
+                 forward_ssn=0, pc=0x400, addr=0x1000, size=8, ssn_cmt=10):
+    # The core hands the SVW's answer at the commit to the policy.
+    last_ssn, last_pc = policy.svw.last_writer(addr, size)
     return LoadCommitInfo(pc=pc, addr=addr, size=size, spec_value=0, correct_value=0,
                           forwarded=forwarded, forward_ssn=forward_ssn,
                           prediction=policy_prediction, ssn_at_rename=ssn_cmt,
-                          ssn_cmt=ssn_cmt, violation=violation)
+                          ssn_cmt=ssn_cmt, violation=violation,
+                          last_ssn=last_ssn, last_pc=last_pc)
 
 
 class TestOraclePolicy:
@@ -195,10 +198,10 @@ class TestAssociativePolicy:
     def test_training_only_on_violation(self):
         policy = AssociativeStoreSetsPolicy(predictors=_small_predictors())
         policy.store_committed(0x500, ssn=3, addr=0x1000, size=8)
-        info = _commit_info(LoadPrediction(), violation=False)
+        info = _commit_info(policy, LoadPrediction(), violation=False)
         policy.load_committed(info)
         assert policy.fsp.lookup(0x400) == []
-        info = _commit_info(LoadPrediction(), violation=True)
+        info = _commit_info(policy, LoadPrediction(), violation=True)
         policy.load_committed(info)
         assert len(policy.fsp.lookup(0x400)) == 1
 
@@ -371,7 +374,8 @@ class TestIndexedPolicy:
     def test_training_on_correct_forwarding_strengthens(self):
         policy = self._policy()
         policy.store_committed(0x500, ssn=9, addr=0x1000, size=8)
-        info = _commit_info(LoadPrediction(fwd_ssn=9,
+        info = _commit_info(policy,
+                            LoadPrediction(fwd_ssn=9,
                                            predicted_store_pc=policy.fsp.partial_store_pc(0x500)),
                             forwarded=True, forward_ssn=9, ssn_cmt=10)
         policy.load_committed(info)
@@ -380,7 +384,7 @@ class TestIndexedPolicy:
     def test_training_on_violation_inserts_dependence(self):
         policy = self._policy()
         policy.store_committed(0x500, ssn=9, addr=0x1000, size=8)
-        info = _commit_info(LoadPrediction(), violation=True, ssn_cmt=10)
+        info = _commit_info(policy, LoadPrediction(), violation=True, ssn_cmt=10)
         policy.load_committed(info)
         assert len(policy.fsp.lookup(0x400)) == 1
         # Violations also train the delay predictor.
@@ -389,7 +393,7 @@ class TestIndexedPolicy:
     def test_no_ddp_training_without_prediction_or_violation(self):
         policy = self._policy()
         policy.store_committed(0x500, ssn=9, addr=0x1000, size=8)
-        info = _commit_info(LoadPrediction(fwd_ssn=0), violation=False, ssn_cmt=10)
+        info = _commit_info(policy, LoadPrediction(fwd_ssn=0), violation=False, ssn_cmt=10)
         policy.load_committed(info)
         assert policy.ddp.occupancy() == 0
 
@@ -400,7 +404,7 @@ class TestIndexedPolicy:
         policy.store_committed(0x500, ssn=9, addr=0x1000, size=8)
         # Predicted the right PC but the wrong instance; no violation (the
         # load read the correct value from the cache).
-        info = _commit_info(LoadPrediction(fwd_ssn=4, predicted_store_pc=partial),
+        info = _commit_info(policy, LoadPrediction(fwd_ssn=4, predicted_store_pc=partial),
                             forwarded=False, violation=False, ssn_cmt=10)
         for _ in range(20):
             policy.load_committed(info)
