@@ -128,10 +128,10 @@ def write_bench_json(name: str, payload: dict) -> Path:
     Every trajectory file carries the same envelope (UTC timestamp, trace
     length, CPU count, the ``REPRO_*`` knobs in effect, the git commit and
     dirty flag and the source fingerprints of the measured code, the
-    process's resilience counters — retries, quarantined blobs, degradations — so a
-    wall time achieved *through* recovery work is never mistaken for a
-    clean one, and the process's scheduler counters — dispatch runs, jobs,
-    dispatcher overhead — so the execution-backend seam's cost is
+    process's resilience counters — retries, quarantined blobs,
+    degradations — so a wall time achieved *through* recovery work is never
+    mistaken for a clean one, and the process's scheduler counters —
+    dispatch runs, jobs, dispatcher overhead — so the dispatcher's cost is
     visible in every file) plus bench-specific metrics, so tooling can
     track the performance trajectory across PRs without parsing pytest
     output.

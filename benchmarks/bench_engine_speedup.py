@@ -13,7 +13,7 @@ box), >= 1.1x at two or three; on one CPU the run still checks bit-identity
 and records the measured ratio.  The warm-cache re-run must always be a
 large win — it simulates nothing.
 
-The dispatcher seam must be nearly free on every machine: the event
+The dispatcher must be nearly free on every machine: the event
 handling it measures on the parallel leg (the ``dispatch_overhead_ns``
 delta of :func:`repro.exec.dispatch.scheduler_counters`) stays under 3% of
 that leg's wall time.

@@ -22,27 +22,19 @@ This package is the performance substrate under every timing experiment:
   store blobs with quarantine-and-recompute, and deterministic fault
   injection (``REPRO_FAULT_PLAN``) that proves faulted runs stay
   bit-identical.
-* :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the execution
-  seam: every fan-out (engine jobs *and* checkpoint generation)
-  goes through one event-driven dispatcher over an
-  :class:`~repro.exec.backend.ExecutionBackend` — serial for one worker,
-  the supervised pool otherwise.  Both are bit-identical; scheduler
-  counters surface in ``last_run_stats`` and benchmark envelopes.
+* :mod:`repro.exec.dispatch` — every fan-out (engine jobs *and*
+  checkpoint generation) goes through :func:`~repro.exec.dispatch.dispatch`
+  with a worker count: one worker or one job runs in the caller's
+  process, two or more workers over two or more jobs run the supervised
+  pool, bit-identically.  Scheduler counters surface in
+  ``last_run_stats`` and benchmark envelopes.
 
-Environment knobs: ``REPRO_JOBS`` (worker count, which also picks the
-backend; <= 0 means all CPUs), ``REPRO_CACHE`` (``0`` disables caching),
-``REPRO_CACHE_DIR`` (cache location, default ``.repro-cache/``; delete it
-at any time to reset), ``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
-``REPRO_FAULT_PLAN`` (failure semantics; see :mod:`repro.exec.resilience`).
+Environment knobs: ``REPRO_JOBS`` (worker count; <= 0 means all CPUs),
+``REPRO_CACHE`` (``0`` disables caching), ``REPRO_CACHE_DIR`` (cache
+location, default ``.repro-cache/``; delete it at any time to reset),
+``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN`` (failure
+semantics; see :mod:`repro.exec.resilience`).
 """
-
-from repro.exec.backend import (
-    DispatchJob,
-    ExecutionBackend,
-    SerialBackend,
-    SupervisedPoolBackend,
-    resolve_backend,
-)
 
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
@@ -52,6 +44,7 @@ from repro.exec.cache import (
     job_key,
 )
 from repro.exec.dispatch import (
+    DispatchJob,
     DispatchStats,
     dispatch,
     scheduler_counters,
@@ -80,12 +73,9 @@ __all__ = [
     "DispatchJob",
     "DispatchStats",
     "EnvKnobError",
-    "ExecutionBackend",
     "ExperimentEngine",
     "ExperimentFailure",
     "JobFailure",
-    "SerialBackend",
-    "SupervisedPoolBackend",
     "available_cpus",
     "dispatch",
     "IntervalJobSpec",
@@ -94,7 +84,6 @@ __all__ = [
     "generic_key",
     "job_key",
     "parse_fault_plan",
-    "resolve_backend",
     "resolve_job_timeout",
     "resolve_jobs",
     "resolve_retries",

@@ -1,11 +1,15 @@
-"""Event-driven dispatcher over :mod:`repro.exec.backend` backends.
+"""The dispatcher under every fan-out.
 
-:func:`dispatch` is the one scheduler loop every fan-out call site uses:
-it feeds a job list to a backend, consumes the ``("start", i)`` /
-``("done", i, value)`` event stream, assembles results by index, and
-measures *its own* overhead — the nanoseconds spent handling events, not
-the time the backend spends computing — so ``BENCH_engine.json`` can pin
-"the seam costs < 3% of the parallel sweep" as a number instead of a hope.
+:func:`dispatch` is the one call every fan-out site uses (engine jobs and
+checkpoint generation): it runs a job list over a worker count through
+:func:`~repro.exec.resilience.supervised_events`, consumes its
+``("start", i)`` / ``("done", i, value)`` event stream, assembles results
+by position, and measures *its own* overhead — the nanoseconds spent
+handling events, not the time spent computing — so ``BENCH_engine.json``
+can pin "dispatch costs < 3% of the parallel sweep" as a number instead
+of a hope.  One worker or one job runs in the caller's process
+(``"serial"``); two or more workers over two or more jobs run the
+supervised pool (``"supervised-pool"``).
 
 Scheduler observability: every run fills a :class:`DispatchStats`
 (``backend``, ``queue_depth_peak``, ``inflight_peak``,
@@ -20,13 +24,23 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.backend import DispatchJob, ExecutionBackend
+from repro.exec.resilience import runs_in_process, supervised_events
 
 __all__ = [
+    "DispatchJob",
     "DispatchStats",
     "dispatch",
     "scheduler_counters",
 ]
+
+
+@dataclass(frozen=True)
+class DispatchJob:
+    """One schedulable unit: a payload and the label a failure report
+    names it by (empty: ``"<scope> <position>"``)."""
+
+    payload: Any
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -37,8 +51,8 @@ class DispatchStats:
     queue_depth_peak: int
     inflight_peak: int
     dispatch_overhead_ns: int
-    #: Resilience-counter delta reported by the backend for this submit
-    #: (retries, respawns, ...); empty for a clean serial run.
+    #: Resilience-counter delta of this run (retries, respawns, ...);
+    #: empty for a clean run, and for one that raised.
     counters: Dict[str, int]
 
     def flat(self) -> Dict[str, Any]:
@@ -70,21 +84,21 @@ def scheduler_counters() -> Dict[str, int]:
         return dict(_SCHED)
 
 
-def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
+def dispatch(workers: int, fn: Callable[[Any], Any],
              jobs: Sequence[DispatchJob], *, scope: str = "job",
              chunksize: Optional[int] = None,
-             on_event: Optional[Callable[[tuple], None]] = None,
              stats_sink: Optional[Dict[str, Any]] = None,
              ) -> Tuple[List[Any], DispatchStats]:
-    """Run ``jobs`` on ``backend``; return ``(results, stats)`` in order.
+    """Run ``jobs`` over ``workers``; return ``(results, stats)`` in order.
 
-    ``results[i]`` is the value of ``fn(jobs[i].payload)``.  ``on_event``
-    observes every raw event as it arrives (the streaming hook).
+    ``results[i]`` is the value of ``fn(jobs[i].payload)``.  Failure
+    semantics are :func:`~repro.exec.resilience.supervised_events`'s:
+    every other job completes, then one
+    :class:`~repro.exec.resilience.ExperimentFailure` is raised.
     ``stats_sink``, when given, receives the flat stats mapping even when
-    the submit ends in an :class:`~repro.exec.resilience.ExperimentFailure`
-    — the engine's failure path reports scheduler state too.  The backend
-    generator is always closed, so worker teardown runs on every exit
-    path, including an exception thrown from ``on_event``.
+    the run ends in that failure — the engine's failure path reports
+    scheduler state too.  The event stream is always closed, so worker
+    teardown runs on every exit path.
     """
     jobs = list(jobs)
     total = len(jobs)
@@ -94,12 +108,18 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
     queue_depth_peak = total
     inflight_peak = 0
     overhead_ns = 0
-    events = backend.submit(fn, jobs, scope=scope, chunksize=chunksize)
+    counters: Dict[str, int] = {}
+    events = supervised_events(
+        fn, [job.payload for job in jobs], workers, scope=scope,
+        labels=[job.label or f"{scope} {position}"
+                for position, job in enumerate(jobs)],
+        chunksize=chunksize or 1)
     try:
         while True:
             try:
                 event = next(events)
-            except StopIteration:
+            except StopIteration as stop:
+                counters = stop.value
                 break
             tick = time.perf_counter_ns()
             kind = event[0]
@@ -111,14 +131,12 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
             inflight = started - done
             if inflight > inflight_peak:
                 inflight_peak = inflight
-            if on_event is not None:
-                on_event(event)
             overhead_ns += time.perf_counter_ns() - tick
     finally:
         events.close()
-        counters = dict(backend.last_submit_stats)
         stats = DispatchStats(
-            backend=backend.name,
+            backend=("serial" if runs_in_process(workers, total)
+                     else "supervised-pool"),
             queue_depth_peak=queue_depth_peak,
             inflight_peak=inflight_peak,
             dispatch_overhead_ns=overhead_ns,
@@ -129,4 +147,3 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
         _sched_count("dispatch_jobs", total)
         _sched_count("dispatch_overhead_ns", overhead_ns)
     return results, stats
-

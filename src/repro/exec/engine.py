@@ -8,9 +8,9 @@ using three layers:
   on-disk cache (see :mod:`repro.exec.cache`); only misses are simulated.
 * **process fan-out** — misses are executed on a ``multiprocessing`` pool.
   Workers receive specs (not traces) and rebuild traces deterministically,
-  so a parallel run is bit-identical to a serial one.
-* **serial fallback** — with one worker (or one job) everything runs
-  in-process through the same :func:`~repro.exec.jobs.run_job` code path.
+  so a parallel run is bit-identical to a serial one.  With one worker (or
+  one job) everything runs in-process through the same
+  :func:`~repro.exec.jobs.run_job` code path.
 * **sampling expansion** — specs whose settings carry a
   :class:`~repro.sampling.plan.SamplingPlan` are expanded into per-interval
   jobs before the cache/pool pass and merged back afterwards, so sampled
@@ -29,9 +29,8 @@ Environment knobs:
 
 ``REPRO_JOBS``
     Default worker count when neither the engine nor the settings specify
-    one.  ``0`` (or any value <= 0) means "all CPUs".  The worker count
-    also picks the backend: serial for one worker, the supervised pool
-    otherwise.
+    one.  ``0`` (or any value <= 0) means "all CPUs".  One worker runs
+    every job in-process; more run the supervised pool.
 ``REPRO_CACHE``
     Set to ``0`` to disable the result cache entirely.
 ``REPRO_CACHE_DIR``
@@ -53,32 +52,30 @@ Environment knobs:
     profiling observes, it never changes a simulated statistic.
 
 Every fan-out — this engine's job pass *and* the
-checkpoint-generation stage — runs through one dispatcher seam
-(:func:`repro.exec.dispatch.dispatch`) over an
-:class:`~repro.exec.backend.ExecutionBackend`.  The pool backend runs
-**supervised** (see :mod:`repro.exec.resilience`): per-job deadlines,
-crash detection, retry with backoff, pool self-healing, and degradation
-to in-process serial execution — a sweep completes or raises a
-structured :class:`~repro.exec.resilience.ExperimentFailure`, it never
-hangs and never silently drops jobs; the serial backend keeps the same
-contract.  Scheduler observability (``backend``, ``queue_depth_peak``,
-``inflight_peak``, ``dispatch_overhead_ns``) lands in
-:attr:`ExperimentEngine.last_run_stats` on every run.  Malformed
-``REPRO_*`` knobs fail engine construction fast with a one-line
-:class:`~repro.exec.resilience.EnvKnobError`.
+checkpoint-generation stage — calls :func:`repro.exec.dispatch.dispatch`
+with its worker count.  One worker or one job runs in-process; otherwise
+the pool runs **supervised** (see :mod:`repro.exec.resilience`): per-job
+deadlines, crash detection, retry with backoff, pool self-healing, and
+degradation to the same in-process loop.  Either way a sweep completes or
+raises a structured :class:`~repro.exec.resilience.ExperimentFailure`; it
+never hangs and never silently drops jobs.  Scheduler observability
+(``backend``, ``queue_depth_peak``, ``inflight_peak``,
+``dispatch_overhead_ns``) lands in :attr:`ExperimentEngine.last_run_stats`
+on every run.  Malformed ``REPRO_*`` knobs fail engine construction fast
+with a one-line :class:`~repro.exec.resilience.EnvKnobError`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exec import resilience as _resilience
-from repro.exec.backend import DispatchJob, resolve_backend
 from repro.exec.cache import ResultCache, generic_key, job_key
-from repro.exec.dispatch import dispatch
+from repro.exec.dispatch import DispatchJob, dispatch
 from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
 from repro.exec.resilience import ExperimentFailure
 
@@ -93,7 +90,7 @@ def _validate_chunksize(chunksize) -> Optional[int]:
     """Reject malformed ``chunksize`` on every path, parallel or not.
 
     The serial path used to silently ignore the parameter; now a bad
-    value fails identically everywhere, and the serial backend, which has
+    value fails identically everywhere, and an in-process run, which has
     nothing to batch, treats the validated hint as a no-op.
     """
     if chunksize is None:
@@ -336,12 +333,12 @@ class ExperimentEngine:
                 if chunksize is None and workers > 1:
                     chunksize = max(1, min(16, math.ceil(
                         len(pending_specs) / (workers * 4))))
-                dispatch_jobs = [
-                    DispatchJob(index=position, payload=spec,
-                                label=self._job_label(spec))
-                    for position, spec in enumerate(pending_specs)]
+                fn = run_job if profile_dir is None else \
+                    functools.partial(run_job, profile_dir=profile_dir)
                 records, _stats = dispatch(
-                    resolve_backend(workers), run_job, dispatch_jobs,
+                    workers, fn,
+                    [DispatchJob(spec, self._job_label(spec))
+                     for spec in pending_specs],
                     scope="job", chunksize=chunksize,
                     stats_sink=scheduler_sink)
             else:
@@ -362,9 +359,6 @@ class ExperimentEngine:
             # stranded so an aborted run leaks nothing.
             self._sweep_interrupted_tmp()
             raise
-        finally:
-            if profile_dir is not None:
-                os.environ.pop("_REPRO_PROFILE_RUN", None)
 
         for i, record in zip(pending_indices, records):
             results[i] = record
@@ -388,12 +382,11 @@ class ExperimentEngine:
     def _begin_profile_run(self, active: bool) -> Optional[str]:
         """Open a run-scoped profile directory when ``REPRO_PROFILE`` asks.
 
-        Creates ``<root>/run-<stamp>-<pid>-<n>/`` and exports it as
-        ``_REPRO_PROFILE_RUN`` so every :func:`~repro.exec.jobs.run_job`
-        execution — in-process or in a worker spawned after this point —
-        dumps its ``cProfile`` stats there.  Returns ``None`` (and sets
-        nothing) when profiling is off or the run has nothing to
-        simulate.
+        Creates and returns ``<root>/run-<stamp>-<pid>-<n>/``; the run
+        hands it to every :func:`~repro.exec.jobs.run_job` execution, in
+        process or in a worker, which dumps its ``cProfile`` stats there.
+        Returns ``None`` (and creates nothing) when profiling is off or
+        the run has nothing to simulate.
         """
         root = _resilience.resolve_profile_dir()
         if root is None or not active:
@@ -403,7 +396,6 @@ class ExperimentEngine:
             root, time.strftime("run-%Y%m%d-%H%M%S")
             + f"-{os.getpid()}-{ExperimentEngine._profile_seq}")
         os.makedirs(run_dir, exist_ok=True)
-        os.environ["_REPRO_PROFILE_RUN"] = run_dir
         return run_dir
 
     @staticmethod

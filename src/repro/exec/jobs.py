@@ -97,17 +97,16 @@ def _trace_for(spec: JobSpec) -> "EncodedOps":
 _PROFILE_SEQ = 0
 
 
-def run_job(spec) -> "RunRecord":
+def run_job(spec, profile_dir: Optional[str] = None) -> "RunRecord":
     """Execute one job spec (plain, sampled, or a single sampling interval).
 
-    When the engine exported ``_REPRO_PROFILE_RUN`` (the ``REPRO_PROFILE``
-    knob), the execution is wrapped in :mod:`cProfile` and the stats are
-    dumped into the run directory as ``job-<pid>-<n>.pstats`` — on the
-    serial path and inside pool workers alike, since both enter here.
-    Profiling observes only; the returned record is bit-identical either
-    way.
+    With a ``profile_dir`` (the engine passes its run directory while the
+    ``REPRO_PROFILE`` knob is on), the execution is wrapped in
+    :mod:`cProfile` and the stats are dumped there as
+    ``job-<pid>-<n>.pstats`` — in-process and inside pool workers alike,
+    since both enter here.  Profiling observes only; the returned record
+    is bit-identical either way.
     """
-    profile_dir = os.environ.get("_REPRO_PROFILE_RUN")
     if not profile_dir:
         return _run_job(spec)
 

@@ -2,16 +2,17 @@
 
 The ROADMAP invariant — serial, parallel, cached, and checkpointed runs are
 bit-identical — only means something if it survives an unhealthy machine.
-This module supplies the failure semantics shared by every pool fan-out
+This module supplies the failure semantics shared by every fan-out
 (simulation jobs, sampling interval jobs, checkpoint-generation jobs):
 
-* **Job supervision** — :func:`supervised_events` executes a job list on
-  a self-managed worker pool where every assignment carries a deadline.  A
-  worker that dies (SIGKILL, OOM, a crashed C extension) or blows its
-  per-job timeout is detected, killed if necessary, and respawned (pool
-  self-healing); its jobs are retried with exponential backoff and
-  deterministic jitter.  Past a crash-death threshold the pool is declared
-  unhealthy and the surviving jobs degrade to in-process serial execution.
+* **Job supervision** — :func:`supervised_events` executes a job list in
+  the caller's process (one worker or one job) or on a self-managed
+  worker pool where every assignment carries a deadline.  A worker that
+  dies (SIGKILL, OOM, a crashed C extension) or blows its per-job timeout
+  is detected, killed if necessary, and respawned (pool self-healing); its
+  jobs are retried with exponential backoff and deterministic jitter.
+  Past a crash-death threshold the pool is declared unhealthy and the
+  surviving jobs degrade to the same in-process loop.
   A sweep therefore always either completes — bit-identically, since jobs
   are deterministic by value — or fails loudly with a structured per-job
   report (:class:`ExperimentFailure`), and never hangs while a timeout is
@@ -84,6 +85,7 @@ __all__ = [
     "resolve_job_timeout",
     "resolve_profile_dir",
     "resolve_retries",
+    "runs_in_process",
     "supervised_events",
     "validate_environment",
 ]
@@ -507,11 +509,11 @@ class JobFailure:
 class ExperimentFailure(RuntimeError):
     """Retries exhausted: a structured per-job failure report.
 
-    Raised by every backend after every *other* job has completed,
-    so a single poisoned job never discards a sweep's worth of finished
-    (and cached) work.  ``failures`` lists each failed job with its cause;
-    ``report()`` is the JSON-able form stored in
-    ``ExperimentEngine.last_run_stats['failures']``.
+    Raised by :func:`supervised_events`, in-process or on the pool, after
+    every *other* job has completed, so a single poisoned job never
+    discards a sweep's worth of finished (and cached) work.  ``failures``
+    lists each failed job with its cause; ``report()`` is the JSON-able
+    form stored in ``ExperimentEngine.last_run_stats['failures']``.
     """
 
     def __init__(self, failures: Sequence[JobFailure]) -> None:
@@ -550,13 +552,19 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+def _exception_line() -> str:
+    """The last line of the exception being handled (``Type: message``):
+    what a failure report gives for a job that raised, on every path."""
+    return traceback.format_exc(limit=12).strip().splitlines()[-1]
+
+
 def _worker_main(inbox, outbox, fn) -> None:
     """Supervised worker loop: one task message in, one result message out.
 
     A task is ``(task_id, scope, attempt, deadline_active, jobs)`` where
     ``jobs`` is a list of ``(index, payload)``.  The reply is either
     ``(task_id, "ok", [(index, result), ...], counters_delta)`` or
-    ``(task_id, "error", failed_index, traceback, partial, counters_delta)``
+    ``(task_id, "error", failed_index, error_line, partial, counters_delta)``
     — exceptions never kill the worker, only crashes and kills do.
     """
     mark_pool_worker()
@@ -573,7 +581,7 @@ def _worker_main(inbox, outbox, fn) -> None:
             try:
                 results.append((index, fn(payload)))
             except BaseException:
-                error = (index, traceback.format_exc(limit=12))
+                error = (index, _exception_line())
                 break
         delta = counters_delta(before)
         if error is None:
@@ -631,6 +639,12 @@ class _Worker:
             pass
 
 
+def runs_in_process(workers: int, jobs: int) -> bool:
+    """True when a fan-out of ``jobs`` over ``workers`` runs in the
+    caller's process: one worker, or at most one job, starts no pool."""
+    return workers <= 1 or jobs <= 1
+
+
 def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                       workers: int, *, scope: str = "job",
                       labels: Optional[Sequence[str]] = None,
@@ -644,19 +658,26 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     lands, in completion order.  On exhaustion it *returns* the run's
     resilience-counter delta (the ``StopIteration`` value) — or raises
     :class:`ExperimentFailure` after every other job has completed.
-    :class:`~repro.exec.backend.SupervisedPoolBackend` forwards this
-    stream to the :mod:`repro.exec.dispatch` layer.
+    :func:`repro.exec.dispatch.dispatch` consumes this stream.
+
+    One worker or one job (:func:`runs_in_process`) runs every job in the
+    caller's process, in order: no process starts, no result queue is
+    created and nothing counts as degraded.  Otherwise the jobs run on a
+    supervised pool of up to ``workers`` processes.  A job that raises
+    fails with the exception's last line on either path, and is never
+    retried.
 
     ``fn`` must be deterministic by value (retries re-execute it).
-    ``chunksize`` batches consecutive payloads per assignment (trace-memo
-    locality, IPC amortisation) — a failed chunk is retried as single-job
-    assignments so one poisoned job never drags its chunk-mates through
-    every retry.  Worker crashes and deadline expiries are retried
-    (``retries``, default ``REPRO_RETRIES``) with exponential backoff and
-    deterministic jitter; job exceptions are permanent immediately.  Every
-    crash respawns the dead worker; once crash deaths reach
-    ``max(3, workers + 1)`` the pool is torn down and the remaining jobs
-    run serially in-process.
+    ``chunksize`` batches consecutive payloads per pool assignment
+    (trace-memo locality, IPC amortisation) — a failed chunk is retried
+    as single-job assignments so one poisoned job never drags its
+    chunk-mates through every retry.  Worker crashes and deadline expiries
+    are retried (``retries``, default ``REPRO_RETRIES``; deadlines
+    ``timeout`` seconds per job, default ``REPRO_JOB_TIMEOUT``) with
+    exponential backoff and deterministic jitter.  Every crash respawns
+    the dead worker; once crash deaths reach ``max(3, workers + 1)`` the
+    pool is torn down (``pool_degraded``) and the remaining jobs run
+    in-process (``degraded_serial_jobs``).
 
     Teardown is unconditional: leaving the generator on any path — normal
     exhaustion, ``ExperimentFailure``, ``KeyboardInterrupt`` during
@@ -664,10 +685,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     """
     payloads = list(payloads)
     total = len(payloads)
-    if timeout is None:
-        timeout = resolve_job_timeout()
-    if retries is None:
-        retries = resolve_retries()
     if labels is None:
         labels = [f"{scope} {i}" for i in range(total)]
     else:
@@ -682,18 +699,53 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     stats: collections.Counter = collections.Counter()
     before_counters = counters_snapshot()
 
+    def fail(index: int, kind: str, error: str) -> None:
+        failed[index] = True
+        failures.append(JobFailure(index=index, label=labels[index],
+                                   kind=kind, attempts=attempts[index],
+                                   error=error))
+
+    def run_in_process(indices: Sequence[int], degraded: bool):
+        """The in-process loop: a whole one-worker run, or what is left of
+        a degraded pool's.  No deadline (only pool workers can be killed),
+        and crash faults are worker-only, so a planned crash cannot kill
+        the caller."""
+        for index in indices:
+            if done[index] or failed[index]:
+                continue
+            if degraded:
+                stats["degraded_serial_jobs"] += 1
+            if not started[index]:
+                started[index] = True
+                yield ("start", index)
+            try:
+                value = fn(payloads[index])
+            except Exception:
+                fail(index, "exception", _exception_line())
+            else:
+                done[index] = True
+                yield ("done", index, value)
+
+    def finish() -> Dict[str, int]:
+        merge_counters(stats)
+        if failures:
+            raise ExperimentFailure(sorted(failures, key=lambda f: f.index))
+        return counters_delta(before_counters)
+
+    if runs_in_process(workers, total):
+        yield from run_in_process(range(total), degraded=False)
+        return finish()
+
+    if timeout is None:
+        timeout = resolve_job_timeout()
+    if retries is None:
+        retries = resolve_retries()
     chunksize = max(1, chunksize)
     queue: Deque[List[int]] = collections.deque(
         [list(range(start, min(start + chunksize, total)))
          for start in range(0, total, chunksize)])
 
     degrade_after = max(_DEGRADE_MIN_DEATHS, workers + 1)
-
-    def fail(index: int, kind: str, error: str) -> None:
-        failed[index] = True
-        failures.append(JobFailure(index=index, label=labels[index],
-                                   kind=kind, attempts=attempts[index],
-                                   error=error))
 
     def retry_or_fail(indices: List[int], kind: str, error: str) -> None:
         """Requeue a failed assignment's unfinished jobs, or fail them."""
@@ -711,24 +763,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             # waited its turn once, and running it next keeps it off the
             # sweep's tail.
             queue.appendleft([index])
-
-    def run_serially(indices: Sequence[int]):
-        """Degraded in-process execution (no deadline; crash faults are
-        worker-only, so a planned crash cannot kill the supervisor)."""
-        for index in indices:
-            if done[index] or failed[index]:
-                continue
-            stats["degraded_serial_jobs"] += 1
-            if not started[index]:
-                started[index] = True
-                yield ("start", index)
-            try:
-                value = fn(payloads[index])
-            except Exception:
-                fail(index, "exception", traceback.format_exc(limit=12))
-            else:
-                done[index] = True
-                yield ("done", index, value)
 
     ctx = _pool_context()
     outbox = ctx.Queue()
@@ -756,11 +790,8 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             pool.append(_Worker(ctx, outbox, fn))
 
     try:
-        if workers > 1 and total > 1:
-            pool = [_Worker(ctx, outbox, fn)
-                    for _ in range(min(workers, len(queue)))]
-        else:
-            degraded = True
+        pool = [_Worker(ctx, outbox, fn)
+                for _ in range(min(workers, len(queue)))]
 
         while sum(done) + sum(failed) < total:
             if degraded:
@@ -771,8 +802,8 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                         worker.assignment = None
                     worker.destroy()
                 pool.clear()
-                yield from run_serially(
-                    [i for chunk in queue for i in chunk])
+                yield from run_in_process(
+                    [i for chunk in queue for i in chunk], degraded=True)
                 queue.clear()
                 break
 
@@ -831,7 +862,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                     # A job exception is permanent (deterministic jobs raise
                     # again on retry); chunk-mates after the failing job
                     # never ran, so requeue them without charging an attempt.
-                    _task_id, _status, bad, text, pairs, delta = message
+                    _task_id, _status, bad, error, pairs, delta = message
                     merge_counters(delta)
                     assignment = owner.assignment
                     owner.assignment = None
@@ -839,7 +870,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                                  if not done[index] and not failed[index]]
                     for index, _value in completed:
                         done[index] = True
-                    fail(bad, "exception", text.strip().splitlines()[-1])
+                    fail(bad, "exception", error)
                     unstarted = [i for i in assignment.indices
                                  if i != bad and not done[i]
                                  and not failed[i]]
@@ -871,7 +902,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                         f"({timeout * len(assignment.indices):g}s)")
 
         if sum(done) + sum(failed) < total:  # pragma: no cover - safety net
-            yield from run_serially(range(total))
+            yield from run_in_process(range(total), degraded=True)
     finally:
         for worker in pool:
             worker.stop()
@@ -881,9 +912,4 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         outbox.close()
         outbox.join_thread()
 
-    merge_counters(stats)
-    run_stats = counters_delta(before_counters)
-    if failures:
-        raise ExperimentFailure(sorted(failures, key=lambda f: f.index))
-    return run_stats
-
+    return finish()

@@ -122,11 +122,12 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     the trace's :class:`~repro.pipeline.commit_facts.CommitFacts` from the
     core's start state (``facts``); this function owns the cycle loop,
     from an empty window at cycle 0.  The core's SSN counters are synced
-    back on return.  Returns ``(stats, rob_max_occupancy, dispatched)``:
+    back on return.  Returns ``(stats, rob_max_occupancy, committed)``:
     the :class:`SimStats` of the measured region (the instructions after
     the first ``warmup_committed``), the peak ROB occupancy over the whole
-    run, and how many instructions of the trace had dispatched when the
-    run stopped (the committed ones and those still in flight).
+    run, and how many instructions of the trace had committed when the
+    run stopped (warm-up included), the trace prefix whose stores are in
+    the memory image.
     """
     config = core.config
     policy = core.policy
@@ -989,4 +990,4 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     ssn_alloc.ssn_rename = ssn_rename
     ssn_alloc.ssn_commit = ssn_commit
     ssn_alloc.wraps = ssn_hw_wraps
-    return stats, rob_maxocc, fetch_seq
+    return stats, rob_maxocc, committed_total

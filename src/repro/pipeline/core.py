@@ -40,7 +40,7 @@ micro-op sequence — once on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
@@ -121,8 +121,8 @@ class OutOfOrderCore:
         # adopted by import_state.  A run reads its answers from the
         # trace's commit facts and leaves the map as it found it.
         self._last_writer: LastWriterMap = {}
-        # (trace, dispatched count, SSN before its first store) of the run,
-        # from which export_state adds the run's stores to the map.
+        # (trace, committed count, SSN before its first store) of the run,
+        # from which export_state adds the run's committed stores to the map.
         self._run_stores = None
 
     # ---------------------------------------------------------- state import --
@@ -162,32 +162,38 @@ class OutOfOrderCore:
         """Export the core's long-lived state, symmetric to :meth:`import_state`.
 
         Returns a :class:`~repro.sampling.functional.FunctionalState` bundling
-        the live branch unit, memory hierarchy, memory image, SSN counters,
-        policy, and oracle last-writer map — everything a subsequent
+        the live branch unit, memory hierarchy, memory image and policy, the
+        SSN counters, and the oracle last-writer map — everything a subsequent
         :meth:`import_state` (on this or another core) adopts.  Serialising
         the bundle (the checkpoint store pickles it) freezes a copy.
 
         The in-flight window (the ROB, issue queue and load queue, store
         queue contents, pending completions) lives only inside a run and is
         not exported: the bundle continues on a fresh core, since a core
-        runs once (:meth:`run`).  The exported last-writer map is a new map
-        holding each byte's youngest *dispatched* writer: the map the run
-        started from plus every store the run had dispatched when it
-        stopped, committed or still in flight (a squashed store counts only
-        if it dispatched again).  The writer's PC and dynamic index are not
-        tracked by the detailed core and are exported as ``(ssn, 0, -1)``
-        entries — :meth:`import_state` only consumes the SSN.
+        runs once (:meth:`run`).  The state is the one as of the run's last
+        commit, so a run stopped by ``stats_measure_instructions`` with
+        stores in flight continues exactly: a new core that imports the
+        bundle and runs the rest of the trace (from the first uncommitted
+        instruction) ends as one uninterrupted run would.  The exported
+        SSN counters are a copy whose ``ssn_rename`` is back at
+        ``ssn_commit`` (the in-flight stores rename again on the new core),
+        and the exported last-writer map is a new map holding each byte's
+        youngest *committed* writer: the map the run started from plus
+        every store the run committed.  The writer's PC and dynamic index
+        are not tracked by the detailed core and are exported as
+        ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes the
+        SSN.
         """
         from repro.sampling.functional import FunctionalState
 
         words = self._last_writer
         if self._run_stores is not None:
-            encoded, dispatched, ssn = self._run_stores
+            encoded, committed, ssn = self._run_stores
             words = dict(words)
             kind = encoded.plane.kind
             addr = encoded.addr
             size = encoded.size
-            for index, si in enumerate(encoded.sidx[:dispatched]):
+            for index, si in enumerate(encoded.sidx[:committed]):
                 if kind[si] == KIND_STORE:
                     ssn += 1
                     lw_write(words, addr[index], size[index], (ssn, index))
@@ -196,7 +202,8 @@ class OutOfOrderCore:
             branch_unit=self.branch_unit,
             hierarchy=self.hierarchy,
             memory=self.memory,
-            ssn_alloc=self.ssn_alloc,
+            ssn_alloc=replace(self.ssn_alloc,
+                              ssn_rename=self.ssn_alloc.ssn_commit),
             policy=self.policy,
             last_writer=map_entries(words, _exported_writer),
             instructions_warmed=self.stats.committed,
@@ -282,10 +289,10 @@ class OutOfOrderCore:
                                          self.ssn_alloc.ssn_rename)
         first_ssn = self.ssn_alloc.ssn_rename
 
-        stats, rob_max_occupancy, dispatched = run_core_loop(
+        stats, rob_max_occupancy, committed = run_core_loop(
             self, encoded, commit_facts, warmup_committed, stop_committed)
         self.stats = stats
-        self._run_stores = (encoded, dispatched, first_ssn)
+        self._run_stores = (encoded, committed, first_ssn)
         extra = {
             "branch_misprediction_rate": self.branch_unit.misprediction_rate,
             "svw_reexecution_rate": self.policy.svw.stats.reexecution_rate,

@@ -466,21 +466,18 @@ def execute_generation(requests: Sequence[CheckpointJobSpec],
     """Run the generation stage for ``requests`` over ``jobs`` workers.
 
     Splits the requests into policy-group jobs (:func:`split_policy_groups`)
-    and fans them out through the dispatcher
-    (:func:`repro.exec.dispatch.dispatch`).  The jobs are independent
-    deterministic passes, so a crashed or hung job is simply retried.
-    Returns the number of generation jobs, the engine's
-    ``checkpoint_jobs`` stat.
+    and hands them to the dispatcher (:func:`repro.exec.dispatch.dispatch`)
+    with the worker count: one worker or one job runs in-process, more run
+    the supervised pool.  The jobs are independent deterministic passes,
+    so a crashed or hung job is simply retried.  Returns the number of
+    generation jobs, the engine's ``checkpoint_jobs`` stat.
     """
-    from repro.exec.backend import DispatchJob, resolve_backend
-    from repro.exec.dispatch import dispatch
+    from repro.exec.dispatch import DispatchJob, dispatch
 
     generation_jobs = split_policy_groups(requests, jobs)
     if generation_jobs:
-        dispatch(resolve_backend(min(jobs, len(generation_jobs))),
-                 run_checkpoint_job,
-                 [DispatchJob(index=position, payload=job,
-                              label=f"generation {position} ({job.workload})")
+        dispatch(min(jobs, len(generation_jobs)), run_checkpoint_job,
+                 [DispatchJob(job, f"generation {position} ({job.workload})")
                   for position, job in enumerate(generation_jobs)],
                  scope="shard", chunksize=1)
     return len(generation_jobs)

@@ -12,9 +12,9 @@ Three entry points, all producing bit-identical results:
 * :func:`run_interval_job` — one :class:`~repro.exec.jobs.IntervalJobSpec`;
   this is what runs inside :class:`~repro.exec.engine.ExperimentEngine`
   pool workers and what the result cache stores, one entry per interval.
-* :func:`run_sampled_workload` — a whole sampled run, serially, by
-  workload *name* (regenerating each interval's trace window; the full
-  trace is never materialised).
+* :func:`run_sampled_workload` — a whole sampled run by workload *name*,
+  through a one-worker engine in this process (regenerating each
+  interval's trace window; the full trace is never materialised).
 * :func:`run_sampled_trace` — a whole sampled run over an already
   materialised :class:`~repro.isa.trace.DynamicTrace` (the
   :func:`repro.harness.runner.run_workload` path; also used by tests with
@@ -218,31 +218,23 @@ def run_sampled_workload(workload: str, config_name: str,
                          predictors: Optional["PredictorSuiteConfig"] = None,
                          checkpoint_dir: Optional[str] = None
                          ) -> "RunRecord":
-    """Run a whole sampled simulation serially, by workload name.
+    """Run a whole sampled simulation in this process, by workload name.
 
-    Interval trace windows are regenerated on demand; the full trace is
-    never materialised, so this scales to paper-length (10M-instruction)
-    runs in bounded memory.  The store at ``checkpoint_dir`` (``None`` =
-    environment default) is populated with one functional pass, and every
-    interval starts from its full-history snapshot, bit-identically to the
-    engine's fanned-out execution of the same spec.
+    The spec runs through a one-worker, uncached
+    :class:`~repro.exec.engine.ExperimentEngine`, so this is the engine's
+    sampled path itself: the store at ``checkpoint_dir`` (``None`` =
+    environment default) is populated with one functional pass, every
+    interval starts from its full-history snapshot, and the interval
+    records merge into one.  Interval trace windows are regenerated on
+    demand; the full trace is never materialised, so this scales to
+    paper-length (10M-instruction) runs in bounded memory.
     """
-    from repro.sampling.checkpoints import (
-        CheckpointStore,
-        plan_generation,
-        run_checkpoint_job,
-    )
+    from repro.exec.engine import ExperimentEngine
 
-    spec = JobSpec(workload, config_name, settings, predictors)
-    store = CheckpointStore(checkpoint_dir)
-    interval_specs = expand_sampled_spec(
-        spec, checkpoint_dir=str(store.directory))
-    requests, _total = plan_generation(store, interval_specs)
-    for request in requests:
-        run_checkpoint_job(request)
-    records = [run_interval_job(interval_spec)
-               for interval_spec in interval_specs]
-    return merge_interval_records(spec, records)
+    engine = ExperimentEngine(jobs=1, cache=False,
+                              checkpoint_dir=checkpoint_dir)
+    return engine.run([JobSpec(workload, config_name, settings,
+                               predictors)])[0]
 
 
 def run_sampled_trace(trace: DynamicTrace, config_name: str,

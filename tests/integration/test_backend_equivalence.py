@@ -9,7 +9,7 @@ bit for bit — not merely agree with each other — across:
 * cold-cache engine runs (every spec simulated through the backend),
 * warm-cache engine runs (every spec served from the store),
 * checkpointed sampled runs (generation split into policy-group jobs
-  through the same seam), and
+  through the same dispatcher), and
 * a chaos leg (``REPRO_FAULT_PLAN`` crash + blob corruption through the
   pool's own workers and stores).
 
@@ -43,7 +43,7 @@ SAMPLED_WORKLOAD = "vortex"
 SAMPLED_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
 SAMPLED_INSTRUCTIONS = 60_000
 
-#: Deterministic chaos through the seam: job 1's first attempt dies in a
+#: Deterministic chaos through the dispatcher: job 1's first attempt dies in a
 #: worker, and ~30% of store blobs are corrupted on write (caught by the
 #: checksum frame, quarantined, recomputed).
 CHAOS_PLAN = "worker_crash@job:1,corrupt_blob@p=0.3,seed=7"

@@ -16,8 +16,9 @@ the memory latency.
   overwritten producer keeps the younger mapping.
 * Squash: a re-execution flush squashes the younger suffix and refetches
   it, and the run still commits every instruction with the right values.
-  A run that stops after a flush exports, as its last-writer map, the
-  stores it had dispatched: those in flight, and none squashed since.
+* Continuation: a run that stops mid-trace, even right after a flush,
+  exports its state as of its last commit, so a new core that imports it
+  and runs the rest of the trace ends as one uninterrupted run.
 """
 
 import dataclasses
@@ -286,16 +287,9 @@ def test_flush_squashes_and_refetches_the_younger_suffix(policy):
 SUFFIX_WORDS = 0x30_0000
 
 
-def test_export_after_a_flush_holds_in_flight_stores_not_squashed_ones():
-    """A run stopped by ``stats_measure_instructions`` soon after a flush.
-
-    All 60 suffix stores dispatched behind the head miss (SSNs 2-61) and
-    were squashed by the load's flush; the refetch had dispatched again
-    only those up to SSN 33 when the run stopped, and 30 of them were still
-    in flight.  The exported last-writer map holds exactly the committed
-    store to ``STORED`` and the dispatched suffix stores.  The expectation
-    was frozen from the core that repaired its own map at every squash.
-    """
+def _export_trace():
+    """A store behind a head miss, a load that violates on it, then 60
+    stores, each followed by an ALU op, to words of their own."""
     uops = [make_load(0x400, dest=5, addr=MISS),
             make_store(0x404, addr=STORED, value=7, srcs=(5,)),
             make_load(0x408, dest=6, addr=STORED)]
@@ -303,14 +297,58 @@ def test_export_after_a_flush_holds_in_flight_stores_not_squashed_ones():
         uops += [make_store(0x40c + 8 * (i % 4), addr=SUFFIX_WORDS + 8 * i,
                             value=i + 1),
                  make_alu(0x410 + 8 * (i % 4), dest=3 + i % 8)]
-    result, core = _run(uops, policy="associative-3",
+    return uops
+
+
+def test_export_after_a_flush_holds_committed_stores_only():
+    """A run stopped by ``stats_measure_instructions`` soon after a flush.
+
+    All 60 suffix stores dispatched behind the head miss (SSNs 2-61) and
+    were squashed by the load's flush; the refetch had dispatched again
+    those up to SSN 33 when the run stopped, and 30 of them were still in
+    flight.  The export is the state as of the last commit: the SSN
+    counters stand at the 3 committed stores, and the last-writer map
+    holds exactly those, the store to ``STORED`` and the first two suffix
+    stores (24 bytes).
+    """
+    result, core = _run(_export_trace(), policy="associative-3",
                         stats_warmup_instructions=0,
                         stats_measure_instructions=6)
     assert result.stats.flushes == result.stats.ordering_violations == 1
     assert result.stats.committed == 7
     assert (core.ssn_alloc.ssn_commit, core.ssn_alloc.ssn_rename) == (3, 33)
+    state = core.export_state()
+    assert (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename) == (3, 3)
     expected = {STORED + byte: (1, 0, -1) for byte in range(8)}
-    for i in range(32):
+    for i in range(2):
         for byte in range(8):
             expected[SUFFIX_WORDS + 8 * i + byte] = (2 + i, 0, -1)
-    assert per_byte(core.export_state().last_writer) == expected
+    assert per_byte(state.last_writer) == expected
+
+
+def _end_state(core):
+    """What a continuation must reproduce: the memory image, the SVW, the
+    per-byte last-writer map and the SSN counters."""
+    state = core.export_state()
+    return (core.memory.state_signature(), core.policy.svw.state_signature(),
+            per_byte(state.last_writer),
+            (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename))
+
+
+@pytest.mark.parametrize("stop", [1, 3, 6, 20, 50, 100])
+def test_a_stopped_run_continues_on_a_new_core(stop):
+    """Stop a run after ``stop`` measured instructions (stores in flight,
+    and after 6 a flush), export it, import it on a new core and run the
+    rest of the trace: the pair ends exactly as one uninterrupted run."""
+    uops = _export_trace()
+    _result, whole = _run(uops, policy="associative-3")
+    result, first = _run(uops, policy="associative-3",
+                         stats_warmup_instructions=0,
+                         stats_measure_instructions=stop)
+    committed = result.stats.committed
+    assert committed < len(uops)
+    second = OutOfOrderCore(CoreConfig(), make_policy("associative-3"))
+    second.import_state(first.export_state())
+    second.run(DynamicTrace(name="rest", uops=uops[committed:]),
+               warm_memory=False)
+    assert _end_state(second) == _end_state(whole)

@@ -53,6 +53,7 @@ class TestProfileKnob:
         engine = ExperimentEngine(jobs=1, cache=False)
         specs = [JobSpec("gzip", "indexed-3-fwd", FAST),
                  JobSpec("gzip", "associative-3", FAST)]
+        environ = dict(os.environ)
         records = engine.run(specs)
         assert len(records) == len(specs)
         profile = engine.last_run_stats["profile"]
@@ -63,8 +64,9 @@ class TestProfileKnob:
         assert len(dumps) == len(specs)
         top = profile["top_cumulative"]
         assert top and {"site", "cumtime_s", "calls"} <= set(top[0])
-        # The run-scoped env handoff never leaks past the run.
-        assert "_REPRO_PROFILE_RUN" not in os.environ
+        # The run directory reaches the jobs as an argument, never
+        # through the environment.
+        assert dict(os.environ) == environ
 
     def test_profiling_changes_no_statistic(self, monkeypatch, tmp_path):
         trace = build_workload("gzip", instructions=FAST.instructions, seed=1)
@@ -77,17 +79,16 @@ class TestProfileKnob:
 
     def test_all_runs_unprofiled_without_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("_REPRO_PROFILE_RUN", raising=False)
         engine = ExperimentEngine(jobs=1, cache=False)
         engine.run([JobSpec("gzip", "indexed-3-fwd", FAST)])
         assert "profile" not in engine.last_run_stats
 
-    def test_run_job_respects_run_dir_handoff(self, monkeypatch, tmp_path):
-        """Workers see only the private ``_REPRO_PROFILE_RUN`` handoff (the
-        engine owns run-dir creation); a bare ``run_job`` call dumps there."""
+    def test_run_job_respects_run_dir_handoff(self, tmp_path):
+        """The engine owns run-dir creation and hands the directory to
+        ``run_job`` as ``profile_dir``; a bare call dumps there."""
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        monkeypatch.setenv("_REPRO_PROFILE_RUN", str(run_dir))
-        run_job(JobSpec("gzip", "indexed-3-fwd", FAST))
+        run_job(JobSpec("gzip", "indexed-3-fwd", FAST),
+                profile_dir=str(run_dir))
         dumps = list(run_dir.glob("job-*.pstats"))
         assert len(dumps) == 1

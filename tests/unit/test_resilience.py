@@ -1,10 +1,10 @@
 """Unit tests for the resilience layer (supervision, knobs, fault plans).
 
-The supervised-pool tests drive the scheduler through the dispatch seam
-(``dispatch`` over ``SupervisedPoolBackend``) with tiny top-level
-functions as jobs (forked workers inherit them); every scenario is bounded
-by explicit timeouts so a regression fails loudly instead of hanging the
-suite.
+The supervised-pool tests drive the scheduler
+(:func:`~repro.exec.resilience.supervised_events`) directly, with tiny
+top-level functions as jobs (forked workers inherit them); every scenario
+is bounded by explicit timeouts so a regression fails loudly instead of
+hanging the suite.
 """
 
 import multiprocessing
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import DispatchJob, SupervisedPoolBackend, dispatch, resilience
+from repro.exec import resilience
 from repro.exec.resilience import (
     EnvKnobError,
     ExperimentFailure,
@@ -46,13 +46,18 @@ def _boom_on_three(x):
 
 def _pool_run(fn, payloads, workers, *, chunksize=1, timeout=None,
               retries=None, labels=None):
-    """Run ``payloads`` on a supervised pool; ``(results, counters)``."""
-    jobs = [DispatchJob(index=i, payload=payload,
-                        label=labels[i] if labels else "")
-            for i, payload in enumerate(payloads)]
-    backend = SupervisedPoolBackend(workers, timeout=timeout, retries=retries)
-    results, stats = dispatch(backend, fn, jobs, chunksize=chunksize)
-    return results, stats.counters
+    """Run ``payloads`` through the scheduler; ``(results, counters)``."""
+    results = [None] * len(payloads)
+    events = resilience.supervised_events(
+        fn, payloads, workers, chunksize=chunksize, timeout=timeout,
+        retries=retries, labels=labels)
+    while True:
+        try:
+            event = next(events)
+        except StopIteration as stop:
+            return results, stop.value
+        if event[0] == "done":
+            results[event[1]] = event[2]
 
 
 def _assert_no_orphans():
@@ -301,9 +306,11 @@ class TestSupervisedPool:
         _assert_no_orphans()
 
     def test_serial_degenerate_cases(self):
-        assert _pool_run(_square, [5], workers=8)[0] == [25]
-        assert _pool_run(_square, [1, 2], workers=1)[0] == [1, 4]
-        assert _pool_run(_square, [], workers=4)[0] == []
+        """One job or one worker runs in-process, which is no degradation:
+        no counter at all."""
+        assert _pool_run(_square, [5], workers=8) == ([25], {})
+        assert _pool_run(_square, [1, 2], workers=1) == ([1, 4], {})
+        assert _pool_run(_square, [], workers=4) == ([], {})
 
     def test_worker_crash_is_retried_bit_identically(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "worker_crash@job:2")
