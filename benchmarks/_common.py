@@ -69,6 +69,31 @@ RUN_KEYS = frozenset({
 })
 
 
+def clear_process_memos(traces=()) -> None:
+    """Empty every process-wide memo a timed leg could inherit warm.
+
+    A leg that runs after another in the same process (or in pool workers
+    forked from it) would otherwise reuse the composed segments and traces,
+    background words, canonical settings forms and commit facts the earlier
+    leg paid for.  ``traces`` are trace objects a leg reuses: their own
+    memos (a fresh start's commit facts and cache warm-up lines) are
+    emptied too.
+    """
+    from repro.exec import cache, jobs
+    from repro.memory import image
+    from repro.sampling import driver
+    from repro.workloads import suites
+
+    suites._SEGMENT_CACHE.clear()
+    jobs._TRACE_CACHE.clear()
+    image._background_word.cache_clear()
+    cache._canonical_pickle.cache_clear()
+    driver._FACTS_CACHE.clear()
+    for trace in traces:
+        trace.commit_facts.clear()
+        trace.warm_lines.clear()
+
+
 def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)

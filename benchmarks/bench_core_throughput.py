@@ -35,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import write_bench_json  # noqa: E402
+from _common import clear_process_memos, write_bench_json  # noqa: E402
 import legacy_ref  # noqa: E402
 from legacy_ref import suites as legacy_suites  # noqa: E402
 
@@ -45,10 +45,8 @@ from repro.harness.runner import (  # noqa: E402
     ExperimentSettings,
     make_policy,
 )
-from repro.memory import image  # noqa: E402
 from repro.pipeline.core import OutOfOrderCore  # noqa: E402
 from repro.workloads.suites import build_workload, workload_names  # noqa: E402
-from repro.workloads import suites  # noqa: E402
 
 #: The Figure-4 cell under test.
 WORKLOAD = "vortex"
@@ -155,8 +153,7 @@ def measure_cell_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
                         stats_warmup_fraction=settings.stats_warmup_fraction)
 
     def core_leg():
-        suites._SEGMENT_CACHE.clear()
-        image._background_word.cache_clear()
+        clear_process_memos()
         trace = build_workload(WORKLOAD, instructions=instructions, seed=seed)
         core = OutOfOrderCore(settings.core,
                               make_policy(CONFIG, sq_size=settings.sq_size))
@@ -205,12 +202,10 @@ def measure_mix_throughput(instructions=MIX_INSTRUCTIONS, seed=1):
                 for trace in legacy_traces for config in MIX_CONFIGS]
 
     def core_leg():
-        # Every round starts from a cold background-word memo and from
-        # traces that hold no commit facts yet, as one sweep in a fresh
-        # process does (the seed stack memoises per image).
-        image._background_word.cache_clear()
-        for trace in core_traces:
-            trace.commit_facts.clear()
+        # Every round starts from cold process memos and from traces that
+        # hold no commit facts or warm-up lines yet, as one sweep in a
+        # fresh process does (the seed stack memoises per image).
+        clear_process_memos(core_traces)
         return [OutOfOrderCore(settings.core,
                                make_policy(config, sq_size=settings.sq_size))
                 .run(trace, stats_warmup_fraction=warmup)

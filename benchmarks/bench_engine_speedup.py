@@ -4,8 +4,10 @@ Runs the same Figure 4 sweep three ways through the experiment engine —
 serial (one in-process worker), parallel (the supervised process pool),
 and twice against an on-disk result cache (cold, then fully warm) — and
 verifies that all of them produce *identical* statistics before reporting
-wall-clock ratios.  The measurements land in ``BENCH_engine.json`` at the
-repo root so the engine's performance trajectory is machine-readable.
+wall-clock ratios.  Each leg starts from cold process memos, so the
+parallel ratio measures fan-out, not what an earlier leg left warm.  The
+measurements land in ``BENCH_engine.json`` at the repo root so the
+engine's performance trajectory is machine-readable.
 
 The parallel assertion scales with the hardware: a >= 2x speedup is required
 only when at least four CPUs are actually available (the paper-sweep target
@@ -21,7 +23,7 @@ that leg's wall time.
 
 import time
 
-from _common import DEFAULT_INSTRUCTIONS, write_bench_json
+from _common import DEFAULT_INSTRUCTIONS, clear_process_memos, write_bench_json
 
 from repro.exec import ExperimentEngine, ResultCache, available_cpus
 from repro.exec.dispatch import scheduler_counters
@@ -57,6 +59,10 @@ def measure_engine_speedup(cache_dir, instructions=None, workloads=SPEEDUP_WORKL
     settings = ExperimentSettings(instructions=instructions, stats_warmup_fraction=0.25)
     names = list(workloads)
 
+    # Every leg starts from cold process memos: the parallel leg's workers
+    # are forked from this process and would inherit what the serial leg
+    # filled, which would credit fan-out with memo warmth.
+    clear_process_memos()
     serial_engine = ExperimentEngine(jobs=1, cache=False)
     start = time.perf_counter()
     serial = run_figure4(workloads=names, settings=settings, engine=serial_engine)
@@ -65,6 +71,7 @@ def measure_engine_speedup(cache_dir, instructions=None, workloads=SPEEDUP_WORKL
     # The parallel leg runs on the supervised pool (per-job deadlines, crash
     # detection, retries) — its wall time is what users get.
     parallel_engine = ExperimentEngine(jobs=parallel_jobs, cache=False)
+    clear_process_memos()
     overhead_before = scheduler_counters().get("dispatch_overhead_ns", 0)
     start = time.perf_counter()
     parallel = run_figure4(workloads=names, settings=settings, engine=parallel_engine)
@@ -73,8 +80,10 @@ def measure_engine_speedup(cache_dir, instructions=None, workloads=SPEEDUP_WORKL
                    - overhead_before)
 
     cached_engine = ExperimentEngine(jobs=1, cache=ResultCache(cache_dir))
+    clear_process_memos()
     cold = run_figure4(workloads=names, settings=settings, engine=cached_engine)
     cold_stats = dict(cached_engine.last_run_stats)
+    clear_process_memos()
     start = time.perf_counter()
     warm = run_figure4(workloads=names, settings=settings, engine=cached_engine)
     warm_s = time.perf_counter() - start

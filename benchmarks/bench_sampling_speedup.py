@@ -39,6 +39,8 @@ import os
 import tempfile
 import time
 
+from _common import clear_process_memos
+
 from repro.exec import ExperimentEngine, JobSpec, ResultCache, available_cpus
 from repro.harness.runner import BASELINE_CONFIG, ExperimentSettings
 from repro.sampling import SamplingPlan
@@ -88,16 +90,6 @@ def artifact_plan(instructions: int) -> SamplingPlan:
                         period=period, seed=0)
 
 
-def _clear_process_memos() -> None:
-    """Start a timed leg cold: no compose or background-word work paid
-    for by an earlier leg in the same process."""
-    from repro.memory import image
-    from repro.workloads import suites
-
-    suites._SEGMENT_CACHE.clear()
-    image._background_word.cache_clear()
-
-
 def measure_sampling_speedup(instructions: int = None,
                              workload: str = SPEEDUP_WORKLOAD,
                              config: str = SPEEDUP_CONFIG) -> dict:
@@ -118,7 +110,7 @@ def measure_sampling_speedup(instructions: int = None,
     # trace build is part of the cost a sampled run avoids re-paying).
     from repro.harness.runner import run_workload
 
-    _clear_process_memos()
+    clear_process_memos()
     start = time.perf_counter()
     trace = build_workload(workload, instructions, seed=full_settings.seed)
     full_record = run_workload(trace, config, full_settings)
@@ -134,7 +126,7 @@ def measure_sampling_speedup(instructions: int = None,
     sampled_record = None
     with tempfile.TemporaryDirectory(prefix="repro-bench-matched-") as root:
         for run in range(2):
-            _clear_process_memos()
+            clear_process_memos()
             start = time.perf_counter()
             record = run_sampled_workload(
                 workload, config, sampled_settings,
@@ -191,7 +183,7 @@ def measure_checkpointed_sweep(instructions: int = None,
     # reads from nor writes into the user's (environment-located) store.
     with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as root:
         store = os.path.join(root, "store")
-        _clear_process_memos()
+        clear_process_memos()
         engine = ExperimentEngine(jobs=1, cache=False, checkpoint_dir=store)
         start = time.perf_counter()
         records = engine.run(specs)
@@ -281,7 +273,7 @@ def measure_policy_group_generation(instructions: int = None,
 
         # Baseline: one in-process pass per workload group, every
         # configuration warmed together.
-        _clear_process_memos()
+        clear_process_memos()
         requests = requests_for(single_store)
         start = time.perf_counter()
         for request in requests:
@@ -289,7 +281,7 @@ def measure_policy_group_generation(instructions: int = None,
         single_s = time.perf_counter() - start
         single_passes = len(requests)
 
-        _clear_process_memos()
+        clear_process_memos()
         requests = requests_for(group_store)
         start = time.perf_counter()
         group_jobs = execute_generation(requests, jobs=workers)

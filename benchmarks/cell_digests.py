@@ -31,9 +31,11 @@ digests either tree.  Grids (pass names to run a subset, default all):
     four ``SAMPLED_CONFIGS`` and for all seven ``make_policy`` names.
 
 A cell's signature is the ``repr`` of its sorted statistics, sorted extra
-metrics and the memory, policy, branch-unit and hierarchy
-``state_signature()``; a grid's digest hashes its cells in order.  The
-whole run takes a few minutes on one core.
+metrics, the memory, policy, branch-unit and hierarchy
+``state_signature()`` and the store-queue, policy and SVW counters (how
+often the store queue was searched and read, what the policy predicted,
+how many loads the SVW checked); a grid's digest hashes its cells in
+order.  The whole run takes a few minutes on one core.
 """
 
 import hashlib
@@ -96,7 +98,9 @@ def cell_signature(core, result) -> str:
                  core.memory.state_signature(),
                  core.policy.state_signature(),
                  core.branch_unit.state_signature(),
-                 core.hierarchy.state_signature()))
+                 core.hierarchy.state_signature(),
+                 core.store_queue.stats, core.policy.stats,
+                 core.policy.svw.stats))
 
 
 def _cells(machine, workloads, instructions, seed, warmup, sq_size=None):

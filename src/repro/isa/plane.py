@@ -124,7 +124,7 @@ class StaticProgramPlane:
             if pc < 0:
                 raise ValueError(f"negative pc {pc:#x}")
             # Registers are validated once per static instruction, here, so
-            # the per-uop hot loops can index the RAT directly.
+            # the per-uop hot loops can index per-register tables directly.
             if dest is not None:
                 validate_reg(dest)
             for src in srcs:
@@ -168,12 +168,13 @@ class StaticProgramPlane:
     def dispatch_arrays(self) -> Tuple[List, ...]:
         """The static dispatch metadata as one tuple of parallel arrays.
 
-        ``(kind, pc, dest, srcs, issue_index, latency, hint_call,
-        hint_return)`` — everything the detailed core's run loop hoists
-        before it starts, batched so the hoist is a single call.
+        ``(kind, pc, issue_index, latency, hint_call, hint_return)`` —
+        everything the detailed core's run loop hoists before it starts,
+        batched so the hoist is a single call.  The loop takes register
+        dataflow from the trace's commit facts, not from ``dest``/``srcs``.
         """
-        return (self.kind, self.pc, self.dest, self.srcs, self.issue_index,
-                self.latency, self.hint_call, self.hint_return)
+        return (self.kind, self.pc, self.issue_index, self.latency,
+                self.hint_call, self.hint_return)
 
     @classmethod
     def from_descriptors(cls, descriptors: Sequence[Descriptor]
@@ -202,13 +203,15 @@ class EncodedOps:
 
     ``commit_facts`` holds what the detailed core derives from the stream
     alone, per SVW geometry
-    (:func:`repro.pipeline.commit_facts.facts_for_run`); it is not
-    content, so equality, slicing and pickling ignore it, and an alias
-    (:meth:`with_name`) shares it with the arrays.
+    (:func:`repro.pipeline.commit_facts.facts_for_run`), and ``warm_lines``
+    the cache lines a fresh core's warm-up leaves, per cache geometry and
+    warmed length (:meth:`repro.pipeline.core.OutOfOrderCore._warm_caches`).
+    Neither is content, so equality, slicing and pickling ignore them, and
+    an alias (:meth:`with_name`) shares them with the arrays.
     """
 
     __slots__ = ("name", "plane", "sidx", "addr", "size", "value", "taken",
-                 "target", "commit_facts")
+                 "target", "commit_facts", "warm_lines")
 
     def __init__(self, plane: Optional[StaticProgramPlane] = None,
                  name: str = "") -> None:
@@ -221,6 +224,7 @@ class EncodedOps:
         self.taken: List[bool] = []
         self.target: List[int] = []
         self.commit_facts: dict = {}
+        self.warm_lines: dict = {}
 
     # ------------------------------------------------------------- building --
 
@@ -272,6 +276,7 @@ class EncodedOps:
         named.taken = self.taken
         named.target = self.target
         named.commit_facts = self.commit_facts
+        named.warm_lines = self.warm_lines
         return named
 
     def dynamic_arrays(self) -> Tuple[List, ...]:
@@ -300,6 +305,7 @@ class EncodedOps:
         out.taken = self.taken[lo:hi]
         out.target = self.target[lo:hi]
         out.commit_facts = {}
+        out.warm_lines = {}
         return out
 
     def truncated(self, max_uops: int) -> "EncodedOps":
@@ -411,6 +417,7 @@ class EncodedOps:
          self.taken, self.target) = state
         self.plane = StaticProgramPlane.from_descriptors(descriptors)
         self.commit_facts = {}
+        self.warm_lines = {}
 
 
 def encode_uops(uops: Sequence[MicroOp],

@@ -207,7 +207,17 @@ class SQPolicy:
 
     def forward(self, addr: int, size: int, older_than_ssn: int,
                 prediction: LoadPrediction, store_queue: StoreQueue) -> ForwardDecision:
-        """Access the SQ on behalf of an executing load."""
+        """Access the SQ on behalf of an executing load.
+
+        A policy forwards only from an executed, in-flight store that
+        writes the load's bytes and whose SSN is at most
+        ``older_than_ssn``.  The bound is the load's rename SSN or, as the
+        detailed core passes it, the SSN of the load's true producer (the
+        youngest older store writing any of its bytes): a store that can
+        forward to the load writes its bytes, so it is never younger than
+        the producer, and both bounds must give the same decision and make
+        the same store-queue accesses.
+        """
         raise NotImplementedError
 
     # -- commit -----------------------------------------------------------------

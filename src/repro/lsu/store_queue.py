@@ -86,14 +86,25 @@ class StoreQueue:
     # -- lifecycle --------------------------------------------------------------
 
     def allocate(self, ssn: int, pc: int, seq: int) -> StoreQueueEntry:
-        """Allocate an entry for a renamed store (program order)."""
+        """Allocate an entry for a renamed store (program order).
+
+        The slot ``ssn`` maps to must be free: an in-flight store in it
+        would become unreachable by SSN.  Consecutive SSNs never collide
+        while the queue has room, which is how the core allocates them.
+        """
         if self.is_full():
             raise RuntimeError("store queue overflow; caller must check is_full()")
         if self._entries and ssn <= self._entries[-1].ssn:
             raise ValueError("stores must be allocated in increasing SSN order")
+        slot = sq_index(ssn, self.size)
+        occupant = self._slots[slot]
+        if occupant is not None:
+            raise ValueError(
+                f"store SSN {ssn} maps to slot {slot}, which still holds "
+                f"in-flight SSN {occupant.ssn}")
         entry = StoreQueueEntry(ssn=ssn, pc=pc, seq=seq)
         self._entries.append(entry)
-        self._slots[sq_index(ssn, self.size)] = entry
+        self._slots[slot] = entry
         return entry
 
     def write_execute(self, ssn: int, addr: int, size: int, value: int) -> StoreQueueEntry:
@@ -152,11 +163,16 @@ class StoreQueue:
 
         Considers only stores with ``ssn <= before_ssn`` (i.e. older than the
         load) whose addresses are known (executed) and that fully cover the
-        load's bytes.  Returns the youngest such entry or ``None``.
+        load's bytes.  Returns the youngest such entry or ``None``.  Entries
+        are in SSN order, so when the oldest one is past ``before_ssn`` the
+        search is over at once.
         """
         self.stats.associative_searches += 1
+        entries = self._entries
+        if not entries or entries[0].ssn > before_ssn:
+            return None
         end = addr + size
-        for entry in reversed(self._entries):
+        for entry in reversed(entries):
             if entry.ssn > before_ssn:
                 continue
             # StoreQueueEntry.covers, inlined: this is the per-load search.

@@ -7,7 +7,7 @@ cycle after that.
 Design:
 
 * **One run, one window.**  The in-flight window (the ROB, the load queue,
-  the RAT, issue-queue occupancy, fetch state) and every ``SimStats``
+  issue-queue occupancy, fetch state) and every ``SimStats``
   counter are locals of one call: every run starts with an empty window at
   cycle 0, and none of it outlives the call.  The core keeps only
   long-lived machine state (caches, memory image, branch unit, policy, SSN
@@ -21,9 +21,8 @@ Design:
   two live records can never collide on a slot, and a slot is recycled the
   moment its old occupant leaves the window.  The arrays are allocated once
   per run and never grow with trace length.  A slot records the static
-  index of its instruction and reads kind, PC, destination, issue class
-  and latency through the static-plane arrays, so dispatch copies no
-  static field; a rename undo is the previous producer, an int.
+  index of its instruction and reads kind, PC, issue class and latency
+  through the static-plane arrays, so dispatch copies no static field.
 
 * **Implicit ROB.**  Dispatch is in order, commit retires the head, and a
   flush drops the whole suffix behind the flushing load and rewinds fetch
@@ -36,8 +35,8 @@ Design:
 
 * **Generation tokens, which also mark squashes.**  A flush squashes a
   suffix of the window and fetch re-dispatches the *same* sequence
-  numbers, so a raw ``seq`` stored in a side structure (consumer lists,
-  forward/delay waiter lists, completion buckets) could alias the
+  numbers, so a raw ``seq`` stored in a side structure (forward/delay
+  waiter lists, completion buckets) could alias the
   refetched instance of itself.  Every dispatch therefore stamps its slot
   with a fresh token (a global dispatch counter shifted over the slot
   bits); side structures hold tokens, and a held token that no longer
@@ -74,6 +73,21 @@ Design:
   ``type(policy)`` keeps the base method; the same identity test selects
   the inlined store-commit path.
 
+* **Register dataflow from the trace, not a RAT.**  Every run starts with
+  an empty window, so which instruction produces each source register is
+  fixed by the trace: the youngest older writer of the register
+  (:class:`~repro.pipeline.commit_facts.CommitFacts` ``sources``, as
+  distances back).  That writer is in flight exactly when it is at or
+  above ``rob_head`` (once it commits, every older writer has too), and
+  after a flush fetch re-dispatches in order, so its live instance always
+  dispatched first.  Dispatch therefore counts a source as pending when its
+  producer is in the window and not completed; there is no rename table to
+  update at dispatch, release at commit or restore at a squash.  A
+  completing producer wakes its consumers (``consumers``, ascending) that
+  have dispatched and stops at the first that has not: one in the window
+  was dispatched while the producer was incomplete, so it counted it.  No
+  per-producer wake-up list is kept.
+
 * **Commit facts, not commit-time probes.**  What a load sees when it
   commits depends only on the trace and the run's start state, never on
   timing (:mod:`repro.pipeline.commit_facts`): the committed value of its
@@ -87,6 +101,17 @@ Design:
   update the memory image and the SVW tables at commit (issue reads the
   image, and both are machine state the run hands on).
 
+* **The store-queue access is bounded by the load's true producer.**  A
+  store that can forward to a load writes the load's bytes, so its SSN is
+  at most the producer's (the youngest older writer of any of them): a
+  load passes the producer's SSN to ``policy.forward`` as the bound, which
+  every policy answers as it would the rename SSN
+  (:meth:`~repro.lsu.policies.SQPolicy.forward`), and an associative search
+  whose producer has committed finds the oldest entry past the bound and
+  stops at once.  Such a load forwards from nothing, and memory already
+  holds its committed bytes, so it takes its committed value from the facts
+  instead of reading the memory image.
+
 The frozen counters in ``tests/golden/`` and the seed-stack reference
 properties (``tests/property/test_core_reference.py``) pin every
 ``SimStats`` counter, policy/predictor interaction, flush, and replay.
@@ -98,14 +123,9 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE
-from repro.isa.registers import REG_ZERO, TOTAL_REG_COUNT
 from repro.lsu.policies import LoadCommitInfo, SQPolicy
 from repro.lsu.store_queue import StoreQueueEntry
 from repro.pipeline.stats import SimStats
-
-#: RAT entry of a register with no in-flight producer (its value is
-#: architectural).
-ARCH_READY = -1
 
 #: Lifecycle states of an in-flight record.
 WAITING = 0      # on a source, a forwarding store or a delay-index store
@@ -140,10 +160,12 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     f_value = facts.value
     f_svw_ssn = facts.svw_ssn
     f_svw_pc = facts.svw_pc
+    f_sources = facts.sources
+    f_consumers = facts.consumers
 
     plane = encoded.plane
-    (kind_arr, pc_arr, dest_arr, srcs_arr, iidx_arr, latency_arr,
-     hint_call_arr, hint_return_arr) = plane.dispatch_arrays()
+    (kind_arr, pc_arr, iidx_arr, latency_arr, hint_call_arr,
+     hint_return_arr) = plane.dispatch_arrays()
     (sidx, addr_arr, size_arr, value_arr, taken_arr,
      target_arr) = encoded.dynamic_arrays()
     total = len(sidx)
@@ -228,8 +250,6 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     sq_squash_younger = sq.squash_younger
     load_info_cls = LoadCommitInfo
     load_info_new = LoadCommitInfo.__new__
-    reg_zero = REG_ZERO
-    arch_ready = ARCH_READY
 
     # --------------------------------------------- struct-of-arrays state --
     cap = 1 << (rob_size - 1).bit_length() if rob_size > 1 else 1
@@ -242,10 +262,8 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     v_wait_srcs = [0] * cap
     v_wait_fwd = [0] * cap
     v_wait_dly = [0] * cap
-    v_consumers = [None] * cap     # list of consumer tokens, or None
     v_other_ready = [0] * cap
     v_completion = [0] * cap
-    v_rat_undo = [0] * cap         # previous producer of the destination
     v_addr = [0] * cap
     v_size = [0] * cap
     v_value = [0] * cap            # store value
@@ -267,13 +285,11 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
     # sequence numbers [rob_head, fetch_seq).  The load queue keeps its
     # order in a plain int deque, its occupancy shadowed in a counter; only
     # the store queue keeps entry objects (policies probe it directly).
-    # The RAT maps each register to its youngest in-flight producer's seq.
     lq_seqs = deque()
     lq_popleft = lq_seqs.popleft
     lq_push = lq_seqs.append
     lq_occ = 0
     rob_maxocc = 0
-    rat_map = [ARCH_READY] * TOTAL_REG_COUNT
 
     load_heap = []                 # ready loads' seqs
     other_heap = []                # every other ready seq
@@ -412,25 +428,26 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                         resume = cycle + branch_redirect_penalty
                         if resume > fetch_resume:
                             fetch_resume = resume
-                    consumers = v_consumers[i]
-                    if consumers:
-                        for ctok in consumers:
-                            ci = ctok & mask
-                            if v_tok[ci] != ctok:
-                                continue
-                            w = v_wait_srcs[ci] = v_wait_srcs[ci] - 1
-                            # The last source wakes a record that has been
-                            # waiting since dispatch.
-                            if w == 0 and not v_wait_fwd[ci]:
-                                if v_other_ready[ci] < 0:
-                                    v_other_ready[ci] = cycle
-                                if not v_wait_dly[ci]:
-                                    v_state[ci] = READY
-                                    if kind_arr[v_si[ci]] == KIND_LOAD:
-                                        heappush(load_heap, v_seq[ci])
-                                    else:
-                                        heappush(other_heap, v_seq[ci])
-                        v_consumers[i] = None
+                    pseq = v_seq[i]
+                    for dist in f_consumers[pseq]:
+                        # Every dispatched consumer is in the window and
+                        # counted this producer; the rest are not fetched.
+                        cseq = pseq + dist
+                        if cseq >= fetch_seq:
+                            break
+                        ci = cseq & mask
+                        w = v_wait_srcs[ci] = v_wait_srcs[ci] - 1
+                        # The last source wakes a record that has been
+                        # waiting since dispatch.
+                        if w == 0 and not v_wait_fwd[ci]:
+                            if v_other_ready[ci] < 0:
+                                v_other_ready[ci] = cycle
+                            if not v_wait_dly[ci]:
+                                v_state[ci] = READY
+                                if kind_arr[v_si[ci]] == KIND_LOAD:
+                                    heappush(load_heap, cseq)
+                                else:
+                                    heappush(other_heap, cseq)
 
         # --------------------------------------------------------- commit --
         committed_now = 0
@@ -445,10 +462,6 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                 committed_now += 1
                 committed_total += 1
                 si = v_si[i]
-                dest = dest_arr[si]
-                if dest is not None and dest != reg_zero \
-                        and rat_map[dest] == seq0:
-                    rat_map[dest] = arch_ready
                 kind = kind_arr[si]
                 if kind == KIND_STORE:
                     addr = v_addr[i]
@@ -557,9 +570,6 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                             v_tok[vi] = -1
                             v_seq[vi] = -1
                             vsi = v_si[vi]
-                            vdest = dest_arr[vsi]
-                            if vdest is not None and vdest != reg_zero:
-                                rat_map[vdest] = v_rat_undo[vi]
                             if v_state[vi] < ISSUED:
                                 iq_occ -= 1
                             if kind_arr[vsi] == KIND_STORE:
@@ -643,9 +653,11 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                     addr = v_addr[i]
                     size = v_size[i]
                     prediction = v_pred[i]
-                    v_should_fwd[i] = \
-                        1 if f_producer[lseq] > ssn_commit else 0
-                    decision = policy_forward(addr, size, v_ssn_ren[i],
+                    # No store younger than the true producer writes the
+                    # load's bytes, so it bounds the SQ access.
+                    producer = f_producer[lseq]
+                    should_fwd = v_should_fwd[i] = producer > ssn_commit
+                    decision = policy_forward(addr, size, producer,
                                               prediction, sq)
                     if mlp_hier is not None:
                         cache_latency = mlp_load_access(addr, cycle,
@@ -661,7 +673,10 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                         v_svw_ssn[i] = fwd_ssn
                         actual = forwarded_latency
                     else:
-                        v_spec[i] = memory_read(addr, size)
+                        # With no older writer in flight, memory already
+                        # holds the bytes the load commits with.
+                        v_spec[i] = memory_read(addr, size) if should_fwd \
+                            else f_value[lseq]
                         v_svw_ssn[i] = ssn_commit
                         actual = cache_latency
                     if fast_assumed:
@@ -760,33 +775,19 @@ def run_core_loop(core, encoded, facts, warmup_committed, stop_committed):
                 # entry left by its squashed instance), which must read as
                 # not completed.
                 v_state[i] = WAITING
-                v_consumers[i] = None
                 fetch_seq = rseq + 1
                 dispatched += 1
                 iq_occ += 1
 
+                # A source waits on a producer still in the window (one
+                # below rob_head has committed) that has not completed.
                 wait_srcs = 0
-                for src in srcs_arr[si]:
-                    if src == reg_zero:
-                        continue
-                    pseq = rat_map[src]
-                    if pseq == arch_ready:
-                        continue
-                    pi = pseq & mask
-                    if v_seq[pi] != pseq or v_state[pi] == COMPLETED:
-                        continue
-                    wait_srcs += 1
-                    consumers = v_consumers[pi]
-                    if consumers is None:
-                        v_consumers[pi] = [tok]
-                    else:
-                        consumers.append(tok)
+                for dist in f_sources[rseq]:
+                    pseq = rseq - dist
+                    if pseq >= rob_head \
+                            and v_state[pseq & mask] != COMPLETED:
+                        wait_srcs += 1
                 v_wait_srcs[i] = wait_srcs
-
-                dest = dest_arr[si]
-                if dest is not None and dest != reg_zero:
-                    v_rat_undo[i] = rat_map[dest]
-                    rat_map[dest] = rseq
 
                 wait_fwd = 0
                 wait_dly = 0

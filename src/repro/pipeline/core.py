@@ -58,6 +58,16 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.stats import SimStats
 
 
+#: How many leading trace instructions :meth:`OutOfOrderCore._warm_caches`
+#: pre-touches the memory lines of.
+WARM_INSTRUCTIONS = 4000
+
+
+def _copy_sets(sets: dict) -> dict:
+    """A copy of a cache's per-set tag lists (LRU order included)."""
+    return {index: ways[:] for index, ways in sets.items()}
+
+
 def _exported_writer(entry: tuple) -> tuple:
     """A last-writer entry as :meth:`OutOfOrderCore.export_state` hands it
     out: the SSN, with PC 0 and dynamic index -1 (not tracked here)."""
@@ -124,6 +134,9 @@ class OutOfOrderCore:
         # (trace, committed count, SSN before its first store) of the run,
         # from which export_state adds the run's committed stores to the map.
         self._run_stores = None
+        # Instructions retired before this core's start state: 0 for a
+        # fresh core, the imported state's count after import_state.
+        self._instructions_before = 0
 
     # ---------------------------------------------------------- state import --
 
@@ -139,7 +152,8 @@ class OutOfOrderCore:
         :mod:`repro.pipeline.commit_facts`).
         Statistics *counters* on the imported components are reset so a
         subsequent run reports only its own activity; the predictive/tag
-        state itself stays warm.
+        state itself stays warm.  The state's ``instructions_warmed`` is
+        kept: :meth:`export_state` adds the run's commits to it.
         """
         from repro.lsu.policies import PolicyStats
         from repro.core.svw import SVWStats
@@ -153,6 +167,7 @@ class OutOfOrderCore:
         self.ssn_alloc = state.ssn_alloc
         self.policy = state.policy
         self._last_writer = state.last_writer
+        self._instructions_before = state.instructions_warmed
         self.hierarchy.reset_stats()
         self.branch_unit.reset_stats()
         self.policy.stats = PolicyStats()
@@ -182,11 +197,15 @@ class OutOfOrderCore:
         every store the run committed.  The writer's PC and dynamic index
         are not tracked by the detailed core and are exported as
         ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes the
-        SSN.
+        SSN.  ``instructions_warmed`` counts every instruction retired
+        into the state: the start state's count (0 for a fresh core) plus
+        every instruction the run committed, its statistics warm-up
+        included.
         """
         from repro.sampling.functional import FunctionalState
 
         words = self._last_writer
+        committed = 0
         if self._run_stores is not None:
             encoded, committed, ssn = self._run_stores
             words = dict(words)
@@ -206,7 +225,7 @@ class OutOfOrderCore:
                               ssn_rename=self.ssn_alloc.ssn_commit),
             policy=self.policy,
             last_writer=map_entries(words, _exported_writer),
-            instructions_warmed=self.stats.committed,
+            instructions_warmed=self._instructions_before + committed,
         )
 
     # ------------------------------------------------------------------ run --
@@ -310,11 +329,35 @@ class OutOfOrderCore:
 
         The paper warms caches/predictors for 8% of each sample; touching the
         first few thousand accesses approximates starting from a warm state
-        without perturbing the timing statistics."""
-        warm = self.hierarchy.warm
-        kind = encoded.plane.kind
+        without perturbing the timing statistics.
+
+        From empty caches, the lines this leaves in L1 and L2 (LRU order
+        included) depend only on the trace's first
+        :data:`WARM_INSTRUCTIONS` memory accesses and the two cache
+        geometries, so the first fresh core keeps a copy on the trace
+        (:attr:`~repro.isa.plane.EncodedOps.warm_lines`, keyed by the L1
+        and L2 configs and the warmed length) and every later fresh core of
+        the same geometry copies it in instead of touching the lines.
+        Caches that already hold lines (an imported state) are touched as
+        always.  Warming counts no access either way."""
+        hierarchy = self.hierarchy
+        caches = (hierarchy.l1, hierarchy.l2)
         sidx = encoded.sidx
+        length = min(len(sidx), WARM_INSTRUCTIONS)
+        fresh = not any(cache._sets for cache in caches)
+        if fresh:
+            key = (caches[0].config, caches[1].config, length)
+            lines = encoded.warm_lines.get(key)
+            if lines is not None:
+                for cache, sets in zip(caches, lines):
+                    cache._sets = _copy_sets(sets)
+                return
+        warm = hierarchy.warm
+        kind = encoded.plane.kind
         addr = encoded.addr
-        for i in range(min(len(sidx), 4000)):
+        for i in range(length):
             if kind[sidx[i]] >= KIND_LOAD:   # loads and stores carry mem
                 warm(addr[i])
+        if fresh:
+            encoded.warm_lines[key] = tuple(_copy_sets(cache._sets)
+                                            for cache in caches)

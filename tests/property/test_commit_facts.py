@@ -1,4 +1,4 @@
-"""Differential property: the commit-order load facts against the live
+"""Differential properties: the commit-order facts against the live
 structures they stand in for.
 
 :func:`repro.pipeline.commit_facts.compute_commit_facts` replays a trace
@@ -17,6 +17,10 @@ end, and SPCT sizes that differ from the SSBF's), the last-writer map holds
 per-byte lists from narrow stores, and the next SSN is far from 1.
 Accesses are 1, 2, 4 or 8 bytes at any offset over a few words, so they
 land aligned, unaligned within a word and straddling two words.
+
+The register dataflow of the same pass is checked against a rename table
+walked in program order, on traces over three registers and the zero
+register, where sources are named twice and destinations reuse a source.
 """
 
 import hypothesis.strategies as st
@@ -25,7 +29,15 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.predictors import SVWConfig
 from repro.core.svw import SVWFilter
 from repro.isa.plane import encode_uops
-from repro.isa.uop import make_alu, make_load, make_store
+from repro.isa.registers import REG_ZERO
+from repro.isa.uop import (
+    MicroOp,
+    OpClass,
+    make_alu,
+    make_branch,
+    make_load,
+    make_store,
+)
 from repro.memory import last_writer
 from repro.memory.image import MemoryImage
 from repro.pipeline.commit_facts import compute_commit_facts
@@ -136,3 +148,96 @@ def test_facts_match_the_live_structures(start, ops):
             live_memory.write(addr, size, _value(raw, size))
             live_svw.store_committed(addr, size, ssn, pc)
             last_writer.write(live_words, addr, size, (ssn, pc, index))
+
+
+# ---------------------------------------------------------------------------
+# Register dataflow
+# ---------------------------------------------------------------------------
+
+#: Few registers, so they are reused; the zero register among them.
+_REGS = st.sampled_from([1, 2, 3, REG_ZERO])
+
+_flow_op = st.tuples(
+    st.sampled_from(["alu", "alu", "load", "store", "branch"]),
+    st.one_of(st.none(), _REGS),
+    # Up to three sources, drawn with replacement: a register named twice,
+    # and often the instruction's own destination.
+    st.lists(_REGS, max_size=3).map(tuple),
+    st.integers(min_value=0, max_value=_SPAN - 8),
+)
+
+
+def _flow_trace(ops):
+    uops = []
+    for index, (kind, dest, srcs, offset) in enumerate(ops):
+        pc = 0x400 + 4 * index
+        addr = _BASE + offset
+        if kind == "load":
+            uops.append(make_load(pc, dest=REG_ZERO if dest is None else dest,
+                                  addr=addr, srcs=srcs))
+        elif kind == "store":
+            uops.append(make_store(pc, addr=addr, value=index, srcs=srcs))
+        elif kind == "branch":
+            uops.append(make_branch(pc, taken=False, srcs=srcs))
+        else:
+            uops.append(MicroOp(pc=pc, op_class=OpClass.INT_ALU, dest=dest,
+                                srcs=srcs))
+    return uops
+
+
+def _rat_walk(uops):
+    """Reference dataflow: a rename table walked in program order.  Each
+    source reads the table before the instruction's own destination is
+    written; the zero register is never renamed."""
+    table = {}
+    sources = []
+    for index, uop in enumerate(uops):
+        sources.append(tuple(index - table[src] for src in uop.srcs
+                             if src != REG_ZERO and src in table))
+        if uop.dest is not None and uop.dest != REG_ZERO:
+            table[uop.dest] = index
+    consumers = [[] for _ in uops]
+    for index, distances in enumerate(sources):
+        for distance in distances:
+            consumers[index - distance].append(distance)
+    return sources, [tuple(distances) for distances in consumers]
+
+
+def _fresh_facts(encoded):
+    return compute_commit_facts(encoded, MemoryImage(), SVWFilter(), {}, 1)
+
+
+def _lists(facts):
+    return (facts.producer_ssn, facts.value, facts.svw_ssn, facts.svw_pc,
+            facts.sources, facts.consumers)
+
+
+@_SETTINGS
+@given(ops=st.lists(_flow_op, min_size=1, max_size=60), data=st.data())
+def test_dataflow_matches_a_rename_table(ops, data):
+    uops = _flow_trace(ops)
+    encoded = encode_uops(uops)
+    facts = _fresh_facts(encoded)
+    sources, consumers = _rat_walk(uops)
+    assert facts.sources == sources
+    assert facts.consumers == consumers
+    for index, distances in enumerate(facts.consumers):
+        assert list(distances) == sorted(distances), index
+    # Equal tuples are one object: a list slot costs one pointer.
+    seen = {}
+    for distances in facts.sources + facts.consumers:
+        assert seen.setdefault(distances, distances) is distances
+
+    # A window starts with every register architectural: its facts are the
+    # trace's, less the producers before the window (and the consumers
+    # after it), and equal a fresh computation over the window alone.
+    lo = data.draw(st.integers(min_value=0, max_value=len(uops) - 1))
+    hi = data.draw(st.integers(min_value=lo + 1, max_value=len(uops)))
+    window = _fresh_facts(encoded.slice(lo, hi))
+    assert _lists(window) == _lists(_fresh_facts(encode_uops(uops[lo:hi])))
+    assert window.sources == [
+        tuple(d for d in facts.sources[i] if i - d >= lo)
+        for i in range(lo, hi)]
+    assert window.consumers == [
+        tuple(d for d in facts.consumers[i] if i + d < hi)
+        for i in range(lo, hi)]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core.predictors import SVWConfig
 from repro.core.svw import SVWFilter
@@ -229,10 +229,19 @@ def _sq_state(sq) -> tuple:
 
 @_SETTINGS
 @given(st.sampled_from([4, 8, 16]), st.lists(_sq_op, min_size=1, max_size=_STEPS))
+# A squash that left SSNs unallocated once put SSN 5 in the slot of the
+# in-flight SSN 1, so executing SSN 1 raised KeyError in both queues.
+@example(4, [("allocate", 0, 0x100, 8, 0)] * 16
+         + [("squash", 1, 0x100, 8, 0), ("allocate", 0, 0x100, 8, 0),
+            ("execute", 0, 0x100, 8, 0)])
 def test_store_queue_matches_seed_queue(size, ops):
+    """SSNs are allocated as the core allocates them: consecutively, and a
+    squash rewinds the allocator to the squash point, clamped at the last
+    committed SSN (``SSNAllocator.rewind_rename``)."""
     sq = StoreQueue(size)
     seed = seed_sq.StoreQueue(size)
     next_ssn = 1
+    committed = 0
     for op, pick, addr, width, value in ops:
         inflight = [e.ssn for e in seed.entries_in_order()]
         if op == "allocate":
@@ -251,11 +260,13 @@ def test_store_queue_matches_seed_queue(size, ops):
             if not inflight:
                 continue
             assert astuple(sq.release(inflight[0])) == astuple(seed.release(inflight[0]))
+            committed = inflight[0]
         elif op == "squash":
             ssn = next_ssn - 1 - pick % 4
             got = sq.squash_younger(ssn)
             want = seed.squash_younger(ssn)
             assert [astuple(e) for e in got] == [astuple(e) for e in want]
+            next_ssn = max(ssn, committed) + 1
         else:
             # Loads name any recent SSN, older or younger than the queue.
             before = next_ssn - pick % (size + 3)

@@ -1,7 +1,8 @@
 """Unit tests for the benchmark tooling under ``benchmarks/``: the git
 provenance and source fingerprints in every ``BENCH_*.json`` envelope, the
-committed-artifact checker ``ci_artifact_check.py``, and the original
-Store Sets drain sweep ``ci_storesets_sweep.py``."""
+process-memo reset timed legs start from, the committed-artifact checker
+``ci_artifact_check.py``, and the original Store Sets drain sweep
+``ci_storesets_sweep.py``."""
 
 import json
 import subprocess
@@ -57,6 +58,35 @@ class TestGitProvenance:
         assert _common.git_provenance(tmp_path)["dirty"] is False
         (tmp_path / "tracked.txt").write_text("edited")
         assert _common.git_provenance(tmp_path) == {"sha": head, "dirty": True}
+
+
+class TestClearProcessMemos:
+    def test_every_memo_is_left_empty(self):
+        from repro.exec import cache, jobs
+        from repro.exec.jobs import JobSpec, _trace_for
+        from repro.harness.runner import ExperimentSettings, make_policy
+        from repro.memory import image
+        from repro.pipeline.config import CoreConfig
+        from repro.pipeline.core import OutOfOrderCore
+        from repro.sampling import driver
+        from repro.workloads import suites
+
+        settings = ExperimentSettings(instructions=600)
+        trace = _trace_for(JobSpec("gzip", "indexed-3-fwd", settings))
+        OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd")).run(trace)
+        cache._canonical_pickle(settings)
+        driver._FACTS_CACHE["probe"] = None
+        assert suites._SEGMENT_CACHE and jobs._TRACE_CACHE
+        assert image._background_word.cache_info().currsize
+        assert cache._canonical_pickle.cache_info().currsize
+        assert trace.commit_facts and trace.warm_lines
+
+        _common.clear_process_memos([trace])
+        assert not suites._SEGMENT_CACHE and not jobs._TRACE_CACHE
+        assert image._background_word.cache_info().currsize == 0
+        assert cache._canonical_pickle.cache_info().currsize == 0
+        assert not driver._FACTS_CACHE
+        assert not trace.commit_facts and not trace.warm_lines
 
 
 class TestSourceFingerprints:

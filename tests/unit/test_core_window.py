@@ -1,8 +1,9 @@
 """The detailed core's in-flight window, observed through a run.
 
-The ROB, issue queue, load queue and RAT exist only as locals of
-:func:`repro.pipeline._vector_loop.run_core_loop`, so these tests pin their
-behaviour from outside, on hand-built traces whose timing is known.  Each
+The ROB, issue queue and load queue exist only as locals of
+:func:`repro.pipeline._vector_loop.run_core_loop`, and register renaming
+only as the trace's dataflow facts, so these tests pin their behaviour
+from outside, on hand-built traces whose timing is known.  Each
 trace starts with a load that misses all the way to memory (the run does
 not pre-touch the caches), which holds the head of the window for at least
 the memory latency.
@@ -18,7 +19,9 @@ the memory latency.
   it, and the run still commits every instruction with the right values.
 * Continuation: a run that stops mid-trace, even right after a flush,
   exports its state as of its last commit, so a new core that imports it
-  and runs the rest of the trace ends as one uninterrupted run.
+  and runs the rest of the trace ends as one uninterrupted run; the
+  exported count of retired instructions includes the statistics warm-up
+  and the imported state's own count.
 """
 
 import dataclasses
@@ -33,6 +36,7 @@ from repro.isa.uop import OpClass, make_alu, make_load, make_store
 from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
+from repro.workloads.suites import build_workload
 
 #: A line no run has touched: a load from it goes to memory.
 MISS = 0x10_0000
@@ -328,11 +332,13 @@ def test_export_after_a_flush_holds_committed_stores_only():
 
 def _end_state(core):
     """What a continuation must reproduce: the memory image, the SVW, the
-    per-byte last-writer map and the SSN counters."""
+    per-byte last-writer map, the SSN counters and the count of retired
+    instructions."""
     state = core.export_state()
     return (core.memory.state_signature(), core.policy.svw.state_signature(),
             per_byte(state.last_writer),
-            (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename))
+            (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename),
+            state.instructions_warmed)
 
 
 @pytest.mark.parametrize("stop", [1, 3, 6, 20, 50, 100])
@@ -352,3 +358,29 @@ def test_a_stopped_run_continues_on_a_new_core(stop):
     second.run(DynamicTrace(name="rest", uops=uops[committed:]),
                warm_memory=False)
     assert _end_state(second) == _end_state(whole)
+
+
+def test_the_export_counts_the_statistics_warm_up():
+    """A run that discards its first 500 instructions' statistics and stops
+    1000 measured instructions later has retired about 1500 instructions
+    into its state, not the 1000 it measured; a new core that imports the
+    state, runs the rest of the trace and exports counts all 2000."""
+    trace = build_workload("gzip", instructions=2000, seed=1)
+    result, first = _run(list(trace), stats_warmup_instructions=500,
+                         stats_measure_instructions=1000)
+    warmed = first.export_state().instructions_warmed
+    assert 1500 <= warmed < 1500 + CoreConfig().commit_width
+    assert result.stats.committed < warmed - 500
+    second = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
+    second.import_state(first.export_state())
+    second.run(trace[warmed:], warm_memory=False)
+    assert second.export_state().instructions_warmed == len(trace)
+    _result, whole = _run(list(trace))
+    assert _end_state(second) == _end_state(whole)
+
+
+def test_a_fresh_core_exports_its_committed_count():
+    core = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
+    assert core.export_state().instructions_warmed == 0
+    result, core = _run(_export_trace())
+    assert core.export_state().instructions_warmed == result.stats.committed

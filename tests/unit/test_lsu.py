@@ -37,6 +37,20 @@ class TestStoreQueue:
         with pytest.raises(ValueError):
             sq.allocate(ssn=5, pc=0x404, seq=1)
 
+    def test_allocate_refuses_an_occupied_slot(self):
+        """SSNs 1 and 5 share slot 1 of a 4-entry queue: allocating 5 while
+        1 is in flight raises instead of leaving 1 unreachable by SSN."""
+        sq = self._sq(size=4)
+        for ssn in (1, 2, 3):
+            sq.allocate(ssn, 0x400 + 4 * ssn, ssn)
+        with pytest.raises(ValueError, match="in-flight SSN 1"):
+            sq.allocate(5, 0x414, 5)
+        assert [entry.ssn for entry in sq.entries_in_order()] == [1, 2, 3]
+        assert sq.write_execute(1, addr=0x1000, size=8, value=1).ssn == 1
+        # Once SSN 1 commits, its slot is free for SSN 5.
+        sq.release(1)
+        assert sq.allocate(5, 0x414, 5) is sq.read_indexed(5)
+
     def test_overflow_detected(self):
         sq = self._sq(size=2)
         sq.allocate(1, 0x400, 0)
