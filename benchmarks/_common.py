@@ -27,9 +27,12 @@ Environment knobs:
 """
 
 import datetime
+import gc
 import json
 import os
+import statistics
 import subprocess
+import time
 from pathlib import Path
 
 from repro.exec import available_cpus
@@ -92,6 +95,51 @@ def clear_process_memos(traces=()) -> None:
     for trace in traces:
         trace.commit_facts.clear()
         trace.warm_lines.clear()
+
+
+def timed_once(leg):
+    """One timed execution of ``leg()`` with GC isolation; returns
+    ``(result, seconds)``.
+
+    The collector runs normally *inside* the timed region — allocator and
+    collector pressure are part of what the encoded plane and the
+    struct-of-arrays loop remove, so quiescing the GC would hide a real
+    component of the win.  What must not leak between legs is heap debris:
+    survivors of earlier legs would make later legs' collections scan ever
+    more memory.  ``gc.freeze()`` parks the pre-leg heap outside the
+    collector for the duration of the region, so every leg pays exactly its
+    own GC cost.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        result = leg()
+        return result, time.perf_counter() - start
+    finally:
+        gc.unfreeze()
+
+
+def timed_interleaved(legs, repeats):
+    """Time every ``(name, leg)`` ``repeats`` times, *interleaved*.
+
+    Shared machines drift (CI neighbours, thermal throttling): measuring
+    each leg's repetitions back-to-back bakes whatever the machine was
+    doing during *that leg's* window into the recorded ratios.  Round-robin
+    ordering — every leg once per round — spreads drift evenly over all
+    legs, so the per-leg medians move together and the ratios stay stable.
+    Each leg clears the process memos it reads itself.  Returns ``{name:
+    (last_result, median_seconds, round_seconds)}`` in input order.
+    """
+    times = {name: [] for name, _ in legs}
+    results = {}
+    for _ in range(repeats):
+        for name, leg in legs:
+            result, seconds = timed_once(leg)
+            results[name] = result
+            times[name].append(seconds)
+    return {name: (results[name], statistics.median(times[name]), times[name])
+            for name, _ in legs}
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -27,15 +27,16 @@ derived metrics of every one of the 282 cells.  The bars: the core stays
 measurements land in ``BENCH_core.json`` at the repo root.
 """
 
-import gc
-import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import clear_process_memos, write_bench_json  # noqa: E402
+from _common import (  # noqa: E402
+    clear_process_memos,
+    timed_interleaved,
+    write_bench_json,
+)
 import legacy_ref  # noqa: E402
 from legacy_ref import suites as legacy_suites  # noqa: E402
 
@@ -91,49 +92,6 @@ def _cell_signature(result):
     return _stats_signature(result), tuple(sorted(result.extra.items()))
 
 
-def _timed_once(leg):
-    """One timed execution with GC isolation.
-
-    The collector runs normally *inside* the timed region — allocator and
-    collector pressure are part of what the encoded plane and the
-    struct-of-arrays loop remove, so quiescing the GC would hide a real
-    component of the win.  What must not leak between legs is heap debris:
-    survivors of earlier legs would make later legs' collections scan ever
-    more memory.  ``gc.freeze()`` parks the pre-leg heap outside the
-    collector for the duration of the region, so every leg pays exactly its
-    own GC cost.
-    """
-    gc.collect()
-    gc.freeze()
-    try:
-        start = time.perf_counter()
-        result = leg()
-        return result, time.perf_counter() - start
-    finally:
-        gc.unfreeze()
-
-
-def _timed_interleaved(legs, repeats=REPEATS):
-    """Median-of-N per leg, with the repetitions *interleaved* across legs.
-
-    Shared machines drift (CI neighbours, thermal throttling): measuring
-    each leg's repetitions back-to-back bakes whatever the machine was
-    doing during *that leg's* window into the recorded ratios.  Round-robin
-    ordering — every leg once per round — spreads drift evenly over all
-    legs, so the per-leg medians move together and the ratios stay stable.
-    Returns ``{name: (last_result, median_seconds)}`` in input order.
-    """
-    times = {name: [] for name, _ in legs}
-    results = {}
-    for _ in range(repeats):
-        for name, leg in legs:
-            result, seconds = _timed_once(leg)
-            results[name] = result
-            times[name].append(seconds)
-    return {name: (results[name], statistics.median(times[name]))
-            for name, _ in legs}
-
-
 def measure_cell_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
     """Measure both stacks on the cell; asserts bit-identity."""
     settings = ExperimentSettings(instructions=instructions)
@@ -160,9 +118,10 @@ def measure_cell_throughput(instructions=CORE_BENCH_INSTRUCTIONS, seed=1):
         return core.run(trace,
                         stats_warmup_fraction=settings.stats_warmup_fraction)
 
-    measured = _timed_interleaved([("legacy", legacy_leg), ("core", core_leg)])
-    legacy_result, legacy_s = measured["legacy"]
-    core_result, core_s = measured["core"]
+    measured = timed_interleaved([("legacy", legacy_leg),
+                                  ("core", core_leg)], REPEATS)
+    legacy_result, legacy_s, _ = measured["legacy"]
+    core_result, core_s, _ = measured["core"]
     assert _stats_signature(core_result) == _stats_signature(legacy_result), \
         "the core diverged from the frozen seed stack"
 
@@ -211,9 +170,10 @@ def measure_mix_throughput(instructions=MIX_INSTRUCTIONS, seed=1):
                 .run(trace, stats_warmup_fraction=warmup)
                 for trace in core_traces for config in MIX_CONFIGS]
 
-    measured = _timed_interleaved([("legacy", legacy_leg), ("core", core_leg)])
-    legacy_results, legacy_s = measured["legacy"]
-    core_results, core_s = measured["core"]
+    measured = timed_interleaved([("legacy", legacy_leg),
+                                  ("core", core_leg)], REPEATS)
+    legacy_results, legacy_s, _ = measured["legacy"]
+    core_results, core_s, _ = measured["core"]
     cells = len(names) * len(MIX_CONFIGS)
     assert len(core_results) == len(legacy_results) == cells
     identical = sum(_cell_signature(core) == _cell_signature(legacy)

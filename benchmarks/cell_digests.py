@@ -27,8 +27,16 @@ digests either tree.  Grids (pass names to run a subset, default all):
 ``snapshots-4`` / ``snapshots-7``
     Checkpoint snapshots of perfbench's ``sampled-ckpt`` settings for
     seeds 1-3 (one line per seed) in a private store: every interval's
-    shared-snapshot signature and every policy snapshot's pickle, for the
-    four ``SAMPLED_CONFIGS`` and for all seven ``make_policy`` names.
+    shared snapshot, by structure (the branch-unit, hierarchy and memory
+    ``state_signature()``, the SSN counters and ``instructions_warmed``,
+    so trees whose snapshots hold different sets of structures compare),
+    and every policy snapshot's pickle, for the four ``SAMPLED_CONFIGS``
+    and for all seven ``make_policy`` names.
+``intervals-7``
+    Every interval of the same settings for seeds 1-3 (one line per seed),
+    both programs and all seven names, each run through
+    ``run_interval_job`` from the snapshots of a private store and
+    digested with the cell signature of the core that ran it.
 
 A cell's signature is the ``repr`` of its sorted statistics, sorted extra
 metrics, the memory, policy, branch-unit and hierarchy
@@ -145,13 +153,22 @@ def mshr():
     return count, digest.hexdigest()
 
 
+def _shared_structures(shared) -> str:
+    """The structures a shared snapshot hands a detailed core, by name."""
+    alloc = shared.ssn_alloc
+    return repr((shared.branch_unit.state_signature(),
+                 shared.hierarchy.state_signature(),
+                 shared.memory.state_signature(),
+                 (alloc.bits, alloc.ssn_rename, alloc.ssn_commit, alloc.wraps),
+                 shared.instructions_warmed))
+
+
 def snapshots(names, seed):
     from repro.sampling.checkpoints import (
         CheckpointStore,
         generate_checkpoints,
         policy_key,
         shared_key,
-        shared_signature,
     )
 
     settings = sampled_settings(seed, SIZES["full"]["sampled-ckpt"])
@@ -164,12 +181,52 @@ def snapshots(names, seed):
             generate_checkpoints(store, program, settings, identities)
             for index in range(settings.sampling.num_intervals(
                     settings.instructions)):
-                digest.update(repr(shared_signature(
-                    store.get(shared_key(program, settings, index)))).encode())
+                digest.update(_shared_structures(
+                    store.get(shared_key(program, settings, index))).encode())
                 for identity in identities:
                     digest.update(pickle.dumps(store.get(
                         policy_key(program, settings, identity, index))))
                 count += 1
+    return count, digest.hexdigest()
+
+
+class _RecordedCore(OutOfOrderCore):
+    """A core that remembers the last instance to run, so the digest can
+    read the machine state an interval job leaves behind."""
+
+    last = None
+
+    def run(self, *args, **kwargs):
+        _RecordedCore.last = self
+        return super().run(*args, **kwargs)
+
+
+def intervals(seed):
+    from repro.exec.jobs import IntervalJobSpec
+    from repro.sampling import driver
+    from repro.sampling.checkpoints import CheckpointStore, generate_checkpoints
+
+    settings = sampled_settings(seed, SIZES["full"]["sampled-ckpt"])
+    identities = [(name, settings.sq_size, None) for name in ALL_POLICY_NAMES]
+    digest = hashlib.sha256()
+    count = 0
+    driver.OutOfOrderCore = _RecordedCore
+    try:
+        with tempfile.TemporaryDirectory(prefix="cell-digests-") as directory:
+            store = CheckpointStore(directory)
+            for program in SAMPLED_PROGRAMS:
+                generate_checkpoints(store, program, settings, identities)
+                for index in range(settings.sampling.num_intervals(
+                        settings.instructions)):
+                    for name in ALL_POLICY_NAMES:
+                        record = driver.run_interval_job(IntervalJobSpec(
+                            program, name, settings, index,
+                            checkpoint_dir=directory))
+                        digest.update(cell_signature(
+                            _RecordedCore.last, record.result).encode())
+                        count += 1
+    finally:
+        driver.OutOfOrderCore = OutOfOrderCore
     return count, digest.hexdigest()
 
 
@@ -182,6 +239,8 @@ GRIDS = {
                             for seed in (1, 2, 3)],
     "snapshots-7": lambda: [(f" seed={seed}",
                              snapshots(ALL_POLICY_NAMES, seed))
+                            for seed in (1, 2, 3)],
+    "intervals-7": lambda: [(f" seed={seed}", intervals(seed))
                             for seed in (1, 2, 3)],
 }
 

@@ -1,11 +1,14 @@
 """Word-granular oracle last-writer map.
 
 The oracle dependence tracker names, for every byte of memory, the youngest
-store that wrote it: the functional warmer reads it to find a load's
-producing store, and the detailed core's commit facts
-(:mod:`repro.pipeline.commit_facts`) read it to give the Figure-4 oracle
-baseline its exact dependence.  Nearly every access here is an aligned
-8-byte word, so the map is kept per word.
+store that wrote it.  Two program-order replays keep one as a private
+working structure: the functional warmer
+(:class:`~repro.sampling.functional.FunctionalWarmer`), to name each load's
+youngest writer for the policies' warming folds, and the commit-facts
+replay (:mod:`repro.pipeline.commit_facts`), over the trace's own stores,
+to give the Figure-4 oracle baseline its exact dependence.  Nothing hands a
+map on: it is in no warmed state, snapshot or core hand-off.  Nearly every
+access here is an aligned 8-byte word, so the map is kept per word.
 
 **Layout.**  A plain dict maps each aligned word address (``addr & ~7``)
 to one of two values:
@@ -22,20 +25,18 @@ span.
 
 **Entries** are tuples whose index 0 is the writer's SSN (positive); the
 map looks at nothing else.  The functional warmer stores ``(ssn, pc,
-index)``; the detailed core's exports add ``(ssn, index)`` entries.
+index)``, the commit-facts replay ``(ssn,)``.
 
 **Immutability.**  A per-byte list is never changed once stored: a narrow
-store writes a fresh list.  So a map can be adopted by another owner (a
-detailed core importing warmed state) without a copy, and a shallow copy
-of it is a private map.
+store writes a fresh list.  So a shallow copy of a map is a private map.
 
 Only this module knows the layout; :func:`per_byte` is the canonical
-byte-level view that signatures and tests compare.
+byte-level view that tests compare.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 #: Word address -> shared writer entry, or a list of 8 per-byte entries.
 LastWriterMap = Dict[int, object]
@@ -95,15 +96,3 @@ def per_byte(words: LastWriterMap) -> Dict[int, tuple]:
                 view[word + offset] = value
     return view
 
-
-def map_entries(words: LastWriterMap,
-                convert: Callable[[tuple], tuple]) -> LastWriterMap:
-    """A new map holding ``convert(entry)`` in place of every entry."""
-    out: LastWriterMap = {}
-    for word, value in words.items():
-        if value.__class__ is list:
-            out[word] = [None if entry is None else convert(entry)
-                         for entry in value]
-        else:
-            out[word] = convert(value)
-    return out

@@ -251,30 +251,6 @@ class MSHRFile:
             self.retire(entry.index)
         return due
 
-    # ----------------------------------------------------------- state I/O --
-
-    def export_state(self) -> dict:
-        return {
-            "entries": self.entries,
-            "line_bytes": self.line_bytes,
-            "slots": [entry.as_tuple() for entry in self._slots if entry is not None],
-        }
-
-    def import_state(self, state: dict) -> None:
-        if state["entries"] != self.entries or state["line_bytes"] != self.line_bytes:
-            raise ValueError("MSHR geometry mismatch on import")
-        self._slots = [None] * self.entries
-        self._by_line = {}
-        self._demand_inflight = 0
-        for (index, line, fill_cycle, word_mask, coalesced,
-             is_prefetch, install_l2) in state["slots"]:
-            entry = MSHREntry(index, line, fill_cycle, word_mask, coalesced,
-                              is_prefetch, install_l2)
-            self._slots[index] = entry
-            self._by_line[line] = entry
-            if not is_prefetch:
-                self._demand_inflight += 1
-
     def state_signature(self) -> tuple:
         """Hashable exact snapshot (geometry + every valid entry)."""
         return (self.entries, self.line_bytes,
@@ -313,13 +289,6 @@ class StridePrefetcher:
         if stride == 0 or row[3] < self.config.confidence:
             return []
         return [addr + stride * (k + 1) for k in range(self.config.degree)]
-
-    def export_state(self) -> dict:
-        return {"table": {slot: list(row) for slot, row in self._table.items()}}
-
-    def import_state(self, state: dict) -> None:
-        self._table = {int(slot): list(row)
-                       for slot, row in state["table"].items()}
 
     def state_signature(self) -> tuple:
         return tuple(sorted((slot, tuple(row)) for slot, row in self._table.items()))

@@ -10,13 +10,24 @@ or on timing:
 * the SVW's answer, :meth:`~repro.core.svw.SVWFilter.last_writer`: the SSN
   of the youngest committed store writing one of the load's bytes (SSBF)
   and that store's PC (SPCT);
-* the SSN of the load's true producer, the youngest older store writing one
-  of its bytes (:func:`repro.memory.last_writer.youngest`), which the
-  oracle-scheduled baseline waits for.  The detailed core asks at
-  dispatch: a load dispatches after every older store and a flush squashes
-  exactly the younger ones, so the answer is the same.  It also bounds the
-  load's store-queue access: only a store at or before the producer can
-  write the load's bytes.
+* the SSN of the load's true producer, the youngest older store of the
+  trace writing one of its bytes (:func:`repro.memory.last_writer.youngest`
+  over the trace's own stores; 0: none), which the oracle-scheduled
+  baseline waits for.  The detailed core asks at dispatch: a load
+  dispatches after every older store and a flush squashes exactly the
+  younger ones, so the answer is the same.  It also bounds the load's
+  store-queue access: only a store at or before the producer can write the
+  load's bytes.
+
+A writer from before the run is left out of the producer, so the replay's
+last-writer map starts empty and no map is handed to the core.  Every SSN
+a run allocates is above the start state's ``ssn_rename`` and every
+store-queue entry is in flight, so such a writer stays committed for the
+whole run, and the core treats a committed producer exactly as none: it is
+not in flight, it bounds an access that finds no entry, and the oracle's
+prediction from it waits for nothing
+(``tests/property/test_forward_bound.py``).  A load with writers both
+before and during the run gets the in-run one, whose SSN is larger.
 
 Store SSNs are fixed by program order too: a run allocates them at
 dispatch, and a flush rewinds the allocator to the first squashed store's
@@ -33,8 +44,8 @@ wake-up lists.
 :func:`compute_commit_facts` replays a trace once in program order from a
 start state, which it reads and never writes.
 :func:`~repro.pipeline._vector_loop.run_core_loop` reads the results
-instead of keeping the oracle map and probing memory and the SSBF at every
-commit.  A trace's configurations share its facts: :func:`facts_for_run`
+instead of keeping a last-writer map and probing memory and the SSBF at
+every commit.  A trace's configurations share its facts: :func:`facts_for_run`
 keeps the facts of a fresh start on the trace
 (:attr:`~repro.isa.plane.EncodedOps.commit_facts`, one entry per SVW
 geometry), so the six Figure-4 cores of a trace pay one pass, and the
@@ -101,16 +112,15 @@ def svw_geometry(svw: SVWFilter) -> Tuple[int, int]:
 
 
 def compute_commit_facts(encoded: EncodedOps, memory: MemoryImage,
-                         svw: SVWFilter, last_writer: LastWriterMap,
-                         next_ssn: int) -> CommitFacts:
+                         svw: SVWFilter, next_ssn: int) -> CommitFacts:
     """Replay ``encoded`` in program order and record its facts.
 
     The start state is the committed memory image, the SVW filter (its
-    SSBF and SPCT tables), the oracle last-writer map and the SSN the
-    trace's first store gets.  The replay commits every store, in order,
-    into private copies of the three structures and asks them what the
-    detailed core asks, so none of the start state changes.  The register
-    dataflow depends on the trace alone.
+    SSBF and SPCT tables) and the SSN the trace's first store gets.  The
+    replay commits every store, in order, into private copies of the two
+    structures and into a last-writer map of the trace's own stores, and
+    asks them what the detailed core asks, so none of the start state
+    changes.  The register dataflow depends on the trace alone.
     """
     plane = encoded.plane
     kind_arr = plane.kind
@@ -135,9 +145,8 @@ def compute_commit_facts(encoded: EncodedOps, memory: MemoryImage,
     answer = tables.last_writer
     ssbf_update = tables.ssbf.update
     spct_update = tables.spct.update
-    # Per-byte entries are never mutated in place, so a shallow copy is a
-    # private map; only index 0 (the SSN) of an entry is ever read.
-    writers = dict(last_writer)
+    # The trace's own stores; only index 0 (the SSN) of an entry is read.
+    writers: LastWriterMap = {}
     ssn = next_ssn - 1
 
     # Per static instruction: the registers it reads and the one it writes
@@ -199,24 +208,19 @@ def compute_commit_facts(encoded: EncodedOps, memory: MemoryImage,
 
 
 def facts_for_run(encoded: EncodedOps, memory: MemoryImage, svw: SVWFilter,
-                  last_writer: LastWriterMap,
                   ssn_rename: int) -> CommitFacts:
     """The facts of ``encoded`` for a run from this start state.
 
-    A fresh start (empty last-writer map and memory image, no store
-    renamed, clear SVW tables) is the same for every configuration of the
-    trace, so its facts are kept on the trace, per SVW geometry; any other
-    start computes its own.
+    A fresh start (empty memory image, no store renamed, clear SVW tables)
+    is the same for every configuration of the trace, so its facts are
+    kept on the trace, per SVW geometry; any other start computes its own.
     """
-    if last_writer or ssn_rename or memory.written_byte_count() \
-            or not svw.is_clear():
-        return compute_commit_facts(encoded, memory, svw, last_writer,
-                                    ssn_rename + 1)
+    if ssn_rename or memory.written_byte_count() or not svw.is_clear():
+        return compute_commit_facts(encoded, memory, svw, ssn_rename + 1)
     cache = encoded.commit_facts
     key = svw_geometry(svw)
     facts = cache.get(key)
     # A trace extended since its facts were computed has more entries.
     if facts is None or len(facts) != len(encoded):
-        facts = cache[key] = compute_commit_facts(encoded, memory, svw,
-                                                  last_writer, 1)
+        facts = cache[key] = compute_commit_facts(encoded, memory, svw, 1)
     return facts

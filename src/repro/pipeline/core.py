@@ -44,11 +44,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.plane import KIND_LOAD, KIND_STORE, EncodedOps, as_encoded
+from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
 from repro.lsu.policies import SQPolicy
 from repro.lsu.store_queue import StoreQueue
-from repro.memory.last_writer import LastWriterMap, map_entries
-from repro.memory.last_writer import write as lw_write
 from repro.memory.mlp import NonBlockingHierarchy, build_hierarchy
 from repro.memory.image import MemoryImage
 from repro.core.ssn import SSNAllocator
@@ -66,12 +64,6 @@ WARM_INSTRUCTIONS = 4000
 def _copy_sets(sets: dict) -> dict:
     """A copy of a cache's per-set tag lists (LRU order included)."""
     return {index: ways[:] for index, ways in sets.items()}
-
-
-def _exported_writer(entry: tuple) -> tuple:
-    """A last-writer entry as :meth:`OutOfOrderCore.export_state` hands it
-    out: the SSN, with PC 0 and dynamic index -1 (not tracked here)."""
-    return (entry[0], 0, -1)
 
 
 @dataclass
@@ -97,8 +89,10 @@ class OutOfOrderCore:
     """Trace-driven cycle-level model of the paper's processor.
 
     The core owns the long-lived machine state — memory hierarchy, memory
-    image, branch unit, SQ policy, SSN counters and the oracle last-writer
-    map — plus the store queue the policies probe.  The in-flight window
+    image, branch unit, SQ policy and SSN counters — plus the store queue
+    the policies probe.  It keeps no oracle last-writer map: a load's true
+    producer comes from the trace's commit facts, which need none
+    (:mod:`repro.pipeline.commit_facts`).  The in-flight window
     exists only inside :meth:`run`, and a core runs once; a later trace
     continues on a new core through :meth:`export_state` and
     :meth:`import_state`.
@@ -126,17 +120,10 @@ class OutOfOrderCore:
         self.branch_unit = BranchUnit(config.branch_predictor)
         self.store_queue = StoreQueue(config.store_queue_size)
         self.ssn_alloc = SSNAllocator(bits=config.ssn_bits)
-        # Oracle last-writer map (repro.memory.last_writer) as of the start
-        # of the run: empty, or the warmer's (ssn, pc, index) entries
-        # adopted by import_state.  A run reads its answers from the
-        # trace's commit facts and leaves the map as it found it.
-        self._last_writer: LastWriterMap = {}
-        # (trace, committed count, SSN before its first store) of the run,
-        # from which export_state adds the run's committed stores to the map.
-        self._run_stores = None
-        # Instructions retired before this core's start state: 0 for a
-        # fresh core, the imported state's count after import_state.
-        self._instructions_before = 0
+        # Instructions retired into this core's state: 0 for a fresh core,
+        # the imported state's count after import_state, plus every
+        # instruction the run commits.
+        self._instructions_warmed = 0
 
     # ---------------------------------------------------------- state import --
 
@@ -144,12 +131,12 @@ class OutOfOrderCore:
         """Adopt functionally warmed machine state before a detailed run.
 
         ``state`` is a :class:`~repro.sampling.functional.FunctionalState`:
-        its branch unit, memory hierarchy, memory image, SSN counters,
-        policy, and exact last-writer map replace this core's freshly
-        constructed ones.  All are adopted, not copied, so the core goes on
-        to mutate the state it was handed, except the last-writer map,
-        which a run only reads (through the trace's commit facts, see
-        :mod:`repro.pipeline.commit_facts`).
+        its branch unit, memory hierarchy, memory image, SSN counters and
+        policy replace this core's freshly constructed ones.  All are
+        adopted, not copied, so the core goes on to mutate the state it was
+        handed.  No last-writer map is adopted: every writer in the state
+        has committed before the run, which the core treats exactly as no
+        writer (:mod:`repro.pipeline.commit_facts`).
         Statistics *counters* on the imported components are reset so a
         subsequent run reports only its own activity; the predictive/tag
         state itself stays warm.  The state's ``instructions_warmed`` is
@@ -166,8 +153,7 @@ class OutOfOrderCore:
         self.branch_unit = state.branch_unit
         self.ssn_alloc = state.ssn_alloc
         self.policy = state.policy
-        self._last_writer = state.last_writer
-        self._instructions_before = state.instructions_warmed
+        self._instructions_warmed = state.instructions_warmed
         self.hierarchy.reset_stats()
         self.branch_unit.reset_stats()
         self.policy.stats = PolicyStats()
@@ -177,10 +163,10 @@ class OutOfOrderCore:
         """Export the core's long-lived state, symmetric to :meth:`import_state`.
 
         Returns a :class:`~repro.sampling.functional.FunctionalState` bundling
-        the live branch unit, memory hierarchy, memory image and policy, the
-        SSN counters, and the oracle last-writer map — everything a subsequent
-        :meth:`import_state` (on this or another core) adopts.  Serialising
-        the bundle (the checkpoint store pickles it) freezes a copy.
+        the live branch unit, memory hierarchy, memory image and policy and
+        the SSN counters — everything a subsequent :meth:`import_state` (on
+        this or another core) adopts.  Serialising the bundle (the
+        checkpoint store pickles it) freezes a copy.
 
         The in-flight window (the ROB, issue queue and load queue, store
         queue contents, pending completions) lives only inside a run and is
@@ -191,31 +177,15 @@ class OutOfOrderCore:
         bundle and runs the rest of the trace (from the first uncommitted
         instruction) ends as one uninterrupted run would.  The exported
         SSN counters are a copy whose ``ssn_rename`` is back at
-        ``ssn_commit`` (the in-flight stores rename again on the new core),
-        and the exported last-writer map is a new map holding each byte's
-        youngest *committed* writer: the map the run started from plus
-        every store the run committed.  The writer's PC and dynamic index
-        are not tracked by the detailed core and are exported as
-        ``(ssn, 0, -1)`` entries — :meth:`import_state` only consumes the
-        SSN.  ``instructions_warmed`` counts every instruction retired
-        into the state: the start state's count (0 for a fresh core) plus
-        every instruction the run committed, its statistics warm-up
-        included.
+        ``ssn_commit`` (the in-flight stores rename again on the new core).
+        The bundle hands on no last-writer map: every store in the state
+        has committed.
+        ``instructions_warmed`` counts every instruction retired into the
+        state: the start state's count (0 for a fresh core) plus every
+        instruction the run committed, its statistics warm-up included.
         """
         from repro.sampling.functional import FunctionalState
 
-        words = self._last_writer
-        committed = 0
-        if self._run_stores is not None:
-            encoded, committed, ssn = self._run_stores
-            words = dict(words)
-            kind = encoded.plane.kind
-            addr = encoded.addr
-            size = encoded.size
-            for index, si in enumerate(encoded.sidx[:committed]):
-                if kind[si] == KIND_STORE:
-                    ssn += 1
-                    lw_write(words, addr[index], size[index], (ssn, index))
         return FunctionalState(
             config=self.config,
             branch_unit=self.branch_unit,
@@ -224,8 +194,7 @@ class OutOfOrderCore:
             ssn_alloc=replace(self.ssn_alloc,
                               ssn_rename=self.ssn_alloc.ssn_commit),
             policy=self.policy,
-            last_writer=map_entries(words, _exported_writer),
-            instructions_warmed=self._instructions_before + committed,
+            instructions_warmed=self._instructions_warmed,
         )
 
     # ------------------------------------------------------------------ run --
@@ -304,14 +273,13 @@ class OutOfOrderCore:
             self._warm_caches(encoded)
         if commit_facts is None:
             commit_facts = facts_for_run(encoded, self.memory,
-                                         self.policy.svw, self._last_writer,
+                                         self.policy.svw,
                                          self.ssn_alloc.ssn_rename)
-        first_ssn = self.ssn_alloc.ssn_rename
 
         stats, rob_max_occupancy, committed = run_core_loop(
             self, encoded, commit_facts, warmup_committed, stop_committed)
         self.stats = stats
-        self._run_stores = (encoded, committed, first_ssn)
+        self._instructions_warmed += committed
         extra = {
             "branch_misprediction_rate": self.branch_unit.misprediction_rate,
             "svw_reexecution_rate": self.policy.svw.stats.reexecution_rate,

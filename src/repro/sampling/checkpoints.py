@@ -13,9 +13,11 @@ and the O(N) replay is paid once per workload rather than once per
 Storage layout (one pickle per entry, exactly like the result cache):
 
 * **shared snapshots** — branch predictor/BTB/RAS, caches/TLB, memory
-  image, SSN counters, and the oracle last-writer map are identical for
-  every store-queue configuration, so they are stored once per
-  ``(workload, plan, core config, interval)``.
+  image and SSN counters are identical for every store-queue
+  configuration, so they are stored once per ``(workload, plan, core
+  config, interval)``.  The warmer's oracle last-writer map is not
+  stored: a detailed core needs no writer from before its run
+  (:mod:`repro.pipeline.commit_facts`).
 * **policy snapshots** — the per-configuration predictor state (SVW tables,
   FSP/SAT, store sets, DDP) is stored per ``(configuration, sq_size,
   predictor overrides)`` on top of the shared key.  One
@@ -70,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec.cache import ResultCache, _canonical
-from repro.memory.last_writer import LastWriterMap, per_byte
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,9 +95,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v6: the shared snapshot's memory image is held per 64-bit word (a dict of
 #: word values and a dict of written-byte masks) instead of per byte.
 #: v7: the shared snapshot's oracle last-writer map is held per 64-bit word
-#: (:mod:`repro.memory.last_writer`: one shared writer entry, or a list of 8
-#: per-byte entries) instead of per byte.
-CHECKPOINT_SCHEMA_VERSION = 7
+#: (one shared writer entry, or a list of 8 per-byte entries) instead of per
+#: byte.
+#: v8: the shared snapshot carries no oracle last-writer map.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 #: Default store directory (relative to the current working directory).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
@@ -188,21 +190,14 @@ def window_key(workload: str, settings: "ExperimentSettings",
 
 @dataclass
 class SharedWarmState:
-    """The configuration-independent half of a functional snapshot.
-
-    ``last_writer`` is the warmer's word-granular oracle last-writer map
-    (:mod:`repro.memory.last_writer`; ``(ssn, store_pc, instr_index)``
-    entries, one per word or 8 per word), pickled as is: a detailed core
-    that imports the snapshot adopts the unpickled map without a copy.
-    The other fields are the live structures of the same names in
-    :class:`~repro.sampling.functional.FunctionalState`.
-    """
+    """The configuration-independent half of a functional snapshot: the
+    live structures of the same names in
+    :class:`~repro.sampling.functional.FunctionalState`."""
 
     branch_unit: object
     hierarchy: object
     memory: object
     ssn_alloc: object
-    last_writer: LastWriterMap
     instructions_warmed: int
 
 
@@ -212,7 +207,6 @@ def _shared_snapshot(state: FunctionalState) -> SharedWarmState:
         hierarchy=state.hierarchy,
         memory=state.memory,
         ssn_alloc=state.ssn_alloc,
-        last_writer=state.last_writer,
         instructions_warmed=state.instructions_warmed,
     )
 
@@ -226,7 +220,6 @@ def _assemble(settings: "ExperimentSettings", shared: SharedWarmState,
         memory=shared.memory,
         ssn_alloc=shared.ssn_alloc,
         policy=policy,
-        last_writer=shared.last_writer,
         instructions_warmed=shared.instructions_warmed,
     )
 
@@ -238,9 +231,7 @@ def shared_signature(shared: SharedWarmState) -> tuple:
     structures :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`
     adopts), so two snapshots with equal signatures warm a detailed core
     identically — the equality the policy-group bit-identity tests and the
-    CI policy-group generation smoke assert per interval.  The last-writer
-    map enters as its canonical sorted per-byte view, so the
-    signature does not depend on the map's storage layout.
+    CI policy-group generation smoke assert per interval.
     """
     return (
         shared.branch_unit.state_signature(),
@@ -248,7 +239,6 @@ def shared_signature(shared: SharedWarmState) -> tuple:
         shared.memory.state_signature(),
         (shared.ssn_alloc.bits, shared.ssn_alloc.ssn_rename,
          shared.ssn_alloc.ssn_commit, shared.ssn_alloc.wraps),
-        tuple(sorted(per_byte(shared.last_writer).items())),
         shared.instructions_warmed,
     )
 

@@ -90,7 +90,6 @@ def _window_facts(spec: IntervalJobSpec, encoded: EncodedOps,
     facts = _FACTS_CACHE.get(key)
     if facts is None:
         facts = compute_commit_facts(encoded, state.memory, svw,
-                                     state.last_writer,
                                      state.ssn_alloc.ssn_rename + 1)
         while len(_FACTS_CACHE) >= _FACTS_CACHE_LIMIT:
             _FACTS_CACHE.pop(next(iter(_FACTS_CACHE)))

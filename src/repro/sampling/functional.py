@@ -57,17 +57,19 @@ policies' own state is shared too, so each distinct piece of it is warmed
 once.  :meth:`FunctionalWarmer.warm` works in three steps per call:
 
 * **The shared pass** retires the micro-ops once, updating the branch
-  unit, caches/TLB, memory image, SSN counters, the word-granular
-  last-writer map (:mod:`repro.memory.last_writer`) and **the SVW tables,
-  once per store** (every configuration keeps the same SSBF/SPCT, which
-  stores update at commit).  It records the facts every policy needs,
-  once per memory access: a store as ``(pc, ssn, addr, size)``, a load as
+  unit, caches/TLB, memory image, SSN counters and **the SVW tables, once
+  per store** (every configuration keeps the same SSBF/SPCT, which stores
+  update at commit).  It records the facts every policy needs, once per
+  memory access: a store as ``(pc, ssn, addr, size)``, a load as
   ``(pc, addr, size, dep_ssn, dep_pc, dep_distance, ssn_cmt)`` — its
   youngest writer's SSN and PC, the instruction distance to that writer,
   and ``SSNcmt`` — plus, when some policy's fold reads the SVW (the
   indexed SQ trains on it), the SVW's answer ``(ssn, pc)`` at that load
   (the layout is defined once, in
-  :meth:`~repro.lsu.policies.SQPolicy.warm_segment`).
+  :meth:`~repro.lsu.policies.SQPolicy.warm_segment`).  A load's youngest
+  writer comes from the warmer's own word-granular last-writer map
+  (:mod:`repro.memory.last_writer`), a working structure of the fold that
+  is not part of the warmed state and is never handed on.
 * **One fold per warm class** then replays those records in program order
   through the class representative's ``warm_segment``, with its tables in
   locals.  A warm class (:func:`~repro.lsu.policies.warm_classes`) is a set
@@ -112,13 +114,10 @@ from repro.pipeline.config import CoreConfig
 class FunctionalState:
     """The long-lived machine state produced by a functional replay.
 
-    ``last_writer`` is the oracle last-writer map, in the word layout of
-    :mod:`repro.memory.last_writer`: each aligned word maps to the
-    ``(ssn, store_pc, instr_index)`` entry of the youngest store writing
-    all 8 of its bytes, or to a list of 8 per-byte entries.  A detailed
-    core adopts the map as is
-    (:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`) and reads
-    only the SSN at index 0 of an entry, through its commit facts
+    ``last_writer`` is accepted so the frozen seed stack's call shape keeps
+    working: ``benchmarks/legacy_ref`` hands its own per-byte oracle map
+    on through it.  Nothing in this package reads or writes it; the
+    detailed core needs no writer from before its run
     (:mod:`repro.pipeline.commit_facts`).
     """
 
@@ -128,7 +127,7 @@ class FunctionalState:
     memory: MemoryImage
     ssn_alloc: SSNAllocator
     policy: SQPolicy
-    last_writer: LastWriterMap = field(default_factory=dict)
+    last_writer: dict = field(default_factory=dict)
     instructions_warmed: int = 0
 
 
@@ -185,9 +184,10 @@ class FunctionalWarmer:
     warm class must enter in equal states, as fresh policies do.
 
     ``policies_only`` skips the branch unit, caches/TLB and memory image,
-    which no policy fold reads: only the SSN counters, the last-writer map
-    and the policies (SVW included) are warmed, so the policies end exactly
-    as in a full replay while :attr:`state`'s other structures stay cold.
+    which no policy fold reads: only the SSN counters, the warmer's
+    last-writer map and the policies (SVW included) are warmed, so the
+    policies end exactly as in a full replay while :attr:`state`'s other
+    structures stay cold.
     A checkpoint-generation job that writes no shared snapshot needs
     nothing more.
     """
@@ -216,6 +216,10 @@ class FunctionalWarmer:
         #: Dynamic instruction index of the next micro-op (used for the
         #: in-flight-window approximation).
         self._index = 0
+        #: Each byte's youngest writer as an ``(ssn, store_pc, index)``
+        #: entry (:mod:`repro.memory.last_writer`), which names a load's
+        #: ``dep_*`` fields; the folds' working structure, not warmed state.
+        self._last_writer: LastWriterMap = {}
         self._policies_only = policies_only
         groups: Dict[SVWConfig, _SVWGroup] = {}
         for members in warm_classes(self._policies):
@@ -242,9 +246,9 @@ class FunctionalWarmer:
         """Functionally retire ``uops`` in order.
 
         The shared pass updates the shared structures (caches, branch
-        tables, memory image, SSN counters, last-writer map, SVW) once per
-        micro-op and records every load and store; then one policy per
-        warm class folds the records
+        tables, memory image, SSN counters, SVW) and the warmer's
+        last-writer map once per micro-op and records every load and
+        store; then one policy per warm class folds the records
         (:meth:`~repro.lsu.policies.SQPolicy.warm_segment`) and every other
         policy copies the state it shares.
 
@@ -267,7 +271,7 @@ class FunctionalWarmer:
         allocate = ssn_alloc.allocate
         commit = ssn_alloc.commit
         ssn_cmt = ssn_alloc.ssn_commit
-        words = state.last_writer
+        words = self._last_writer
         groups = self._svw_groups
         svw_store = groups[0].svw.store_committed
         svw_read = groups[0].svw.last_writer if groups[0].reads else None

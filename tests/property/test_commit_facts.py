@@ -8,13 +8,15 @@ random trace drive both the facts and a live replay through the real
 structures (:class:`~repro.memory.image.MemoryImage`,
 :class:`~repro.core.svw.SVWFilter`, :mod:`repro.memory.last_writer`), whose
 answers for each load, after every older store and before any younger one,
-the facts must equal.
+the facts must equal.  A load's producer is its youngest writer among the
+trace's own stores, or 0: a writer from before the trace has committed, and
+the core treats it as none (``test_forward_bound.py``).
 
 The start state is never empty: memory holds written words next to
 untouched (background) ones, the SVW tables hold writers of addresses that
 alias modulo the SSBF size (small tables, accesses that wrap past their
-end, and SPCT sizes that differ from the SSBF's), the last-writer map holds
-per-byte lists from narrow stores, and the next SSN is far from 1.
+end, and SPCT sizes that differ from the SSBF's), and the next SSN is far
+from 1.
 Accesses are 1, 2, 4 or 8 bytes at any offset over a few words, so they
 land aligned, unaligned within a word and straddling two words.
 
@@ -60,7 +62,6 @@ _start = st.fixed_dictionaries({
     "svw": st.lists(st.tuples(st.integers(min_value=0, max_value=4 * _SPAN),
                               st.sampled_from([1, 2, 4, 8])),
                     min_size=1, max_size=10),
-    "writers": st.lists(_access, min_size=1, max_size=8),
     "ssn": st.integers(min_value=1, max_value=5000),
 })
 
@@ -75,13 +76,12 @@ def _value(raw, size):
 
 def _start_state(start):
     """A non-empty start state; every writer in it is older than the
-    trace's first store (SSNs below ``start['ssn']``)."""
+    trace's first store (SSNs below the returned next SSN)."""
     ssbf_entries, spct_entries = start["geometry"]
     svw = SVWFilter(SVWConfig(ssbf_entries=ssbf_entries,
                               spct_entries=spct_entries))
     memory = MemoryImage()
-    words = {}
-    next_ssn = start["ssn"] + len(start["svw"]) + len(start["writers"])
+    next_ssn = start["ssn"] + len(start["svw"])
     ssn = start["ssn"]
     for index, (offset, size) in enumerate(start["memory"]):
         memory.write(_BASE + offset, size, _value(0x0123456789ABCDEF * (index + 3),
@@ -90,10 +90,7 @@ def _start_state(start):
         # Addresses far beyond the span alias into it modulo the table size.
         svw.store_committed(_BASE + offset * 9, size, ssn, 0x900 + 4 * ssn)
         ssn += 1
-    for offset, size in start["writers"]:
-        last_writer.write(words, _BASE + offset, size, (ssn, 0x900, ssn))
-        ssn += 1
-    return memory, svw, words, next_ssn
+    return memory, svw, next_ssn
 
 
 def _trace(ops):
@@ -114,21 +111,19 @@ def _trace(ops):
 @_SETTINGS
 @given(start=_start, ops=st.lists(_op, min_size=1, max_size=40))
 def test_facts_match_the_live_structures(start, ops):
-    memory, svw, words, next_ssn = _start_state(start)
-    before = (memory.state_signature(), svw.state_signature(),
-              last_writer.per_byte(words))
+    memory, svw, next_ssn = _start_state(start)
+    before = (memory.state_signature(), svw.state_signature())
     encoded = _trace(ops)
-    facts = compute_commit_facts(encoded, memory, svw, words, next_ssn)
+    facts = compute_commit_facts(encoded, memory, svw, next_ssn)
     # The start state is read, never written.
-    assert (memory.state_signature(), svw.state_signature(),
-            last_writer.per_byte(words)) == before
+    assert (memory.state_signature(), svw.state_signature()) == before
     assert len(facts) == len(encoded)
 
     # Live replay, in program order, on copies of the start state.
     live_memory = memory.copy()
     live_svw = SVWFilter(svw.config)
     live_svw.copy_from(svw)
-    live_words = dict(words)
+    live_words = {}
     ssn = next_ssn - 1
     for index, (kind, (offset, size), raw) in enumerate(ops):
         addr = _BASE + offset
@@ -204,7 +199,7 @@ def _rat_walk(uops):
 
 
 def _fresh_facts(encoded):
-    return compute_commit_facts(encoded, MemoryImage(), SVWFilter(), {}, 1)
+    return compute_commit_facts(encoded, MemoryImage(), SVWFilter(), 1)
 
 
 def _lists(facts):

@@ -23,11 +23,14 @@ small-window machines checks the structural stalls and the SSN wrap
 against the seed stack too.
 
 Further properties check the state hand-off the sampling subsystem depends
-on (export mid-workload, import into a fresh core, continue), each stack
+on (export mid-trace, import into a fresh core, continue), each stack
 handing off to itself, and that every trace input form the core accepts
-simulates identically.
+simulates identically.  The seed stack hands its oracle last-writer map on
+and the core hands none on, so the hand-off grid also checks that a writer
+from before the hand-off changes nothing.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -155,35 +158,66 @@ def test_small_windows_match_seed_stack():
     assert all(count > 0 for count in stalls.values()), stalls
 
 
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    workload=st.sampled_from(WORKLOADS),
-    config_name=st.sampled_from(("indexed-3-fwd+dly",
-                                 "associative-5-predictive")),
-    trace_seed=st.integers(min_value=1, max_value=4),
-)
-def test_state_handoff_matches_seed_stack(workload, config_name, trace_seed):
-    """Export long-lived state after one workload window, import it into a
-    fresh core, and continue on the next window: each stack handing off to
-    itself must land on the same statistics."""
+#: Every policy that reads the load's producer (the oracle) and one of each
+#: predictor family.
+HANDOFF_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly",
+                   "associative-5-predictive")
 
-    def handoff(core_cls, build, policy):
+#: Where the hand-off cuts each 1800-instruction trace.
+HANDOFF_AT = 900
+
+
+def _loads_on_handed_off_writers(uops, cut):
+    """Loads from ``cut`` on whose bytes only stores before ``cut`` wrote."""
+    before, after = set(), set()
+    count = 0
+    for index, uop in enumerate(uops):
+        if uop.mem is None:
+            continue
+        span = range(uop.mem.addr, uop.mem.addr + uop.mem.size)
+        if uop.is_store:
+            (before if index < cut else after).update(span)
+        elif index >= cut and not after.intersection(span) \
+                and before.intersection(span):
+            count += 1
+    return count
+
+
+def test_state_handoff_matches_seed_stack():
+    """Run the first half of a trace, export the long-lived state, import
+    it into a fresh core and run the rest: each stack handing off to itself
+    must land on the same statistics.  The grid reaches continuation loads
+    that read only writers from before the hand-off."""
+
+    def handoff(core_cls, first, rest, policy):
         warm = core_cls(CoreConfig(), policy())
-        warm.run(build(workload, instructions=900, seed=trace_seed))
-        state = warm.export_state()
+        warm.run(first)
         cont = core_cls(CoreConfig(), policy())
-        cont.import_state(state)
+        cont.import_state(warm.export_state())
         # warm_memory=False: the imported hierarchy IS the warm state.
-        return _signature(cont.run(
-            build(workload, instructions=900, seed=trace_seed + 50),
-            warm_memory=False))
+        return _signature(cont.run(rest, warm_memory=False))
 
-    result = handoff(OutOfOrderCore, build_workload,
-                     lambda: make_policy(config_name))
-    reference = handoff(legacy_ref.OutOfOrderCore, legacy_ref.build_workload,
-                        LEGACY_POLICIES[config_name])
-    assert result == reference
+    reached = 0
+    for workload in WORKLOADS:
+        for trace_seed in (1, 2):
+            trace = build_workload(workload, instructions=2 * HANDOFF_AT,
+                                   seed=trace_seed)
+            reference_trace = legacy_ref.build_workload(
+                workload, instructions=2 * HANDOFF_AT, seed=trace_seed)
+            reference_rest = dataclasses.replace(
+                reference_trace, uops=reference_trace.uops[HANDOFF_AT:])
+            reached += _loads_on_handed_off_writers(trace.uops, HANDOFF_AT)
+            for config_name in HANDOFF_CONFIGS:
+                result = handoff(OutOfOrderCore, trace.slice(0, HANDOFF_AT),
+                                 trace.slice(HANDOFF_AT, len(trace)),
+                                 lambda: make_policy(config_name))
+                reference = handoff(
+                    legacy_ref.OutOfOrderCore,
+                    reference_trace.truncated(HANDOFF_AT), reference_rest,
+                    LEGACY_POLICIES[config_name])
+                assert result == reference, \
+                    f"{workload}/{trace_seed}/{config_name} diverged"
+    assert reached > 0
 
 
 @settings(max_examples=6, deadline=None,

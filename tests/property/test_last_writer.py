@@ -2,16 +2,15 @@
 per-byte reference.
 
 :mod:`repro.memory.last_writer` keeps the oracle last-writer map per 8-byte
-word.  The reference below is the per-byte dict the warmer and the detailed
-core kept before: one entry per written byte, the youngest writer found by
-walking the bytes in address order.  A random operation sequence drives
-both, and after every step the canonical per-byte view and every probe must
-agree.
+word.  The reference below is a per-byte dict: one entry per written byte,
+the youngest writer found by walking the bytes in address order.  A random
+operation sequence drives both, and after every step the canonical per-byte
+view and every probe must agree.
 
 Stores are 1, 2, 4 or 8 bytes at offsets spanning three words, so they land
 aligned, unaligned within a word, and straddling two words.  A pickle round
-trip stands for a checkpoint snapshot; a fork writes into a shallow copy,
-as the commit-facts replay does, and must leave the original map alone.
+trip must keep the map, and a fork that writes into a shallow copy must
+leave the original map alone.
 """
 
 import pickle
@@ -61,7 +60,6 @@ def test_word_map_matches_per_byte_reference(ops):
         addr = _BASE + offset
         if op == "store":
             ssn += 1
-            # (ssn, index): the detailed core's export shape.
             entry = (ssn, 1000 + ssn)
             last_writer.write(words, addr, size, entry)
             _ref_write(ref, addr, size, entry)
@@ -84,9 +82,6 @@ def test_word_map_matches_per_byte_reference(ops):
             addr = _BASE + offset
             assert (last_writer.youngest(words, addr, size)
                     == _ref_youngest(ref, addr, size))
-    converted = last_writer.map_entries(words, lambda e: (e[0], 0, -1))
-    assert last_writer.per_byte(converted) == {
-        byte: (entry[0], 0, -1) for byte, entry in ref.items()}
 
 
 def test_aligned_word_is_one_shared_entry():

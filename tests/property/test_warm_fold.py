@@ -180,7 +180,6 @@ class _Reference:
                 self.hierarchy.state_signature(),
                 self.memory.state_signature(),
                 (alloc.bits, alloc.ssn_rename, alloc.ssn_commit, alloc.wraps),
-                tuple(sorted(self.last_writer.items())),
                 self.index)
 
 

@@ -28,7 +28,6 @@ from repro.harness.runner import (
     ExperimentSettings,
     make_policy,
 )
-from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
@@ -109,7 +108,6 @@ class TestMultiPolicyWarming:
         assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
         assert a.memory.state_signature() == b.memory.state_signature()
         assert a.ssn_alloc == b.ssn_alloc
-        assert per_byte(a.last_writer) == per_byte(b.last_writer)
 
     def test_export_state_carries_first_policy(self):
         policies = [make_policy("indexed-3-fwd"), make_policy("associative-3")]
@@ -170,8 +168,8 @@ class TestWarmClassIndependence:
 
 class TestPoliciesOnlyWarming:
     """A policies-only replay (what a generation job that writes no shared
-    snapshot runs) warms the policies, SSN counters and last-writer map
-    exactly as a full replay does, and leaves every other structure cold."""
+    snapshot runs) warms the policies and SSN counters exactly as a full
+    replay does, and leaves every other structure cold."""
 
     PREFIX = 4_000
     CONFIGS = ("indexed-3-fwd+dly", "associative-5-predictive",
@@ -193,8 +191,6 @@ class TestPoliciesOnlyWarming:
                                       full.policies):
             assert mine.state_signature() == theirs.state_signature(), name
         assert lean.state.ssn_alloc == full.state.ssn_alloc
-        assert (per_byte(lean.state.last_writer)
-                == per_byte(full.state.last_writer))
         assert (lean.state.instructions_warmed
                 == full.state.instructions_warmed == self.PREFIX)
 
@@ -237,10 +233,6 @@ class TestExportImportRoundTrip:
         assert exported.ssn_alloc.ssn_commit == original.ssn_alloc.ssn_commit
         assert (exported.policy.state_signature()
                 == original.policy.state_signature())
-        # The exported last-writer map keeps every byte's writer SSN (the
-        # only component import_state consumes).
-        assert ({a: e[0] for a, e in per_byte(exported.last_writer).items()}
-                == {a: e[0] for a, e in per_byte(original.last_writer).items()})
 
     def test_round_tripped_state_simulates_identically(self, warmed_blob):
         window = build_workload_window(WORKLOAD, self.PREFIX + 4_000, 1,

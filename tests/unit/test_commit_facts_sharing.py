@@ -55,9 +55,9 @@ def computations(monkeypatch):
     calls = []
     compute = commit_facts.compute_commit_facts
 
-    def counted(encoded, memory, svw, last_writer, next_ssn):
+    def counted(encoded, memory, svw, next_ssn):
         calls.append((encoded, next_ssn))
-        return compute(encoded, memory, svw, last_writer, next_ssn)
+        return compute(encoded, memory, svw, next_ssn)
 
     monkeypatch.setattr(commit_facts, "compute_commit_facts", counted)
     monkeypatch.setattr(driver, "compute_commit_facts", counted)
@@ -86,7 +86,7 @@ def test_shared_facts_simulate_like_fresh_ones():
         own = OutOfOrderCore(CoreConfig(), make_policy(config))
         want = own.run(trace, stats_warmup_fraction=0.25,
                        commit_facts=commit_facts.compute_commit_facts(
-                           trace, MemoryImage(), SVWFilter(), {}, 1))
+                           trace, MemoryImage(), SVWFilter(), 1))
         assert _signature(shared, got) == _signature(own, want), config
 
 
@@ -98,7 +98,7 @@ def test_a_used_policy_is_not_a_fresh_start(computations):
     OutOfOrderCore(CoreConfig(), policy).run(trace)
     fresh = trace.commit_facts[DEFAULT_GEOMETRY]
     core = OutOfOrderCore(CoreConfig(), policy)
-    own = commit_facts.facts_for_run(trace, core.memory, policy.svw, {}, 0)
+    own = commit_facts.facts_for_run(trace, core.memory, policy.svw, 0)
     assert own is not fresh and own.svw_ssn != fresh.svw_ssn
     core.run(trace)
     assert len(computations) == 3

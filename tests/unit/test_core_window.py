@@ -33,7 +33,6 @@ from repro.harness.runner import make_policy
 from repro.isa.registers import REG_ZERO
 from repro.isa.trace import DynamicTrace
 from repro.isa.uop import OpClass, make_alu, make_load, make_store
-from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.workloads.suites import build_workload
@@ -311,9 +310,9 @@ def test_export_after_a_flush_holds_committed_stores_only():
     were squashed by the load's flush; the refetch had dispatched again
     those up to SSN 33 when the run stopped, and 30 of them were still in
     flight.  The export is the state as of the last commit: the SSN
-    counters stand at the 3 committed stores, and the last-writer map
-    holds exactly those, the store to ``STORED`` and the first two suffix
-    stores (24 bytes).
+    counters stand at the 3 committed stores, and the memory image holds
+    exactly those, the store to ``STORED`` and the first two suffix stores
+    (24 bytes).
     """
     result, core = _run(_export_trace(), policy="associative-3",
                         stats_warmup_instructions=0,
@@ -323,20 +322,16 @@ def test_export_after_a_flush_holds_committed_stores_only():
     assert (core.ssn_alloc.ssn_commit, core.ssn_alloc.ssn_rename) == (3, 33)
     state = core.export_state()
     assert (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename) == (3, 3)
-    expected = {STORED + byte: (1, 0, -1) for byte in range(8)}
-    for i in range(2):
-        for byte in range(8):
-            expected[SUFFIX_WORDS + 8 * i + byte] = (2 + i, 0, -1)
-    assert per_byte(state.last_writer) == expected
+    assert state.memory.written_byte_count() == 24
+    assert [state.memory.read(addr, 8) for addr
+            in (STORED, SUFFIX_WORDS, SUFFIX_WORDS + 8)] == [7, 1, 2]
 
 
 def _end_state(core):
     """What a continuation must reproduce: the memory image, the SVW, the
-    per-byte last-writer map, the SSN counters and the count of retired
-    instructions."""
+    SSN counters and the count of retired instructions."""
     state = core.export_state()
     return (core.memory.state_signature(), core.policy.svw.state_signature(),
-            per_byte(state.last_writer),
             (state.ssn_alloc.ssn_commit, state.ssn_alloc.ssn_rename),
             state.instructions_warmed)
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
 from repro.harness.runner import ExperimentSettings, make_policy
-from repro.memory.last_writer import per_byte
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.stats import SimStats
@@ -245,15 +244,6 @@ class TestFunctionalWarming:
         if detailed:
             covered = len(detailed & warmed) / len(detailed)
             assert covered >= 0.7, f"warmed FSP covers only {covered:.2f}"
-
-    def test_last_writer_matches_oracle_tracker(self):
-        core, _ = self._detailed("oracle-associative-3")
-        state = self._functional("oracle-associative-3")
-        detailed = per_byte(core.export_state().last_writer)
-        functional = per_byte(state.last_writer)
-        detailed_ssns = {addr: entry[0] for addr, entry in detailed.items()}
-        functional_ssns = {addr: entry[0] for addr, entry in functional.items()}
-        assert functional_ssns == detailed_ssns
 
 
 class TestIntervalJobs:
