@@ -7,10 +7,13 @@ verifies that all of them produce *identical* statistics before reporting
 wall-clock ratios.  Each leg starts from cold process memos, so the
 parallel ratio measures fan-out, not what an earlier leg left warm.  The
 serial and parallel legs run :data:`ROUNDS` interleaved rounds
-(:func:`_common.timed_interleaved`); every round's times are recorded and
-the bars read their medians, so the recorded ratio is not one draw of two
-noisy wall times.  The measurements land in ``BENCH_engine.json`` at the
-repo root so the engine's performance trajectory is machine-readable.
+(:func:`_common.timed_interleaved`), each serial round followed by its
+parallel round.  Every round's times are recorded, and so is each round's
+ratio (serial round *i* over parallel round *i*, two legs a few seconds
+apart, so host drift between rounds cancels); the parallel bar reads the
+median of those paired ratios, not one draw of two noisy wall times.  The
+measurements land in ``BENCH_engine.json`` at the repo root so the
+engine's performance trajectory is machine-readable.
 
 The parallel assertion scales with the hardware: a >= 2x median speedup is
 required only when at least four CPUs are actually available (the
@@ -100,6 +103,9 @@ def measure_engine_speedup(cache_dir, instructions=None, workloads=SPEEDUP_WORKL
     parallel, parallel_s, parallel_rounds = measured["parallel"]
     overhead_pcts = [100.0 * ns / (seconds * 1e9)
                      for ns, seconds in zip(overheads_ns, parallel_rounds)]
+    round_ratios = [serial_round / parallel_round
+                    for serial_round, parallel_round
+                    in zip(serial_rounds, parallel_rounds)]
 
     cached_engine = ExperimentEngine(jobs=1, cache=ResultCache(cache_dir))
     clear_process_memos()
@@ -126,7 +132,8 @@ def measure_engine_speedup(cache_dir, instructions=None, workloads=SPEEDUP_WORKL
         "parallel_rounds_s": [round(s, 3) for s in parallel_rounds],
         "serial_s": round(serial_s, 3),
         "parallel_s": round(parallel_s, 3),
-        "parallel_speedup": round(serial_s / parallel_s, 3),
+        "parallel_round_ratios": [round(ratio, 3) for ratio in round_ratios],
+        "parallel_speedup": round(statistics.median(round_ratios), 3),
         "parallel_backend": parallel_engine.last_run_stats["backend"],
         "dispatch_overhead_rounds_ns": overheads_ns,
         "dispatch_overhead_ns": statistics.median(overheads_ns),
@@ -153,7 +160,7 @@ def assert_engine_speedup(data):
     assert data["warm_cache_speedup"] >= 5.0, data
 
     # The parallel bar scales with the hardware the run actually has; it
-    # reads the ratio of the median serial and parallel rounds.
+    # reads the median of the per-round serial/parallel ratios.
     if data["cpus"] >= 4:
         assert data["parallel_speedup"] >= 2.0, data
     elif data["cpus"] >= 2:

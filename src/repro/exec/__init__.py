@@ -28,17 +28,14 @@ This package is the performance substrate under every timing experiment:
   process, two or more workers over two or more jobs run the supervised
   pool, bit-identically.  Scheduler counters surface in
   ``last_run_stats`` and benchmark envelopes.
-
-Environment knobs: ``REPRO_JOBS`` (worker count; <= 0 means all CPUs),
-``REPRO_CACHE`` (``0`` disables caching), ``REPRO_CACHE_DIR`` (cache
-location, default ``.repro-cache/``; delete it at any time to reset),
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN`` (failure
-semantics; see :mod:`repro.exec.resilience`).
+* :mod:`repro.exec.options` — the one reader of the ``REPRO_*``
+  environment knobs (its docstring holds the knob table): the engine
+  parses them once, at construction, into a
+  :class:`~repro.exec.options.RunOptions` and passes the values down.
 """
 
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
     ResultCache,
     generic_key,
     job_key,
@@ -56,15 +53,15 @@ from repro.exec.fingerprint import (
     workload_fingerprint,
 )
 from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
-from repro.exec.resilience import (
+from repro.exec.options import (
+    DEFAULT_CACHE_DIR,
     EnvKnobError,
+    parse_fault_plan,
+)
+from repro.exec.resilience import (
     ExperimentFailure,
     JobFailure,
-    parse_fault_plan,
-    resolve_job_timeout,
-    resolve_retries,
     supervised_events,
-    validate_environment,
 )
 
 __all__ = [
@@ -84,14 +81,11 @@ __all__ = [
     "generic_key",
     "job_key",
     "parse_fault_plan",
-    "resolve_job_timeout",
     "resolve_jobs",
-    "resolve_retries",
     "run_job",
     "scheduler_counters",
     "simulator_fingerprint",
     "supervised_events",
     "timing_fingerprint",
-    "validate_environment",
     "workload_fingerprint",
 ]

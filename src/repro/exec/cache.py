@@ -12,9 +12,9 @@ change a result:
 * the simulator source fingerprint.
 
 The cache directory defaults to ``.repro-cache/`` in the current working
-directory and can be moved with the ``REPRO_CACHE_DIR`` environment
-variable.  Clearing it is always safe (``ResultCache.clear()`` or simply
-``rm -rf .repro-cache/``); entries are re-created on demand.
+directory (``REPRO_CACHE_DIR``; see :mod:`repro.exec.options`).  Clearing
+it is always safe (``ResultCache.clear()`` or simply ``rm -rf
+.repro-cache/``); entries are re-created on demand.
 
 Integrity (PR 6): every blob is framed as ``magic || sha256(payload) ||
 payload`` and the checksum is verified on read, so a truncated write, a
@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.exec import fingerprint as _fingerprint
+from repro.exec import options as _options
 from repro.exec import resilience as _resilience
 
 #: Bumped when the pickled payload layout changes incompatibly.
@@ -50,9 +51,6 @@ from repro.exec import resilience as _resilience
 #: so pre-frame entries — which would all fail verification — are keyed
 #: away instead of mass-quarantined on upgrade.
 CACHE_SCHEMA_VERSION = 2
-
-#: Default cache directory (relative to the current working directory).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Settings fields that steer *execution*, not simulation semantics
 #: (the worker count never changes what any job computes).
@@ -196,9 +194,7 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        self.directory = Path(directory
-                              or os.environ.get("REPRO_CACHE_DIR")
-                              or DEFAULT_CACHE_DIR)
+        self.directory = Path(directory or _options.cache_dir())
         key = str(self.directory)
         if key not in _SWEPT_DIRS:
             _SWEPT_DIRS.add(key)
@@ -300,7 +296,7 @@ class ResultCache:
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         fault = None
-        plan = _resilience.current_fault_plan()
+        plan = _options.fault_plan()
         if plan is not None:
             fault = plan.blob_fault(key)
         if fault == "write_error":

@@ -88,6 +88,8 @@ def dispatch(workers: int, fn: Callable[[Any], Any],
              jobs: Sequence[DispatchJob], *, scope: str = "job",
              chunksize: Optional[int] = None,
              stats_sink: Optional[Dict[str, Any]] = None,
+             retries: Optional[int] = None,
+             timeout: Optional[float] = None,
              ) -> Tuple[List[Any], DispatchStats]:
     """Run ``jobs`` over ``workers``; return ``(results, stats)`` in order.
 
@@ -95,6 +97,8 @@ def dispatch(workers: int, fn: Callable[[Any], Any],
     semantics are :func:`~repro.exec.resilience.supervised_events`'s:
     every other job completes, then one
     :class:`~repro.exec.resilience.ExperimentFailure` is raised.
+    ``retries`` and ``timeout`` go to it unchanged (``None``: the
+    ``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` defaults).
     ``stats_sink``, when given, receives the flat stats mapping even when
     the run ends in that failure — the engine's failure path reports
     scheduler state too.  The event stream is always closed, so worker
@@ -113,7 +117,7 @@ def dispatch(workers: int, fn: Callable[[Any], Any],
         fn, [job.payload for job in jobs], workers, scope=scope,
         labels=[job.label or f"{scope} {position}"
                 for position, job in enumerate(jobs)],
-        chunksize=chunksize or 1)
+        chunksize=chunksize or 1, timeout=timeout, retries=retries)
     try:
         while True:
             try:

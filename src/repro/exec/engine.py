@@ -25,31 +25,11 @@ using three layers:
   warm store skip generation entirely (the amortisation across
   configurations, sweeps, and runs).
 
-Environment knobs:
-
-``REPRO_JOBS``
-    Default worker count when neither the engine nor the settings specify
-    one.  ``0`` (or any value <= 0) means "all CPUs".  One worker runs
-    every job in-process; more run the supervised pool.
-``REPRO_CACHE``
-    Set to ``0`` to disable the result cache entirely.
-``REPRO_CACHE_DIR``
-    Cache directory (default ``.repro-cache/`` in the working directory).
-    Safe to delete at any time: ``rm -rf .repro-cache/``.
-``REPRO_CHECKPOINT_DIR``
-    Snapshot-store location for sampled specs (default
-    ``.repro-checkpoints/``; safe to delete at any time).
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_FAULT_PLAN``
-    Failure-semantics knobs (retry budget, per-job deadline,
-    deterministic fault injection) — all execution-only, never part of
-    cache keys; see :mod:`repro.exec.resilience`.
-``REPRO_PROFILE``
-    Per-worker profiling: ``1`` (default ``.repro-profile/``) or a
-    directory path.  Each engine run that simulates anything gets a
-    run-scoped subdirectory of per-job ``cProfile`` dumps
-    (``job-<pid>-<n>.pstats``), and the aggregated top cumulative
-    hotspots land under ``last_run_stats["profile"]``.  Execution-only:
-    profiling observes, it never changes a simulated statistic.
+The engine reads the ``REPRO_*`` knobs once, at construction, through
+:mod:`repro.exec.options` (whose docstring holds the knob table): a
+malformed knob fails construction with a one-line
+:class:`~repro.exec.options.EnvKnobError`, and the values reach the
+stores, the dispatcher and the profiler as arguments.
 
 Every fan-out — this engine's job pass *and* the
 checkpoint-generation stage — calls :func:`repro.exec.dispatch.dispatch`
@@ -61,8 +41,7 @@ raises a structured :class:`~repro.exec.resilience.ExperimentFailure`; it
 never hangs and never silently drops jobs.  Scheduler observability
 (``backend``, ``queue_depth_peak``, ``inflight_peak``,
 ``dispatch_overhead_ns``) lands in :attr:`ExperimentEngine.last_run_stats`
-on every run.  Malformed ``REPRO_*`` knobs fail engine construction fast
-with a one-line :class:`~repro.exec.resilience.EnvKnobError`.
+on every run.
 """
 
 from __future__ import annotations
@@ -77,6 +56,7 @@ from repro.exec import resilience as _resilience
 from repro.exec.cache import ResultCache, generic_key, job_key
 from repro.exec.dispatch import DispatchJob, dispatch
 from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
+from repro.exec.options import RunOptions
 from repro.exec.resilience import ExperimentFailure
 
 #: The scheduler-observability keys every run folds into
@@ -122,23 +102,11 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit value, else ``REPRO_JOBS``, else 1.
-
-    Any value <= 0 (explicit or from the environment) means "all CPUs" —
-    the CPUs available to this process (:func:`available_cpus`), not the
-    machine total.
-    """
-    if jobs is None:
-        jobs = _resilience._env_int(
-            "REPRO_JOBS", 1, 'use 0 or a negative value for "all CPUs"')
-    if jobs <= 0:
-        jobs = available_cpus()
-    return jobs
-
-
-def _cache_enabled() -> bool:
-    return _resilience._env_bool("REPRO_CACHE")
+def resolve_jobs(jobs: int) -> int:
+    """A worker count: ``jobs``, or every available CPU when ``jobs <= 0``
+    (the CPUs available to this process, :func:`available_cpus`, not the
+    machine total)."""
+    return jobs if jobs > 0 else available_cpus()
 
 
 class ExperimentEngine:
@@ -148,24 +116,23 @@ class ExperimentEngine:
                  cache: Union[None, bool, ResultCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  checkpoint_dir: Optional[os.PathLike] = None) -> None:
-        # Fail fast on malformed REPRO_* knobs — one actionable line at
-        # construction beats a deep traceback mid-sweep (or worse, inside
-        # a pool worker).
-        _resilience.validate_environment()
-        self.jobs = resolve_jobs(jobs)
+        # The one read of the REPRO_* knobs: a malformed one fails here as
+        # one actionable line, not mid-sweep (or inside a pool worker), and
+        # one changed later does not reach this engine's runs.
+        self._options = options = RunOptions.from_environ()
+        self.jobs = resolve_jobs(options.jobs if jobs is None else jobs)
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache
         elif cache is False:
             self.cache = None
-        elif cache is True or cache_dir is not None or _cache_enabled():
+        elif cache is True or cache_dir is not None or options.cache:
             # An explicit cache_dir is an explicit opt-in, overriding the
             # REPRO_CACHE environment switch.
-            self.cache = ResultCache(cache_dir)
+            self.cache = ResultCache(cache_dir or options.cache_dir)
         else:
             self.cache = None
-        #: Checkpoint-store location for sampled specs
-        #: (None = REPRO_CHECKPOINT_DIR / default).
-        self.checkpoint_dir = checkpoint_dir
+        #: Checkpoint-store location for sampled specs.
+        self.checkpoint_dir = checkpoint_dir or options.checkpoint_dir
         #: Statistics of the most recent :meth:`run` call.
         self.last_run_stats: Dict[str, int] = {}
         self._checkpoint_stats: Dict[str, int] = {}
@@ -279,7 +246,8 @@ class ExperimentEngine:
             "checkpoint_passes": len(requests),
         }
         self._checkpoint_stats["checkpoint_jobs"] = execute_generation(
-            requests, jobs=self.jobs)
+            requests, jobs=self.jobs, retries=self._options.retries,
+            timeout=self._options.job_timeout)
 
     def _execute(self, specs: List[JobSpec],
                  chunksize: Optional[int] = None,
@@ -321,7 +289,8 @@ class ExperimentEngine:
 
         workers = 0
         scheduler_sink: Dict[str, object] = {}
-        profile_dir = self._begin_profile_run(bool(pending_indices))
+        profile_dir = self._begin_profile_run(self._options.profile_dir,
+                                              bool(pending_indices))
         try:
             if pending_indices and before_run is not None:
                 before_run([specs[i] for i in pending_indices])
@@ -340,7 +309,9 @@ class ExperimentEngine:
                     [DispatchJob(spec, self._job_label(spec))
                      for spec in pending_specs],
                     scope="job", chunksize=chunksize,
-                    stats_sink=scheduler_sink)
+                    stats_sink=scheduler_sink,
+                    retries=self._options.retries,
+                    timeout=self._options.job_timeout)
             else:
                 records = []
         except ExperimentFailure as failure:
@@ -379,8 +350,11 @@ class ExperimentEngine:
 
     _profile_seq = 0
 
-    def _begin_profile_run(self, active: bool) -> Optional[str]:
-        """Open a run-scoped profile directory when ``REPRO_PROFILE`` asks.
+    @staticmethod
+    def _begin_profile_run(root: Optional[str],
+                           active: bool) -> Optional[str]:
+        """Open a run-scoped profile directory under ``root``, the
+        engine's ``REPRO_PROFILE`` value.
 
         Creates and returns ``<root>/run-<stamp>-<pid>-<n>/``; the run
         hands it to every :func:`~repro.exec.jobs.run_job` execution, in
@@ -388,7 +362,6 @@ class ExperimentEngine:
         Returns ``None`` (and creates nothing) when profiling is off or
         the run has nothing to simulate.
         """
-        root = _resilience.resolve_profile_dir()
         if root is None or not active:
             return None
         ExperimentEngine._profile_seq += 1

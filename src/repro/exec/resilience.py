@@ -21,12 +21,7 @@ This module supplies the failure semantics shared by every fan-out
 * **Deterministic fault injection** — ``REPRO_FAULT_PLAN`` names exact,
   reproducible fault points (worker crashes, hangs, corrupt/truncated
   blobs, write errors) so every recovery path above is CI-exercisable;
-  see :func:`parse_fault_plan` for the grammar.
-
-* **Environment-knob validation** — every ``REPRO_*`` knob resolves
-  through :class:`EnvKnobError`-raising parsers, so a malformed value
-  (``REPRO_JOBS=abc``, a negative retry count) fails fast with a one-line
-  actionable message instead of a deep traceback from the middle of a run.
+  see :func:`repro.exec.options.parse_fault_plan` for the grammar.
 
 * **Counters** — process-local resilience counters (retries, quarantined
   blobs, degradations, ...) that pool workers ship back to the supervisor
@@ -34,16 +29,9 @@ This module supplies the failure semantics shared by every fan-out
   ``BENCH_*.json`` envelopes record recovery overhead instead of silently
   absorbing it.
 
-Environment knobs (all execution-only — none participates in result-cache
-or snapshot keys, exactly like ``REPRO_JOBS``)::
-
-    REPRO_RETRIES=N       # retries per failed job (default 2; 0 disables)
-    REPRO_JOB_TIMEOUT=S   # per-job deadline in seconds on the pool path
-                          # (default 3600; 0 disables deadlines)
-    REPRO_FAULT_PLAN=...  # deterministic fault injection, e.g.
-                          # "worker_crash@job:3,corrupt_blob@p=0.1,hang@shard:1"
-    REPRO_PROFILE=...     # when set, jobs run under cProfile and dump
-                          # per-worker stats into a run-scoped directory
+The failure-semantics knobs (``REPRO_RETRIES``, ``REPRO_JOB_TIMEOUT``,
+``REPRO_FAULT_PLAN``) are parsed by :mod:`repro.exec.options`, whose
+docstring holds the knob table.
 
 What is (and is not) retried: **crashes** (a worker process dying) and
 **hangs** (a per-job deadline expiring) are retried — they are machine
@@ -68,167 +56,19 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.exec import options as _options
+
 __all__ = [
-    "EnvKnobError",
     "ExperimentFailure",
-    "FaultClause",
-    "FaultPlan",
     "JobFailure",
     "backoff_delay",
     "count",
     "counters_delta",
     "counters_snapshot",
-    "current_fault_plan",
-    "mark_pool_worker",
     "merge_counters",
-    "parse_fault_plan",
-    "resolve_job_timeout",
-    "resolve_profile_dir",
-    "resolve_retries",
     "runs_in_process",
     "supervised_events",
-    "validate_environment",
 ]
-
-
-# ------------------------------------------------------------- env knobs --
-
-class EnvKnobError(ValueError):
-    """A malformed ``REPRO_*`` environment knob.
-
-    The message is a single actionable line (knob name, offending value,
-    what to use instead); entry points print it and exit instead of dumping
-    a traceback from the middle of a sweep.
-    """
-
-
-def _env_int(name: str, default: int, hint: str,
-             minimum: Optional[int] = None) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EnvKnobError(
-            f"{name} must be an integer (got {raw!r}); {hint}") from None
-    if minimum is not None and value < minimum:
-        raise EnvKnobError(
-            f"{name} must be >= {minimum} (got {value}); {hint}")
-    return value
-
-
-def _env_bool(name: str) -> bool:
-    """An on/off switch: unset, empty or ``1`` enables, ``0`` disables."""
-    raw = os.environ.get(name, "").strip()
-    if raw in ("", "1"):
-        return True
-    if raw == "0":
-        return False
-    raise EnvKnobError(
-        f"{name} must be 0 or 1 (got {raw!r}); use 0 to disable, "
-        f"1 (or unset) to enable")
-
-
-def _env_float(name: str, default: float, hint: str,
-               minimum: Optional[float] = None) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EnvKnobError(
-            f"{name} must be a number (got {raw!r}); {hint}") from None
-    if minimum is not None and value < minimum:
-        raise EnvKnobError(
-            f"{name} must be >= {minimum} (got {value:g}); {hint}")
-    return value
-
-
-#: Default retries per failed (crashed or timed-out) job.
-DEFAULT_RETRIES = 2
-
-#: Default per-job deadline on the pool path, in seconds.  Generous: one
-#: checkpoint-generation job replays a whole workload's warming prefix,
-#: which at the paper's 10M-instruction scale runs for minutes on a slow
-#: or contended host, and the deadline must never fire on a healthy
-#: machine.  Chaos tests shrink it explicitly.
-DEFAULT_JOB_TIMEOUT_SECONDS = 3600.0
-
-
-def resolve_retries() -> int:
-    """Retries per failed job: ``REPRO_RETRIES``, default 2, ``>= 0``."""
-    return _env_int("REPRO_RETRIES", DEFAULT_RETRIES,
-                    "use 0 to disable retries", minimum=0)
-
-
-def resolve_job_timeout() -> float:
-    """Per-job deadline in seconds: ``REPRO_JOB_TIMEOUT``, default 3600.
-
-    ``0`` disables deadlines (crash detection and retries stay active).
-    """
-    return _env_float("REPRO_JOB_TIMEOUT", DEFAULT_JOB_TIMEOUT_SECONDS,
-                      "seconds per job; use 0 to disable deadlines",
-                      minimum=0.0)
-
-
-def resolve_profile_dir() -> Optional[str]:
-    """Root directory for per-worker profiles (``REPRO_PROFILE``), or ``None``.
-
-    ``None`` (unset, empty, or ``0``) disables profiling.  ``1`` profiles
-    into the default ``.repro-profile/``; any other value is the directory
-    itself.  When enabled, every job runs under :mod:`cProfile`, each
-    worker dumps its stats files into a run-scoped subdirectory, and
-    ``ExperimentEngine.last_run_stats`` reports the top cumulative
-    hotspots — so the next performance PR starts from data, not guesses.
-    """
-    raw = os.environ.get("REPRO_PROFILE", "").strip()
-    if not raw or raw == "0":
-        return None
-    if raw == "1":
-        return ".repro-profile"
-    if os.path.isfile(raw):
-        raise EnvKnobError(
-            f"REPRO_PROFILE must be a directory path (got existing file "
-            f"{raw!r}); use 1 for the default .repro-profile/")
-    return raw
-
-
-def _reject_retired_checkpoints_knob() -> None:
-    """``REPRO_CHECKPOINTS=0`` used to select bounded functional warming.
-
-    That mode was retired: every sampled run warms from checkpoints.  The
-    variable selects nothing now; unset, empty or ``1`` (which older
-    scripts pin) pass, and any other value fails instead of being ignored.
-    """
-    raw = os.environ.get("REPRO_CHECKPOINTS", "").strip()
-    if raw not in ("", "1"):
-        raise EnvKnobError(
-            f"REPRO_CHECKPOINTS={raw!r} is not supported: bounded functional "
-            f"warming was retired and every sampled run warms from "
-            f"checkpoints; unset REPRO_CHECKPOINTS")
-
-
-def validate_environment() -> Dict[str, Any]:
-    """Resolve every execution-affecting ``REPRO_*`` knob, failing fast.
-
-    Called once per :class:`~repro.exec.engine.ExperimentEngine`
-    construction so a malformed knob surfaces before any simulation work
-    starts, as one :class:`EnvKnobError` line.  Returns the resolved
-    values (useful for reports and docs smoke tests).
-    """
-    _reject_retired_checkpoints_knob()
-    resolved: Dict[str, Any] = {
-        "jobs_env": _env_int("REPRO_JOBS", 1,
-                             'use 0 or a negative value for "all CPUs"'),
-        "cache": _env_bool("REPRO_CACHE"),
-        "retries": resolve_retries(),
-        "job_timeout": resolve_job_timeout(),
-        "profile_dir": resolve_profile_dir(),
-    }
-    resolved["fault_plan"] = current_fault_plan()
-    return resolved
 
 
 # --------------------------------------------------------------- backoff --
@@ -284,196 +124,19 @@ def merge_counters(delta: Dict[str, int]) -> None:
 
 # ------------------------------------------------------- fault injection --
 
-#: Fault kinds injected at job boundaries (pool workers only).
-JOB_FAULT_KINDS = ("worker_crash", "hang")
-
-#: Fault kinds injected at store-blob writes (any process).
-BLOB_FAULT_KINDS = ("corrupt_blob", "truncate_blob", "write_error")
-
 #: Exit status of an injected worker crash (recognisable in waitpid logs).
 _CRASH_EXIT_STATUS = 87
 
 
-@dataclass(frozen=True)
-class FaultClause:
-    """One parsed ``kind@selector`` clause of a fault plan."""
-
-    kind: str
-    #: ``"job"`` or ``"shard"`` for job faults, ``None`` for blob faults.
-    scope: Optional[str] = None
-    #: Target index for job faults (the job's position in its fan-out).
-    index: Optional[int] = None
-    #: Per-key probability for blob faults.
-    probability: Optional[float] = None
-    #: How many attempts of the target job fault (``worker_crash@job:3*2``
-    #: crashes the first two attempts, exercising multi-retry recovery).
-    attempts: int = 1
-
-
-class FaultPlan:
-    """A parsed, seeded, deterministic fault-injection plan.
-
-    Job faults fire on exact ``(scope, index, attempt)`` coordinates; blob
-    faults fire per store key through a seeded hash, at most once per key
-    per process (so a recompute-after-quarantine converges instead of
-    corrupting its own repair forever).
-    """
-
-    def __init__(self, clauses: Sequence[FaultClause], seed: int = 0,
-                 text: str = "") -> None:
-        self.clauses = tuple(clauses)
-        self.seed = seed
-        self.text = text
-        self._fired_blob_keys: set = set()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({self.text!r})"
-
-    def job_fault(self, scope: str, index: int, attempt: int) -> Optional[str]:
-        """The fault kind to inject for this job attempt, or ``None``."""
-        for clause in self.clauses:
-            if (clause.kind in JOB_FAULT_KINDS and clause.scope == scope
-                    and clause.index == index and attempt < clause.attempts):
-                return clause.kind
-        return None
-
-    def blob_fault(self, key: str) -> Optional[str]:
-        """The fault kind to inject for this blob write, or ``None``.
-
-        Deterministic per ``(seed, kind, key)``; fires at most once per key
-        per process so repaired entries stay repaired.
-        """
-        for clause in self.clauses:
-            if clause.kind not in BLOB_FAULT_KINDS or not clause.probability:
-                continue
-            digest = hashlib.sha256(
-                f"{self.seed}:{clause.kind}:{key}".encode()).digest()
-            draw = int.from_bytes(digest[:8], "big") / 2 ** 64
-            if draw < clause.probability and key not in self._fired_blob_keys:
-                self._fired_blob_keys.add(key)
-                return clause.kind
-        return None
-
-
-def parse_fault_plan(text: str) -> FaultPlan:
-    """Parse a ``REPRO_FAULT_PLAN`` string.
-
-    Grammar (comma-separated clauses)::
-
-        worker_crash@job:3      # crash the worker on job 3's first attempt
-        worker_crash@job:3*2    # ... on its first two attempts
-        hang@shard:1            # hang generation job 1 until its deadline fires
-        corrupt_blob@p=0.1      # corrupt ~10% of store blobs at write time
-        truncate_blob@p=0.05    # truncate (partial write) ~5% of blobs
-        write_error@p=0.1       # ENOSPC-style write failure on ~10% of puts
-        seed=42                 # seed for the per-key blob-fault hash
-
-    Job selectors are ``job:<index>`` (engine fan-out order over the
-    cache-missed specs) and ``shard:<index>`` (checkpoint-generation job
-    order: one job per workload and policy group, see
-    :func:`repro.sampling.checkpoints.split_policy_groups`) — exact and
-    reproducible whatever the pool scheduling does.
-    """
-    clauses: List[FaultClause] = []
-    seed = 0
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("seed="):
-            try:
-                seed = int(part[len("seed="):])
-            except ValueError:
-                raise EnvKnobError(
-                    f"REPRO_FAULT_PLAN seed must be an integer "
-                    f"(got {part!r})") from None
-            continue
-        kind, sep, selector = part.partition("@")
-        if not sep or kind not in JOB_FAULT_KINDS + BLOB_FAULT_KINDS:
-            raise EnvKnobError(
-                f"REPRO_FAULT_PLAN clause {part!r} is not "
-                f"'<kind>@<selector>' with kind in "
-                f"{JOB_FAULT_KINDS + BLOB_FAULT_KINDS}")
-        if kind in BLOB_FAULT_KINDS:
-            if not selector.startswith("p="):
-                raise EnvKnobError(
-                    f"REPRO_FAULT_PLAN clause {part!r}: blob faults take a "
-                    f"probability selector, e.g. {kind}@p=0.1")
-            try:
-                probability = float(selector[2:])
-            except ValueError:
-                raise EnvKnobError(
-                    f"REPRO_FAULT_PLAN clause {part!r}: bad probability "
-                    f"{selector[2:]!r}") from None
-            if not 0.0 <= probability <= 1.0:
-                raise EnvKnobError(
-                    f"REPRO_FAULT_PLAN clause {part!r}: probability must "
-                    f"be in [0, 1]")
-            clauses.append(FaultClause(kind=kind, probability=probability))
-            continue
-        attempts = 1
-        selector, star, repeat = selector.partition("*")
-        if star:
-            try:
-                attempts = int(repeat)
-            except ValueError:
-                raise EnvKnobError(
-                    f"REPRO_FAULT_PLAN clause {part!r}: bad repeat "
-                    f"count {repeat!r}") from None
-        scope, colon, index_text = selector.partition(":")
-        if not colon or scope not in ("job", "shard"):
-            raise EnvKnobError(
-                f"REPRO_FAULT_PLAN clause {part!r}: job faults take "
-                f"'job:<index>' or 'shard:<index>' selectors")
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise EnvKnobError(
-                f"REPRO_FAULT_PLAN clause {part!r}: bad index "
-                f"{index_text!r}") from None
-        clauses.append(FaultClause(kind=kind, scope=scope, index=index,
-                                   attempts=attempts))
-    return FaultPlan(clauses, seed=seed, text=text)
-
-
-#: Parsed plans memoized by plan text — the blob-fault fired set must
-#: persist across store constructions within a process (fire once per key).
-_PLAN_CACHE: Dict[str, FaultPlan] = {}
-
-
-def current_fault_plan() -> Optional[FaultPlan]:
-    """The active fault plan (``REPRO_FAULT_PLAN``), or ``None``."""
-    text = os.environ.get("REPRO_FAULT_PLAN", "").strip()
-    if not text:
-        return None
-    plan = _PLAN_CACHE.get(text)
-    if plan is None:
-        plan = parse_fault_plan(text)
-        _PLAN_CACHE[text] = plan
-    return plan
-
-
-#: True inside a supervised pool worker.  Process-killing job faults only
-#: fire here — never in the supervisor or in degraded serial execution,
-#: where a crash would take the whole engine down.
-_IN_POOL_WORKER = False
-
-
-def mark_pool_worker() -> None:
-    """Declare this process a supervised pool worker.
-
-    Called from worker entry points only; enables the process-killing job
-    faults that must never fire in a supervisor or degraded-serial context.
-    """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
-
-
 def _maybe_inject_job_fault(scope: str, index: int, attempt: int,
                             deadline_active: bool) -> None:
-    """Fire a planned job fault at this exact execution point, if any."""
-    plan = current_fault_plan()
-    if plan is None or not _IN_POOL_WORKER:
+    """Fire a planned job fault at this exact execution point, if any.
+
+    Only pool workers call this: the in-process and degraded loops never
+    inject, so a planned crash cannot take the supervisor down.
+    """
+    plan = _options.fault_plan()
+    if plan is None:
         return
     kind = plan.job_fault(scope, index, attempt)
     if kind == "worker_crash":
@@ -567,7 +230,6 @@ def _worker_main(inbox, outbox, fn) -> None:
     ``(task_id, "error", failed_index, error_line, partial, counters_delta)``
     — exceptions never kill the worker, only crashes and kills do.
     """
-    mark_pool_worker()
     while True:
         message = inbox.get()
         if message is None:
@@ -737,9 +399,9 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         return finish()
 
     if timeout is None:
-        timeout = resolve_job_timeout()
+        timeout = _options.job_timeout()
     if retries is None:
-        retries = resolve_retries()
+        retries = _options.retries()
     chunksize = max(1, chunksize)
     queue: Deque[List[int]] = collections.deque(
         [list(range(start, min(start + chunksize, total)))

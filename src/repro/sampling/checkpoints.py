@@ -56,10 +56,8 @@ the other groups skip the shared structures no policy reads
 ``policies_only``).  The jobs have no dependencies on each other and fan
 out through the engine's dispatcher (:func:`execute_generation`).
 
-Environment knob::
-
-    REPRO_CHECKPOINT_DIR=...    # store location, default .repro-checkpoints/
-                                # (safe to delete at any time)
+The store lives in ``.repro-checkpoints/`` unless ``REPRO_CHECKPOINT_DIR``
+moves it (see :mod:`repro.exec.options`); it is safe to delete at any time.
 """
 
 from __future__ import annotations
@@ -71,6 +69,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
+from repro.exec import options as _options
 from repro.exec.cache import ResultCache, _canonical
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
@@ -100,9 +99,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v8: the shared snapshot carries no oracle last-writer map.
 CHECKPOINT_SCHEMA_VERSION = 8
 
-#: Default store directory (relative to the current working directory).
-DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
-
 #: A policy identity: (configuration name, SQ size, predictor overrides).
 PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]
 
@@ -115,9 +111,7 @@ class CheckpointStore(ResultCache):
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        super().__init__(directory
-                         or os.environ.get("REPRO_CHECKPOINT_DIR")
-                         or DEFAULT_CHECKPOINT_DIR)
+        super().__init__(directory or _options.checkpoint_dir())
 
     def contains(self, key: str) -> bool:
         """Cheap existence check (no deserialisation; corruption is only
@@ -452,15 +446,17 @@ def split_policy_groups(requests: Sequence[CheckpointJobSpec],
 
 
 def execute_generation(requests: Sequence[CheckpointJobSpec],
-                       jobs: int = 1) -> int:
+                       jobs: int = 1, retries: Optional[int] = None,
+                       timeout: Optional[float] = None) -> int:
     """Run the generation stage for ``requests`` over ``jobs`` workers.
 
     Splits the requests into policy-group jobs (:func:`split_policy_groups`)
     and hands them to the dispatcher (:func:`repro.exec.dispatch.dispatch`)
     with the worker count: one worker or one job runs in-process, more run
     the supervised pool.  The jobs are independent deterministic passes,
-    so a crashed or hung job is simply retried.  Returns the number of
-    generation jobs, the engine's ``checkpoint_jobs`` stat.
+    so a crashed or hung job is simply retried (``retries`` and
+    ``timeout`` as in :func:`~repro.exec.dispatch.dispatch`).  Returns the
+    number of generation jobs, the engine's ``checkpoint_jobs`` stat.
     """
     from repro.exec.dispatch import DispatchJob, dispatch
 
@@ -469,7 +465,8 @@ def execute_generation(requests: Sequence[CheckpointJobSpec],
         dispatch(min(jobs, len(generation_jobs)), run_checkpoint_job,
                  [DispatchJob(job, f"generation {position} ({job.workload})")
                   for position, job in enumerate(generation_jobs)],
-                 scope="shard", chunksize=1)
+                 scope="shard", chunksize=1, retries=retries,
+                 timeout=timeout)
     return len(generation_jobs)
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import ExperimentEngine, ExperimentFailure, JobSpec, ResultCache
-from repro.exec import resilience
+from repro.exec import options, resilience
 from repro.harness.runner import ExperimentSettings
 from repro.sampling.checkpoints import (
     CheckpointStore,
@@ -73,7 +73,7 @@ def _fresh_resilience_state(monkeypatch):
     from repro.exec import cache as cache_module
 
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+    monkeypatch.setattr(options, "_PLAN_CACHE", {})
     monkeypatch.setattr(resilience, "_COUNTERS",
                         type(resilience._COUNTERS)())
     monkeypatch.setattr(cache_module, "_DEGRADED_DIRS", set())
@@ -202,7 +202,7 @@ class TestFaultedRunsMatchGoldens:
         cache and still matches the goldens (no poisoned entries)."""
         _run_faulted(tmp_path, monkeypatch, "corrupt_blob@p=0.3,seed=5")
         monkeypatch.delenv("REPRO_FAULT_PLAN")
-        monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+        monkeypatch.setattr(options, "_PLAN_CACHE", {})
         specs = [JobSpec(WORKLOAD, config, _settings()) for config in CONFIGS]
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")

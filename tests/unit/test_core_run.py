@@ -10,7 +10,7 @@ import pytest
 
 from repro import simulate
 from repro.exec import ExperimentEngine, JobSpec, job_key
-from repro.exec.resilience import validate_environment
+from repro.exec.options import RunOptions
 from repro.harness.runner import ExperimentSettings, make_policy, run_workload
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
@@ -107,7 +107,7 @@ def test_leftover_repro_kernel_is_ignored(monkeypatch, value):
     unset_key = job_key(spec)
     want, = ExperimentEngine(jobs=1, cache=False).run([spec])
     monkeypatch.setenv("REPRO_KERNEL", value)
-    validate_environment()
+    RunOptions.from_environ()
     assert job_key(spec) == unset_key
     engine = ExperimentEngine(jobs=1, cache=False)
     got, = engine.run([spec])

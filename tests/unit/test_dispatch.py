@@ -18,6 +18,7 @@ from repro.exec import (
     ExperimentFailure,
     JobSpec,
     dispatch,
+    options,
     resilience,
     scheduler_counters,
     supervised_events,
@@ -60,7 +61,7 @@ def _no_pool():
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+    monkeypatch.setattr(options, "_PLAN_CACHE", {})
 
 
 class TestWhereJobsRun:
@@ -106,6 +107,18 @@ class TestWhereJobsRun:
             failure, = info.value.failures
             assert (failure.index, failure.kind) == (3, "exception")
             assert failure.error == "ValueError: three is right out"
+        assert multiprocessing.active_children() == []
+
+    def test_explicit_retries_beat_the_environment(self, monkeypatch):
+        """The retry budget an engine parsed at construction reaches the
+        pool as an argument: ``REPRO_RETRIES`` then decides nothing."""
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "worker_crash@job:1*9")
+        monkeypatch.setenv("REPRO_RETRIES", "several")
+        with pytest.raises(ExperimentFailure) as info:
+            dispatch(2, _square, _jobs(4), retries=1, timeout=0)
+        failure, = info.value.failures
+        assert (failure.index, failure.kind, failure.attempts) == \
+            (1, "crash", 2)
         assert multiprocessing.active_children() == []
 
 

@@ -17,7 +17,7 @@ from repro.exec import (
     simulator_fingerprint,
     workload_fingerprint,
 )
-from repro.exec.resilience import EnvKnobError
+from repro.exec.options import EnvKnobError
 from repro.harness.runner import ExperimentSettings
 from repro.pipeline.config import CoreConfig
 
@@ -27,29 +27,30 @@ FAST = ExperimentSettings(instructions=800, stats_warmup_fraction=0.1)
 class TestResolveJobs:
     def test_default_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
+        assert ExperimentEngine(cache=False).jobs == 1
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs() == 3
+        assert ExperimentEngine(cache=False).jobs == 3
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(2) == 2
+        assert ExperimentEngine(jobs=2, cache=False).jobs == 2
 
     def test_nonpositive_means_all_cpus(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert resolve_jobs() == available_cpus()
+        assert ExperimentEngine(cache=False).jobs == available_cpus()
+        assert resolve_jobs(0) == available_cpus()
 
     @pytest.mark.parametrize("bad", ["abc", "1.5"])
     def test_invalid_environment_fails_fast(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_JOBS", bad)
         with pytest.raises(EnvKnobError, match="REPRO_JOBS"):
-            resolve_jobs()
+            ExperimentEngine(cache=False)
 
     def test_blank_environment_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "  ")
-        assert resolve_jobs() == 1
+        assert ExperimentEngine(cache=False).jobs == 1
 
     def test_all_cpus_respects_affinity(self, monkeypatch):
         """"All CPUs" is the CPUs *this process* may run on, not the
@@ -61,7 +62,7 @@ class TestResolveJobs:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert available_cpus() == 2
         monkeypatch.setenv("REPRO_JOBS", "-1")
-        assert resolve_jobs() == 2
+        assert ExperimentEngine(cache=False).jobs == 2
 
     def test_affinity_unavailable_falls_back_to_cpu_count(self, monkeypatch):
         import os
@@ -196,14 +197,14 @@ class TestStoreIntegrity:
     @pytest.fixture(autouse=True)
     def _fresh_store_state(self, monkeypatch):
         from repro.exec import cache as cache_module
-        from repro.exec import resilience
+        from repro.exec import options, resilience
 
         monkeypatch.setattr(cache_module, "_DEGRADED_DIRS", set())
         monkeypatch.setattr(cache_module, "_MEMORY_FALLBACK", {})
         monkeypatch.setattr(resilience, "_COUNTERS",
                             type(resilience._COUNTERS)())
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+        monkeypatch.setattr(options, "_PLAN_CACHE", {})
 
     def test_blobs_are_framed_with_checksum(self, tmp_path):
         from repro.exec.cache import _BLOB_MAGIC

@@ -10,7 +10,8 @@ import pytest
 
 from repro.exec import ExperimentEngine, JobSpec
 from repro.exec.jobs import run_job
-from repro.exec.resilience import EnvKnobError, resolve_profile_dir
+from repro.exec import options
+from repro.exec.options import EnvKnobError
 from repro.harness.runner import ExperimentSettings, run_workload
 from repro.workloads.suites import build_workload
 
@@ -28,22 +29,22 @@ class TestProfileKnob:
                 monkeypatch.delenv("REPRO_PROFILE", raising=False)
             else:
                 monkeypatch.setenv("REPRO_PROFILE", raw)
-            assert resolve_profile_dir() is None
+            assert options.profile_dir() is None
 
     def test_one_means_default_directory(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert resolve_profile_dir() == ".repro-profile"
+        assert options.profile_dir() == ".repro-profile"
 
     def test_path_is_the_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path / "prof"))
-        assert resolve_profile_dir() == str(tmp_path / "prof")
+        assert options.profile_dir() == str(tmp_path / "prof")
 
     def test_existing_file_is_an_env_knob_error(self, monkeypatch, tmp_path):
         clash = tmp_path / "not-a-dir"
         clash.write_text("x")
         monkeypatch.setenv("REPRO_PROFILE", str(clash))
         with pytest.raises(EnvKnobError, match="REPRO_PROFILE"):
-            resolve_profile_dir()
+            options.profile_dir()
         with pytest.raises(EnvKnobError):
             ExperimentEngine(jobs=1, cache=False)
 

@@ -7,6 +7,7 @@ is bounded by explicit timeouts so a regression fails loudly instead of
 hanging the suite.
 """
 
+import ast
 import multiprocessing
 import os
 import subprocess
@@ -16,22 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import resilience
-from repro.exec.resilience import (
-    EnvKnobError,
-    ExperimentFailure,
-    backoff_delay,
-    parse_fault_plan,
-    resolve_job_timeout,
-    resolve_retries,
-    validate_environment,
-)
+from repro.exec import options, resilience
+from repro.exec.options import EnvKnobError, RunOptions, parse_fault_plan
+from repro.exec.resilience import ExperimentFailure, backoff_delay
 
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+    monkeypatch.setattr(options, "_PLAN_CACHE", {})
 
 
 def _square(x):
@@ -70,73 +64,49 @@ class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         for name in ("REPRO_RETRIES", "REPRO_JOB_TIMEOUT"):
             monkeypatch.delenv(name, raising=False)
-        assert resolve_retries() == resilience.DEFAULT_RETRIES
-        assert resolve_job_timeout() == resilience.DEFAULT_JOB_TIMEOUT_SECONDS
+        assert options.retries() == options.DEFAULT_RETRIES
+        assert options.job_timeout() == options.DEFAULT_JOB_TIMEOUT_SECONDS
 
     def test_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "5")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-        assert resolve_retries() == 5
-        assert resolve_job_timeout() == 12.5
+        assert options.retries() == 5
+        assert options.job_timeout() == 12.5
 
     @pytest.mark.parametrize("name,value", [
         ("REPRO_RETRIES", "abc"),
         ("REPRO_RETRIES", "-1"),
         ("REPRO_JOB_TIMEOUT", "soon"),
         ("REPRO_JOB_TIMEOUT", "-2"),
+        # A deadline that never expires would let a hung worker stall
+        # the pool forever (NaN compares false against every clock).
+        ("REPRO_JOB_TIMEOUT", "nan"),
+        ("REPRO_JOB_TIMEOUT", "inf"),
+        ("REPRO_JOB_TIMEOUT", "-inf"),
     ])
     def test_malformed_values_fail_fast(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
-        with pytest.raises(EnvKnobError, match=name):
-            validate_environment()
+        with pytest.raises(EnvKnobError, match=name) as excinfo:
+            RunOptions.from_environ()
+        assert "\n" not in str(excinfo.value)
 
-    def test_validate_environment_covers_jobs(self, monkeypatch):
+    def test_from_environ_covers_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         with pytest.raises(EnvKnobError, match="REPRO_JOBS"):
-            validate_environment()
+            RunOptions.from_environ()
 
-    def test_validate_environment_reports_every_knob(self, monkeypatch):
-        for name in ("REPRO_JOBS", "REPRO_CACHE", "REPRO_CHECKPOINTS",
+    def test_from_environ_reports_every_knob(self, monkeypatch):
+        for name in ("REPRO_JOBS", "REPRO_CACHE", "REPRO_CACHE_DIR",
+                     "REPRO_CHECKPOINT_DIR", "REPRO_CHECKPOINTS",
                      "REPRO_RETRIES", "REPRO_JOB_TIMEOUT", "REPRO_PROFILE",
                      "REPRO_FAULT_PLAN"):
             monkeypatch.delenv(name, raising=False)
-        resolved = validate_environment()
-        assert set(resolved) == {"jobs_env", "cache", "retries",
-                                 "job_timeout", "profile_dir", "fault_plan"}
-        assert resolved["jobs_env"] == 1
-        assert resolved["cache"] is True
-        assert resolved["retries"] == resilience.DEFAULT_RETRIES
-        assert (resolved["job_timeout"]
-                == resilience.DEFAULT_JOB_TIMEOUT_SECONDS)
-        assert resolved["profile_dir"] is None
-        assert resolved["fault_plan"] is None
-
-    @pytest.mark.parametrize("name,value", [
-        ("REPRO_JOBS", "abc"),
-        ("REPRO_JOBS", "1.5"),
-        ("REPRO_RETRIES", "many"),
-        ("REPRO_RETRIES", "-3"),
-        ("REPRO_JOB_TIMEOUT", "soon"),
-        ("REPRO_JOB_TIMEOUT", "-2"),
-    ])
-    def test_resolvers_and_validation_share_one_parser(self, monkeypatch,
-                                                       name, value):
-        """``resolve_jobs``, ``resolve_retries`` and ``resolve_job_timeout``
-        read their knob with the parser ``validate_environment`` uses: the
-        same one-line error, wherever the bad value is first read."""
-        from repro.exec import resolve_jobs
-
-        resolver = {"REPRO_JOBS": resolve_jobs,
-                    "REPRO_RETRIES": resolve_retries,
-                    "REPRO_JOB_TIMEOUT": resolve_job_timeout}[name]
-        monkeypatch.setenv(name, value)
-        with pytest.raises(EnvKnobError) as validated:
-            validate_environment()
-        with pytest.raises(EnvKnobError) as resolved:
-            resolver()
-        assert str(resolved.value) == str(validated.value)
-        assert name in str(resolved.value)
-        assert "\n" not in str(resolved.value)
+        assert RunOptions.from_environ() == RunOptions(
+            jobs=1, cache=True, cache_dir=options.DEFAULT_CACHE_DIR,
+            checkpoint_dir=options.DEFAULT_CHECKPOINT_DIR,
+            retries=options.DEFAULT_RETRIES,
+            job_timeout=options.DEFAULT_JOB_TIMEOUT_SECONDS,
+            profile_dir=None, fault_plan=None)
 
     @pytest.mark.parametrize("value", ["off", "no", "true"])
     def test_malformed_boolean_knobs_fail_fast(self, monkeypatch, value):
@@ -146,7 +116,7 @@ class TestEnvKnobs:
 
         monkeypatch.setenv("REPRO_CACHE", value)
         with pytest.raises(EnvKnobError) as excinfo:
-            validate_environment()
+            RunOptions.from_environ()
         assert "REPRO_CACHE" in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
         with pytest.raises(EnvKnobError, match="REPRO_CACHE"):
@@ -159,7 +129,7 @@ class TestEnvKnobs:
             monkeypatch.delenv("REPRO_CACHE", raising=False)
         else:
             monkeypatch.setenv("REPRO_CACHE", raw)
-        assert validate_environment()["cache"] is expected
+        assert RunOptions.from_environ().cache is expected
 
     @pytest.mark.parametrize("value", ["0", "off", "no", "true"])
     def test_retired_checkpoints_knob_fails_fast(self, monkeypatch, value):
@@ -170,7 +140,7 @@ class TestEnvKnobs:
 
         monkeypatch.setenv("REPRO_CHECKPOINTS", value)
         with pytest.raises(EnvKnobError) as excinfo:
-            validate_environment()
+            RunOptions.from_environ()
         message = str(excinfo.value)
         assert "REPRO_CHECKPOINTS" in message
         assert repr(value) in message
@@ -190,13 +160,13 @@ class TestEnvKnobs:
             monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
         else:
             monkeypatch.setenv("REPRO_CHECKPOINTS", raw)
-        assert "checkpoints" not in validate_environment()
+        assert not hasattr(RunOptions.from_environ(), "checkpoints")
         ExperimentEngine(jobs=1, cache=False)
 
     def test_malformed_fault_plan_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "explode@everywhere")
         with pytest.raises(EnvKnobError, match="REPRO_FAULT_PLAN"):
-            validate_environment()
+            RunOptions.from_environ()
 
     def test_engine_construction_validates(self, monkeypatch):
         from repro.exec import ExperimentEngine
@@ -205,12 +175,59 @@ class TestEnvKnobs:
         with pytest.raises(EnvKnobError, match="REPRO_RETRIES"):
             ExperimentEngine(jobs=1, cache=False)
 
-    def test_knob_errors_are_one_line(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
+    @pytest.mark.parametrize("value", ["soon", "nan"])
+    def test_knob_errors_are_one_line(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", value)
         with pytest.raises(EnvKnobError) as excinfo:
-            validate_environment()
+            RunOptions.from_environ()
         assert "\n" not in str(excinfo.value)
         assert "REPRO_JOB_TIMEOUT" in str(excinfo.value)
+        assert "use 0 to disable deadlines" in str(excinfo.value)
+
+    def test_only_the_options_module_reads_the_environment(self):
+        """Every ``os.environ`` / ``os.getenv`` reference under
+        ``src/repro`` is in :mod:`repro.exec.options`."""
+        package = Path(options.__file__).resolve().parents[1]
+        readers = set()
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute):
+                    hit = (node.attr in ("environ", "getenv")
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id == "os")
+                elif isinstance(node, ast.ImportFrom):
+                    hit = node.module == "os" and any(
+                        alias.name in ("environ", "getenv")
+                        for alias in node.names)
+                else:
+                    continue
+                if hit:
+                    readers.add(path.relative_to(package.parent).as_posix())
+        assert readers == {"repro/exec/options.py"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_reads_the_environment_once(self, monkeypatch, tmp_path,
+                                               jobs):
+        """A knob changed after construction does not reach the engine's
+        runs: a malformed ``REPRO_RETRIES`` set then fails no dispatch,
+        and a ``REPRO_PROFILE`` set then profiles nothing."""
+        from repro.exec import ExperimentEngine, JobSpec
+        from repro.harness.runner import ExperimentSettings
+
+        for name in ("REPRO_RETRIES", "REPRO_PROFILE"):
+            monkeypatch.delenv(name, raising=False)
+        fast = ExperimentSettings(instructions=800, stats_warmup_fraction=0.1)
+        specs = [JobSpec("gzip", name, fast)
+                 for name in ("oracle-associative-3", "indexed-3-fwd")]
+        engine = ExperimentEngine(jobs=jobs, cache=False)
+        monkeypatch.setenv("REPRO_RETRIES", "several")
+        monkeypatch.setenv("REPRO_PROFILE", str(tmp_path / "prof"))
+        records = engine.run(specs)
+        assert len(records) == len(specs)
+        assert engine.last_run_stats["backend"] == (
+            "serial" if jobs == 1 else "supervised-pool")
+        assert "profile" not in engine.last_run_stats
+        assert not (tmp_path / "prof").exists()
 
     def test_bench_entry_point_reports_malformed_jobs(self, tmp_path):
         """``run_all.py`` with ``REPRO_JOBS=abc``: one ``invalid
