@@ -16,8 +16,8 @@ from repro.harness.table2 import run_table2
 from repro.timing.cacti import dcache_bank_access
 
 
-def test_table2_sq_latency(benchmark, bench_engine):
-    result = run_once(benchmark, run_table2, engine=bench_engine)
+def test_table2_sq_latency(benchmark):
+    result = run_once(benchmark, run_table2)
     print()
     print(result.render())
 
@@ -43,8 +43,8 @@ def test_table2_sq_latency(benchmark, bench_engine):
     benchmark.extra_info["indexed_64_2port_ns"] = round(headline.indexed_ns, 3)
 
 
-def test_energy_comparison(benchmark, bench_engine):
-    result = run_once(benchmark, run_table2, engine=bench_engine)
+def test_energy_comparison(benchmark):
+    result = run_once(benchmark, run_table2)
     savings = result.energy.indexed_savings
     print(f"\nIndexed SQ per-access energy saving at 64 entries / 2 load ports: "
           f"{100 * savings:.1f}% (paper: ~30%)")

@@ -81,8 +81,8 @@ def _settings() -> ExperimentSettings:
 FULL_FIDELITY = WORKLOAD_SUBSET is None and DEFAULT_INSTRUCTIONS >= 8000
 
 
-def bench_table2(engine: ExperimentEngine) -> dict:
-    result = run_table2(engine=engine)
+def bench_table2(_engine: ExperimentEngine) -> dict:
+    result = run_table2()
     headline = result.row(64, 2)
     assert headline.indexed_ns < headline.associative_ns
     assert 0.15 <= result.energy.indexed_savings <= 0.45

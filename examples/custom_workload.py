@@ -12,9 +12,9 @@ Shows the lower-level APIs a downstream user would reach for:
 ``builder.finish()`` returns an encoded stream
 (:class:`repro.isa.plane.EncodedOps` — per-uop static-plane indices plus
 dynamic fields).  It reads like a ``MicroOp`` list (``len``, iteration and
-indexing yield ``MicroOp`` views, ``.stats``, ``.uops``) and is exactly
-what ``simulate`` / ``OutOfOrderCore.run`` consume; they also accept a
-``DynamicTrace`` or a plain ``MicroOp`` list and encode it on entry.  The
+indexing yield ``MicroOp`` views, ``.stats``) and is exactly what
+``simulate`` / ``OutOfOrderCore.run`` consume; they also accept any
+``MicroOp`` iterable and encode it on entry.  The
 emit helpers (``builder.load``/``store``/``alu``/``branch``/``nop``) do not
 return the emitted micro-op (decode a view via ``builder.finish()[i]`` if
 one is needed) — constructing a ``MicroOp`` per emit is exactly the cost

@@ -47,7 +47,7 @@ from repro.lsu import (
     StoreQueue,
 )
 from repro.pipeline import CoreConfig, OutOfOrderCore, SimulationResult, SimStats
-from repro.isa import DynamicTrace, MicroOp, OpClass
+from repro.isa import MicroOp, OpClass
 from repro.sampling import SampledResult, SamplingPlan
 from repro.workloads import build_workload, build_suite, workload_names
 from repro.timing import SQGeometry, sq_latency_table
@@ -59,7 +59,6 @@ __all__ = [
     "AssociativeStoreSetsPolicy",
     "CoreConfig",
     "DelayDistancePredictor",
-    "DynamicTrace",
     "ForwardingStorePredictor",
     "IndexedSQPolicy",
     "MicroOp",
@@ -102,8 +101,8 @@ def simulate(trace, policy, config=None):
     ----------
     trace:
         An :class:`~repro.isa.plane.EncodedOps` stream (e.g. from
-        :func:`~repro.workloads.suites.build_workload`), a
-        :class:`~repro.isa.trace.DynamicTrace`, or any micro-op sequence.
+        :func:`~repro.workloads.suites.build_workload`) or any micro-op
+        iterable.
     policy:
         An :class:`~repro.lsu.policies.SQPolicy` instance describing the
         store-queue configuration.

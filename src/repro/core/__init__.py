@@ -6,7 +6,7 @@ This package contains the structures introduced or adapted by the paper:
 * :mod:`repro.core.fsp` — the Forwarding Store Predictor (FSP), a PC-indexed
   set-associative table mapping load PCs to the store PCs they forward from.
 * :mod:`repro.core.sat` — the Store Alias Table (SAT), mapping store PCs to
-  the SSN of their youngest in-flight instance, with log/checkpoint repair.
+  the SSN of their youngest in-flight instance, with log repair.
 * :mod:`repro.core.ddp` — the Delay Distance Predictor (DDP), which delays
   difficult loads until all but the predicted candidate store have committed.
 * :mod:`repro.core.svw` — the Store Vulnerability Window support structures

@@ -67,18 +67,16 @@ class SATConfig:
     """Store Alias Table configuration.
 
     The SAT is untagged and indexed by a partial store PC; the paper uses
-    256 entries (8 index bits) and supports 4 checkpoints for repair.
+    256 entries (8 index bits).  Flush repair is by undo log (``"log"``,
+    exact) or off (``"none"``); see :mod:`repro.core.sat`.
     """
 
     entries: int = 256
-    checkpoints: int = 4
-    repair: str = "log"  # one of "log", "checkpoint", "none"
+    repair: str = "log"  # one of "log", "none"
 
     def __post_init__(self) -> None:
         _require_power_of_two("SAT entries", self.entries)
-        if self.checkpoints < 0:
-            raise ValueError("checkpoint count must be non-negative")
-        if self.repair not in ("log", "checkpoint", "none"):
+        if self.repair not in ("log", "none"):
             raise ValueError(f"unknown SAT repair mode {self.repair!r}")
 
 

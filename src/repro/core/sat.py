@@ -7,17 +7,18 @@ and each entry holds a single SSN.  The SSN of each store is inserted at
 rename.  Like a register alias table, the SAT is repaired on pipeline
 flushes, although repair is needed only for performance, not correctness.
 
-Two repair mechanisms are implemented, mirroring the paper's analogy with RAT
-repair: ``log`` (each update returns an undo record that the pipeline
-replays, youngest first, when stores are squashed) and ``checkpoint``
-(bounded number of full-table snapshots).  ``none`` disables repair so its
-performance effect can be measured.
+Repair is by log (``repair="log"``): each update returns an undo record
+that the pipeline replays, youngest first, when stores are squashed, which
+restores the table exactly.  The paper's alternative, a budget of 4
+full-table checkpoints as in RAT repair, is therefore not modelled.
+``repair="none"`` disables repair so its performance effect can be
+measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.core.predictors import SATConfig
 
@@ -41,9 +42,6 @@ class SATStats:
     updates: int = 0
     lookups: int = 0
     undos: int = 0
-    checkpoints_taken: int = 0
-    checkpoints_restored: int = 0
-    checkpoint_overflows: int = 0
 
 
 class StoreAliasTable:
@@ -54,8 +52,6 @@ class StoreAliasTable:
         self.stats = SATStats()
         self._table: List[int] = [0] * self.config.entries
         self._index_mask = self.config.entries - 1
-        self._checkpoints: Dict[int, List[int]] = {}
-        self._next_checkpoint_id = 0
 
     def index_of(self, store_pc: int) -> int:
         """SAT index for a store PC (low-order PC bits, word-aligned)."""
@@ -96,48 +92,16 @@ class StoreAliasTable:
         self._table[record.index] = record.previous_ssn
         self.stats.undos += 1
 
-    # -- checkpoint-based repair ------------------------------------------------
-
-    def checkpoint(self) -> Optional[int]:
-        """Take a full-table checkpoint; returns its id, or ``None`` if the
-        configured checkpoint budget is exhausted."""
-        if len(self._checkpoints) >= self.config.checkpoints:
-            self.stats.checkpoint_overflows += 1
-            return None
-        checkpoint_id = self._next_checkpoint_id
-        self._next_checkpoint_id += 1
-        self._checkpoints[checkpoint_id] = list(self._table)
-        self.stats.checkpoints_taken += 1
-        return checkpoint_id
-
-    def restore(self, checkpoint_id: int) -> None:
-        """Restore from a checkpoint and discard it along with younger ones."""
-        if checkpoint_id not in self._checkpoints:
-            raise KeyError(f"unknown SAT checkpoint {checkpoint_id}")
-        self._table = list(self._checkpoints[checkpoint_id])
-        self.stats.checkpoints_restored += 1
-        for cid in list(self._checkpoints):
-            if cid >= checkpoint_id:
-                del self._checkpoints[cid]
-
-    def release(self, checkpoint_id: int) -> None:
-        """Discard a checkpoint without restoring (e.g. the branch committed)."""
-        self._checkpoints.pop(checkpoint_id, None)
-
     # -- maintenance ------------------------------------------------------------
 
     def clear(self) -> None:
         """Clear all entries (SSN wrap handling)."""
         self._table = [0] * self.config.entries
-        self._checkpoints.clear()
 
     def copy_from(self, other: "StoreAliasTable") -> None:
-        """Take over ``other``'s entries, checkpoints and counters (same
-        geometry; this table keeps its own list)."""
+        """Take over ``other``'s entries and counters (same geometry; this
+        table keeps its own list)."""
         self._table[:] = other._table
-        self._checkpoints = {cid: list(table)
-                             for cid, table in other._checkpoints.items()}
-        self._next_checkpoint_id = other._next_checkpoint_id
         self.stats = replace(other.stats)
 
     def snapshot(self) -> List[int]:

@@ -37,7 +37,6 @@ This package is the performance substrate under every timing experiment:
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
-    generic_key,
     job_key,
 )
 from repro.exec.dispatch import (
@@ -78,7 +77,6 @@ __all__ = [
     "IntervalJobSpec",
     "JobSpec",
     "ResultCache",
-    "generic_key",
     "job_key",
     "parse_fault_plan",
     "resolve_jobs",

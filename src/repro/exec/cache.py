@@ -173,14 +173,6 @@ def job_key(spec: "JobSpec") -> str:  # noqa: F821 - typing only
     return hashlib.sha256(blob).hexdigest()
 
 
-def generic_key(tag: str, payload: Any) -> str:
-    """Cache key for non-simulation artifacts (e.g. the Table 2 model)."""
-    blob = json.dumps({"schema": CACHE_SCHEMA_VERSION, "tag": tag,
-                       "payload": _canonical(payload)},
-                      sort_keys=True, default=repr).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 class ResultCache:
     """Pickle-per-entry on-disk cache with atomic writes.
 

@@ -12,9 +12,9 @@ of a hope.  One worker or one job runs in the caller's process
 supervised pool (``"supervised-pool"``).
 
 Scheduler observability: every run fills a :class:`DispatchStats`
-(``backend``, ``queue_depth_peak``, ``inflight_peak``,
-``dispatch_overhead_ns``) — surfaced in the engine's ``last_run_stats``
-and, via :func:`scheduler_counters`, in every ``BENCH_*.json`` envelope.
+(``backend``, ``inflight_peak``, ``dispatch_overhead_ns``) — surfaced in
+the engine's ``last_run_stats`` and, via :func:`scheduler_counters`, in
+every ``BENCH_*.json`` envelope.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class DispatchStats:
     """Scheduling counters for one :func:`dispatch` run."""
 
     backend: str
-    queue_depth_peak: int
     inflight_peak: int
     dispatch_overhead_ns: int
     #: Resilience-counter delta of this run (retries, respawns, ...);
@@ -60,7 +59,6 @@ class DispatchStats:
         merged: Dict[str, Any] = dict(self.counters)
         merged.update({
             "backend": self.backend,
-            "queue_depth_peak": self.queue_depth_peak,
             "inflight_peak": self.inflight_peak,
             "dispatch_overhead_ns": self.dispatch_overhead_ns,
         })
@@ -109,7 +107,6 @@ def dispatch(workers: int, fn: Callable[[Any], Any],
     results: List[Any] = [None] * total
     started = 0
     done = 0
-    queue_depth_peak = total
     inflight_peak = 0
     overhead_ns = 0
     counters: Dict[str, int] = {}
@@ -141,7 +138,6 @@ def dispatch(workers: int, fn: Callable[[Any], Any],
         stats = DispatchStats(
             backend=("serial" if runs_in_process(workers, total)
                      else "supervised-pool"),
-            queue_depth_peak=queue_depth_peak,
             inflight_peak=inflight_peak,
             dispatch_overhead_ns=overhead_ns,
             counters=counters)

@@ -39,9 +39,8 @@ deadlines, crash detection, retry with backoff, pool self-healing, and
 degradation to the same in-process loop.  Either way a sweep completes or
 raises a structured :class:`~repro.exec.resilience.ExperimentFailure`; it
 never hangs and never silently drops jobs.  Scheduler observability
-(``backend``, ``queue_depth_peak``, ``inflight_peak``,
-``dispatch_overhead_ns``) lands in :attr:`ExperimentEngine.last_run_stats`
-on every run.
+(``backend``, ``inflight_peak``, ``dispatch_overhead_ns``) lands in
+:attr:`ExperimentEngine.last_run_stats` on every run.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exec import resilience as _resilience
-from repro.exec.cache import ResultCache, generic_key, job_key
+from repro.exec.cache import ResultCache, job_key
 from repro.exec.dispatch import DispatchJob, dispatch
 from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
 from repro.exec.options import RunOptions
@@ -62,8 +61,7 @@ from repro.exec.resilience import ExperimentFailure
 #: The scheduler-observability keys every run folds into
 #: ``last_run_stats`` (zeroed when nothing needed dispatching, so tooling
 #: needs no schema probe).
-_SCHEDULER_KEYS = ("backend", "queue_depth_peak", "inflight_peak",
-                   "dispatch_overhead_ns")
+_SCHEDULER_KEYS = ("backend", "inflight_peak", "dispatch_overhead_ns")
 
 
 def _validate_chunksize(chunksize) -> Optional[int]:
@@ -474,21 +472,3 @@ class ExperimentEngine:
                 store.sweep_stale_tmp(0.0)
             except Exception:  # pragma: no cover - best effort
                 pass
-
-    # ---------------------------------------------------------------- memoizing --
-
-    def cached(self, tag: str, payload, compute):
-        """Memoise an arbitrary computation through the result cache.
-
-        Used by analytic artifacts (Table 2) that are cheap but still worth
-        keying so the trajectory tooling can tell whether anything changed.
-        Falls back to calling ``compute()`` directly when caching is off.
-        """
-        if self.cache is None:
-            return compute()
-        key = generic_key(tag, payload)
-        value = self.cache.get(key)
-        if value is None:
-            value = compute()
-            self.cache.put(key, value)
-        return value

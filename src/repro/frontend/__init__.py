@@ -13,7 +13,6 @@ from repro.frontend.branch_predictor import (
     BranchUnit,
     GSharePredictor,
     HybridPredictor,
-    SaturatingCounter,
 )
 from repro.frontend.btb import BranchTargetBuffer, BTBConfig
 from repro.frontend.ras import ReturnAddressStack
@@ -27,5 +26,4 @@ __all__ = [
     "GSharePredictor",
     "HybridPredictor",
     "ReturnAddressStack",
-    "SaturatingCounter",
 ]

@@ -1,6 +1,6 @@
 """Branch direction predictors.
 
-Implements two-bit saturating counters, a bimodal table, a gshare table, and
+Implements a bimodal table and a gshare table of saturating counters, and
 the hybrid (chooser-based) combination used by the paper's baseline
 processor.  The pipeline queries the predictor at fetch and updates it at
 branch resolution; a misprediction redirects the front end after the branch
@@ -11,45 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
-
-
-class SaturatingCounter:
-    """An n-bit saturating counter.
-
-    Counters start at the weakly-taken / weakly-not-taken boundary so the
-    predictor warms quickly in either direction.
-    """
-
-    def __init__(self, bits: int = 2, initial: int | None = None) -> None:
-        if bits < 1:
-            raise ValueError("counter must have at least one bit")
-        self.max_value = (1 << bits) - 1
-        self.threshold = 1 << (bits - 1)
-        self.value = self.threshold if initial is None else initial
-        if not 0 <= self.value <= self.max_value:
-            raise ValueError("initial counter value out of range")
-
-    def increment(self) -> None:
-        if self.value < self.max_value:
-            self.value += 1
-
-    def decrement(self) -> None:
-        if self.value > 0:
-            self.value -= 1
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.increment()
-        else:
-            self.decrement()
-
-    @property
-    def predict_taken(self) -> bool:
-        return self.value >= self.threshold
-
-    @property
-    def is_saturated(self) -> bool:
-        return self.value in (0, self.max_value)
 
 
 @dataclass(frozen=True)

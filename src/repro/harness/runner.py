@@ -144,10 +144,9 @@ def run_workload(trace, config_name: str,
                  predictors: Optional[PredictorSuiteConfig] = None) -> RunRecord:
     """Simulate one trace under one named configuration.
 
-    ``trace`` is an :class:`~repro.isa.plane.EncodedOps` (what
-    :func:`~repro.workloads.suites.build_workload` returns) or a
-    :class:`~repro.isa.trace.DynamicTrace` / micro-op sequence, which the
-    core encodes on entry — bit-identical either way.
+    ``trace`` is an :class:`~repro.isa.plane.EncodedOps`: what
+    :func:`~repro.workloads.suites.build_workload` returns, or what
+    :func:`~repro.isa.plane.encode_uops` makes of named micro-ops.
 
     With ``settings.sampling`` set the trace is simulated by statistical
     sampling (continuous functional warming + detailed intervals) instead

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.exec import ExperimentEngine
-from repro.exec.fingerprint import timing_fingerprint
 from repro.harness import paper_data
 from repro.harness.reporting import format_comparison, format_table
 from repro.timing.cacti import AccessTiming
@@ -69,20 +67,10 @@ class Table2Result:
         return "\n\n".join(lines)
 
 
-def run_table2(engine: Optional[ExperimentEngine] = None) -> Table2Result:
-    """Regenerate Table 2 from the analytical timing model.
-
-    The model is cheap, but when an ``engine`` with caching is supplied the
-    result is memoized under the timing-model source fingerprint so the
-    trajectory tooling can tell "unchanged" from "recomputed".
-    """
-    def compute() -> Table2Result:
-        return Table2Result(
-            sq_rows=sq_latency_table(),
-            references=reference_rows(),
-            energy=sq_energy_comparison(64, 2),
-        )
-
-    if engine is None:
-        return compute()
-    return engine.cached("table2", {"sources": timing_fingerprint()}, compute)
+def run_table2() -> Table2Result:
+    """Regenerate Table 2 from the analytical timing model."""
+    return Table2Result(
+        sq_rows=sq_latency_table(),
+        references=reference_rows(),
+        energy=sq_energy_comparison(64, 2),
+    )

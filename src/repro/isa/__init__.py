@@ -9,17 +9,15 @@ latencies) plus :class:`~repro.isa.plane.EncodedOps` dynamic streams
 carrying only per-instance fields (address / size / store value, branch
 outcome / target).  :class:`~repro.isa.uop.MicroOp` remains the one-object
 view of a single dynamic instruction — materialised on demand for tests
-and examples; the detailed core encodes any micro-op input on entry.
+and examples; the detailed core encodes a micro-op iterable on entry.
 """
 
-from repro.isa.registers import ArchRegisterFile, INT_REG_COUNT, FP_REG_COUNT, REG_ZERO
+from repro.isa.registers import INT_REG_COUNT, FP_REG_COUNT, REG_ZERO
 from repro.isa.uop import MemAccess, MicroOp, OpClass
-from repro.isa.plane import EncodedOps, StaticProgramPlane, as_encoded, encode_uops
-from repro.isa.trace import DynamicTrace, TraceStats, TraceWriter, read_trace, write_trace
+from repro.isa.plane import (EncodedOps, StaticProgramPlane, TraceStats,
+                             as_encoded, encode_uops)
 
 __all__ = [
-    "ArchRegisterFile",
-    "DynamicTrace",
     "EncodedOps",
     "StaticProgramPlane",
     "as_encoded",
@@ -31,7 +29,4 @@ __all__ = [
     "OpClass",
     "REG_ZERO",
     "TraceStats",
-    "TraceWriter",
-    "read_trace",
-    "write_trace",
 ]

@@ -18,10 +18,10 @@ thin *view* type: :meth:`EncodedOps.view` materialises one on demand for
 tests and examples, and :func:`as_encoded` turns micro-op inputs back into
 encoded streams.
 
-Encoding is lossless and order-preserving: ``encode_uops(uops).uops == uops``
-for any valid micro-op list, which is what keeps every consumer of the
-encoded form bit-identical to the object form (pinned by the golden
-regression tests).
+Encoding is lossless and order-preserving: ``list(encode_uops(uops)) ==
+list(uops)`` for any valid micro-op sequence, which is what keeps every
+consumer of the encoded form bit-identical to the object form (pinned by
+the golden regression tests).
 
 Static indices are *per-plane*: two planes built from different composition
 orders may number the same descriptor differently.  Within a process, all
@@ -35,17 +35,12 @@ memo (:func:`repro.sampling.checkpoints.window_key`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.isa.registers import validate_reg
-from repro.isa.uop import (
-    DEFAULT_LATENCIES,
-    MAX_ACCESS_SIZE,
-    VALID_ACCESS_SIZES,
-    MemAccess,
-    MicroOp,
-    OpClass,
-)
+from repro.isa.uop import DEFAULT_LATENCIES, MemAccess, MicroOp, OpClass
 
 #: Dispatch-routing kind codes (what the per-uop loop branches on).
 KIND_OTHER = 0
@@ -186,6 +181,34 @@ class StaticProgramPlane:
         return plane
 
 
+@dataclass
+class TraceStats:
+    """Summary statistics over a dynamic trace (:attr:`EncodedOps.stats`)."""
+
+    total: int = 0
+    loads: int = 0
+    stores: int = 0
+    branches: int = 0
+    taken_branches: int = 0
+    int_ops: int = 0
+    fp_ops: int = 0
+    unique_pcs: int = 0
+    unique_load_pcs: int = 0
+    unique_store_pcs: int = 0
+
+    @property
+    def load_fraction(self) -> float:
+        return self.loads / self.total if self.total else 0.0
+
+    @property
+    def store_fraction(self) -> float:
+        return self.stores / self.total if self.total else 0.0
+
+    @property
+    def branch_fraction(self) -> float:
+        return self.branches / self.total if self.total else 0.0
+
+
 class EncodedOps:
     """A dynamic instruction stream over a shared static plane.
 
@@ -308,10 +331,6 @@ class EncodedOps:
         out.warm_lines = {}
         return out
 
-    def truncated(self, max_uops: int) -> "EncodedOps":
-        """Back-compat analogue of :meth:`DynamicTrace.truncated`."""
-        return self.slice(0, max_uops)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             lo, hi, step = index.indices(len(self.sidx))
@@ -344,15 +363,8 @@ class EncodedOps:
                        hint_return=plane.hint_return[si])
 
     @property
-    def uops(self) -> List[MicroOp]:
-        """Every micro-op as a view object (O(n) decode; back-compat only)."""
-        return [self.view(i) for i in range(len(self.sidx))]
-
-    @property
-    def stats(self):
+    def stats(self) -> TraceStats:
         """Trace statistics, computed straight off the arrays."""
-        from repro.isa.trace import TraceStats
-
         plane = self.plane
         kind = plane.kind
         op_class = plane.op_class
@@ -420,12 +432,12 @@ class EncodedOps:
         self.warm_lines = {}
 
 
-def encode_uops(uops: Sequence[MicroOp],
+def encode_uops(uops: Iterable[MicroOp],
                 plane: Optional[StaticProgramPlane] = None,
                 name: str = "") -> EncodedOps:
     """Encode a micro-op sequence onto ``plane`` (fresh plane when ``None``).
 
-    Lossless: ``encode_uops(uops).uops == list(uops)``.
+    Lossless: ``list(encode_uops(uops)) == list(uops)``.
     """
     encoded = EncodedOps(plane, name=name)
     intern = encoded.plane.intern
@@ -442,18 +454,18 @@ def encode_uops(uops: Sequence[MicroOp],
     return encoded
 
 
-def as_encoded(trace, name: Optional[str] = None) -> EncodedOps:
-    """Coerce a trace-like (``EncodedOps``, ``DynamicTrace``, or a micro-op
-    sequence) to :class:`EncodedOps`, preserving content exactly."""
+def as_encoded(trace: Union[EncodedOps, Iterable[MicroOp]],
+               name: Optional[str] = None) -> EncodedOps:
+    """Coerce an :class:`EncodedOps` or a micro-op iterable to
+    :class:`EncodedOps`, preserving content exactly."""
     if isinstance(trace, EncodedOps):
         return trace if name is None or trace.name == name \
             else trace.with_name(name)
-    uops = getattr(trace, "uops", trace)
-    return encode_uops(uops, name=name or getattr(trace, "name", ""))
+    return encode_uops(trace, name=name or "")
 
 
 __all__ = [
     "KIND_OTHER", "KIND_BRANCH", "KIND_LOAD", "KIND_STORE",
     "ISSUE_CLASS_OF", "ISSUE_INDEX_OF", "StaticProgramPlane", "EncodedOps",
-    "encode_uops", "as_encoded", "MAX_ACCESS_SIZE", "VALID_ACCESS_SIZES",
+    "TraceStats", "encode_uops", "as_encoded",
 ]

@@ -9,8 +9,6 @@ mirroring the Alpha's ``r31``.
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 #: Number of architectural integer registers.
 INT_REG_COUNT = 32
 
@@ -24,16 +22,6 @@ TOTAL_REG_COUNT = INT_REG_COUNT + FP_REG_COUNT
 REG_ZERO = 31
 
 
-def is_int_reg(reg: int) -> bool:
-    """True if ``reg`` names an integer architectural register."""
-    return 0 <= reg < INT_REG_COUNT
-
-
-def is_fp_reg(reg: int) -> bool:
-    """True if ``reg`` names a floating-point architectural register."""
-    return INT_REG_COUNT <= reg < TOTAL_REG_COUNT
-
-
 def validate_reg(reg: int) -> int:
     """Validate a register index, returning it unchanged.
 
@@ -45,46 +33,3 @@ def validate_reg(reg: int) -> int:
     if not 0 <= reg < TOTAL_REG_COUNT:
         raise ValueError(f"register index {reg} outside architectural space [0, {TOTAL_REG_COUNT})")
     return reg
-
-
-class ArchRegisterFile:
-    """Architectural register file holding 64-bit values.
-
-    The timing model does not need register *values* for correctness of the
-    forwarding study (memory values are what matter), but the workload
-    generators use this class to keep generated value streams self-consistent
-    and the functional checker in the tests uses it to validate traces.
-    """
-
-    def __init__(self) -> None:
-        self._values: List[int] = [0] * TOTAL_REG_COUNT
-
-    def read(self, reg: int) -> int:
-        """Read a register; the zero register always reads 0."""
-        validate_reg(reg)
-        if reg == REG_ZERO:
-            return 0
-        return self._values[reg]
-
-    def write(self, reg: int, value: int) -> None:
-        """Write a register; writes to the zero register are discarded."""
-        validate_reg(reg)
-        if reg == REG_ZERO:
-            return
-        self._values[reg] = value & 0xFFFF_FFFF_FFFF_FFFF
-
-    def snapshot(self) -> List[int]:
-        """Return a copy of all register values."""
-        return list(self._values)
-
-    def restore(self, snapshot: List[int]) -> None:
-        """Restore register values from a snapshot taken by :meth:`snapshot`."""
-        if len(snapshot) != TOTAL_REG_COUNT:
-            raise ValueError(f"snapshot length {len(snapshot)} != {TOTAL_REG_COUNT}")
-        self._values = list(snapshot)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return TOTAL_REG_COUNT

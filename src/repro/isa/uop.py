@@ -82,9 +82,6 @@ DEFAULT_LATENCIES = {
 #: Legal memory access sizes in bytes (the paper assumes a maximum of 8).
 VALID_ACCESS_SIZES = (1, 2, 4, 8)
 
-#: Maximum access size; the SSBF/SPCT are banked this many ways (Section 3.2).
-MAX_ACCESS_SIZE = 8
-
 
 @dataclass(frozen=True, slots=True)
 class MemAccess:
@@ -117,19 +114,6 @@ class MemAccess:
             limit = 1 << (8 * self.size)
             if not (0 <= self.value < limit):
                 raise ValueError(f"store value {self.value:#x} does not fit in {self.size} bytes")
-
-    @property
-    def byte_range(self) -> range:
-        """Range of byte addresses touched by this access."""
-        return range(self.addr, self.addr + self.size)
-
-    def overlaps(self, other: "MemAccess") -> bool:
-        """True if the byte ranges of the two accesses intersect."""
-        return self.addr < other.addr + other.size and other.addr < self.addr + self.size
-
-    def contains(self, other: "MemAccess") -> bool:
-        """True if this access fully covers ``other``'s byte range."""
-        return self.addr <= other.addr and other.addr + other.size <= self.addr + self.size
 
 
 @dataclass(slots=True)
@@ -170,9 +154,8 @@ class MicroOp:
     hint_call: bool = False
     hint_return: bool = False
 
-    # Convenience predicates, cached as plain attributes at construction: the
-    # simulator consults them several times per dynamic instruction, and a
-    # chained property lookup is measurably slower than an attribute read.
+    # Convenience predicates, set once at construction as plain attributes:
+    # validation below reads them, and so do callers inspecting views.
     is_load: bool = field(init=False, repr=False, compare=False)
     is_store: bool = field(init=False, repr=False, compare=False)
     is_memory: bool = field(init=False, repr=False, compare=False)
@@ -202,28 +185,6 @@ class MicroOp:
     @property
     def size(self) -> Optional[int]:
         return self.mem.size if self.mem is not None else None
-
-    def describe(self) -> str:
-        """Human-readable one-line description (used in examples and error text).
-
-        Built lazily, on demand only: nothing on a hot path pays for string
-        formatting — a ``MicroOp`` (itself now a slotted view over the
-        two-plane encoding, see :mod:`repro.isa.plane`) carries no
-        preformatted text.
-        """
-        parts = [f"pc={self.pc:#x}", self.op_class.name]
-        if self.dest is not None:
-            parts.append(f"dest=r{self.dest}")
-        if self.srcs:
-            parts.append("srcs=" + ",".join(f"r{s}" for s in self.srcs))
-        if self.mem is not None:
-            mem = f"[{self.mem.addr:#x}+{self.mem.size}]"
-            if self.mem.value is not None:
-                mem += f"={self.mem.value:#x}"
-            parts.append(mem)
-        if self.is_branch:
-            parts.append("taken" if self.is_taken else "not-taken")
-        return " ".join(parts)
 
 
 def make_load(pc: int, dest: int, addr: int, size: int = 8, srcs: Tuple[int, ...] = ()) -> MicroOp:

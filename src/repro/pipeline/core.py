@@ -34,8 +34,7 @@ to the same stall counters the straight-line loop would have charged
 (``CoreConfig.idle_skip`` disables the fast-forward for A/B checking).  The
 loop reads the trace as an :class:`~repro.isa.plane.EncodedOps` stream
 (what the workload generators produce); :meth:`OutOfOrderCore.run` encodes
-any other input — a :class:`~repro.isa.trace.DynamicTrace` or a plain
-micro-op sequence — once on entry.
+a micro-op iterable once on entry.
 """
 
 from __future__ import annotations
@@ -214,10 +213,9 @@ class OutOfOrderCore:
         :meth:`import_state`.  A call rejected for its arguments leaves the
         core unused.
 
-        ``trace`` is an :class:`~repro.isa.plane.EncodedOps` stream, a
-        :class:`~repro.isa.trace.DynamicTrace`, or any iterable of
-        micro-ops; anything but an encoded stream is encoded once on entry,
-        so every input form runs the same loop.  The result is named after
+        ``trace`` is an :class:`~repro.isa.plane.EncodedOps` stream or any
+        iterable of micro-ops, which is encoded once on entry, so every
+        input form runs the same loop.  The result is named after
         ``trace.name`` (``"trace"`` for a nameless input).
 
         ``stats_warmup_fraction`` discards the statistics accumulated over the

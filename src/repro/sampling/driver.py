@@ -15,8 +15,8 @@ Three entry points, all producing bit-identical results:
 * :func:`run_sampled_workload` — a whole sampled run by workload *name*,
   through a one-worker engine in this process (regenerating each
   interval's trace window; the full trace is never materialised).
-* :func:`run_sampled_trace` — a whole sampled run over an already
-  materialised :class:`~repro.isa.trace.DynamicTrace` (the
+* :func:`run_sampled_trace` — a whole sampled run over an
+  :class:`~repro.isa.plane.EncodedOps` trace held in memory (the
   :func:`repro.harness.runner.run_workload` path; also used by tests with
   custom traces).
 
@@ -31,8 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec.jobs import IntervalJobSpec, JobSpec
 from repro.isa.plane import EncodedOps, as_encoded
-from repro.isa.trace import DynamicTrace
-from repro.isa.uop import MicroOp
 from repro.pipeline.commit_facts import (
     CommitFacts,
     compute_commit_facts,
@@ -110,7 +108,7 @@ def _overrun(config) -> int:
     return config.rob_size + 4 * config.rename_width
 
 
-def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
+def _simulate_window(uops: EncodedOps, window: IntervalWindow,
                      workload: str, config_name: str,
                      settings: "ExperimentSettings",
                      state: FunctionalState,
@@ -118,8 +116,7 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
     """Detailed warm-up + measured region over an already warmed machine.
 
     ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
-    to :func:`_overrun` trailing instructions (encoded on the hot paths; a
-    plain micro-op sequence is encoded here, bit-identically);
+    to :func:`_overrun` trailing instructions;
     ``state`` is the warmed machine state at ``window.detailed_start``, and
     ``facts`` the window's commit facts from it (``None``: the core
     computes them).
@@ -236,11 +233,11 @@ def run_sampled_workload(workload: str, config_name: str,
                                predictors)])[0]
 
 
-def run_sampled_trace(trace: DynamicTrace, config_name: str,
+def run_sampled_trace(trace: EncodedOps, config_name: str,
                       settings: "ExperimentSettings",
                       predictors: Optional["PredictorSuiteConfig"] = None
                       ) -> "RunRecord":
-    """Run a whole sampled simulation over a materialised trace.
+    """Run a whole sampled simulation over a trace held in memory.
 
     The whole trace is sampled — exactly the region the full-detail path
     simulates for the same trace — so for generator-built traces (where
@@ -250,7 +247,7 @@ def run_sampled_trace(trace: DynamicTrace, config_name: str,
     approximates.
 
     Checkpointed warming is implemented in memory here: one cumulative
-    functional pass over the materialised trace is snapshotted
+    functional pass over the trace is snapshotted
     (serialised, matching the on-disk store's copy semantics bit for bit) at
     each interval's detailed-warmup start, so the record equals the
     store-backed paths without touching the store — custom traces are not

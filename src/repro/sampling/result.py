@@ -105,11 +105,6 @@ class SampledResult:
         return self.cpi_ci_halfwidth / mean if mean else 0.0
 
     @property
-    def ipc_mean(self) -> float:
-        mean = self.cpi_mean
-        return 1.0 / mean if mean else 0.0
-
-    @property
     def estimated_total_cycles(self) -> float:
         """CPI-mean extrapolation over the whole trace."""
         return self.cpi_mean * self.total_instructions

@@ -13,10 +13,8 @@ program name, :func:`plane_for`) and appends only the dynamic fields,
 straight onto the six parallel lists of the
 :class:`~repro.isa.plane.EncodedOps` under construction — no per-uop object
 is ever built on this path.  :meth:`ProgramBuilder.finish` returns the
-encoded stream, which supports the old :class:`~repro.isa.trace.DynamicTrace`
-reading surface (``len``, iteration/indexing as
-:class:`~repro.isa.uop.MicroOp` views, ``.stats``, ``.uops``), so kernels,
-tests, and examples are unchanged.
+encoded stream (``len``, ``.stats``, iteration/indexing as
+:class:`~repro.isa.uop.MicroOp` views).
 
 A :class:`Kernel` is a small static code fragment: it allocates its PCs,
 registers, and memory regions once at construction and then emits one loop

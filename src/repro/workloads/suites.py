@@ -209,7 +209,7 @@ class WorkloadComposer:
                 bg_emits[bisect(bg_cum, random() * bg_total, 0, bg_hi)]()
             if branchy > 0.0 and random() < branchy:
                 branchy_emit()
-        return self.builder.finish().truncated(instructions)
+        return self.builder.finish().slice(0, instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +319,9 @@ def build_workload(name: str, instructions: int = DEFAULT_INSTRUCTIONS,
     The trace is the concatenation of its ``TRACE_SEGMENT_UOPS``-long
     segments (see the module docstring); traces that fit in one segment are
     bit-identical to a direct single compose.  The returned
-    :class:`~repro.isa.plane.EncodedOps` supports the old
-    :class:`~repro.isa.trace.DynamicTrace` reading surface (``len``,
-    iteration/indexing as micro-op views, ``.stats``, ``.uops``) and is what
-    the detailed core's run loop consumes directly.
+    :class:`~repro.isa.plane.EncodedOps` is what the detailed core's run
+    loop consumes directly; ``len``, ``.stats`` and iteration/indexing as
+    :class:`~repro.isa.uop.MicroOp` views serve inspection.
     """
     if instructions <= 0:
         raise ValueError("instruction budget must be positive")

@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import ExperimentSettings, run_workload
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
@@ -85,7 +85,7 @@ class TestFullDetailGoldens:
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS)
         encoded = build_workload(workload,
                                  instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
-        microop_trace = DynamicTrace(name=workload, uops=encoded.uops)
+        microop_trace = encode_uops(encoded, name=workload)
         for config in FULL_DETAIL_CONFIGS:
             record = run_workload(microop_trace, config, settings)
             want = golden["full_detail"][f"{workload}/{config}"]

@@ -58,6 +58,11 @@ class TestTable2Harness:
         result = run_table2()
         assert 0.2 <= result.energy.indexed_savings <= 0.4
 
+    def test_recomputes_identically(self):
+        first, second = run_table2(), run_table2()
+        assert first == second
+        assert first.render() == second.render()
+
 
 class TestTable3Harness:
     def test_small_run(self):

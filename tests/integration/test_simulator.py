@@ -4,7 +4,7 @@ import pytest
 
 from repro import simulate
 from repro.core.predictors import PredictorSuiteConfig, FSPConfig, SATConfig, DDPConfig, SVWConfig
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import EncodedOps, encode_uops
 from repro.isa.uop import make_alu, make_branch, make_load, make_store
 from repro.lsu.policies import (
     AssociativeStoreSetsPolicy,
@@ -42,7 +42,7 @@ def _policies(sq_size=64):
     }
 
 
-def _kernel_trace(kernel_cls, iterations=400, name="kernel", **kwargs) -> DynamicTrace:
+def _kernel_trace(kernel_cls, iterations=400, name="kernel", **kwargs) -> EncodedOps:
     builder = ProgramBuilder(name, seed=11)
     kernel = kernel_cls(builder, **kwargs)
     for _ in range(iterations):
@@ -53,7 +53,7 @@ def _kernel_trace(kernel_cls, iterations=400, name="kernel", **kwargs) -> Dynami
 class TestBasicExecution:
     def test_trivial_trace_commits_everything(self):
         uops = [make_alu(0x400 + 4 * i, dest=(i % 8) + 1) for i in range(100)]
-        trace = DynamicTrace(name="alu", uops=uops)
+        trace = encode_uops(uops, name="alu")
         result = simulate(trace, OracleAssociativePolicy())
         assert result.stats.committed == 100
         assert result.stats.cycles > 0
@@ -67,7 +67,7 @@ class TestBasicExecution:
             uops.append(make_alu(0x404, dest=1, srcs=(1,)))
             uops.append(make_load(0x408, dest=2, addr=0x8000, size=8))
             uops.append(make_branch(0x40C, taken=True, target=0x400))
-        trace = DynamicTrace(name="fwd", uops=uops)
+        trace = encode_uops(uops, name="fwd")
         result = simulate(trace, OracleAssociativePolicy())
         assert result.stats.committed == len(uops)
         assert result.stats.loads_forwarded > 0
@@ -80,7 +80,7 @@ class TestBasicExecution:
 
     def test_dependent_chain_serialises(self):
         uops = [make_alu(0x400, dest=1, srcs=(1,)) for _ in range(200)]
-        trace = DynamicTrace(name="chain", uops=uops)
+        trace = encode_uops(uops, name="chain")
         result = simulate(trace, OracleAssociativePolicy())
         # A fully serial single-cycle chain cannot exceed IPC 1.
         assert result.stats.ipc <= 1.05

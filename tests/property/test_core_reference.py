@@ -38,7 +38,6 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.harness.runner import make_policy
-from repro.isa.trace import DynamicTrace
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.mshr import MLPConfig
 from repro.pipeline.config import CoreConfig
@@ -206,7 +205,7 @@ def test_state_handoff_matches_seed_stack():
                 workload, instructions=2 * HANDOFF_AT, seed=trace_seed)
             reference_rest = dataclasses.replace(
                 reference_trace, uops=reference_trace.uops[HANDOFF_AT:])
-            reached += _loads_on_handed_off_writers(trace.uops, HANDOFF_AT)
+            reached += _loads_on_handed_off_writers(trace, HANDOFF_AT)
             for config_name in HANDOFF_CONFIGS:
                 result = handoff(OutOfOrderCore, trace.slice(0, HANDOFF_AT),
                                  trace.slice(HANDOFF_AT, len(trace)),
@@ -230,14 +229,13 @@ def test_state_handoff_matches_seed_stack():
 )
 def test_every_input_form_simulates_identically(workload, config_name,
                                                 trace_seed, warmup):
-    """An encoded stream, a ``DynamicTrace``, a list and a generator of the
-    same micro-ops run the same loop; only a named input names the result."""
+    """An encoded stream, a list and a generator of the same micro-ops run
+    the same loop; only a named input names the result."""
     encoded = build_workload(workload, instructions=700, seed=trace_seed)
-    uops = encoded.uops
+    uops = list(encoded)
     forms = {
         "encoded": encoded,
-        "dynamic-trace": DynamicTrace(name=workload, uops=uops),
-        "list": list(uops),
+        "list": uops,
         "generator": (uop for uop in uops),
     }
     results = {
@@ -248,6 +246,5 @@ def test_every_input_form_simulates_identically(workload, config_name,
     for form, result in results.items():
         assert _signature(result) == want, form
     assert results["encoded"].workload == workload
-    assert results["dynamic-trace"].workload == workload
     assert results["list"].workload == "trace"
     assert results["generator"].workload == "trace"

@@ -69,7 +69,7 @@ def _reference_compose(composer, instructions):
             rng.choices(pool, weights=weights, k=1)[0].kernel.emit()
         if branchy > 0.0 and rng.random() < branchy:
             composer._branchy.emit()
-    return composer.builder.finish().truncated(instructions)
+    return composer.builder.finish().slice(0, instructions)
 
 
 def _fields(ops):

@@ -8,7 +8,7 @@ from repro import simulate
 from repro.core.predictors import PredictorSuiteConfig, FSPConfig, SATConfig, DDPConfig, SVWConfig
 from repro.core.ssn import SSNAllocator, sq_index
 from repro.core.svw import SVWFilter
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.isa.uop import make_alu, make_branch, make_load, make_store
 from repro.lsu.policies import IndexedSQPolicy, OracleAssociativePolicy
 from repro.lsu.store_queue import StoreQueue
@@ -214,7 +214,7 @@ def _random_trace(draw_ops):
         else:
             uops.append(make_branch(0x700 + 4 * (slot % 16), taken=bool(value % 2),
                                     target=0x700))
-    return DynamicTrace(name="random", uops=uops)
+    return encode_uops(uops, name="random")
 
 
 _trace_op = st.tuples(st.integers(min_value=0, max_value=3),

@@ -28,6 +28,7 @@ from repro.harness.runner import (
     ExperimentSettings,
     make_policy,
 )
+from repro.isa.plane import encode_uops
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
@@ -89,20 +90,20 @@ class TestMultiPolicyWarming:
         configs = ("indexed-3-fwd+dly", "associative-5-predictive")
         multi_policies = [make_policy(name) for name in configs]
         multi = FunctionalWarmer(CoreConfig(), policies=multi_policies)
-        multi.warm(trace.uops)
+        multi.warm(trace)
         for name, warmed in zip(configs, multi_policies):
             single_policy = make_policy(name)
             single = FunctionalWarmer(CoreConfig(), single_policy)
-            single.warm(trace.uops)
+            single.warm(trace)
             assert warmed.state_signature() == single_policy.state_signature(), name
 
     def test_shared_state_matches_single_policy_pass(self):
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         multi = FunctionalWarmer(CoreConfig(), policies=[
             make_policy("indexed-3-fwd+dly"), make_policy("associative-3")])
-        multi.warm(trace.uops)
+        multi.warm(trace)
         single = FunctionalWarmer(CoreConfig(), make_policy("indexed-3-fwd+dly"))
-        single.warm(trace.uops)
+        single.warm(trace)
         a, b = multi.state, single.state
         assert a.branch_unit.state_signature() == b.branch_unit.state_signature()
         assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
@@ -180,7 +181,7 @@ class TestPoliciesOnlyWarming:
         warmer = FunctionalWarmer(
             CoreConfig(), policies=[make_policy(name) for name in self.CONFIGS],
             policies_only=policies_only)
-        warmer.warm(trace.uops)
+        warmer.warm(trace)
         return warmer
 
     @pytest.mark.parametrize("workload", (WORKLOAD, "mcf"))
@@ -215,7 +216,7 @@ class TestExportImportRoundTrip:
     def warmed_blob(self):
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         warmer = FunctionalWarmer(CoreConfig(), make_policy(CONFIG))
-        warmer.warm(trace.uops)
+        warmer.warm(trace)
         return pickle.dumps(warmer.export_state())
 
     def test_every_structure_survives_the_round_trip(self, warmed_blob):
@@ -241,9 +242,7 @@ class TestExportImportRoundTrip:
         for _ in range(2):
             core = OutOfOrderCore(CoreConfig(), make_policy(CONFIG))
             core.import_state(pickle.loads(warmed_blob))
-            from repro.isa.trace import DynamicTrace
-
-            result = core.run(DynamicTrace(name=WORKLOAD, uops=list(window)),
+            result = core.run(encode_uops(window, name=WORKLOAD),
                               warm_memory=False)
             results.append(result.stats.as_dict())
         assert results[0] == results[1]

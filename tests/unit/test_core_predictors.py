@@ -265,24 +265,36 @@ class TestSAT:
         sat.undo(undo)
         assert sat.lookup(0x2000) == 10
 
-    def test_checkpoint_restore(self):
-        sat = StoreAliasTable(SATConfig(repair="checkpoint"))
-        sat.update(0x2000, 10)
-        cp = sat.checkpoint()
-        sat.update(0x2000, 99)
-        sat.restore(cp)
-        assert sat.lookup(0x2000) == 10
+    def test_log_repair_youngest_first_restores_exactly(self):
+        sat = StoreAliasTable(SATConfig(entries=16))
+        sat.update(0x2000, 5)
+        before = sat.state_signature()
+        pc_alias = 0x2000 + 16 * 4        # same index as 0x2000
+        undos = [sat.update(pc, ssn)
+                 for pc, ssn in ((0x2000, 6), (0x2004, 7), (pc_alias, 8))]
+        for record in reversed(undos):
+            sat.undo(record)
+        assert sat.state_signature() == before
+        assert sat.stats.undos == 3
 
-    def test_checkpoint_budget(self):
-        sat = StoreAliasTable(SATConfig(checkpoints=1))
-        assert sat.checkpoint() is not None
-        assert sat.checkpoint() is None
-        assert sat.stats.checkpoint_overflows == 1
-
-    def test_restore_unknown_checkpoint(self):
+    def test_stats_count_operations(self):
         sat = StoreAliasTable()
-        with pytest.raises(KeyError):
-            sat.restore(123)
+        record = sat.update(0x2000, 1)
+        sat.lookup(0x2000)
+        sat.lookup_partial(sat.index_of(0x2000))
+        sat.undo(record)
+        assert (sat.stats.updates, sat.stats.lookups, sat.stats.undos) == (1, 2, 1)
+
+    def test_copy_from_takes_entries_and_counters(self):
+        source = StoreAliasTable()
+        source.update(0x2000, 9)
+        target = StoreAliasTable()
+        target.copy_from(source)
+        assert target.state_signature() == source.state_signature()
+        assert target.stats == source.stats and target.stats is not source.stats
+        target.update(0x2000, 10)
+        assert source.stats.updates == 1
+        assert source.lookup(0x2000) == 9
 
     def test_lookup_partial_matches_lookup(self):
         sat = StoreAliasTable()
@@ -305,6 +317,8 @@ class TestSAT:
             SATConfig(entries=100)
         with pytest.raises(ValueError):
             SATConfig(repair="magic")
+        with pytest.raises(ValueError):
+            SATConfig(repair="checkpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +641,7 @@ class TestPredictorSuiteConfig:
         config = PredictorSuiteConfig()
         assert config.fsp.entries == 4096 and config.fsp.assoc == 2
         assert config.ddp.entries == 4096 and config.ddp.assoc == 2
-        assert config.sat.entries == 256 and config.sat.checkpoints == 4
+        assert config.sat.entries == 256 and config.sat.repair == "log"
         assert config.svw.ssbf_entries == 2048 and config.svw.ssn_bits == 16
         assert config.fsp.positive_weight == 8 and config.fsp.negative_weight == 1
         assert config.ddp.positive_weight == 4 and config.ddp.negative_weight == 1

@@ -31,7 +31,7 @@ import pytest
 
 from repro.harness.runner import make_policy
 from repro.isa.registers import REG_ZERO
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.isa.uop import OpClass, make_alu, make_load, make_store
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
@@ -54,7 +54,7 @@ def _run(uops, config=None, policy="indexed-3-fwd+dly", **kwargs):
     config = config or CoreConfig()
     core = OutOfOrderCore(
         config, make_policy(policy, sq_size=config.store_queue_size))
-    result = core.run(DynamicTrace(name="window", uops=uops),
+    result = core.run(encode_uops(uops, name="window"),
                       warm_memory=False, **kwargs)
     return result, core
 
@@ -350,7 +350,7 @@ def test_a_stopped_run_continues_on_a_new_core(stop):
     assert committed < len(uops)
     second = OutOfOrderCore(CoreConfig(), make_policy("associative-3"))
     second.import_state(first.export_state())
-    second.run(DynamicTrace(name="rest", uops=uops[committed:]),
+    second.run(encode_uops(uops[committed:], name="rest"),
                warm_memory=False)
     assert _end_state(second) == _end_state(whole)
 

@@ -128,7 +128,6 @@ class TestDispatchContract:
         results, stats = dispatch(workers, _square, _jobs(7))
         assert results == [i * i for i in range(7)]
         assert stats.backend == BACKEND[workers]
-        assert stats.queue_depth_peak == 7
         assert stats.inflight_peak >= 1
         assert stats.dispatch_overhead_ns >= 0
 
@@ -187,7 +186,6 @@ class TestDispatchContract:
                                    stats_sink=sink)
         assert sink == stats.flat()
         assert sink["backend"] == stats.backend == BACKEND[workers]
-        assert sink["queue_depth_peak"] == 4
 
     def test_scheduler_counters_accumulate(self, workers):
         """``scheduler_counters()`` (mirrored into every benchmark
@@ -279,13 +277,13 @@ class TestEngineDispatch:
     def test_scheduler_stats_always_present(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         engine.run(self._specs())
-        for key in ("backend", "queue_depth_peak", "inflight_peak",
-                    "dispatch_overhead_ns"):
+        for key in ("backend", "inflight_peak", "dispatch_overhead_ns"):
             assert key in engine.last_run_stats
-        assert engine.last_run_stats["queue_depth_peak"] == 2
+        assert engine.last_run_stats["inflight_peak"] == 1
         # All-hits run: counters zeroed, never stale.
         engine.run(self._specs())
-        assert engine.last_run_stats["queue_depth_peak"] == 0
+        assert engine.last_run_stats["inflight_peak"] == 0
+        assert engine.last_run_stats["dispatch_overhead_ns"] == 0
         assert engine.last_run_stats["backend"] == "serial"
 
     def test_all_hits_run_reports_serial_at_any_worker_count(self, tmp_path):
@@ -296,7 +294,7 @@ class TestEngineDispatch:
         assert engine.last_run_stats["backend"] == "supervised-pool"
         engine.run(self._specs())
         assert engine.last_run_stats["backend"] == "serial"
-        assert engine.last_run_stats["queue_depth_peak"] == 0
+        assert engine.last_run_stats["inflight_peak"] == 0
         assert engine.last_run_stats["dispatch_overhead_ns"] == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -413,17 +413,3 @@ class TestEngine:
         record = run_job(spec)
         clone = pickle.loads(pickle.dumps(record))
         assert clone.result.stats.cycles == record.result.stats.cycles
-
-    def test_generic_memoization(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"x": 7}
-
-        assert engine.cached("tag", {"p": 1}, compute) == {"x": 7}
-        assert engine.cached("tag", {"p": 1}, compute) == {"x": 7}
-        assert len(calls) == 1
-        assert engine.cached("tag", {"p": 2}, compute) == {"x": 7}
-        assert len(calls) == 2

@@ -8,44 +8,45 @@ from repro.frontend.branch_predictor import (
     BranchUnit,
     GSharePredictor,
     HybridPredictor,
-    SaturatingCounter,
+    _CounterTable,
 )
 from repro.frontend.btb import BranchTargetBuffer, BTBConfig
 from repro.frontend.ras import ReturnAddressStack
 
 
 class TestSaturatingCounter:
+    """The two-bit counters behind the bimodal, gshare and chooser tables."""
+
     def test_starts_at_weak_boundary(self):
-        counter = SaturatingCounter(bits=2)
-        assert counter.value == 2
-        assert counter.predict_taken
+        table = _CounterTable(entries=4, bits=2)
+        assert table.state_signature() == (2, 2, 2, 2)
+        assert table.predict(0)
 
     def test_saturates_high(self):
-        counter = SaturatingCounter(bits=2)
+        table = _CounterTable(entries=4, bits=2)
         for _ in range(10):
-            counter.increment()
-        assert counter.value == 3
-        assert counter.is_saturated
+            table.update(1, True)
+        assert table.state_signature() == (2, 3, 2, 2)
 
     def test_saturates_low(self):
-        counter = SaturatingCounter(bits=2)
+        table = _CounterTable(entries=4, bits=2)
         for _ in range(10):
-            counter.decrement()
-        assert counter.value == 0
-        assert counter.is_saturated
+            table.update(1, False)
+        assert table.state_signature() == (2, 0, 2, 2)
+        assert not table.predict(1)
 
     def test_update_direction(self):
-        counter = SaturatingCounter(bits=2, initial=0)
-        counter.update(True)
-        assert counter.value == 1
-        counter.update(False)
-        assert counter.value == 0
+        table = _CounterTable(entries=4, bits=2)
+        table.update(0, False)
+        assert table.state_signature()[0] == 1 and not table.predict(0)
+        table.update(0, True)
+        assert table.state_signature()[0] == 2 and table.predict(0)
 
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=2, initial=9)
+    def test_index_wraps_to_table_size(self):
+        table = _CounterTable(entries=4, bits=2)
+        table.update(5, False)
+        assert table.state_signature() == (2, 1, 2, 2)
+        assert not table.predict(1)
 
 
 class TestBimodal:

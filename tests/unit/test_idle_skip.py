@@ -14,7 +14,7 @@ import pytest
 
 from repro.harness.runner import ExperimentSettings, make_policy, run_workload
 from repro.isa.uop import make_alu, make_load, make_store
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.pipeline.config import CoreConfig, small_test_config
 from repro.pipeline.core import OutOfOrderCore
 from repro.workloads.suites import build_workload
@@ -43,7 +43,7 @@ class TestIdleSkipEquivalence:
             uops.append(make_load(pc=0x1000 + 8 * i, dest=1,
                                   addr=0x10_0000 + (i << 20), srcs=(1,)))
             uops.append(make_alu(pc=0x1004 + 8 * i, dest=2, srcs=(1,)))
-        trace = DynamicTrace(name="chase", uops=uops)
+        trace = encode_uops(uops, name="chase")
         fast, slow = _run_both(trace)
         assert fast.stats.cycles == slow.stats.cycles
         assert fast.stats.as_dict() == slow.stats.as_dict()
@@ -57,7 +57,7 @@ class TestIdleSkipEquivalence:
                                    value=i, srcs=()))
             uops.append(make_load(pc=0x2008 + 16 * i, dest=3,
                                   addr=0x500 + 8 * (i % 4)))
-        trace = DynamicTrace(name="fwd", uops=uops)
+        trace = encode_uops(uops, name="fwd")
         fast, slow = _run_both(trace)
         assert fast.stats.as_dict() == slow.stats.as_dict()
 
@@ -83,7 +83,7 @@ class TestIdleSkipEquivalence:
         """The fast-forward must not jump past an explicit cycle budget."""
         uops = [make_load(pc=0x3000, dest=1, addr=0x40_0000, srcs=()),
                 make_alu(pc=0x3004, dest=2, srcs=(1,))]
-        trace = DynamicTrace(name="clamp", uops=uops)
+        trace = encode_uops(uops, name="clamp")
         core = dataclasses.replace(CoreConfig(), max_cycles=5)
         fast, slow = _run_both(trace, core=core)
         assert fast.stats.cycles == slow.stats.cycles == 5

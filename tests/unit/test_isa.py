@@ -1,20 +1,16 @@
-"""Unit tests for the trace ISA: micro-ops, registers, traces."""
+"""Unit tests for the trace ISA: micro-ops, registers, trace statistics."""
 
-import io
+import pickle
 
 import pytest
 
+from repro.isa.plane import EncodedOps, encode_uops
 from repro.isa.registers import (
-    ArchRegisterFile,
     FP_REG_COUNT,
     INT_REG_COUNT,
-    REG_ZERO,
     TOTAL_REG_COUNT,
-    is_fp_reg,
-    is_int_reg,
     validate_reg,
 )
-from repro.isa.trace import DynamicTrace, TraceWriter, compute_stats, read_trace, write_trace
 from repro.isa.uop import (
     DEFAULT_LATENCIES,
     MemAccess,
@@ -87,31 +83,16 @@ class TestMemAccess:
             MemAccess(addr=0, size=1, value=256)
         MemAccess(addr=0, size=1, value=255)
 
-    def test_byte_range(self):
-        access = MemAccess(addr=0x100, size=4)
-        assert list(access.byte_range) == [0x100, 0x101, 0x102, 0x103]
+    @pytest.mark.parametrize("size", (1, 2, 4, 8))
+    def test_store_value_fits_access_width(self, size):
+        limit = 1 << (8 * size)
+        MemAccess(addr=0, size=size, value=limit - 1)
+        with pytest.raises(ValueError):
+            MemAccess(addr=0, size=size, value=limit)
 
-    def test_overlaps_true(self):
-        a = MemAccess(addr=0x100, size=8)
-        b = MemAccess(addr=0x104, size=8)
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-
-    def test_overlaps_false_adjacent(self):
-        a = MemAccess(addr=0x100, size=8)
-        b = MemAccess(addr=0x108, size=8)
-        assert not a.overlaps(b)
-
-    def test_contains(self):
-        wide = MemAccess(addr=0x100, size=8)
-        narrow = MemAccess(addr=0x104, size=4)
-        assert wide.contains(narrow)
-        assert not narrow.contains(wide)
-
-    def test_contains_requires_full_cover(self):
-        a = MemAccess(addr=0x100, size=4)
-        b = MemAccess(addr=0x102, size=4)
-        assert not a.contains(b)
+    def test_negative_store_value_rejected(self):
+        with pytest.raises(ValueError):
+            MemAccess(addr=0, size=8, value=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +132,28 @@ class TestMicroOp:
         uop = make_branch(0x40C, taken=True)
         assert uop.is_branch and uop.is_taken and uop.target is not None
 
-    def test_describe_contains_pc_and_class(self):
-        uop = make_load(0x400, dest=3, addr=0x1000)
-        text = uop.describe()
-        assert "0x400" in text and "LOAD" in text
+    def test_negative_dest_rejected(self):
+        with pytest.raises(ValueError):
+            make_alu(0x400, dest=-1)
 
-    def test_describe_branch_direction(self):
-        taken = make_branch(0x400, taken=True)
-        not_taken = make_branch(0x404, taken=False)
-        assert "taken" in taken.describe()
-        assert "not-taken" in not_taken.describe()
+    def test_addr_and_size_absent_without_mem(self):
+        uop = make_alu(0x400, dest=1)
+        assert uop.addr is None and uop.size is None
+
+    @pytest.mark.parametrize("op_class", list(OpClass), ids=lambda c: c.name)
+    def test_predicates_agree_with_op_class(self, op_class):
+        """The predicates a micro-op sets once at construction match its
+        class's own."""
+        mem = None
+        if op_class is OpClass.LOAD:
+            mem = MemAccess(addr=0x1000, size=8)
+        elif op_class is OpClass.STORE:
+            mem = MemAccess(addr=0x1000, size=8, value=0)
+        uop = MicroOp(pc=0x400, op_class=op_class, mem=mem)
+        assert uop.is_load == op_class.is_load
+        assert uop.is_store == op_class.is_store
+        assert uop.is_memory == op_class.is_memory
+        assert uop.is_branch == op_class.is_branch
 
 
 # ---------------------------------------------------------------------------
@@ -171,71 +164,59 @@ class TestRegisters:
     def test_counts(self):
         assert TOTAL_REG_COUNT == INT_REG_COUNT + FP_REG_COUNT
 
-    def test_classification(self):
-        assert is_int_reg(0)
-        assert is_int_reg(INT_REG_COUNT - 1)
-        assert is_fp_reg(INT_REG_COUNT)
-        assert not is_fp_reg(0)
-
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             validate_reg(TOTAL_REG_COUNT)
         with pytest.raises(ValueError):
             validate_reg(-1)
 
-    def test_zero_register_reads_zero(self):
-        regfile = ArchRegisterFile()
-        regfile.write(REG_ZERO, 0xDEAD)
-        assert regfile.read(REG_ZERO) == 0
-
-    def test_write_read_roundtrip(self):
-        regfile = ArchRegisterFile()
-        regfile.write(5, 0x1234)
-        assert regfile.read(5) == 0x1234
-
-    def test_write_masks_to_64_bits(self):
-        regfile = ArchRegisterFile()
-        regfile.write(4, 1 << 70)
-        assert regfile.read(4) == 0
-
-    def test_snapshot_restore(self):
-        regfile = ArchRegisterFile()
-        regfile.write(3, 7)
-        snap = regfile.snapshot()
-        regfile.write(3, 9)
-        regfile.restore(snap)
-        assert regfile.read(3) == 7
-
-    def test_restore_rejects_bad_length(self):
-        regfile = ArchRegisterFile()
-        with pytest.raises(ValueError):
-            regfile.restore([0, 1, 2])
-
-    def test_len_and_iter(self):
-        regfile = ArchRegisterFile()
-        assert len(regfile) == TOTAL_REG_COUNT
-        assert len(list(regfile)) == TOTAL_REG_COUNT
+    def test_validate_returns_index(self):
+        assert validate_reg(0) == 0
+        assert validate_reg(TOTAL_REG_COUNT - 1) == TOTAL_REG_COUNT - 1
 
 
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
 
-def _small_trace() -> DynamicTrace:
-    writer = TraceWriter("unit")
-    writer.append(make_load(0x400, dest=1, addr=0x1000, size=8))
-    writer.append(make_alu(0x404, dest=2, srcs=(1,)))
-    writer.append(make_store(0x408, addr=0x1000, value=0x55, size=1, srcs=(2,)))
-    writer.append(make_branch(0x40C, taken=True, target=0x400, call=True))
-    writer.append(make_branch(0x410, taken=False))
-    return writer.finish()
+def _small_trace() -> EncodedOps:
+    return encode_uops([
+        make_load(0x400, dest=1, addr=0x1000, size=8),
+        make_alu(0x404, dest=2, srcs=(1,)),
+        make_store(0x408, addr=0x1000, value=0x55, size=1, srcs=(2,)),
+        make_branch(0x40C, taken=True, target=0x400, call=True),
+        make_branch(0x410, taken=False),
+    ], name="unit")
 
 
 class TestTrace:
-    def test_writer_builds_in_order(self):
+    def test_views_read_in_program_order(self):
         trace = _small_trace()
         assert len(trace) == 5
         assert trace[0].is_load and trace[2].is_store
+
+    def test_truncated(self):
+        trace = _small_trace()
+        short = trace[:2]
+        assert len(short) == 2 and len(trace) == 5
+        assert short.name == trace.name
+        assert list(short) == list(trace)[:2]
+
+    def test_slicing_rejects_step(self):
+        with pytest.raises(ValueError):
+            _small_trace()[::2]
+
+    def test_extend(self):
+        trace = _small_trace()
+        trace.extend(encode_uops([make_alu(0x500, dest=3)]))
+        assert len(trace) == 6
+        assert trace[5] == make_alu(0x500, dest=3)
+
+    def test_serialisation_roundtrip(self):
+        trace = _small_trace()
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored.name == trace.name
+        assert list(restored) == list(trace)
 
     def test_stats_counts(self):
         stats = _small_trace().stats
@@ -244,6 +225,8 @@ class TestTrace:
         assert stats.stores == 1
         assert stats.branches == 2
         assert stats.taken_branches == 1
+        assert stats.int_ops == 1
+        assert stats.fp_ops == 0
 
     def test_stats_unique_pcs(self):
         stats = _small_trace().stats
@@ -258,41 +241,6 @@ class TestTrace:
         assert stats.branch_fraction == pytest.approx(0.4)
 
     def test_empty_trace_stats(self):
-        stats = compute_stats([])
+        stats = EncodedOps().stats
         assert stats.total == 0
         assert stats.load_fraction == 0.0
-
-    def test_truncated(self):
-        trace = _small_trace()
-        short = trace.truncated(2)
-        assert len(short) == 2 and len(trace) == 5
-
-    def test_serialisation_roundtrip(self):
-        trace = _small_trace()
-        buffer = io.StringIO()
-        write_trace(trace, buffer)
-        buffer.seek(0)
-        restored = read_trace(buffer)
-        assert restored.name == trace.name
-        assert len(restored) == len(trace)
-        for original, loaded in zip(trace, restored):
-            assert original.pc == loaded.pc
-            assert original.op_class == loaded.op_class
-            assert original.dest == loaded.dest
-            assert original.srcs == loaded.srcs
-            assert (original.mem is None) == (loaded.mem is None)
-            if original.mem is not None:
-                assert original.mem.addr == loaded.mem.addr
-                assert original.mem.size == loaded.mem.size
-                assert original.mem.value == loaded.mem.value
-            assert original.is_taken == loaded.is_taken
-            assert original.hint_call == loaded.hint_call
-
-    def test_read_trace_rejects_malformed_line(self):
-        with pytest.raises(ValueError):
-            read_trace(io.StringIO("garbage line\n"))
-
-    def test_extend(self):
-        trace = _small_trace()
-        trace.extend([make_alu(0x500, dest=3)])
-        assert len(trace) == 6

@@ -1,5 +1,7 @@
 """Unit tests for the load-store unit: store queue, policies."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.predictors import PredictorSuiteConfig, FSPConfig, SATConfig, DDPConfig, SVWConfig
@@ -124,6 +126,15 @@ class TestStoreQueue:
         sq.write_execute(1, 0x1000, 4, 0x11)
         assert sq.associative_search(0x1000, 8, before_ssn=10) is None
         assert sq.associative_search(0x1000, 4, before_ssn=10) is not None
+
+    def test_covers_requires_execution_and_full_cover(self):
+        sq = self._sq()
+        entry = sq.allocate(1, 0x400, 0)
+        assert not entry.covers(0x1000, 4)          # address unknown until executed
+        sq.write_execute(1, 0x1000, 8, 0)
+        assert entry.covers(0x1000, 8) and entry.covers(0x1004, 4)
+        assert not entry.covers(0x1004, 8)          # partial overlap
+        assert not entry.covers(0x1008, 1)          # adjacent
 
     def test_extract_narrow_from_wide(self):
         sq = self._sq()
@@ -423,6 +434,21 @@ class TestIndexedPolicy:
         for _ in range(20):
             policy.load_committed(info)
         assert policy.fsp.lookup(0x400) == []
+
+    def test_squash_undoes_sat_update_under_log_repair(self):
+        policy = self._policy()
+        policy.store_renamed(0x500, 3)
+        token = policy.store_renamed(0x500, 4)
+        policy.store_squashed(0x500, 4, token)
+        assert policy.sat.lookup(0x500) == 3
+
+    def test_squash_keeps_sat_update_without_repair(self):
+        predictors = replace(_small_predictors(), sat=SATConfig(entries=64, repair="none"))
+        policy = IndexedSQPolicy(sq_size=8, predictors=predictors)
+        policy.store_renamed(0x500, 3)
+        token = policy.store_renamed(0x500, 4)
+        policy.store_squashed(0x500, 4, token)
+        assert policy.sat.lookup(0x500) == 4
 
     def test_clear_ssn_state(self):
         policy = self._policy()

@@ -12,10 +12,10 @@ from repro.isa.plane import (
     KIND_STORE,
     EncodedOps,
     StaticProgramPlane,
+    TraceStats,
     as_encoded,
     encode_uops,
 )
-from repro.isa.trace import DynamicTrace
 from repro.isa.uop import OpClass, make_alu, make_branch, make_load, make_store
 from repro.workloads.suites import (
     TRACE_SEGMENT_UOPS,
@@ -39,7 +39,6 @@ class TestEncodeDecode:
     def test_round_trip_is_lossless(self):
         uops = _sample_uops()
         encoded = encode_uops(uops)
-        assert encoded.uops == uops
         assert [encoded[i] for i in range(len(uops))] == uops
         assert list(encoded) == uops
 
@@ -62,7 +61,7 @@ class TestEncodeDecode:
         encoded = encode_uops(_sample_uops())
         window = encoded[1:4]
         assert window.plane is encoded.plane
-        assert window.uops == encoded.uops[1:4]
+        assert list(window) == list(encoded)[1:4]
 
     def test_equality_across_planes(self):
         uops = _sample_uops()
@@ -74,15 +73,37 @@ class TestEncodeDecode:
 
     def test_stats_match_object_form(self):
         trace = build_workload("vortex", instructions=4_000, seed=1)
-        object_stats = DynamicTrace(name="vortex", uops=trace.uops).stats
-        assert trace.stats == object_stats
+        uops = list(trace)
+        loads = [u for u in uops if u.is_load]
+        stores = [u for u in uops if u.is_store]
+        branches = [u for u in uops if u.is_branch]
+        others = [u for u in uops if not (u.is_memory or u.is_branch)]
+        assert trace.stats == TraceStats(
+            total=len(uops),
+            loads=len(loads),
+            stores=len(stores),
+            branches=len(branches),
+            taken_branches=sum(u.is_taken for u in branches),
+            int_ops=sum(u.op_class.is_int for u in others),
+            fp_ops=sum(u.op_class.is_fp for u in others),
+            unique_pcs=len({u.pc for u in uops}),
+            unique_load_pcs=len({u.pc for u in loads}),
+            unique_store_pcs=len({u.pc for u in stores}),
+        )
 
     def test_as_encoded_passthrough_and_coercion(self):
         encoded = encode_uops(_sample_uops())
         assert as_encoded(encoded) is encoded
-        coerced = as_encoded(DynamicTrace(name="t", uops=_sample_uops()))
+        coerced = as_encoded(iter(_sample_uops()), name="t")
         assert coerced.name == "t"
-        assert coerced.uops == _sample_uops()
+        assert list(coerced) == _sample_uops()
+
+    def test_as_encoded_renames_by_alias(self):
+        encoded = encode_uops(_sample_uops(), name="a")
+        assert as_encoded(encoded, name="a") is encoded
+        renamed = as_encoded(encoded, name="b")
+        assert renamed.name == "b" and encoded.name == "a"
+        assert renamed.sidx is encoded.sidx and renamed == encoded
 
     def test_intern_validates_registers(self):
         plane = StaticProgramPlane()
@@ -99,19 +120,19 @@ class TestCrossPlane:
         revived = pickle.loads(pickle.dumps(encoded))
         assert revived.plane is not encoded.plane
         assert revived == encoded
-        assert revived.uops == uops
+        assert list(revived) == uops
 
         other = StaticProgramPlane()
         other.intern(0x999, OpClass.NOP, None, ())  # skew the numbering
         rebased = revived.rebase(other)
         assert rebased.plane is other
-        assert rebased.uops == uops
+        assert list(rebased) == uops
 
     def test_extend_across_planes(self):
         first = encode_uops(_sample_uops()[:3])
         second = pickle.loads(pickle.dumps(encode_uops(_sample_uops()[3:])))
         first.extend(second)
-        assert first.uops == _sample_uops()
+        assert list(first) == _sample_uops()
 
 
 class TestSegmentPickling:

@@ -173,7 +173,7 @@ class TestWindowRegeneration:
         from repro.workloads.suites import WorkloadComposer
 
         direct = WorkloadComposer(get_profile(WORKLOAD), seed=1).compose(4_000)
-        assert build_workload(WORKLOAD, 4_000, seed=1).uops == direct.uops
+        assert list(build_workload(WORKLOAD, 4_000, seed=1)) == list(direct)
 
     def test_window_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestFunctionalWarming:
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         policy = make_policy(config_name, sq_size=64)
         warmer = FunctionalWarmer(CoreConfig(), policy)
-        warmer.warm(trace.uops)
+        warmer.warm(trace)
         return warmer.state
 
     def test_svw_and_ssn_state_exact_without_flushes(self):
