@@ -24,7 +24,6 @@ schema carrying the new hierarchy classes end to end.
 The measurements land in ``BENCH_memory.json`` at the repo root.
 """
 
-import dataclasses
 import os
 import time
 
@@ -35,7 +34,6 @@ from repro.harness.runner import ExperimentSettings
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.mshr import MLPConfig, PrefetchConfig
 from repro.pipeline.config import CoreConfig
-from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 
 #: The sweep runs on the memory-bound corner of the suite: mcf's pointer
@@ -159,15 +157,15 @@ def measure_memory_mlp(cache_dir, instructions=None, parallel_jobs=None):
     legs = {}
     for leg, jobs in (("cold", 1), ("warm_serial", 1),
                       ("warm_parallel", parallel_jobs)):
+        engine = ExperimentEngine(jobs=jobs, cache=False,
+                                  checkpoint_dir=ckpt_dir)
         start = time.perf_counter()
-        record = run_sampled_workload(
-            workload, config,
-            dataclasses.replace(sampled_settings, jobs=jobs),
-            checkpoint_dir=ckpt_dir)
+        record, = engine.run([JobSpec(workload, config, sampled_settings)])
         wall = time.perf_counter() - start
         sampled = record.result.sampled
         legs[leg] = {
             "wall_s": wall,
+            "backend": engine.last_run_stats["backend"],
             "stats": tuple(sorted(record.result.stats.as_dict().items())),
             "cpi_mean": sampled.cpi_mean,
             "interval_cycles": [m.cycles for m in sampled.intervals],
@@ -258,8 +256,10 @@ def assert_memory_mlp(data: dict) -> None:
     assert engine_stats["mshr_demand_misses"] > 0, engine_stats
 
     # Checkpointed sampled leg: cold generation, warm reload, and the
-    # parallel fan-out are bit-identical.
+    # parallel fan-out are bit-identical, and the parallel leg really fans
+    # its intervals out over the pool.
     legs = data["checkpointed_legs"]
+    assert legs["warm_parallel"]["backend"] == "supervised-pool", legs
     assert legs["warm_serial"]["stats"] == legs["cold"]["stats"], "warm != cold"
     assert legs["warm_parallel"]["stats"] == legs["cold"]["stats"], \
         "parallel != cold"

@@ -352,9 +352,8 @@ def measure_sampled_artifact(instructions: int = None,
     instructions = instructions or ARTIFACT_INSTRUCTIONS
     plan = artifact_plan(instructions)
     settings = ExperimentSettings(instructions=instructions,
-                                  stats_warmup_fraction=0.0, sampling=plan,
-                                  jobs=None)
-    engine = ExperimentEngine.from_settings(settings, cache=False)
+                                  stats_warmup_fraction=0.0, sampling=plan)
+    engine = ExperimentEngine(cache=False)
     start = time.perf_counter()
     baseline_rec, indexed_rec = engine.run([
         JobSpec(workload, BASELINE_CONFIG, settings),

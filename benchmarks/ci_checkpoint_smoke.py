@@ -50,8 +50,7 @@ def _signature(records):
 
 
 def _sweep(result_cache_dir) -> tuple:
-    engine = ExperimentEngine.from_settings(
-        SETTINGS, cache=ResultCache(result_cache_dir))
+    engine = ExperimentEngine(cache=ResultCache(result_cache_dir))
     specs = [JobSpec(workload, config, SETTINGS)
              for workload in WORKLOADS for config in CONFIGS]
     start = time.perf_counter()

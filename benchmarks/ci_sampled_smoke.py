@@ -39,7 +39,7 @@ def _signature(result):
 
 
 def main() -> int:
-    engine = ExperimentEngine.from_settings(SETTINGS, cache=True)
+    engine = ExperimentEngine(cache=True)
 
     start = time.perf_counter()
     cold = run_figure4(workloads=list(WORKLOADS), settings=SETTINGS,

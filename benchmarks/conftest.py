@@ -41,14 +41,13 @@ from repro.harness.runner import ExperimentSettings
 def bench_settings() -> ExperimentSettings:
     """Experiment settings shared by all timing benchmarks."""
     return ExperimentSettings(instructions=DEFAULT_INSTRUCTIONS,
-                              stats_warmup_fraction=0.25,
-                              jobs=DEFAULT_JOBS)
+                              stats_warmup_fraction=0.25)
 
 
 @pytest.fixture(scope="session")
-def bench_engine(bench_settings) -> ExperimentEngine:
+def bench_engine() -> ExperimentEngine:
     """The experiment engine shared by all timing benchmarks."""
-    return ExperimentEngine.from_settings(bench_settings)
+    return ExperimentEngine(jobs=DEFAULT_JOBS)
 
 
 @pytest.fixture(scope="session")

@@ -71,7 +71,7 @@ from repro.workloads.suites import sensitivity_workloads, workload_names  # noqa
 
 def _settings() -> ExperimentSettings:
     return ExperimentSettings(instructions=DEFAULT_INSTRUCTIONS,
-                              stats_warmup_fraction=0.25, jobs=DEFAULT_JOBS)
+                              stats_warmup_fraction=0.25)
 
 
 #: Absolute fidelity bands are calibrated against the full 47-workload sweep
@@ -235,7 +235,7 @@ def main() -> int:
     # caching win is measured explicitly (and its bit-identity asserted) by
     # the "engine" bench below.
     try:
-        engine = ExperimentEngine.from_settings(_settings(), cache=False)
+        engine = ExperimentEngine(jobs=DEFAULT_JOBS, cache=False)
     except EnvKnobError as exc:
         # Misconfigured REPRO_* knobs are operator errors, not bench
         # failures: one actionable line, distinct exit status, no traceback.

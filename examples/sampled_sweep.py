@@ -58,7 +58,7 @@ def main() -> None:
                         period=max(instructions // 25, 8_000), seed=0)
     settings = ExperimentSettings(instructions=instructions,
                                   stats_warmup_fraction=0.0, sampling=plan)
-    engine = ExperimentEngine.from_settings(settings)
+    engine = ExperimentEngine()
 
     configs = [BASELINE_CONFIG] + list(FIGURE4_CONFIGS)
     print(f"Sampled {workload} at {instructions:,} instructions: "

@@ -109,10 +109,6 @@ class ForwardingStorePredictor:
                 entry.lru = self._lru_clock
         return matches
 
-    def predicted_store_pcs(self, load_pc: int) -> List[int]:
-        """Partial store PCs predicted for this load (for chained SAT access)."""
-        return [e.store_pc for e in self.lookup(load_pc)]
-
     # -- training ---------------------------------------------------------------
 
     def _find(self, load_pc: int, store_pc: int) -> Optional[FSPEntry]:

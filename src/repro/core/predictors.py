@@ -7,7 +7,7 @@ SSNs, an FSP positive:negative training ratio of 8:1 and a DDP ratio of 4:1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 def _require_power_of_two(name: str, value: int) -> None:
@@ -163,40 +163,14 @@ class PredictorSuiteConfig:
         Used by the Figure 5 (top) capacity sweep, which varies FSP and DDP
         capacity in conjunction.
         """
-        return PredictorSuiteConfig(
-            fsp=FSPConfig(entries=entries, assoc=self.fsp.assoc, tag_bits=self.fsp.tag_bits,
-                          store_pc_bits=self.fsp.store_pc_bits, counter_bits=self.fsp.counter_bits,
-                          positive_weight=self.fsp.positive_weight,
-                          negative_weight=self.fsp.negative_weight),
-            sat=self.sat,
-            ddp=DDPConfig(entries=entries, assoc=self.ddp.assoc, tag_bits=self.ddp.tag_bits,
-                          counter_bits=self.ddp.counter_bits,
-                          counter_threshold=self.ddp.counter_threshold,
-                          positive_weight=self.ddp.positive_weight,
-                          negative_weight=self.ddp.negative_weight,
-                          future_interval=self.ddp.future_interval),
-            svw=self.svw,
-            store_sets=self.store_sets,
-        )
+        return replace(self, fsp=replace(self.fsp, entries=entries),
+                       ddp=replace(self.ddp, entries=entries))
 
     def with_fsp_assoc(self, assoc: int) -> "PredictorSuiteConfig":
         """Return a copy with the FSP associativity changed (Figure 5 middle)."""
-        return PredictorSuiteConfig(
-            fsp=FSPConfig(entries=self.fsp.entries, assoc=assoc, tag_bits=self.fsp.tag_bits,
-                          store_pc_bits=self.fsp.store_pc_bits, counter_bits=self.fsp.counter_bits,
-                          positive_weight=self.fsp.positive_weight,
-                          negative_weight=self.fsp.negative_weight),
-            sat=self.sat, ddp=self.ddp, svw=self.svw, store_sets=self.store_sets,
-        )
+        return replace(self, fsp=replace(self.fsp, assoc=assoc))
 
     def with_ddp_ratio(self, positive: int, negative: int) -> "PredictorSuiteConfig":
         """Return a copy with the DDP training ratio changed (Figure 5 bottom)."""
-        return PredictorSuiteConfig(
-            fsp=self.fsp, sat=self.sat,
-            ddp=DDPConfig(entries=self.ddp.entries, assoc=self.ddp.assoc,
-                          tag_bits=self.ddp.tag_bits, counter_bits=self.ddp.counter_bits,
-                          counter_threshold=self.ddp.counter_threshold,
-                          positive_weight=positive, negative_weight=negative,
-                          future_interval=self.ddp.future_interval),
-            svw=self.svw, store_sets=self.store_sets,
-        )
+        return replace(self, ddp=replace(self.ddp, positive_weight=positive,
+                                         negative_weight=negative))

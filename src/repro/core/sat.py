@@ -104,10 +104,6 @@ class StoreAliasTable:
         self._table[:] = other._table
         self.stats = replace(other.stats)
 
-    def snapshot(self) -> List[int]:
-        """Copy of the table contents (tests and diagnostics)."""
-        return list(self._table)
-
     def state_signature(self) -> tuple:
         """Hashable snapshot of the table contents (exact)."""
         return tuple(self._table)

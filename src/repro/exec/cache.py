@@ -7,8 +7,8 @@ change a result:
 * the trace identity ``(workload, instructions, seed)`` plus the
   workload-generator source fingerprint (together: a trace fingerprint),
 * the configuration name and predictor overrides,
-* the semantic fields of :class:`~repro.harness.runner.ExperimentSettings`
-  (the execution-only ``jobs`` knob is excluded), and
+* the fields of :class:`~repro.harness.runner.ExperimentSettings` (less
+  ``checkpoints``, whose accepted values all mean one warming mode), and
 * the simulator source fingerprint.
 
 The cache directory defaults to ``.repro-cache/`` in the current working
@@ -51,10 +51,6 @@ from repro.exec import resilience as _resilience
 #: so pre-frame entries — which would all fail verification — are keyed
 #: away instead of mass-quarantined on upgrade.
 CACHE_SCHEMA_VERSION = 2
-
-#: Settings fields that steer *execution*, not simulation semantics
-#: (the worker count never changes what any job computes).
-_EXECUTION_ONLY_FIELDS = ("jobs",)
 
 #: Age beyond which an orphaned ``*.tmp`` blob is certainly not a write in
 #: flight (entries are written in one go; a healthy write lives milliseconds).
@@ -119,7 +115,7 @@ def _unframe(blob: bytes) -> bytes:
 def _canonical_form(obj: Any) -> dict:
     """JSON-able canonical form of a (possibly nested) config dataclass."""
     data = dataclasses.asdict(obj)
-    for name in _EXECUTION_ONLY_FIELDS + _CONSTANT_FIELDS:
+    for name in _CONSTANT_FIELDS:
         data.pop(name, None)
     return data
 

@@ -136,17 +136,6 @@ class ExperimentEngine:
         self._checkpoint_stats: Dict[str, int] = {}
         self._active_checkpoint_dir: Optional[str] = None
 
-    @classmethod
-    def from_settings(cls, settings, jobs: Optional[int] = None,
-                      cache: Union[None, bool, ResultCache] = None,
-                      cache_dir: Optional[os.PathLike] = None,
-                      checkpoint_dir: Optional[os.PathLike] = None) -> "ExperimentEngine":
-        """Build an engine honouring ``settings.jobs`` (then ``REPRO_JOBS``)."""
-        if jobs is None:
-            jobs = getattr(settings, "jobs", None)
-        return cls(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                   checkpoint_dir=checkpoint_dir)
-
     # ----------------------------------------------------------------- running --
 
     @staticmethod

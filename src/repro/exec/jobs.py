@@ -132,8 +132,8 @@ def _run_job(spec) -> "RunRecord":
     Imports are deferred so that :mod:`repro.exec` never imports
     :mod:`repro.harness` at module level (the harness imports the engine).
     Sampled base specs never materialise their (possibly 10M-instruction)
-    trace — the sampling driver runs interval-by-interval over regenerated
-    windows.
+    trace — the sampling driver runs interval by interval over the
+    windows the intervals' shared snapshots hold.
     """
     if isinstance(spec, IntervalJobSpec):
         from repro.sampling.driver import run_interval_job

@@ -18,10 +18,10 @@ only: none enters a result-cache or snapshot key.
 
 Knobs::
 
-    REPRO_JOBS=N              worker count when neither the engine nor the
-                              settings name one (default 1; <= 0: every CPU
-                              available to the process).  One worker runs
-                              every job in-process; more run the pool.
+    REPRO_JOBS=N              worker count of an engine built without
+                              jobs= (default 1; <= 0: every CPU available
+                              to the process).  One worker runs every job
+                              in-process; more run the pool.
     REPRO_CACHE=0|1           result cache switch (unset, empty or 1: on).
     REPRO_CACHE_DIR=DIR       result cache location (default .repro-cache/).
     REPRO_CHECKPOINT_DIR=DIR  checkpoint store of sampled runs (default

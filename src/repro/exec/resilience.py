@@ -48,8 +48,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
-import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 import traceback
@@ -221,61 +221,76 @@ def _exception_line() -> str:
     return traceback.format_exc(limit=12).strip().splitlines()[-1]
 
 
-def _worker_main(inbox, outbox, fn) -> None:
+def _worker_main(inbox, results, fn) -> None:
     """Supervised worker loop: one task message in, one result message out.
 
-    A task is ``(task_id, scope, attempt, deadline_active, jobs)`` where
-    ``jobs`` is a list of ``(index, payload)``.  The reply is either
-    ``(task_id, "ok", [(index, result), ...], counters_delta)`` or
-    ``(task_id, "error", failed_index, error_line, partial, counters_delta)``
-    — exceptions never kill the worker, only crashes and kills do.
+    A task is ``(scope, attempt, deadline_active, jobs)`` where ``jobs`` is
+    a list of ``(index, payload)``.  The reply, sent on the worker's own
+    ``results`` pipe before the next task is read, is either
+    ``("ok", [(index, result), ...], counters_delta)`` or
+    ``("error", failed_index, error_line, partial, counters_delta)`` —
+    exceptions never kill the worker, only crashes and kills do.  The pipe
+    has no other writer and the send is synchronous, so a worker that dies
+    holds no lock another worker's reply needs.
     """
     while True:
         message = inbox.get()
         if message is None:
             return
-        task_id, scope, attempt, deadline_active, jobs = message
+        scope, attempt, deadline_active, jobs = message
         before = counters_snapshot()
-        results: List[Tuple[int, Any]] = []
+        finished: List[Tuple[int, Any]] = []
         error: Optional[Tuple[int, str]] = None
         for index, payload in jobs:
             _maybe_inject_job_fault(scope, index, attempt, deadline_active)
             try:
-                results.append((index, fn(payload)))
+                finished.append((index, fn(payload)))
             except BaseException:
                 error = (index, _exception_line())
                 break
         delta = counters_delta(before)
         if error is None:
-            outbox.put((task_id, "ok", results, delta))
+            results.send(("ok", finished, delta))
         else:
-            outbox.put((task_id, "error", error[0], error[1], results, delta))
+            results.send(("error", error[0], error[1], finished, delta))
 
 
 @dataclass
 class _Assignment:
-    task_id: int
     indices: List[int]
     attempt: int
     deadline: Optional[float]
 
 
 class _Worker:
-    """One supervised worker process plus its private inbox."""
+    """One supervised worker process plus its private inbox and its private
+    result pipe (read end here, write end in the worker only)."""
 
-    def __init__(self, ctx, outbox, fn) -> None:
+    def __init__(self, ctx, fn) -> None:
         self.inbox = ctx.SimpleQueue()
+        self.results, writer = ctx.Pipe(duplex=False)
         self.process = ctx.Process(target=_worker_main,
-                                   args=(self.inbox, outbox, fn), daemon=True)
+                                   args=(self.inbox, writer, fn), daemon=True)
         self.process.start()
+        # Only the worker writes: once it exits, the read end sees EOF.
+        writer.close()
         self.assignment: Optional[_Assignment] = None
 
     def assign(self, assignment: _Assignment, scope: str,
                payloads: Sequence[Any]) -> None:
         self.assignment = assignment
-        self.inbox.put((assignment.task_id, scope, assignment.attempt,
+        self.inbox.put((scope, assignment.attempt,
                         assignment.deadline is not None,
                         [(i, payloads[i]) for i in assignment.indices]))
+
+    def receive(self) -> Optional[tuple]:
+        """The worker's reply, or ``None`` once it has died (EOF): the
+        process is reaped, so the caller's liveness check sees it dead."""
+        try:
+            return self.results.recv()
+        except (EOFError, OSError):
+            self.process.join(_TERMINATE_GRACE_SECONDS)
+            return None
 
     def stop(self) -> None:
         """Best-effort graceful stop (idle workers drain the ``None``)."""
@@ -295,10 +310,11 @@ class _Worker:
                 process.join()
         else:
             process.join()
-        try:
-            self.inbox.close()
-        except (OSError, AttributeError):  # pragma: no cover
-            pass
+        for channel in (self.inbox, self.results):
+            try:
+                channel.close()
+            except (OSError, AttributeError):  # pragma: no cover
+                pass
 
 
 def runs_in_process(workers: int, jobs: int) -> bool:
@@ -323,9 +339,11 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     :func:`repro.exec.dispatch.dispatch` consumes this stream.
 
     One worker or one job (:func:`runs_in_process`) runs every job in the
-    caller's process, in order: no process starts, no result queue is
+    caller's process, in order: no process starts, no result pipe is
     created and nothing counts as degraded.  Otherwise the jobs run on a
-    supervised pool of up to ``workers`` processes.  A job that raises
+    supervised pool of up to ``workers`` processes, each replying on a
+    pipe of its own, so a worker that dies can block no other worker's
+    reply.  A job that raises
     fails with the exception's last line on either path, and is never
     retried.
 
@@ -427,9 +445,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             queue.appendleft([index])
 
     ctx = _pool_context()
-    outbox = ctx.Queue()
     pool: List[_Worker] = []
-    task_ids = itertools.count()
     degraded = False
     crash_deaths = 0
 
@@ -449,11 +465,10 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             stats["pool_degraded"] = 1
         elif queue or any(w.assignment for w in pool) or not pool:
             stats["pool_respawns"] += 1
-            pool.append(_Worker(ctx, outbox, fn))
+            pool.append(_Worker(ctx, fn))
 
     try:
-        pool = [_Worker(ctx, outbox, fn)
-                for _ in range(min(workers, len(queue)))]
+        pool = [_Worker(ctx, fn) for _ in range(min(workers, len(queue)))]
 
         while sum(done) + sum(failed) < total:
             if degraded:
@@ -482,8 +497,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                     continue
                 deadline = (now + timeout * len(chunk)) if timeout else None
                 worker = idle.pop(0)
-                worker.assign(_Assignment(next(task_ids), chunk,
-                                          attempts[chunk[0]], deadline),
+                worker.assign(_Assignment(chunk, attempts[chunk[0]], deadline),
                               scope, payloads)
                 for index in chunk:
                     if not started[index]:
@@ -501,30 +515,26 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                                max(0.001, (min(gates) if gates else 0) - now)))
                 continue
 
-            try:
-                message = outbox.get(timeout=_POLL_SECONDS)
-            except Exception:  # queue.Empty
-                message = None
+            ready = multiprocessing.connection.wait(
+                [worker.results for worker in busy], timeout=_POLL_SECONDS)
+            owner = next((worker for worker in busy
+                          if worker.results in ready), None)
+            message = owner.receive() if owner is not None else None
 
             if message is not None:
-                task_id = message[0]
-                owner = next((worker for worker in busy
-                              if worker.assignment is not None
-                              and worker.assignment.task_id == task_id), None)
-                if message[1] == "ok":
-                    _task_id, _status, pairs, delta = message
+                if message[0] == "ok":
+                    _status, pairs, delta = message
                     merge_counters(delta)
-                    if owner is not None:
-                        owner.assignment = None
+                    owner.assignment = None
                     for index, value in pairs:
                         if not done[index] and not failed[index]:
                             done[index] = True
                             yield ("done", index, value)
-                elif owner is not None:
+                else:
                     # A job exception is permanent (deterministic jobs raise
                     # again on retry); chunk-mates after the failing job
                     # never ran, so requeue them without charging an attempt.
-                    _task_id, _status, bad, error, pairs, delta = message
+                    _status, bad, error, pairs, delta = message
                     merge_counters(delta)
                     assignment = owner.assignment
                     owner.assignment = None
@@ -540,11 +550,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                         queue.appendleft(unstarted)
                     for index, value in completed:
                         yield ("done", index, value)
-                else:
-                    # Stale error reply from a worker already written off
-                    # as crashed/hung — its jobs are being retried; the
-                    # retry will re-raise and fail them properly.
-                    merge_counters(message[5])
                 continue
 
             now = time.monotonic()
@@ -571,7 +576,5 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         for worker in pool:
             worker.destroy()
         pool.clear()
-        outbox.close()
-        outbox.join_thread()
 
     return finish()

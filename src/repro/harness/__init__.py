@@ -13,11 +13,11 @@ that prints the same rows/series the paper reports, plus the paper's values
 (from :mod:`repro.harness.paper_data`) for side-by-side comparison.
 
 Every simulation-backed runner accepts an optional
-:class:`~repro.exec.ExperimentEngine` (defaulting to one built from
-``settings.jobs`` / ``REPRO_JOBS``) that fans the ``(workload,
-configuration)`` grid out over worker processes and memoizes finished cells
-under ``REPRO_CACHE_DIR`` (default ``.repro-cache/``; delete it at any time
-to reset).  Serial, parallel, and cached runs are bit-identical.
+:class:`~repro.exec.ExperimentEngine` (defaulting to one with
+``REPRO_JOBS`` workers) that fans the ``(workload, configuration)`` grid
+out over worker processes and memoizes finished cells under
+``REPRO_CACHE_DIR`` (default ``.repro-cache/``; delete it at any time to
+reset).  Serial, parallel, and cached runs are bit-identical.
 """
 
 from repro.harness.runner import (

@@ -120,13 +120,13 @@ def run_figure4(workloads: Optional[Sequence[str]] = None,
     """Regenerate Figure 4 for the given workloads (default: all 47).
 
     The ``(workload, configuration)`` grid — baseline included — is executed
-    through ``engine`` (by default built from ``settings.jobs`` /
-    ``REPRO_JOBS``), which fans jobs out over worker processes and memoizes
-    finished cells on disk; results are merged back in input order, so the
-    report is identical however the grid was executed.
+    through ``engine`` (by default one with ``REPRO_JOBS`` workers), which
+    fans jobs out over worker processes and memoizes finished cells on
+    disk; results are merged back in input order, so the report is
+    identical however the grid was executed.
     """
     settings = settings or ExperimentSettings()
-    engine = engine or ExperimentEngine.from_settings(settings)
+    engine = engine or ExperimentEngine()
     names = list(workloads) if workloads is not None else workload_names()
 
     all_configs = [BASELINE_CONFIG] + list(configs)

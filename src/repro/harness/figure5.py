@@ -77,7 +77,7 @@ def run_figure5(workloads: Optional[Sequence[str]] = None,
     then indexed back into the three per-benchmark series.
     """
     settings = settings or ExperimentSettings()
-    engine = engine or ExperimentEngine.from_settings(settings)
+    engine = engine or ExperimentEngine()
     names = list(workloads) if workloads is not None else sensitivity_workloads()
     default = PredictorSuiteConfig()
 

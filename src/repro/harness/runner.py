@@ -5,9 +5,9 @@ build a workload trace once, simulate it under one or more store-queue
 configurations, and aggregate the per-run statistics.  This module provides
 the shared pieces; the per-experiment modules add only the configuration
 sweeps and report formats, and execute their ``(workload, configuration)``
-grids through :class:`repro.exec.ExperimentEngine` (process fan-out via
-``REPRO_JOBS`` / ``ExperimentSettings.jobs``, on-disk result memoization
-under ``REPRO_CACHE_DIR``, default ``.repro-cache/``).
+grids through :class:`repro.exec.ExperimentEngine` (process fan-out over
+the engine's worker count, default ``REPRO_JOBS``; on-disk result
+memoization under ``REPRO_CACHE_DIR``, default ``.repro-cache/``).
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ class ExperimentSettings:
     than the paper's 10M-instruction samples, so proportionally more warm-up
     is needed before predictor cold-start effects stop dominating).
 
-    ``jobs`` is an *execution* knob, not a simulation knob: it sets how many
-    worker processes the :class:`~repro.exec.engine.ExperimentEngine` fans a
-    sweep out over (``None`` falls back to the ``REPRO_JOBS`` environment
-    variable, then serial; values <= 0 mean "all CPUs").  It is excluded
-    from equality and from result-cache keys because it cannot change any
-    simulated statistic — serial and parallel runs are bit-identical.
-
     ``sampling`` switches an experiment to statistical sampling: instead of
     simulating every instruction in detail, the run measures the plan's
     detailed intervals, each starting from a full-history snapshot of one
@@ -80,7 +73,6 @@ class ExperimentSettings:
     sq_size: int = 64
     stats_warmup_fraction: float = 0.25
     core: CoreConfig = field(default_factory=CoreConfig)
-    jobs: Optional[int] = field(default=None, compare=False)
     sampling: Optional[SamplingPlan] = None
     checkpoints: Optional[bool] = None
 
@@ -148,16 +140,15 @@ def run_workload(trace, config_name: str,
     :func:`~repro.workloads.suites.build_workload` returns, or what
     :func:`~repro.isa.plane.encode_uops` makes of named micro-ops.
 
-    With ``settings.sampling`` set the trace is simulated by statistical
-    sampling (continuous functional warming + detailed intervals) instead
-    of in full detail; the returned record then carries a
-    :class:`~repro.sampling.result.SampledSimulationResult`.
+    A sampled run starts every interval from a snapshot in the checkpoint
+    store, which is keyed by workload name, so it runs by name, not over a
+    trace: ``settings.sampling`` raises :class:`ValueError`.
     """
     settings = settings or ExperimentSettings()
     if settings.sampling is not None:
-        from repro.sampling.driver import run_sampled_trace
-
-        return run_sampled_trace(trace, config_name, settings, predictors=predictors)
+        raise ValueError("run_workload simulates in full detail; run sampled "
+                         "settings by workload name through ExperimentEngine "
+                         "or run_sampled_workload")
     policy = make_policy(config_name, sq_size=settings.sq_size, predictors=predictors)
     core = OutOfOrderCore(settings.core, policy)
     result = core.run(trace, stats_warmup_fraction=settings.stats_warmup_fraction)

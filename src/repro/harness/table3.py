@@ -107,7 +107,7 @@ def run_table3(workloads: Optional[Sequence[str]] = None,
     fan-out + on-disk memoization) as one workload-major job list.
     """
     settings = settings or ExperimentSettings()
-    engine = engine or ExperimentEngine.from_settings(settings)
+    engine = engine or ExperimentEngine()
     names = list(workloads) if workloads is not None else workload_names()
 
     configs = ("indexed-3-fwd", "indexed-3-fwd+dly")

@@ -29,8 +29,9 @@ segments of a workload share one registry plane
 (:func:`repro.workloads.program.plane_for`); an :class:`EncodedOps` that
 crosses a process boundary ships its plane's descriptor table and is
 re-interned on arrival (:meth:`EncodedOps.rebase`), so encoded ops are safe
-to pickle between pool workers and through the checkpoint store's window
-memo (:func:`repro.sampling.checkpoints.window_key`).
+to pickle between pool workers and into the checkpoint store's shared
+snapshots, which hold each interval's detailed window
+(:class:`repro.sampling.checkpoints.SharedWarmState`).
 """
 
 from __future__ import annotations

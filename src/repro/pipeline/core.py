@@ -246,7 +246,7 @@ class OutOfOrderCore:
         """
         if not 0.0 <= stats_warmup_fraction < 1.0:
             raise ValueError("stats_warmup_fraction must be in [0, 1)")
-        name = getattr(trace, "name", "trace")
+        name = getattr(trace, "name", "") or "trace"
         encoded = as_encoded(trace)
         total = len(encoded)
         if stats_warmup_instructions is not None:

@@ -15,9 +15,13 @@ Storage layout (one pickle per entry, exactly like the result cache):
 * **shared snapshots** — branch predictor/BTB/RAS, caches/TLB, memory
   image and SSN counters are identical for every store-queue
   configuration, so they are stored once per ``(workload, plan, core
-  config, interval)``.  The warmer's oracle last-writer map is not
-  stored: a detailed core needs no writer from before its run
-  (:mod:`repro.pipeline.commit_facts`).
+  config, interval)``, together with the interval's detailed window: the
+  micro-ops ``[detailed_start, measure_end + overrun)``, composed during
+  the generation pass (tiny next to the segments they straddle) and held
+  in encoded two-plane form (:class:`~repro.isa.plane.EncodedOps`), so
+  interval jobs never re-emit trace content.  The warmer's oracle
+  last-writer map is not stored: a detailed core needs no writer from
+  before its run (:mod:`repro.pipeline.commit_facts`).
 * **policy snapshots** — the per-configuration predictor state (SVW tables,
   FSP/SAT, store sets, DDP) is stored per ``(configuration, sq_size,
   predictor overrides)`` on top of the shared key.  One
@@ -25,12 +29,9 @@ Storage layout (one pickle per entry, exactly like the result cache):
   missing configurations simultaneously (the shared structures and the SVW
   update once per micro-op, and the predictor tables once per warm
   class).
-* **trace windows** — the same store memoises each interval's composed
-  detailed-window micro-ops (written during the generation pass, tiny next
-  to the segments they straddle), so interval jobs stop re-emitting
-  trace content entirely.  Windows are stored in encoded
-  two-plane form (:class:`~repro.isa.plane.EncodedOps`, schema v2): flat
-  arrays that unpickle far cheaper than they recompose.
+
+An interval job reads two blobs: its shared snapshot and its
+configuration's policy snapshot.
 
 Keys cover the trace identity, the sampling plan, the core configuration,
 and SHA-256 fingerprints of the workload-generator and simulator sources —
@@ -50,7 +51,7 @@ replays the whole warming prefix once through :func:`generate_checkpoints`,
 folding once per class.  A group's pass warms each of its policies
 exactly as the one multi-policy pass would, because every policy ends a
 pass with the state a warmer of its own would have left.  Group 0 keeps
-the request's ``write_shared`` duty (shared snapshots and window memos);
+the request's ``write_shared`` duty (the shared snapshots);
 the other groups skip the shared structures no policy reads
 (:class:`~repro.sampling.functional.FunctionalWarmer`'s
 ``policies_only``).  The jobs have no dependencies on each other and fan
@@ -71,6 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.exec import fingerprint as _fingerprint
 from repro.exec import options as _options
 from repro.exec.cache import ResultCache, _canonical
+from repro.isa.plane import EncodedOps
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +99,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (one shared writer entry, or a list of 8 per-byte entries) instead of per
 #: byte.
 #: v8: the shared snapshot carries no oracle last-writer map.
-CHECKPOINT_SCHEMA_VERSION = 8
+#: v9: the shared snapshot carries the interval's detailed window, which
+#: was a blob of its own.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 #: A policy identity: (configuration name, SQ size, predictor overrides).
 PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]
@@ -163,45 +167,32 @@ def policy_key(workload: str, settings: "ExperimentSettings",
     return _digest(payload)
 
 
-def window_key(workload: str, settings: "ExperimentSettings",
-               interval_index: int) -> str:
-    """Key of one interval's composed detailed-window micro-ops.
-
-    An interval simulates only ``[detailed_start, measure_end +
-    overrun)`` — a small fraction of a 16384-uop segment — so the
-    generation pass memoises exactly that slice; interval jobs then load a
-    few thousand micro-ops instead of composing (or unpickling) every
-    overlapping segment.  This is the hot-loop fix for the window
-    regeneration cost that dominated interval jobs.
-    """
-    payload = _shared_payload(workload, settings)
-    payload["kind"] = "trace-window"
-    payload["interval"] = interval_index
-    return _digest(payload)
-
-
 # ---------------------------------------------------------------- snapshots --
 
 @dataclass
 class SharedWarmState:
     """The configuration-independent half of a functional snapshot: the
     live structures of the same names in
-    :class:`~repro.sampling.functional.FunctionalState`."""
+    :class:`~repro.sampling.functional.FunctionalState`, and the
+    interval's detailed ``window`` (:func:`interval_window_uops`)."""
 
     branch_unit: object
     hierarchy: object
     memory: object
     ssn_alloc: object
     instructions_warmed: int
+    window: EncodedOps
 
 
-def _shared_snapshot(state: FunctionalState) -> SharedWarmState:
+def _shared_snapshot(state: FunctionalState,
+                     window: EncodedOps) -> SharedWarmState:
     return SharedWarmState(
         branch_unit=state.branch_unit,
         hierarchy=state.hierarchy,
         memory=state.memory,
         ssn_alloc=state.ssn_alloc,
         instructions_warmed=state.instructions_warmed,
+        window=window,
     )
 
 
@@ -340,7 +331,7 @@ def generate_checkpoints(store: CheckpointStore, workload: str,
     Warms all ``identities`` simultaneously and writes one policy snapshot
     per identity at each interval's detailed-warmup start; with
     ``write_shared`` it also warms the shared structures and writes one
-    shared snapshot and window memo there (without it, the pass warms
+    shared snapshot, window included, there (without it, the pass warms
     only what the policies read).  Returns the number of snapshot points
     written.  This is the only generation loop: every generation job runs
     it over its own policy group.
@@ -365,12 +356,8 @@ def generate_checkpoints(store: CheckpointStore, workload: str,
                               window.detailed_start)
         if write_shared:
             store.put(shared_key(workload, settings, window.index),
-                      _shared_snapshot(warmer.state))
-            # Memoise the interval's detailed window too (it is tiny next
-            # to the segments it straddles, and every configuration's
-            # interval job re-reads it).
-            store.put(window_key(workload, settings, window.index),
-                      interval_window_uops(workload, settings, window))
+                      _shared_snapshot(warmer.state, interval_window_uops(
+                          workload, settings, window)))
         for identity, policy in zip(identities, policies):
             store.put(policy_key(workload, settings, identity, window.index),
                       policy)
@@ -472,34 +459,19 @@ def execute_generation(requests: Sequence[CheckpointJobSpec],
 
 # ------------------------------------------------------------------ loading --
 
-def load_interval_window(spec, window):
-    """The detailed-window micro-ops of one interval.
-
-    Served from the store's window memo when possible; a missing or
-    corrupt blob falls back to composing the window from its segments
-    (bit-identical by construction) and repairs the store entry.
-    """
-    store = CheckpointStore(spec.checkpoint_dir)
-    key = window_key(spec.workload, spec.settings, spec.interval_index)
-    uops = store.get(key)
-    if uops is not None:
-        return uops
-    uops = interval_window_uops(spec.workload, spec.settings, window)
-    store.put(key, uops)
-    return uops
-
-
-def load_interval_state(spec, window) -> FunctionalState:
-    """The warmed machine state at ``window.detailed_start`` for one interval.
+def load_interval_state(spec, window) -> Tuple[FunctionalState, EncodedOps]:
+    """The warmed machine state at ``window.detailed_start`` for one
+    interval, and the interval's detailed window.
 
     Loads the shared + policy snapshots of an
     :class:`~repro.exec.jobs.IntervalJobSpec` and assembles them into a
     :class:`~repro.sampling.functional.FunctionalState`.  A missing,
     truncated, or otherwise unreadable snapshot never fails the job and
     never degrades its accuracy: the exact full-history state is recomputed
-    in-process (a functional replay of ``[0, detailed_start)``) and the
-    store entries are repaired, keeping serial/parallel/cached runs
-    bit-identical whatever the store's condition.
+    in-process (a functional replay of ``[0, detailed_start)``), the
+    window is recomposed from its segments, and the store entries are
+    repaired, keeping serial/parallel/cached runs bit-identical whatever
+    the store's condition.
     """
     from repro.harness.runner import make_policy
 
@@ -511,7 +483,7 @@ def load_interval_state(spec, window) -> FunctionalState:
     shared = store.get(skey)
     policy = store.get(pkey)
     if isinstance(shared, SharedWarmState) and policy is not None:
-        return _assemble(settings, shared, policy)
+        return _assemble(settings, shared, policy), shared.window
 
     # Exact in-process fallback + store repair.
     warmer = FunctionalWarmer(
@@ -520,6 +492,7 @@ def load_interval_state(spec, window) -> FunctionalState:
                     predictors=spec.predictors))
     _warm_span(warmer, spec.workload, settings, 0, window.detailed_start)
     state = warmer.export_state()
-    store.put(skey, _shared_snapshot(state))
+    uops = interval_window_uops(spec.workload, settings, window)
+    store.put(skey, _shared_snapshot(state, uops))
     store.put(pkey, state.policy)
-    return state
+    return state, uops

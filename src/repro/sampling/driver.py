@@ -7,18 +7,15 @@ measured region), and merges the interval measurements into one
 starts from the machine state one continuous functional pass left at its
 detailed-warmup start (:mod:`repro.sampling.checkpoints`).
 
-Three entry points, all producing bit-identical results:
+Two entry points, producing bit-identical results:
 
 * :func:`run_interval_job` — one :class:`~repro.exec.jobs.IntervalJobSpec`;
   this is what runs inside :class:`~repro.exec.engine.ExperimentEngine`
   pool workers and what the result cache stores, one entry per interval.
 * :func:`run_sampled_workload` — a whole sampled run by workload *name*,
-  through a one-worker engine in this process (regenerating each
-  interval's trace window; the full trace is never materialised).
-* :func:`run_sampled_trace` — a whole sampled run over an
-  :class:`~repro.isa.plane.EncodedOps` trace held in memory (the
-  :func:`repro.harness.runner.run_workload` path; also used by tests with
-  custom traces).
+  through a one-worker engine in this process (each interval's detailed
+  window comes from its shared snapshot; the full trace is never
+  materialised).
 
 Imports from :mod:`repro.harness` are deferred inside functions: the
 harness imports the engine, the engine expands sampled specs through this
@@ -30,14 +27,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec.jobs import IntervalJobSpec, JobSpec
-from repro.isa.plane import EncodedOps, as_encoded
+from repro.isa.plane import EncodedOps
 from repro.pipeline.commit_facts import (
     CommitFacts,
     compute_commit_facts,
     svw_geometry,
 )
 from repro.pipeline.core import OutOfOrderCore
-from repro.sampling.functional import FunctionalState, FunctionalWarmer
+from repro.sampling.functional import FunctionalState
 from repro.sampling.plan import IntervalWindow
 from repro.sampling.result import (
     IntervalMeasurement,
@@ -67,12 +64,13 @@ def expand_sampled_spec(spec: JobSpec, checkpoint_dir: Optional[str] = None
             for index in range(count)]
 
 
-#: Per-process memo of interval windows' commit facts, keyed by (window
-#: key, SVW geometry): a window's facts depend only on its snapshot and its
-#: micro-ops, so the configurations of a sampled sweep share one
-#: computation per interval.  The engine runs a spec's intervals in order,
-#: one spec after another, so the bound covers a workload's intervals
-#: across its configurations for plans of up to this many intervals.
+#: Per-process memo of interval windows' commit facts, keyed by (shared
+#: snapshot key, SVW geometry): a window's facts depend only on its
+#: snapshot and its micro-ops, which the shared snapshot holds, so the
+#: configurations of a sampled sweep share one computation per interval.
+#: The engine runs a spec's intervals in order, one spec after another, so
+#: the bound covers a workload's intervals across its configurations for
+#: plans of up to this many intervals.
 _FACTS_CACHE: Dict[Tuple[str, Tuple[int, int]], CommitFacts] = {}
 _FACTS_CACHE_LIMIT = 64
 
@@ -80,10 +78,10 @@ _FACTS_CACHE_LIMIT = 64
 def _window_facts(spec: IntervalJobSpec, encoded: EncodedOps,
                   state: FunctionalState) -> CommitFacts:
     """The commit facts of one interval's window from its snapshot."""
-    from repro.sampling.checkpoints import window_key
+    from repro.sampling.checkpoints import shared_key
 
     svw = state.policy.svw
-    key = (window_key(spec.workload, spec.settings, spec.interval_index),
+    key = (shared_key(spec.workload, spec.settings, spec.interval_index),
            svw_geometry(svw))
     facts = _FACTS_CACHE.get(key)
     if facts is None:
@@ -115,8 +113,9 @@ def _simulate_window(uops: EncodedOps, window: IntervalWindow,
                      facts: Optional[CommitFacts] = None) -> "RunRecord":
     """Detailed warm-up + measured region over an already warmed machine.
 
-    ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
-    to :func:`_overrun` trailing instructions;
+    ``uops`` is the interval's window, named after ``workload``:
+    ``[window.detailed_start, window.measure_end)`` plus up to
+    :func:`_overrun` trailing instructions;
     ``state`` is the warmed machine state at ``window.detailed_start``, and
     ``facts`` the window's commit facts from it (``None``: the core
     computes them).
@@ -126,7 +125,7 @@ def _simulate_window(uops: EncodedOps, window: IntervalWindow,
     core = OutOfOrderCore(settings.core, state.policy)
     core.import_state(state)
     result = core.run(
-        as_encoded(uops, name=workload), warm_memory=False,
+        uops, warm_memory=False,
         stats_warmup_instructions=window.measure_start - window.detailed_start,
         stats_measure_instructions=window.measure_length,
         commit_facts=facts)
@@ -138,22 +137,18 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
 
     Loads (or exactly recomputes, see
     :func:`repro.sampling.checkpoints.load_interval_state`) the interval's
-    snapshot and its detailed window, then simulates the detailed warm-up
-    and the measured region.  The window's commit facts come from a
-    per-process memo that the interval's other configurations share.
+    snapshot, detailed window included, then simulates the detailed
+    warm-up and the measured region.  The window's commit facts come from
+    a per-process memo that the interval's other configurations share.
     """
-    from repro.sampling.checkpoints import (
-        load_interval_state,
-        load_interval_window,
-    )
+    from repro.sampling.checkpoints import load_interval_state
 
     settings = spec.settings
     plan = settings.sampling
     if plan is None:
         raise ValueError("interval spec has no sampling plan")
     window = plan.intervals(settings.instructions)[spec.interval_index]
-    state = load_interval_state(spec, window)
-    uops = as_encoded(load_interval_window(spec, window), name=spec.workload)
+    state, uops = load_interval_state(spec, window)
     return _simulate_window(uops, window, spec.workload, spec.config_name,
                             settings, state,
                             _window_facts(spec, uops, state))
@@ -221,9 +216,11 @@ def run_sampled_workload(workload: str, config_name: str,
     sampled path itself: the store at ``checkpoint_dir`` (``None`` =
     environment default) is populated with one functional pass, every
     interval starts from its full-history snapshot, and the interval
-    records merge into one.  Interval trace windows are regenerated on
-    demand; the full trace is never materialised, so this scales to
-    paper-length (10M-instruction) runs in bounded memory.
+    records merge into one.  Each interval's detailed window is composed
+    once, by that pass, and kept in its shared snapshot; the full trace is
+    never materialised, so this scales to paper-length (10M-instruction)
+    runs in bounded memory.  It runs on one worker; to fan the intervals
+    out, run the spec through an engine with more.
     """
     from repro.exec.engine import ExperimentEngine
 
@@ -231,54 +228,3 @@ def run_sampled_workload(workload: str, config_name: str,
                               checkpoint_dir=checkpoint_dir)
     return engine.run([JobSpec(workload, config_name, settings,
                                predictors)])[0]
-
-
-def run_sampled_trace(trace: EncodedOps, config_name: str,
-                      settings: "ExperimentSettings",
-                      predictors: Optional["PredictorSuiteConfig"] = None
-                      ) -> "RunRecord":
-    """Run a whole sampled simulation over a trace held in memory.
-
-    The whole trace is sampled — exactly the region the full-detail path
-    simulates for the same trace — so for generator-built traces (where
-    ``len(trace) == settings.instructions``) this produces the same record
-    as :func:`run_sampled_workload`, and for custom traces the sampled
-    estimate targets the same population as the detailed run it
-    approximates.
-
-    Checkpointed warming is implemented in memory here: one cumulative
-    functional pass over the trace is snapshotted
-    (serialised, matching the on-disk store's copy semantics bit for bit) at
-    each interval's detailed-warmup start, so the record equals the
-    store-backed paths without touching the store — custom traces are not
-    content-addressable by ``(name, instructions, seed)``.
-    """
-    import pickle
-
-    from repro.harness.runner import make_policy
-
-    plan = settings.sampling
-    if plan is None:
-        raise ValueError("settings carry no sampling plan")
-    total = len(trace)
-    spec = JobSpec(trace.name, config_name, settings, predictors)
-    warmer = FunctionalWarmer(
-        settings.core, make_policy(config_name, sq_size=settings.sq_size,
-                                   predictors=predictors))
-    records = []
-    position = 0
-    for window in plan.intervals(total):
-        warmer.warm(trace[position:window.detailed_start])
-        position = window.detailed_start
-        # Pickle round trip = the frozen-copy semantics of the store.
-        state = pickle.loads(pickle.dumps(warmer.state))
-        stop = min(total, window.measure_end + _overrun(settings.core))
-        records.append(_simulate_window(
-            trace[window.detailed_start:stop], window, trace.name,
-            config_name, settings, state))
-    if total != settings.instructions:
-        import dataclasses
-
-        spec = dataclasses.replace(
-            spec, settings=dataclasses.replace(settings, instructions=total))
-    return merge_interval_records(spec, records)

@@ -4,8 +4,10 @@ Asserts the acceptance contract of `repro.sampling`: on a small trace the
 sampled CPI estimate must land within a stated error bound (±3%) of the
 full-detail CPI for at least two store-queue configurations, the reported
 confidence interval must cover the full-detail value, and every execution
-path (serial driver, engine expansion, parallel and cached engines,
-pre-materialised trace) must agree bit for bit.
+path (serial driver, engine expansion, parallel and cached engines, and
+the materialised trace's slices simulated from the stored snapshots) must
+agree bit for bit.  A sampled run goes by workload name through the
+checkpoint store; ``run_workload`` over a trace refuses sampled settings.
 
 Every interval starts from a full-history snapshot of one continuous
 functional pass (the checkpoint store), the faithful SMARTS
@@ -18,7 +20,14 @@ import pytest
 from repro.exec import ExperimentEngine, JobSpec, ResultCache
 from repro.harness.runner import ExperimentSettings, run_workload
 from repro.sampling import SamplingPlan
-from repro.sampling.driver import run_sampled_workload
+from repro.sampling.checkpoints import load_interval_state
+from repro.sampling.driver import (
+    _overrun,
+    _simulate_window,
+    expand_sampled_spec,
+    merge_interval_records,
+    run_sampled_workload,
+)
 from repro.workloads.suites import build_workload
 
 WORKLOAD = "vortex"
@@ -94,13 +103,28 @@ class TestSampledAccuracy:
         assert sampled.cpi_ci_halfwidth > 0.0
 
     def test_materialised_trace_path_bit_identical(self, sampled_record,
-                                                   trace, config_name):
-        # run_workload over a materialised trace implements checkpointing
-        # in memory (one cumulative warming pass, serialised snapshots);
-        # it must equal the store-backed driver bit for bit.
-        trace_record = run_workload(trace, config_name, SETTINGS)
-        assert (trace_record.result.stats.as_dict()
+                                                   trace, config_name,
+                                                   checkpoint_store_dir):
+        # Each interval's window, kept in its shared snapshot, is the
+        # materialised trace's slice, and simulating those slices from the
+        # stored snapshots merges into the sampled record bit for bit.
+        spec = JobSpec(WORKLOAD, config_name, SETTINGS)
+        intervals = expand_sampled_spec(spec,
+                                        checkpoint_dir=checkpoint_store_dir)
+        records = []
+        for interval, window in zip(intervals, PLAN.intervals(INSTRUCTIONS)):
+            stop = min(INSTRUCTIONS,
+                       window.measure_end + _overrun(SETTINGS.core))
+            uops = trace[window.detailed_start:stop]
+            state, stored = load_interval_state(interval, window)
+            assert stored == uops, window.index
+            records.append(_simulate_window(uops, window, WORKLOAD,
+                                            config_name, SETTINGS, state))
+        merged = merge_interval_records(spec, records)
+        assert (merged.result.stats.as_dict()
                 == sampled_record.result.stats.as_dict())
+        assert (merged.result.sampled.cpi_values
+                == sampled_record.result.sampled.cpi_values)
 
     def test_serial_parallel_cached_bit_identical(
             self, sampled_record, config_name, checkpoint_store_dir,
@@ -123,32 +147,37 @@ class TestSampledAccuracy:
 
 
 class TestExecutionPathEquivalence:
-    """Serial driver, engine expansion, and trace-slicing paths agree."""
+    """The serial driver and the engine's expansion agree; sampled settings
+    have no path over a trace."""
 
     SETTINGS = ExperimentSettings(
         instructions=30_000, stats_warmup_fraction=0.0,
         sampling=SamplingPlan(interval_length=1_000, detailed_warmup=500,
                               period=6_000, seed=0))
 
-    def test_engine_serial_and_trace_paths_identical(self):
+    def test_engine_and_serial_driver_identical(self):
         config = "indexed-3-fwd+dly"
         engine_record, = ExperimentEngine(jobs=1, cache=False).run(
             [JobSpec(WORKLOAD, config, self.SETTINGS)])
         serial_record = run_sampled_workload(WORKLOAD, config, self.SETTINGS)
-        trace = build_workload(WORKLOAD, 30_000, seed=1)
-        trace_record = run_workload(trace, config, self.SETTINGS)
-        reference = engine_record.result.stats.as_dict()
-        assert serial_record.result.stats.as_dict() == reference
-        assert trace_record.result.stats.as_dict() == reference
-        assert (engine_record.result.sampled.cpi_values
-                == trace_record.result.sampled.cpi_values)
+        assert (serial_record.result.stats.as_dict()
+                == engine_record.result.stats.as_dict())
+        assert (serial_record.result.sampled.cpi_values
+                == engine_record.result.sampled.cpi_values)
+
+    def test_run_workload_refuses_sampled_settings(self):
+        trace = build_workload(WORKLOAD, 2_000, seed=1)
+        with pytest.raises(ValueError,
+                           match="ExperimentEngine or run_sampled_workload"):
+            run_workload(trace, "indexed-3-fwd+dly", self.SETTINGS)
 
     def test_parallel_matches_serial(self):
         config = "indexed-3-fwd+dly"
         serial, = ExperimentEngine(jobs=1, cache=False).run(
             [JobSpec(WORKLOAD, config, self.SETTINGS)])
-        parallel, = ExperimentEngine(jobs=2, cache=False).run(
-            [JobSpec(WORKLOAD, config, self.SETTINGS)])
+        engine = ExperimentEngine(jobs=2, cache=False)
+        parallel, = engine.run([JobSpec(WORKLOAD, config, self.SETTINGS)])
+        assert engine.last_run_stats["backend"] == "supervised-pool"
         assert serial.result.stats.as_dict() == parallel.result.stats.as_dict()
 
 

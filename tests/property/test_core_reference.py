@@ -38,6 +38,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.harness.runner import make_policy
+from repro.isa.plane import encode_uops
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.mshr import MLPConfig
 from repro.pipeline.config import CoreConfig
@@ -230,11 +231,13 @@ def test_state_handoff_matches_seed_stack():
 def test_every_input_form_simulates_identically(workload, config_name,
                                                 trace_seed, warmup):
     """An encoded stream, a list and a generator of the same micro-ops run
-    the same loop; only a named input names the result."""
+    the same loop; only a named input names the result, and every nameless
+    one, encoded or not, is ``"trace"``."""
     encoded = build_workload(workload, instructions=700, seed=trace_seed)
     uops = list(encoded)
     forms = {
         "encoded": encoded,
+        "nameless-encoded": encode_uops(uops),
         "list": uops,
         "generator": (uop for uop in uops),
     }
@@ -246,5 +249,6 @@ def test_every_input_form_simulates_identically(workload, config_name,
     for form, result in results.items():
         assert _signature(result) == want, form
     assert results["encoded"].workload == workload
+    assert results["nameless-encoded"].workload == "trace"
     assert results["list"].workload == "trace"
     assert results["generator"].workload == "trace"

@@ -51,7 +51,7 @@ from repro.core.predictors import (DDPConfig, FSPConfig, PredictorSuiteConfig,
 from repro.core.ssn import SSNAllocator
 from repro.lsu.policies import warm_classes
 from repro.pipeline.config import CoreConfig
-from repro.sampling.checkpoints import _shared_snapshot, shared_signature
+from repro.sampling.checkpoints import shared_signature
 from repro.sampling.functional import FunctionalWarmer
 
 _SETTINGS = settings(max_examples=150, deadline=None,
@@ -205,8 +205,9 @@ def test_fold_matches_per_load_replay(accesses, names, sq_size, rob_size,
     warmer.warm(uops[cut:])
 
     assert warmer.state.instructions_warmed == len(uops)
-    assert (shared_signature(_shared_snapshot(warmer.state))
-            == reference.shared_signature())
+    # The warmer's state holds the shared structures under the snapshot's
+    # names.
+    assert shared_signature(warmer.state) == reference.shared_signature()
     for name, mine, theirs in zip(names, policies, reference.policies):
         assert pickle.dumps(mine) == pickle.dumps(theirs), name
 

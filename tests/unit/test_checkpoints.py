@@ -4,11 +4,11 @@ Covers the multi-policy functional warmer (one pass, many configurations,
 one fold per warm class, every policy independent of the others) and its
 policies-only mode, the export/import round trip (exact for every
 warmed structure), store invalidation (source fingerprints, plan changes),
-corruption robustness (truncated snapshots and missing window memos repair
-in place, never crash and never change the result), the engine's
+corruption robustness (truncated snapshots repair in place, window
+included, never crash and never change the result), the engine's
 generation/reuse accounting, policy-group generation (one job per workload
 and policy group, bit-identical to the single pass, leaving only snapshot
-and window blobs, each job's snapshots recomputed exactly when lost), the
+blobs, each job's snapshots recomputed exactly when lost), the
 result-cache key semantics of interval specs, and the memo of canonical
 settings forms behind every key.
 """
@@ -40,16 +40,15 @@ from repro.sampling.checkpoints import (
     generate_checkpoints,
     interval_window_uops,
     load_interval_state,
-    load_interval_window,
     plan_generation,
     policy_key,
     run_checkpoint_job,
     shared_key,
     shared_signature,
     split_policy_groups,
-    window_key,
 )
 from repro.sampling.driver import (
+    _overrun,
     expand_sampled_spec,
     run_interval_job,
     run_sampled_workload,
@@ -302,8 +301,7 @@ class TestKeyMemo:
     def _keys(self):
         spec = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0)
         return (job_key(spec), shared_key(WORKLOAD, SETTINGS, 0),
-                policy_key(WORKLOAD, SETTINGS, IDENTITY, 0),
-                window_key(WORKLOAD, SETTINGS, 0))
+                policy_key(WORKLOAD, SETTINGS, IDENTITY, 0))
 
     def test_job_key_follows_source_fingerprints(self, monkeypatch):
         spec = JobSpec(WORKLOAD, CONFIG, SETTINGS)
@@ -418,18 +416,62 @@ class TestSegmentMemo:
 
 
 class TestWindowMemo:
+    """Each interval's detailed window is held in its shared snapshot: an
+    interval job reads that snapshot and its policy snapshot and nothing
+    else, and a lost shared snapshot brings its window back with it."""
+
+    def test_every_shared_snapshot_holds_its_window(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
+        trace = build_workload(WORKLOAD, SETTINGS.instructions,
+                               seed=SETTINGS.seed)
+        for window in PLAN.intervals(SETTINGS.instructions):
+            stop = min(SETTINGS.instructions,
+                       window.measure_end + _overrun(SETTINGS.core))
+            shared = store.get(shared_key(WORKLOAD, SETTINGS, window.index))
+            assert shared.window == trace[window.detailed_start:stop]
+
     def test_missing_window_is_recomposed_and_repaired(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         spec = _interval_specs(store)[1]
         window = PLAN.intervals(SETTINGS.instructions)[1]
-        key = window_key(WORKLOAD, SETTINGS, window.index)
-        memo = load_interval_window(spec, window)
-        assert memo == interval_window_uops(WORKLOAD, SETTINGS, window)
+        key = shared_key(WORKLOAD, SETTINGS, window.index)
+        state, memo = load_interval_state(spec, window)
         store._path(key).unlink()
         assert not store.contains(key)
-        assert load_interval_window(spec, window) == memo
+        again, recomposed = load_interval_state(spec, window)
+        assert recomposed == memo
+        assert shared_signature(again) == shared_signature(state)
         assert store.contains(key)
+        assert store.get(key).window == memo
+
+    def test_interval_job_reads_two_blobs(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
+        spec = _interval_specs(store)[1]
+        reads = []
+        load = CheckpointStore.get
+
+        def counting_get(self, key):
+            reads.append(key)
+            return load(self, key)
+
+        monkeypatch.setattr(CheckpointStore, "get", counting_get)
+        run_interval_job(spec)
+        assert reads == [shared_key(WORKLOAD, SETTINGS, 1),
+                         policy_key(WORKLOAD, SETTINGS, IDENTITY, 1)]
+
+    def test_snapshots_without_a_window_are_keyed_away(self, monkeypatch):
+        # A v8 shared snapshot has no window; the schema version in every
+        # key keeps this reader from ever loading one.
+        from repro.sampling import checkpoints
+
+        current = (shared_key(WORKLOAD, SETTINGS, 0),
+                   policy_key(WORKLOAD, SETTINGS, IDENTITY, 0))
+        monkeypatch.setattr(checkpoints, "CHECKPOINT_SCHEMA_VERSION", 8)
+        assert shared_key(WORKLOAD, SETTINGS, 0) != current[0]
+        assert policy_key(WORKLOAD, SETTINGS, IDENTITY, 0) != current[1]
 
 
 class TestCacheKeys:
@@ -439,19 +481,6 @@ class TestCacheKeys:
         b = dataclasses.replace(a, checkpoint_dir="/elsewhere")
         assert job_key(a) == job_key(b)
 
-    def test_worker_count_is_in_no_key(self):
-        # ``jobs`` decides how generation splits into policy groups, never
-        # what any snapshot or interval result holds.
-        wide = dataclasses.replace(SETTINGS, jobs=7)
-        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0)
-        assert job_key(base) == job_key(dataclasses.replace(base,
-                                                            settings=wide))
-        assert shared_key(WORKLOAD, SETTINGS, 0) == shared_key(WORKLOAD, wide, 0)
-        assert (policy_key(WORKLOAD, SETTINGS, IDENTITY, 0)
-                == policy_key(WORKLOAD, wide, IDENTITY, 0))
-        assert (window_key(WORKLOAD, SETTINGS, 0)
-                == window_key(WORKLOAD, wide, 0))
-
 
 class TestStateLoading:
     def test_loaded_state_is_fresh_per_job(self, tmp_path):
@@ -459,12 +488,15 @@ class TestStateLoading:
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         specs = _interval_specs(store)
         window = PLAN.intervals(SETTINGS.instructions)[0]
-        first = load_interval_state(specs[0], window)
-        second = load_interval_state(specs[0], window)
+        first, first_window = load_interval_state(specs[0], window)
+        second, second_window = load_interval_state(specs[0], window)
         assert first.policy is not second.policy
         assert first.hierarchy is not second.hierarchy
+        assert first_window is not second_window
         assert (first.policy.state_signature()
                 == second.policy.state_signature())
+        assert first_window == second_window == interval_window_uops(
+            WORKLOAD, SETTINGS, window)
 
     def test_every_interval_starts_from_full_history(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -472,7 +504,7 @@ class TestStateLoading:
         windows = PLAN.intervals(SETTINGS.instructions)
         assert windows[-1].detailed_start > 0
         for spec, window in zip(specs, windows):
-            state = load_interval_state(spec, window)
+            state, _uops = load_interval_state(spec, window)
             assert state.instructions_warmed == window.detailed_start
 
 
@@ -494,7 +526,6 @@ class TestSingleWarmingMode:
         assert shared_key(WORKLOAD, explicit, 1) == shared_key(WORKLOAD, unset, 1)
         assert (policy_key(WORKLOAD, explicit, IDENTITY, 1)
                 == policy_key(WORKLOAD, unset, IDENTITY, 1))
-        assert window_key(WORKLOAD, explicit, 1) == window_key(WORKLOAD, unset, 1)
 
     def test_true_and_none_give_identical_records(self, tmp_path):
         explicit = dataclasses.replace(SETTINGS, checkpoints=True)
@@ -750,11 +781,12 @@ class TestPolicyGroupFallback:
         pkey = policy_key(WORKLOAD, SETTINGS, identity, self.INDEX)
         skey = shared_key(WORKLOAD, SETTINGS, self.INDEX)
         expected = reference.get(pkey).state_signature()
-        state = load_interval_state(spec, window)
+        state, uops = load_interval_state(spec, window)
         assert state.policy.state_signature() == expected
         assert store.get(pkey).state_signature() == expected
-        assert (shared_signature(store.get(skey))
-                == shared_signature(reference.get(skey)))
+        repaired, want = store.get(skey), reference.get(skey)
+        assert shared_signature(repaired) == shared_signature(want)
+        assert uops == repaired.window == want.window
 
     def test_missing_group_snapshot_recomputes_exactly(self, stores):
         reference, store, identity = stores
@@ -788,10 +820,10 @@ class TestPolicyGroupEngineStats:
 class TestGenerationBlobs:
     def test_store_holds_only_snapshots_and_windows(self, tmp_path,
                                                     monkeypatch):
-        """A two-workload generation leaves one shared snapshot, one window
-        memo and one policy snapshot per configuration at every interval:
-        no trace segments and no other blobs, wherever the environment
-        points the default store."""
+        """A two-workload generation leaves one shared snapshot (window
+        included) and one policy snapshot per configuration at every
+        interval: no trace segments and no other blobs, wherever the
+        environment points the default store."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         store = CheckpointStore(tmp_path)
         configs = (CONFIG, "associative-5-predictive")
@@ -800,7 +832,7 @@ class TestGenerationBlobs:
             _generation_requests(store, SETTINGS, configs=configs,
                                  workloads=workloads), jobs=1) == 2
         intervals = PLAN.num_intervals(SETTINGS.instructions)
-        assert len(store) == len(workloads) * intervals * (2 + len(configs))
+        assert len(store) == len(workloads) * intervals * (1 + len(configs))
 
     def test_policy_group_job_writes_only_policy_snapshots(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -812,7 +844,6 @@ class TestGenerationBlobs:
         assert len(store) == count * len(identities)
         for index in range(count):
             assert not store.contains(shared_key(WORKLOAD, SETTINGS, index))
-            assert not store.contains(window_key(WORKLOAD, SETTINGS, index))
             for identity in identities:
                 assert store.contains(policy_key(WORKLOAD, SETTINGS,
                                                  identity, index))

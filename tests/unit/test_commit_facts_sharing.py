@@ -26,7 +26,7 @@ from repro.pipeline import commit_facts
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import driver
-from repro.sampling.checkpoints import load_interval_state, load_interval_window
+from repro.sampling.checkpoints import load_interval_state
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
 
@@ -131,9 +131,8 @@ def test_interval_configurations_share_the_windows_facts(computations):
     assert len(driver._FACTS_CACHE) == 2
     for spec, record in zip(specs, records):
         # A core left to compute its own facts simulates the same interval.
-        state = load_interval_state(spec, window)
-        own = driver._simulate_window(
-            load_interval_window(spec, window), window, spec.workload,
-            spec.config_name, settings, state)
+        state, uops = load_interval_state(spec, window)
+        own = driver._simulate_window(uops, window, spec.workload,
+                                      spec.config_name, settings, state)
         assert record.result.stats.as_dict() == own.result.stats.as_dict()
         assert record.result.extra == own.result.extra

@@ -1,6 +1,7 @@
 """Unit tests for the paper's prediction structures: SSN, FSP, SAT, DDP,
 SVW (SSBF/SPCT), and the original Store Sets predictor."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -19,6 +20,11 @@ from repro.core.sat import StoreAliasTable
 from repro.core.ssn import SSNAllocator, sq_index
 from repro.core.store_sets import StoreSetsPredictor
 from repro.core.svw import SVWFilter, StorePCTable, StoreSequenceBloomFilter
+from repro.harness.paper_data import (
+    FIGURE5_ASSOCIATIVITIES,
+    FIGURE5_CAPACITIES,
+    FIGURE5_DDP_RATIOS,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +218,6 @@ class TestFSP:
         other_load = self.LOAD_PC + 4
         fsp.insert(self.LOAD_PC, self.STORE_PC)
         assert fsp.lookup(other_load) == []
-
-    def test_predicted_store_pcs(self):
-        fsp = _fsp()
-        fsp.insert(self.LOAD_PC, self.STORE_PC)
-        assert fsp.predicted_store_pcs(self.LOAD_PC) == [fsp.partial_store_pc(self.STORE_PC)]
 
     def test_invalidate_all(self):
         fsp = _fsp()
@@ -619,7 +620,53 @@ class TestStoreSets:
 # Predictor suite config helpers
 # ---------------------------------------------------------------------------
 
+#: Off-default values in every field, none of them a Figure 5 sweep point,
+#: so a variant that rebuilt a component from its defaults, or dropped a
+#: field, would show.
+_OFF_DEFAULT_SUITE = PredictorSuiteConfig(
+    fsp=FSPConfig(entries=16384, assoc=16, tag_bits=10, store_pc_bits=6,
+                  counter_bits=3, positive_weight=5, negative_weight=2),
+    sat=SATConfig(entries=128, repair="none"),
+    ddp=DDPConfig(entries=16384, assoc=4, tag_bits=6, counter_bits=5,
+                  counter_threshold=12, positive_weight=3, negative_weight=2,
+                  future_interval=4),
+    svw=SVWConfig(ssbf_entries=1024, spct_entries=512, ssn_bits=12, banks=4),
+    store_sets=StoreSetsConfig(ssit_entries=512, lfst_entries=128,
+                               counter_bits=3))
+
+
+def _field_changes(before, after):
+    """``{(component, field): new value}`` for every field that differs."""
+    changes = {}
+    for component in dataclasses.fields(before):
+        old = getattr(before, component.name)
+        new = getattr(after, component.name)
+        for item in dataclasses.fields(old):
+            if getattr(old, item.name) != getattr(new, item.name):
+                changes[(component.name, item.name)] = getattr(new, item.name)
+    return changes
+
+
 class TestPredictorSuiteConfig:
+    def test_capacity_variants_change_only_the_entries(self):
+        for entries in FIGURE5_CAPACITIES:
+            variant = _OFF_DEFAULT_SUITE.scaled_fsp_ddp(entries)
+            assert _field_changes(_OFF_DEFAULT_SUITE, variant) == {
+                ("fsp", "entries"): entries, ("ddp", "entries"): entries}
+
+    def test_associativity_variants_change_only_the_fsp_ways(self):
+        for assoc in FIGURE5_ASSOCIATIVITIES:
+            variant = _OFF_DEFAULT_SUITE.with_fsp_assoc(assoc)
+            assert _field_changes(_OFF_DEFAULT_SUITE, variant) == {
+                ("fsp", "assoc"): assoc}
+
+    def test_ratio_variants_change_only_the_ddp_weights(self):
+        for positive, negative in FIGURE5_DDP_RATIOS:
+            variant = _OFF_DEFAULT_SUITE.with_ddp_ratio(positive, negative)
+            assert _field_changes(_OFF_DEFAULT_SUITE, variant) == {
+                ("ddp", "positive_weight"): positive,
+                ("ddp", "negative_weight"): negative}
+
     def test_scaled_fsp_ddp(self):
         base = PredictorSuiteConfig()
         scaled = base.scaled_fsp_ddp(512)

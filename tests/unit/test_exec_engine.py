@@ -70,10 +70,12 @@ class TestResolveJobs:
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert available_cpus() == 6
 
-    def test_settings_plumbing(self):
-        engine = ExperimentEngine.from_settings(
-            ExperimentSettings(jobs=5), cache=False)
-        assert engine.jobs == 5
+    def test_worker_count_belongs_to_the_engine(self):
+        # Settings take no worker count, so no run path can silently
+        # ignore one: the engine's ``jobs`` is the only input.
+        with pytest.raises(TypeError, match="jobs"):
+            ExperimentSettings(jobs=5)
+        assert ExperimentEngine(jobs=5, cache=False).jobs == 5
 
 
 class TestCacheKey:
@@ -101,13 +103,6 @@ class TestCacheKey:
         assert job_key(base) != job_key(dataclasses.replace(base, config_name="associative-3"))
         assert job_key(base) != job_key(dataclasses.replace(
             base, predictors=PredictorSuiteConfig().with_fsp_assoc(4)))
-
-    def test_jobs_knob_excluded_from_key(self):
-        serial = JobSpec("gzip", "indexed-3-fwd",
-                         ExperimentSettings(instructions=800, jobs=1))
-        parallel = JobSpec("gzip", "indexed-3-fwd",
-                           ExperimentSettings(instructions=800, jobs=8))
-        assert job_key(serial) == job_key(parallel)
 
     def test_fingerprints_are_stable_hex(self):
         assert simulator_fingerprint() == simulator_fingerprint()

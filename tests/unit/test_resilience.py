@@ -339,6 +339,22 @@ class TestSupervisedPool:
         assert stats["job_retries"] >= 1
         _assert_no_orphans()
 
+    def test_crash_right_after_a_reply_blocks_no_other_reply(self,
+                                                             monkeypatch):
+        """A worker that dies on the job it takes just after replying
+        leaves no lock behind that the other workers' replies need: every
+        round completes with one crash per planned fault and no deadline
+        fires."""
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           "worker_crash@job:3,worker_crash@job:6")
+        for _ in range(5):
+            results, stats = _pool_run(_square, list(range(10)), workers=2,
+                                       retries=1, timeout=5.0)
+            assert results == [i * i for i in range(10)]
+            assert stats["worker_crashes"] == 2
+            assert "job_timeouts" not in stats
+        _assert_no_orphans()
+
     def test_hang_is_killed_at_deadline_and_retried(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "hang@job:1")
         start = time.monotonic()
