@@ -13,9 +13,13 @@ Assertions check the ordering the paper reports, not absolute numbers:
   ``indexed-3-fwd`` (delay prediction recovers most of the loss);
 * ``indexed-3-fwd+dly`` is competitive with the 5-cycle associative SQ —
   matching or beating it on a substantial fraction of programs.
+
+The first and last are bands calibrated on the full sweep, checked only at
+full fidelity (``FULL_FIDELITY``: all 47 workloads, at least 8000
+instructions); a subset run checks the orderings alone.
 """
 
-from conftest import run_once
+from conftest import FULL_FIDELITY, run_once
 
 from repro.harness.figure4 import run_figure4
 from repro.harness.paper_data import FIGURE4_GMEANS
@@ -38,16 +42,20 @@ def test_figure4_relative_performance(benchmark, bench_settings, bench_workloads
 
     # Magnitudes: all realistic configurations stay within ~15% of ideal on
     # average (paper: 1.4% - 6.3%), and indexed+delay within ~8% (paper 3.3%).
-    for config, value in gmeans.items():
-        assert 0.9 < value < 1.15, (config, value)
-    assert gmeans["indexed-3-fwd+dly"] < 1.08
+    # The bands are calibrated on the full sweep (FULL_FIDELITY).
+    if FULL_FIDELITY:
+        for config, value in gmeans.items():
+            assert 0.9 < value < 1.15, (config, value)
+        assert gmeans["indexed-3-fwd+dly"] < 1.08
 
     # The indexed SQ with delay matches or beats the realistic associative SQ
-    # on a substantial fraction of programs (paper: 31 of 47).
+    # on a substantial fraction of programs (paper: 31 of 47); a share of a
+    # few programs says nothing, so this band is full-sweep only too.
     comparison = result.wins_vs("indexed-3-fwd+dly", "associative-5-predictive",
                                 tolerance=0.01)
     competitive = comparison["wins"] + comparison["ties"]
-    assert competitive >= 0.4 * len(result.rows)
+    if FULL_FIDELITY:
+        assert competitive >= 0.4 * len(result.rows)
 
     print("\nGeometric means vs paper:")
     for config in ("associative-3", "indexed-3-fwd", "indexed-3-fwd+dly"):

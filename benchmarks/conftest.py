@@ -26,6 +26,7 @@ import pytest
 from _common import (  # noqa: F401
     DEFAULT_INSTRUCTIONS,
     DEFAULT_JOBS,
+    FULL_FIDELITY,
     REPO_ROOT,
     WORKLOAD_SUBSET,
     run_environment,

@@ -35,6 +35,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import (  # noqa: E402
     DEFAULT_INSTRUCTIONS,
     DEFAULT_JOBS,
+    FULL_FIDELITY,
     WORKLOAD_SUBSET,
     write_bench_json,
 )
@@ -72,13 +73,6 @@ from repro.workloads.suites import sensitivity_workloads, workload_names  # noqa
 def _settings() -> ExperimentSettings:
     return ExperimentSettings(instructions=DEFAULT_INSTRUCTIONS,
                               stats_warmup_fraction=0.25)
-
-
-#: Absolute fidelity bands are calibrated against the full 47-workload sweep
-#: at the default trace length; reduced runs (REPRO_BENCH_WORKLOADS /
-#: shorter REPRO_BENCH_INSTRUCTIONS) still check structural orderings but
-#: skip the bands, so a quick subset run does not fail spuriously.
-FULL_FIDELITY = WORKLOAD_SUBSET is None and DEFAULT_INSTRUCTIONS >= 8000
 
 
 def bench_table2(_engine: ExperimentEngine) -> dict:

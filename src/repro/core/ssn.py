@@ -92,6 +92,11 @@ class SSNAllocator:
             raise ValueError("cannot rewind forward")
         self.ssn_rename = ssn
 
+    def copy(self) -> "SSNAllocator":
+        """An independent allocator with the same counters."""
+        return SSNAllocator(self.bits, self.ssn_rename, self.ssn_commit,
+                            self.wraps)
+
     def reset(self) -> None:
         """Reset to the initial state (used between simulations)."""
         self.ssn_rename = 0

@@ -14,7 +14,11 @@ using three layers:
 * **sampling expansion** — specs whose settings carry a
   :class:`~repro.sampling.plan.SamplingPlan` are expanded into per-interval
   jobs before the cache/pool pass and merged back afterwards, so sampled
-  sweeps parallelise and memoize at interval granularity.
+  sweeps parallelise and memoize at interval granularity.  Interval jobs
+  are dispatched interval-major (all configurations of one interval back
+  to back), inside one interval record per run, so a process decodes each
+  interval's shared snapshot once
+  (:func:`repro.sampling.checkpoints.interval_record`).
 * **checkpoint generation** — every sampled run warms from checkpoints
   (:mod:`repro.sampling.checkpoints`), so sampled specs get a generation
   stage between the cache probe and the fan-out: each workload group with
@@ -158,8 +162,8 @@ class ExperimentEngine:
         are expanded into one :class:`~repro.exec.jobs.IntervalJobSpec` per
         measurement interval: the intervals of *all* sampled specs join the
         same fan-out/cache pass (each interval independently
-        content-addressed on disk), and are then merged deterministically
-        back into one record per original spec.
+        content-addressed on disk, dispatched interval-major), and are then
+        merged deterministically back into one record per original spec.
         """
         specs = list(specs)
         chunksize = _validate_chunksize(chunksize)
@@ -173,8 +177,12 @@ class ExperimentEngine:
 
     def _run_expanding_sampled(self, specs: Sequence[JobSpec],
                                chunksize: Optional[int]) -> List["RunRecord"]:  # noqa: F821
-        from repro.sampling.checkpoints import CheckpointStore
-        from repro.sampling.driver import expand_sampled_spec, merge_interval_records
+        from repro.sampling.checkpoints import CheckpointStore, interval_record
+        from repro.sampling.driver import (
+            expand_sampled_spec,
+            interval_major_order,
+            merge_interval_records,
+        )
 
         checkpoint_dir = str(CheckpointStore(self.checkpoint_dir).directory)
         self._active_checkpoint_dir = checkpoint_dir
@@ -189,10 +197,24 @@ class ExperimentEngine:
             else:
                 layout.append((None, len(flat), 1))
                 flat.append(spec)
-        # Caller chunksize heuristics target the unexpanded grid; let the
-        # default heuristic balance the (much longer) interval list instead.
-        flat_records = self._execute(flat, None,
-                                     before_run=self._generate_checkpoints)
+        # Interval-major: the configurations of one interval run back to
+        # back, so each shared snapshot is decoded once per process while
+        # the run's interval record holds it, and the interval's last job
+        # takes it uncopied.  Records come back in input order.  Caller
+        # chunksize heuristics target the unexpanded grid; let the default
+        # heuristic balance the (much longer) interval list instead.
+        order = interval_major_order(flat)
+        with interval_record() as snapshots:
+            def before_run(pending: Sequence) -> None:
+                # Only the cache-missed jobs load snapshots.
+                snapshots.expect(pending)
+                self._generate_checkpoints(pending)
+
+            ordered = self._execute([flat[i] for i in order], None,
+                                    before_run=before_run)
+        flat_records: List = [None] * len(flat)
+        for position, record in zip(order, ordered):
+            flat_records[position] = record
         results: List["RunRecord"] = []
         for base_spec, start, count in layout:
             if base_spec is None:

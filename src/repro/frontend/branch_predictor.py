@@ -52,6 +52,14 @@ class _CounterTable:
         elif v > 0:
             self._table[i] = v - 1
 
+    def copy(self) -> "_CounterTable":
+        clone = _CounterTable.__new__(_CounterTable)
+        clone._mask = self._mask
+        clone._max = self._max
+        clone._threshold = self._threshold
+        clone._table = self._table[:]
+        return clone
+
     def state_signature(self) -> tuple:
         """Hashable snapshot of the counter values."""
         return tuple(self._table)
@@ -68,6 +76,11 @@ class BimodalPredictor:
 
     def update(self, pc: int, taken: bool) -> None:
         self._table.update(pc >> 2, taken)
+
+    def copy(self) -> "BimodalPredictor":
+        clone = BimodalPredictor.__new__(BimodalPredictor)
+        clone._table = self._table.copy()
+        return clone
 
     def state_signature(self) -> tuple:
         return self._table.state_signature()
@@ -90,6 +103,13 @@ class GSharePredictor:
     def update(self, pc: int, taken: bool) -> None:
         self._table.update(self._index(pc), taken)
         self.history = ((self.history << 1) | int(taken)) & self._history_mask
+
+    def copy(self) -> "GSharePredictor":
+        clone = GSharePredictor.__new__(GSharePredictor)
+        clone._table = self._table.copy()
+        clone._history_mask = self._history_mask
+        clone.history = self.history
+        return clone
 
     def state_signature(self) -> tuple:
         return (self._table.state_signature(), self.history)
@@ -168,6 +188,14 @@ class HybridPredictor:
                 gshare_counters[gi] = gv - 1
             gshare.history = (gshare.history << 1) & gshare._history_mask
         return predicted
+
+    def copy(self) -> "HybridPredictor":
+        clone = HybridPredictor.__new__(HybridPredictor)
+        clone.config = self.config
+        clone.bimodal = self.bimodal.copy()
+        clone.gshare = self.gshare.copy()
+        clone._chooser = self._chooser.copy()
+        return clone
 
     def state_signature(self) -> tuple:
         """Hashable snapshot of all three component tables."""
@@ -250,6 +278,18 @@ class BranchUnit:
         self.predictions = 0
         self.mispredictions = 0
         self.btb_misses = 0
+
+    def copy(self) -> "BranchUnit":
+        """An exact copy (direction tables, BTB, RAS and counters) that
+        shares no mutable state with this unit."""
+        clone = BranchUnit.__new__(BranchUnit)
+        clone.direction = self.direction.copy()
+        clone.btb = self.btb.copy()
+        clone.ras = self.ras.copy()
+        clone.predictions = self.predictions
+        clone.mispredictions = self.mispredictions
+        clone.btb_misses = self.btb_misses
+        return clone
 
     def direction_state_signature(self) -> tuple:
         """Hashable snapshot of the direction-predictor tables (tests use

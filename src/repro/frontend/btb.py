@@ -76,6 +76,16 @@ class BranchTargetBuffer:
         if len(ways) > self.config.assoc:
             ways.pop()
 
+    def copy(self) -> "BranchTargetBuffer":
+        """An exact copy (entries, LRU order, counters)."""
+        clone = BranchTargetBuffer.__new__(BranchTargetBuffer)
+        clone.config = self.config
+        clone._set_mask = self._set_mask
+        clone._sets = {index: ways[:] for index, ways in self._sets.items()}
+        clone.lookups = self.lookups
+        clone.hits = self.hits
+        return clone
+
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0

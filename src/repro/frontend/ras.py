@@ -45,6 +45,17 @@ class ReturnAddressStack:
     def clear(self) -> None:
         self._stack.clear()
 
+    def copy(self) -> "ReturnAddressStack":
+        """An exact copy (contents and counters)."""
+        clone = ReturnAddressStack.__new__(ReturnAddressStack)
+        clone.depth = self.depth
+        clone._stack = self._stack[:]
+        clone.pushes = self.pushes
+        clone.pops = self.pops
+        clone.overflows = self.overflows
+        clone.underflows = self.underflows
+        return clone
+
     def state_signature(self) -> tuple:
         """Hashable snapshot of the stack contents (oldest first)."""
         return tuple(self._stack)

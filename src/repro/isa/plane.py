@@ -90,7 +90,7 @@ class StaticProgramPlane:
 
     __slots__ = ("descriptors", "pc", "op_class", "dest", "srcs", "kind",
                  "issue_class", "issue_index", "latency", "hint_call",
-                 "hint_return", "_intern", "_pc_cache")
+                 "hint_return", "_intern")
 
     def __init__(self) -> None:
         self.descriptors: List[Descriptor] = []
@@ -105,7 +105,6 @@ class StaticProgramPlane:
         self.hint_call: List[bool] = []
         self.hint_return: List[bool] = []
         self._intern: Dict[Descriptor, int] = {}
-        self._pc_cache: Dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.descriptors)
@@ -139,26 +138,6 @@ class StaticProgramPlane:
             self.hint_call.append(hint_call)
             self.hint_return.append(hint_return)
             self._intern[key] = index
-        return index
-
-    def intern_cached(self, pc: int, op_class: OpClass, dest: Optional[int],
-                      srcs: Tuple[int, ...], hint_call: bool = False,
-                      hint_return: bool = False) -> int:
-        """Like :meth:`intern`, memoised on the PC.
-
-        The emit hot path re-encounters the same static instruction at the
-        same PC on every kernel iteration; a single-entry-per-PC cache turns
-        the descriptor-tuple hash into a few comparisons.  PCs that alias
-        several descriptors simply fall through to :meth:`intern`.
-        """
-        cached = self._pc_cache.get(pc)
-        if (cached is not None and cached[1] is op_class
-                and cached[2] == dest and cached[3] == srcs
-                and cached[4] == hint_call and cached[5] == hint_return):
-            return cached[0]
-        index = self.intern(pc, op_class, dest, srcs, hint_call, hint_return)
-        self._pc_cache[pc] = (index, op_class, dest, srcs, hint_call,
-                              hint_return)
         return index
 
     def dispatch_arrays(self) -> Tuple[List, ...]:

@@ -8,7 +8,7 @@ load-to-use latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 
@@ -157,6 +157,17 @@ class Cache:
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
+
+    def copy(self) -> "Cache":
+        """An exact copy (contents, LRU order and counters) that shares no
+        mutable state with this cache."""
+        clone = Cache.__new__(Cache)
+        clone.config = self.config
+        clone.stats = replace(self.stats)
+        clone._sets = {index: ways[:] for index, ways in self._sets.items()}
+        clone._set_mask = self._set_mask
+        clone._line_shift = self._line_shift
+        return clone
 
     def resident_lines(self) -> frozenset:
         """The set of line tags currently resident (LRU order ignored).

@@ -8,7 +8,7 @@ unit.  Latencies follow Section 4.1 of the paper: 3-cycle L1, 10-cycle L2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.memory.cache import Cache, CacheConfig, DEFAULT_L1_CONFIG, DEFAULT_L2_CONFIG
@@ -170,6 +170,17 @@ class MemoryHierarchy:
         self.l1.reset_stats()
         self.l2.reset_stats()
         self.tlb.reset_stats()
+
+    def copy(self) -> "MemoryHierarchy":
+        """An exact copy (cache and TLB contents, LRU order, counters) that
+        shares no mutable state with this hierarchy."""
+        clone = MemoryHierarchy.__new__(type(self))
+        clone.config = self.config
+        clone.l1 = self.l1.copy()
+        clone.l2 = self.l2.copy()
+        clone.tlb = self.tlb.copy()
+        clone.stats = replace(self.stats)
+        return clone
 
     def state_signature(self) -> tuple:
         """Hashable snapshot of L1 + L2 + TLB contents (exact, LRU order

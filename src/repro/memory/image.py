@@ -154,7 +154,7 @@ class MemoryImage:
 
     def copy(self) -> "MemoryImage":
         """Deep copy of the image (the commit-facts replay writes into
-        one)."""
+        one, and every interval job of a sampled run starts from one)."""
         clone = MemoryImage()
         clone._words = dict(self._words)
         clone._written = dict(self._written)

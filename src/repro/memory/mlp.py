@@ -40,6 +40,8 @@ access hits a prefetched line (or coalesces onto an in-flight prefetch).
 
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import replace
 from typing import Optional, Set
 
 from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
@@ -258,6 +260,20 @@ class NonBlockingHierarchy(MemoryHierarchy):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.mlp_stats = MLPStats()
+
+    def copy(self) -> "NonBlockingHierarchy":
+        """An exact copy (the blocking hierarchy's state plus the MSHR file,
+        the prefetcher table and the prefetched lines) that shares no
+        mutable state with this hierarchy."""
+        clone = super().copy()
+        clone.mlp_config = self.mlp_config
+        clone.nonblocking = self.nonblocking
+        # Small structures; one deep copy keeps the MSHR file's slot and
+        # line maps pointing at the same entries.
+        clone.mshr, clone.prefetcher = deepcopy((self.mshr, self.prefetcher))
+        clone.mlp_stats = replace(self.mlp_stats)
+        clone._prefetched = set(self._prefetched)
+        return clone
 
     def state_signature(self) -> tuple:
         signature = super().state_signature()

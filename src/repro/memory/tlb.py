@@ -58,6 +58,13 @@ class TLB:
     def reset_stats(self) -> None:
         self._cache.reset_stats()
 
+    def copy(self) -> "TLB":
+        """An exact copy that shares no mutable state with this TLB."""
+        clone = TLB.__new__(TLB)
+        clone.config = self.config
+        clone._cache = self._cache.copy()
+        return clone
+
     def flush(self) -> None:
         self._cache.flush()
 

@@ -31,7 +31,11 @@ Storage layout (one pickle per entry, exactly like the result cache):
   class).
 
 An interval job reads two blobs: its shared snapshot and its
-configuration's policy snapshot.
+configuration's policy snapshot.  Inside an engine run the shared one is
+decoded once per interval and process: the engine runs the configurations
+of an interval back to back, and the run's interval record
+(:func:`interval_record`) hands each of them but the last an exact
+structural copy of the decoded snapshot, and the last the snapshot itself.
 
 Keys cover the trace identity, the sampling plan, the core configuration,
 and SHA-256 fingerprints of the workload-generator and simulator sources —
@@ -66,11 +70,15 @@ from __future__ import annotations
 import json
 import hashlib
 import os
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
 from repro.exec import options as _options
+from repro.exec.jobs import IntervalJobSpec
 from repro.exec.cache import ResultCache, _canonical
 from repro.isa.plane import EncodedOps
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
@@ -78,6 +86,7 @@ from repro.sampling.functional import FunctionalState, FunctionalWarmer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.predictors import PredictorSuiteConfig
     from repro.harness.runner import ExperimentSettings
+    from repro.pipeline.commit_facts import CommitFacts
 
 #: Bumped when the snapshot payload layout changes incompatibly.
 #: v2: trace windows and segments are stored in encoded two-plane form
@@ -145,26 +154,51 @@ def _shared_payload(workload: str, settings: "ExperimentSettings") -> dict:
     }
 
 
+def _derive_key(workload: str, settings: "ExperimentSettings",
+                interval_index: int,
+                identity: Optional[PolicyIdentity]) -> str:
+    """The key of one interval's shared snapshot (``identity`` ``None``)
+    or of one configuration's policy snapshot."""
+    payload = _shared_payload(workload, settings)
+    payload["interval"] = interval_index
+    if identity is None:
+        payload["kind"] = "functional-shared"
+    else:
+        config_name, sq_size, predictors = identity
+        payload["kind"] = "functional-policy"
+        payload["config"] = config_name
+        payload["sq_size"] = sq_size
+        payload["predictors"] = _canonical(predictors)
+    return _digest(payload)
+
+
+@lru_cache(maxsize=4096)
+def _memoised_key(schema: int, trace_sources: str, simulator_sources: str,
+                  workload: str, settings: "ExperimentSettings",
+                  interval_index: int,
+                  identity: Optional[PolicyIdentity]) -> str:
+    """:func:`_derive_key`, memoised on its arguments and on everything
+    else the key covers: the schema version and the source fingerprints.
+    A sampled run asks for each key at planning, dispatch and load time."""
+    return _derive_key(workload, settings, interval_index, identity)
+
+
 def shared_key(workload: str, settings: "ExperimentSettings",
                interval_index: int) -> str:
     """Key of the shared (configuration-independent) snapshot of one interval."""
-    payload = _shared_payload(workload, settings)
-    payload["kind"] = "functional-shared"
-    payload["interval"] = interval_index
-    return _digest(payload)
+    return _memoised_key(CHECKPOINT_SCHEMA_VERSION,
+                         _fingerprint.workload_fingerprint(),
+                         _fingerprint.simulator_fingerprint(),
+                         workload, settings, interval_index, None)
 
 
 def policy_key(workload: str, settings: "ExperimentSettings",
                identity: PolicyIdentity, interval_index: int) -> str:
     """Key of one configuration's policy snapshot of one interval."""
-    config_name, sq_size, predictors = identity
-    payload = _shared_payload(workload, settings)
-    payload["kind"] = "functional-policy"
-    payload["interval"] = interval_index
-    payload["config"] = config_name
-    payload["sq_size"] = sq_size
-    payload["predictors"] = _canonical(predictors)
-    return _digest(payload)
+    return _memoised_key(CHECKPOINT_SCHEMA_VERSION,
+                         _fingerprint.workload_fingerprint(),
+                         _fingerprint.simulator_fingerprint(),
+                         workload, settings, interval_index, identity)
 
 
 # ---------------------------------------------------------------- snapshots --
@@ -182,6 +216,19 @@ class SharedWarmState:
     ssn_alloc: object
     instructions_warmed: int
     window: EncodedOps
+
+    def copy(self) -> "SharedWarmState":
+        """An exact structural copy that shares no mutable state with this
+        snapshot (the window's arrays are copied; its static plane, which
+        only ever grows, is shared)."""
+        return SharedWarmState(
+            branch_unit=self.branch_unit.copy(),
+            hierarchy=self.hierarchy.copy(),
+            memory=self.memory.copy(),
+            ssn_alloc=self.ssn_alloc.copy(),
+            instructions_warmed=self.instructions_warmed,
+            window=self.window.slice(0, len(self.window)),
+        )
 
 
 def _shared_snapshot(state: FunctionalState,
@@ -459,40 +506,143 @@ def execute_generation(requests: Sequence[CheckpointJobSpec],
 
 # ------------------------------------------------------------------ loading --
 
+#: Where an interval job's shared snapshot comes from: its checkpoint
+#: directory and the snapshot's key.
+SharedLocation = Tuple[Optional[str], str]
+
+
+def shared_location(spec: IntervalJobSpec) -> SharedLocation:
+    """The shared snapshot an interval job loads."""
+    return (spec.checkpoint_dir,
+            shared_key(spec.workload, spec.settings, spec.interval_index))
+
+
+class _IntervalRecord:
+    """The decoded shared snapshot of the interval loaded last, where it
+    came from, the commit facts of its window from it (per SVW geometry),
+    and how many of the run's loads of each shared snapshot are still to
+    come."""
+
+    __slots__ = ("loads", "location", "shared", "facts")
+
+    def __init__(self) -> None:
+        self.loads: Dict[SharedLocation, int] = {}
+        self.hold(None, None)
+
+    def expect(self, jobs: Sequence) -> None:
+        """Count each shared snapshot's loads among ``jobs``, the jobs the
+        run is about to simulate."""
+        self.loads = Counter(shared_location(job) for job in jobs
+                             if isinstance(job, IntervalJobSpec))
+
+    def hold(self, location: Optional[SharedLocation],
+             shared: Optional[SharedWarmState]) -> None:
+        self.location = location
+        self.shared = shared
+        self.facts: Dict[Tuple[int, int], "CommitFacts"] = {}
+
+    def lend(self, shared: SharedWarmState) -> SharedWarmState:
+        """``shared`` for one job that loads the held location: a copy of
+        the held snapshot while later loads of it are to come, and the
+        snapshot itself, which the record then lets go of (keeping its
+        facts), for the last one.  A snapshot the record does not hold (a
+        repaired one) is the job's."""
+        location = self.location
+        left = self.loads[location] = self.loads.get(location, 0) - 1
+        if shared is not self.shared:
+            return shared
+        if left:
+            return shared.copy()
+        self.location = self.shared = None
+        return shared
+
+
+#: The interval record of the engine run executing in this process (pool
+#: workers inherit the run's when they fork): ``None`` outside a run, where
+#: every load decodes its own blobs.
+_RECORD: Optional[_IntervalRecord] = None
+
+
+@contextmanager
+def interval_record() -> Iterator[_IntervalRecord]:
+    """Keep one interval record while the block runs, and drop it after.
+
+    The engine runs a sampled run's interval jobs inside this block, grouped
+    by shared snapshot, so the configurations of one interval decode its
+    shared snapshot once and share its window's commit facts
+    (:func:`load_interval_state`, :func:`interval_facts`).  Once told the
+    jobs it is about to simulate (:meth:`_IntervalRecord.expect`), the
+    record hands the last of them to load an interval the decoded snapshot
+    itself, and every earlier load a copy (so too every load it was not
+    told of).  Blocks nest; an inner one keeps a record of its own.
+    """
+    global _RECORD
+    outer = _RECORD
+    _RECORD = _IntervalRecord()
+    try:
+        yield _RECORD
+    finally:
+        _RECORD = outer
+
+
+def interval_facts() -> Dict[Tuple[int, int], "CommitFacts"]:
+    """The commit-facts memo of the interval :func:`load_interval_state`
+    loaded last: the record's, or an empty throwaway dict outside a run."""
+    return _RECORD.facts if _RECORD is not None else {}
+
+
 def load_interval_state(spec, window) -> Tuple[FunctionalState, EncodedOps]:
     """The warmed machine state at ``window.detailed_start`` for one
     interval, and the interval's detailed window.
 
     Loads the shared + policy snapshots of an
     :class:`~repro.exec.jobs.IntervalJobSpec` and assembles them into a
-    :class:`~repro.sampling.functional.FunctionalState`.  A missing,
-    truncated, or otherwise unreadable snapshot never fails the job and
-    never degrades its accuracy: the exact full-history state is recomputed
-    in-process (a functional replay of ``[0, detailed_start)``), the
-    window is recomposed from its segments, and the store entries are
-    repaired, keeping serial/parallel/cached runs bit-identical whatever
-    the store's condition.
+    :class:`~repro.sampling.functional.FunctionalState`.  Inside
+    :func:`interval_record`, the shared snapshot is decoded once per
+    interval: the record keeps it, every job but the interval's last gets
+    an exact structural copy (:meth:`SharedWarmState.copy`), and the last
+    takes the decoded snapshot.  The store stays the only source of
+    snapshot state.  A missing, truncated, or otherwise unreadable
+    snapshot never fails the job and never degrades its accuracy: the exact
+    full-history state is recomputed in-process (a functional replay of
+    ``[0, detailed_start)``), the window is recomposed from its segments,
+    and the store entries are repaired, keeping serial/parallel/cached runs
+    bit-identical whatever the store's condition.
     """
     from repro.harness.runner import make_policy
 
     store = CheckpointStore(spec.checkpoint_dir)
     settings = spec.settings
     identity = (spec.config_name, settings.sq_size, spec.predictors)
-    skey = shared_key(spec.workload, settings, spec.interval_index)
+    location = shared_location(spec)
+    skey = location[1]
     pkey = policy_key(spec.workload, settings, identity, spec.interval_index)
-    shared = store.get(skey)
+    record = _RECORD
+    if record is not None and record.location == location:
+        shared = record.shared
+    else:
+        shared = store.get(skey)
+        if not isinstance(shared, SharedWarmState):
+            shared = None
+        elif record is not None:
+            record.hold(location, shared)
     policy = store.get(pkey)
-    if isinstance(shared, SharedWarmState) and policy is not None:
-        return _assemble(settings, shared, policy), shared.window
 
-    # Exact in-process fallback + store repair.
-    warmer = FunctionalWarmer(
-        settings.core,
-        make_policy(spec.config_name, sq_size=settings.sq_size,
-                    predictors=spec.predictors))
-    _warm_span(warmer, spec.workload, settings, 0, window.detailed_start)
-    state = warmer.export_state()
-    uops = interval_window_uops(spec.workload, settings, window)
-    store.put(skey, _shared_snapshot(state, uops))
-    store.put(pkey, state.policy)
-    return state, uops
+    if shared is None or policy is None:
+        # Exact in-process fallback + store repair.
+        warmer = FunctionalWarmer(
+            settings.core,
+            make_policy(spec.config_name, sq_size=settings.sq_size,
+                        predictors=spec.predictors))
+        _warm_span(warmer, spec.workload, settings, 0, window.detailed_start)
+        state = warmer.export_state()
+        shared = _shared_snapshot(state, interval_window_uops(
+            spec.workload, settings, window))
+        policy = state.policy
+        store.put(skey, shared)
+        store.put(pkey, policy)
+        if record is not None and record.location != location:
+            record.hold(location, shared)
+    if record is not None:
+        shared = record.lend(shared)
+    return _assemble(settings, shared, policy), shared.window

@@ -64,32 +64,43 @@ def expand_sampled_spec(spec: JobSpec, checkpoint_dir: Optional[str] = None
             for index in range(count)]
 
 
-#: Per-process memo of interval windows' commit facts, keyed by (shared
-#: snapshot key, SVW geometry): a window's facts depend only on its
-#: snapshot and its micro-ops, which the shared snapshot holds, so the
-#: configurations of a sampled sweep share one computation per interval.
-#: The engine runs a spec's intervals in order, one spec after another, so
-#: the bound covers a workload's intervals across its configurations for
-#: plans of up to this many intervals.
-_FACTS_CACHE: Dict[Tuple[str, Tuple[int, int]], CommitFacts] = {}
-_FACTS_CACHE_LIMIT = 64
+def interval_major_order(specs: Sequence) -> List[int]:
+    """The order in which to run an expanded job list: every interval job
+    right after the first job of its shared snapshot, so the
+    configurations of one interval run back to back and share its decoded
+    snapshot (:func:`repro.sampling.checkpoints.interval_record`).  Other
+    jobs keep their places relative to each other, as do the jobs of one
+    shared snapshot.  Returns positions in ``specs``.
+    """
+    from repro.sampling.checkpoints import shared_location
+
+    first: Dict[Tuple[Optional[str], str], int] = {}
+    rank = []
+    for position, spec in enumerate(specs):
+        if isinstance(spec, IntervalJobSpec):
+            rank.append(first.setdefault(shared_location(spec), position))
+        else:
+            rank.append(position)
+    return sorted(range(len(specs)), key=rank.__getitem__)
 
 
-def _window_facts(spec: IntervalJobSpec, encoded: EncodedOps,
-                  state: FunctionalState) -> CommitFacts:
-    """The commit facts of one interval's window from its snapshot."""
-    from repro.sampling.checkpoints import shared_key
+def _window_facts(encoded: EncodedOps, state: FunctionalState) -> CommitFacts:
+    """The commit facts of one interval's window from its snapshot.
+
+    A window's facts depend only on its snapshot and its micro-ops, so the
+    configurations of an interval share them through the interval record
+    (:func:`repro.sampling.checkpoints.interval_facts`), one computation per
+    SVW geometry.
+    """
+    from repro.sampling.checkpoints import interval_facts
 
     svw = state.policy.svw
-    key = (shared_key(spec.workload, spec.settings, spec.interval_index),
-           svw_geometry(svw))
-    facts = _FACTS_CACHE.get(key)
+    memo = interval_facts()
+    key = svw_geometry(svw)
+    facts = memo.get(key)
     if facts is None:
-        facts = compute_commit_facts(encoded, state.memory, svw,
-                                     state.ssn_alloc.ssn_rename + 1)
-        while len(_FACTS_CACHE) >= _FACTS_CACHE_LIMIT:
-            _FACTS_CACHE.pop(next(iter(_FACTS_CACHE)))
-        _FACTS_CACHE[key] = facts
+        facts = memo[key] = compute_commit_facts(
+            encoded, state.memory, svw, state.ssn_alloc.ssn_rename + 1)
     return facts
 
 
@@ -138,8 +149,9 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
     Loads (or exactly recomputes, see
     :func:`repro.sampling.checkpoints.load_interval_state`) the interval's
     snapshot, detailed window included, then simulates the detailed
-    warm-up and the measured region.  The window's commit facts come from
-    a per-process memo that the interval's other configurations share.
+    warm-up and the measured region.  Inside an engine run the interval's
+    other configurations share the decoded snapshot and the window's
+    commit facts.
     """
     from repro.sampling.checkpoints import load_interval_state
 
@@ -150,8 +162,7 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
     window = plan.intervals(settings.instructions)[spec.interval_index]
     state, uops = load_interval_state(spec, window)
     return _simulate_window(uops, window, spec.workload, spec.config_name,
-                            settings, state,
-                            _window_facts(spec, uops, state))
+                            settings, state, _window_facts(uops, state))
 
 
 def merge_interval_records(spec: JobSpec,

@@ -83,20 +83,37 @@ class StackSpillKernel(Kernel):
         self._load_pcs = builder.alloc_pcs(slots)
         self._ret_pc = builder.alloc_pc()
 
+        # call, `slots` stores, `work_ops` ALU ops, `slots` loads, return.
+        slot_addrs = tuple(self._stack + 8 * i for i in range(slots))
+        quiet = (0,) * work_ops
+        self._addr = (0, *slot_addrs, *quiet, *slot_addrs, 0)
+        self._size = (0, *(8,) * slots, *quiet, *(8,) * slots, 0)
+        self._value_sizes = (8,) * slots
+        self._value_tail = (-1,) * (work_ops + slots + 1)
+        self._taken = (True, *(False,) * (2 * slots + work_ops), True)
+        self._target = (self._store_pcs[0], *(-1,) * (2 * slots + work_ops),
+                        self._call_pc + 4)
+        self._sidx = None
+
     def emit(self) -> None:
         b = self.builder
-        b.branch(self._call_pc, taken=True, target=self._store_pcs[0], call=True)
-        for i in range(self.slots):
-            src = self._regs[i % len(self._regs)]
-            b.store(self._store_pcs[i], self._stack + 8 * i, b.value(8), size=8, srcs=(src,))
-        for i in range(self.work_ops):
-            dest = self._work_regs[i % 2]
-            src = self._work_regs[(i + 1) % 2]
-            b.alu(self._work_pcs[i], dest, (src,))
-        for i in range(self.slots):
-            dest = self._regs[i % len(self._regs)]
-            b.load(self._load_pcs[i], dest, self._stack + 8 * i, size=8)
-        b.branch(self._ret_pc, taken=True, target=self._call_pc + 4, ret=True)
+        sidx = self._sidx
+        if sidx is None:
+            regs = self._regs
+            work = self._work_regs
+            sidx = self._sidx = (
+                b.intern(self._call_pc, OpClass.BRANCH, call=True),
+                *[b.intern(pc, OpClass.STORE, srcs=(regs[i % len(regs)],))
+                  for i, pc in enumerate(self._store_pcs)],
+                *[b.intern(pc, OpClass.INT_ALU, work[i % 2], (work[(i + 1) % 2],))
+                  for i, pc in enumerate(self._work_pcs)],
+                *[b.intern(pc, OpClass.LOAD, regs[i % len(regs)])
+                  for i, pc in enumerate(self._load_pcs)],
+                b.intern(self._ret_pc, OpClass.BRANCH, ret=True))
+        b.emit_block(sidx, self._addr, self._size,
+                     (-1, *map(b.value, self._value_sizes),
+                      *self._value_tail),
+                     self._taken, self._target)
 
 
 class GlobalRMWKernel(Kernel):
@@ -124,23 +141,43 @@ class GlobalRMWKernel(Kernel):
         self._store_pcs = builder.alloc_pcs(n_globals)
         self._branch_pc = builder.alloc_pc()
         self._index = 0
-        self._primed = [False] * n_globals
+
+        # Per global: its first visit (one initialising store) and every
+        # later one (load, `work_ops` ALU ops, store, branch).
+        self._addrs = [self._region + 8 * j for j in range(n_globals)]
+        quiet = (0,) * work_ops
+        self._body_addr = [(addr, *quiet, addr, 0) for addr in self._addrs]
+        self._body_size = (8, *quiet, 8, 0)
+        self._body_value_head = (-1,) * (work_ops + 1)
+        self._body_taken = (*(False,) * (work_ops + 2), True)
+        self._body_target = (*(-1,) * (work_ops + 2), self._load_pcs[0])
+        self._store_sidx = [None] * n_globals
+        self._body_sidx = [None] * n_globals
 
     def emit(self) -> None:
         b = self.builder
         j = self._index % self.n_globals
         self._index += 1
-        addr = self._region + 8 * j
-        if not self._primed[j]:
+        store = self._store_sidx[j]
+        if store is None:
             # First visit: initialise the global so later loads read written data.
-            b.store(self._store_pcs[j], addr, b.value(8), size=8, srcs=(self._tmp,))
-            self._primed[j] = True
+            store = self._store_sidx[j] = b.intern(
+                self._store_pcs[j], OpClass.STORE, srcs=(self._tmp,))
+            b.emit_block((store,), (self._addrs[j],), (8,),
+                         (b.value(8),), (False,), (-1,))
             return
-        b.load(self._load_pcs[j], self._reg, addr, size=8)
-        for i in range(self.work_ops):
-            b.alu(self._work_pcs[i], self._tmp, (self._reg, self._tmp))
-        b.store(self._store_pcs[j], addr, b.value(8), size=8, srcs=(self._tmp,))
-        b.branch(self._branch_pc, taken=True, target=self._load_pcs[0])
+        sidx = self._body_sidx[j]
+        if sidx is None:
+            tmp = self._tmp
+            sidx = self._body_sidx[j] = (
+                b.intern(self._load_pcs[j], OpClass.LOAD, self._reg),
+                *[b.intern(pc, OpClass.INT_ALU, tmp, (self._reg, tmp))
+                  for pc in self._work_pcs],
+                store,
+                b.intern(self._branch_pc, OpClass.BRANCH))
+        b.emit_block(sidx, self._body_addr[j], self._body_size,
+                     (*self._body_value_head, b.value(8), -1),
+                     self._body_taken, self._body_target)
 
 
 class NotMostRecentKernel(Kernel):
@@ -170,6 +207,10 @@ class NotMostRecentKernel(Kernel):
         self._store_pc = builder.alloc_pc()
         self._branch_pc = builder.alloc_pc()
         self._i = 0
+        self._taken = (False, False, False, True)
+        self._target = (-1, -1, -1, self._load_pc)
+        self._store_sidx = None
+        self._sidx = None
 
     def emit(self) -> None:
         b = self.builder
@@ -177,16 +218,27 @@ class NotMostRecentKernel(Kernel):
         self._i += 1
         if i < self.lag:
             # Prologue: initialise the first `lag` elements with stores only.
-            b.store(self._store_pc, self._region + 8 * (i % self.elements), b.value(8),
-                    size=8, srcs=(self._reg,))
+            if self._store_sidx is None:
+                self._store_sidx = b.intern(self._store_pc, OpClass.STORE,
+                                            srcs=(self._reg,))
+            b.emit_block((self._store_sidx,),
+                         (self._region + 8 * (i % self.elements),), (8,),
+                         (b.value(8),), (False,), (-1,))
             return
-        load_addr = self._region + 8 * ((i - self.lag) % self.elements)
-        store_addr = self._region + 8 * (i % self.elements)
-        b.load(self._load_pc, self._reg, load_addr, size=8)
-        op = OpClass.FP_MUL if self.fp else OpClass.INT_MUL
-        b.alu(self._mul_pc, self._reg, (self._reg, self._coef), op_class=op)
-        b.store(self._store_pc, store_addr, b.value(8), size=8, srcs=(self._reg,))
-        b.branch(self._branch_pc, taken=True, target=self._load_pc)
+        sidx = self._sidx
+        if sidx is None:
+            op = OpClass.FP_MUL if self.fp else OpClass.INT_MUL
+            sidx = self._sidx = (
+                b.intern(self._load_pc, OpClass.LOAD, self._reg),
+                b.intern(self._mul_pc, op, self._reg, (self._reg, self._coef)),
+                self._store_sidx,
+                b.intern(self._branch_pc, OpClass.BRANCH))
+        region = self._region
+        b.emit_block(sidx,
+                     (region + 8 * ((i - self.lag) % self.elements), 0,
+                      region + 8 * (i % self.elements), 0),
+                     (8, 0, 8, 0), (-1, -1, b.value(8), -1),
+                     self._taken, self._target)
 
 
 class ManyStoreDepKernel(Kernel):
@@ -215,21 +267,38 @@ class ManyStoreDepKernel(Kernel):
         self._branch_pc = builder.alloc_pc()
         self._index = 0
 
+        # store, `work_ops` ALU ops, load, branch; one block per store PC.
+        quiet = (0,) * self.work_ops
+        self._addrs = (self._addr, *quiet, self._addr, 0)
+        self._size = (8, *quiet, 8, 0)
+        self._value_tail = (-1,) * (self.work_ops + 2)
+        self._taken = (*(False,) * (self.work_ops + 2), True)
+        self._target = (*(-1,) * (self.work_ops + 2), self._store_pcs[0])
+        self._sidx = [None] * n_stores
+
     def emit(self) -> None:
         b = self.builder
         k = self._index % self.n_stores
         self._index += 1
-        b.store(self._store_pcs[k], self._addr, b.value(8), size=8, srcs=(self._tmp,))
-        # A short dependent chain between the store and the load, which the
-        # load's address computation consumes.  This mirrors real code (the
-        # reload is separated from the producer by address arithmetic) and
-        # means the *associative* SQ finds the already-executed store, while
-        # the indexed SQ still mis-forwards whenever the FSP's limited
-        # associativity fails to name the right producer.
-        for i in range(self.work_ops):
-            b.alu(self._work_pcs[i], self._tmp, (self._tmp,))
-        b.load(self._load_pc, self._reg, self._addr, size=8, srcs=(self._tmp,))
-        b.branch(self._branch_pc, taken=True, target=self._store_pcs[0])
+        sidx = self._sidx[k]
+        if sidx is None:
+            # A short dependent chain between the store and the load, which
+            # the load's address computation consumes.  This mirrors real
+            # code (the reload is separated from the producer by address
+            # arithmetic) and means the *associative* SQ finds the
+            # already-executed store, while the indexed SQ still
+            # mis-forwards whenever the FSP's limited associativity fails
+            # to name the right producer.
+            tmp = self._tmp
+            sidx = self._sidx[k] = (
+                b.intern(self._store_pcs[k], OpClass.STORE, srcs=(tmp,)),
+                *[b.intern(pc, OpClass.INT_ALU, tmp, (tmp,))
+                  for pc in self._work_pcs],
+                b.intern(self._load_pc, OpClass.LOAD, self._reg, (tmp,)),
+                b.intern(self._branch_pc, OpClass.BRANCH))
+        b.emit_block(sidx, self._addrs, self._size,
+                     (b.value(8), *self._value_tail),
+                     self._taken, self._target)
 
 
 class WideNarrowKernel(Kernel):
@@ -256,14 +325,30 @@ class WideNarrowKernel(Kernel):
         self._load_hi_pc = builder.alloc_pc()
         self._branch_pc = builder.alloc_pc()
 
+        # store, `work_ops` ALU ops, low-half load, high-half load, branch.
+        quiet = (0,) * work_ops
+        self._addrs = (self._addr, *quiet, self._addr, self._addr + 4, 0)
+        self._size = (8, *quiet, 4, 4, 0)
+        self._value_tail = (-1,) * (work_ops + 3)
+        self._taken = (*(False,) * (work_ops + 3), True)
+        self._target = (*(-1,) * (work_ops + 3), self._store_pc)
+        self._sidx = None
+
     def emit(self) -> None:
         b = self.builder
-        b.store(self._store_pc, self._addr, b.value(8), size=8, srcs=(self._tmp,))
-        for i in range(self.work_ops):
-            b.alu(self._work_pcs[i], self._tmp, (self._tmp,))
-        b.load(self._load_lo_pc, self._reg_lo, self._addr, size=4)
-        b.load(self._load_hi_pc, self._reg_hi, self._addr + 4, size=4)
-        b.branch(self._branch_pc, taken=True, target=self._store_pc)
+        sidx = self._sidx
+        if sidx is None:
+            tmp = self._tmp
+            sidx = self._sidx = (
+                b.intern(self._store_pc, OpClass.STORE, srcs=(tmp,)),
+                *[b.intern(pc, OpClass.INT_ALU, tmp, (tmp,))
+                  for pc in self._work_pcs],
+                b.intern(self._load_lo_pc, OpClass.LOAD, self._reg_lo),
+                b.intern(self._load_hi_pc, OpClass.LOAD, self._reg_hi),
+                b.intern(self._branch_pc, OpClass.BRANCH))
+        b.emit_block(sidx, self._addrs, self._size,
+                     (b.value(8), *self._value_tail),
+                     self._taken, self._target)
 
 
 class StreamCopyKernel(Kernel):
@@ -286,15 +371,23 @@ class StreamCopyKernel(Kernel):
         self._store_pc = builder.alloc_pc()
         self._branch_pc = builder.alloc_pc()
         self._i = 0
+        self._target = (-1, -1, -1, self._load_pc)
+        self._sidx = None
 
     def emit(self) -> None:
         b = self.builder
+        sidx = self._sidx
+        if sidx is None:
+            sidx = self._sidx = (
+                b.intern(self._load_pc, OpClass.LOAD, self._reg),
+                b.intern(self._alu_pc, OpClass.INT_ALU, self._tmp, (self._reg,)),
+                b.intern(self._store_pc, OpClass.STORE, srcs=(self._tmp,)),
+                b.intern(self._branch_pc, OpClass.BRANCH))
         offset = (self._i % self.elements) * self.stride
         self._i += 1
-        b.load(self._load_pc, self._reg, self._src + offset, size=8)
-        b.alu(self._alu_pc, self._tmp, (self._reg,))
-        b.store(self._store_pc, self._dst + offset, b.value(8), size=8, srcs=(self._tmp,))
-        b.branch(self._branch_pc, taken=True, target=self._load_pc)
+        b.emit_block(sidx, (self._src + offset, 0, self._dst + offset, 0),
+                     (8, 0, 8, 0), (-1, -1, b.value(8), -1),
+                     (False, False, False, True), self._target)
 
 
 class AccumulateKernel(Kernel):
@@ -316,14 +409,34 @@ class AccumulateKernel(Kernel):
         self._branch_pc = builder.alloc_pc()
         self._i = 0
 
+        # `unroll` (load, add) pairs, then the branch.
+        self._size = (*(8, 0) * self.unroll, 0)
+        self._value = (-1,) * (2 * self.unroll + 1)
+        self._taken = (*(False,) * (2 * self.unroll), True)
+        self._target = (*(-1,) * (2 * self.unroll), self._load_pcs[0])
+        self._sidx = None
+
     def emit(self) -> None:
         b = self.builder
-        for u in range(self.unroll):
-            offset = ((self._i + u) % self.elements) * 8
-            b.load(self._load_pcs[u], self._regs[u], self._src + offset, size=8)
-            b.alu(self._add_pcs[u], self._acc, (self._acc, self._regs[u]))
+        sidx = self._sidx
+        if sidx is None:
+            acc = self._acc
+            pairs = []
+            for load_pc, add_pc, reg in zip(self._load_pcs, self._add_pcs,
+                                            self._regs):
+                pairs += (b.intern(load_pc, OpClass.LOAD, reg),
+                          b.intern(add_pc, OpClass.INT_ALU, acc, (acc, reg)))
+            sidx = self._sidx = (*pairs, b.intern(self._branch_pc, OpClass.BRANCH))
+        i = self._i
         self._i += self.unroll
-        b.branch(self._branch_pc, taken=True, target=self._load_pcs[0])
+        src = self._src
+        elements = self.elements
+        addr = []
+        for u in range(self.unroll):
+            addr += (src + ((i + u) % elements) * 8, 0)
+        addr.append(0)
+        b.emit_block(sidx, addr, self._size, self._value, self._taken,
+                     self._target)
 
 
 class FPStencilKernel(Kernel):
@@ -344,19 +457,33 @@ class FPStencilKernel(Kernel):
         self._store_pc = builder.alloc_pc()
         self._branch_pc = builder.alloc_pc()
         self._i = 1
+        self._target = (-1,) * 6 + (self._load_pcs[0],)
+        self._sidx = None
 
     def emit(self) -> None:
         b = self.builder
+        sidx = self._sidx
+        if sidx is None:
+            regs = self._regs
+            acc = self._acc
+            sidx = self._sidx = (
+                *[b.intern(pc, OpClass.LOAD, reg)
+                  for pc, reg in zip(self._load_pcs, regs)],
+                b.intern(self._fp_pcs[0], OpClass.FP_ALU, acc, (regs[0], regs[1])),
+                b.intern(self._fp_pcs[1], OpClass.FP_MUL, acc, (acc, regs[2])),
+                b.intern(self._store_pc, OpClass.STORE, srcs=(acc,)),
+                b.intern(self._branch_pc, OpClass.BRANCH))
         i = self._i
         self._i += 1
-        for k, delta in enumerate((-1, 0, 1)):
-            offset = ((i + delta) % self.elements) * 8
-            b.load(self._load_pcs[k], self._regs[k], self._src + offset, size=8)
-        b.alu(self._fp_pcs[0], self._acc, (self._regs[0], self._regs[1]), op_class=OpClass.FP_ALU)
-        b.alu(self._fp_pcs[1], self._acc, (self._acc, self._regs[2]), op_class=OpClass.FP_MUL)
-        b.store(self._store_pc, self._dst + (i % self.elements) * 8, b.value(8),
-                size=8, srcs=(self._acc,))
-        b.branch(self._branch_pc, taken=True, target=self._load_pcs[0])
+        src = self._src
+        elements = self.elements
+        b.emit_block(sidx,
+                     (src + ((i - 1) % elements) * 8, src + (i % elements) * 8,
+                      src + ((i + 1) % elements) * 8, 0, 0,
+                      self._dst + (i % elements) * 8, 0),
+                     (8, 8, 8, 0, 0, 8, 0),
+                     (-1, -1, -1, -1, -1, b.value(8), -1),
+                     (False,) * 6 + (True,), self._target)
 
 
 class PointerChaseKernel(Kernel):
@@ -385,6 +512,7 @@ class PointerChaseKernel(Kernel):
         self._order = shuffled_range(builder.rng, self.nodes)
         self._pos = 0
         self._chain = 0
+        self._sidx = [None] * self.chains
 
     def emit(self) -> None:
         b = self.builder
@@ -392,12 +520,16 @@ class PointerChaseKernel(Kernel):
         self._pos += 1
         chain = self._chain
         self._chain = (self._chain + 1) % self.chains
-        addr = self._region + node * self.node_bytes
-        reg = self._ptr_regs[chain]
-        # The load consumes the previous pointer value of its own chain and
-        # produces the next one, serialising each chain on itself.
-        b.load(self._load_pcs[chain], reg, addr, size=8, srcs=(reg,))
-        b.alu(self._alu_pcs[chain], reg, (reg,))
+        sidx = self._sidx[chain]
+        if sidx is None:
+            # The load consumes the previous pointer value of its own chain
+            # and produces the next one, serialising each chain on itself.
+            reg = self._ptr_regs[chain]
+            sidx = self._sidx[chain] = (
+                b.intern(self._load_pcs[chain], OpClass.LOAD, reg, (reg,)),
+                b.intern(self._alu_pcs[chain], OpClass.INT_ALU, reg, (reg,)))
+        b.emit_block(sidx, (self._region + node * self.node_bytes, 0), (8, 0),
+                     (-1, -1), (False, False), (-1, -1))
 
 
 class BranchyKernel(Kernel):
@@ -417,12 +549,25 @@ class BranchyKernel(Kernel):
         self._branch_pc = builder.alloc_pc()
         self._target = builder.alloc_pc()
 
+        # `work_ops` ALU ops, then the branch.
+        self._zeros = (0,) * (work_ops + 1)
+        self._value = (-1,) * (work_ops + 1)
+        self._quiet = (False,) * work_ops
+        self._targets = (*(-1,) * work_ops, self._target)
+        self._sidx = None
+
     def emit(self) -> None:
         b = self.builder
-        for i in range(self.work_ops):
-            b.alu(self._work_pcs[i], self._regs[i % 2], (self._regs[(i + 1) % 2],))
+        sidx = self._sidx
+        if sidx is None:
+            regs = self._regs
+            sidx = self._sidx = (
+                *[b.intern(pc, OpClass.INT_ALU, regs[i % 2], (regs[(i + 1) % 2],))
+                  for i, pc in enumerate(self._work_pcs)],
+                b.intern(self._branch_pc, OpClass.BRANCH, srcs=(regs[0],)))
         taken = b.rng.random() < self.taken_prob
-        b.branch(self._branch_pc, taken=taken, target=self._target, srcs=(self._regs[0],))
+        b.emit_block(sidx, self._zeros, self._zeros, self._value,
+                     (*self._quiet, taken), self._targets)
 
 
 #: All kernel classes, exported for tests that want to iterate over them.

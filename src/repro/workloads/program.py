@@ -6,21 +6,26 @@ instruction across dynamic instances), architectural registers, disjoint
 memory regions, and deterministic pseudo-random values — and provides typed
 emit helpers that append micro-ops to the trace being built.
 
-Emission is **two-plane** (see :mod:`repro.isa.plane`): each emit helper
-interns the instruction's static descriptor into the program's shared
+Emission is **two-plane** (see :mod:`repro.isa.plane`): a static
+instruction's descriptor is interned once into the program's shared
 :class:`~repro.isa.plane.StaticProgramPlane` (a per-process cache keyed by
-program name, :func:`plane_for`) and appends only the dynamic fields,
-straight onto the six parallel lists of the
-:class:`~repro.isa.plane.EncodedOps` under construction — no per-uop object
-is ever built on this path.  :meth:`ProgramBuilder.finish` returns the
-encoded stream (``len``, ``.stats``, iteration/indexing as
+program name, :func:`plane_for`), and each dynamic instance appends only
+its static index and dynamic fields, straight onto the six parallel lists
+of the :class:`~repro.isa.plane.EncodedOps` under construction — no
+per-uop object is ever built on this path.  :meth:`ProgramBuilder.finish`
+returns the encoded stream (``len``, ``.stats``, iteration/indexing as
 :class:`~repro.isa.uop.MicroOp` views).
 
 A :class:`Kernel` is a small static code fragment: it allocates its PCs,
 registers, and memory regions once at construction and then emits one loop
 iteration's worth of dynamic micro-ops every time :meth:`Kernel.emit` is
-called.  Workload composers interleave iterations of several kernels to
-approximate a target benchmark profile.
+called, as one block (:meth:`ProgramBuilder.emit_block`): it interns its
+static instructions at its first emit, in emission order, and afterwards
+computes only addresses, store values and branch outcomes.  The per-op
+helpers (:meth:`ProgramBuilder.load`, :meth:`~ProgramBuilder.store`, ...)
+validate and append one micro-op at a time, for hand-written programs.
+Workload composers interleave iterations of several kernels to approximate
+a target benchmark profile.
 """
 
 from __future__ import annotations
@@ -69,15 +74,14 @@ class ProgramBuilder:
         self.name = name
         self.rng = random.Random(seed)
         self.ops = ops = EncodedOps(plane_for(name), name=name)
-        # The emit helpers' targets: the plane's interner and the bound
-        # appends of the stream's six dynamic lists.
-        self._intern = ops.plane.intern_cached
-        self._sidx = ops.sidx.append
-        self._addr = ops.addr.append
-        self._size = ops.size.append
-        self._value = ops.value.append
-        self._taken = ops.taken.append
-        self._target = ops.target.append
+        # emit_block's targets: the bound extends of the stream's six
+        # dynamic lists.
+        self._sidx = ops.sidx.extend
+        self._addr = ops.addr.extend
+        self._size = ops.size.extend
+        self._value = ops.value.extend
+        self._taken = ops.taken.extend
+        self._target = ops.target.extend
         self._next_pc = CODE_BASE
         self._next_data = DATA_BASE
         self._next_int_reg = 1          # r0 reserved as a generic source
@@ -130,13 +134,38 @@ class ProgramBuilder:
         """A deterministic pseudo-random store value of the given width."""
         return self.rng.getrandbits(8 * size)
 
-    # -- emit helpers -----------------------------------------------------------
-    #
-    # Each helper interns the static descriptor (validated once per static
-    # instruction) and appends the dynamic fields, with the defaults of
-    # :meth:`~repro.isa.plane.EncodedOps.append` for the fields it does not
-    # carry.  Dynamic validation keeps the old MicroOp construction-time
-    # guarantees for generator bugs.
+    # -- emission ---------------------------------------------------------------
+
+    def intern(self, pc: int, op_class: OpClass, dest: Optional[int] = None,
+               srcs: Sequence[int] = (), call: bool = False,
+               ret: bool = False) -> int:
+        """The static index of one static instruction of this program,
+        interned into the shared plane on first sight (which validates its
+        registers)."""
+        return self.ops.plane.intern(pc, op_class, dest, tuple(srcs), call,
+                                     ret)
+
+    def emit_block(self, sidx: Sequence[int], addr: Sequence[int],
+                   size: Sequence[int], value: Sequence[int],
+                   taken: Sequence[bool], target: Sequence[int]) -> None:
+        """Append a block of micro-ops, given as its six parallel columns
+        (the fields of :class:`~repro.isa.plane.EncodedOps`).
+
+        Nothing is validated here: a kernel computes its addresses, sizes
+        and values by construction, and the per-op helpers below validate
+        before they append.
+        """
+        self._sidx(sidx)
+        self._addr(addr)
+        self._size(size)
+        self._value(value)
+        self._taken(taken)
+        self._target(target)
+
+    # Each per-op helper validates its dynamic fields (the old MicroOp
+    # construction-time guarantees) and appends one micro-op, with the
+    # defaults of :meth:`~repro.isa.plane.EncodedOps.append` for the
+    # fields it does not carry.
 
     def load(self, pc: int, dest: int, addr: int, size: int = 8,
              srcs: Sequence[int] = ()) -> None:
@@ -145,12 +174,7 @@ class ProgramBuilder:
                              f"expected one of {VALID_ACCESS_SIZES}")
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
-        self._sidx(self._intern(pc, OpClass.LOAD, dest, tuple(srcs)))
-        self._addr(addr)
-        self._size(size)
-        self._value(-1)
-        self._taken(False)
-        self._target(-1)
+        self.ops.append(self.intern(pc, OpClass.LOAD, dest, srcs), addr, size)
 
     def store(self, pc: int, addr: int, value: int, size: int = 8,
               srcs: Sequence[int] = ()) -> None:
@@ -161,41 +185,23 @@ class ProgramBuilder:
             raise ValueError(f"negative address {addr:#x}")
         if not 0 <= value < (1 << (8 * size)):
             raise ValueError(f"store value {value:#x} does not fit in {size} bytes")
-        self._sidx(self._intern(pc, OpClass.STORE, None, tuple(srcs)))
-        self._addr(addr)
-        self._size(size)
-        self._value(value)
-        self._taken(False)
-        self._target(-1)
+        self.ops.append(self.intern(pc, OpClass.STORE, None, srcs), addr, size,
+                        value)
 
     def alu(self, pc: int, dest: int, srcs: Sequence[int] = (),
             op_class: OpClass = OpClass.INT_ALU) -> None:
-        self._sidx(self._intern(pc, op_class, dest, tuple(srcs)))
-        self._addr(0)
-        self._size(0)
-        self._value(-1)
-        self._taken(False)
-        self._target(-1)
+        self.ops.append(self.intern(pc, op_class, dest, srcs))
 
     def branch(self, pc: int, taken: bool, target: Optional[int] = None,
                srcs: Sequence[int] = (), call: bool = False, ret: bool = False) -> None:
         if taken and target is None:
             target = pc + 64
-        self._sidx(self._intern(pc, OpClass.BRANCH, None, tuple(srcs),
-                                call, ret))
-        self._addr(0)
-        self._size(0)
-        self._value(-1)
-        self._taken(taken)
-        self._target(target if target is not None else -1)
+        self.ops.append(self.intern(pc, OpClass.BRANCH, None, srcs, call, ret),
+                        taken=taken,
+                        target=target if target is not None else -1)
 
     def nop(self, pc: int) -> None:
-        self._sidx(self._intern(pc, OpClass.NOP, None, ()))
-        self._addr(0)
-        self._size(0)
-        self._value(-1)
-        self._taken(False)
-        self._target(-1)
+        self.ops.append(self.intern(pc, OpClass.NOP))
 
     # -- finishing --------------------------------------------------------------
 

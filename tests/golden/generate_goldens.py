@@ -6,7 +6,10 @@ full-detail and sampled runs, so hot-path refactors (static-plane trace
 encoding, core-loop rework, warming changes) diff against frozen numbers
 rather than against themselves.  ``hotpath_golden.json``'s ``store_sets``
 cells pin the original Store Sets configuration on the default machine,
-on cells that deadlocked until a squashed store's LFST entry was undone.  ``hotpath_golden.json`` covers the
+on cells that deadlocked until a squashed store's LFST entry was undone.
+Its ``traces`` section pins trace composition itself: one content digest
+per workload (:func:`trace_digest`) at a single-segment length and at the
+40k default, which spans three segments.  ``hotpath_golden.json`` covers the
 blocking hierarchy; ``mlp_golden.json`` covers the non-blocking one (MSHR
 files and the stride prefetcher, and a 2-entry file whose structural
 stalls hold ready loads at issue), which the frozen seed stack in
@@ -18,6 +21,7 @@ content or simulator semantics change intentionally:
 and explain the regeneration in the commit message.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -62,6 +66,11 @@ STALL_INSTRUCTIONS = 6000
 STORE_SETS_CONFIG = "associative-original-storesets"
 STORE_SETS_CELLS = (("vortex", 1), ("mesa.m", 1), ("gzip", 2), ("gcc", 3))
 STORE_SETS_INSTRUCTIONS = 8000
+
+
+#: Composed traces, as (instructions, seed): every workload at a length
+#: inside one segment and at the 40k default (three segments).
+TRACE_CELLS = ((800, 1), (40_000, 3))
 
 
 def _plan():
@@ -176,6 +185,35 @@ def store_sets_goldens() -> dict:
     return out
 
 
+def trace_digest(ops) -> str:
+    """SHA-256 of a trace's content: each micro-op's static descriptor
+    ``(pc, op class, dest, srcs, call, ret)`` and its five dynamic fields
+    (address, size, store value, taken, target).
+
+    A micro-op names its descriptor by rank in the sorted table of the
+    descriptors the trace uses, so the digest does not depend on how a
+    process's static plane happens to number them.
+    """
+    descriptors = ops.plane.descriptors
+    text = {si: json.dumps(descriptors[si]) for si in set(ops.sidx)}
+    table = sorted(text, key=text.__getitem__)
+    rank = {si: position for position, si in enumerate(table)}
+    payload = json.dumps([[text[si] for si in table],
+                          [rank[si] for si in ops.sidx], ops.addr, ops.size,
+                          ops.value, ops.taken, ops.target])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def trace_goldens() -> dict:
+    """Every workload's trace digest, keyed ``instructions/seed`` then by
+    workload name."""
+    from repro.workloads.suites import build_workload, workload_names
+
+    return {f"{instructions}/{seed}": {
+        name: trace_digest(build_workload(name, instructions, seed))
+        for name in workload_names()} for instructions, seed in TRACE_CELLS}
+
+
 def _write(path: Path, golden: dict) -> None:
     path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -186,6 +224,7 @@ def main() -> int:
         "full_detail": _full_detail(),
         "sampled_checkpointed": _sampled(),
         "store_sets": store_sets_goldens(),
+        "traces": trace_goldens(),
     })
     _write(MLP_GOLDEN_PATH, mlp_goldens())
     return 0

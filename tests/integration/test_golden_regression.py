@@ -22,6 +22,11 @@ The ``store_sets`` cells pin the original Store Sets configuration on the
 default machine, where it deadlocked on most cells until a squashed
 store's LFST entry was undone.
 
+The ``traces`` section pins what the workload composer emits: one content
+digest per workload (every micro-op's static descriptor and dynamic
+fields) for all 47 workloads at 800 instructions, seed 1, and at 40,000
+instructions, seed 3, three segments long.
+
 Regenerate the goldens ONLY for intentional trace-content or
 simulator-semantics changes: ``python tests/golden/generate_goldens.py``
 (see that file's docstring).
@@ -148,6 +153,16 @@ def _generator():
     finally:
         sys.path.remove(str(GOLDEN_DIR))
     return generate_goldens
+
+
+class TestTraceGoldens:
+    def test_composed_traces_match_frozen_digests(self, golden):
+        want = golden["traces"]
+        got = _generator().trace_goldens()
+        assert sorted(got) == sorted(want) == ["40000/3", "800/1"]
+        for cell, digests in want.items():
+            assert len(digests) == 47
+            assert got[cell] == digests, cell
 
 
 class TestStoreSetsGoldens:

@@ -68,24 +68,30 @@ class TestClearProcessMemos:
         from repro.memory import image
         from repro.pipeline.config import CoreConfig
         from repro.pipeline.core import OutOfOrderCore
-        from repro.sampling import driver
+        from repro.sampling import checkpoints
         from repro.workloads import suites
 
         settings = ExperimentSettings(instructions=600)
         trace = _trace_for(JobSpec("gzip", "indexed-3-fwd", settings))
         OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd")).run(trace)
         cache._canonical_pickle(settings)
-        driver._FACTS_CACHE["probe"] = None
+        checkpoints.shared_key("gzip", settings, 0)
         assert suites._SEGMENT_CACHE and jobs._TRACE_CACHE
         assert image._background_word.cache_info().currsize
         assert cache._canonical_pickle.cache_info().currsize
+        assert checkpoints._memoised_key.cache_info().currsize
         assert trace.commit_facts and trace.warm_lines
 
-        _common.clear_process_memos([trace])
+        with checkpoints.interval_record():
+            checkpoints._RECORD.hold(("store", "key"), None)
+            checkpoints.interval_facts()["probe"] = None
+            _common.clear_process_memos([trace])
+            assert checkpoints._RECORD.location is None
+            assert not checkpoints.interval_facts()
         assert not suites._SEGMENT_CACHE and not jobs._TRACE_CACHE
         assert image._background_word.cache_info().currsize == 0
         assert cache._canonical_pickle.cache_info().currsize == 0
-        assert not driver._FACTS_CACHE
+        assert checkpoints._memoised_key.cache_info().currsize == 0
         assert not trace.commit_facts and not trace.warm_lines
 
 

@@ -25,7 +25,7 @@ from repro.memory.image import MemoryImage
 from repro.pipeline import commit_facts
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
-from repro.sampling import driver
+from repro.sampling import checkpoints, driver
 from repro.sampling.checkpoints import load_interval_state
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
@@ -121,14 +121,14 @@ def test_interval_configurations_share_the_windows_facts(computations):
     settings = ExperimentSettings(instructions=20_000,
                                   stats_warmup_fraction=0.0, sampling=plan)
     window = plan.intervals(settings.instructions)[1]
-    driver._FACTS_CACHE.clear()
     specs = [IntervalJobSpec("vortex", config, settings, 1)
              for config in CONFIGS]
     specs.append(dataclasses.replace(specs[-1], predictors=SMALL_SVW))
-    records = [driver.run_interval_job(spec) for spec in specs]
-    # One window, two SVW geometries.
-    assert len(computations) == 2
-    assert len(driver._FACTS_CACHE) == 2
+    with checkpoints.interval_record():
+        records = [driver.run_interval_job(spec) for spec in specs]
+        # One window, two SVW geometries.
+        assert len(computations) == 2
+        assert len(checkpoints.interval_facts()) == 2
     for spec, record in zip(specs, records):
         # A core left to compute its own facts simulates the same interval.
         state, uops = load_interval_state(spec, window)

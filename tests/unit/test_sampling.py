@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.core.ssn import SSNAllocator
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
 from repro.harness.runner import ExperimentSettings, make_policy
 from repro.pipeline.config import CoreConfig
@@ -212,6 +213,20 @@ class TestFunctionalWarming:
         assert state.policy.svw.state_signature() == core.policy.svw.state_signature()
         assert state.ssn_alloc.ssn_commit == core.ssn_alloc.ssn_commit
         assert state.ssn_alloc.ssn_rename == core.ssn_alloc.ssn_rename
+
+    def test_ssn_counters_follow_the_allocator_across_wraps(self):
+        # Five-bit SSNs wrap every 32 stores; the warm pass keeps the
+        # counters in locals and writes them back after every segment.
+        trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
+        warmer = FunctionalWarmer(CoreConfig(ssn_bits=5),
+                                  make_policy("indexed-3-fwd+dly"))
+        reference = SSNAllocator(bits=5)
+        for segment in (trace.slice(0, 2_500), trace.slice(2_500, len(trace))):
+            warmer.warm(segment)
+            for _ in range(segment.stats.stores):
+                reference.commit(reference.allocate())
+            assert warmer.state.ssn_alloc == reference
+        assert reference.wraps > 10
 
     def test_branch_direction_state_exact_without_flushes(self):
         core, result = self._detailed("oracle-associative-3")

@@ -3,6 +3,8 @@ and the suite composer."""
 
 import pytest
 
+from repro.isa.uop import OpClass
+from repro.workloads import program
 from repro.workloads.kernels import (
     ALL_KERNELS,
     AccumulateKernel,
@@ -71,6 +73,24 @@ class TestProgramBuilder:
         trace = builder.finish()
         assert len(trace) == 5
         assert trace.stats.loads == 1 and trace.stats.stores == 1
+
+    def test_emit_block_appends_its_columns(self):
+        builder = ProgramBuilder("block-test")
+        load = builder.intern(0x400, OpClass.LOAD, 1)
+        store = builder.intern(0x404, OpClass.STORE, srcs=[1])
+        branch = builder.intern(0x408, OpClass.BRANCH, call=True)
+        assert builder.intern(0x404, OpClass.STORE, srcs=(1,)) == store
+        builder.emit_block((load, store, branch), (0x1000, 0x1008, 0),
+                           (8, 4, 0), (-1, 7, -1), (False, False, True),
+                           (-1, -1, 0x500))
+        trace = builder.finish()
+        assert [(u.pc, u.op_class, u.dest, u.srcs, u.hint_call)
+                for u in trace] == [(0x400, OpClass.LOAD, 1, (), False),
+                                    (0x404, OpClass.STORE, None, (1,), False),
+                                    (0x408, OpClass.BRANCH, None, (), True)]
+        assert (trace[0].mem.addr, trace[1].mem.addr, trace[1].mem.size,
+                trace[1].mem.value) == (0x1000, 0x1008, 4, 7)
+        assert trace[2].is_taken and trace[2].target == 0x500
 
     def test_determinism_given_seed(self):
         a = ProgramBuilder("t", seed=7).value(8)
@@ -290,6 +310,19 @@ class TestSuites:
     def test_high_forwarding_profile_mix(self):
         composer = WorkloadComposer(get_profile("mesa.m"))
         assert composer._forward_prob > 0.3
+
+    def test_static_instructions_are_interned_in_emission_order(
+            self, monkeypatch):
+        # Static indices are numbered in order of first emission: a kernel
+        # interns an instruction only when it first emits it, so snapshots
+        # that ship a plane's descriptor table keep their bytes.
+        monkeypatch.setattr(program, "_PLANE_REGISTRY", {})
+        for name in workload_names():
+            composer = WorkloadComposer(get_profile(name), seed=1)
+            composer.compose(4_000)
+            ops = composer.builder.ops
+            assert list(dict.fromkeys(ops.sidx)) == \
+                list(range(len(ops.plane))), name
 
     def test_static_footprint_is_bounded(self):
         trace = build_workload("vortex", instructions=5000)
